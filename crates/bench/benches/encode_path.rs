@@ -1,8 +1,7 @@
 //! Hit-path response assembly: splicing cached candidate bytes into the
 //! framed envelope vs re-rendering the explanation and re-serializing it.
 //! The ratio between the two groups is what the encode-once serving path
-//! buys per cache hit; `served_zipf_replay` in the `experiments --section
-//! encode` report shows the same delta end to end.
+//! buys per cache hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

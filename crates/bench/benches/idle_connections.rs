@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use wtq_bench::exec::bench_table;
-use wtq_bench::serve::{loopback_server, question_workload, replay_workload};
+use wtq_bench::serve::{loopback_server, question_workload, replay_workload, stat};
 use wtq_server::{Client, ServerConfig};
 
 /// Idle sockets to hold open (clamped by the fd limit at runtime).
@@ -35,18 +35,21 @@ fn bench_idle_connections(c: &mut Criterion) {
         .map(|_| TcpStream::connect(addr).expect("idle connection"))
         .collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().open_connections < idle_conns.len() as u64 {
+    let open = || stat(&handle.stats(), "wtq_server_open_connections");
+    while open() < idle_conns.len() as u64 {
         assert!(
             std::time::Instant::now() < deadline,
-            "reactors never registered the idle herd; stats: {:?}",
-            handle.server_stats()
+            "reactors never registered the idle herd; {} open",
+            open()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let stats = handle.server_stats();
+    let stats = handle.stats();
     println!(
         "holding {} idle connections on {} reactor + {} dispatch threads",
-        stats.open_connections, stats.reactor_threads, stats.dispatch_threads
+        stat(&stats, "wtq_server_open_connections"),
+        stat(&stats, "wtq_server_reactor_threads"),
+        stat(&stats, "wtq_server_dispatch_threads")
     );
 
     // Warm the engine's index cache so iterations measure serving.
@@ -72,10 +75,10 @@ fn bench_idle_connections(c: &mut Criterion) {
     group.finish();
 
     // The herd must have survived the whole run.
-    let stats = handle.server_stats();
     assert!(
-        stats.open_connections >= idle_conns.len() as u64,
-        "idle connections dropped during the bench: {stats:?}"
+        open() >= idle_conns.len() as u64,
+        "idle connections dropped during the bench: {} open",
+        open()
     );
     drop(idle_conns);
     handle.shutdown();

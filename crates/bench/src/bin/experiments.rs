@@ -354,16 +354,10 @@ fn main() {
                 case.speedup_warm
             );
         }
-        println!(
-            "\nPlanner decisions over the SQL workloads (Auto mode): \
-             {} columnar-kernel / {} index / {} row-scan; \
-             estimated {} vs actual {} matching rows.",
-            report.planner.kernel_chosen,
-            report.planner.index_chosen,
-            report.planner.scan_chosen,
-            report.planner.estimated_rows,
-            report.planner.actual_rows
-        );
+        println!("\nPlanner decisions over the SQL workloads (Auto mode):\n");
+        for sample in &report.planner {
+            println!("- `{}` {}", sample.series, sample.value);
+        }
         println!(
             "\nCandidate throughput: {:.0} questions/s ({:.0} µs/question); \
              denotation cache {} hits / {} misses over one pool.",
@@ -529,7 +523,7 @@ fn main() {
 
     if wanted("encode") {
         heading("Encode-once serving — hit-path splice vs rebuild-and-serialize");
-        let encode = wtq_bench::encode::encode_report(512, 40, 6, 240, 4);
+        let encode = wtq_bench::encode::encode_report(512, 6);
         println!(
             "Hit-path frame assembly over a {}-row table (reused buffers on \
              both sides, byte-identical output asserted):\n",
@@ -548,20 +542,9 @@ fn main() {
                 case.speedup
             );
         }
-        let served = &encode.served;
         println!(
-            "\nMedian micro speedup {:.1}×. Served over loopback TCP at \
-             s = {:.1} ({} requests, {} connections, hit rate {:.1}%): \
-             {:.1} q/s rebuilding every hit vs {:.1} q/s splicing cached \
-             bytes ({:.2}×).",
-            encode.median_micro_speedup,
-            served.skew,
-            served.requests,
-            served.connections,
-            served.hit_rate * 100.0,
-            served.rebuild_qps,
-            served.spliced_qps,
-            served.speedup
+            "\nMedian micro speedup {:.1}×.",
+            encode.median_micro_speedup
         );
         if let Some(report) = exec_report.as_mut() {
             report.encode = Some(encode);

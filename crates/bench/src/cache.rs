@@ -24,7 +24,7 @@ use wtq_server::{Client, ServerConfig};
 use wtq_table::Table;
 
 use crate::exec::bench_table;
-use crate::serve::{loopback_server, question_workload, replay_workload};
+use crate::serve::{loopback_server, question_workload, replay_workload, stat};
 use crate::EXPERIMENT_SEED;
 
 /// The Zipf skews the caching section replays, ascending. s = 1.1 is the
@@ -160,13 +160,13 @@ fn skew_case(
     }
     let cached_qps = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
 
-    let stats = cached.cache_stats();
-    let lookups = (stats.hits + stats.misses).max(1);
+    let metrics = cached.cache().metrics();
+    let (hits, misses) = (metrics.hits.get(), metrics.misses.get());
     CachingSkewCase {
         skew,
         requests: trace.len(),
         distinct_questions: distinct(&trace),
-        hit_rate: stats.hits as f64 / lookups as f64,
+        hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         uncached_qps,
         cached_qps,
         speedup: cached_qps / uncached_qps.max(1e-9),
@@ -209,12 +209,15 @@ fn served_case(
         assert_eq!(rejected, 0, "cache bench must not hit backpressure");
         qps[slot] = latencies.len() as f64 / elapsed.max(1e-9);
         if cache_capacity > 0 {
-            let mut client = Client::connect(addr).expect("stats client connects");
-            let stats = client.stats().expect("stats request succeeds");
-            let cache = stats.engine.answer_cache;
-            let lookups = (cache.hits + cache.misses).max(1);
-            hit_rate = cache.hits as f64 / lookups as f64;
-            collapsed_waiters = cache.collapsed_waiters;
+            let stats = handle.stats();
+            let op = |op: &str| {
+                stat(
+                    &stats,
+                    &format!("wtq_answer_cache_ops_total{{op=\"{op}\"}}"),
+                )
+            };
+            hit_rate = op("hit") as f64 / (op("hit") + op("miss")).max(1) as f64;
+            collapsed_waiters = op("collapsed");
         }
         handle.shutdown();
     }

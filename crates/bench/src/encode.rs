@@ -1,37 +1,27 @@
 //! Encode-path measurements: what the encode-once serving path buys on a
-//! cache hit, micro and served.
+//! cache hit.
 //!
 //! Shared by the `experiments` binary's `--section encode` (folded into
 //! `BENCH_exec.json` as the `encode` section) and the `encode_regression`
-//! gate. Two vantage points:
-//!
-//! * **micro** — assembling the framed response for an already-cached
-//!   answer, interleaved: the splice path (envelope head written by the
-//!   hand-rolled escaper into a reused buffer, cached candidate bytes and
-//!   static tail appended) against the rebuild path (re-render the
-//!   [`WireExplanation`] from the cached candidates, `serde_json` the
-//!   envelope, frame it). Identical output bytes — asserted — so the
-//!   ratio isolates pure encode work.
-//! * **served** — the headline Zipfian replay (s = 1.1, the `cache`
-//!   section's deployment shape) against two loopback servers that differ
-//!   only in [`ServerConfig::encode_once`], so the qps delta is what the
-//!   splice path is worth end to end with the cache hot.
+//! gate. Each case assembles the framed response for an already-cached
+//! answer, interleaved: the splice path the server runs (envelope head
+//! written by the hand-rolled escaper into a reused buffer, cached
+//! candidate bytes and static tail appended) against an in-process
+//! rebuild (re-render the [`WireExplanation`] from the cached candidates,
+//! `serde_json` the envelope, frame it). Identical output bytes —
+//! asserted — so the ratio isolates pure encode work.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::Serialize;
 
 use wtq_core::{CachedCandidates, Engine};
 use wtq_server::wire::{self, encode_frame_into, spliced_frame_head};
-use wtq_server::{
-    Client, ResponseBody, ResponseEnvelope, ServerConfig, WireExplanation, PROTOCOL_VERSION,
-};
+use wtq_server::{ResponseBody, ResponseEnvelope, WireExplanation, PROTOCOL_VERSION};
 use wtq_table::Table;
 
-use crate::cache::zipf_trace;
 use crate::exec::{bench_table, interleaved_us};
-use crate::serve::{loopback_server, question_workload, replay_workload};
+use crate::serve::question_workload;
 
 /// One question's hit-path encode timings, µs per assembled frame.
 #[derive(Debug, Clone, Serialize)]
@@ -50,40 +40,16 @@ pub struct EncodeMicroCase {
     pub speedup: f64,
 }
 
-/// The served A/B: one Zipfian replay against `encode_once` off vs on.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServedEncodeCase {
-    /// Zipf skew parameter s.
-    pub skew: f64,
-    /// Requests replayed per variant.
-    pub requests: usize,
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Questions/second with `encode_once: false` (rebuild every hit).
-    pub rebuild_qps: f64,
-    /// Questions/second with `encode_once: true` (splice cached bytes).
-    pub spliced_qps: f64,
-    /// `spliced_qps / rebuild_qps`.
-    pub speedup: f64,
-    /// Answer-cache hit rate of the spliced variant (both variants replay
-    /// the same trace, so it describes the rebuild variant equally).
-    pub hit_rate: f64,
-}
-
 /// The full encode report (the `encode` section of `BENCH_exec.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct EncodeReport {
     /// Rows of the benchmark table the questions run over.
     pub rows: usize,
-    /// Size of the question pool the served trace draws from.
-    pub question_pool: usize,
     /// Per-question micro timings, hit-path encode only.
     pub micro: Vec<EncodeMicroCase>,
     /// Median of the micro speedups — the `encode_regression` gate's
     /// number.
     pub median_micro_speedup: f64,
-    /// The served Zipfian A/B at s = 1.1.
-    pub served: ServedEncodeCase,
 }
 
 /// Median of a non-empty sample set.
@@ -152,90 +118,22 @@ pub fn micro_case(engine: &Engine, table: &Table, question: &str, top_k: usize) 
     }
 }
 
-/// Replay the headline-skew trace against two loopback servers differing
-/// only in `encode_once`, both with the default answer cache.
-fn served_case(
-    table: &Table,
-    pool: usize,
-    requests: usize,
-    skew: f64,
-    connections: usize,
-) -> ServedEncodeCase {
-    let workload = question_workload(table, pool);
-    let trace = zipf_trace(workload.len(), requests, skew);
-    let replay: Vec<wtq_server::ExplainBody> =
-        trace.iter().map(|&index| workload[index].clone()).collect();
-
-    let mut qps = [0.0f64; 2];
-    let mut hit_rate = 0.0;
-    for (slot, encode_once) in [(0, false), (1, true)] {
-        let config = ServerConfig {
-            encode_once,
-            ..ServerConfig::default()
-        };
-        let handle = loopback_server(table.clone(), config);
-        let addr = handle.local_addr();
-        // Warm the index cache so both variants measure steady-state serving.
-        {
-            let mut client = Client::connect(addr).expect("warm-up client connects");
-            let first = &workload[0];
-            let _ = client.explain(&first.question, &first.table, Some(1));
-        }
-        let start = Instant::now();
-        let (latencies, rejected) = replay_workload(addr, &replay, connections);
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(rejected, 0, "encode bench must not hit backpressure");
-        qps[slot] = latencies.len() as f64 / elapsed.max(1e-9);
-        if encode_once {
-            let mut client = Client::connect(addr).expect("stats client connects");
-            let stats = client.stats().expect("stats request succeeds");
-            let cache = stats.engine.answer_cache;
-            let lookups = (cache.hits + cache.misses).max(1);
-            hit_rate = cache.hits as f64 / lookups as f64;
-        }
-        handle.shutdown();
-    }
-
-    ServedEncodeCase {
-        skew,
-        requests: replay.len(),
-        connections,
-        rebuild_qps: qps[0],
-        spliced_qps: qps[1],
-        speedup: qps[1] / qps[0].max(1e-9),
-        hit_rate,
-    }
-}
-
-/// Run the full encode comparison: micro hit-path timings over
-/// `micro_questions` of the pool, plus the served Zipfian A/B at s = 1.1
-/// (`requests` requests over `connections` clients).
-pub fn encode_report(
-    rows: usize,
-    pool: usize,
-    micro_questions: usize,
-    requests: usize,
-    connections: usize,
-) -> EncodeReport {
+/// Run the encode comparison: hit-path timings over `questions` generated
+/// questions on a `rows`-row table.
+pub fn encode_report(rows: usize, questions: usize) -> EncodeReport {
     let table = bench_table(rows);
-    let workload = question_workload(&table, pool);
     let engine = Engine::new();
     engine.index_for(&table); // warm: the micro loop measures encode, not indexing
 
-    let micro: Vec<EncodeMicroCase> = workload
+    let micro: Vec<EncodeMicroCase> = question_workload(&table, questions)
         .iter()
-        .take(micro_questions)
         .map(|body| micro_case(&engine, &table, &body.question, 3))
         .collect();
     let median_micro_speedup = median(micro.iter().map(|case| case.speedup).collect());
-    let served = served_case(&table, pool, requests, 1.1, connections);
-
     EncodeReport {
         rows,
-        question_pool: workload.len(),
         micro,
         median_micro_speedup,
-        served,
     }
 }
 
@@ -256,16 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn encode_report_covers_micro_and_served() {
+    fn encode_report_covers_every_micro_case() {
         // Tiny sizes: this runs in debug CI. The real numbers come from
         // `experiments --section encode` in release mode.
-        let report = encode_report(48, 6, 2, 18, 2);
+        let report = encode_report(48, 2);
         assert_eq!(report.micro.len(), 2);
         assert!(report.median_micro_speedup > 0.0);
-        assert_eq!(report.served.skew, 1.1);
-        assert!(report.served.rebuild_qps > 0.0 && report.served.spliced_qps > 0.0);
-        assert!(report.served.hit_rate > 0.0, "{:?}", report.served);
         let json = serde_json::to_string(&report).expect("report serializes");
-        assert!(json.contains("median_micro_speedup") && json.contains("spliced_qps"));
+        assert!(json.contains("median_micro_speedup"));
     }
 }

@@ -79,8 +79,9 @@ pub struct ExecReport {
     /// SQL engine workloads (cost-based planner vs scan path).
     pub sql: Vec<ExecCase>,
     /// Planner decisions taken while timing the SQL workloads (scan vs
-    /// index vs columnar kernel, estimated vs actual matching rows).
-    pub planner: wtq_sql::PlannerStats,
+    /// index vs columnar kernel, estimated vs actual matching rows), as the
+    /// registry samples of the section's planner counters.
+    pub planner: Vec<wtq_obs::Sample>,
     /// End-to-end questions/second through lexicon → candidates → scoring.
     pub candidate_throughput_qps: f64,
     /// Mean per-question parse time backing the throughput number, µs.
@@ -103,9 +104,8 @@ pub struct ExecReport {
     /// (`experiments --section cache`); absent when that section was not
     /// run.
     pub caching: Option<crate::cache::CachingReport>,
-    /// Encode-once hit-path timings and the served `encode_once` A/B
-    /// (`experiments --section encode`); absent when that section was not
-    /// run.
+    /// Encode-once hit-path timings (`experiments --section encode`);
+    /// absent when that section was not run.
     pub encode: Option<crate::encode::EncodeReport>,
     /// Parse-pipeline stage breakdown and interned-vs-string-keyed feature
     /// comparison (`experiments --section parse`); absent when that section
@@ -282,7 +282,9 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
             speedup_warm: scan_us / indexed_warm_us,
         });
     }
-    let planner = planner_counters.snapshot();
+    let registry = wtq_obs::Registry::new();
+    planner_counters.register(&registry);
+    let planner = registry.samples();
 
     // End-to-end candidate throughput on a regular-size generated table with
     // generated questions (lexicon → candidates → scoring).
@@ -412,9 +414,12 @@ mod tests {
         // The SQL section exercised the planner: every workload was planned
         // (never a row-scan fallback) on both the cold kernel path and the
         // warm index-or-kernel path.
-        assert!(report.planner.kernel_chosen > 0);
-        assert!(report.planner.index_chosen + report.planner.kernel_chosen > 0);
-        assert!(report.planner.actual_rows > 0);
+        let planner = |series: &str| {
+            let sample = report.planner.iter().find(|sample| sample.series == series);
+            sample.expect("planner series reported").value
+        };
+        assert!(planner("wtq_planner_decisions_total{backend=\"kernel\"}") > 0.0);
+        assert!(planner("wtq_planner_actual_rows_total") > 0.0);
         // The report serializes.
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(json.contains("candidate_throughput_qps"));

@@ -17,9 +17,10 @@
 //!   sorted sparse vectors, dense weights and a reused [`ScratchSpace`].
 //!
 //! Both run over the same warm evaluator session, so the comparison
-//! isolates the feature representation. The report also snapshots the
-//! [`wtq_parser::ParseStats`] stage counters accumulated by the interned
-//! runs — the tokenize/lexicon/candidates/eval/features/score breakdown.
+//! isolates the feature representation. The report also sums the
+//! [`ParseSpans`] each timed interned parse leaves in its scratch space —
+//! the tokenize/lexicon/candidates/eval/features/score breakdown of
+//! exactly this report's parses, whatever else runs in the process.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -28,7 +29,7 @@ use serde::Serialize;
 use wtq_dataset::questions::{generate_for_family, QuestionFamily};
 use wtq_dcs::Evaluator;
 use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
-use wtq_parser::{ParseStats, ScratchSpace, SemanticParser};
+use wtq_parser::{ParseSpans, ScratchSpace, SemanticParser};
 use wtq_table::Table;
 
 use crate::exec::interleaved_us;
@@ -93,11 +94,10 @@ pub struct ParseCase {
     pub speedup: f64,
 }
 
-/// Per-question mean of each parse stage, derived from the process-wide
-/// [`ParseStats`] counters accumulated while the interned variant ran.
+/// Per-question mean of each parse stage over the timed interned parses.
 #[derive(Debug, Clone, Serialize)]
 pub struct StageBreakdown {
-    /// Questions the counters cover.
+    /// Parses the spans cover.
     pub questions: u64,
     /// Normalization + tokenization, µs per question.
     pub tokenize_us: f64,
@@ -116,19 +116,19 @@ pub struct StageBreakdown {
 }
 
 impl StageBreakdown {
-    /// Per-question means of a counter snapshot.
-    pub fn from_stats(stats: &ParseStats) -> Self {
-        let n = stats.questions.max(1) as f64;
-        let us = |ns: u64| ns as f64 / n / 1e3;
+    /// Per-question means of `total`, the summed spans of `questions`
+    /// parses.
+    pub fn from_spans(total: &ParseSpans, questions: u64) -> Self {
+        let us = |ns: u64| ns as f64 / questions.max(1) as f64 / 1e3;
         StageBreakdown {
-            questions: stats.questions,
-            tokenize_us: us(stats.tokenize_ns),
-            lexicon_us: us(stats.lexicon_ns),
-            candidates_us: us(stats.candidates_ns),
-            eval_us: us(stats.eval_ns),
-            features_us: us(stats.features_ns),
-            score_us: us(stats.score_ns),
-            total_us: us(stats.total_ns()),
+            questions,
+            tokenize_us: us(total.tokenize_ns),
+            lexicon_us: us(total.lexicon_ns),
+            candidates_us: us(total.candidates_ns),
+            eval_us: us(total.eval_ns),
+            features_us: us(total.features_ns),
+            score_us: us(total.score_ns),
+            total_us: us(total.total_ns()),
         }
     }
 }
@@ -161,7 +161,7 @@ pub fn parsing_report(questions_per_workload: usize) -> ParsingReport {
     let mut interned_total_us = 0.0;
     let mut reference_total_us = 0.0;
     let mut total_questions = 0usize;
-    wtq_parser::reset_parse_stats();
+    let (mut spans, mut parses) = (ParseSpans::default(), 0u64);
     for (name, family) in parse_workloads() {
         let questions = family_questions(
             &table,
@@ -193,6 +193,8 @@ pub fn parsing_report(questions_per_workload: usize) -> ParsingReport {
             &mut || {
                 for question in &questions {
                     let _ = parser.parse_in_session_with(question, &evaluator, &mut scratch);
+                    spans += scratch.spans();
+                    parses += 1;
                 }
             },
         ]);
@@ -210,7 +212,7 @@ pub fn parsing_report(questions_per_workload: usize) -> ParsingReport {
             speedup: reference_us / interned_us,
         });
     }
-    let stages = StageBreakdown::from_stats(&wtq_parser::parse_stats());
+    let stages = StageBreakdown::from_spans(&spans, parses);
 
     let interned_qps = 1e6 * total_questions as f64 / interned_total_us;
     let reference_qps = 1e6 * total_questions as f64 / reference_total_us;

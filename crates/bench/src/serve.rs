@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use wtq_core::Engine;
-use wtq_server::{Client, ExplainBody, Server, ServerConfig, ServerHandle};
+use wtq_server::{Client, ExplainBody, Server, ServerConfig, ServerHandle, StatsBody};
 use wtq_table::{Catalog, Table};
 
 use crate::exec::bench_table;
@@ -61,6 +61,12 @@ pub fn loopback_server(table: Table, config: ServerConfig) -> ServerHandle {
     let engine = Arc::new(Engine::new());
     let catalog: Arc<Catalog> = Arc::new([table].into_iter().collect());
     Server::bind("127.0.0.1:0", engine, catalog, config).expect("bind loopback server")
+}
+
+/// The value of `series` in a `Stats` body, as a count (`0` when the
+/// registry does not carry it).
+pub fn stat(stats: &StatsBody, series: &str) -> u64 {
+    stats.get(series).unwrap_or(0.0) as u64
 }
 
 /// A deterministic question workload over `table`.
@@ -147,13 +153,12 @@ pub fn serving_report(rows: usize, questions: usize, connections: usize) -> Serv
     let started = Instant::now();
     let (latencies, rejected) = replay_workload(addr, &workload, connections);
     let elapsed = started.elapsed().as_secs_f64();
-    let cache = {
-        let mut client = Client::connect(addr).expect("stats client connects");
-        client
-            .stats()
-            .expect("stats request succeeds")
-            .engine
-            .answer_cache
+    let stats = handle.stats();
+    let cache_op = |op: &str| {
+        stat(
+            &stats,
+            &format!("wtq_answer_cache_ops_total{{op=\"{op}\"}}"),
+        )
     };
     handle.shutdown();
     let mut latencies_ms: Vec<f64> = latencies
@@ -175,9 +180,9 @@ pub fn serving_report(rows: usize, questions: usize, connections: usize) -> Serv
         p99_ms: percentile(&latencies_ms, 0.99),
         max_ms: latencies_ms.last().copied().unwrap_or(0.0),
         rejected,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_collapsed_waiters: cache.collapsed_waiters,
+        cache_hits: cache_op("hit"),
+        cache_misses: cache_op("miss"),
+        cache_collapsed_waiters: cache_op("collapsed"),
     }
 }
 
@@ -254,7 +259,7 @@ pub fn idle_connections_report(
         }
     }
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().open_connections < idle_conns.len() as u64
+    while stat(&handle.stats(), "wtq_server_open_connections") < idle_conns.len() as u64
         && Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(5));
@@ -269,7 +274,7 @@ pub fn idle_connections_report(
     let started = Instant::now();
     let (latencies, _rejected) = replay_workload(addr, &workload, active.max(1));
     let elapsed = started.elapsed().as_secs_f64();
-    let stats = handle.server_stats();
+    let stats = handle.stats();
 
     let mut latencies_ms: Vec<f64> = latencies
         .iter()
@@ -284,9 +289,9 @@ pub fn idle_connections_report(
         qps: latencies_ms.len() as f64 / elapsed.max(1e-9),
         p50_ms: percentile(&latencies_ms, 0.50),
         p99_ms: percentile(&latencies_ms, 0.99),
-        server_open_connections: stats.open_connections,
-        reactor_threads: stats.reactor_threads,
-        dispatch_threads: stats.dispatch_threads,
+        server_open_connections: stat(&stats, "wtq_server_open_connections"),
+        reactor_threads: stat(&stats, "wtq_server_reactor_threads"),
+        dispatch_threads: stat(&stats, "wtq_server_dispatch_threads"),
         nofile_soft_limit: soft_limit,
     };
     drop(idle_conns);

@@ -28,15 +28,16 @@
 //!   rejected by admission control) abandons the flight and waiters retry
 //!   — degrading to exactly the uncached behavior, never hanging.
 //!
-//! Every decision is counted ([`CacheStats`]) so serving layers can expose
-//! hit rate, collapse effectiveness, evictions and resident bytes.
+//! Every decision is counted in the cache's own `wtq_obs` handles
+//! ([`CacheMetrics`]) so serving layers can expose hit rate, collapse
+//! effectiveness, evictions and resident bytes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
+use wtq_obs::{Counter, Gauge, Registry};
 
 /// Key of one cached answer.
 ///
@@ -97,46 +98,70 @@ impl Default for CacheConfig {
     }
 }
 
-/// Serializable snapshot of a cache's counters and gauges.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
+/// The live metric handles of one [`AnswerCache`], published as the
+/// `wtq_answer_cache_*` families by [`CacheMetrics::register`]. The
+/// `entries` and `bytes` gauges are the cache's own occupancy accounting.
+#[derive(Debug, Default)]
+pub struct CacheMetrics {
     /// Lookups answered from a live entry.
-    pub hits: u64,
+    pub hits: Arc<Counter>,
     /// Lookups that found nothing usable (first sight, TTL-expired or
     /// stale-epoch entries included).
-    pub misses: u64,
+    pub misses: Arc<Counter>,
     /// Requests that blocked on another request's in-flight computation
     /// and received the leader's value without executing.
-    pub collapsed_waiters: u64,
+    pub collapsed_waiters: Arc<Counter>,
     /// Values inserted (leader computations that completed).
-    pub insertions: u64,
+    pub insertions: Arc<Counter>,
     /// Entries evicted by the LRU capacity bound.
-    pub evictions_lru: u64,
+    pub evictions_lru: Arc<Counter>,
     /// Entries dropped because they outlived the TTL.
-    pub evictions_ttl: u64,
+    pub evictions_ttl: Arc<Counter>,
     /// Entries dropped because their fingerprint's epoch was bumped
     /// (table reload / explicit invalidation).
-    pub stale_drops: u64,
-    /// Entries currently resident (gauge).
-    pub entries: u64,
-    /// Approximate bytes of resident values (gauge; weights are supplied
-    /// by the caller at insert time).
-    pub bytes: u64,
-    /// Configured total capacity.
-    pub capacity: u64,
+    pub stale_drops: Arc<Counter>,
+    /// Entries currently resident.
+    pub entries: Arc<Gauge>,
+    /// Approximate bytes of resident values (weights are supplied by the
+    /// caller at insert time).
+    pub bytes: Arc<Gauge>,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    collapsed_waiters: AtomicU64,
-    insertions: AtomicU64,
-    evictions_lru: AtomicU64,
-    evictions_ttl: AtomicU64,
-    stale_drops: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
+impl CacheMetrics {
+    /// Attach these handles to `registry`.
+    pub fn register(&self, registry: &Registry) {
+        registry.attach_labeled(
+            "wtq_answer_cache_ops_total",
+            "op",
+            "Answer-cache lookups and insertions, by outcome",
+            [
+                ("hit", &self.hits),
+                ("miss", &self.misses),
+                ("collapsed", &self.collapsed_waiters),
+                ("insertion", &self.insertions),
+            ],
+        );
+        registry.attach_labeled(
+            "wtq_answer_cache_evictions_total",
+            "reason",
+            "Answer-cache entries dropped, by reason",
+            [
+                ("lru", &self.evictions_lru),
+                ("ttl", &self.evictions_ttl),
+                ("stale", &self.stale_drops),
+            ],
+        );
+        registry.attach(
+            "wtq_answer_cache_entries",
+            "Answer-cache entries resident",
+            &self.entries,
+        );
+        registry.attach(
+            "wtq_answer_cache_bytes",
+            "Approximate answer-cache resident bytes",
+            &self.bytes,
+        );
+    }
 }
 
 /// One resident entry: the shared value, its epoch stamp, its approximate
@@ -255,8 +280,7 @@ pub struct AnswerCache<V> {
     ttl: Option<Duration>,
     /// Global LRU clock: monotonically increasing use stamps.
     clock: AtomicU64,
-    counters: Counters,
-    capacity: usize,
+    metrics: CacheMetrics,
 }
 
 impl<V> AnswerCache<V> {
@@ -278,8 +302,7 @@ impl<V> AnswerCache<V> {
             epochs: Mutex::new(HashMap::new()),
             ttl: config.ttl,
             clock: AtomicU64::new(0),
-            counters: Counters::default(),
-            capacity: per_shard * shards,
+            metrics: CacheMetrics::default(),
         }
     }
 
@@ -335,8 +358,8 @@ impl<V> AnswerCache<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         let drop_reason = match shard.entries.get(key) {
             None => None,
-            Some(entry) if entry.epoch != epoch => Some(&self.counters.stale_drops),
-            Some(entry) if self.expired(entry) => Some(&self.counters.evictions_ttl),
+            Some(entry) if entry.epoch != epoch => Some(&self.metrics.stale_drops),
+            Some(entry) if self.expired(entry) => Some(&self.metrics.evictions_ttl),
             Some(_) => {
                 let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
                 let entry = shard.entries.get_mut(key).expect("entry just seen");
@@ -344,17 +367,17 @@ impl<V> AnswerCache<V> {
                 let value = entry.value.clone();
                 shard.by_recency.remove(&previous_stamp);
                 shard.by_recency.insert(stamp, key.clone());
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.metrics.hits.inc();
                 return Some(value);
             }
         };
         if let Some(counter) = drop_reason {
             let removed = shard.remove(key).expect("entry just seen");
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             self.note_removed(&removed);
         }
         if count_miss {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            self.metrics.misses.inc();
         }
         None
     }
@@ -401,9 +424,7 @@ impl<V> AnswerCache<V> {
             // Wait out the leader. The flight is removed from the map
             // before its state flips, so a fresh begin() can already start
             // the next flight while late waiters drain here.
-            self.counters
-                .collapsed_waiters
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.collapsed_waiters.inc();
             let mut state = flight.state.lock().expect("flight poisoned");
             loop {
                 match &*state {
@@ -437,7 +458,7 @@ impl<V> AnswerCache<V> {
                 .map(|(_, key)| key.clone())
                 .expect("non-empty shard");
             let removed = shard.remove(&oldest).expect("oldest entry");
-            self.counters.evictions_lru.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions_lru.inc();
             self.note_removed(&removed);
         }
         shard.entries.insert(
@@ -451,11 +472,9 @@ impl<V> AnswerCache<V> {
             },
         );
         shard.by_recency.insert(stamp, key.clone());
-        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        self.counters.entries.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.metrics.insertions.inc();
+        self.metrics.entries.add(1);
+        self.metrics.bytes.add(bytes as i64);
         shared
     }
 
@@ -467,31 +486,18 @@ impl<V> AnswerCache<V> {
     }
 
     fn note_removed(&self, entry: &Entry<V>) {
-        self.counters.entries.fetch_sub(1, Ordering::Relaxed);
-        self.counters
-            .bytes
-            .fetch_sub(entry.bytes as u64, Ordering::Relaxed);
+        self.metrics.entries.add(-1);
+        self.metrics.bytes.add(-(entry.bytes as i64));
     }
 
-    /// Point-in-time counters and gauges.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            collapsed_waiters: self.counters.collapsed_waiters.load(Ordering::Relaxed),
-            insertions: self.counters.insertions.load(Ordering::Relaxed),
-            evictions_lru: self.counters.evictions_lru.load(Ordering::Relaxed),
-            evictions_ttl: self.counters.evictions_ttl.load(Ordering::Relaxed),
-            stale_drops: self.counters.stale_drops.load(Ordering::Relaxed),
-            entries: self.counters.entries.load(Ordering::Relaxed),
-            bytes: self.counters.bytes.load(Ordering::Relaxed),
-            capacity: self.capacity as u64,
-        }
+    /// The cache's counters and occupancy gauges.
+    pub fn metrics(&self) -> &CacheMetrics {
+        &self.metrics
     }
 
     /// Entries currently resident across all shards.
     pub fn len(&self) -> usize {
-        self.counters.entries.load(Ordering::Relaxed) as usize
+        self.metrics.entries.get() as usize
     }
 
     /// Whether the cache holds no entries.
@@ -519,7 +525,6 @@ mod tests {
     #[test]
     fn cache_is_send_sync() {
         assert_send_sync::<AnswerCache<Vec<String>>>();
-        assert_send_sync::<CacheStats>();
     }
 
     #[test]
@@ -529,12 +534,12 @@ mod tests {
         assert!(cache.lookup(&k).is_none());
         cache.insert(&k, 42, 100);
         assert_eq!(*cache.lookup(&k).expect("hit"), 42);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.insertions, 1);
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.bytes, 100);
+        let stats = cache.metrics();
+        assert_eq!(stats.hits.get(), 1);
+        assert_eq!(stats.misses.get(), 1);
+        assert_eq!(stats.insertions.get(), 1);
+        assert_eq!(stats.entries.get(), 1);
+        assert_eq!(stats.bytes.get(), 100);
     }
 
     #[test]
@@ -542,12 +547,16 @@ mod tests {
         let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig::default());
         let k = key(1, "which city hosted in 2008");
         assert!(cache.probe(&k).is_none());
-        assert_eq!(cache.stats().misses, 0, "a probe miss is not counted");
+        assert_eq!(
+            cache.metrics().misses.get(),
+            0,
+            "a probe miss is not counted"
+        );
         cache.insert(&k, 42, 100);
         assert_eq!(*cache.probe(&k).expect("hit"), 42);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1, "a probe hit resolved the request");
-        assert_eq!(stats.misses, 0);
+        let stats = cache.metrics();
+        assert_eq!(stats.hits.get(), 1, "a probe hit resolved the request");
+        assert_eq!(stats.misses.get(), 0);
     }
 
     #[test]
@@ -582,10 +591,10 @@ mod tests {
         assert!(cache.lookup(&key(1, "b")).is_none(), "b was evicted");
         assert!(cache.lookup(&key(1, "a")).is_some());
         assert!(cache.lookup(&key(1, "c")).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.evictions_lru, 1);
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.bytes, 20);
+        let stats = cache.metrics();
+        assert_eq!(stats.evictions_lru.get(), 1);
+        assert_eq!(stats.entries.get(), 2);
+        assert_eq!(stats.bytes.get(), 20);
     }
 
     #[test]
@@ -610,9 +619,9 @@ mod tests {
         assert_eq!(*cache.lookup(&key(1, "c")).expect("refreshed"), 9);
         cache.insert(&key(1, "f"), 5, 1);
         assert!(cache.lookup(&key(1, "e")).is_none(), "e was the LRU entry");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions_lru, 2);
-        assert_eq!(stats.entries, 4);
+        let stats = cache.metrics();
+        assert_eq!(stats.evictions_lru.get(), 2);
+        assert_eq!(stats.entries.get(), 4);
     }
 
     #[test]
@@ -627,10 +636,10 @@ mod tests {
         assert!(cache.lookup(&k).is_some());
         std::thread::sleep(Duration::from_millis(40));
         assert!(cache.lookup(&k).is_none(), "entry outlived its TTL");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions_ttl, 1);
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.bytes, 0);
+        let stats = cache.metrics();
+        assert_eq!(stats.evictions_ttl.get(), 1);
+        assert_eq!(stats.entries.get(), 0);
+        assert_eq!(stats.bytes.get(), 0);
     }
 
     #[test]
@@ -641,7 +650,7 @@ mod tests {
         assert!(cache.lookup(&k).is_some());
         cache.invalidate(7);
         assert!(cache.lookup(&k).is_none(), "stale epoch must not hit");
-        assert_eq!(cache.stats().stale_drops, 1);
+        assert_eq!(cache.metrics().stale_drops.get(), 1);
         // Re-inserting under the new epoch works.
         cache.insert(&k, 2, 5);
         assert_eq!(*cache.lookup(&k).expect("fresh entry"), 2);
@@ -683,10 +692,10 @@ mod tests {
             .collect();
         assert_eq!(executions.load(Ordering::SeqCst), 1, "one execution");
         assert!(results.iter().all(|&v| v == 99), "all identical results");
-        let stats = cache.stats();
-        assert_eq!(stats.insertions, 1);
+        let stats = cache.metrics();
+        assert_eq!(stats.insertions.get(), 1);
         assert_eq!(
-            stats.hits + stats.collapsed_waiters,
+            stats.hits.get() + stats.collapsed_waiters.get(),
             (THREADS - 1) as u64,
             "everyone else was served without executing: {stats:?}"
         );
@@ -731,18 +740,5 @@ mod tests {
             Begin::Hit(value) => assert_eq!(*value, 5),
             _ => panic!("completed flight must be a hit"),
         };
-    }
-
-    #[test]
-    fn stats_serialize_and_roundtrip() {
-        let cache: AnswerCache<u32> = AnswerCache::with_capacity(64);
-        cache.insert(&key(1, "a"), 1, 11);
-        let stats = cache.stats();
-        let json = serde_json::to_string(&stats).expect("stats serialize");
-        let back: CacheStats = serde_json::from_str(&json).expect("stats parse");
-        assert_eq!(back, stats);
-        assert!(json.contains("collapsed_waiters"));
-        assert!(json.contains("stale_drops"));
-        assert!(json.contains("bytes"));
     }
 }

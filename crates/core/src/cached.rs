@@ -32,11 +32,13 @@
 
 use std::sync::Arc;
 
-use wtq_cache::{AnswerCache, Begin, CacheConfig, CacheKey, CacheStats, FlightGuard};
+use wtq_cache::{AnswerCache, Begin, CacheConfig, CacheKey, FlightGuard};
+use wtq_obs::Registry;
+use wtq_parser::ParseSpans;
 use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::{Catalog, Table};
 
-use crate::engine::{Engine, EngineStats, ExplainRequest, Explanation};
+use crate::engine::{Engine, ExplainRequest, Explanation};
 use crate::pipeline::ExplainedCandidate;
 use crate::wire;
 
@@ -106,7 +108,8 @@ fn approx_bytes(value: &CachedCandidates) -> usize {
 
 /// An [`Engine`] wrapped with a deduplicating answer cache — see the
 /// module docs. `Send + Sync` like the engine itself; share one behind an
-/// `Arc` across every serving thread.
+/// `Arc` across every serving thread. The cache counts into its own
+/// handles, so two `CachedEngine`s over one engine keep separate numbers.
 pub struct CachedEngine {
     engine: Arc<Engine>,
     cache: AnswerCache<CachedCandidates>,
@@ -178,20 +181,23 @@ impl CachedEngine {
     /// Execute `question` on the wrapped engine and publish the result to
     /// `guard`'s flight. The one sanctioned leader body: every leader path
     /// (here and in serving layers) funnels through it so the executed
-    /// question/top_k always match the flight's key.
+    /// question/top_k always match the flight's key. Also returns the
+    /// leader's parse spans, for the leader's request trace.
     pub fn execute_flight(
         &self,
         guard: FlightGuard<'_, CachedCandidates>,
         question: &str,
         table: &Table,
         top_k: usize,
-    ) -> CachedAnswer {
-        let explained = self.engine.explain_question(question, table, top_k);
+    ) -> (CachedAnswer, ParseSpans) {
+        let (explained, spans) = self
+            .engine
+            .explain_question_with_spans(question, table, top_k);
         // Serialize here, exactly once per flight: every hit on this entry
         // reuses the bytes instead of re-rendering and re-encoding.
         let value = CachedCandidates::new(explained, table);
         let bytes = approx_bytes(&value);
-        guard.complete(value, bytes)
+        (guard.complete(value, bytes), spans)
     }
 
     /// Explain one question through the cache: a hit answers from memory,
@@ -201,7 +207,7 @@ impl CachedEngine {
         let key = self.key_for(question, table, Some(top_k));
         match self.cache.begin(&key) {
             Begin::Hit(value) | Begin::Collapsed(value) => value,
-            Begin::Lead(guard) => self.execute_flight(guard, question, table, top_k),
+            Begin::Lead(guard) => self.execute_flight(guard, question, table, top_k).0,
         }
     }
 
@@ -330,17 +336,10 @@ impl CachedEngine {
         self.cache.invalidate(fingerprint);
     }
 
-    /// The answer cache's counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// The wrapped engine's stats snapshot with the answer-cache counters
-    /// filled in (a bare [`Engine::stats`] reports them all-zero).
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = self.engine.stats();
-        stats.answer_cache = self.cache.stats();
-        stats
+    /// Attach the answer cache's handles to `registry` (the wrapped
+    /// engine registers its own via [`Engine::register`]).
+    pub fn register(&self, registry: &Registry) {
+        self.cache.metrics().register(registry);
     }
 }
 
@@ -416,9 +415,9 @@ mod tests {
             assert_eq!(a.utterance, b.utterance);
             assert_eq!(a.sql, b.sql);
         }
-        let stats = cached.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.insertions, 1);
+        let metrics = cached.cache().metrics();
+        assert_eq!(metrics.hits.get(), 1);
+        assert_eq!(metrics.insertions.get(), 1);
     }
 
     #[test]
@@ -428,7 +427,7 @@ mod tests {
         let a = cached.explain_question("Which city hosted in 2008?", &table, 3);
         let b = cached.explain_question("  which CITY hosted in 2008  ", &table, 3);
         assert!(Arc::ptr_eq(&a, &b), "normalized variants share the entry");
-        assert_eq!(cached.cache_stats().insertions, 1);
+        assert_eq!(cached.cache().metrics().insertions.get(), 1);
         // A different top_k is a different answer.
         let c = cached.explain_question("Which city hosted in 2008?", &table, 1);
         assert!(!Arc::ptr_eq(&a, &c));
@@ -460,7 +459,11 @@ mod tests {
         let question = "Which city hosted in 2008?";
         let original = cached.explain_question(question, &table, 1);
         let changed = cached.explain_question(question, &edited, 1);
-        assert_eq!(cached.cache_stats().insertions, 2, "two distinct entries");
+        assert_eq!(
+            cached.cache().metrics().insertions.get(),
+            2,
+            "two distinct entries"
+        );
         assert_ne!(original[0].answer, changed[0].answer);
     }
 
@@ -476,7 +479,7 @@ mod tests {
         assert!(cached.lookup(&key).is_none(), "invalidated entry gone");
         let kept = cached.key_for("total Gold of Fiji?", &medals, Some(3));
         assert!(cached.lookup(&kept).is_some(), "other table unaffected");
-        assert_eq!(cached.cache_stats().stale_drops, 1);
+        assert_eq!(cached.cache().metrics().stale_drops.get(), 1);
     }
 
     #[test]
@@ -524,18 +527,22 @@ mod tests {
 
     #[test]
     fn stats_carry_answer_cache_counters() {
-        let cached = cached_engine();
-        let table = samples::olympics();
-        cached.explain_question("Which city hosted in 2008?", &table, 3);
-        cached.explain_question("Which city hosted in 2008?", &table, 3);
-        let stats = cached.stats();
-        assert_eq!(stats.answer_cache.hits, 1);
-        assert_eq!(stats.answer_cache.insertions, 1);
-        assert!(stats.answer_cache.capacity > 0);
-        // A bare engine reports the field all-zero.
-        assert_eq!(
-            cached.engine().stats().answer_cache,
-            wtq_cache::CacheStats::default()
+        let engine = Arc::new(Engine::new());
+        let (first, second) = (
+            CachedEngine::with_capacity(engine.clone(), 16),
+            CachedEngine::with_capacity(engine, 16),
         );
+        let table = samples::olympics();
+        first.explain_question("Which city hosted in 2008?", &table, 3);
+        first.explain_question("Which city hosted in 2008?", &table, 3);
+        let registry = Registry::new();
+        first.register(&registry);
+        let text = registry.render();
+        assert!(text.contains("wtq_answer_cache_ops_total{op=\"hit\"} 1\n"));
+        assert!(text.contains("wtq_answer_cache_ops_total{op=\"insertion\"} 1\n"));
+        assert!(text.contains("wtq_answer_cache_entries 1\n"));
+        // A second cache over the same engine counts only its own ops.
+        assert_eq!(second.cache().metrics().insertions.get(), 0);
+        assert_eq!(first.engine().metrics().questions_served.get(), 1);
     }
 }

@@ -24,14 +24,18 @@
 //! sequential path produces — parsing and explanation are rng-free pure
 //! functions of `(question, table, model)`, so scheduling cannot leak into
 //! the output.
+//!
+//! Each engine owns its metric handles ([`EngineMetrics`], the index
+//! cache's and the planner's): two engines in one process never mix their
+//! numbers, and [`Engine::register`] attaches the live handles to a
+//! serving layer's registry.
 
-use serde::{Deserialize, Serialize};
 use wtq_dcs::{Evaluator, Formula};
-use wtq_parser::{Candidate, SemanticParser};
+use wtq_obs::{Counter, Gauge, Histogram, Registry};
+use wtq_parser::{Candidate, ParseSpans, SemanticParser};
 use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::{Catalog, IndexCache, Table, TableIndex};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::pipeline::ExplainedCandidate;
@@ -95,68 +99,52 @@ pub struct Explanation {
     pub error: Option<String>,
 }
 
-/// A serializable point-in-time snapshot of an [`Engine`]'s configuration
-/// and serving counters — the single stats surface instrumentation (and a
-/// server's `stats` endpoint) reads instead of poking at ad-hoc accessors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Configured default top-k ([`EngineConfig::top_k`]).
-    pub top_k: usize,
-    /// Configured default worker count ([`EngineConfig::workers`]).
-    pub workers: usize,
-    /// LRU capacity of the index cache.
-    pub index_cache_capacity: usize,
-    /// Tables currently resident in the index cache.
-    pub cached_tables: usize,
-    /// Index-cache hit / miss / eviction counters since construction.
-    pub index_cache: wtq_table::CacheStats,
+/// The serving counters and parse-stage timings of one [`Engine`],
+/// published as the `wtq_engine_*` and `wtq_parse_*` families by
+/// [`Engine::register`]. Every parse a [`Session`] runs is recorded here —
+/// single questions and batch items alike.
+#[derive(Debug, Default)]
+pub struct EngineMetrics {
     /// Questions answered through the engine's entry points
     /// ([`Engine::explain_question`] and the batch paths).
-    pub questions_served: u64,
+    pub questions_served: Arc<Counter>,
     /// Batch calls answered ([`Engine::explain_batch`] and variants).
-    pub batches_served: u64,
+    pub batches_served: Arc<Counter>,
     /// Engine entry-point calls currently executing.
-    pub in_flight: u64,
-    /// SQL planner decision counters: scan vs index vs columnar-kernel
-    /// choices and estimated vs actual selectivity. Snapshotted from this
-    /// engine's own [`wtq_sql::PlannerCounters`] set
-    /// ([`Engine::planner_counters`]); anything executing SQL on the
-    /// engine's behalf shares that set, so the numbers cover exactly this
-    /// engine's activity, not the whole process.
-    pub planner: wtq_sql::PlannerStats,
-    /// Parse-pipeline stage timings (process-wide): tokenize, lexicon,
-    /// candidate composition, formula execution, feature extraction and
-    /// scoring spans per question.
-    pub parsing: wtq_parser::ParseStats,
-    /// Deduplicating answer-cache counters, populated when the engine is
-    /// served through a [`crate::CachedEngine`]; all-zero on a bare engine
-    /// (which has no answer cache).
-    pub answer_cache: wtq_cache::CacheStats,
+    pub in_flight: Arc<Gauge>,
+    /// Questions parsed end to end.
+    pub parse_questions: Arc<Counter>,
+    /// Cumulative parse time per stage, in [`ParseSpans::STAGES`] order.
+    pub parse_stage_ns: [Arc<Counter>; 6],
+    /// Per-question parse time per stage, in [`ParseSpans::STAGES`] order.
+    pub parse_stage_duration: [Arc<Histogram>; 6],
 }
 
-/// Serving counters of an [`Engine`] (all atomics: incremented under
-/// `&self` from any worker thread).
-#[derive(Debug, Default)]
-struct EngineCounters {
-    questions_served: AtomicU64,
-    batches_served: AtomicU64,
-    in_flight: AtomicU64,
+impl EngineMetrics {
+    /// Record one parse's stage spans.
+    fn record_parse(&self, spans: &ParseSpans) {
+        self.parse_questions.inc();
+        for (stage, ns) in spans.stages().into_iter().enumerate() {
+            self.parse_stage_ns[stage].add(ns);
+            self.parse_stage_duration[stage].observe(ns);
+        }
+    }
 }
 
 /// RAII in-flight marker: increments on entry, decrements on drop (panic
 /// included, so a panicking request never leaks an in-flight count).
-struct InFlightGuard<'a>(&'a AtomicU64);
+struct InFlightGuard<'a>(&'a Gauge);
 
 impl<'a> InFlightGuard<'a> {
-    fn enter(counter: &'a AtomicU64) -> Self {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InFlightGuard(counter)
+    fn enter(gauge: &'a Gauge) -> Self {
+        gauge.add(1);
+        InFlightGuard(gauge)
     }
 }
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.0.add(-1);
     }
 }
 
@@ -184,12 +172,12 @@ pub struct Engine {
     parser: SemanticParser,
     indexes: IndexCache,
     config: EngineConfig,
-    counters: EngineCounters,
+    metrics: EngineMetrics,
     /// SQL planner decision counters attributed to this engine. The engine
     /// itself only *translates* formulas to SQL; callers that execute the
     /// translations (benches, validation suites) share this set via
     /// [`Engine::planner_counters`] so the activity lands on the engine's
-    /// stats surface.
+    /// metrics.
     planner: Arc<wtq_sql::PlannerCounters>,
 }
 
@@ -226,7 +214,7 @@ impl Engine {
             parser,
             indexes: IndexCache::with_capacity(config.index_cache_capacity),
             config,
-            counters: EngineCounters::default(),
+            metrics: EngineMetrics::default(),
             planner: Arc::new(wtq_sql::PlannerCounters::new()),
         }
     }
@@ -235,27 +223,56 @@ impl Engine {
     /// `Arc` to any [`wtq_sql::SqlEngine`] executing translated formulas on
     /// this engine's behalf (via
     /// [`SqlEngine::with_counters`][wtq_sql::SqlEngine::with_counters]) and
-    /// the decisions show up in [`Engine::stats`].
+    /// the decisions show up in the engine's registered metrics.
     pub fn planner_counters(&self) -> Arc<wtq_sql::PlannerCounters> {
         Arc::clone(&self.planner)
     }
 
-    /// A serializable snapshot of the engine's configuration, index-cache
-    /// counters and serving counters — see [`EngineStats`].
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            top_k: self.config.top_k,
-            workers: self.config.workers,
-            index_cache_capacity: self.config.index_cache_capacity,
-            cached_tables: self.indexes.len(),
-            index_cache: self.indexes.stats(),
-            questions_served: self.counters.questions_served.load(Ordering::Relaxed),
-            batches_served: self.counters.batches_served.load(Ordering::Relaxed),
-            in_flight: self.counters.in_flight.load(Ordering::Relaxed),
-            planner: self.planner.snapshot(),
-            parsing: wtq_parser::parse_stats(),
-            answer_cache: wtq_cache::CacheStats::default(),
-        }
+    /// The engine's serving counters and parse-stage timings.
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.metrics
+    }
+
+    /// Attach every handle this engine owns — its [`EngineMetrics`], the
+    /// index cache's and the planner's — to `registry`.
+    pub fn register(&self, registry: &Registry) {
+        let metrics = &self.metrics;
+        registry.attach(
+            "wtq_engine_questions_served_total",
+            "Questions answered by the engine",
+            &metrics.questions_served,
+        );
+        registry.attach(
+            "wtq_engine_batches_served_total",
+            "Batch calls answered by the engine",
+            &metrics.batches_served,
+        );
+        registry.attach(
+            "wtq_engine_in_flight",
+            "Engine entry points currently executing",
+            &metrics.in_flight,
+        );
+        registry.attach(
+            "wtq_parse_questions_total",
+            "Questions parsed end to end",
+            &metrics.parse_questions,
+        );
+        registry.attach_labeled(
+            "wtq_parse_stage_ns_total",
+            "stage",
+            "Cumulative parse-stage time in nanoseconds, by stage",
+            ParseSpans::STAGES.into_iter().zip(&metrics.parse_stage_ns),
+        );
+        registry.attach_labeled(
+            "wtq_parse_stage_duration_seconds",
+            "stage",
+            "Per-question parse-stage latency",
+            ParseSpans::STAGES
+                .into_iter()
+                .zip(&metrics.parse_stage_duration),
+        );
+        self.indexes.metrics().register(registry);
+        self.planner.register(registry);
     }
 
     /// The shared semantic parser.
@@ -269,7 +286,7 @@ impl Engine {
     }
 
     /// The thread-safe index cache (for instrumentation: hit / miss /
-    /// eviction counters via [`IndexCache::stats`]).
+    /// eviction counters via [`IndexCache::metrics`]).
     pub fn index_cache(&self) -> &IndexCache {
         &self.indexes
     }
@@ -286,6 +303,7 @@ impl Engine {
     pub fn session<'a>(&'a self, table: &'a Table) -> Session<'a> {
         Session {
             parser: &self.parser,
+            metrics: &self.metrics,
             evaluator: Evaluator::with_index(table, self.index_for(table)),
             scratch: std::cell::RefCell::new(wtq_parser::ScratchSpace::new()),
         }
@@ -299,12 +317,23 @@ impl Engine {
         table: &Table,
         top_k: usize,
     ) -> Vec<ExplainedCandidate> {
-        let _in_flight = InFlightGuard::enter(&self.counters.in_flight);
-        let explained = self.session(table).explain_question(question, top_k);
-        self.counters
-            .questions_served
-            .fetch_add(1, Ordering::Relaxed);
-        explained
+        self.explain_question_with_spans(question, table, top_k).0
+    }
+
+    /// [`Engine::explain_question`], also returning the parse's stage spans
+    /// (what a serving layer attaches to a sampled request trace).
+    pub fn explain_question_with_spans(
+        &self,
+        question: &str,
+        table: &Table,
+        top_k: usize,
+    ) -> (Vec<ExplainedCandidate>, ParseSpans) {
+        let _in_flight = InFlightGuard::enter(&self.metrics.in_flight);
+        let session = self.session(table);
+        let explained = session.explain_question(question, top_k);
+        self.metrics.questions_served.inc();
+        let spans = session.scratch.borrow().spans();
+        (explained, spans)
     }
 
     /// Explain a single, already-known formula (used when a query is written
@@ -338,7 +367,7 @@ impl Engine {
         catalog: &Catalog,
         requests: &[ExplainRequest],
     ) -> Vec<Explanation> {
-        let _in_flight = InFlightGuard::enter(&self.counters.in_flight);
+        let _in_flight = InFlightGuard::enter(&self.metrics.in_flight);
         let explanations =
             wtq_runtime::run_batch(workers, requests.iter().collect(), |_, request| {
                 self.explain_one(catalog, request)
@@ -358,7 +387,7 @@ impl Engine {
         requests: &[ExplainRequest],
         cancel: &CancelToken,
     ) -> Result<Vec<Explanation>, BatchError> {
-        let _in_flight = InFlightGuard::enter(&self.counters.in_flight);
+        let _in_flight = InFlightGuard::enter(&self.metrics.in_flight);
         let explanations = wtq_runtime::run_batch_cancellable(
             self.config.workers,
             requests.iter().collect(),
@@ -392,10 +421,8 @@ impl Engine {
     }
 
     fn record_batch(&self, questions: usize) {
-        self.counters.batches_served.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .questions_served
-            .fetch_add(questions as u64, Ordering::Relaxed);
+        self.metrics.batches_served.inc();
+        self.metrics.questions_served.add(questions as u64);
     }
 }
 
@@ -405,6 +432,8 @@ impl Engine {
 /// request/thread and dies with it.
 pub struct Session<'a> {
     parser: &'a SemanticParser,
+    /// The engine's handles every parse of this session is recorded into.
+    metrics: &'a EngineMetrics,
     evaluator: Evaluator<'a>,
     /// Reusable parse working buffers — allocated once per session, reused
     /// by every question it answers (another reason sessions are not `Sync`).
@@ -429,10 +458,15 @@ impl<'a> Session<'a> {
     }
 
     /// Parse a question into ranked candidates, sharing this session's
-    /// index and denotation memos.
+    /// index and denotation memos, and record the parse's stage spans into
+    /// the engine's metrics.
     pub fn parse(&self, question: &str) -> Vec<Candidate> {
-        self.parser
-            .parse_in_session_with(question, &self.evaluator, &mut self.scratch.borrow_mut())
+        let mut scratch = self.scratch.borrow_mut();
+        let candidates = self
+            .parser
+            .parse_in_session_with(question, &self.evaluator, &mut scratch);
+        self.metrics.record_parse(&scratch.spans());
+        candidates
     }
 
     /// Parse `question` and explain the top-k candidates (utterance, SQL
@@ -485,10 +519,10 @@ mod tests {
             .expect("gold candidate explained");
         assert_eq!(gold_candidate.answer, Answer::number(2004.0));
         // A second question on the same table hits the index cache.
-        let stats = engine.index_cache().stats();
-        assert_eq!(stats.misses, 1);
+        let index_cache = engine.index_cache().metrics();
+        assert_eq!(index_cache.misses.get(), 1);
         engine.explain_question("In what year did France hold the Olympics?", &table, 3);
-        assert_eq!(engine.index_cache().stats().hits, 1);
+        assert_eq!(index_cache.hits.get(), 1);
     }
 
     #[test]
@@ -572,16 +606,9 @@ mod tests {
     fn stats_snapshot_tracks_cache_and_serving_counters() {
         let engine = Engine::new();
         let catalog: Catalog = [samples::olympics()].into_iter().collect();
-        let fresh = engine.stats();
-        assert_eq!(fresh.top_k, engine.config().top_k);
-        assert_eq!(
-            fresh.index_cache_capacity,
-            engine.config().index_cache_capacity
-        );
-        assert_eq!(fresh.questions_served, 0);
-        assert_eq!(fresh.batches_served, 0);
-        assert_eq!(fresh.in_flight, 0);
-        assert_eq!(fresh.cached_tables, 0);
+        let metrics = engine.metrics();
+        assert_eq!(metrics.questions_served.get(), 0);
+        assert!(engine.index_cache().is_empty());
 
         let table = samples::olympics();
         engine.explain_question("Which city hosted in 2008?", &table, 1);
@@ -592,18 +619,23 @@ mod tests {
                 ExplainRequest::new("In what year did France hold the Olympics?", "olympics"),
             ],
         );
-        let stats = engine.stats();
-        assert_eq!(stats.questions_served, 3);
-        assert_eq!(stats.batches_served, 1);
-        assert_eq!(stats.in_flight, 0);
-        assert_eq!(stats.cached_tables, 1);
-        assert_eq!(stats.index_cache.misses, 1);
-        assert!(stats.index_cache.hits >= 2);
+        assert_eq!(metrics.questions_served.get(), 3);
+        assert_eq!(metrics.batches_served.get(), 1);
+        assert_eq!(metrics.in_flight.get(), 0);
+        assert_eq!(engine.index_cache().len(), 1);
+        let index_cache = engine.index_cache().metrics();
+        assert_eq!(index_cache.misses.get(), 1);
+        assert!(index_cache.hits.get() >= 2);
+        // Every parse is timed, batch items included.
+        assert_eq!(metrics.parse_questions.get(), 3);
+        assert_eq!(metrics.parse_stage_duration[0].snapshot().count, 3);
 
-        // The snapshot is serde-serializable and round-trips.
-        let json = serde_json::to_string(&stats).expect("stats serialize");
-        let back: EngineStats = serde_json::from_str(&json).expect("stats parse");
-        assert_eq!(back, stats);
+        // Registering exposes the same live handles.
+        let registry = Registry::new();
+        engine.register(&registry);
+        let text = registry.render();
+        assert!(text.contains("wtq_engine_questions_served_total 3\n"));
+        assert!(text.contains("wtq_index_cache_tables 1\n"));
     }
 
     #[test]
@@ -637,7 +669,8 @@ mod tests {
         let table = samples::olympics();
         engine.explain_question("Which city hosted in 2008?", &table, 1);
         let clone = engine.clone();
-        assert_eq!(clone.index_cache().stats().misses, 0);
+        assert_eq!(clone.index_cache().metrics().misses.get(), 0);
+        assert_eq!(clone.metrics().questions_served.get(), 0);
         assert!(clone.index_cache().is_empty());
         assert_eq!(clone.config().top_k, engine.config().top_k);
     }

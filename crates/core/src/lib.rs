@@ -60,6 +60,6 @@ pub mod pipeline;
 pub mod wire;
 
 pub use cached::{BatchPlan, CachedAnswer, CachedCandidates, CachedEngine};
-pub use engine::{Engine, EngineConfig, EngineStats, ExplainRequest, Explanation, Session};
+pub use engine::{Engine, EngineConfig, EngineMetrics, ExplainRequest, Explanation, Session};
 pub use pipeline::{ExplainedCandidate, ExplanationPipeline};
 pub use wire::{candidates_json, WireCandidate};

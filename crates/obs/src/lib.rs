@@ -6,23 +6,20 @@
 //! sampled per-request traces ([`Tracer`] / [`RequestTrace`]) kept in a
 //! fixed-size ring of recent and slowest requests (`GET /trace/recent`).
 //!
-//! Zero dependencies beyond `serde` (the workspace-wide serialization
-//! baseline every stats snapshot already uses). Hot-path cost is designed
-//! around relaxed atomics: a counter increment is one `fetch_add`, a
-//! histogram observation is two `fetch_add`s plus a usually-quiet max
-//! update, and an unsampled request never touches the trace ring.
+//! Zero dependencies beyond `serde`. Hot-path cost is designed around
+//! relaxed atomics: a counter increment is one `fetch_add`, a histogram
+//! observation is two `fetch_add`s plus a usually-quiet max update, and an
+//! unsampled request never touches the trace ring.
 //!
-//! The registry is the *one source of truth for the scrape surface*: the
-//! serving layer registers its native metrics (per-endpoint request
-//! counters, stage latency histograms) directly, and re-registers the
-//! pre-existing snapshot counters (`ServerStats`, `EngineStats`,
-//! `PlannerStats`, `CacheStats`, the parse-stage timers) as mirrored
-//! entries synced from their canonical atomics at scrape time — so the
-//! subsystems keep their existing one-`fetch_add` write paths while
-//! `/metrics` exposes everything under one coherent naming scheme.
+//! Every handle has exactly one owner — the instance that does the work
+//! creates it and records into it — and a registry only *attaches* those
+//! `Arc`s under family names. `/metrics` ([`Registry::render`]) and the
+//! `Stats` body ([`Registry::samples`]) are two prints of one walk over
+//! the live handles: no copies, no scrape-time sync, no process-wide
+//! state, so two instances in one process never mix their numbers.
 
 pub mod registry;
 pub mod trace;
 
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Sample};
 pub use trace::{RequestTrace, SpanSnapshot, TraceSnapshot, Tracer};

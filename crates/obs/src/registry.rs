@@ -1,10 +1,11 @@
 //! The metrics registry: named counters, gauges and log-linear bucketed
 //! histograms, rendered as Prometheus text exposition.
 //!
-//! Handles are `Arc`s handed out at registration; the hot path touches
-//! only the handle's atomics, never the registry lock. Registration is
-//! idempotent — asking for an existing `(name, label)` returns the same
-//! handle — so subsystems can register lazily without coordination.
+//! Handles are `Arc`s created and owned by the instance that does the work
+//! (an index cache, an answer cache, an engine, a server); the hot path
+//! touches only the handle's atomics. A registry *attaches* those same
+//! `Arc`s under family names and reads them live when rendering — it never
+//! holds a copy, so there is nothing to sync at scrape time.
 //!
 //! ## Histogram bucket scheme
 //!
@@ -17,26 +18,21 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A monotonic counter. `set` exists for *mirrored* entries — registry
-/// counters fed from another subsystem's canonical atomic at scrape time —
-/// and must only ever be handed monotonic inputs.
+use serde::{Deserialize, Serialize};
+
+/// A monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Add one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+    /// Add one, returning the previous value.
+    pub fn inc(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite with an absolute value (mirror sync only).
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -58,6 +54,16 @@ impl Gauge {
     /// Adjust by `delta`.
     pub fn add(&self, delta: i64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Add one unless the value has reached `limit`: a counting gate whose
+    /// occupancy is the published value. `false` when full.
+    pub fn try_inc_below(&self, limit: i64) -> bool {
+        self.0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |current| {
+                (current < limit).then_some(current + 1)
+            })
+            .is_ok()
     }
 
     /// Current value.
@@ -204,36 +210,75 @@ impl HistogramSnapshot {
     }
 }
 
-/// What a registry entry is.
-enum Kind {
+/// A handle a registry entry reads: what the owner created and records
+/// into.
+#[derive(Debug)]
+pub enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-impl Kind {
+impl Metric {
     fn type_name(&self) -> &'static str {
         match self {
-            Kind::Counter(_) => "counter",
-            Kind::Gauge(_) => "gauge",
-            Kind::Histogram(_) => "histogram",
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram(_) => "histogram",
         }
     }
 }
 
-/// One registered metric: a family name, an optional single label pair
+impl From<&Arc<Counter>> for Metric {
+    fn from(counter: &Arc<Counter>) -> Metric {
+        Metric::Counter(Arc::clone(counter))
+    }
+}
+
+impl From<&Arc<Gauge>> for Metric {
+    fn from(gauge: &Arc<Gauge>) -> Metric {
+        Metric::Gauge(Arc::clone(gauge))
+    }
+}
+
+impl From<&Arc<Histogram>> for Metric {
+    fn from(histogram: &Arc<Histogram>) -> Metric {
+        Metric::Histogram(Arc::clone(histogram))
+    }
+}
+
+/// One attached metric: a family name, an optional single label pair
 /// (several entries may share a family, e.g. per-endpoint counters), help
-/// text and the live handle.
+/// text and the owner's live handle.
 struct Entry {
     family: String,
     label: Option<(&'static str, String)>,
     help: &'static str,
-    kind: Kind,
+    metric: Metric,
 }
 
-/// The metric registry. Registration takes the lock; recording never does
-/// (handles are `Arc`s). Rendering sorts by `(family, label)` so scrape
-/// output is deterministic and families stay adjacent.
+/// One exposition sample: the full series name (family, `_bucket`/`_sum`/
+/// `_count` suffix for histograms, labels) and its value — exactly one
+/// non-comment line of [`Registry::render`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Sample {
+    /// Series name with labels, e.g. `wtq_answer_cache_ops_total{op="hit"}`.
+    pub series: String,
+    /// The value `/metrics` prints for it (histogram sums in seconds).
+    pub value: f64,
+}
+
+/// What one step of the registry walk yields.
+enum Row<'a> {
+    /// A family starts: its `# HELP` text and `# TYPE`.
+    Family(&'a str, &'a str, &'static str),
+    Sample(Sample),
+}
+
+/// The metric registry. Attaching takes the lock; recording never does
+/// (handles are `Arc`s the owners hold). Rendering sorts by
+/// `(family, label)` so scrape output is deterministic and families stay
+/// adjacent.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -245,200 +290,140 @@ impl Registry {
         Registry::default()
     }
 
-    /// Get or register the counter `name`.
-    pub fn counter(&self, name: &str, help: &'static str) -> Arc<Counter> {
-        self.counter_with(name, None, help)
+    /// Attach an owner's handle as the unlabeled series `family`.
+    ///
+    /// # Panics
+    ///
+    /// When the series is already attached, or `family` already holds a
+    /// metric of another type: every fact has exactly one owner.
+    pub fn attach(&self, family: &str, help: &'static str, metric: impl Into<Metric>) {
+        self.attach_entry(family, None, help, metric.into());
     }
 
-    /// Get or register a labeled counter, e.g.
-    /// `counter_labeled("wtq_requests_total", "endpoint", "explain", …)`.
-    pub fn counter_labeled(
+    /// Attach several handles as the labeled series `family{key="…"}` of
+    /// one family, e.g. per-outcome cache counters. Panics like
+    /// [`Registry::attach`].
+    pub fn attach_labeled<'a, M: Into<Metric>>(
         &self,
-        name: &str,
+        family: &str,
         key: &'static str,
-        value: &str,
         help: &'static str,
-    ) -> Arc<Counter> {
-        self.counter_with(name, Some((key, value.to_string())), help)
+        members: impl IntoIterator<Item = (&'a str, M)>,
+    ) {
+        for (value, metric) in members {
+            self.attach_entry(family, Some((key, value.to_string())), help, metric.into());
+        }
     }
 
-    fn counter_with(
+    fn attach_entry(
         &self,
-        name: &str,
+        family: &str,
         label: Option<(&'static str, String)>,
         help: &'static str,
-    ) -> Arc<Counter> {
+        metric: Metric,
+    ) {
         let mut entries = self.entries.lock().expect("registry poisoned");
-        if let Some(entry) = find(&entries, name, &label) {
-            if let Kind::Counter(counter) = &entry.kind {
-                return counter.clone();
-            }
-            panic!("metric {name} registered with a different type");
+        for entry in entries.iter().filter(|entry| entry.family == family) {
+            assert!(
+                entry.metric.type_name() == metric.type_name(),
+                "metric {family} registered with a different type"
+            );
+            assert!(
+                entry.label != label,
+                "metric {family} {label:?} attached twice"
+            );
         }
-        let counter = Arc::new(Counter::default());
         entries.push(Entry {
-            family: name.to_string(),
+            family: family.to_string(),
             label,
             help,
-            kind: Kind::Counter(counter.clone()),
+            metric,
         });
-        counter
     }
 
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str, help: &'static str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        if let Some(entry) = find(&entries, name, &None) {
-            if let Kind::Gauge(gauge) = &entry.kind {
-                return gauge.clone();
-            }
-            panic!("metric {name} registered with a different type");
-        }
-        let gauge = Arc::new(Gauge::default());
-        entries.push(Entry {
-            family: name.to_string(),
-            label: None,
-            help,
-            kind: Kind::Gauge(gauge.clone()),
-        });
-        gauge
-    }
-
-    /// Get or register the histogram `name`.
-    pub fn histogram(&self, name: &str, help: &'static str) -> Arc<Histogram> {
-        self.histogram_with(name, None, help)
-    }
-
-    /// Get or register a labeled histogram (e.g. per-stage latency).
-    pub fn histogram_labeled(
-        &self,
-        name: &str,
-        key: &'static str,
-        value: &str,
-        help: &'static str,
-    ) -> Arc<Histogram> {
-        self.histogram_with(name, Some((key, value.to_string())), help)
-    }
-
-    fn histogram_with(
-        &self,
-        name: &str,
-        label: Option<(&'static str, String)>,
-        help: &'static str,
-    ) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        if let Some(entry) = find(&entries, name, &label) {
-            if let Kind::Histogram(histogram) = &entry.kind {
-                return histogram.clone();
-            }
-            panic!("metric {name} registered with a different type");
-        }
-        let histogram = Arc::new(Histogram::default());
-        entries.push(Entry {
-            family: name.to_string(),
-            label,
-            help,
-            kind: Kind::Histogram(histogram.clone()),
-        });
-        histogram
-    }
-
-    /// Render every registered metric as Prometheus text exposition
+    /// Render every attached metric as Prometheus text exposition
     /// (`# HELP` / `# TYPE` comments, one sample line per counter/gauge,
     /// cumulative `_bucket`/`_sum`/`_count` series per histogram with
     /// nanosecond values rendered as seconds).
     pub fn render(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        self.walk(|row| match row {
+            Row::Family(family, help, kind) => {
+                out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
+            }
+            Row::Sample(sample) => {
+                out.push_str(&format!("{} {}\n", sample.series, sample.value));
+            }
+        });
+        out
+    }
+
+    /// The samples [`Registry::render`] prints, in the same order, as data.
+    pub fn samples(&self) -> Vec<Sample> {
+        let mut samples = Vec::new();
+        self.walk(|row| {
+            if let Row::Sample(sample) = row {
+                samples.push(sample);
+            }
+        });
+        samples
+    }
+
+    /// The one walk both surfaces share: families in sorted order, each
+    /// announced once, then its series read live from the owners' handles.
+    fn walk(&self, mut emit: impl FnMut(Row<'_>)) {
         let mut entries = self.entries.lock().expect("registry poisoned");
         entries.sort_by(|a, b| (&a.family, &a.label).cmp(&(&b.family, &b.label)));
-        let mut out = String::with_capacity(4096);
-        let mut last_family: Option<String> = None;
+        let mut last_family: Option<&str> = None;
         for entry in entries.iter() {
-            if last_family.as_deref() != Some(entry.family.as_str()) {
-                out.push_str(&format!("# HELP {} {}\n", entry.family, entry.help));
-                out.push_str(&format!(
-                    "# TYPE {} {}\n",
-                    entry.family,
-                    entry.kind.type_name()
+            if last_family != Some(entry.family.as_str()) {
+                emit(Row::Family(
+                    &entry.family,
+                    entry.help,
+                    entry.metric.type_name(),
                 ));
-                last_family = Some(entry.family.clone());
+                last_family = Some(&entry.family);
             }
-            let label = |extra: Option<(&str, String)>| -> String {
-                let mut pairs = Vec::new();
-                if let Some((key, value)) = &entry.label {
-                    pairs.push(format!("{key}=\"{value}\""));
-                }
-                if let Some((key, value)) = extra {
-                    pairs.push(format!("{key}=\"{value}\""));
-                }
+            let series = |suffix: &str, extra: Option<(&str, String)>| -> String {
+                let pairs: Vec<String> = entry
+                    .label
+                    .iter()
+                    .map(|(key, value)| (*key, value.clone()))
+                    .chain(extra)
+                    .map(|(key, value)| format!("{key}=\"{value}\""))
+                    .collect();
                 if pairs.is_empty() {
-                    String::new()
+                    format!("{}{suffix}", entry.family)
                 } else {
-                    format!("{{{}}}", pairs.join(","))
+                    format!("{}{suffix}{{{}}}", entry.family, pairs.join(","))
                 }
             };
-            match &entry.kind {
-                Kind::Counter(counter) => {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        entry.family,
-                        label(None),
-                        counter.get()
-                    ));
-                }
-                Kind::Gauge(gauge) => {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        entry.family,
-                        label(None),
-                        gauge.get()
-                    ));
-                }
-                Kind::Histogram(histogram) => {
+            let mut sample =
+                |series: String, value: f64| emit(Row::Sample(Sample { series, value }));
+            match &entry.metric {
+                Metric::Counter(counter) => sample(series("", None), counter.get() as f64),
+                Metric::Gauge(gauge) => sample(series("", None), gauge.get() as f64),
+                Metric::Histogram(histogram) => {
                     let snapshot = histogram.snapshot();
                     let mut cumulative = 0u64;
                     for (upper, count) in &snapshot.buckets {
                         cumulative += count;
                         let le = *upper as f64 / 1e9;
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            entry.family,
-                            label(Some(("le", format!("{le}")))),
-                            cumulative
-                        ));
+                        sample(
+                            series("_bucket", Some(("le", format!("{le}")))),
+                            cumulative as f64,
+                        );
                     }
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        entry.family,
-                        label(Some(("le", "+Inf".to_string()))),
-                        snapshot.count
-                    ));
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        entry.family,
-                        label(None),
-                        snapshot.sum as f64 / 1e9
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        entry.family,
-                        label(None),
-                        snapshot.count
-                    ));
+                    sample(
+                        series("_bucket", Some(("le", "+Inf".to_string()))),
+                        snapshot.count as f64,
+                    );
+                    sample(series("_sum", None), snapshot.sum as f64 / 1e9);
+                    sample(series("_count", None), snapshot.count as f64);
                 }
             }
         }
-        out
     }
-}
-
-fn find<'a>(
-    entries: &'a [Entry],
-    name: &str,
-    label: &Option<(&'static str, String)>,
-) -> Option<&'a Entry> {
-    entries
-        .iter()
-        .find(|entry| entry.family == name && &entry.label == label)
 }
 
 #[cfg(test)]
@@ -511,38 +496,61 @@ mod tests {
     }
 
     #[test]
-    fn registration_is_idempotent_and_type_checked() {
+    fn attached_handles_are_read_live_and_attached_once() {
         let registry = Registry::new();
-        let a = registry.counter("wtq_test_total", "help");
-        let b = registry.counter("wtq_test_total", "help");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        let labeled = registry.counter_labeled("wtq_test_total", "kind", "x", "help");
+        let owned = Arc::new(Counter::default());
+        registry.attach("wtq_test_total", "help", &owned);
+        owned.inc();
+        owned.add(2);
+        assert!(registry.render().contains("wtq_test_total 3\n"));
+        let labeled = Arc::new(Counter::default());
+        registry.attach_labeled("wtq_test_total", "kind", "help", [("x", &labeled)]);
         labeled.inc();
-        assert_eq!(a.get(), 3, "labeled entry is distinct");
+        assert_eq!(owned.get(), 3, "labeled entry is distinct");
+        let twice = std::panic::catch_unwind(|| {
+            registry.attach("wtq_test_total", "help", &Arc::new(Counter::default()))
+        });
+        assert!(twice.is_err(), "one owner per series");
     }
 
     #[test]
     #[should_panic(expected = "different type")]
     fn re_registering_with_another_type_panics() {
         let registry = Registry::new();
-        let _ = registry.counter("wtq_test_total", "help");
-        let _ = registry.gauge("wtq_test_total", "help");
+        registry.attach("wtq_test_total", "help", &Arc::new(Counter::default()));
+        registry.attach("wtq_test_total", "help", &Arc::new(Gauge::default()));
+    }
+
+    #[test]
+    fn gauge_gate_stops_at_its_limit() {
+        let gauge = Gauge::default();
+        assert!(gauge.try_inc_below(2));
+        assert!(gauge.try_inc_below(2));
+        assert!(!gauge.try_inc_below(2));
+        gauge.add(-1);
+        assert!(gauge.try_inc_below(2));
+        assert_eq!(gauge.get(), 2);
     }
 
     #[test]
     fn render_emits_prometheus_text() {
         let registry = Registry::new();
-        registry.counter("wtq_b_total", "b help").add(7);
-        registry.gauge("wtq_a_gauge", "a help").set(-3);
-        registry
-            .counter_labeled("wtq_req_total", "endpoint", "explain", "per endpoint")
-            .add(2);
-        registry
-            .counter_labeled("wtq_req_total", "endpoint", "stats", "per endpoint")
-            .add(1);
-        let histogram = registry.histogram("wtq_latency_seconds", "latency");
+        let (b, a) = (Arc::new(Counter::default()), Arc::new(Gauge::default()));
+        let (explain, stats) = (Arc::new(Counter::default()), Arc::new(Counter::default()));
+        let histogram = Arc::new(Histogram::default());
+        registry.attach("wtq_b_total", "b help", &b);
+        registry.attach("wtq_a_gauge", "a help", &a);
+        registry.attach_labeled(
+            "wtq_req_total",
+            "endpoint",
+            "per endpoint",
+            [("explain", &explain), ("stats", &stats)],
+        );
+        registry.attach("wtq_latency_seconds", "latency", &histogram);
+        b.add(7);
+        a.set(-3);
+        explain.add(2);
+        stats.inc();
         histogram.observe(1_000_000); // 1ms
         histogram.observe(2_000_000);
 
@@ -563,5 +571,29 @@ mod tests {
             let parsed: f64 = value.parse().expect("value parses");
             assert!(parsed.is_finite());
         }
+    }
+
+    #[test]
+    fn samples_are_the_rendered_lines() {
+        let registry = Registry::new();
+        let hits = Arc::new(Counter::default());
+        let latency = Arc::new(Histogram::default());
+        registry.attach_labeled("wtq_ops_total", "op", "ops", [("hit", &hits)]);
+        registry.attach("wtq_latency_seconds", "latency", &latency);
+        hits.add(4);
+        latency.observe(500);
+        let lines: Vec<String> = registry
+            .render()
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(str::to_string)
+            .collect();
+        let samples: Vec<String> = registry
+            .samples()
+            .iter()
+            .map(|sample| format!("{} {}", sample.series, sample.value))
+            .collect();
+        assert_eq!(lines, samples);
+        assert!(samples.contains(&"wtq_ops_total{op=\"hit\"} 4".to_string()));
     }
 }

@@ -11,10 +11,12 @@
 //! configuration pays nothing on the request path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::{Counter, Registry};
 
 /// One timed region inside a finished trace. Times are microseconds:
 /// `start_us` is the offset from the start of the request, `duration_us`
@@ -130,7 +132,8 @@ pub struct Tracer {
     every: u64,
     ring_size: usize,
     requests: AtomicU64,
-    sampled: AtomicU64,
+    /// Traces sampled so far; each trace's `seq` is its sample number.
+    sampled: Arc<Counter>,
     rings: Mutex<Rings>,
 }
 
@@ -148,7 +151,7 @@ impl Tracer {
             every,
             ring_size: ring_size.max(1),
             requests: AtomicU64::new(0),
-            sampled: AtomicU64::new(0),
+            sampled: Arc::default(),
             rings: Mutex::new(Rings::default()),
         }
     }
@@ -165,7 +168,16 @@ impl Tracer {
 
     /// Count of traces sampled so far.
     pub fn sampled(&self) -> u64 {
-        self.sampled.load(Ordering::Relaxed)
+        self.sampled.get()
+    }
+
+    /// Attach the sampled-trace counter to `registry`.
+    pub fn register(&self, registry: &Registry) {
+        registry.attach(
+            "wtq_traces_sampled_total",
+            "Requests sampled into the trace ring",
+            &self.sampled,
+        );
     }
 
     /// Decide whether this request is sampled; if so, hand back a live
@@ -180,7 +192,7 @@ impl Tracer {
         if !n.is_multiple_of(self.every) {
             return None;
         }
-        let seq = self.sampled.fetch_add(1, Ordering::Relaxed);
+        let seq = self.sampled.inc();
         Some(RequestTrace {
             seq,
             started,

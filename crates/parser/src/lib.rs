@@ -30,8 +30,9 @@
 //! walk (scoring, serialization, gradient updates) reproduces the historical
 //! string-keyed pipeline bit for bit — pinned by [`reference`], which keeps
 //! the original `BTreeMap<String, f64>` implementation alive as a
-//! differential oracle. [`stats`] exposes per-stage parse timing spans and
-//! [`scratch`] carries the reusable per-session working buffers.
+//! differential oracle. [`spans`] defines the per-stage parse timing spans
+//! a parse leaves in its [`scratch`] space, next to the reusable
+//! per-session working buffers. The parser keeps no process-wide state.
 
 pub mod candidates;
 pub mod features;
@@ -39,7 +40,7 @@ pub mod lexicon;
 pub mod model;
 pub mod reference;
 pub mod scratch;
-pub mod stats;
+pub mod spans;
 pub mod symbols;
 pub mod train;
 
@@ -48,6 +49,6 @@ pub use features::{extract_features, FeatureVec, QuestionContext};
 pub use lexicon::{analyze_question, analyze_question_with, normalize_question, QuestionAnalysis};
 pub use model::{formulas_equivalent, Candidate, LogLinearModel, SemanticParser};
 pub use scratch::ScratchSpace;
-pub use stats::{parse_stats, reset_parse_stats, take_last_parse_stats, ParseStats};
+pub use spans::ParseSpans;
 pub use symbols::{feature_name, intern, lookup, FeatureId};
 pub use train::{ParserEvaluation, TrainConfig, TrainExample, Trainer};

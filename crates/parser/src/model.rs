@@ -28,7 +28,7 @@ use crate::candidates::{
 use crate::features::{extract_features_in, FeatureVec, QuestionContext};
 use crate::lexicon::{analyze_question, link_stage, tokenize_stage, QuestionAnalysis};
 use crate::scratch::ScratchSpace;
-use crate::stats::{record_parse, ParseSpans};
+use crate::spans::ParseSpans;
 use crate::symbols::{self, FeatureId, TRIGGER_KINDS};
 
 /// A scored candidate query.
@@ -357,8 +357,8 @@ impl SemanticParser {
 
     /// Like [`SemanticParser::parse_in_session`] but reusing the caller's
     /// [`ScratchSpace`], so a session answering many questions allocates its
-    /// working buffers once. Records the per-stage timing spans into the
-    /// process-wide [`crate::parse_stats`] counters.
+    /// working buffers once. Leaves the per-stage timing spans in the
+    /// scratch ([`ScratchSpace::spans`]).
     pub fn parse_in_session_with(
         &self,
         question: &str,
@@ -375,14 +375,14 @@ impl SemanticParser {
         let generated = Instant::now();
         let (candidates, features_ns, score_ns) =
             self.rank_timed(raw, &analysis, evaluator.table(), scratch);
-        record_parse(&ParseSpans {
+        scratch.spans = ParseSpans {
             tokenize_ns: (tokenized - start).as_nanos() as u64,
             lexicon_ns: (linked - tokenized).as_nanos() as u64,
             candidates_ns: ((generated - linked).as_nanos() as u64).saturating_sub(eval_ns),
             eval_ns,
             features_ns,
             score_ns,
-        });
+        };
         candidates
     }
 

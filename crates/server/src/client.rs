@@ -202,10 +202,10 @@ impl Client {
         }
     }
 
-    /// Engine + server statistics.
+    /// Every sample of the server's metrics registry (see [`StatsBody`]).
     pub fn stats(&mut self) -> Result<StatsBody, ClientError> {
         match self.call(RequestBody::Stats)? {
-            ResponseBody::Stats(stats) => Ok(*stats),
+            ResponseBody::Stats(stats) => Ok(stats),
             other => Err(unexpected("Stats", &other)),
         }
     }

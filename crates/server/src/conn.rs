@@ -272,7 +272,7 @@ impl Conn {
             }
             let first: [u8; 4] = buf[..4].try_into().expect("sniff buffer holds 4 bytes");
             if HTTP_PREFIXES.contains(&&first) {
-                shared.count_http_request();
+                shared.metrics.http_requests.inc();
                 let mut parser = HttpParser::new(shared.max_frame_len() as usize);
                 // Replay the sniffed bytes into the chosen parser.
                 if Self::feed_http(
@@ -360,7 +360,7 @@ impl Conn {
                 }
                 Ok(None) => return None,
                 Err(FrameError::TooLarge { declared, max }) => {
-                    shared.count_protocol_error();
+                    shared.metrics.protocol_errors.inc();
                     // `error_frame` encodes by direct byte writing and is
                     // infallible — unlike the old serde round-trip, whose
                     // failure path silently answered with an empty frame.

@@ -309,7 +309,7 @@ pub(crate) fn route(
             Err(response) => return Routed::Plain(response),
         },
         _ => {
-            shared.count_protocol_error();
+            shared.metrics.protocol_errors.inc();
             return Routed::Plain(HttpResponse {
                 status: 404,
                 reason: "Not Found",
@@ -339,11 +339,11 @@ pub(crate) fn route(
 
 fn parse_json<T: serde::Deserialize>(shared: &Shared, body: &[u8]) -> Result<T, HttpResponse> {
     let text = std::str::from_utf8(body).map_err(|_| {
-        shared.count_protocol_error();
+        shared.metrics.protocol_errors.inc();
         HttpResponse::error(ErrorCode::Malformed, "body is not UTF-8")
     })?;
     serde_json::from_str(text).map_err(|err| {
-        shared.count_protocol_error();
+        shared.metrics.protocol_errors.inc();
         HttpResponse::error(ErrorCode::Malformed, format!("invalid body: {err}"))
     })
 }

@@ -29,15 +29,15 @@
 //! * **Registry** — clients address preloaded tables by catalog name
 //!   ([`wtq_table::Catalog`]) instead of shipping rows per request;
 //!   `ListTables` returns [`wtq_table::TableSummary`] listings.
-//! * **Stats** — a `Stats` request snapshots [`wtq_core::EngineStats`]
-//!   (index-cache hit/miss/evictions, served counts, in-flight) plus the
-//!   server's own counters.
-//! * **Observability** ([`obs`], private) — every counter above plus
-//!   latency histograms render as Prometheus text through `GET /metrics`
-//!   (or the framed `Metrics` request), and a configurable fraction of
-//!   requests is traced stage-by-stage into the rings `GET /trace/recent`
-//!   serves. Both are control-plane: reachable while the in-flight queue
-//!   is saturated.
+//! * **Observability** ([`obs`], private) — one registry per server
+//!   attaches the live handles of the server, its engine (serving
+//!   counters, parse stages, index cache, planner) and its answer cache.
+//!   `GET /metrics` (or the framed `Metrics` request) renders it as
+//!   Prometheus text; `GET /stats` (or `Stats`) returns the same samples
+//!   as JSON ([`StatsBody`]). A configurable fraction of requests is
+//!   traced stage-by-stage into the rings `GET /trace/recent` serves. All
+//!   three are control-plane: reachable while the in-flight queue is
+//!   saturated.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -70,9 +70,10 @@ pub use client::{Client, ClientError, ConnectOptions, RetryPolicy};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{
     ErrorCode, ExplainBatchBody, ExplainBody, MetricsBody, RequestBody, RequestEnvelope,
-    ResponseBody, ResponseEnvelope, ServerStats, StatsBody, TablesBody, TraceRecentBody, WireBatch,
+    ResponseBody, ResponseEnvelope, StatsBody, TablesBody, TraceRecentBody, WireBatch,
     WireCandidate, WireError, WireExplanation, PROTOCOL_VERSION,
 };
-// Re-exported so downstream consumers of `TraceRecentBody` can name the
-// snapshot types without depending on `wtq-obs` directly.
-pub use wtq_obs::{SpanSnapshot, TraceSnapshot};
+// Re-exported so downstream consumers of `TraceRecentBody` and
+// `StatsBody` can name their element types without depending on
+// `wtq-obs` directly.
+pub use wtq_obs::{Sample, SpanSnapshot, TraceSnapshot};

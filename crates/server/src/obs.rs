@@ -1,21 +1,18 @@
 //! The server's observability surface: one [`Registry`] every metric
 //! renders from, and one [`Tracer`] collecting sampled request traces.
 //!
-//! Two kinds of entries live in the registry:
+//! The registry holds no values of its own. It attaches the live handles
+//! of every instance behind this server — the server's [`ServerMetrics`],
+//! the engine's serving counters and parse-stage histograms, its index
+//! cache and planner, the answer cache, the tracer — and reads them when
+//! rendering. `/metrics` and `Stats` are two prints of that one walk; the
+//! only value computed at render time is the uptime.
 //!
-//! * **Native** metrics owned by this module — per-endpoint request
-//!   counters, the end-to-end request latency histogram, per-stage latency
-//!   histograms (decode → queue wait → cache probe → admission wait → eval
-//!   → encode) and per-question parse-stage histograms. These are recorded
-//!   on the request path itself (relaxed atomics; a histogram observation
-//!   is two `fetch_add`s).
-//! * **Mirrored** entries for the pre-existing snapshot counters
-//!   (`ServerStats`, `EngineStats`, `PlannerStats`, both `CacheStats`
-//!   surfaces, the cumulative parse-stage timers). Their canonical write
-//!   paths are untouched; [`Obs::render`] syncs the registry copies from a
-//!   fresh snapshot immediately before rendering, so `/metrics` exposes
-//!   everything under one coherent `wtq_*` naming scheme without adding a
-//!   single instruction to those subsystems' hot paths.
+//! The server's own handles are recorded on the request path (relaxed
+//! atomics; a histogram observation is two `fetch_add`s). Some are state
+//! the server runs on: the in-flight gauge *is* the slot gate, and the
+//! open-connection and reactor-queue gauges are the reactors' own
+//! accounting.
 //!
 //! Histogram values are nanoseconds internally and render as seconds in
 //! the Prometheus exposition (bucket bounds included), matching the
@@ -24,21 +21,33 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use wtq_core::EngineStats;
-use wtq_obs::{Counter, Gauge, Histogram, Registry, Tracer};
-use wtq_parser::ParseStats;
+use wtq_core::{CachedEngine, Engine};
+use wtq_obs::{Counter, Gauge, Histogram, Registry, Sample, Tracer};
 
-use crate::wire::ServerStats;
+use crate::server::ServerConfig;
 
-/// Everything `/metrics` and `/trace/recent` serve, plus the handles the
-/// request path records into. One per server, shared behind the server's
-/// `Shared` state.
-pub(crate) struct Obs {
-    registry: Registry,
-    tracer: Tracer,
-    started: Instant,
+/// The handles the server itself owns and records into.
+#[derive(Default)]
+pub(crate) struct ServerMetrics {
+    pub(crate) connections: Arc<Counter>,
+    /// Connections currently registered with a reactor.
+    pub(crate) open_connections: Arc<Gauge>,
+    pub(crate) requests: Arc<Counter>,
+    pub(crate) http_requests: Arc<Counter>,
+    pub(crate) rejected_overload: Arc<Counter>,
+    pub(crate) rejected_table_busy: Arc<Counter>,
+    pub(crate) protocol_errors: Arc<Counter>,
+    /// Requests holding a slot of the bounded in-flight queue — the gate
+    /// itself ([`Gauge::try_inc_below`]).
+    pub(crate) in_flight: Arc<Gauge>,
+    /// Commands queued toward reactors but not yet applied: the observable
+    /// depth of the I/O layer itself, distinct from the in-flight queue.
+    pub(crate) reactor_queue_depth: Arc<Gauge>,
+    /// Responses that could not encode and were answered with a
+    /// structured `Internal` error instead (never an empty frame).
+    pub(crate) encode_failures: Arc<Counter>,
 
-    // Native: per-endpoint request counters.
+    // Per-endpoint request counters.
     pub(crate) explain_requests: Arc<Counter>,
     pub(crate) explain_batch_requests: Arc<Counter>,
     pub(crate) stats_requests: Arc<Counter>,
@@ -46,11 +55,7 @@ pub(crate) struct Obs {
     pub(crate) metrics_requests: Arc<Counter>,
     pub(crate) trace_requests: Arc<Counter>,
 
-    // Native: responses that could not encode and were answered with a
-    // structured `Internal` error instead (never an empty frame).
-    pub(crate) encode_failures: Arc<Counter>,
-
-    // Native: latency histograms (nanosecond observations).
+    // Latency histograms (nanosecond observations).
     pub(crate) request_duration: Arc<Histogram>,
     pub(crate) stage_decode: Arc<Histogram>,
     pub(crate) stage_queue_wait: Arc<Histogram>,
@@ -58,264 +63,152 @@ pub(crate) struct Obs {
     pub(crate) stage_admission_wait: Arc<Histogram>,
     pub(crate) stage_eval: Arc<Histogram>,
     pub(crate) stage_encode: Arc<Histogram>,
-
-    // Native: per-question parse-stage histograms.
-    parse_tokenize: Arc<Histogram>,
-    parse_lexicon: Arc<Histogram>,
-    parse_candidates: Arc<Histogram>,
-    parse_eval: Arc<Histogram>,
-    parse_features: Arc<Histogram>,
-    parse_score: Arc<Histogram>,
-
-    mirrors: Mirrors,
 }
 
-/// Registry copies of the legacy snapshot counters, overwritten from a
-/// fresh snapshot at scrape time (sound: every source is monotonic or an
-/// explicit gauge).
-struct Mirrors {
+impl ServerMetrics {
+    fn register(&self, registry: &Registry) {
+        registry.attach(
+            "wtq_server_connections_total",
+            "Connections accepted",
+            &self.connections,
+        );
+        registry.attach(
+            "wtq_server_open_connections",
+            "Connections currently registered",
+            &self.open_connections,
+        );
+        registry.attach(
+            "wtq_server_requests_total",
+            "Requests answered successfully",
+            &self.requests,
+        );
+        registry.attach(
+            "wtq_server_http_requests_total",
+            "Requests served over HTTP",
+            &self.http_requests,
+        );
+        registry.attach_labeled(
+            "wtq_server_rejected_total",
+            "reason",
+            "Requests rejected with a retry hint, by reason",
+            [
+                ("overload", &self.rejected_overload),
+                ("table_busy", &self.rejected_table_busy),
+            ],
+        );
+        registry.attach(
+            "wtq_server_protocol_errors_total",
+            "Protocol-level error responses",
+            &self.protocol_errors,
+        );
+        registry.attach(
+            "wtq_server_in_flight",
+            "Requests holding an in-flight slot",
+            &self.in_flight,
+        );
+        registry.attach(
+            "wtq_server_reactor_queue_depth",
+            "Reactor commands queued, not yet applied",
+            &self.reactor_queue_depth,
+        );
+        registry.attach(
+            "wtq_server_encode_failures_total",
+            "Responses that failed to encode and degraded to a structured Internal error",
+            &self.encode_failures,
+        );
+        registry.attach_labeled(
+            "wtq_server_endpoint_requests_total",
+            "endpoint",
+            "Requests handled, by endpoint",
+            [
+                ("explain", &self.explain_requests),
+                ("explain_batch", &self.explain_batch_requests),
+                ("stats", &self.stats_requests),
+                ("tables", &self.tables_requests),
+                ("metrics", &self.metrics_requests),
+                ("trace", &self.trace_requests),
+            ],
+        );
+        registry.attach(
+            "wtq_request_duration_seconds",
+            "End-to-end request latency, first byte to response encoded",
+            &self.request_duration,
+        );
+        registry.attach_labeled(
+            "wtq_request_stage_duration_seconds",
+            "stage",
+            "Per-stage request latency",
+            [
+                ("decode", &self.stage_decode),
+                ("queue_wait", &self.stage_queue_wait),
+                ("cache_probe", &self.stage_cache_probe),
+                ("admission_wait", &self.stage_admission_wait),
+                ("eval", &self.stage_eval),
+                ("encode", &self.stage_encode),
+            ],
+        );
+    }
+}
+
+/// Everything `/metrics`, `Stats` and `/trace/recent` serve. One per
+/// server, shared behind the server's `Shared` state.
+pub(crate) struct Obs {
+    registry: Registry,
+    tracer: Tracer,
+    started: Instant,
     uptime_seconds: Arc<Gauge>,
-    connections: Arc<Counter>,
-    open_connections: Arc<Gauge>,
-    requests: Arc<Counter>,
-    http_requests: Arc<Counter>,
-    rejected_overload: Arc<Counter>,
-    rejected_table_busy: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    in_flight: Arc<Gauge>,
-    reactor_queue_depth: Arc<Gauge>,
-    tables: Arc<Gauge>,
-    engine_questions: Arc<Counter>,
-    engine_batches: Arc<Counter>,
-    engine_in_flight: Arc<Gauge>,
-    index_cache_hits: Arc<Counter>,
-    index_cache_misses: Arc<Counter>,
-    index_cache_evictions: Arc<Counter>,
-    index_cache_tables: Arc<Gauge>,
-    planner_scan: Arc<Counter>,
-    planner_index: Arc<Counter>,
-    planner_kernel: Arc<Counter>,
-    planner_estimated_rows: Arc<Counter>,
-    planner_actual_rows: Arc<Counter>,
-    parse_questions: Arc<Counter>,
-    #[allow(clippy::type_complexity)]
-    parse_stage_ns: [(Arc<Counter>, fn(&ParseStats) -> u64); 6],
-    answer_cache_hits: Arc<Counter>,
-    answer_cache_misses: Arc<Counter>,
-    answer_cache_collapsed: Arc<Counter>,
-    answer_cache_insertions: Arc<Counter>,
-    answer_cache_evictions_lru: Arc<Counter>,
-    answer_cache_evictions_ttl: Arc<Counter>,
-    answer_cache_stale_drops: Arc<Counter>,
-    answer_cache_entries: Arc<Gauge>,
-    answer_cache_bytes: Arc<Gauge>,
-    traces_sampled: Arc<Counter>,
 }
-
-const STAGE_HELP: &str = "Per-stage request latency";
-const PARSE_HELP: &str = "Per-question parse-stage latency";
-const ENDPOINT_HELP: &str = "Requests handled, by endpoint";
 
 impl Obs {
-    pub(crate) fn new(trace_sample_rate: f64, trace_ring_size: usize) -> Obs {
+    /// A registry attaching `metrics`, the engine's handles and (when the
+    /// server caches answers) the answer cache's, plus the pool sizes and
+    /// table count fixed at bind.
+    pub(crate) fn new(
+        config: &ServerConfig,
+        tables: usize,
+        metrics: &ServerMetrics,
+        engine: &Engine,
+        cached: Option<&CachedEngine>,
+    ) -> Obs {
         let registry = Registry::new();
-        let endpoint = |name: &str| {
-            registry.counter_labeled(
-                "wtq_server_endpoint_requests_total",
-                "endpoint",
-                name,
-                ENDPOINT_HELP,
-            )
+        let tracer = Tracer::new(config.trace_sample_rate, config.trace_ring_size);
+        metrics.register(&registry);
+        engine.register(&registry);
+        if let Some(cached) = cached {
+            cached.register(&registry);
+        }
+        tracer.register(&registry);
+        let fixed = |family: &str, help: &'static str, value: usize| {
+            let gauge = Arc::new(Gauge::default());
+            gauge.set(value as i64);
+            registry.attach(family, help, &gauge);
         };
-        let stage = |name: &str| {
-            registry.histogram_labeled(
-                "wtq_request_stage_duration_seconds",
-                "stage",
-                name,
-                STAGE_HELP,
-            )
-        };
-        let parse_stage = |name: &str| {
-            registry.histogram_labeled(
-                "wtq_parse_stage_duration_seconds",
-                "stage",
-                name,
-                PARSE_HELP,
-            )
-        };
-        let rejected = |reason: &str| {
-            registry.counter_labeled(
-                "wtq_server_rejected_total",
-                "reason",
-                reason,
-                "Requests rejected with a retry hint, by reason",
-            )
-        };
-        let index_op = |op: &str| {
-            registry.counter_labeled(
-                "wtq_index_cache_ops_total",
-                "op",
-                op,
-                "Index-cache lookups and evictions, by outcome",
-            )
-        };
-        let answer_op = |op: &str| {
-            registry.counter_labeled(
-                "wtq_answer_cache_ops_total",
-                "op",
-                op,
-                "Answer-cache lookups and insertions, by outcome",
-            )
-        };
-        let answer_evict = |reason: &str| {
-            registry.counter_labeled(
-                "wtq_answer_cache_evictions_total",
-                "reason",
-                reason,
-                "Answer-cache entries dropped, by reason",
-            )
-        };
-        let planner = |backend: &str| {
-            registry.counter_labeled(
-                "wtq_planner_decisions_total",
-                "backend",
-                backend,
-                "SQL planner WHERE-clause decisions, by chosen backend",
-            )
-        };
-        let mirrors = Mirrors {
-            uptime_seconds: registry.gauge(
-                "wtq_server_uptime_seconds",
-                "Seconds since the server started",
-            ),
-            connections: registry.counter("wtq_server_connections_total", "Connections accepted"),
-            open_connections: registry.gauge(
-                "wtq_server_open_connections",
-                "Connections currently registered",
-            ),
-            requests: registry.counter(
-                "wtq_server_requests_total",
-                "Requests answered successfully",
-            ),
-            http_requests: registry.counter(
-                "wtq_server_http_requests_total",
-                "Requests served over HTTP",
-            ),
-            rejected_overload: rejected("overload"),
-            rejected_table_busy: rejected("table_busy"),
-            protocol_errors: registry.counter(
-                "wtq_server_protocol_errors_total",
-                "Protocol-level error responses",
-            ),
-            in_flight: registry.gauge("wtq_server_in_flight", "Requests holding an in-flight slot"),
-            reactor_queue_depth: registry.gauge(
-                "wtq_server_reactor_queue_depth",
-                "Reactor commands queued, not yet applied",
-            ),
-            tables: registry.gauge("wtq_server_tables", "Tables registered in the catalog"),
-            engine_questions: registry.counter(
-                "wtq_engine_questions_served_total",
-                "Questions answered by the engine",
-            ),
-            engine_batches: registry.counter(
-                "wtq_engine_batches_served_total",
-                "Batch calls answered by the engine",
-            ),
-            engine_in_flight: registry.gauge(
-                "wtq_engine_in_flight",
-                "Engine entry points currently executing",
-            ),
-            index_cache_hits: index_op("hit"),
-            index_cache_misses: index_op("miss"),
-            index_cache_evictions: index_op("eviction"),
-            index_cache_tables: registry.gauge(
-                "wtq_index_cache_tables",
-                "Tables resident in the index cache",
-            ),
-            planner_scan: planner("scan"),
-            planner_index: planner("index"),
-            planner_kernel: planner("kernel"),
-            planner_estimated_rows: registry.counter(
-                "wtq_planner_estimated_rows_total",
-                "Planner-estimated matching rows, cumulative",
-            ),
-            planner_actual_rows: registry.counter(
-                "wtq_planner_actual_rows_total",
-                "Actual matching rows of planned filters, cumulative",
-            ),
-            parse_questions: registry
-                .counter("wtq_parse_questions_total", "Questions parsed end to end"),
-            parse_stage_ns: [
-                (
-                    "tokenize",
-                    (|s: &ParseStats| s.tokenize_ns) as fn(&ParseStats) -> u64,
-                ),
-                ("lexicon", |s: &ParseStats| s.lexicon_ns),
-                ("candidates", |s: &ParseStats| s.candidates_ns),
-                ("eval", |s: &ParseStats| s.eval_ns),
-                ("features", |s: &ParseStats| s.features_ns),
-                ("score", |s: &ParseStats| s.score_ns),
-            ]
-            .map(|(name, read)| {
-                (
-                    registry.counter_labeled(
-                        "wtq_parse_stage_ns_total",
-                        "stage",
-                        name,
-                        "Cumulative parse-stage time in nanoseconds, by stage",
-                    ),
-                    read,
-                )
-            }),
-            answer_cache_hits: answer_op("hit"),
-            answer_cache_misses: answer_op("miss"),
-            answer_cache_collapsed: answer_op("collapsed"),
-            answer_cache_insertions: answer_op("insertion"),
-            answer_cache_evictions_lru: answer_evict("lru"),
-            answer_cache_evictions_ttl: answer_evict("ttl"),
-            answer_cache_stale_drops: answer_evict("stale"),
-            answer_cache_entries: registry
-                .gauge("wtq_answer_cache_entries", "Answer-cache entries resident"),
-            answer_cache_bytes: registry.gauge(
-                "wtq_answer_cache_bytes",
-                "Approximate answer-cache resident bytes",
-            ),
-            traces_sampled: registry.counter(
-                "wtq_traces_sampled_total",
-                "Requests sampled into the trace ring",
-            ),
-        };
+        fixed(
+            "wtq_server_tables",
+            "Tables registered in the catalog",
+            tables,
+        );
+        fixed(
+            "wtq_server_reactor_threads",
+            "Reactor (event-loop) threads serving all connections",
+            config.resolved_reactor_threads(),
+        );
+        fixed(
+            "wtq_server_dispatch_threads",
+            "Dispatch worker threads running requests",
+            config.resolved_dispatch_threads(),
+        );
+        let uptime_seconds = Arc::new(Gauge::default());
+        registry.attach(
+            "wtq_server_uptime_seconds",
+            "Seconds since the server started",
+            &uptime_seconds,
+        );
         Obs {
-            tracer: Tracer::new(trace_sample_rate, trace_ring_size),
-            started: Instant::now(),
-            explain_requests: endpoint("explain"),
-            explain_batch_requests: endpoint("explain_batch"),
-            stats_requests: endpoint("stats"),
-            tables_requests: endpoint("tables"),
-            metrics_requests: endpoint("metrics"),
-            trace_requests: endpoint("trace"),
-            encode_failures: registry.counter(
-                "wtq_server_encode_failures_total",
-                "Responses that failed to encode and degraded to a structured Internal error",
-            ),
-            request_duration: registry.histogram(
-                "wtq_request_duration_seconds",
-                "End-to-end request latency, first byte to response encoded",
-            ),
-            stage_decode: stage("decode"),
-            stage_queue_wait: stage("queue_wait"),
-            stage_cache_probe: stage("cache_probe"),
-            stage_admission_wait: stage("admission_wait"),
-            stage_eval: stage("eval"),
-            stage_encode: stage("encode"),
-            parse_tokenize: parse_stage("tokenize"),
-            parse_lexicon: parse_stage("lexicon"),
-            parse_candidates: parse_stage("candidates"),
-            parse_eval: parse_stage("eval"),
-            parse_features: parse_stage("features"),
-            parse_score: parse_stage("score"),
-            mirrors,
             registry,
+            tracer,
+            started: Instant::now(),
+            uptime_seconds,
         }
     }
 
@@ -323,70 +216,20 @@ impl Obs {
         &self.tracer
     }
 
-    /// Milliseconds since the server started.
-    pub(crate) fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Record one question's parse-stage breakdown into the per-question
-    /// histograms (the cumulative totals are mirrored separately).
-    pub(crate) fn observe_parse(&self, stats: &ParseStats) {
-        self.parse_tokenize.observe(stats.tokenize_ns);
-        self.parse_lexicon.observe(stats.lexicon_ns);
-        self.parse_candidates.observe(stats.candidates_ns);
-        self.parse_eval.observe(stats.eval_ns);
-        self.parse_features.observe(stats.features_ns);
-        self.parse_score.observe(stats.score_ns);
-    }
-
-    /// Sync the mirrored entries from fresh snapshots, then render the
-    /// whole registry as Prometheus text.
-    pub(crate) fn render(&self, engine: &EngineStats, server: &ServerStats) -> String {
-        let m = &self.mirrors;
-        m.uptime_seconds
-            .set((self.started.elapsed().as_secs_f64()) as i64);
-        m.connections.set(server.connections);
-        m.open_connections.set(server.open_connections as i64);
-        m.requests.set(server.requests);
-        m.http_requests.set(server.http_requests);
-        m.rejected_overload.set(server.rejected_overload);
-        m.rejected_table_busy.set(server.rejected_table_busy);
-        m.protocol_errors.set(server.protocol_errors);
-        m.in_flight.set(server.in_flight as i64);
-        m.reactor_queue_depth.set(server.reactor_queue_depth as i64);
-        m.tables.set(server.tables as i64);
-        m.engine_questions.set(engine.questions_served);
-        m.engine_batches.set(engine.batches_served);
-        m.engine_in_flight.set(engine.in_flight as i64);
-        m.index_cache_hits.set(engine.index_cache.hits);
-        m.index_cache_misses.set(engine.index_cache.misses);
-        m.index_cache_evictions.set(engine.index_cache.evictions);
-        m.index_cache_tables.set(engine.cached_tables as i64);
-        m.planner_scan.set(engine.planner.scan_chosen);
-        m.planner_index.set(engine.planner.index_chosen);
-        m.planner_kernel.set(engine.planner.kernel_chosen);
-        m.planner_estimated_rows.set(engine.planner.estimated_rows);
-        m.planner_actual_rows.set(engine.planner.actual_rows);
-        m.parse_questions.set(engine.parsing.questions);
-        for (counter, read) in &m.parse_stage_ns {
-            counter.set(read(&engine.parsing));
-        }
-        m.answer_cache_hits.set(engine.answer_cache.hits);
-        m.answer_cache_misses.set(engine.answer_cache.misses);
-        m.answer_cache_collapsed
-            .set(engine.answer_cache.collapsed_waiters);
-        m.answer_cache_insertions
-            .set(engine.answer_cache.insertions);
-        m.answer_cache_evictions_lru
-            .set(engine.answer_cache.evictions_lru);
-        m.answer_cache_evictions_ttl
-            .set(engine.answer_cache.evictions_ttl);
-        m.answer_cache_stale_drops
-            .set(engine.answer_cache.stale_drops);
-        m.answer_cache_entries
-            .set(engine.answer_cache.entries as i64);
-        m.answer_cache_bytes.set(engine.answer_cache.bytes as i64);
-        m.traces_sampled.set(self.tracer.sampled());
+    /// The whole registry as Prometheus text.
+    pub(crate) fn render(&self) -> String {
+        self.tick_uptime();
         self.registry.render()
+    }
+
+    /// The samples [`Obs::render`] prints, as data (the `Stats` body).
+    pub(crate) fn samples(&self) -> Vec<Sample> {
+        self.tick_uptime();
+        self.registry.samples()
+    }
+
+    fn tick_uptime(&self) {
+        self.uptime_seconds
+            .set(self.started.elapsed().as_secs() as i64);
     }
 }

@@ -113,11 +113,13 @@ impl ReactorShared {
         if self.dead.load(Ordering::Acquire) {
             return; // dropping a Register closes its socket
         }
+        // Count before queueing, so a racing pop never drives the published
+        // depth below zero.
+        self.shared.metrics.reactor_queue_depth.add(1);
         {
             let mut commands = self.commands.lock().expect("reactor queue poisoned");
             commands.push_back(command);
         }
-        self.shared.note_reactor_queue(1);
         self.waker.wake();
     }
 
@@ -128,7 +130,7 @@ impl ReactorShared {
             .expect("reactor queue poisoned")
             .pop_front();
         if command.is_some() {
-            self.shared.note_reactor_queue(-1);
+            self.shared.metrics.reactor_queue_depth.add(-1);
         }
         command
     }
@@ -391,14 +393,14 @@ impl Reactor {
             self.conns.remove(token);
             return;
         }
-        self.shared.note_connection_opened();
+        self.shared.metrics.open_connections.add(1);
     }
 
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(token) {
             let _ = self.poller.delete(conn.stream().as_raw_fd());
             let _ = conn.stream().shutdown(Shutdown::Both);
-            self.shared.note_connection_closed();
+            self.shared.metrics.open_connections.add(-1);
         }
     }
 
@@ -460,7 +462,7 @@ pub(crate) fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             break;
         }
-        shared.count_connection();
+        shared.metrics.connections.inc();
         reactors[next % reactors.len()].push(Command::Register(stream));
         next = next.wrapping_add(1);
     }
@@ -510,12 +512,12 @@ fn ns_between(start: Instant, end: Instant) -> u64 {
 /// encode span plus the end-to-end latency histogram close the request
 /// out.
 fn respond(shared: &Shared, kind: JobKind, meta: JobMeta, buf: Vec<u8>) -> Response {
-    let obs = shared.obs();
+    let (metrics, tracer) = (&shared.metrics, shared.obs().tracer());
     let entered = Instant::now();
     let wait_ns = ns_between(meta.started, entered).saturating_sub(meta.decode_ns);
-    obs.stage_decode.observe(meta.decode_ns);
-    obs.stage_queue_wait.observe(wait_ns);
-    let mut trace = obs.tracer().start(meta.started);
+    metrics.stage_decode.observe(meta.decode_ns);
+    metrics.stage_queue_wait.observe(wait_ns);
+    let mut trace = tracer.start(meta.started);
     if let Some(trace) = trace.as_mut() {
         trace.record_ns("decode", 0, meta.decode_ns);
         trace.record_ns("queue_wait", meta.decode_ns, wait_ns);
@@ -541,7 +543,7 @@ fn respond(shared: &Shared, kind: JobKind, meta: JobMeta, buf: Vec<u8>) -> Respo
                 } else {
                     // The assembled frame would overflow the u32 length
                     // prefix; answer structured, never a garbage frame.
-                    obs.encode_failures.inc();
+                    metrics.encode_failures.inc();
                     Response::whole(wire::error_frame(
                         id,
                         &WireError::new(ErrorCode::Internal, "response exceeds the frame format"),
@@ -569,7 +571,7 @@ fn respond(shared: &Shared, kind: JobKind, meta: JobMeta, buf: Vec<u8>) -> Respo
                         // `Internal` envelope (built by infallible direct
                         // byte writing) and is counted — never swallowed
                         // into an empty frame.
-                        obs.encode_failures.inc();
+                        metrics.encode_failures.inc();
                         Response::whole(wire::error_frame(
                             envelope.id,
                             &WireError::new(ErrorCode::Internal, message),
@@ -613,9 +615,9 @@ fn respond(shared: &Shared, kind: JobKind, meta: JobMeta, buf: Vec<u8>) -> Respo
         }
     };
     let total_ns = ns_between(meta.started, Instant::now());
-    obs.request_duration.observe(total_ns);
+    metrics.request_duration.observe(total_ns);
     if let Some(trace) = trace {
-        obs.tracer().finish(trace, &status, total_ns);
+        tracer.finish(trace, &status, total_ns);
     }
     response
 }
@@ -628,7 +630,7 @@ fn finish_encode(
 ) {
     let encode_end = Instant::now();
     shared
-        .obs()
+        .metrics
         .stage_encode
         .observe(ns_between(encode_start, encode_end));
     if let Some(trace) = trace.as_mut() {

@@ -45,23 +45,24 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wtq_cache::{Begin, CacheConfig};
 use wtq_core::{CachedAnswer, CachedCandidates, CachedEngine, Engine, ExplainRequest, Explanation};
-use wtq_obs::RequestTrace;
+use wtq_obs::{Gauge, RequestTrace};
+use wtq_parser::ParseSpans;
 use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::Catalog;
 
-use crate::obs::Obs;
+use crate::obs::{Obs, ServerMetrics};
 use crate::reactor::{self, Command, Reactor, ReactorShared};
 use crate::wire::{
     self, ErrorCode, ExplainBatchBody, ExplainBody, MetricsBody, RequestBody, RequestEnvelope,
-    ResponseBody, ResponseEnvelope, ServerStats, StatsBody, TablesBody, TraceRecentBody, WireBatch,
-    WireError, WireExplanation,
+    ResponseBody, ResponseEnvelope, StatsBody, TablesBody, TraceRecentBody, WireBatch, WireError,
+    WireExplanation,
 };
 
 /// Tuning knobs of a [`Server`].
@@ -114,12 +115,6 @@ pub struct ServerConfig {
     /// Capacity of each trace ring (most-recent and slowest); see
     /// `GET /trace/recent`.
     pub trace_ring_size: usize,
-    /// Serve cache hits from the serialized candidate bytes stored at
-    /// flight completion (splicing them into the response envelope by
-    /// direct byte writing) instead of re-rendering highlights and
-    /// re-running `serde_json` per hit. Off is only useful for A/B
-    /// benchmarking the encode path.
-    pub encode_once: bool,
 }
 
 impl Default for ServerConfig {
@@ -138,7 +133,6 @@ impl Default for ServerConfig {
             cache_ttl_ms: 0,
             trace_sample_rate: 0.0625,
             trace_ring_size: 128,
-            encode_once: true,
         }
     }
 }
@@ -186,17 +180,6 @@ pub(crate) enum FrameResponse {
         table: String,
         body: Arc<Vec<u8>>,
     },
-}
-
-/// Monotonic serving counters (see [`ServerStats`]).
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    http_requests: AtomicU64,
-    rejected_overload: AtomicU64,
-    rejected_table_busy: AtomicU64,
-    protocol_errors: AtomicU64,
 }
 
 /// Counters of one admission gate, both keyed by table shape fingerprint
@@ -380,11 +363,11 @@ impl Drop for TableGuard<'_> {
 }
 
 /// RAII slot in the bounded in-flight queue.
-struct InFlightGuard<'a>(&'a AtomicU64);
+struct InFlightGuard<'a>(&'a Gauge);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        self.0.add(-1);
     }
 }
 
@@ -399,48 +382,29 @@ pub(crate) struct Shared {
     cached: Option<CachedEngine>,
     catalog: Arc<Catalog>,
     config: ServerConfig,
-    in_flight: AtomicU64,
     admission: TableGate,
-    counters: Counters,
     shutdown: AtomicBool,
     cancel: CancelToken,
-    /// Connections currently registered with a reactor (gauge).
-    open_connections: AtomicU64,
-    /// Commands queued toward reactors but not yet applied (gauge): the
-    /// observable depth of the I/O layer itself, distinct from the
-    /// in-flight request queue.
-    reactor_queue: AtomicI64,
-    /// The observability surface: metrics registry, native latency
-    /// histograms and the request tracer (see [`crate::obs`]).
+    /// The server's own counters, gauges and latency histograms.
+    pub(crate) metrics: ServerMetrics,
+    /// The registry attaching every handle behind this server, and the
+    /// request tracer (see [`crate::obs`]).
     obs: Obs,
 }
 
 impl Shared {
     /// Take a slot in the bounded in-flight queue, or `None` when full.
     fn try_admit(&self) -> Option<InFlightGuard<'_>> {
-        let cap = self.config.max_in_flight as u64;
-        let mut current = self.in_flight.load(Ordering::Acquire);
-        loop {
-            if current >= cap {
-                return None;
-            }
-            match self.in_flight.compare_exchange(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(InFlightGuard(&self.in_flight)),
-                Err(observed) => current = observed,
-            }
-        }
+        let in_flight = &self.metrics.in_flight;
+        // Lazily: a guard built for a refused slot would release one on drop.
+        in_flight
+            .try_inc_below(self.config.max_in_flight as i64)
+            .then(|| InFlightGuard(in_flight))
     }
 
     /// The overload rejection, with the configured retry hint.
     fn overloaded(&self) -> ResponseBody {
-        self.counters
-            .rejected_overload
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.rejected_overload.inc();
         ResponseBody::Error(WireError {
             code: ErrorCode::Overloaded,
             message: format!(
@@ -454,9 +418,7 @@ impl Shared {
     /// The per-table queue-share rejection (still retryable by the client,
     /// hence the same `Overloaded` code with a retry hint).
     fn table_busy(&self) -> ResponseBody {
-        self.counters
-            .rejected_table_busy
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.rejected_table_busy.inc();
         ResponseBody::Error(WireError {
             code: ErrorCode::Overloaded,
             message: format!(
@@ -467,81 +429,14 @@ impl Shared {
         })
     }
 
-    /// Current serving counters.
-    pub(crate) fn server_stats(&self) -> ServerStats {
-        ServerStats {
-            connections: self.counters.connections.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            http_requests: self.counters.http_requests.load(Ordering::Relaxed),
-            rejected_overload: self.counters.rejected_overload.load(Ordering::Relaxed),
-            rejected_table_busy: self.counters.rejected_table_busy.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Acquire),
-            max_in_flight: self.config.max_in_flight as u64,
-            per_table_tokens: self.config.per_table_tokens as u64,
-            tables: self.catalog.len() as u64,
-            reactor_queue_depth: self.reactor_queue.load(Ordering::Relaxed).max(0) as u64,
-            reactor_threads: self.config.resolved_reactor_threads() as u64,
-            dispatch_threads: self.config.resolved_dispatch_threads() as u64,
-            uptime_ms: self.obs.uptime_ms(),
-            explain_requests: self.obs.explain_requests.get(),
-            explain_batch_requests: self.obs.explain_batch_requests.get(),
-            stats_requests: self.obs.stats_requests.get(),
-            tables_requests: self.obs.tables_requests.get(),
-            metrics_requests: self.obs.metrics_requests.get(),
-            trace_requests: self.obs.trace_requests.get(),
-        }
-    }
-
-    /// The observability surface (registry, tracer, native histograms).
+    /// The observability surface (registry and tracer).
     pub(crate) fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// A fresh engine snapshot — from the cached wrapper when present, so
-    /// the answer-cache counters are live rather than all-zero.
-    fn engine_stats(&self) -> wtq_core::EngineStats {
-        match &self.cached {
-            Some(cached) => cached.stats(),
-            None => self.engine.stats(),
-        }
     }
 
     /// Whether graceful shutdown has begun.
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Count one accepted connection (monotonic).
-    pub(crate) fn count_connection(&self) {
-        self.counters.connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was registered with a reactor (gauge up).
-    pub(crate) fn note_connection_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection left its reactor (gauge down).
-    pub(crate) fn note_connection_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Track the reactor command-queue depth gauge.
-    pub(crate) fn note_reactor_queue(&self, delta: i64) {
-        self.reactor_queue.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Count a protocol-level error response.
-    pub(crate) fn count_protocol_error(&self) {
-        self.counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_http_request(&self) {
-        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn max_frame_len(&self) -> u32 {
@@ -566,7 +461,7 @@ impl Shared {
     ) -> Reply {
         match body {
             RequestBody::ListTables => {
-                self.obs.tables_requests.inc();
+                self.metrics.tables_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("tables");
                 }
@@ -575,28 +470,25 @@ impl Shared {
                 }))
             }
             RequestBody::Stats => {
-                self.obs.stats_requests.inc();
+                self.metrics.stats_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("stats");
                 }
-                Reply::Full(ResponseBody::Stats(Box::new(StatsBody {
-                    // The cached wrapper's snapshot carries the answer-cache
-                    // counters; a bare engine reports them all-zero.
-                    engine: self.engine_stats(),
-                    server: self.server_stats(),
-                })))
+                Reply::Full(ResponseBody::Stats(StatsBody {
+                    samples: self.obs.samples(),
+                }))
             }
             RequestBody::Metrics => {
-                self.obs.metrics_requests.inc();
+                self.metrics.metrics_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("metrics");
                 }
                 Reply::Full(ResponseBody::Metrics(MetricsBody {
-                    text: self.obs.render(&self.engine_stats(), &self.server_stats()),
+                    text: self.obs.render(),
                 }))
             }
             RequestBody::TraceRecent => {
-                self.obs.trace_requests.inc();
+                self.metrics.trace_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("trace");
                 }
@@ -609,7 +501,7 @@ impl Shared {
                 }))
             }
             RequestBody::Explain(request) => {
-                self.obs.explain_requests.inc();
+                self.metrics.explain_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("explain");
                     trace.set_detail(format!("{} @ {}", request.question, request.table));
@@ -617,7 +509,7 @@ impl Shared {
                 self.handle_explain(request, trace)
             }
             RequestBody::ExplainBatch(batch) => {
-                self.obs.explain_batch_requests.inc();
+                self.metrics.explain_batch_requests.inc();
                 if let Some(trace) = trace {
                     trace.set_endpoint("explain_batch");
                     trace.set_detail(format!("{} questions", batch.requests.len()));
@@ -628,30 +520,14 @@ impl Shared {
     }
 
     /// Answer an explain request from a completed flight's value: the
-    /// encode-once path hands back the bytes serialized at completion;
-    /// with `encode_once` off the response is rebuilt from the candidates
-    /// (the pre-PR-10 behavior, kept for A/B benchmarking).
-    fn explanation_reply(
-        &self,
-        question: String,
-        table_name: String,
-        value: &CachedAnswer,
-        table: &wtq_table::Table,
-    ) -> Reply {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        if self.config.encode_once {
-            Reply::CachedExplanation {
-                body: Arc::clone(value.body()),
-                question,
-                table: table_name,
-            }
-        } else {
-            Reply::Full(ResponseBody::Explanation(WireExplanation::from_candidates(
-                &question,
-                &table_name,
-                value.candidates(),
-                table,
-            )))
+    /// candidate bytes serialized at completion, spliced by the wire layer
+    /// behind the request's own question and table echoes.
+    fn explanation_reply(&self, question: String, table: String, value: &CachedAnswer) -> Reply {
+        self.metrics.requests.inc();
+        Reply::CachedExplanation {
+            body: Arc::clone(value.body()),
+            question,
+            table,
         }
     }
 
@@ -677,14 +553,14 @@ impl Shared {
             _ => None,
         };
         let probe_end = Instant::now();
-        self.obs
+        self.metrics
             .stage_cache_probe
             .observe(span_ns(probe_start, probe_end));
         if let Some(trace) = trace.as_mut() {
             trace.record("cache_probe", probe_start, probe_end);
         }
         if let Some(value) = probed {
-            return self.explanation_reply(request.question, request.table, &value, table);
+            return self.explanation_reply(request.question, request.table, &value);
         }
         let admit_start = Instant::now();
         let Some(_slot) = self.try_admit() else {
@@ -702,7 +578,7 @@ impl Shared {
         let flight = match (&self.cached, key) {
             (Some(cached), Some(key)) => match cached.begin(&key) {
                 Begin::Hit(value) | Begin::Collapsed(value) => {
-                    return self.explanation_reply(request.question, request.table, &value, table);
+                    return self.explanation_reply(request.question, request.table, &value);
                 }
                 Begin::Lead(guard) => Some(guard),
             },
@@ -727,7 +603,7 @@ impl Shared {
             }
         };
         let admit_end = Instant::now();
-        self.obs
+        self.metrics
             .stage_admission_wait
             .observe(span_ns(admit_start, admit_end));
         if let Some(trace) = trace.as_mut() {
@@ -741,28 +617,29 @@ impl Shared {
             // Without a cache the candidates still serialize here, once,
             // on the worker that computed them — the encode-once path is
             // the same either way, only nothing is retained.
-            _ => Arc::new(CachedCandidates::new(
-                self.engine
-                    .explain_question(&request.question, table, top_k),
-                table,
-            )),
+            _ => {
+                let (candidates, spans) =
+                    self.engine
+                        .explain_question_with_spans(&request.question, table, top_k);
+                (Arc::new(CachedCandidates::new(candidates, table)), spans)
+            }
         }));
         let eval_end = Instant::now();
-        self.obs.stage_eval.observe(span_ns(admit_end, eval_end));
+        self.metrics
+            .stage_eval
+            .observe(span_ns(admit_end, eval_end));
         if let Some(trace) = trace.as_mut() {
             trace.record("eval", admit_end, eval_end);
         }
-        // The parse pipeline ran inline on this thread (unless the cache
-        // or single-flight answered); always *take* its last-parse spans so
-        // a stale breakdown can never be attributed to a later request.
-        if let Some(parse) = wtq_parser::take_last_parse_stats() {
-            self.obs.observe_parse(&parse);
-            if let Some(trace) = trace.as_mut() {
-                record_parse_spans(trace, admit_end, &parse);
-            }
-        }
         match explained {
-            Ok(value) => self.explanation_reply(request.question, request.table, &value, table),
+            Ok((value, spans)) => {
+                // This request led the parse: its trace gets the leader's
+                // stage breakdown (the engine's histograms already have it).
+                if let Some(trace) = trace.as_mut() {
+                    record_parse_spans(trace, admit_end, &spans);
+                }
+                self.explanation_reply(request.question, request.table, &value)
+            }
             Err(_) => Reply::Full(ResponseBody::Error(WireError::new(
                 ErrorCode::Internal,
                 "explanation job panicked",
@@ -900,7 +777,7 @@ impl Shared {
         trace: &mut Option<RequestTrace>,
     ) -> Instant {
         let admit_end = Instant::now();
-        self.obs
+        self.metrics
             .stage_admission_wait
             .observe(span_ns(admit_start, admit_end));
         if let Some(trace) = trace.as_mut() {
@@ -912,7 +789,9 @@ impl Shared {
     /// Close a batch's eval span.
     fn observe_batch_eval(&self, eval_start: Instant, trace: &mut Option<RequestTrace>) {
         let eval_end = Instant::now();
-        self.obs.stage_eval.observe(span_ns(eval_start, eval_end));
+        self.metrics
+            .stage_eval
+            .observe(span_ns(eval_start, eval_end));
         if let Some(trace) = trace.as_mut() {
             trace.record("eval", eval_start, eval_end);
         }
@@ -923,7 +802,7 @@ impl Shared {
     fn batch_response(&self, result: Result<Vec<Explanation>, BatchError>) -> ResponseBody {
         match result {
             Ok(explanations) => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.metrics.requests.inc();
                 ResponseBody::Batch(WireBatch {
                     explanations: explanations
                         .iter()
@@ -975,19 +854,17 @@ impl Server {
                 },
             )
         });
-        let obs = Obs::new(config.trace_sample_rate, config.trace_ring_size);
+        let metrics = ServerMetrics::default();
+        let obs = Obs::new(&config, catalog.len(), &metrics, &engine, cached.as_ref());
         let shared = Arc::new(Shared {
             engine,
             cached,
             catalog,
             config,
-            in_flight: AtomicU64::new(0),
             admission,
-            counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             cancel: CancelToken::new(),
-            open_connections: AtomicU64::new(0),
-            reactor_queue: AtomicI64::new(0),
+            metrics,
             obs,
         });
 
@@ -1100,9 +977,12 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// A snapshot of the serving counters, without a network round-trip.
-    pub fn server_stats(&self) -> ServerStats {
-        self.shared.server_stats()
+    /// The `Stats` body — every registry sample `/metrics` prints —
+    /// without a network round-trip.
+    pub fn stats(&self) -> StatsBody {
+        StatsBody {
+            samples: self.shared.obs.samples(),
+        }
     }
 
     /// Graceful shutdown: stop accepting, cancel queued batch work, unblock
@@ -1168,24 +1048,13 @@ fn span_ns(start: Instant, end: Instant) -> u64 {
 /// The stages run sequentially, so laying their durations back-to-back
 /// from the eval start reconstructs the real timeline (any unattributed
 /// eval time — SQL translation, highlight rendering — trails at the end).
-fn record_parse_spans(
-    trace: &mut RequestTrace,
-    eval_start: Instant,
-    parse: &wtq_parser::ParseStats,
-) {
+fn record_parse_spans(trace: &mut RequestTrace, eval_start: Instant, spans: &ParseSpans) {
     let base = eval_start
         .saturating_duration_since(trace.started())
         .as_nanos() as u64;
     let mut offset = 0u64;
-    for (name, ns) in [
-        ("parse:tokenize", parse.tokenize_ns),
-        ("parse:lexicon", parse.lexicon_ns),
-        ("parse:candidates", parse.candidates_ns),
-        ("parse:eval", parse.eval_ns),
-        ("parse:features", parse.features_ns),
-        ("parse:score", parse.score_ns),
-    ] {
-        trace.record_ns(name, base + offset, ns);
+    for (stage, ns) in ParseSpans::STAGES.iter().zip(spans.stages()) {
+        trace.record_ns(format!("parse:{stage}"), base + offset, ns);
         offset += ns;
     }
 }
@@ -1200,7 +1069,7 @@ pub(crate) fn dispatch_frame(
     let text = match std::str::from_utf8(payload) {
         Ok(text) => text,
         Err(_) => {
-            shared.count_protocol_error();
+            shared.metrics.protocol_errors.inc();
             return FrameResponse::Full(error_envelope(
                 0,
                 ErrorCode::Malformed,
@@ -1211,7 +1080,7 @@ pub(crate) fn dispatch_frame(
     let envelope: RequestEnvelope = match serde_json::from_str(text) {
         Ok(envelope) => envelope,
         Err(err) => {
-            shared.count_protocol_error();
+            shared.metrics.protocol_errors.inc();
             return FrameResponse::Full(error_envelope(
                 0,
                 ErrorCode::Malformed,
@@ -1220,7 +1089,7 @@ pub(crate) fn dispatch_frame(
         }
     };
     if envelope.v != wire::PROTOCOL_VERSION {
-        shared.count_protocol_error();
+        shared.metrics.protocol_errors.inc();
         return FrameResponse::Full(error_envelope(
             envelope.id,
             ErrorCode::UnsupportedVersion,

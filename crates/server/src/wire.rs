@@ -19,7 +19,8 @@
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
-use wtq_core::{EngineStats, ExplainedCandidate, Explanation};
+use wtq_core::{ExplainedCandidate, Explanation};
+use wtq_obs::Sample;
 use wtq_table::{Table, TableSummary};
 
 /// The protocol version spoken by this build. Requests carrying any other
@@ -297,7 +298,8 @@ pub enum RequestBody {
     ExplainBatch(ExplainBatchBody),
     /// List the tables registered in the server's catalog.
     ListTables,
-    /// Engine + server statistics (control plane: never queued or rejected).
+    /// Every metric sample of the server's registry (control plane: never
+    /// queued or rejected).
     Stats,
     /// Prometheus-style metrics text (control plane, like `Stats`).
     Metrics,
@@ -332,9 +334,8 @@ pub enum ResponseBody {
     Batch(WireBatch),
     /// The table registry listing.
     Tables(TablesBody),
-    /// Engine + server statistics (boxed: the stats snapshot is by far
-    /// the largest body and would otherwise size every response).
-    Stats(Box<StatsBody>),
+    /// The registry's samples.
+    Stats(StatsBody),
     /// The rendered metrics registry.
     Metrics(MetricsBody),
     /// Sampled request traces.
@@ -357,13 +358,25 @@ pub struct TablesBody {
     pub tables: Vec<TableSummary>,
 }
 
-/// Engine + server statistics.
+/// The registry's samples: the same series and values `GET /metrics`
+/// prints, from the same walk of the registry — server, engine, parse
+/// stages, index cache, planner, answer cache and tracer alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StatsBody {
-    /// Snapshot of the shared engine ([`wtq_core::Engine::stats`]).
-    pub engine: EngineStats,
-    /// Counters of the serving layer itself.
-    pub server: ServerStats,
+    /// One entry per exposition line, in `/metrics` order.
+    pub samples: Vec<Sample>,
+}
+
+impl StatsBody {
+    /// The value of `series` — a family name plus any labels exactly as
+    /// `/metrics` prints them, e.g. `wtq_server_in_flight` or
+    /// `wtq_answer_cache_ops_total{op="hit"}`.
+    pub fn get(&self, series: &str) -> Option<f64> {
+        self.samples
+            .iter()
+            .find(|sample| sample.series == series)
+            .map(|sample| sample.value)
+    }
 }
 
 /// The metrics registry rendered as Prometheus exposition text (the same
@@ -386,58 +399,6 @@ pub struct TraceRecentBody {
     pub recent: Vec<wtq_obs::TraceSnapshot>,
     /// The slowest sampled traces, fastest first.
     pub slowest: Vec<wtq_obs::TraceSnapshot>,
-}
-
-/// Counters of the serving layer (all monotonic except `in_flight`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// Connections accepted (TCP protocol and HTTP alike).
-    pub connections: u64,
-    /// Connections currently registered with a reactor (gauge) — the
-    /// many-idle-clients capacity the epoll loop exists for.
-    pub open_connections: u64,
-    /// Requests answered successfully.
-    pub requests: u64,
-    /// Requests served through the HTTP adapter.
-    pub http_requests: u64,
-    /// Requests rejected because the in-flight queue was full.
-    pub rejected_overload: u64,
-    /// Requests rejected because one table had exhausted its share of the
-    /// in-flight queue (`ServerConfig::max_table_in_flight`).
-    pub rejected_table_busy: u64,
-    /// Frames answered with a `Malformed`/`UnsupportedVersion`/
-    /// `FrameTooLarge` error.
-    pub protocol_errors: u64,
-    /// Requests currently holding an in-flight slot.
-    pub in_flight: u64,
-    /// The in-flight queue bound (`ServerConfig::max_in_flight`).
-    pub max_in_flight: u64,
-    /// Per-table admission tokens (`ServerConfig::per_table_tokens`).
-    pub per_table_tokens: u64,
-    /// Registered tables.
-    pub tables: u64,
-    /// Commands queued toward reactors but not yet applied (gauge) —
-    /// overload observable at the I/O layer, not just the request queue.
-    pub reactor_queue_depth: u64,
-    /// Reactor (event-loop) threads serving all connections.
-    pub reactor_threads: u64,
-    /// Dispatch worker threads running requests — with the reactor model
-    /// this, not the connection count, bounds the server's thread count.
-    pub dispatch_threads: u64,
-    /// Milliseconds since the server started.
-    pub uptime_ms: u64,
-    /// `Explain` requests handled (either protocol).
-    pub explain_requests: u64,
-    /// `ExplainBatch` requests handled.
-    pub explain_batch_requests: u64,
-    /// `Stats` requests handled.
-    pub stats_requests: u64,
-    /// `ListTables` requests handled.
-    pub tables_requests: u64,
-    /// `Metrics` requests handled.
-    pub metrics_requests: u64,
-    /// `TraceRecent` requests handled.
-    pub trace_requests: u64,
 }
 
 /// A structured error response.
@@ -932,7 +893,9 @@ mod tests {
             score: seed as f64 * 0.25 - 1.5,
             answer: wtq_core::dcs::Answer::Number(seed as f64 + 0.5),
             utterance: format!("counts \"row\" #{seed}\nacross the table"),
-            sql: seed.is_multiple_of(2).then(|| format!("SELECT COUNT(*) FROM t{seed}")),
+            sql: seed
+                .is_multiple_of(2)
+                .then(|| format!("SELECT COUNT(*) FROM t{seed}")),
             highlights: format!("| r{seed} |\t…"),
             output_cells: seed as usize,
             execution_cells: seed as usize * 2,

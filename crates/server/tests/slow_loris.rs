@@ -80,10 +80,10 @@ fn slow_loris_writers_do_not_starve_other_clients() {
     assert!(!explanation.candidates.is_empty());
 
     // The server really is holding all of them concurrently.
-    let stats = handle.server_stats();
+    let open = handle.stats().get("wtq_server_open_connections");
     assert!(
-        stats.open_connections >= LORIS as u64,
-        "expected ≥{LORIS} open connections, stats: {stats:?}"
+        open >= Some(LORIS as f64),
+        "expected ≥{LORIS} open connections, saw {open:?}"
     );
 
     // Release the last byte: every dribbled frame completes and gets a

@@ -70,7 +70,8 @@ fn malformed_json_yields_a_structured_error_and_keeps_the_connection() {
     let response = roundtrip_raw(&mut stream, valid.as_bytes());
     assert_eq!(response.id, 9);
     assert!(matches!(response.body, ResponseBody::Tables(_)));
-    assert!(handle.server_stats().protocol_errors >= 1);
+    let protocol_errors = handle.stats().get("wtq_server_protocol_errors_total");
+    assert!(protocol_errors >= Some(1.0));
     handle.shutdown();
 }
 

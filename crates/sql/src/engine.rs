@@ -66,7 +66,7 @@ use wtq_table::{RecordIdx, Table, TableIndex, Value};
 
 use crate::ast::{ArithOp, SqlExpr, SqlOrder, SqlQuery, SqlSelect};
 use crate::error::SqlError;
-use crate::stats::{PlannerCounters, PlannerStats};
+use crate::stats::PlannerCounters;
 use crate::Result;
 
 /// Query output: a list of rows, each a list of values.
@@ -142,10 +142,10 @@ impl<'a> SqlEngine<'a> {
         self.table
     }
 
-    /// Snapshot this engine's planner decision counters (unaffected by any
-    /// other engine in the process).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.counters.snapshot()
+    /// This engine's planner decision counters (unaffected by any other
+    /// engine in the process unless shared via [`SqlEngine::with_counters`]).
+    pub fn counters(&self) -> &PlannerCounters {
+        &self.counters
     }
 
     /// Execute `query` under `mode`. All modes compute identical results on
@@ -378,11 +378,12 @@ fn plan_filter(expr: &SqlExpr, ctx: Ctx<'_>) -> Option<Result<Vec<RecordIdx>>> {
     let result = planned_filter(expr, ctx, backend)?;
     if let Some(counters) = ctx.observe {
         match backend {
-            Backend::Index(_) => counters.record_index_chosen(),
-            Backend::Kernel => counters.record_kernel_chosen(),
-        }
+            Backend::Index(_) => counters.index_chosen.inc(),
+            Backend::Kernel => counters.kernel_chosen.inc(),
+        };
         if let Ok(records) = &result {
-            counters.record_selectivity(estimated as u64, records.len() as u64);
+            counters.estimated_rows.add(estimated as u64);
+            counters.actual_rows.add(records.len() as u64);
         }
     }
     Some(result)
@@ -639,7 +640,7 @@ fn execute_select(select: &SqlSelect, ctx: Ctx<'_>) -> Result<SqlResult> {
                 Some(records) => records?,
                 None => {
                     if let Some(counters) = ctx.observe {
-                        counters.record_scan_chosen();
+                        counters.scan_chosen.inc();
                     }
                     let mut matching = Vec::new();
                     for record in ctx.table.record_indices() {
@@ -1261,6 +1262,18 @@ mod tests {
         assert_eq!(engine.execute(&q, PlanMode::Auto).unwrap(), scan);
     }
 
+    /// Decisions of every backend recorded in `counters`.
+    fn decisions(counters: &PlannerCounters) -> u64 {
+        [
+            &counters.scan_chosen,
+            &counters.index_chosen,
+            &counters.kernel_chosen,
+        ]
+        .iter()
+        .map(|counter| counter.get())
+        .sum()
+    }
+
     #[test]
     fn auto_mode_records_planner_decisions() {
         let table = samples::olympics();
@@ -1275,23 +1288,23 @@ mod tests {
         // concurrently running tests.
         let cold = SqlEngine::new(&table);
         let rows = cold.execute(&q, PlanMode::Auto).unwrap();
-        let stats = cold.planner_stats();
+        let counters = cold.counters();
         assert_eq!(rows.len(), 2);
-        assert_eq!(stats.kernel_chosen, 1);
-        assert_eq!(stats.actual_rows, rows.len() as u64);
-        assert!(stats.estimated_rows > 0);
+        assert_eq!(counters.kernel_chosen.get(), 1);
+        assert_eq!(counters.actual_rows.get(), rows.len() as u64);
+        assert!(counters.estimated_rows.get() > 0);
 
         // Warm Auto on a selective predicate: the index path is chosen and
         // the bucket-size estimate is exact.
         let index = TableIndex::new(&table);
         let engine = SqlEngine::with_index(&table, &index);
         engine.execute(&q, PlanMode::Auto).unwrap();
-        assert_eq!(engine.planner_stats().index_chosen, 1);
+        assert_eq!(engine.counters().index_chosen.get(), 1);
 
         // ForceScan never records decisions.
         let scan_engine = SqlEngine::with_index(&table, &index);
         scan_engine.execute(&q, PlanMode::ForceScan).unwrap();
-        assert_eq!(scan_engine.planner_stats(), PlannerStats::default());
+        assert_eq!(decisions(scan_engine.counters()), 0);
     }
 
     #[test]
@@ -1308,8 +1321,8 @@ mod tests {
         a.execute(&q, PlanMode::Auto).unwrap();
         // Per-engine counters are exact (no deltas needed): engine `b` saw
         // nothing even though `a` ran concurrently with the whole suite.
-        assert_eq!(a.planner_stats().kernel_chosen, 1);
-        assert_eq!(b.planner_stats(), PlannerStats::default());
+        assert_eq!(a.counters().kernel_chosen.get(), 1);
+        assert_eq!(decisions(b.counters()), 0);
 
         // A shared set accumulates across short-lived engines.
         let shared = Arc::new(PlannerCounters::new());
@@ -1319,7 +1332,7 @@ mod tests {
                 .execute(&q, PlanMode::Auto)
                 .unwrap();
         }
-        assert_eq!(shared.snapshot().kernel_chosen, 2);
+        assert_eq!(shared.kernel_chosen.get(), 2);
     }
 
     #[test]
@@ -1332,7 +1345,7 @@ mod tests {
         let engine = SqlEngine::new(&table);
         let rows = engine.execute(&q, PlanMode::Auto).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(engine.planner_stats().scan_chosen, 1);
+        assert_eq!(engine.counters().scan_chosen.get(), 1);
     }
 
     #[test]

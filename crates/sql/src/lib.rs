@@ -20,9 +20,9 @@
 //!   estimated selectivity (and never builds an index for a single cold
 //!   query); `ForceScan` keeps the pre-index scan path as the oracle of the
 //!   differential suites; `ForceIndex` pins the indexed path. `Auto`
-//!   decisions are counted per engine in [`PlannerCounters`] (snapshotted
-//!   as [`PlannerStats`]); the serving layers share one set across their
-//!   per-request engines and expose it on their stats endpoints.
+//!   decisions are counted per engine in [`PlannerCounters`]; the serving
+//!   layers share one set across their per-request engines and attach it
+//!   to their metrics registry.
 
 pub mod ast;
 pub mod engine;
@@ -33,7 +33,7 @@ pub mod translate;
 pub use ast::{SqlExpr, SqlOrder, SqlQuery, SqlSelect};
 pub use engine::{PlanMode, SqlEngine, SqlResult};
 pub use error::SqlError;
-pub use stats::{PlannerCounters, PlannerStats};
+pub use stats::PlannerCounters;
 pub use translate::translate;
 
 /// Result alias used across the crate.

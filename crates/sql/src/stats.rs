@@ -13,48 +13,35 @@
 //! [`SqlEngine`][crate::SqlEngine] owns one (or shares one via
 //! [`SqlEngine::with_counters`][crate::SqlEngine::with_counters]), so two
 //! engines — or interleaved tests and benches — never bleed decision
-//! counts into each other. They are plain relaxed atomics (one `fetch_add`
-//! per planned filter, no contention-sensitive paths), snapshotted into a
-//! serializable [`PlannerStats`] that the core engine embeds in its stats
-//! surface and the server serves over the `Stats` wire endpoint. A
-//! long-lived owner that wants an aggregate view keeps one shared set and
-//! hands it to every engine it constructs.
+//! counts into each other. They are `wtq_obs` handles (one relaxed
+//! `fetch_add` per planned filter) that a metrics registry reads live
+//! once [`PlannerCounters::register`] attaches them. A long-lived owner
+//! that wants an aggregate view keeps one shared set and hands it to every
+//! engine it constructs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use wtq_obs::{Counter, Registry};
 
-/// A point-in-time snapshot of the planner decision counters. Serializable
-/// so stats endpoints can embed it directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlannerStats {
+/// One engine's planner decision counters. Shareable across threads behind
+/// an `Arc` (the serving layer keeps one per served engine and hands it to
+/// every per-request [`SqlEngine`][crate::SqlEngine]).
+#[derive(Debug, Default)]
+pub struct PlannerCounters {
     /// Filters that fell back to the per-row interpreted scan (predicate
     /// shape not plannable, or the table was empty / unindexed in a mode
     /// without kernels).
-    pub scan_chosen: u64,
+    pub scan_chosen: Arc<Counter>,
     /// Filters answered from the inverted / sorted-numeric index.
-    pub index_chosen: u64,
+    pub index_chosen: Arc<Counter>,
     /// Filters answered by columnar kernel sweeps over the typed vectors.
-    pub kernel_chosen: u64,
+    pub kernel_chosen: Arc<Counter>,
     /// Sum of the planner's estimated matching-row counts over all planned
     /// filters (bucket-size selectivity; half the table when planning cold
     /// without an index histogram).
-    pub estimated_rows: u64,
+    pub estimated_rows: Arc<Counter>,
     /// Sum of the actual matching-row counts of the same filters.
-    pub actual_rows: u64,
-}
-
-/// One engine's planner decision counters. Records are relaxed atomics, so
-/// a set can be shared across threads behind an `Arc` (the serving layer
-/// keeps one per served engine and hands it to every per-request
-/// [`SqlEngine`][crate::SqlEngine]).
-#[derive(Debug, Default)]
-pub struct PlannerCounters {
-    scan_chosen: AtomicU64,
-    index_chosen: AtomicU64,
-    kernel_chosen: AtomicU64,
-    estimated_rows: AtomicU64,
-    actual_rows: AtomicU64,
+    pub actual_rows: Arc<Counter>,
 }
 
 impl PlannerCounters {
@@ -63,31 +50,27 @@ impl PlannerCounters {
         PlannerCounters::default()
     }
 
-    /// Snapshot this engine's counters.
-    pub fn snapshot(&self) -> PlannerStats {
-        PlannerStats {
-            scan_chosen: self.scan_chosen.load(Ordering::Relaxed),
-            index_chosen: self.index_chosen.load(Ordering::Relaxed),
-            kernel_chosen: self.kernel_chosen.load(Ordering::Relaxed),
-            estimated_rows: self.estimated_rows.load(Ordering::Relaxed),
-            actual_rows: self.actual_rows.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn record_scan_chosen(&self) {
-        self.scan_chosen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_index_chosen(&self) {
-        self.index_chosen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_kernel_chosen(&self) {
-        self.kernel_chosen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_selectivity(&self, estimated: u64, actual: u64) {
-        self.estimated_rows.fetch_add(estimated, Ordering::Relaxed);
-        self.actual_rows.fetch_add(actual, Ordering::Relaxed);
+    /// Attach these counters to `registry` as the `wtq_planner_*` families.
+    pub fn register(&self, registry: &Registry) {
+        registry.attach_labeled(
+            "wtq_planner_decisions_total",
+            "backend",
+            "SQL planner WHERE-clause decisions, by chosen backend",
+            [
+                ("scan", &self.scan_chosen),
+                ("index", &self.index_chosen),
+                ("kernel", &self.kernel_chosen),
+            ],
+        );
+        registry.attach(
+            "wtq_planner_estimated_rows_total",
+            "Planner-estimated matching rows, cumulative",
+            &self.estimated_rows,
+        );
+        registry.attach(
+            "wtq_planner_actual_rows_total",
+            "Actual matching rows of planned filters, cumulative",
+            &self.actual_rows,
+        );
     }
 }

@@ -25,6 +25,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use wtq_obs::{Counter, Gauge, Registry};
+
 use crate::cell::CellRef;
 use crate::table::{ColumnType, RecordIdx, Table};
 use crate::value::Value;
@@ -268,17 +270,39 @@ fn build_column(table: &Table, column: usize) -> ColumnIndex {
 /// least-recently-used entry.
 pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 256;
 
-/// Hit / miss / eviction counters of an [`IndexCache`], for instrumentation
-/// of serving and training loops. Serializable so stats endpoints can embed
-/// a snapshot directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CacheStats {
+/// The live metric handles of one [`IndexCache`], published as the
+/// `wtq_index_cache_*` families by [`IndexCacheMetrics::register`].
+#[derive(Debug, Default)]
+pub struct IndexCacheMetrics {
     /// Lookups answered from a cached index.
-    pub hits: u64,
+    pub hits: Arc<Counter>,
     /// Lookups that had to build (or rebuild) an index.
-    pub misses: u64,
+    pub misses: Arc<Counter>,
     /// Entries evicted by the LRU capacity bound.
-    pub evictions: u64,
+    pub evictions: Arc<Counter>,
+    /// Tables currently cached.
+    pub tables: Arc<Gauge>,
+}
+
+impl IndexCacheMetrics {
+    /// Attach these handles to `registry`.
+    pub fn register(&self, registry: &Registry) {
+        registry.attach_labeled(
+            "wtq_index_cache_ops_total",
+            "op",
+            "Index-cache lookups and evictions, by outcome",
+            [
+                ("hit", &self.hits),
+                ("miss", &self.misses),
+                ("eviction", &self.evictions),
+            ],
+        );
+        registry.attach(
+            "wtq_index_cache_tables",
+            "Tables resident in the index cache",
+            &self.tables,
+        );
+    }
 }
 
 /// One cached index plus its LRU recency stamp. The stamp is an atomic so a
@@ -310,9 +334,7 @@ pub struct IndexCache {
     capacity: usize,
     /// Monotonic recency clock; higher = more recently used.
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    metrics: IndexCacheMetrics,
 }
 
 impl Default for IndexCache {
@@ -333,9 +355,7 @@ impl IndexCache {
             by_table: RwLock::new(HashMap::new()),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            metrics: IndexCacheMetrics::default(),
         }
     }
 
@@ -362,7 +382,7 @@ impl IndexCache {
         if let Some(existing) = map.get(table.name()) {
             if existing.index.describes(table) {
                 existing.last_used.store(self.tick(), Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.metrics.misses.inc();
                 return existing.index.clone();
             }
         }
@@ -373,7 +393,7 @@ impl IndexCache {
                 last_used: AtomicU64::new(self.tick()),
             },
         );
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.misses.inc();
         while map.len() > self.capacity {
             let oldest = map
                 .iter()
@@ -381,8 +401,9 @@ impl IndexCache {
                 .map(|(name, _)| name.clone())
                 .expect("map over capacity is non-empty");
             map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions.inc();
         }
+        self.metrics.tables.set(map.len() as i64);
         built
     }
 
@@ -395,7 +416,7 @@ impl IndexCache {
             return None;
         }
         entry.last_used.store(self.tick(), Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.hits.inc();
         Some(entry.index.clone())
     }
 
@@ -403,18 +424,14 @@ impl IndexCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hit / miss / eviction counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+    /// Hit / miss / eviction counters and the resident-table gauge.
+    pub fn metrics(&self) -> &IndexCacheMetrics {
+        &self.metrics
     }
 
     /// Number of tables currently cached.
     pub fn len(&self) -> usize {
-        self.by_table.read().expect("index cache poisoned").len()
+        self.metrics.tables.get() as usize
     }
 
     /// Whether no index is currently cached.
@@ -573,8 +590,8 @@ mod tests {
         let again = cache.get_or_build(&table);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.metrics().hits.get(), 1);
+        assert_eq!(cache.metrics().misses.get(), 1);
         // A same-named table with a different shape must not reuse the entry.
         let other =
             Table::from_rows("olympics", &["Athlete", "Medal"], &[vec!["Louis", "Gold"]]).unwrap();
@@ -582,7 +599,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &rebuilt));
         assert_eq!(rebuilt.num_columns(), 2);
         assert!(!cache.is_empty());
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.metrics().misses.get(), 2);
     }
 
     fn named(name: &str) -> Table {
@@ -600,15 +617,15 @@ mod tests {
         cache.get_or_build(&a);
         cache.get_or_build(&c);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.metrics().evictions.get(), 1);
         // `a` and `c` are still cached (hits); `b` was evicted (miss).
-        let hits_before = cache.stats().hits;
+        let hits_before = cache.metrics().hits.get();
         cache.get_or_build(&a);
         cache.get_or_build(&c);
-        assert_eq!(cache.stats().hits, hits_before + 2);
-        let misses_before = cache.stats().misses;
+        assert_eq!(cache.metrics().hits.get(), hits_before + 2);
+        let misses_before = cache.metrics().misses.get();
         cache.get_or_build(&b);
-        assert_eq!(cache.stats().misses, misses_before + 1);
+        assert_eq!(cache.metrics().misses.get(), misses_before + 1);
     }
 
     #[test]
@@ -618,7 +635,7 @@ mod tests {
         cache.get_or_build(&named("a"));
         cache.get_or_build(&named("b"));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.metrics().evictions.get(), 1);
     }
 
     #[test]
@@ -636,11 +653,11 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 4);
-        let stats = cache.stats();
+        let metrics = cache.metrics();
         // Every lookup either hit or missed; racing builds may each count a
         // miss, but the total accounts for all 16 lookups.
-        assert_eq!(stats.hits + stats.misses, 16);
-        assert!(stats.misses >= 4);
+        assert_eq!(metrics.hits.get() + metrics.misses.get(), 16);
+        assert!(metrics.misses.get() >= 4);
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub use catalog::{Catalog, TableSummary};
 pub use cell::CellRef;
 pub use column::{DateColumn, DictColumn, DictId, F64Column};
 pub use error::TableError;
-pub use index::{CacheStats, ColumnIndex, IndexCache, TableIndex, DEFAULT_INDEX_CACHE_CAPACITY};
+pub use index::{
+    ColumnIndex, IndexCache, IndexCacheMetrics, TableIndex, DEFAULT_INDEX_CACHE_CAPACITY,
+};
 pub use kb::KnowledgeBase;
 pub use table::{Column, ColumnType, RecordIdx, Table, TableBuilder};
 pub use value::{Date, Value};

@@ -74,9 +74,9 @@ proptest! {
             prop_assert_eq!(&fresh, &wire_json(&question.question, &table, hit.as_slice()));
         }
         // Every question registered one miss and one hit.
-        let stats = cached.cache_stats();
-        prop_assert_eq!(stats.misses, questions.len() as u64);
-        prop_assert!(stats.hits >= questions.len() as u64);
+        let metrics = cached.cache().metrics();
+        prop_assert_eq!(metrics.misses.get(), questions.len() as u64);
+        prop_assert!(metrics.hits.get() >= questions.len() as u64);
     }
 }
 
@@ -118,13 +118,13 @@ fn concurrent_identical_requests_execute_once() {
     // One thread led the flight; everyone shares the very same Arc, and
     // the engine's own served counter proves a single execution.
     assert_eq!(identical.load(Ordering::Relaxed), THREADS);
-    assert_eq!(engine.stats().questions_served, 1);
-    let stats = cached.cache_stats();
-    assert_eq!(stats.insertions, 1);
+    assert_eq!(engine.metrics().questions_served.get(), 1);
+    let metrics = cached.cache().metrics();
+    assert_eq!(metrics.insertions.get(), 1);
     assert_eq!(
-        stats.hits + stats.collapsed_waiters,
+        metrics.hits.get() + metrics.collapsed_waiters.get(),
         (THREADS - 1) as u64,
-        "{stats:?}"
+        "{metrics:?}"
     );
 }
 
@@ -171,8 +171,7 @@ fn re_registration_invalidates_and_ttl_expires() {
     // does) drops the old fingerprint's entries on next lookup.
     cached.invalidate_table(&v1);
     assert!(cached.lookup(&key_v1).is_none());
-    let stats = cached.cache_stats();
-    assert!(stats.stale_drops >= 1, "{stats:?}");
+    assert!(cached.cache().metrics().stale_drops.get() >= 1);
     // The v2 entry lives under its own fingerprint and epoch — untouched.
     assert!(cached
         .lookup(&cached.key_for(question, &v2, Some(3)))
@@ -197,8 +196,7 @@ fn re_registration_invalidates_and_ttl_expires() {
         }
         assert!(Instant::now() < deadline, "TTL entry never expired");
     }
-    let stats = ttl_cached.cache_stats();
-    assert!(stats.evictions_ttl >= 1, "{stats:?}");
+    assert!(ttl_cached.cache().metrics().evictions_ttl.get() >= 1);
 }
 
 #[test]
@@ -247,7 +245,8 @@ fn cache_hits_are_served_during_saturation_without_retry_after() {
             .expect("slow batch succeeds")
     });
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().in_flight == 0 {
+    let in_flight = || handle.stats().get("wtq_server_in_flight").expect("gauge");
+    while in_flight() == 0.0 {
         assert!(Instant::now() < deadline, "batch never became in-flight");
         std::thread::yield_now();
     }
@@ -264,10 +263,7 @@ fn cache_hits_are_served_during_saturation_without_retry_after() {
         }
         other => panic!("expected an Overloaded rejection, got {other:?}"),
     }
-    assert!(
-        handle.server_stats().in_flight > 0,
-        "batch drained too early"
-    );
+    assert!(in_flight() > 0.0, "batch drained too early");
 
     // ... while the cached question (same table, same top_k, a variant
     // phrasing normalization maps onto the same key) is served in full.
@@ -293,10 +289,7 @@ fn cache_hits_are_served_during_saturation_without_retry_after() {
         }])
         .expect("fully-cached batch bypasses the queue");
     assert_eq!(cached_batch.len(), 1);
-    assert!(
-        handle.server_stats().in_flight > 0,
-        "batch drained too early"
-    );
+    assert!(in_flight() > 0.0, "batch drained too early");
 
     batch_thread.join().expect("batch thread clean");
     handle.shutdown();

@@ -1,15 +1,15 @@
 //! Encode-once serving proofs: responses assembled by splicing the
 //! cached candidate bytes into the envelope are byte-identical — on the
-//! wire, not just semantically — to responses rebuilt and re-serialized
-//! from the candidates (`ServerConfig::encode_once: false`, the pre-splice
-//! behavior kept for A/B benchmarking). Checked end-to-end over both
-//! protocols:
+//! wire, not just semantically — to a reference rebuilt in process:
+//! `serde_json` of the envelope around
+//! [`WireExplanation::from_candidates`] of a direct engine call. Checked
+//! end-to-end over both protocols:
 //!
 //! * the framed TCP protocol: raw response frames (length prefix
-//!   included) from a cache miss, a cache hit, and the rebuild server all
-//!   match byte for byte, and
-//! * the HTTP adapter: full `POST /explain` responses (status line,
-//!   headers, body) match the same way.
+//!   included) from a cache miss and a cache hit both equal the framed
+//!   reference, and
+//! * the HTTP adapter: `POST /explain` bodies from a miss and a hit both
+//!   equal the reference body, with a `Content-Length` that matches.
 //!
 //! Questions cover the JSON escaper's interesting surface (quotes,
 //! backslashes, non-ASCII) since the splice path writes the question and
@@ -23,22 +23,37 @@ use wtq_core::Engine;
 use wtq_server::wire::{self, encode_frame};
 use wtq_server::{
     ExplainBody, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, Server,
-    ServerConfig, ServerHandle, PROTOCOL_VERSION,
+    ServerConfig, ServerHandle, WireExplanation, PROTOCOL_VERSION,
 };
 use wtq_table::{samples, Catalog};
 
-fn serving_stack(encode_once: bool) -> ServerHandle {
-    let engine = Arc::new(Engine::new());
-    let catalog: Arc<Catalog> = Arc::new(
+fn catalog() -> Arc<Catalog> {
+    Arc::new(
         [samples::olympics(), samples::medals()]
             .into_iter()
             .collect(),
-    );
-    let config = ServerConfig {
-        encode_once,
-        ..ServerConfig::default()
-    };
-    Server::bind("127.0.0.1:0", engine, catalog, config).expect("bind loopback server")
+    )
+}
+
+fn serving_stack() -> ServerHandle {
+    let engine = Arc::new(Engine::new());
+    Server::bind("127.0.0.1:0", engine, catalog(), ServerConfig::default())
+        .expect("bind loopback server")
+}
+
+/// The reference response body, rebuilt in process from a direct engine
+/// call: what every spliced response must equal byte for byte.
+fn rebuilt(engine: &Engine, question: &str, table: &str, top_k: Option<usize>) -> ResponseBody {
+    let catalog = catalog();
+    let table_data = catalog.get(table).expect("case table registered");
+    let top_k = top_k.unwrap_or(engine.config().top_k);
+    let candidates = engine.explain_question(question, table_data, top_k);
+    ResponseBody::Explanation(WireExplanation::from_candidates(
+        question,
+        table,
+        &candidates,
+        table_data,
+    ))
 }
 
 /// One framed explain round-trip; returns the raw response frame,
@@ -118,14 +133,19 @@ const CASES: [(&str, &str, Option<usize>); 4] = [
 
 #[test]
 fn framed_responses_are_byte_identical_across_miss_hit_and_rebuild() {
-    let spliced = serving_stack(true);
-    let rebuilt = serving_stack(false);
+    let spliced = serving_stack();
+    let engine = Engine::new();
 
     for (i, (question, table, top_k)) in CASES.into_iter().enumerate() {
         let id = 1000 + i as u64;
         let miss = framed_explain(spliced.local_addr(), id, question, table, top_k);
         let hit = framed_explain(spliced.local_addr(), id, question, table, top_k);
-        let reference = framed_explain(rebuilt.local_addr(), id, question, table, top_k);
+        let envelope = ResponseEnvelope {
+            v: PROTOCOL_VERSION,
+            id,
+            body: rebuilt(&engine, question, table, top_k),
+        };
+        let reference = encode_frame(serde_json::to_string(&envelope).unwrap().as_bytes()).unwrap();
         assert_eq!(miss, hit, "miss vs hit frame for {question:?}");
         assert_eq!(miss, reference, "spliced vs rebuilt frame for {question:?}");
 
@@ -144,27 +164,23 @@ fn framed_responses_are_byte_identical_across_miss_hit_and_rebuild() {
         }
     }
     spliced.shutdown();
-    rebuilt.shutdown();
 }
 
 #[test]
 fn http_responses_are_byte_identical_across_miss_hit_and_rebuild() {
-    let spliced = serving_stack(true);
-    let rebuilt = serving_stack(false);
+    let spliced = serving_stack();
+    let engine = Engine::new();
 
     for (question, table, top_k) in CASES {
         let miss = http_explain(spliced.local_addr(), question, table, top_k);
         let hit = http_explain(spliced.local_addr(), question, table, top_k);
-        let reference = http_explain(rebuilt.local_addr(), question, table, top_k);
         assert_eq!(miss, hit, "miss vs hit response for {question:?}");
-        assert_eq!(
-            miss, reference,
-            "spliced vs rebuilt response for {question:?}"
-        );
+        let reference = serde_json::to_string(&rebuilt(&engine, question, table, top_k)).unwrap();
 
         let text = String::from_utf8(miss).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         let body = text.split("\r\n\r\n").nth(1).expect("a body after headers");
+        assert_eq!(body, reference, "spliced vs rebuilt body for {question:?}");
         let content_length: usize = text
             .lines()
             .find_map(|line| line.strip_prefix("Content-Length: "))
@@ -172,12 +188,9 @@ fn http_responses_are_byte_identical_across_miss_hit_and_rebuild() {
             .trim()
             .parse()
             .unwrap();
-        assert_eq!(content_length, body.len());
-        let parsed: ResponseBody = serde_json::from_str(body).unwrap();
-        assert!(matches!(parsed, ResponseBody::Explanation(_)));
+        assert_eq!(content_length, reference.len());
     }
     spliced.shutdown();
-    rebuilt.shutdown();
 }
 
 #[test]
@@ -185,7 +198,7 @@ fn spliced_frames_match_the_reference_serialization_shape() {
     // The spliced frame must equal `encode_frame(serde_json(envelope))` of
     // the envelope it decodes to — i.e. splicing introduced no alternate
     // JSON spelling (key order, number formatting, escaping).
-    let spliced = serving_stack(true);
+    let spliced = serving_stack();
     for (i, (question, table, top_k)) in CASES.into_iter().enumerate() {
         let frame = framed_explain(spliced.local_addr(), 7 + i as u64, question, table, top_k);
         let envelope: ResponseEnvelope =

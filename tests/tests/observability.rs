@@ -9,7 +9,9 @@
 //! 2. `/trace/recent` returns **coherent traces under concurrent load** —
 //!    monotonic sequence numbers, named stage spans, sane timings,
 //! 3. both surfaces are **control-plane**: they answer immediately while
-//!    the in-flight queue is saturated, exactly like `Stats`.
+//!    the in-flight queue is saturated, exactly like `Stats`,
+//! 4. every number belongs to **one instance**: two engines, two answer
+//!    caches or two servers in one process never mix their counts.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -19,7 +21,8 @@ use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wtq_core::Engine;
+use wtq_cache::CacheConfig;
+use wtq_core::{CachedEngine, Engine};
 use wtq_server::{Client, ExplainBody, Server, ServerConfig, ServerHandle};
 use wtq_table::{samples, Catalog, Table};
 
@@ -41,6 +44,25 @@ fn serving_stack(
     let handle = Server::bind("127.0.0.1:0", engine.clone(), catalog.clone(), config)
         .expect("bind loopback server");
     (engine, catalog, handle)
+}
+
+/// A default-configured server over `engine` and the sample tables.
+fn serve(engine: &Arc<Engine>) -> ServerHandle {
+    let catalog: Arc<Catalog> = Arc::new([samples::olympics()].into_iter().collect());
+    Server::bind(
+        "127.0.0.1:0",
+        engine.clone(),
+        catalog,
+        ServerConfig::default(),
+    )
+    .expect("bind loopback server")
+}
+
+/// Explain `question` over `olympics` through `handle`, then scrape it.
+fn explain_and_scrape(handle: &ServerHandle, question: &str) -> HashMap<String, f64> {
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.explain(question, "olympics", None).unwrap();
+    parse_prometheus(&client.metrics().unwrap()).0
 }
 
 /// Parse Prometheus text into `(series name with labels) → value`, checking
@@ -99,6 +121,61 @@ fn parse_prometheus(text: &str) -> (HashMap<String, f64>, HashMap<String, String
     (samples, types)
 }
 
+/// Every family `/metrics` prints under `ServerConfig::default()`, with its
+/// label key and the values of its series (`""` when unlabeled): dropping
+/// or renaming any of them is a breaking change for scrapers.
+const FAMILIES: [(&str, &str, &str); 30] = [
+    ("wtq_answer_cache_bytes", "", ""),
+    ("wtq_answer_cache_entries", "", ""),
+    (
+        "wtq_answer_cache_evictions_total",
+        "reason",
+        "lru ttl stale",
+    ),
+    (
+        "wtq_answer_cache_ops_total",
+        "op",
+        "hit miss collapsed insertion",
+    ),
+    ("wtq_engine_batches_served_total", "", ""),
+    ("wtq_engine_in_flight", "", ""),
+    ("wtq_engine_questions_served_total", "", ""),
+    ("wtq_index_cache_ops_total", "op", "hit miss eviction"),
+    ("wtq_index_cache_tables", "", ""),
+    ("wtq_parse_questions_total", "", ""),
+    ("wtq_parse_stage_duration_seconds", "stage", PARSE_STAGES),
+    ("wtq_parse_stage_ns_total", "stage", PARSE_STAGES),
+    ("wtq_planner_actual_rows_total", "", ""),
+    (
+        "wtq_planner_decisions_total",
+        "backend",
+        "scan index kernel",
+    ),
+    ("wtq_planner_estimated_rows_total", "", ""),
+    ("wtq_request_duration_seconds", "", ""),
+    (
+        "wtq_request_stage_duration_seconds",
+        "stage",
+        REQUEST_STAGES,
+    ),
+    ("wtq_server_connections_total", "", ""),
+    ("wtq_server_encode_failures_total", "", ""),
+    ("wtq_server_endpoint_requests_total", "endpoint", ENDPOINTS),
+    ("wtq_server_http_requests_total", "", ""),
+    ("wtq_server_in_flight", "", ""),
+    ("wtq_server_open_connections", "", ""),
+    ("wtq_server_protocol_errors_total", "", ""),
+    ("wtq_server_reactor_queue_depth", "", ""),
+    ("wtq_server_rejected_total", "reason", "overload table_busy"),
+    ("wtq_server_requests_total", "", ""),
+    ("wtq_server_tables", "", ""),
+    ("wtq_server_uptime_seconds", "", ""),
+    ("wtq_traces_sampled_total", "", ""),
+];
+const PARSE_STAGES: &str = "tokenize lexicon candidates eval features score";
+const REQUEST_STAGES: &str = "decode queue_wait cache_probe admission_wait eval encode";
+const ENDPOINTS: &str = "explain explain_batch stats tables metrics trace";
+
 #[test]
 fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
     let (_engine, _catalog, handle) = serving_stack(ServerConfig::default(), Vec::new());
@@ -111,22 +188,25 @@ fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
     let (before, types) = parse_prometheus(&first);
 
     // One registry covers every layer: server, engine, parser stages,
-    // planner, caches.
-    for family in [
-        "wtq_server_requests_total",
-        "wtq_server_endpoint_requests_total",
-        "wtq_server_uptime_seconds",
-        "wtq_engine_questions_served_total",
-        "wtq_index_cache_ops_total",
-        "wtq_answer_cache_ops_total",
-        "wtq_planner_decisions_total",
-        "wtq_parse_questions_total",
-        "wtq_parse_stage_ns_total",
-        "wtq_request_duration_seconds",
-        "wtq_request_stage_duration_seconds",
-        "wtq_parse_stage_duration_seconds",
-    ] {
-        assert!(types.contains_key(family), "missing family {family}");
+    // planner, caches — every family with every one of its series.
+    for (family, key, values) in FAMILIES {
+        let kind = types
+            .get(family)
+            .unwrap_or_else(|| panic!("missing {family}"));
+        let name = match kind.as_str() {
+            "histogram" => format!("{family}_count"),
+            _ => family.to_string(),
+        };
+        let series: Vec<String> = match key {
+            "" => vec![name],
+            _ => values
+                .split(' ')
+                .map(|value| format!("{name}{{{key}=\"{value}\"}}"))
+                .collect(),
+        };
+        for series in series {
+            assert!(before.contains_key(&series), "missing series {series}");
+        }
     }
 
     // Drive more traffic, scrape again: counter-typed series never move
@@ -331,7 +411,8 @@ fn metrics_and_traces_stay_reachable_while_the_queue_is_saturated() {
             .expect("the slow batch succeeds")
     });
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().in_flight == 0 {
+    let in_flight = || handle.stats().get("wtq_server_in_flight").expect("gauge");
+    while in_flight() == 0.0 {
         assert!(Instant::now() < deadline, "batch never became in-flight");
         std::thread::yield_now();
     }
@@ -365,9 +446,86 @@ fn metrics_and_traces_stay_reachable_while_the_queue_is_saturated() {
 
     // Both still count as served requests even under saturation, and the
     // queue itself never admitted them.
-    assert!(handle.server_stats().in_flight >= 1);
+    assert!(in_flight() >= 1.0);
 
     let explanations = batch_thread.join().expect("batch thread clean");
     assert_eq!(explanations.len(), 6);
     handle.shutdown();
+}
+
+#[test]
+fn engines_caches_and_servers_in_one_process_keep_their_own_numbers() {
+    const QUESTION: &str = "Which city hosted in 2008?";
+    let table = samples::olympics();
+    let (engine_a, engine_b) = (Arc::new(Engine::new()), Arc::new(Engine::new()));
+    let (server_a, server_b) = (serve(&engine_a), serve(&engine_b));
+    // Engine A parses twice — one served miss, one direct session parse —
+    // and runs SQL through its planner counters.
+    let _ = engine_a.session(&table).parse(QUESTION);
+    let formula = wtq_dcs::parse_formula("R[City].Year.2008").unwrap();
+    wtq_sql::SqlEngine::new(&table)
+        .with_counters(engine_a.planner_counters())
+        .execute(
+            &wtq_sql::translate(&formula).unwrap(),
+            wtq_sql::PlanMode::Auto,
+        )
+        .unwrap();
+    let a = explain_and_scrape(&server_a, QUESTION);
+    assert!(a[r#"wtq_planner_decisions_total{backend="kernel"}"#] >= 1.0);
+    assert_eq!(a["wtq_parse_questions_total"], 2.0);
+    assert_eq!(
+        a[r#"wtq_parse_stage_duration_seconds_count{stage="score"}"#],
+        2.0
+    );
+    assert_eq!(a["wtq_engine_questions_served_total"], 1.0);
+    // Engine B did nothing, and its series say so.
+    let mut client = Client::connect(server_b.local_addr()).unwrap();
+    let (b, _) = parse_prometheus(&client.metrics().unwrap());
+    let engine_families = [
+        "wtq_parse_",
+        "wtq_engine_",
+        "wtq_index_cache_",
+        "wtq_planner_",
+    ];
+    for (series, value) in &b {
+        if engine_families
+            .iter()
+            .any(|prefix| series.starts_with(prefix))
+        {
+            assert_eq!(*value, 0.0, "{series} leaked from engine A into engine B");
+        }
+    }
+
+    // Two answer caches over one engine (the traced-replay shape) count
+    // their own lookups; the engine counts every execution.
+    let caches = [CacheConfig::default(), CacheConfig::default()]
+        .map(|config| CachedEngine::new(engine_b.clone(), config));
+    for _ in 0..2 {
+        caches[0].explain_question(QUESTION, &table, 3);
+    }
+    caches[1].explain_question(QUESTION, &table, 3);
+    let (first, second) = (caches[0].cache().metrics(), caches[1].cache().metrics());
+    assert_eq!((first.hits.get(), first.insertions.get()), (1, 1));
+    assert_eq!((second.hits.get(), second.insertions.get()), (0, 1));
+    assert_eq!(engine_b.metrics().questions_served.get(), 2);
+
+    // Two servers over one engine: server facts are each server's own,
+    // engine facts are the shared engine's.
+    let server_a2 = serve(&engine_a);
+    let a2 = explain_and_scrape(&server_a2, "In what year did France hold the Olympics?");
+    let a = parse_prometheus(
+        &Client::connect(server_a.local_addr())
+            .unwrap()
+            .metrics()
+            .unwrap(),
+    )
+    .0;
+    assert_eq!(a["wtq_server_requests_total"], 1.0);
+    assert_eq!(a2["wtq_server_requests_total"], 1.0);
+    assert_eq!(a2[r#"wtq_answer_cache_ops_total{op="insertion"}"#], 1.0);
+    assert_eq!(a2["wtq_engine_questions_served_total"], 2.0);
+    assert_eq!(a["wtq_engine_questions_served_total"], 2.0);
+    for handle in [server_a, server_b, server_a2] {
+        handle.shutdown();
+    }
 }

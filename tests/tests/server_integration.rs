@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 use wtq_core::{Engine, ExplainRequest};
 use wtq_server::{
     Client, ClientError, ErrorCode, ExplainBody, RetryPolicy, Server, ServerConfig, ServerHandle,
-    WireExplanation,
+    StatsBody, WireExplanation,
 };
 use wtq_table::{samples, Catalog, Table};
 
@@ -42,6 +42,13 @@ fn serving_stack(
     let handle = Server::bind("127.0.0.1:0", engine.clone(), catalog.clone(), config)
         .expect("bind loopback server");
     (engine, catalog, handle)
+}
+
+/// The value of a registry series in a `Stats` body.
+fn stat(stats: &StatsBody, series: &str) -> f64 {
+    stats
+        .get(series)
+        .unwrap_or_else(|| panic!("{series} missing"))
 }
 
 #[test]
@@ -163,12 +170,8 @@ fn full_in_flight_queue_rejects_with_retry_after_instead_of_hanging() {
 
     // Wait (bounded) until the batch actually holds the slot.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().in_flight == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "batch never became in-flight; stats: {:?}",
-            handle.server_stats()
-        );
+    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
+        assert!(Instant::now() < deadline, "batch never became in-flight");
         std::thread::yield_now();
     }
 
@@ -185,16 +188,17 @@ fn full_in_flight_queue_rejects_with_retry_after_instead_of_hanging() {
         other => panic!("expected an Overloaded rejection, got {other:?}"),
     }
     // "Immediately": the rejection must not have waited out the batch.
-    let in_flight_after = handle.server_stats().in_flight;
+    let in_flight_after = stat(&handle.stats(), "wtq_server_in_flight");
     assert!(
-        in_flight_after > 0,
+        in_flight_after > 0.0,
         "rejection raced the batch (took {:?}); grow the batch if this flakes",
         start.elapsed()
     );
 
     let explanations = batch_thread.join().expect("batch thread clean");
     assert_eq!(explanations.len(), 6);
-    assert!(handle.server_stats().rejected_overload >= 1);
+    let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
+    assert!(stat(&handle.stats(), overload) >= 1.0);
 
     // Once the queue drains, the same request is admitted again.
     let explanation = client
@@ -232,7 +236,7 @@ fn retry_helper_rides_out_backpressure_and_respects_its_budget() {
             .expect("the slow batch succeeds")
     });
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().in_flight == 0 {
+    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
         assert!(Instant::now() < deadline, "batch never became in-flight");
         std::thread::yield_now();
     }
@@ -252,10 +256,10 @@ fn retry_helper_rides_out_backpressure_and_respects_its_budget() {
         }
         other => panic!("expected the budget to run out on a full queue, got {other:?}"),
     }
+    let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
     assert!(
-        handle.server_stats().rejected_overload >= 3,
-        "each attempt must have reached the server: {:?}",
-        handle.server_stats()
+        stat(&handle.stats(), overload) >= 3.0,
+        "each attempt must have reached the server"
     );
 
     // A generous budget rides the rejections out and succeeds once the
@@ -307,7 +311,7 @@ fn hot_table_cannot_fill_the_whole_queue() {
             .expect("the slow batch succeeds")
     });
     let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.server_stats().in_flight == 0 {
+    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
         assert!(Instant::now() < deadline, "batch never became in-flight");
         std::thread::yield_now();
     }
@@ -331,9 +335,15 @@ fn hot_table_cannot_fill_the_whole_queue() {
     assert!(!explanation.candidates.is_empty());
 
     batch_thread.join().expect("batch thread clean");
-    let stats = handle.server_stats();
-    assert!(stats.rejected_table_busy >= 1, "{stats:?}");
-    assert_eq!(stats.rejected_overload, 0, "{stats:?}");
+    let stats = handle.stats();
+    let rejected = |reason: &str| {
+        stat(
+            &stats,
+            &format!("wtq_server_rejected_total{{reason=\"{reason}\"}}"),
+        )
+    };
+    assert!(rejected("table_busy") >= 1.0);
+    assert_eq!(rejected("overload"), 0.0);
     handle.shutdown();
 }
 
@@ -388,10 +398,14 @@ fn asymmetric_tables_both_make_progress_under_concurrent_load() {
         }
     });
 
-    let stats = handle.server_stats();
-    assert_eq!(stats.rejected_overload, 0, "{stats:?}");
-    assert_eq!(stats.requests, 2 * 2 + 2 * 3);
-    assert_eq!(stats.in_flight, 0);
+    let stats = handle.stats();
+    let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
+    assert_eq!(stat(&stats, overload), 0.0);
+    assert_eq!(
+        stat(&stats, "wtq_server_requests_total"),
+        (2 * 2 + 2 * 3) as f64
+    );
+    assert_eq!(stat(&stats, "wtq_server_in_flight"), 0.0);
     handle.shutdown();
 }
 
@@ -408,7 +422,7 @@ fn registry_and_stats_surfaces_reflect_the_serving_state() {
     assert_eq!(tables[1].name, "olympics");
 
     let before = client.stats().unwrap();
-    assert_eq!(before.engine.questions_served, 0);
+    assert_eq!(stat(&before, "wtq_engine_questions_served_total"), 0.0);
     client
         .explain("Which city hosted in 2008?", "olympics", None)
         .unwrap();
@@ -420,30 +434,47 @@ fn registry_and_stats_surfaces_reflect_the_serving_state() {
         )
         .unwrap();
     let after = client.stats().unwrap();
-    assert_eq!(after.engine.questions_served, 2);
-    assert!(after.engine.index_cache.hits >= 1, "{after:?}");
-    assert_eq!(after.engine.index_cache.misses, 1);
-    assert_eq!(after.server.requests, 2);
-    assert_eq!(after.server.in_flight, 0);
-    assert_eq!(after.server.tables, 2);
-    assert!(after.server.connections >= 1);
+    // The body is the registry's samples: the lines `/metrics` prints
+    // (compared where the two control-plane requests move nothing).
+    let metrics = client.metrics().unwrap();
+    let engine_side = [
+        "wtq_engine_",
+        "wtq_index_",
+        "wtq_answer_",
+        "wtq_parse_",
+        "wtq_planner_",
+    ];
+    for sample in &after.samples {
+        if engine_side
+            .iter()
+            .any(|prefix| sample.series.starts_with(prefix))
+        {
+            let line = format!("{} {}", sample.series, sample.value);
+            assert!(metrics.lines().any(|l| l == line), "{line} not in /metrics");
+        }
+    }
+    let value = |series: &str| stat(&after, series);
+    assert_eq!(value("wtq_engine_questions_served_total"), 2.0);
+    assert!(value(r#"wtq_index_cache_ops_total{op="hit"}"#) >= 1.0);
+    assert_eq!(value(r#"wtq_index_cache_ops_total{op="miss"}"#), 1.0);
+    assert_eq!(value("wtq_server_requests_total"), 2.0);
+    assert_eq!(value("wtq_server_in_flight"), 0.0);
+    assert_eq!(value("wtq_server_tables"), 2.0);
+    assert!(value("wtq_server_connections_total") >= 1.0);
     // The I/O layer is observable too: this client's connection is open,
     // the reactor pool is a fixed handful of threads, and the dispatch
     // pool — not the connection count — bounds worker threads.
-    assert!(after.server.open_connections >= 1, "{after:?}");
-    assert!(after.server.reactor_threads >= 1, "{after:?}");
-    assert!(
-        after.server.dispatch_threads >= after.server.max_in_flight,
-        "{after:?}"
-    );
-    // The client-visible engine snapshot is the engine's own, plus the
-    // serving layer's answer-cache counters (both questions were cold, so
-    // each registered one miss and one insertion).
-    let mut expected = engine.stats();
-    expected.answer_cache = after.engine.answer_cache.clone();
-    assert_eq!(after.engine, expected);
-    assert_eq!(after.engine.answer_cache.misses, 2, "{after:?}");
-    assert_eq!(after.engine.answer_cache.insertions, 2, "{after:?}");
+    let config = ServerConfig::default();
+    assert!(value("wtq_server_open_connections") >= 1.0);
+    assert!(value("wtq_server_reactor_threads") >= 1.0);
+    assert!(value("wtq_server_dispatch_threads") >= config.max_in_flight as f64);
+    // The engine's series are the engine's own handles, plus the serving
+    // layer's answer-cache counters (both questions were cold, so each
+    // registered one miss and one insertion).
+    let served = engine.metrics().questions_served.get() as f64;
+    assert_eq!(value("wtq_engine_questions_served_total"), served);
+    assert_eq!(value(r#"wtq_answer_cache_ops_total{op="miss"}"#), 2.0);
+    assert_eq!(value(r#"wtq_answer_cache_ops_total{op="insertion"}"#), 2.0);
     handle.shutdown();
 }
 
