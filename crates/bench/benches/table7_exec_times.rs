@@ -1,26 +1,33 @@
 //! Table 7: per-question execution time of candidate generation, utterance
-//! generation and highlight generation.
+//! generation and highlight generation, on the served path (an `Engine`
+//! session per question; highlights on that session's evaluator).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 use wtq_bench::environment;
-use wtq_parser::SemanticParser;
+use wtq_core::Engine;
 use wtq_provenance::Highlights;
 
 fn bench_table7(c: &mut Criterion) {
     let env = environment(10, 6, 24);
-    let parser = SemanticParser::with_prior();
+    let engine = Engine::new();
     let example = &env.test_examples[0];
     let table = env.catalog.get(&example.table).expect("table exists");
-    let candidates = parser.parse_top_k(&example.question, table, 7);
+    let top_k = |session: &wtq_core::Session<'_>| {
+        let mut candidates = session.parse(&example.question);
+        candidates.truncate(7);
+        candidates
+    };
+    let session = engine.session(table);
+    let candidates = top_k(&session);
 
     let mut group = c.benchmark_group("table7_exec_times");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
     group.bench_function("candidate_generation_per_question", |b| {
-        b.iter(|| parser.parse_top_k(&example.question, table, 7))
+        b.iter(|| top_k(&engine.session(table)))
     });
     group.bench_function("utterance_generation_per_question", |b| {
         b.iter(|| {
@@ -34,7 +41,7 @@ fn bench_table7(c: &mut Criterion) {
         b.iter(|| {
             candidates
                 .iter()
-                .filter_map(|c| Highlights::compute(&c.formula, table).ok())
+                .filter_map(|c| Highlights::compute_with(&c.formula, session.evaluator()).ok())
                 .count()
         })
     });
@@ -43,7 +50,7 @@ fn bench_table7(c: &mut Criterion) {
     // Print the Table 7 row alongside the micro-benchmarks.
     let t7 = wtq_bench::table7(&env, 7);
     println!(
-        "\nTable 7 (measured, {} questions): candidates {:.4}s, utterances {:.4}s, highlights {:.4}s per question\n\
+        "\nTable 7 (measured, {} questions): candidates {:.6}s, utterances {:.6}s, highlights {:.6}s per question\n\
          Paper: 1.22s / 0.22s / 1.36s — utterances remain the cheapest stage.",
         t7.questions, t7.candidate_generation, t7.utterance_generation, t7.highlight_generation
     );

@@ -145,15 +145,15 @@ fn main() {
         println!("| stage | paper | measured |");
         println!("|---|---|---|");
         println!(
-            "| candidate generation | 1.22 | {:.4} |",
+            "| candidate generation | 1.22 | {:.6} |",
             t7.candidate_generation
         );
         println!(
-            "| utterance generation | 0.22 | {:.4} |",
+            "| utterance generation | 0.22 | {:.6} |",
             t7.utterance_generation
         );
         println!(
-            "| highlight generation | 1.36 | {:.4} |",
+            "| highlight generation | 1.36 | {:.6} |",
             t7.highlight_generation
         );
         println!(

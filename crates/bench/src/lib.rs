@@ -17,6 +17,7 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use wtq_core::Engine;
 use wtq_dataset::dataset::{Dataset, DatasetConfig};
 use wtq_dataset::Split;
 use wtq_parser::{generate_candidates, CandidateConfig, SemanticParser, TrainConfig, TrainExample};
@@ -194,9 +195,12 @@ pub struct Table7Result {
     pub highlight_generation: f64,
 }
 
-/// Run the Table 7 measurement over the environment's test questions.
+/// Run the Table 7 measurement over the environment's test questions on the
+/// served path: one [`Engine`] opens a session per question (its table
+/// index comes from the engine's cache), parses there, and computes the
+/// top-k highlights on that session's warm evaluator — what deployment pays.
 pub fn table7(env: &Environment, top_k: usize) -> Table7Result {
-    let parser = SemanticParser::with_prior();
+    let engine = Engine::new();
     let mut candidate_time = 0.0;
     let mut utterance_time = 0.0;
     let mut highlight_time = 0.0;
@@ -207,7 +211,9 @@ pub fn table7(env: &Environment, top_k: usize) -> Table7Result {
         };
         questions += 1;
         let start = Instant::now();
-        let candidates = parser.parse_top_k(&example.question, table, top_k);
+        let session = engine.session(table);
+        let mut candidates = session.parse(&example.question);
+        candidates.truncate(top_k);
         candidate_time += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
@@ -220,7 +226,7 @@ pub fn table7(env: &Environment, top_k: usize) -> Table7Result {
         let start = Instant::now();
         let _highlights: Vec<_> = candidates
             .iter()
-            .filter_map(|c| Highlights::compute(&c.formula, table).ok())
+            .filter_map(|c| Highlights::compute_with(&c.formula, session.evaluator()).ok())
             .collect();
         highlight_time += start.elapsed().as_secs_f64();
     }

@@ -470,19 +470,22 @@ impl<'a> Session<'a> {
     }
 
     /// Parse `question` and explain the top-k candidates (utterance, SQL
-    /// rendering and provenance highlights for each).
+    /// rendering and provenance highlights for each). The highlights are
+    /// computed on this session's evaluator, reusing the shared index and
+    /// the denotation memo the parse warmed.
     pub fn explain_question(&self, question: &str, top_k: usize) -> Vec<ExplainedCandidate> {
         let mut candidates = self.parse(question);
         candidates.truncate(top_k);
         candidates
             .into_iter()
-            .filter_map(|candidate| ExplainedCandidate::from_candidate(candidate, self.table()))
+            .filter_map(|candidate| ExplainedCandidate::from_candidate(candidate, &self.evaluator))
             .collect()
     }
 
-    /// Explain a single, already-known formula.
+    /// Explain a single, already-known formula, evaluating it on this
+    /// session's evaluator.
     pub fn explain_formula(&self, formula: &Formula) -> wtq_dcs::Result<ExplainedCandidate> {
-        ExplainedCandidate::from_formula(formula, self.table())
+        ExplainedCandidate::from_formula(formula, &self.evaluator)
     }
 }
 

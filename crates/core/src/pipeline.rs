@@ -7,7 +7,7 @@
 //! interface shows to a non-expert user for selection, and what the simulated
 //! user of `wtq-study` consumes.
 
-use wtq_dcs::{Answer, Formula};
+use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_explain::utter;
 use wtq_parser::{Candidate, SemanticParser};
 use wtq_provenance::{render, sample_highlights, Highlights};
@@ -36,10 +36,12 @@ pub struct ExplainedCandidate {
 
 impl ExplainedCandidate {
     /// Explain one parsed candidate: attach the utterance, the SQL rendering
-    /// and the provenance highlights. `None` when highlight computation
-    /// fails (the candidate does not evaluate on `table`).
-    pub(crate) fn from_candidate(candidate: Candidate, table: &Table) -> Option<Self> {
-        let highlights = Highlights::compute(&candidate.formula, table).ok()?;
+    /// and the provenance highlights, computed on the session's `evaluator`
+    /// (its shared index and the memo the parse just warmed). `None` when
+    /// highlight computation fails (the candidate does not evaluate on the
+    /// table).
+    pub(crate) fn from_candidate(candidate: Candidate, evaluator: &Evaluator<'_>) -> Option<Self> {
+        let highlights = Highlights::compute_with(&candidate.formula, evaluator).ok()?;
         Some(ExplainedCandidate {
             utterance: utter(&candidate.formula),
             sql: translate(&candidate.formula).ok().map(|q| q.to_sql()),
@@ -50,10 +52,14 @@ impl ExplainedCandidate {
         })
     }
 
-    /// Explain a handwritten formula (score 0, answer from evaluation).
-    pub(crate) fn from_formula(formula: &Formula, table: &Table) -> wtq_dcs::Result<Self> {
-        let denotation = wtq_dcs::eval(formula, table)?;
-        let highlights = Highlights::compute(formula, table)?;
+    /// Explain a handwritten formula (score 0, answer from evaluation on the
+    /// session's `evaluator`).
+    pub(crate) fn from_formula(
+        formula: &Formula,
+        evaluator: &Evaluator<'_>,
+    ) -> wtq_dcs::Result<Self> {
+        let denotation = evaluator.eval(formula)?;
+        let highlights = Highlights::compute_with(formula, evaluator)?;
         Ok(ExplainedCandidate {
             utterance: utter(formula),
             sql: translate(formula).ok().map(|q| q.to_sql()),

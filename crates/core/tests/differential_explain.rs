@@ -2,14 +2,17 @@
 //! provenance-bearing top-k explanation path (scratch-reusing sessions,
 //! interned features) must rank exactly like the string-keyed reference
 //! parser on generated questions — the explanations users see are unchanged
-//! by the interning rework.
+//! by the interning rework — and the highlights and answers it computes on
+//! the session's warm evaluator must equal the standalone computations on
+//! the bare table.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_core::Engine;
-use wtq_dcs::Evaluator;
+use wtq_dcs::{parse_formula, Answer, Evaluator};
 use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
+use wtq_provenance::Highlights;
 
 #[test]
 fn explained_top_k_matches_the_string_keyed_reference_ranking() {
@@ -49,6 +52,19 @@ fn explained_top_k_matches_the_string_keyed_reference_ranking() {
                 // The provenance path ran: every explained candidate carries
                 // its utterance and highlight structure.
                 assert!(!candidate.utterance.is_empty());
+                // Highlights computed on the session (whose memo every
+                // earlier question warmed) equal the standalone ones, chain
+                // and header marks included.
+                let standalone = Highlights::compute(&candidate.formula, &table)
+                    .expect("explained candidates evaluate");
+                assert_eq!(candidate.highlights, standalone, "{}", candidate.formula);
+                // So does explaining the formula by hand on the warm session.
+                let by_hand = session
+                    .explain_formula(&candidate.formula)
+                    .expect("explained candidates evaluate");
+                let denotation = wtq_dcs::eval(&candidate.formula, &table).expect("evaluates");
+                assert_eq!(by_hand.answer, Answer::from_denotation(&denotation));
+                assert_eq!(by_hand.highlights, standalone);
                 compared += 1;
             }
             assert!(
@@ -57,6 +73,11 @@ fn explained_top_k_matches_the_string_keyed_reference_ranking() {
                 question.question
             );
         }
+        // A formula that does not evaluate fails on the warm session as it
+        // does on the bare table.
+        let unknown = parse_formula("R[Missing].Rows").expect("parses");
+        let standalone = wtq_dcs::eval(&unknown, &table).expect_err("unknown column");
+        assert_eq!(session.explain_formula(&unknown).err(), Some(standalone));
     }
     assert!(compared >= 50, "too few candidates compared: {compared}");
 }

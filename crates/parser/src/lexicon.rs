@@ -3,7 +3,8 @@
 //! The floating-parser family of semantic parsers anchors candidate formulas
 //! to *links* between question phrases and the table: cell values, column
 //! headers and literal numbers. This module finds those links with greedy
-//! longest-match n-gram lookup over the knowledge-base view of the table.
+//! longest-match n-gram lookup over the knowledge-base view of the table,
+//! whose lookups the table index's shared text index answers.
 
 use std::collections::HashSet;
 
@@ -218,11 +219,7 @@ pub(crate) fn link_stage(
 
     // Partial links: an unconsumed content token that appears as a word
     // inside a cell value still links to it ("Erie" → "Lake Erie", matching
-    // how the paper's Figure 9 question refers to the lake). The distinct
-    // values are computed once per column, not once per token.
-    let distinct_per_column: Vec<Vec<Value>> = (0..table.num_columns())
-        .map(|column| table.distinct_column_values(column))
-        .collect();
+    // how the paper's Figure 9 question refers to the lake).
     for (i, token) in tokens.iter().enumerate() {
         if consumed.contains(&i) || token.len() < 3 || STOP_WORDS.contains(&token.as_str()) {
             continue;
@@ -230,24 +227,16 @@ pub(crate) fn link_stage(
         if token.parse::<f64>().is_ok() {
             continue;
         }
-        for (column, distinct) in distinct_per_column.iter().enumerate() {
-            for value in distinct {
-                let text = value.to_string().to_lowercase();
-                let is_word_inside = text != *token
-                    && text
-                        .split(|c: char| !c.is_alphanumeric())
-                        .any(|word| word == token);
-                if is_word_inside
-                    && !value_links
-                        .iter()
-                        .any(|l| l.column == column && l.value == *value)
-                {
-                    value_links.push(ValueLink {
-                        column,
-                        value: value.clone(),
-                        phrase: token.clone(),
-                    });
-                }
+        for (column, value) in kb.link_word(token) {
+            if !value_links
+                .iter()
+                .any(|l| l.column == column && l.value == value)
+            {
+                value_links.push(ValueLink {
+                    column,
+                    value,
+                    phrase: token.clone(),
+                });
             }
         }
     }

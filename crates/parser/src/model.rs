@@ -22,11 +22,9 @@ use serde::{Deserialize, Serialize};
 use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_table::{Table, TableIndex};
 
-use crate::candidates::{
-    generate_candidates, generate_candidates_timed, CandidateConfig, RawCandidate,
-};
+use crate::candidates::{generate_candidates_timed, CandidateConfig, RawCandidate};
 use crate::features::{extract_features_in, FeatureVec, QuestionContext};
-use crate::lexicon::{analyze_question, link_stage, tokenize_stage, QuestionAnalysis};
+use crate::lexicon::{link_stage, tokenize_stage, QuestionAnalysis};
 use crate::scratch::ScratchSpace;
 use crate::spans::ParseSpans;
 use crate::symbols::{self, FeatureId, TRIGGER_KINDS};
@@ -320,11 +318,6 @@ impl SemanticParser {
         }
     }
 
-    /// Analyze a question against a table (exposed for feature reuse).
-    pub fn analyze(&self, question: &str, table: &Table) -> QuestionAnalysis {
-        analyze_question(question, table)
-    }
-
     /// Parse a question into ranked candidates `Z_x`, highest score first.
     ///
     /// One [`TableIndex`] is built per call and shared between entity
@@ -384,24 +377,6 @@ impl SemanticParser {
             score_ns,
         };
         candidates
-    }
-
-    /// Parse from an existing analysis (avoids re-linking when the caller
-    /// already has one).
-    pub fn parse_analyzed(&self, analysis: &QuestionAnalysis, table: &Table) -> Vec<Candidate> {
-        let raw = generate_candidates(analysis, table, &self.config);
-        self.rank(raw, analysis, table)
-    }
-
-    /// Score and rank raw candidates with the log-linear model.
-    fn rank(
-        &self,
-        raw: Vec<RawCandidate>,
-        analysis: &QuestionAnalysis,
-        table: &Table,
-    ) -> Vec<Candidate> {
-        self.rank_timed(raw, analysis, table, &mut ScratchSpace::new())
-            .0
     }
 
     /// Score and rank raw candidates, returning the feature-extraction and

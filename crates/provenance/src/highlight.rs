@@ -15,11 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use wtq_dcs::Formula;
+use wtq_dcs::{Evaluator, Formula};
 use wtq_table::{CellRef, Table};
 
 use crate::model::{OpMarker, ProvenanceChain};
-use crate::rules::provenance;
+use crate::rules::provenance_with;
 
 /// Visual treatment of one cell, ordered from strongest to weakest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -62,8 +62,17 @@ impl Highlights {
     /// Run `Highlight(Q, T, output = true)`: compute the provenance chain and
     /// derive the per-cell highlight classification.
     pub fn compute(formula: &Formula, table: &Table) -> wtq_dcs::Result<Highlights> {
-        let chain = provenance(formula, table)?;
-        Ok(Highlights::from_chain(chain, table))
+        Highlights::compute_with(formula, &Evaluator::new(table))
+    }
+
+    /// [`Highlights::compute`] on an existing evaluator session of the table
+    /// (see [`provenance_with`]).
+    pub fn compute_with(
+        formula: &Formula,
+        evaluator: &Evaluator<'_>,
+    ) -> wtq_dcs::Result<Highlights> {
+        let chain = provenance_with(formula, evaluator)?;
+        Ok(Highlights::from_chain(chain, evaluator.table()))
     }
 
     /// Build highlights from an already-computed provenance chain.

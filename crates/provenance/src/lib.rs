@@ -35,5 +35,5 @@ pub mod sample;
 
 pub use highlight::{HighlightKind, Highlights};
 pub use model::{OpMarker, ProvenanceChain};
-pub use rules::provenance;
+pub use rules::{provenance, provenance_with};
 pub use sample::sample_highlights;

@@ -29,7 +29,17 @@ use crate::model::{OpMarker, ProvenanceChain};
 /// column, ill-typed composition, …): provenance is only defined for queries
 /// that execute.
 pub fn provenance(formula: &Formula, table: &Table) -> wtq_dcs::Result<ProvenanceChain> {
-    let evaluator = Evaluator::new(table);
+    provenance_with(formula, &Evaluator::new(table))
+}
+
+/// [`provenance`] on an existing evaluator session of the table, reusing
+/// its shared index and warm denotation memo instead of building both anew.
+/// The chain is the same as on a fresh evaluator, errors included.
+pub fn provenance_with(
+    formula: &Formula,
+    evaluator: &Evaluator<'_>,
+) -> wtq_dcs::Result<ProvenanceChain> {
+    let table = evaluator.table();
     let mut chain = ProvenanceChain::new();
 
     // P_C: every cell of every mentioned column (Equation 3).
@@ -41,7 +51,7 @@ pub fn provenance(formula: &Formula, table: &Table) -> wtq_dcs::Result<Provenanc
 
     // P_O of the whole query plus P_E as the union of P_O over sub-formulas
     // (Equations 1 and 2), computed in one recursive pass.
-    let output = output_provenance(formula, &evaluator, &mut chain)?;
+    let output = output_provenance(formula, evaluator, &mut chain)?;
     chain.output = output;
 
     // The chain is nested by construction; clamp defensively so the

@@ -1,8 +1,9 @@
 //! Property-based tests for the provenance model.
 
 use proptest::prelude::*;
-use wtq_dcs::{AggregateOp, CompareOp, Formula, SuperlativeOp};
-use wtq_provenance::{provenance, Highlights};
+use wtq_dcs::eval::MAX_EVAL_DEPTH;
+use wtq_dcs::{AggregateOp, CompareOp, DcsError, Evaluator, Formula, SuperlativeOp};
+use wtq_provenance::{provenance, provenance_with, Highlights};
 use wtq_table::{samples, CellRef, Value};
 
 fn column() -> impl Strategy<Value = String> {
@@ -136,6 +137,28 @@ proptest! {
         }
     }
 
+    /// Provenance on a shared evaluator session whose denotation memo is
+    /// warm from a batch of other formulas equals provenance on a fresh
+    /// evaluator, errors included — the memo never changes a chain.
+    #[test]
+    fn shared_evaluator_provenance_matches_fresh(
+        batch in proptest::collection::vec(any_formula(), 1..8),
+        formula in any_formula(),
+    ) {
+        let table = samples::olympics();
+        let shared = Evaluator::new(&table);
+        for warm in &batch {
+            let _ = shared.eval(warm);
+        }
+        for formula in batch.iter().chain([&formula]) {
+            prop_assert_eq!(provenance_with(formula, &shared), provenance(formula, &table));
+            prop_assert_eq!(
+                Highlights::compute_with(formula, &shared),
+                Highlights::compute(formula, &table)
+            );
+        }
+    }
+
     /// Output provenance of a value-denoting query covers the traced cells of
     /// its denotation (the colored cells really are the answer's cells).
     #[test]
@@ -148,4 +171,43 @@ proptest! {
             }
         }
     }
+}
+
+/// A formula nested past `MAX_EVAL_DEPTH` whose shallow branch the shared
+/// memo already holds: the memo hit must replay the depth guard a fresh
+/// recursion trips, so the shared and fresh paths fail alike.
+#[test]
+fn shared_evaluator_replays_the_depth_guard() {
+    let table = samples::olympics();
+    let mut shallow = Formula::Join {
+        column: "Country".to_string(),
+        values: Box::new(Formula::Const(Value::str("Greece"))),
+    };
+    for _ in 0..10 {
+        shallow = Formula::Prev(Box::new(shallow));
+    }
+    let mut deep = shallow.clone();
+    for _ in 0..(MAX_EVAL_DEPTH - 4) {
+        deep = Formula::Prev(Box::new(deep));
+    }
+    let formula = Formula::SuperlativeRecords {
+        op: SuperlativeOp::Argmax,
+        records: Box::new(Formula::Intersect(
+            Box::new(shallow.clone()),
+            Box::new(deep),
+        )),
+        column: "Year".to_string(),
+    };
+    let shared = Evaluator::new(&table);
+    shared.eval(&shallow).expect("the shallow branch evaluates");
+    let fresh = provenance(&formula, &table);
+    assert!(
+        matches!(fresh, Err(DcsError::DepthExceeded(_))),
+        "{fresh:?}"
+    );
+    assert_eq!(provenance_with(&formula, &shared), fresh);
+    assert_eq!(
+        Highlights::compute_with(&formula, &shared),
+        Highlights::compute(&formula, &table)
+    );
 }

@@ -13,7 +13,9 @@
 //!   range comparisons (`Games.(> 4)`) by binary search,
 //!
 //! plus a lowercase column-name map so `column_index` is a hash lookup
-//! instead of a linear case-insensitive scan.
+//! instead of a linear case-insensitive scan, and — built lazily, on the
+//! first entity link against the table — a text index of the distinct
+//! values for the semantic parser's lexicon.
 //!
 //! The index holds no reference to the table, so it can be built once and
 //! shared (e.g. behind an `Arc`) between the knowledge-base view, the lambda
@@ -29,6 +31,7 @@ use wtq_obs::{Counter, Gauge, Registry};
 
 use crate::cell::CellRef;
 use crate::table::{ColumnType, RecordIdx, Table};
+use crate::text::TextIndex;
 use crate::value::Value;
 
 /// Per-column indexes: inverted value index, value-sorted permutation and
@@ -122,6 +125,10 @@ pub struct TableIndex {
     /// ([`Table::fingerprint`]), making [`TableIndex::describes`] a single
     /// integer comparison on every cache lookup.
     fingerprint: u64,
+    /// Entity-linking index of the distinct values, built on first use so
+    /// that indexes which never link (the SQL engine's, a standalone
+    /// evaluator's) do not pay for it.
+    text: OnceLock<TextIndex>,
 }
 
 impl TableIndex {
@@ -150,6 +157,7 @@ impl TableIndex {
             text_columns,
             num_records: table.num_records(),
             fingerprint: table.fingerprint(),
+            text: OnceLock::new(),
         }
     }
 
@@ -223,6 +231,12 @@ impl TableIndex {
                 })
             })
             .as_deref()
+    }
+
+    /// The entity-linking index of the table's distinct values, built on
+    /// first use and shared by every later caller of this index.
+    pub(crate) fn text(&self) -> &TextIndex {
+        self.text.get_or_init(|| TextIndex::build(&self.columns))
     }
 
     /// Records whose cell in `column` equals `value`, ascending.
@@ -733,6 +747,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn text_index_is_built_on_first_link_only() {
+        let table = olympics();
+        let index = TableIndex::new(&table);
+        assert!(index.text.get().is_none(), "TableIndex::new built it");
+        let first: *const TextIndex = index.text();
+        assert!(std::ptr::eq(first, index.text()), "rebuilt on reuse");
     }
 
     #[test]

@@ -70,19 +70,36 @@ impl<'a> KnowledgeBase<'a> {
         self.index.matching_cells(column, value)
     }
 
-    /// Every `(column, value)` pair whose value's text matches `text`,
-    /// used for entity linking of question tokens to the table.
+    /// Every `(column, value)` pair of a distinct value with
+    /// `value.matches_text(text)`, sorted by column then value — entity
+    /// linking of question phrases to the table, answered from the shared
+    /// index's text index (built on the first link against the table).
     pub fn link_text(&self, text: &str) -> Vec<(usize, Value)> {
-        let mut out = Vec::new();
-        for column in 0..self.index.num_columns() {
-            for (value, _records) in self.index.column(column).entries() {
-                if value.matches_text(text) {
-                    out.push((column, value.clone()));
-                }
-            }
-        }
+        let mut out: Vec<(usize, Value)> = self
+            .index
+            .text()
+            .matches(text)
+            .into_iter()
+            .map(|cell| (cell.column, self.value_of(cell)))
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         out
+    }
+
+    /// Every `(column, value)` pair of a distinct value whose lowercased
+    /// text contains `word` as a word without being exactly `word`
+    /// ("erie" → "Lake Erie"), column by column in first-appearance order.
+    pub fn link_word<'s>(&'s self, word: &str) -> impl Iterator<Item = (usize, Value)> + 's {
+        self.index
+            .text()
+            .containing_word(word)
+            .map(|cell| (cell.column, self.value_of(cell)))
+    }
+
+    fn value_of(&self, cell: CellRef) -> Value {
+        self.table
+            .value_at(cell.record, cell.column)
+            .expect("text index cells lie in the table")
     }
 }
 
@@ -136,6 +153,28 @@ mod tests {
         let links = kb.link_text("2008");
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].0, table.column_index("Year").unwrap());
+    }
+
+    #[test]
+    fn link_word_finds_values_containing_the_word() {
+        let table = Table::from_rows(
+            "wrecks",
+            &["Lake", "Ships"],
+            &[
+                vec!["Lake Erie", "3"],
+                vec!["Lake Huron", "5"],
+                vec!["LAKE ERIE", "2"],
+                vec!["Erie", "1"],
+            ],
+        )
+        .unwrap();
+        let kb = KnowledgeBase::new(&table);
+        // "Erie" itself is the whole value, not a word inside it, and the
+        // upper-case row repeats the first value.
+        let links: Vec<(usize, Value)> = kb.link_word("erie").collect();
+        assert_eq!(links, vec![(0, Value::str("Lake Erie"))]);
+        assert_eq!(kb.link_word("lake").count(), 2);
+        assert_eq!(kb.link_word("ontario").count(), 0);
     }
 
     #[test]

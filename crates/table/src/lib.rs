@@ -23,7 +23,8 @@
 //! * [`CellRef`] — a (record, column) coordinate used by the provenance model,
 //! * [`index::TableIndex`] — the indexed columnar view (inverted indexes,
 //!   value-sorted permutations, sorted numeric projections, O(1) column-name
-//!   lookup) built once per table and shared by every engine,
+//!   lookup, and a text index for entity linking built on the first link)
+//!   built once per table and shared by every engine,
 //! * [`kb::KnowledgeBase`] — the KB view over that index,
 //! * [`csv`] — a small TSV/CSV reader and writer (no external dependency),
 //! * [`catalog::Catalog`] — a named collection of tables,
@@ -38,6 +39,7 @@ pub mod index;
 pub mod kb;
 pub mod samples;
 pub mod table;
+mod text;
 pub mod value;
 
 pub use catalog::{Catalog, TableSummary};

@@ -172,7 +172,10 @@ impl Value {
     }
 
     /// Case-insensitive equality used when matching NL question tokens and
-    /// lambda DCS constants against cell contents.
+    /// lambda DCS constants against cell contents. The table index's text
+    /// index answers entity linking with exactly this relation, so a change
+    /// here must change it too (`crates/parser/tests/differential_lexicon.rs`
+    /// compares the two).
     pub fn matches_text(&self, text: &str) -> bool {
         match self {
             Value::Str(s) => s.eq_ignore_ascii_case(text.trim()),
