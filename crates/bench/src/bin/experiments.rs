@@ -24,7 +24,7 @@
 use wtq_bench::{
     environment, k_sweep, raw_formula_control, table4, table5, table6, table7, table9,
 };
-use wtq_core::ExplanationPipeline;
+use wtq_core::Engine;
 use wtq_dcs::parse_formula;
 use wtq_explain::{derivation, utter};
 use wtq_provenance::{render, Highlights};
@@ -186,11 +186,11 @@ fn main() {
 
     if wanted("figures") {
         heading("Figures 1, 3, 6, 8 — running examples");
-        let pipeline = ExplanationPipeline::new();
+        let engine = Engine::new();
         let olympics = samples::olympics();
         let question = "Greece held its last Olympics in what year?";
         println!("Figure 1 question: {question}");
-        let explained = pipeline.explain_question(question, &olympics, 1);
+        let explained = engine.explain_question(question, &olympics, 1);
         if let Some(top) = explained.first() {
             println!("top candidate : {}", top.formula);
             println!("utterance     : {}", top.utterance);

@@ -7,12 +7,12 @@
 //! equivalent SQL rendering (Figure 2's architecture).
 //!
 //! ```
-//! use wtq_core::ExplanationPipeline;
+//! use wtq_core::Engine;
 //! use wtq_table::samples;
 //!
-//! let pipeline = ExplanationPipeline::new();
+//! let engine = Engine::new();
 //! let table = samples::olympics();
-//! let explained = pipeline.explain_question(
+//! let explained = engine.explain_question(
 //!     "Greece held its last Olympics in what year?",
 //!     &table,
 //!     7,
@@ -29,8 +29,7 @@
 //! [`Engine`] (trained parser + thread-safe LRU index cache) and cheap
 //! per-request [`Session`]s; [`Engine::explain_batch`] fans a batch of
 //! questions out over a worker pool with deterministic, input-order
-//! results. [`ExplanationPipeline`] remains as the single-threaded
-//! convenience wrapper.
+//! results.
 //!
 //! | module | contents |
 //! |---|---|
@@ -61,5 +60,5 @@ pub mod wire;
 
 pub use cached::{BatchPlan, CachedAnswer, CachedCandidates, CachedEngine};
 pub use engine::{Engine, EngineConfig, EngineMetrics, ExplainRequest, Explanation, Session};
-pub use pipeline::{ExplainedCandidate, ExplanationPipeline};
+pub use pipeline::ExplainedCandidate;
 pub use wire::{candidates_json, WireCandidate};

@@ -9,12 +9,10 @@
 
 use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_explain::utter;
-use wtq_parser::{Candidate, SemanticParser};
+use wtq_parser::Candidate;
 use wtq_provenance::{render, sample_highlights, Highlights};
 use wtq_sql::translate;
 use wtq_table::Table;
-
-use crate::engine::Engine;
 
 /// One candidate query together with all of its explanations.
 #[derive(Debug, Clone)]
@@ -82,79 +80,19 @@ impl ExplainedCandidate {
     }
 }
 
-/// The end-to-end explanation pipeline — now a thin single-threaded wrapper
-/// over a one-worker [`Engine`], kept so existing callers and tests keep
-/// their familiar entry points. New code (and anything serving concurrent
-/// traffic) should hold an [`Engine`] directly and open [`crate::Session`]s
-/// per request.
-#[derive(Debug, Clone, Default)]
-pub struct ExplanationPipeline {
-    engine: Engine,
-}
-
-impl ExplanationPipeline {
-    /// A pipeline around the baseline (prior-weighted) parser.
-    pub fn new() -> Self {
-        ExplanationPipeline {
-            engine: Engine::new(),
-        }
-    }
-
-    /// A pipeline around an already-trained parser.
-    pub fn with_parser(parser: SemanticParser) -> Self {
-        ExplanationPipeline {
-            engine: Engine::with_parser(parser),
-        }
-    }
-
-    /// The semantic parser used to produce candidates.
-    pub fn parser(&self) -> &SemanticParser {
-        self.engine.parser()
-    }
-
-    /// The shared engine backing this pipeline.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Unwrap into the backing engine (e.g. to share it across threads).
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// Parse `question` over `table` and explain the top-k candidates.
-    pub fn explain_question(
-        &self,
-        question: &str,
-        table: &Table,
-        top_k: usize,
-    ) -> Vec<ExplainedCandidate> {
-        self.engine.explain_question(question, table, top_k)
-    }
-
-    /// Explain a single, already-known formula (used when a query is written
-    /// by hand rather than parsed from a question).
-    pub fn explain_formula(
-        &self,
-        formula: &Formula,
-        table: &Table,
-    ) -> wtq_dcs::Result<ExplainedCandidate> {
-        self.engine.explain_formula(formula, table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use wtq_dcs::parse_formula;
     use wtq_table::samples;
 
     #[test]
     fn explains_the_figure_one_question_end_to_end() {
-        let pipeline = ExplanationPipeline::new();
+        let engine = Engine::new();
         let table = samples::olympics();
         let explained =
-            pipeline.explain_question("Greece held its last Olympics in what year?", &table, 7);
+            engine.explain_question("Greece held its last Olympics in what year?", &table, 7);
         assert!(!explained.is_empty());
         assert!(explained.len() <= 7);
         // The gold query is among the explained candidates, with utterance,
@@ -181,10 +119,10 @@ mod tests {
 
     #[test]
     fn explain_formula_works_for_handwritten_queries() {
-        let pipeline = ExplanationPipeline::new();
+        let engine = Engine::new();
         let table = samples::medals();
         let formula = parse_formula("sub(R[Total].Nation.Fiji, R[Total].Nation.Tonga)").unwrap();
-        let explained = pipeline.explain_formula(&formula, &table).unwrap();
+        let explained = engine.explain_formula(&formula, &table).unwrap();
         assert_eq!(explained.answer, Answer::number(110.0));
         assert!(explained
             .utterance
@@ -196,14 +134,14 @@ mod tests {
         );
         // Errors propagate for formulas that do not evaluate.
         let bad = parse_formula("R[Missing].Nation.Fiji").unwrap();
-        assert!(pipeline.explain_formula(&bad, &table).is_err());
+        assert!(engine.explain_formula(&bad, &table).is_err());
     }
 
     #[test]
     fn candidates_are_ranked_by_score() {
-        let pipeline = ExplanationPipeline::new();
+        let engine = Engine::new();
         let table = samples::shipwrecks();
-        let explained = pipeline.explain_question(
+        let explained = engine.explain_question(
             "How many more ships were wrecked in Lake Huron than in Lake Erie?",
             &table,
             5,

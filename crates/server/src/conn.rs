@@ -4,11 +4,12 @@
 //! protocol progress without ever blocking: reads feed the resumable
 //! decoders ([`wire::FrameDecoder`] / [`crate::http::HttpParser`]) and park
 //! complete requests in an ordered pending queue; writes drain the outbox.
-//! The reactor pulls at most one pending request at a time into the worker
-//! pool (`busy`), preserving the blocking server's answer-in-request-order
-//! guarantee for pipelined clients, and applies the close choreography each
-//! protocol needs (immediate close after an oversized frame, lingering
-//! drain after an HTTP response).
+//! The reactor takes pending requests one at a time (`busy`): it answers
+//! what needs no engine at once and moves on, while a request sent to the
+//! scheduler holds back the ones behind it until its answer arrives — the
+//! answer-in-request-order guarantee for pipelined clients. The reactor
+//! also applies the close choreography each protocol needs (immediate
+//! close after an oversized frame, lingering drain after an HTTP response).
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -84,7 +85,7 @@ impl Response {
     }
 }
 
-/// A request decoded off the socket, waiting its turn on the worker pool.
+/// A request decoded off the socket, waiting its turn.
 #[derive(Debug)]
 pub(crate) enum JobKind {
     /// One framed-protocol payload (the bytes between length prefixes).
@@ -116,7 +117,7 @@ impl JobMeta {
     }
 }
 
-/// An entry of the ordered pending queue: either work for the dispatcher
+/// An entry of the ordered pending queue: either a request to answer
 /// or a protocol-fatal response that must go out *after* the answers to
 /// every earlier pipelined request.
 #[derive(Debug)]
@@ -173,7 +174,8 @@ pub(crate) struct Conn {
     proto: Proto,
     /// Decoded-but-unsubmitted requests, in arrival order.
     pending: VecDeque<PendingItem>,
-    /// Whether one request is out with the worker pool.
+    /// Whether the request taken last is still unanswered (it is with
+    /// the scheduler).
     pub(crate) busy: bool,
     /// Responses awaiting socket writability.
     outbox: VecDeque<Response>,
@@ -477,7 +479,8 @@ impl Conn {
         IoOutcome::Continue
     }
 
-    /// Accept a completed response from the worker pool.
+    /// Accept the answer to the request taken last, from the reactor itself
+    /// or from a scheduler worker.
     pub(crate) fn complete_response(&mut self, response: Response) {
         self.busy = false;
         self.outbox.push_back(response);
@@ -488,9 +491,8 @@ impl Conn {
         }
     }
 
-    /// Hand the next pending request to the caller (the reactor submits it
-    /// to the worker pool), or apply a queued fatal response. At most one
-    /// request is out at a time.
+    /// Hand the next pending request to the reactor, or apply a queued
+    /// fatal response. At most one request is unanswered at a time.
     pub(crate) fn next_job(&mut self) -> Option<(JobKind, JobMeta)> {
         if self.busy || self.close_mode != CloseMode::Open {
             return None;

@@ -1,4 +1,4 @@
-//! A minimal hand-rolled HTTP/1.1 adapter over the same dispatch core as
+//! A minimal hand-rolled HTTP/1.1 adapter over the same request core as
 //! the framed protocol — parsed *incrementally*, so a connection that
 //! dribbles its request one byte at a time costs a little buffered state,
 //! never a blocked thread.
@@ -11,8 +11,8 @@
 //! | `GET /tables` | — | [`ResponseBody::Tables`] |
 //! | `GET /metrics` | — | Prometheus exposition text (`text/plain`) |
 //! | `GET /trace/recent` | — | [`ResponseBody::TraceRecent`] |
-//! | `POST /explain` | [`ExplainBody`] JSON | [`ResponseBody::Explanation`] |
-//! | `POST /explain_batch` | [`ExplainBatchBody`] JSON | [`ResponseBody::Batch`] |
+//! | `POST /explain` | [`ExplainBody`](wire::ExplainBody) JSON | [`ResponseBody::Explanation`] |
+//! | `POST /explain_batch` | [`ExplainBatchBody`](wire::ExplainBatchBody) JSON | [`ResponseBody::Batch`] |
 //!
 //! The response body is always the JSON serialization of a
 //! [`ResponseBody`] — except `GET /metrics`, which unwraps the rendered
@@ -29,12 +29,8 @@
 //! the frame limit). The write half is [`response_bytes`]; the lingering
 //! close that used to block a thread is the reactor's `Draining` state.
 
-use std::sync::Arc;
-
-use crate::server::{Reply, Shared};
-use crate::wire::{
-    self, ErrorCode, ExplainBatchBody, ExplainBody, RequestBody, ResponseBody, WireError,
-};
+use crate::server::Shared;
+use crate::wire::{self, ErrorCode, RequestBody, ResponseBody, WireError};
 
 /// Bound on the request head (request line + headers).
 const MAX_HEAD_LEN: usize = 16 * 1024;
@@ -263,77 +259,30 @@ fn parse_head(head: Vec<u8>, max_body: usize) -> Result<(String, String, usize),
     Ok((method, path, content_length))
 }
 
-/// A routed request's answer: a structured [`HttpResponse`] to serialize,
-/// or a cache hit served straight from the candidate bytes stored at
-/// flight completion (`POST /explain` reuses the same cached body the
-/// framed protocol splices).
-pub(crate) enum Routed {
-    Plain(HttpResponse),
-    CachedExplanation {
-        question: String,
-        table: String,
-        body: Arc<Vec<u8>>,
-    },
-}
-
-impl Routed {
-    /// The status code the trace records as the outcome.
-    pub(crate) fn status(&self) -> u16 {
-        match self {
-            Routed::Plain(response) => response.status(),
-            Routed::CachedExplanation { .. } => 200,
-        }
-    }
-}
-
-/// Map `(method, path, body)` to the shared dispatch core. `trace` is the
-/// request's sampled trace, threaded into the handlers.
+/// Map `(method, path, body)` to the request it asks for, or the error to
+/// answer with (unknown route, unreadable body).
 pub(crate) fn route(
     shared: &Shared,
     method: &str,
     path: &str,
     body: &[u8],
-    trace: &mut Option<wtq_obs::RequestTrace>,
-) -> Routed {
-    let request = match (method, path) {
-        ("GET", "/stats") => RequestBody::Stats,
-        ("GET", "/tables") => RequestBody::ListTables,
-        ("GET", "/metrics") => RequestBody::Metrics,
-        ("GET", "/trace/recent") => RequestBody::TraceRecent,
-        ("POST", "/explain") => match parse_json::<ExplainBody>(shared, body) {
-            Ok(parsed) => RequestBody::Explain(parsed),
-            Err(response) => return Routed::Plain(response),
-        },
-        ("POST", "/explain_batch") => match parse_json::<ExplainBatchBody>(shared, body) {
-            Ok(parsed) => RequestBody::ExplainBatch(parsed),
-            Err(response) => return Routed::Plain(response),
-        },
+) -> Result<RequestBody, HttpResponse> {
+    match (method, path) {
+        ("GET", "/stats") => Ok(RequestBody::Stats),
+        ("GET", "/tables") => Ok(RequestBody::ListTables),
+        ("GET", "/metrics") => Ok(RequestBody::Metrics),
+        ("GET", "/trace/recent") => Ok(RequestBody::TraceRecent),
+        ("POST", "/explain") => parse_json(shared, body).map(RequestBody::Explain),
+        ("POST", "/explain_batch") => parse_json(shared, body).map(RequestBody::ExplainBatch),
         _ => {
             shared.metrics.protocol_errors.inc();
-            return Routed::Plain(HttpResponse {
+            let message = format!("no route for {method} {path}");
+            Err(HttpResponse {
                 status: 404,
                 reason: "Not Found",
-                retry_after_ms: None,
-                content_type: "application/json",
-                body: serde_json::to_string(&ResponseBody::Error(WireError::new(
-                    ErrorCode::Malformed,
-                    format!("no route for {method} {path}"),
-                )))
-                .unwrap_or_else(|_| "{}".to_string()),
-            });
+                ..HttpResponse::error(ErrorCode::Malformed, message)
+            })
         }
-    };
-    match shared.handle_request(request, trace) {
-        Reply::Full(body) => Routed::Plain(HttpResponse::from_body(&body)),
-        Reply::CachedExplanation {
-            question,
-            table,
-            body,
-        } => Routed::CachedExplanation {
-            question,
-            table,
-            body,
-        },
     }
 }
 

@@ -4,12 +4,13 @@
 //! network front-end over a shared [`wtq_core::Engine`], built on `std`
 //! plus the `wtq-net` epoll primitives (the build environment has no async
 //! runtime). Connection I/O is a nonblocking readiness loop — a single
-//! acceptor, a small reactor pool owning every socket, incremental
-//! per-connection protocol state machines, and a fixed dispatch pool where
-//! blocking admission/engine work lives — so thread count scales with
-//! in-flight work, never with connection count.
+//! acceptor, a small reactor pool owning every socket and answering
+//! everything that needs no engine work, incremental per-connection
+//! protocol state machines, and a non-blocking admission scheduler whose
+//! small worker pool (about one thread per core) runs cache misses — so
+//! thread count is fixed, never scaling with connections or load.
 //!
-//! Two protocols share one dispatch core:
+//! Two protocols share one request core:
 //!
 //! * **Framed JSON over TCP** ([`wire`]) — 4-byte big-endian length prefix,
 //!   then a versioned JSON envelope. This is the primary protocol: cheap to
@@ -24,8 +25,9 @@
 //! * **Backpressure** — a bounded in-flight queue; a full queue rejects
 //!   with a structured `Overloaded` error carrying `retry_after_ms`,
 //!   never queueing unboundedly and never hanging the client.
-//! * **Admission control** — per-table concurrency tokens keyed by the
-//!   table's shape fingerprint, so a giant table cannot starve the pool.
+//! * **Admission control** — per-table execution tokens keyed by the
+//!   table's shape fingerprint, claimed all at once by the scheduler, so a
+//!   giant table cannot starve the pool and no thread waits for a token.
 //! * **Registry** — clients address preloaded tables by catalog name
 //!   ([`wtq_table::Catalog`]) instead of shipping rows per request;
 //!   `ListTables` returns [`wtq_table::TableSummary`] listings.

@@ -162,10 +162,11 @@ pub(crate) struct Obs {
 impl Obs {
     /// A registry attaching `metrics`, the engine's handles and (when the
     /// server caches answers) the answer cache's, plus the pool sizes and
-    /// table count fixed at bind.
+    /// table count fixed at bind (`workers` is the scheduler's pool).
     pub(crate) fn new(
         config: &ServerConfig,
         tables: usize,
+        workers: usize,
         metrics: &ServerMetrics,
         engine: &Engine,
         cached: Option<&CachedEngine>,
@@ -195,8 +196,8 @@ impl Obs {
         );
         fixed(
             "wtq_server_dispatch_threads",
-            "Dispatch worker threads running requests",
-            config.resolved_dispatch_threads(),
+            "Scheduler worker threads running admitted engine work",
+            workers,
         );
         let uptime_seconds = Arc::new(Gauge::default());
         registry.attach(

@@ -1,46 +1,50 @@
 //! The readiness loop: a small pool of reactor threads owns every client
-//! socket, a single blocking acceptor feeds them, and a fixed worker pool
-//! answers requests — thread count scales with *work*, never with
-//! connection count.
+//! socket, a single blocking acceptor feeds them, and the scheduler's small
+//! worker pool runs engine work — thread count is fixed, never scaling
+//! with connection count or load.
 //!
 //! ```text
 //!            ┌──────────┐   Register     ┌───────────────┐
 //!  accept()  │ acceptor │ ─────────────► │ reactor 0..R  │  epoll_wait
 //!            └──────────┘  (round robin) │  Conn slab    │ ◄──────────┐
+//!                                        │  inline: hits,│            │
+//!                                        │  control plane│            │
+//!                                        │  rejections   │            │
 //!                                        └──────┬────────┘            │
-//!                                          Job  │    ▲ Complete       │
+//!                             admitted miss     │    ▲ Complete       │
 //!                                               ▼    │ (waker pipe)   │
 //!                                        ┌───────────┴───┐            │
-//!                                        │ dispatch pool │ ───────────┘
-//!                                        │ (admission +  │   responses
-//!                                        │  Engine work) │
+//!                                        │ scheduler +   │ ───────────┘
+//!                                        │ workers (token│   responses
+//!                                        │ claims, Engine│
+//!                                        │ work, encode) │
 //!                                        └───────────────┘
 //! ```
 //!
 //! Each reactor multiplexes its connections over one `wtq_net::Poller`
-//! (epoll), parsing incrementally via the [`Conn`] state machines. Complete
-//! requests go to the dispatch pool, which runs the *unchanged* admission
-//! and engine machinery (`Shared::handle_request`) and pushes the response
-//! bytes back through the reactor's command queue + waker pipe; the
-//! reactor writes them out on writability. Ten thousand idle connections
-//! therefore cost ten thousand slab entries and epoll registrations — not
-//! ten thousand stacks.
+//! (epoll), parsing incrementally via the [`Conn`] state machines. It
+//! answers a complete request itself whenever no engine work is needed
+//! (`Shared::handle_request`); an admitted cache miss goes to the
+//! scheduler, whose worker pushes the response bytes back through the
+//! reactor's command queue + waker pipe. The reactor writes responses out
+//! on writability. Ten thousand idle connections therefore cost ten
+//! thousand slab entries and epoll registrations — not ten thousand stacks.
 
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wtq_net::{Interest, Poller, WakeReceiver, Waker};
+use wtq_obs::RequestTrace;
 
 use crate::conn::{Conn, IoOutcome, JobKind, JobMeta, Response};
 use crate::http;
-use crate::server::{dispatch_frame, FrameResponse, Shared};
-use crate::wire::{self, ErrorCode, ResponseBody, WireError};
+use crate::server::{decode_frame, span_ns, Reply, Shared};
+use crate::wire::{self, ErrorCode, ResponseBody, ResponseEnvelope, WireError};
 
 /// The token reserved for the waker pipe.
 const WAKER_TOKEN: u64 = u64::MAX;
@@ -53,10 +57,10 @@ const POOL_MAX_RETAINED_CAPACITY: usize = 64 * 1024;
 /// responses, not its connection count).
 const POOL_MAX_BUFFERS: usize = 64;
 
-/// A per-reactor free list of response write buffers. A buffer travels
-/// reactor → job → dispatch worker (the response encodes into it) →
-/// `Command::Complete` → connection outbox, and returns here once flushed
-/// — steady-state serving allocates no per-response head buffers.
+/// A per-reactor free list of response write buffers. A response the
+/// reactor answers inline encodes into a pooled buffer; every response's
+/// buffer (a worker's included) returns here once its connection flushed
+/// it — steady-state serving allocates few per-response head buffers.
 pub(crate) struct BufferPool {
     free: Vec<Vec<u8>>,
 }
@@ -88,7 +92,7 @@ impl BufferPool {
 pub(crate) enum Command {
     /// A freshly accepted socket to own.
     Register(TcpStream),
-    /// A worker finished the request `(token, gen)` had in flight.
+    /// A worker answered the request `(token, gen)` had in flight.
     Complete {
         token: u64,
         gen: u64,
@@ -136,15 +140,40 @@ impl ReactorShared {
     }
 }
 
-/// One request on its way to the dispatch pool, carrying a pooled write
-/// buffer for its response head.
-pub(crate) struct Job {
+/// The protocol a request arrived on, which decides how its reply encodes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Protocol {
+    /// The framed protocol, with the request envelope's id.
+    Framed(u64),
+    Http,
+}
+
+/// Where the answer to a request admitted to the scheduler goes: the
+/// connection (its reactor, slab token and generation) and how to encode
+/// the reply.
+pub(crate) struct Ticket {
     reactor: Arc<ReactorShared>,
     token: u64,
     gen: u64,
-    kind: JobKind,
-    meta: JobMeta,
-    buf: Vec<u8>,
+    protocol: Protocol,
+    /// When the request's first bytes arrived (the latency anchor).
+    started: Instant,
+}
+
+impl Ticket {
+    /// Encode `reply` and hand the response to the connection's reactor.
+    pub(crate) fn answer(self, shared: &Shared, reply: Reply, trace: Option<RequestTrace>) {
+        let (protocol, started) = (self.protocol, self.started);
+        let encoded = catch_unwind(AssertUnwindSafe(|| {
+            encode(shared, protocol, reply, Vec::new(), trace, started)
+        }));
+        let is_http = matches!(protocol, Protocol::Http);
+        self.reactor.push(Command::Complete {
+            token: self.token,
+            gen: self.gen,
+            response: encoded.unwrap_or_else(|_| fallback_internal_error(is_http)),
+        });
+    }
 }
 
 /// A minimal slab: stable `u64` tokens for epoll, O(1) insert/remove,
@@ -207,24 +236,20 @@ impl Slab {
     }
 }
 
-/// One reactor thread: the poller, its connections, and the queues tying
-/// it to the acceptor and the dispatch pool.
+/// One reactor thread: the poller, its connections, and the command queue
+/// the acceptor and the scheduler's workers reach it through.
 pub(crate) struct Reactor {
     poller: Poller,
     wake_receiver: WakeReceiver,
     conns: Slab,
     shared: Arc<Shared>,
     rshared: Arc<ReactorShared>,
-    jobs: Sender<Job>,
     pool: BufferPool,
 }
 
 impl Reactor {
     /// Build a reactor and its shared handle.
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        jobs: Sender<Job>,
-    ) -> std::io::Result<(Reactor, Arc<ReactorShared>)> {
+    pub(crate) fn new(shared: Arc<Shared>) -> std::io::Result<(Reactor, Arc<ReactorShared>)> {
         let (waker, wake_receiver) = wtq_net::waker()?;
         let mut poller = Poller::new()?;
         poller.add(wake_receiver.fd(), WAKER_TOKEN, Interest::READABLE)?;
@@ -241,7 +266,6 @@ impl Reactor {
                 conns: Slab::new(),
                 shared,
                 rshared: rshared.clone(),
-                jobs,
                 pool: BufferPool::new(),
             },
             rshared,
@@ -330,29 +354,29 @@ impl Reactor {
         self.service(token);
     }
 
-    /// Submit pending work, apply close transitions, refresh interest.
+    /// Answer the connection's pending requests in order — inline until
+    /// one goes to the scheduler, whose `Complete` the connection then
+    /// waits for — then flush, apply close transitions, refresh interest.
     fn service(&mut self, token: u64) {
-        // Submit at most one request to the worker pool.
-        let job = {
+        loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            conn.next_job().map(|(kind, meta)| (kind, meta, conn.gen))
-        };
-        if let Some((kind, meta, gen)) = job {
-            let job = Job {
-                reactor: self.rshared.clone(),
-                token,
-                gen,
-                kind,
-                meta,
-                buf: self.pool.take(),
+            let gen = conn.gen;
+            let Some((kind, meta)) = conn.next_job() else {
+                break;
             };
-            if self.jobs.send(job).is_err() {
-                // Dispatch pool gone: only happens during shutdown.
-                self.close(token);
-                return;
-            }
+            // A panic costs the request a structured error, never the reactor.
+            let is_http = matches!(kind, JobKind::Http(_));
+            let served = catch_unwind(AssertUnwindSafe(|| self.serve(token, gen, kind, meta)));
+            let Some(response) = served.unwrap_or_else(|_| Some(fallback_internal_error(is_http)))
+            else {
+                break;
+            };
+            self.conns
+                .get_mut(token)
+                .expect("serving a request never closes its connection")
+                .complete_response(response);
         }
         let Some(conn) = self.conns.get_mut(token) else {
             return;
@@ -410,6 +434,57 @@ impl Reactor {
         }
     }
 
+    /// Handle one decoded request of connection `token`: its response when
+    /// the reactor can answer it, or `None` once a worker has it (the
+    /// answer arrives as [`Command::Complete`]). A sampled request's trace
+    /// is born here: the decode and queue-wait spans from the connection's
+    /// stamps, then the handlers' stage spans.
+    fn serve(&mut self, token: u64, gen: u64, kind: JobKind, meta: JobMeta) -> Option<Response> {
+        let shared = &self.shared;
+        let wait_ns = span_ns(meta.started, Instant::now()).saturating_sub(meta.decode_ns);
+        shared.metrics.stage_decode.observe(meta.decode_ns);
+        shared.metrics.stage_queue_wait.observe(wait_ns);
+        let mut trace = shared.obs().tracer().start(meta.started);
+        if let Some(trace) = trace.as_mut() {
+            trace.record_ns("decode", 0, meta.decode_ns);
+            trace.record_ns("queue_wait", meta.decode_ns, wait_ns);
+        }
+        let (protocol, decoded) = match kind {
+            JobKind::Frame(payload) => {
+                let (id, decoded) = decode_frame(shared, &payload);
+                (Protocol::Framed(id), decoded)
+            }
+            JobKind::Http(request) => {
+                match http::route(shared, &request.method, &request.path, &request.body) {
+                    Ok(body) => (Protocol::Http, Ok(body)),
+                    Err(response) => {
+                        let encode_start = Instant::now();
+                        let mut head = self.pool.take();
+                        http::response_bytes_into(&response, &mut head);
+                        let status = response.status().to_string();
+                        close(shared, encode_start, &status, trace, meta.started);
+                        return Some(Response::whole(head));
+                    }
+                }
+            }
+        };
+        let reply = match decoded {
+            Ok(body) => {
+                let ticket = Ticket {
+                    reactor: self.rshared.clone(),
+                    token,
+                    gen,
+                    protocol,
+                    started: meta.started,
+                };
+                shared.handle_request(body, &mut trace, ticket)?
+            }
+            Err(reply) => reply,
+        };
+        let head = self.pool.take();
+        Some(encode(shared, protocol, reply, head, trace, meta.started))
+    }
+
     /// Apply queued commands; `true` means shutdown.
     fn drain_commands(&mut self) -> bool {
         while let Some(command) = self.rshared.pop() {
@@ -420,16 +495,10 @@ impl Reactor {
                     gen,
                     response,
                 } => {
-                    let fresh = match self.conns.get_mut(token) {
-                        Some(conn) if conn.gen == gen => {
-                            conn.complete_response(response);
-                            true
-                        }
-                        // The connection died while its request ran; the
-                        // response has no one to go to.
-                        _ => false,
-                    };
-                    if fresh {
+                    // A connection that died while its request ran (its slot
+                    // maybe reused since) has no one to take the response.
+                    if let Some(conn) = self.conns.get_mut(token).filter(|conn| conn.gen == gen) {
+                        conn.complete_response(response);
                         self.service(token);
                     }
                 }
@@ -468,179 +537,130 @@ pub(crate) fn accept_loop(
     }
 }
 
-/// One dispatch worker: pull a request, run the unchanged admission +
-/// engine machinery, push the response bytes back to the owning reactor.
-pub(crate) fn dispatch_worker(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Holding the mutex while blocked in recv() is the intended
-        // sharing pattern: idle workers queue on the mutex instead.
-        let job = {
-            let receiver = jobs.lock().expect("job receiver poisoned");
-            receiver.recv()
-        };
-        let Ok(job) = job else {
-            return; // all senders dropped: shutdown
-        };
-        let Job {
-            reactor,
-            token,
-            gen,
-            kind,
-            meta,
-            buf,
-        } = job;
-        let is_http = matches!(kind, JobKind::Http(_));
-        let response = catch_unwind(AssertUnwindSafe(|| respond(&shared, kind, meta, buf)))
-            .unwrap_or_else(|_| fallback_internal_error(is_http));
-        reactor.push(Command::Complete {
-            token,
-            gen,
-            response,
-        });
-    }
-}
-
-/// Nanoseconds between two instants (0 when `end` precedes `start`).
-fn ns_between(start: Instant, end: Instant) -> u64 {
-    end.saturating_duration_since(start).as_nanos() as u64
-}
-
-/// Answer one request as a segmented [`Response`], encoding the head into
-/// the job's pooled buffer. This is where a sampled request's trace is
-/// born and finished: the reactor stamped arrival and decode time on the
-/// job ([`JobMeta`]), the handlers append their stage spans, and the
-/// encode span plus the end-to-end latency histogram close the request
-/// out.
-fn respond(shared: &Shared, kind: JobKind, meta: JobMeta, buf: Vec<u8>) -> Response {
-    let (metrics, tracer) = (&shared.metrics, shared.obs().tracer());
-    let entered = Instant::now();
-    let wait_ns = ns_between(meta.started, entered).saturating_sub(meta.decode_ns);
-    metrics.stage_decode.observe(meta.decode_ns);
-    metrics.stage_queue_wait.observe(wait_ns);
-    let mut trace = tracer.start(meta.started);
-    if let Some(trace) = trace.as_mut() {
-        trace.record_ns("decode", 0, meta.decode_ns);
-        trace.record_ns("queue_wait", meta.decode_ns, wait_ns);
-    }
-    let mut head = buf;
+/// Encode `reply` for `protocol` into the `head` buffer — a cache hit
+/// splices its stored candidate bytes as a separate segment — and close
+/// the request's books. Runs on the reactor for inline answers and on a
+/// worker for scheduled ones.
+fn encode(
+    shared: &Shared,
+    protocol: Protocol,
+    reply: Reply,
+    mut head: Vec<u8>,
+    trace: Option<RequestTrace>,
+    started: Instant,
+) -> Response {
+    let encode_start = Instant::now();
     head.clear();
-    let (response, status) = match kind {
-        JobKind::Frame(payload) => match dispatch_frame(shared, &payload, &mut trace) {
-            FrameResponse::Cached {
-                id,
+    let (response, status) = match (protocol, reply) {
+        (
+            Protocol::Framed(id),
+            Reply::CachedExplanation {
                 question,
                 table,
                 body,
-            } => {
-                let encode_start = Instant::now();
-                let framed = wire::spliced_frame_head(&mut head, id, &question, &table, body.len());
-                let response = if framed {
-                    Response {
-                        head,
-                        body: Some(body),
-                        tail: wire::SPLICE_ENVELOPE_TAIL,
-                    }
-                } else {
-                    // The assembled frame would overflow the u32 length
-                    // prefix; answer structured, never a garbage frame.
-                    metrics.encode_failures.inc();
+            },
+        ) => {
+            let response = if wire::spliced_frame_head(&mut head, id, &question, &table, body.len())
+            {
+                Response {
+                    head,
+                    body: Some(body),
+                    tail: wire::SPLICE_ENVELOPE_TAIL,
+                }
+            } else {
+                // The assembled frame would overflow the u32 length
+                // prefix; answer structured, never a garbage frame.
+                shared.metrics.encode_failures.inc();
+                Response::whole(wire::error_frame(
+                    id,
+                    &WireError::new(ErrorCode::Internal, "response exceeds the frame format"),
+                ))
+            };
+            (response, "ok".to_string())
+        }
+        (Protocol::Framed(id), Reply::Full(body)) => {
+            let status = match &body {
+                ResponseBody::Error(err) => format!("{:?}", err.code),
+                _ => "ok".to_string(),
+            };
+            let envelope = ResponseEnvelope {
+                v: wire::PROTOCOL_VERSION,
+                id,
+                body,
+            };
+            let encoded = serde_json::to_string(&envelope)
+                .map_err(|err| format!("response serialization failed: {err}"))
+                .and_then(|json| {
+                    wire::encode_frame_into(json.as_bytes(), &mut head)
+                        .map_err(|err| format!("response exceeds the frame format: {err}"))
+                });
+            let response = match encoded {
+                Ok(()) => Response::whole(head),
+                Err(message) => {
+                    // An unencodable response answers with a structured
+                    // `Internal` envelope (built by infallible direct byte
+                    // writing) and is counted — never swallowed into an
+                    // empty frame.
+                    shared.metrics.encode_failures.inc();
                     Response::whole(wire::error_frame(
                         id,
-                        &WireError::new(ErrorCode::Internal, "response exceeds the frame format"),
+                        &WireError::new(ErrorCode::Internal, message),
                     ))
-                };
-                finish_encode(shared, &mut trace, encode_start);
-                (response, "ok".to_string())
-            }
-            FrameResponse::Full(envelope) => {
-                let status = match &envelope.body {
-                    ResponseBody::Error(err) => format!("{:?}", err.code),
-                    _ => "ok".to_string(),
-                };
-                let encode_start = Instant::now();
-                let encoded = serde_json::to_string(&envelope)
-                    .map_err(|err| format!("response serialization failed: {err}"))
-                    .and_then(|json| {
-                        wire::encode_frame_into(json.as_bytes(), &mut head)
-                            .map_err(|err| format!("response exceeds the frame format: {err}"))
-                    });
-                let response = match encoded {
-                    Ok(()) => Response::whole(head),
-                    Err(message) => {
-                        // An unencodable response answers with a structured
-                        // `Internal` envelope (built by infallible direct
-                        // byte writing) and is counted — never swallowed
-                        // into an empty frame.
-                        metrics.encode_failures.inc();
-                        Response::whole(wire::error_frame(
-                            envelope.id,
-                            &WireError::new(ErrorCode::Internal, message),
-                        ))
-                    }
-                };
-                finish_encode(shared, &mut trace, encode_start);
-                (response, status)
-            }
-        },
-        JobKind::Http(request) => {
-            let routed = http::route(
-                shared,
-                &request.method,
-                &request.path,
-                &request.body,
-                &mut trace,
-            );
-            let status = routed.status().to_string();
-            let encode_start = Instant::now();
-            let response = match routed {
-                http::Routed::CachedExplanation {
-                    question,
-                    table,
-                    body,
-                } => {
-                    http::spliced_response_head(&mut head, &question, &table, body.len());
-                    Response {
-                        head,
-                        body: Some(body),
-                        tail: wire::SPLICE_BODY_TAIL,
-                    }
-                }
-                http::Routed::Plain(plain) => {
-                    http::response_bytes_into(&plain, &mut head);
-                    Response::whole(head)
                 }
             };
-            finish_encode(shared, &mut trace, encode_start);
             (response, status)
         }
+        (
+            Protocol::Http,
+            Reply::CachedExplanation {
+                question,
+                table,
+                body,
+            },
+        ) => {
+            http::spliced_response_head(&mut head, &question, &table, body.len());
+            let response = Response {
+                head,
+                body: Some(body),
+                tail: wire::SPLICE_BODY_TAIL,
+            };
+            (response, "200".to_string())
+        }
+        (Protocol::Http, Reply::Full(body)) => {
+            let plain = http::HttpResponse::from_body(&body);
+            http::response_bytes_into(&plain, &mut head);
+            (Response::whole(head), plain.status().to_string())
+        }
     };
-    let total_ns = ns_between(meta.started, Instant::now());
-    metrics.request_duration.observe(total_ns);
-    if let Some(trace) = trace {
-        tracer.finish(trace, &status, total_ns);
-    }
+    close(shared, encode_start, &status, trace, started);
     response
 }
 
-/// Close the encode span (histogram + trace).
-fn finish_encode(
+/// Close a request's books once its response is encoded: the encode span,
+/// the end-to-end latency histogram and the sampled trace.
+fn close(
     shared: &Shared,
-    trace: &mut Option<wtq_obs::RequestTrace>,
     encode_start: Instant,
+    status: &str,
+    trace: Option<RequestTrace>,
+    started: Instant,
 ) {
     let encode_end = Instant::now();
-    shared
-        .metrics
+    let metrics = &shared.metrics;
+    metrics
         .stage_encode
-        .observe(ns_between(encode_start, encode_end));
-    if let Some(trace) = trace.as_mut() {
+        .observe(span_ns(encode_start, encode_end));
+    let total_ns = span_ns(started, encode_end);
+    metrics.request_duration.observe(total_ns);
+    if let Some(mut trace) = trace {
         trace.record("encode", encode_start, encode_end);
+        shared.obs().tracer().finish(trace, status, total_ns);
     }
 }
 
-/// The response for a request whose handler panicked *outside* the
-/// engine's own `catch_unwind` — the worker must survive and the client
-/// must still hear something structured.
+/// The response for a request whose handling panicked on the reactor —
+/// the reactor must survive and the client must still hear something
+/// structured.
 fn fallback_internal_error(is_http: bool) -> Response {
     Response::whole(if is_http {
         let response = http::HttpResponse::error(ErrorCode::Internal, "request handler panicked");

@@ -4,31 +4,37 @@
 //!
 //! ## Scheduling model
 //!
-//! Every data-plane request (`Explain`, `ExplainBatch`) must first take a
-//! slot in the **bounded in-flight queue** (`max_in_flight`). When the queue
-//! is full the request is *rejected immediately* with
-//! [`ErrorCode::Overloaded`] and a `retry_after_ms` hint — the server never
-//! buffers without bound, so memory under overload stays flat and clients
-//! get explicit backpressure instead of unbounded latency. `ListTables` and
-//! `Stats` are control-plane: they bypass the queue so operators can observe
-//! an overloaded server.
+//! The reactor that decoded a request answers it on the spot whenever it
+//! needs no engine work: `ListTables`, `Stats`, `Metrics`, `TraceRecent`,
+//! answer-cache hits (single explains and fully cached batches) and every
+//! rejection. A request the cache can answer is therefore never rejected.
 //!
-//! Holding a slot, the request then passes **per-table admission control**
-//! (two layers, see [`TableGate`]): the table must be below its share of
-//! the in-flight queue (`max_table_in_flight`, rejected with a retry hint
-//! otherwise — a hot table's waiters must not fill the whole queue), and
-//! at most `per_table_tokens` requests may execute concurrently against
-//! tables sharing one shape fingerprint ([`wtq_table::Table::fingerprint`]).
-//! Excess requests for a hot (or giant) table wait within their bounded
-//! share while requests for other tables keep executing, so one table
-//! cannot starve the pool.
+//! A miss must take a slot in the **bounded in-flight queue**
+//! (`max_in_flight`). When the queue is full the request is *rejected
+//! immediately* with [`ErrorCode::Overloaded`] and a `retry_after_ms` hint —
+//! the server never buffers without bound, so memory under overload stays
+//! flat and clients get explicit backpressure instead of unbounded latency.
+//!
+//! Holding a slot, the miss takes one share of the queue per table it
+//! executes against (`max_table_in_flight`, rejected with a retry hint
+//! otherwise — a hot table's requests must not fill the whole queue) and
+//! joins the **scheduler**: one FIFO under one mutex, served by a small
+//! worker pool. A worker takes the oldest job whose tables all have
+//! execution tokens free (`per_table_tokens` per table shape fingerprint,
+//! [`wtq_table::Table::fingerprint`]) and that shares no table with an
+//! older waiting job, claims all its tokens at once, runs it and gives them
+//! back. No thread waits for a token: a job that cannot run stays queued,
+//! and one still queued after `admission_timeout_ms` is rejected with a
+//! retry hint, unevaluated. The pool has at least one worker more than a
+//! table can hold tokens, so one hot or giant table cannot stop other
+//! tables' requests from executing.
 //!
 //! ## Protocols
 //!
 //! Connections are sniffed on their first four bytes: an HTTP method prefix
 //! selects the hand-rolled HTTP/1.1 adapter ([`crate::http`]); anything else
 //! is treated as the length-prefix of the framed JSON protocol
-//! ([`crate::wire`]). The two share one dispatch core, so semantics
+//! ([`crate::wire`]). The two share one request core, so semantics
 //! (backpressure, admission, errors) are identical.
 //!
 //! ## I/O model
@@ -36,42 +42,45 @@
 //! Connection I/O is a nonblocking readiness loop ([`crate::reactor`]):
 //! one blocking acceptor hands sockets to a small pool of epoll reactor
 //! threads whose per-connection state machines ([`crate::conn`]) parse
-//! frames incrementally; complete requests run on a fixed dispatch pool
-//! (where the blocking admission waits live) and responses are written
-//! back on writability. Thread count scales with in-flight *work*
-//! (`dispatch_threads`), never with connection count — tens of thousands
-//! of idle clients cost buffered state, not stacks.
+//! frames incrementally. Reactors answer what needs no engine; scheduler
+//! workers answer the rest, and responses are written back on writability.
+//! Thread count is fixed at bind — reactors plus about one worker per core
+//! — and never grows with connection count: tens of thousands of idle
+//! clients cost buffered state, not stacks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wtq_cache::{Begin, CacheConfig};
-use wtq_core::{CachedAnswer, CachedCandidates, CachedEngine, Engine, ExplainRequest, Explanation};
-use wtq_obs::{Gauge, RequestTrace};
+use wtq_cache::{Begin, CacheConfig, CacheKey};
+use wtq_core::{
+    BatchPlan, CachedAnswer, CachedCandidates, CachedEngine, Engine, ExplainRequest, Explanation,
+};
+use wtq_obs::{Counter, Gauge, RequestTrace};
 use wtq_parser::ParseSpans;
 use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::Catalog;
 
 use crate::obs::{Obs, ServerMetrics};
-use crate::reactor::{self, Command, Reactor, ReactorShared};
+use crate::reactor::{self, Command, Reactor, ReactorShared, Ticket};
 use crate::wire::{
     self, ErrorCode, ExplainBatchBody, ExplainBody, MetricsBody, RequestBody, RequestEnvelope,
-    ResponseBody, ResponseEnvelope, StatsBody, TablesBody, TraceRecentBody, WireBatch, WireError,
-    WireExplanation,
+    ResponseBody, StatsBody, TablesBody, TraceRecentBody, WireBatch, WireError, WireExplanation,
 };
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bound on concurrently admitted data-plane requests; a full queue
-    /// rejects with [`ErrorCode::Overloaded`].
+    /// Bound on admitted requests that need the engine (queued or
+    /// running); a full queue rejects with [`ErrorCode::Overloaded`].
     pub max_in_flight: usize,
-    /// Concurrent executions allowed per table shape fingerprint.
+    /// Execution tokens per table shape fingerprint: how much engine work
+    /// may run against one table at once (a batch claims one token per
+    /// engine worker it fans out over).
     pub per_table_tokens: usize,
     /// Bound on the share of the in-flight queue one table may occupy
     /// (executing + waiting); a table over its share rejects with
@@ -85,25 +94,20 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// The `retry_after_ms` hint attached to overload rejections.
     pub retry_after_ms: u64,
-    /// Upper bound on how long a request may wait for its table's
-    /// execution tokens before being rejected with a retry hint — caps
-    /// worst-case latency and guarantees a contended multi-token batch
-    /// cannot hang its client forever.
+    /// Upper bound on how long an admitted request may wait in the
+    /// scheduler for its tables' execution tokens. A request still queued
+    /// past it is rejected with a retry hint and never evaluated, so
+    /// worst-case latency stays capped and a contended multi-table batch
+    /// cannot hang its client.
     pub admission_timeout_ms: u64,
     /// Reactor (epoll event-loop) threads owning the sockets. Connections
     /// are spread round-robin; a handful suffices for tens of thousands of
     /// connections because reactors never block on protocol work.
     pub reactor_threads: usize,
-    /// Dispatch worker threads running requests (admission waits and
-    /// engine calls block *here*, not on reactors). `0` auto-sizes to
-    /// `max_in_flight + 2`: enough for every admitted request to block in
-    /// per-table admission while headroom remains for control-plane
-    /// requests and immediate overload rejections.
-    pub dispatch_threads: usize,
     /// Entry capacity of the deduplicating answer cache; `0` disables
-    /// caching entirely. Cache lookups run *before* the in-flight queue
-    /// gate (control-plane-style), so a request the cache can answer is
-    /// never rejected with `Overloaded`.
+    /// caching entirely. Reactors probe the cache before the in-flight
+    /// queue gate, so a request the cache can answer is never rejected
+    /// with `Overloaded`.
     pub cache_capacity: usize,
     /// TTL of answer-cache entries in milliseconds; `0` means entries
     /// never expire by age (LRU and epoch invalidation still apply).
@@ -128,7 +132,6 @@ impl Default for ServerConfig {
             retry_after_ms: 50,
             admission_timeout_ms: 30_000,
             reactor_threads: 2,
-            dispatch_threads: 0,
             cache_capacity: 4096,
             cache_ttl_ms: 0,
             trace_sample_rate: 0.0625,
@@ -141,15 +144,6 @@ impl ServerConfig {
     /// The reactor pool size actually spawned.
     pub(crate) fn resolved_reactor_threads(&self) -> usize {
         self.reactor_threads.max(1)
-    }
-
-    /// The dispatch pool size actually spawned (see `dispatch_threads`).
-    pub(crate) fn resolved_dispatch_threads(&self) -> usize {
-        if self.dispatch_threads == 0 {
-            self.max_in_flight + 2
-        } else {
-            self.dispatch_threads
-        }
     }
 }
 
@@ -170,27 +164,9 @@ pub(crate) enum Reply {
     },
 }
 
-/// A framed request's answer, mirroring [`Reply`] with the envelope id
-/// attached: `Full` serializes the whole envelope, `Cached` splices.
-pub(crate) enum FrameResponse {
-    Full(ResponseEnvelope),
-    Cached {
-        id: u64,
-        question: String,
-        table: String,
-        body: Arc<Vec<u8>>,
-    },
-}
-
-/// Counters of one admission gate, both keyed by table shape fingerprint
-/// and guarded by the gate's single mutex.
-#[derive(Debug, Default)]
-struct GateState {
-    /// Requests currently *executing* against each table (≤ `tokens`).
-    executing: HashMap<u64, usize>,
-    /// Requests currently *occupying an in-flight slot* for each table —
-    /// executing or waiting for a token (≤ `max_queued`).
-    queued: HashMap<u64, usize>,
+/// A structured error reply without a retry hint.
+fn error_reply(code: ErrorCode, message: impl Into<String>) -> Reply {
+    Reply::Full(ResponseBody::Error(WireError::new(code, message)))
 }
 
 fn count_of(map: &HashMap<u64, usize>, fingerprint: u64) -> usize {
@@ -206,183 +182,210 @@ fn decrement(map: &mut HashMap<u64, usize>, fingerprint: u64, amount: usize) {
     }
 }
 
-/// Per-table admission control, two-layered:
-///
-/// * **Occupancy** ([`TableGate::try_occupy`], non-blocking): bounds how
-///   many in-flight-queue slots one table may hold at once (executing *or*
-///   waiting). Without this, a hot table's waiters would fill the entire
-///   bounded queue and every other table's requests would bounce off
-///   `Overloaded` — exactly the cross-table starvation admission control
-///   exists to prevent.
-/// * **Execution tokens** ([`TableGate::acquire`], blocking): at most
-///   `tokens` requests execute concurrently per table. Tokens are claimed
-///   **incrementally in ascending fingerprint order** — the classic
-///   hierarchical-locking order, so multi-table batches cannot deadlock
-///   against each other, and a batch *camps* on the tokens it already
-///   holds, so sustained single-table traffic cannot livelock it out of
-///   ever seeing all its tables free at once.
-#[derive(Debug)]
-struct TableGate {
-    tokens: usize,
-    max_queued: usize,
-    state: Mutex<GateState>,
-    freed: Condvar,
+/// A job in the scheduler, with what it holds.
+struct Queued<T> {
+    /// Shape fingerprints of the tables it executes against, deduplicated.
+    fingerprints: Vec<u64>,
+    /// Execution tokens it claims on each of those tables.
+    weight: usize,
+    /// When it was admitted; it expires one admission timeout later.
+    admitted: Instant,
+    job: T,
 }
 
-impl TableGate {
-    fn new(tokens: usize, max_queued: usize) -> TableGate {
+/// The scheduler's state, all under one mutex: admitted jobs in FIFO
+/// order, plus per-table counts of queue shares (`max_table_in_flight`,
+/// taken at admission) and execution tokens (`per_table_tokens`, claimed
+/// when a worker picks the job). Generic over the job so that tests can
+/// drive it directly.
+struct Queue<T> {
+    tokens: usize,
+    max_queued: usize,
+    timeout: Duration,
+    /// Tokens held per fingerprint by running jobs.
+    executing: HashMap<u64, usize>,
+    /// Shares held per fingerprint by waiting and running jobs.
+    queued: HashMap<u64, usize>,
+    /// Admitted jobs no worker has picked yet, oldest first.
+    waiting: VecDeque<Queued<T>>,
+    /// Shutdown began: nothing is queued or picked any more.
+    closed: bool,
+}
+
+impl<T> Queue<T> {
+    fn new(tokens: usize, max_queued: usize, timeout: Duration) -> Queue<T> {
         let tokens = tokens.max(1);
-        TableGate {
+        Queue {
             tokens,
             // A queue share below the execution bound could never fill it.
             max_queued: max_queued.max(tokens),
-            state: Mutex::new(GateState::default()),
-            freed: Condvar::new(),
+            timeout,
+            executing: HashMap::new(),
+            queued: HashMap::new(),
+            waiting: VecDeque::new(),
+            closed: false,
         }
     }
 
-    /// Claim one in-flight-queue share per fingerprint, all-or-nothing and
-    /// without blocking. `None` when any of the tables has exhausted its
-    /// share — the caller rejects with a retry hint.
-    fn try_occupy(&self, fingerprints: Vec<u64>) -> Option<OccupancyGuard<'_>> {
-        let mut state = self.state.lock().expect("table gate poisoned");
-        if fingerprints
-            .iter()
-            .any(|&fp| count_of(&state.queued, fp) >= self.max_queued)
-        {
-            return None;
-        }
-        for fp in &fingerprints {
-            *state.queued.entry(*fp).or_insert(0) += 1;
-        }
-        Some(OccupancyGuard {
-            gate: self,
-            fingerprints,
-        })
-    }
-
-    /// Claim `weight` execution tokens per fingerprint (clamped to the
-    /// per-table bound), blocking as needed — a batch that fans out over an
-    /// N-worker engine pool claims N tokens, so admission bounds the
-    /// *work* hitting a table, not just the request count. `fingerprints`
-    /// must be sorted ascending and deduplicated. The wait is bounded by
-    /// `timeout` so a contended multi-token request cannot hang its client
-    /// forever; tokens already claimed are released on both timeout and
-    /// shutdown.
-    fn acquire<'a>(
-        &'a self,
+    /// Admit `job` with one queue share per table, all or nothing; `Err`
+    /// hands it back when any of its tables has used up its share. `now`
+    /// must not run backwards between calls (callers read the clock under
+    /// the lock), so queue order is deadline order. After shutdown began
+    /// the job is dropped unstarted, like the ones already queued.
+    fn push(
+        &mut self,
         fingerprints: Vec<u64>,
         weight: usize,
-        timeout: Duration,
-        shutdown: &AtomicBool,
-    ) -> Acquire<'a> {
-        debug_assert!(fingerprints.windows(2).all(|pair| pair[0] < pair[1]));
-        let weight = weight.clamp(1, self.tokens);
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state.lock().expect("table gate poisoned");
-        let mut held = 0;
-        while held < fingerprints.len() {
-            let bail = if shutdown.load(Ordering::Acquire) {
-                Some(Acquire::ShuttingDown)
-            } else if std::time::Instant::now() >= deadline {
-                Some(Acquire::TimedOut)
-            } else {
-                None
-            };
-            if let Some(outcome) = bail {
-                for &fp in &fingerprints[..held] {
-                    decrement(&mut state.executing, fp, weight);
-                }
-                drop(state);
-                self.freed.notify_all();
-                return outcome;
-            }
-            let next = fingerprints[held];
-            if count_of(&state.executing, next) + weight <= self.tokens {
-                *state.executing.entry(next).or_insert(0) += weight;
-                held += 1;
-                continue;
-            }
-            // Re-check the shutdown flag and the deadline periodically:
-            // shutdown() cannot know which condvars have waiters.
-            let (guard, _timeout) = self
-                .freed
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("table gate poisoned");
-            state = guard;
+        now: Instant,
+        job: T,
+    ) -> Result<(), T> {
+        if self.closed {
+            return Ok(());
         }
-        Acquire::Acquired(TableGuard {
-            gate: self,
+        if fingerprints
+            .iter()
+            .any(|&fp| count_of(&self.queued, fp) >= self.max_queued)
+        {
+            return Err(job);
+        }
+        for &fp in &fingerprints {
+            *self.queued.entry(fp).or_insert(0) += 1;
+        }
+        self.waiting.push_back(Queued {
             fingerprints,
-            weight,
-        })
+            weight: weight.clamp(1, self.tokens),
+            admitted: now,
+            job,
+        });
+        Ok(())
     }
-}
 
-/// Outcome of [`TableGate::acquire`].
-enum Acquire<'a> {
-    /// Tokens claimed; released when the guard drops.
-    Acquired(TableGuard<'a>),
-    /// The admission timeout elapsed — reject with a retry hint.
-    TimedOut,
-    /// The server is shutting down.
-    ShuttingDown,
-}
+    /// Remove the jobs queued past the admission timeout and give back
+    /// their shares. Queue order is deadline order, so they are a prefix.
+    fn expire(&mut self, now: Instant) -> Vec<Queued<T>> {
+        let count = self
+            .waiting
+            .iter()
+            .take_while(|queued| {
+                self.deadline(queued)
+                    .is_some_and(|deadline| deadline <= now)
+            })
+            .count();
+        let expired: Vec<Queued<T>> = self.waiting.drain(..count).collect();
+        for queued in &expired {
+            self.release(&queued.fingerprints, 0);
+        }
+        expired
+    }
 
-/// RAII release of claimed in-flight-queue shares.
-struct OccupancyGuard<'a> {
-    gate: &'a TableGate,
-    fingerprints: Vec<u64>,
-}
+    /// Take the oldest job whose tables all have its weight in tokens free
+    /// and that shares no table with an older waiting job, claiming all its
+    /// tokens at once. A younger job never overtakes an older one on a
+    /// table they share, so each table runs its jobs in FIFO order and a
+    /// multi-table batch cannot be starved by single-table traffic.
+    fn pick(&mut self) -> Option<Queued<T>> {
+        let mut blocked: Vec<u64> = Vec::new();
+        let position = self.waiting.iter().position(|queued| {
+            let runnable = queued.fingerprints.iter().all(|fp| {
+                !blocked.contains(fp)
+                    && count_of(&self.executing, *fp) + queued.weight <= self.tokens
+            });
+            if !runnable {
+                blocked.extend(&queued.fingerprints);
+            }
+            runnable
+        })?;
+        let queued = self
+            .waiting
+            .remove(position)
+            .expect("position is in the queue");
+        for &fp in &queued.fingerprints {
+            *self.executing.entry(fp).or_insert(0) += queued.weight;
+        }
+        Some(queued)
+    }
 
-impl Drop for OccupancyGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("table gate poisoned");
-        for &fp in &self.fingerprints {
-            decrement(&mut state.queued, fp, 1);
+    /// Give back a job's queue shares and the `tokens` it claimed on each
+    /// of its tables (0 for a job that never ran).
+    fn release(&mut self, fingerprints: &[u64], tokens: usize) {
+        for &fp in fingerprints {
+            decrement(&mut self.queued, fp, 1);
+            decrement(&mut self.executing, fp, tokens);
         }
     }
-}
 
-/// RAII release of claimed execution tokens.
-struct TableGuard<'a> {
-    gate: &'a TableGate,
-    fingerprints: Vec<u64>,
-    weight: usize,
-}
-
-impl Drop for TableGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("table gate poisoned");
-        for &fp in &self.fingerprints {
-            decrement(&mut state.executing, fp, self.weight);
-        }
-        drop(state);
-        self.gate.freed.notify_all();
+    /// When `queued` expires; `None` for a timeout too long to represent,
+    /// which never expires.
+    fn deadline(&self, queued: &Queued<T>) -> Option<Instant> {
+        queued.admitted.checked_add(self.timeout)
     }
+
+    /// When the oldest waiting job expires.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.deadline(self.waiting.front()?)
+    }
+}
+
+/// The admission scheduler: the [`Queue`] under its one mutex, and the
+/// condvar idle workers sleep on until a job is queued, tokens come back,
+/// the oldest job's deadline passes or shutdown begins.
+struct Scheduler {
+    queue: Mutex<Queue<Job>>,
+    wake: Condvar,
+}
+
+impl Scheduler {
+    fn lock(&self) -> MutexGuard<'_, Queue<Job>> {
+        self.queue.lock().expect("scheduler poisoned")
+    }
+}
+
+/// A request admitted to the scheduler: its engine work, the in-flight
+/// slot it holds until answered, its sampled trace, and where the answer
+/// goes.
+struct Job {
+    work: Work,
+    slot: Slot,
+    trace: Option<RequestTrace>,
+    ticket: Ticket,
+}
+
+/// The engine work of an admitted request.
+enum Work {
+    /// A single explain the cache could not answer; `key` is its cache key
+    /// (none when caching is off).
+    Explain {
+        request: ExplainBody,
+        key: Option<CacheKey>,
+    },
+    /// A batch with misses, planned against the cache when there is one.
+    Batch {
+        requests: Vec<ExplainRequest>,
+        plan: Option<BatchPlan>,
+    },
 }
 
 /// RAII slot in the bounded in-flight queue.
-struct InFlightGuard<'a>(&'a Gauge);
+struct Slot(Arc<Gauge>);
 
-impl Drop for InFlightGuard<'_> {
+impl Drop for Slot {
     fn drop(&mut self) {
         self.0.add(-1);
     }
 }
 
-/// State shared between the acceptor, the reactors, the dispatch pool and
-/// the [`ServerHandle`].
+/// State shared between the acceptor, the reactors, the scheduler's
+/// workers and the [`ServerHandle`].
 pub(crate) struct Shared {
     engine: Arc<Engine>,
     /// The deduplicating answer cache over `engine`, when
-    /// `cache_capacity > 0`. Lookups happen before the in-flight gate;
+    /// `cache_capacity > 0`. Reactors probe it before the in-flight gate;
     /// single-flight collapse means a thundering herd on one hot question
     /// costs one engine run.
     cached: Option<CachedEngine>,
     catalog: Arc<Catalog>,
     config: ServerConfig,
-    admission: TableGate,
+    scheduler: Scheduler,
     shutdown: AtomicBool,
     cancel: CancelToken,
     /// The server's own counters, gauges and latency histograms.
@@ -394,39 +397,23 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Take a slot in the bounded in-flight queue, or `None` when full.
-    fn try_admit(&self) -> Option<InFlightGuard<'_>> {
+    fn try_admit(&self) -> Option<Slot> {
         let in_flight = &self.metrics.in_flight;
         // Lazily: a guard built for a refused slot would release one on drop.
         in_flight
             .try_inc_below(self.config.max_in_flight as i64)
-            .then(|| InFlightGuard(in_flight))
+            .then(|| Slot(in_flight.clone()))
     }
 
-    /// The overload rejection, with the configured retry hint.
-    fn overloaded(&self) -> ResponseBody {
-        self.metrics.rejected_overload.inc();
-        ResponseBody::Error(WireError {
+    /// A retryable rejection: `Overloaded` with the configured retry hint,
+    /// counted under its `reason`.
+    fn reject(&self, reason: &Counter, message: String) -> Reply {
+        reason.inc();
+        Reply::Full(ResponseBody::Error(WireError {
             code: ErrorCode::Overloaded,
-            message: format!(
-                "in-flight queue full ({} requests)",
-                self.config.max_in_flight
-            ),
+            message,
             retry_after_ms: Some(self.config.retry_after_ms),
-        })
-    }
-
-    /// The per-table queue-share rejection (still retryable by the client,
-    /// hence the same `Overloaded` code with a retry hint).
-    fn table_busy(&self) -> ResponseBody {
-        self.metrics.rejected_table_busy.inc();
-        ResponseBody::Error(WireError {
-            code: ErrorCode::Overloaded,
-            message: format!(
-                "table's in-flight queue share full ({} requests per table)",
-                self.admission.max_queued
-            ),
-            retry_after_ms: Some(self.config.retry_after_ms),
-        })
+        }))
     }
 
     /// The observability surface (registry and tracer).
@@ -443,80 +430,63 @@ impl Shared {
         self.config.max_frame_len
     }
 
-    fn admission_timeout(&self) -> Duration {
-        Duration::from_millis(self.config.admission_timeout_ms)
-    }
-
-    /// Answer one typed request body — the dispatch core shared by the
-    /// framed protocol and the HTTP adapter. Engine work runs under
-    /// `catch_unwind`, so a panicking job becomes an `Internal` error
-    /// response instead of killing the connection handler (and is invisible
-    /// to the accept loop either way). `trace` is the request's sampled
-    /// trace, when it drew a sampling slot — handlers append stage spans
-    /// to it.
+    /// The reactor's pass over one typed request, framed or HTTP: the reply
+    /// when no engine work is needed (control plane, cache hits,
+    /// rejections), or `None` once the request is admitted to the
+    /// scheduler, whose worker answers through `ticket`. `trace` is the
+    /// request's sampled trace; handlers append stage spans to it, and an
+    /// admitted request takes it along.
     pub(crate) fn handle_request(
         &self,
         body: RequestBody,
         trace: &mut Option<RequestTrace>,
-    ) -> Reply {
-        match body {
-            RequestBody::ListTables => {
-                self.metrics.tables_requests.inc();
-                if let Some(trace) = trace {
-                    trace.set_endpoint("tables");
-                }
-                Reply::Full(ResponseBody::Tables(TablesBody {
-                    tables: self.catalog.summaries(),
-                }))
-            }
-            RequestBody::Stats => {
-                self.metrics.stats_requests.inc();
-                if let Some(trace) = trace {
-                    trace.set_endpoint("stats");
-                }
-                Reply::Full(ResponseBody::Stats(StatsBody {
-                    samples: self.obs.samples(),
-                }))
-            }
-            RequestBody::Metrics => {
-                self.metrics.metrics_requests.inc();
-                if let Some(trace) = trace {
-                    trace.set_endpoint("metrics");
-                }
-                Reply::Full(ResponseBody::Metrics(MetricsBody {
-                    text: self.obs.render(),
-                }))
-            }
+        ticket: Ticket,
+    ) -> Option<Reply> {
+        let (requests, endpoint) = match &body {
+            RequestBody::ListTables => (&self.metrics.tables_requests, "tables"),
+            RequestBody::Stats => (&self.metrics.stats_requests, "stats"),
+            RequestBody::Metrics => (&self.metrics.metrics_requests, "metrics"),
+            RequestBody::TraceRecent => (&self.metrics.trace_requests, "trace"),
+            RequestBody::Explain(_) => (&self.metrics.explain_requests, "explain"),
+            RequestBody::ExplainBatch(_) => (&self.metrics.explain_batch_requests, "explain_batch"),
+        };
+        requests.inc();
+        if let Some(trace) = trace.as_mut() {
+            trace.set_endpoint(endpoint);
+        }
+        let body = match body {
+            RequestBody::ListTables => ResponseBody::Tables(TablesBody {
+                tables: self.catalog.summaries(),
+            }),
+            RequestBody::Stats => ResponseBody::Stats(StatsBody {
+                samples: self.obs.samples(),
+            }),
+            RequestBody::Metrics => ResponseBody::Metrics(MetricsBody {
+                text: self.obs.render(),
+            }),
             RequestBody::TraceRecent => {
-                self.metrics.trace_requests.inc();
-                if let Some(trace) = trace {
-                    trace.set_endpoint("trace");
-                }
                 let (recent, slowest) = self.obs.tracer().snapshot();
-                Reply::Full(ResponseBody::TraceRecent(TraceRecentBody {
+                ResponseBody::TraceRecent(TraceRecentBody {
                     sample_period: self.obs.tracer().period(),
                     sampled: self.obs.tracer().sampled(),
                     recent,
                     slowest,
-                }))
+                })
             }
             RequestBody::Explain(request) => {
-                self.metrics.explain_requests.inc();
                 if let Some(trace) = trace {
-                    trace.set_endpoint("explain");
                     trace.set_detail(format!("{} @ {}", request.question, request.table));
                 }
-                self.handle_explain(request, trace)
+                return self.handle_explain(request, trace, ticket);
             }
             RequestBody::ExplainBatch(batch) => {
-                self.metrics.explain_batch_requests.inc();
                 if let Some(trace) = trace {
-                    trace.set_endpoint("explain_batch");
                     trace.set_detail(format!("{} questions", batch.requests.len()));
                 }
-                Reply::Full(self.handle_batch(batch, trace))
+                return self.handle_batch(batch, trace, ticket);
             }
-        }
+        };
+        Some(Reply::Full(body))
     }
 
     /// Answer an explain request from a completed flight's value: the
@@ -531,27 +501,29 @@ impl Shared {
         }
     }
 
-    fn handle_explain(&self, request: ExplainBody, trace: &mut Option<RequestTrace>) -> Reply {
-        // Table resolution and the cache probe run *before* the in-flight
-        // gate, control-plane-style: a request the cache can answer (or
-        // reject as unknown) must never bounce off `Overloaded`, so
-        // clients never receive a `retry_after_ms` hint for an answer the
-        // server already holds.
+    fn handle_explain(
+        &self,
+        request: ExplainBody,
+        trace: &mut Option<RequestTrace>,
+        ticket: Ticket,
+    ) -> Option<Reply> {
+        // Table resolution and the cache probe come before any gate: a
+        // request the cache can answer (or reject as unknown) must never
+        // bounce off `Overloaded`, so clients never receive a
+        // `retry_after_ms` hint for an answer the server already holds.
         let Some(table) = self.catalog.get(&request.table) else {
-            return Reply::Full(ResponseBody::Error(WireError::new(
+            return Some(error_reply(
                 ErrorCode::UnknownTable,
                 format!("unknown table: {}", request.table),
-            )));
+            ));
         };
         let probe_start = Instant::now();
         let key = self
             .cached
             .as_ref()
             .map(|cached| cached.key_for(&request.question, table, request.top_k));
-        let probed = match (&self.cached, &key) {
-            (Some(cached), Some(key)) => cached.probe(key),
-            _ => None,
-        };
+        let probed =
+            (self.cached.as_ref().zip(key.as_ref())).and_then(|(cached, key)| cached.probe(key));
         let probe_end = Instant::now();
         self.metrics
             .stage_cache_probe
@@ -560,100 +532,26 @@ impl Shared {
             trace.record("cache_probe", probe_start, probe_end);
         }
         if let Some(value) = probed {
-            return self.explanation_reply(request.question, request.table, &value);
+            return Some(self.explanation_reply(request.question, request.table, &value));
         }
-        let admit_start = Instant::now();
-        let Some(_slot) = self.try_admit() else {
-            return Reply::Full(self.overloaded());
-        };
-        let fingerprint = table.fingerprint();
-        let Some(_share) = self.admission.try_occupy(vec![fingerprint]) else {
-            return Reply::Full(self.table_busy());
-        };
-        // Join or lead the single-flight before blocking on execution
-        // tokens: concurrent identical requests collapse onto one leader's
-        // engine run, receiving its answer without claiming tokens of
-        // their own (they do hold queue slots — collapsed waiters are
-        // still bounded load).
-        let flight = match (&self.cached, key) {
-            (Some(cached), Some(key)) => match cached.begin(&key) {
-                Begin::Hit(value) | Begin::Collapsed(value) => {
-                    return self.explanation_reply(request.question, request.table, &value);
-                }
-                Begin::Lead(guard) => Some(guard),
-            },
-            _ => None,
-        };
-        // From here on, every early return drops `flight`, abandoning it —
-        // collapsed waiters wake and retry as leaders, degrading to
-        // exactly the uncached behavior instead of hanging.
-        let _tokens = match self.admission.acquire(
-            vec![fingerprint],
+        let fingerprints = vec![table.fingerprint()];
+        self.admit(
+            Work::Explain { request, key },
+            fingerprints,
             1,
-            self.admission_timeout(),
-            &self.shutdown,
-        ) {
-            Acquire::Acquired(tokens) => tokens,
-            Acquire::TimedOut => return Reply::Full(self.table_busy()),
-            Acquire::ShuttingDown => {
-                return Reply::Full(ResponseBody::Error(WireError::new(
-                    ErrorCode::Internal,
-                    "server shutting down",
-                )))
-            }
-        };
-        let admit_end = Instant::now();
-        self.metrics
-            .stage_admission_wait
-            .observe(span_ns(admit_start, admit_end));
-        if let Some(trace) = trace.as_mut() {
-            trace.record("admission_wait", admit_start, admit_end);
-        }
-        let top_k = request.top_k.unwrap_or(self.engine.config().top_k);
-        let explained = catch_unwind(AssertUnwindSafe(|| match (self.cached.as_ref(), flight) {
-            (Some(cached), Some(guard)) => {
-                cached.execute_flight(guard, &request.question, table, top_k)
-            }
-            // Without a cache the candidates still serialize here, once,
-            // on the worker that computed them — the encode-once path is
-            // the same either way, only nothing is retained.
-            _ => {
-                let (candidates, spans) =
-                    self.engine
-                        .explain_question_with_spans(&request.question, table, top_k);
-                (Arc::new(CachedCandidates::new(candidates, table)), spans)
-            }
-        }));
-        let eval_end = Instant::now();
-        self.metrics
-            .stage_eval
-            .observe(span_ns(admit_end, eval_end));
-        if let Some(trace) = trace.as_mut() {
-            trace.record("eval", admit_end, eval_end);
-        }
-        match explained {
-            Ok((value, spans)) => {
-                // This request led the parse: its trace gets the leader's
-                // stage breakdown (the engine's histograms already have it).
-                if let Some(trace) = trace.as_mut() {
-                    record_parse_spans(trace, admit_end, &spans);
-                }
-                self.explanation_reply(request.question, request.table, &value)
-            }
-            Err(_) => Reply::Full(ResponseBody::Error(WireError::new(
-                ErrorCode::Internal,
-                "explanation job panicked",
-            ))),
-        }
+            trace,
+            ticket,
+        )
     }
 
     fn handle_batch(
         &self,
         batch: ExplainBatchBody,
         trace: &mut Option<RequestTrace>,
-    ) -> ResponseBody {
+        ticket: Ticket,
+    ) -> Option<Reply> {
         if batch.requests.len() > self.config.max_batch {
-            return ResponseBody::Error(WireError::new(
+            return Some(error_reply(
                 ErrorCode::BatchTooLarge,
                 format!(
                     "batch of {} exceeds the {}-question limit",
@@ -671,123 +569,198 @@ impl Shared {
                 top_k: request.top_k,
             })
             .collect();
-
-        if let Some(cached) = &self.cached {
-            // Probe every item before any gate: cached items cost no
-            // admission weight, and a fully-cached batch (like a scalar
-            // cache hit) skips the in-flight queue entirely — it can
-            // never be rejected with a retry hint.
-            let plan = cached.plan_batch(&self.catalog, &requests);
-            if plan.is_fully_cached() {
-                let eval_start = Instant::now();
-                let result = cached.execute_batch(plan, &self.catalog, &requests, &self.cancel);
-                self.observe_batch_eval(eval_start, trace);
-                return self.batch_response(result);
-            }
-            let admit_start = Instant::now();
-            let Some(_slot) = self.try_admit() else {
-                return self.overloaded();
-            };
-            // Admission tokens only for tables that still *execute*;
-            // weight scales with the deduplicated misses, not the batch
-            // size, so a mostly-cached batch claims proportionally little.
-            let mut fingerprints: Vec<u64> = plan
-                .pending_request_indices()
-                .filter_map(|index| self.catalog.get(&requests[index].table))
-                .map(|table| table.fingerprint())
-                .collect();
-            fingerprints.sort_unstable();
-            fingerprints.dedup();
-            let Some(_share) = self.admission.try_occupy(fingerprints.clone()) else {
-                return self.table_busy();
-            };
-            let weight = self.engine.config().workers.clamp(1, plan.missing().max(1));
-            let _tokens = match self.admission.acquire(
-                fingerprints,
-                weight,
-                self.admission_timeout(),
-                &self.shutdown,
-            ) {
-                Acquire::Acquired(tokens) => tokens,
-                Acquire::TimedOut => return self.table_busy(),
-                Acquire::ShuttingDown => {
-                    return ResponseBody::Error(WireError::new(
-                        ErrorCode::Internal,
-                        "server shutting down",
-                    ))
+        // Probe every item before any gate: cached items cost no admission
+        // weight, and a fully cached batch (like a single hit) is answered
+        // here — it can never be rejected with a retry hint.
+        let plan = match &self.cached {
+            Some(cached) => {
+                let plan = cached.plan_batch(&self.catalog, &requests);
+                if plan.is_fully_cached() {
+                    let eval_start = Instant::now();
+                    let result = cached.execute_batch(plan, &self.catalog, &requests, &self.cancel);
+                    self.observe_eval(eval_start, trace);
+                    return Some(Reply::Full(self.batch_response(result)));
                 }
-            };
-            let eval_start = self.observe_batch_admission(admit_start, trace);
-            let result = cached.execute_batch(plan, &self.catalog, &requests, &self.cancel);
-            self.observe_batch_eval(eval_start, trace);
-            return self.batch_response(result);
-        }
-
-        let admit_start = Instant::now();
-        let Some(_slot) = self.try_admit() else {
-            return self.overloaded();
+                Some(plan)
+            }
+            None => None,
         };
-        // Admission tokens for every distinct table the batch touches;
-        // unknown tables pass through (the engine answers those with a
-        // per-question error, matching the direct batch path).
-        let mut fingerprints: Vec<u64> = requests
+        // Tokens only for the tables that still execute: the deduplicated
+        // misses, or without a cache every item (unknown tables pass
+        // through; the engine answers them with a per-question error). A
+        // batch fans out over the engine's worker pool, so it claims one
+        // token per worker it will run — admission bounds the concurrent
+        // *work* per table, not just the request count.
+        let executing: Vec<usize> = match &plan {
+            Some(plan) => plan.pending_request_indices().collect(),
+            None => (0..requests.len()).collect(),
+        };
+        let mut fingerprints: Vec<u64> = executing
             .iter()
-            .filter_map(|request| self.catalog.get(&request.table))
+            .filter_map(|&index| self.catalog.get(&requests[index].table))
             .map(|table| table.fingerprint())
             .collect();
         fingerprints.sort_unstable();
         fingerprints.dedup();
-        let Some(_share) = self.admission.try_occupy(fingerprints.clone()) else {
-            return self.table_busy();
-        };
-        // A batch fans out over the engine's worker pool (clamped to the
-        // batch size by the runtime), so it claims one token per worker it
-        // will actually run — admission bounds the concurrent *work* per
-        // table, not just the request count.
-        let weight = self.engine.config().workers.clamp(1, requests.len().max(1));
-        let _tokens = match self.admission.acquire(
+        let weight = self
+            .engine
+            .config()
+            .workers
+            .clamp(1, executing.len().max(1));
+        self.admit(
+            Work::Batch { requests, plan },
             fingerprints,
             weight,
-            self.admission_timeout(),
-            &self.shutdown,
-        ) {
-            Acquire::Acquired(tokens) => tokens,
-            Acquire::TimedOut => return self.table_busy(),
-            Acquire::ShuttingDown => {
-                return ResponseBody::Error(WireError::new(
-                    ErrorCode::Internal,
-                    "server shutting down",
-                ))
-            }
-        };
-        let eval_start = self.observe_batch_admission(admit_start, trace);
-        let result = self
-            .engine
-            .explain_batch_cancellable(&self.catalog, &requests, &self.cancel);
-        self.observe_batch_eval(eval_start, trace);
-        self.batch_response(result)
+            trace,
+            ticket,
+        )
     }
 
-    /// Close a batch's admission-wait span and return the eval start point.
-    /// (Batch parses fan out over worker threads, so batches record no
-    /// per-question parse breakdown — only the coarse stage spans.)
-    fn observe_batch_admission(
+    /// The one admission step of every request that needs the engine: an
+    /// in-flight slot, then one queue share per table and a place in the
+    /// scheduler. Returns the rejection to answer at once, or `None` once
+    /// the job is queued (it takes `trace` along).
+    fn admit(
         &self,
-        admit_start: Instant,
+        work: Work,
+        fingerprints: Vec<u64>,
+        weight: usize,
         trace: &mut Option<RequestTrace>,
-    ) -> Instant {
-        let admit_end = Instant::now();
+        ticket: Ticket,
+    ) -> Option<Reply> {
+        let Some(slot) = self.try_admit() else {
+            return Some(self.reject(
+                &self.metrics.rejected_overload,
+                format!(
+                    "in-flight queue full ({} requests)",
+                    self.config.max_in_flight
+                ),
+            ));
+        };
+        let job = Job {
+            work,
+            slot,
+            trace: trace.take(),
+            ticket,
+        };
+        let mut queue = self.scheduler.lock();
+        let Err(job) = queue.push(fingerprints, weight, Instant::now(), job) else {
+            drop(queue);
+            self.scheduler.wake.notify_one();
+            return None;
+        };
+        let share = queue.max_queued;
+        drop(queue);
+        *trace = job.trace;
+        Some(self.reject(
+            &self.metrics.rejected_table_busy,
+            format!("table's in-flight queue share full ({share} requests per table)"),
+        ))
+    }
+
+    /// Run a picked job on a scheduler worker: its engine work under the
+    /// tokens it claimed, which then go back before the answer is encoded.
+    /// A panic costs the request a structured `Internal` error, never the
+    /// worker.
+    fn execute(&self, queued: Queued<Job>) {
+        let Job {
+            work,
+            slot,
+            mut trace,
+            ticket,
+        } = queued.job;
+        let claimed = Instant::now();
         self.metrics
             .stage_admission_wait
-            .observe(span_ns(admit_start, admit_end));
+            .observe(span_ns(queued.admitted, claimed));
         if let Some(trace) = trace.as_mut() {
-            trace.record("admission_wait", admit_start, admit_end);
+            trace.record("admission_wait", queued.admitted, claimed);
         }
-        admit_end
+        let reply = catch_unwind(AssertUnwindSafe(|| self.run(work, &mut trace)))
+            .unwrap_or_else(|_| error_reply(ErrorCode::Internal, "request handler panicked"));
+        (self.scheduler.lock()).release(&queued.fingerprints, queued.weight);
+        self.scheduler.wake.notify_all();
+        drop(slot);
+        ticket.answer(self, reply, trace);
     }
 
-    /// Close a batch's eval span.
-    fn observe_batch_eval(&self, eval_start: Instant, trace: &mut Option<RequestTrace>) {
+    /// Answer a job that waited out `admission_timeout_ms` in the
+    /// scheduler, unevaluated.
+    fn reject_expired(&self, job: Job) {
+        drop(job.slot);
+        let reply = self.reject(
+            &self.metrics.rejected_table_busy,
+            format!(
+                "waited over admission_timeout_ms ({} ms) for its table's execution tokens",
+                self.config.admission_timeout_ms
+            ),
+        );
+        job.ticket.answer(self, reply, job.trace);
+    }
+
+    fn run(&self, work: Work, trace: &mut Option<RequestTrace>) -> Reply {
+        let (requests, plan) = match work {
+            Work::Explain { request, key } => return self.run_explain(request, key, trace),
+            Work::Batch { requests, plan } => (requests, plan),
+        };
+        let eval_start = Instant::now();
+        let result = match (&self.cached, plan) {
+            (Some(cached), Some(plan)) => {
+                cached.execute_batch(plan, &self.catalog, &requests, &self.cancel)
+            }
+            _ => self
+                .engine
+                .explain_batch_cancellable(&self.catalog, &requests, &self.cancel),
+        };
+        self.observe_eval(eval_start, trace);
+        Reply::Full(self.batch_response(result))
+    }
+
+    fn run_explain(
+        &self,
+        request: ExplainBody,
+        key: Option<CacheKey>,
+        trace: &mut Option<RequestTrace>,
+    ) -> Reply {
+        let table = self
+            .catalog
+            .get(&request.table)
+            .expect("an admitted request's table is in the immutable catalog");
+        let top_k = request.top_k.unwrap_or(self.engine.config().top_k);
+        let eval_start = Instant::now();
+        let (value, spans) = match (&self.cached, key) {
+            // Lead or join the single flight only now, holding tokens: a
+            // collapsed request waits only on a leader that is already
+            // running. A leader that panics drops its guard, abandoning the
+            // flight — waiters wake and retry as leaders instead of hanging.
+            (Some(cached), Some(key)) => match cached.begin(&key) {
+                Begin::Hit(value) | Begin::Collapsed(value) => {
+                    return self.explanation_reply(request.question, request.table, &value);
+                }
+                Begin::Lead(guard) => cached.execute_flight(guard, &request.question, table, top_k),
+            },
+            // Without a cache the candidates still serialize here, once,
+            // on the worker that computed them — the encode-once path is
+            // the same either way, only nothing is retained.
+            _ => {
+                let (candidates, spans) =
+                    self.engine
+                        .explain_question_with_spans(&request.question, table, top_k);
+                (Arc::new(CachedCandidates::new(candidates, table)), spans)
+            }
+        };
+        self.observe_eval(eval_start, trace);
+        // This request led the parse: its trace gets the leader's stage
+        // breakdown (the engine's histograms already have it).
+        if let Some(trace) = trace.as_mut() {
+            record_parse_spans(trace, eval_start, &spans);
+        }
+        self.explanation_reply(request.question, request.table, &value)
+    }
+
+    /// Close an eval span (histogram and trace). Batch parses fan out over
+    /// worker threads, so batches record no per-question parse breakdown.
+    fn observe_eval(&self, eval_start: Instant, trace: &mut Option<RequestTrace>) {
         let eval_end = Instant::now();
         self.metrics
             .stage_eval
@@ -826,9 +799,46 @@ impl Shared {
     }
 }
 
+/// One scheduler worker (thread `wtq-dispatch-{i}`): answers the jobs that
+/// expired, runs the oldest runnable one, and otherwise sleeps until woken
+/// or until the oldest job's deadline. Returns at shutdown.
+fn work(shared: &Shared) {
+    let scheduler = &shared.scheduler;
+    let mut queue = scheduler.lock();
+    while !queue.closed {
+        let now = Instant::now();
+        let expired = queue.expire(now);
+        let picked = queue.pick();
+        if expired.is_empty() && picked.is_none() {
+            queue = match queue.next_deadline() {
+                Some(deadline) => {
+                    let wait = deadline.saturating_duration_since(now);
+                    scheduler
+                        .wake
+                        .wait_timeout(queue, wait)
+                        .expect("scheduler poisoned")
+                        .0
+                }
+                None => scheduler.wake.wait(queue).expect("scheduler poisoned"),
+            };
+            continue;
+        }
+        drop(queue);
+        for queued in expired {
+            shared.reject_expired(queued.job);
+            // It may have been all that blocked younger jobs.
+            scheduler.wake.notify_all();
+        }
+        if let Some(queued) = picked {
+            shared.execute(queued);
+        }
+        queue = scheduler.lock();
+    }
+}
+
 /// The serving front-end. [`Server::bind`] spawns the acceptor, the
-/// reactor pool and the dispatch pool, and returns a [`ServerHandle`] for
-/// observation and graceful shutdown.
+/// reactor pool and the scheduler's workers, and returns a
+/// [`ServerHandle`] for observation and graceful shutdown.
 pub struct Server;
 
 impl Server {
@@ -842,7 +852,6 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let admission = TableGate::new(config.per_table_tokens, config.max_table_in_flight);
         let cached = (config.cache_capacity > 0).then(|| {
             CachedEngine::new(
                 engine.clone(),
@@ -854,108 +863,50 @@ impl Server {
                 },
             )
         });
+        // One worker per core, and at least one more than a single table's
+        // tokens can keep busy.
+        let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+        let workers = cores.max(config.per_table_tokens.max(1) + 1);
         let metrics = ServerMetrics::default();
-        let obs = Obs::new(&config, catalog.len(), &metrics, &engine, cached.as_ref());
+        let obs = Obs::new(
+            &config,
+            catalog.len(),
+            workers,
+            &metrics,
+            &engine,
+            cached.as_ref(),
+        );
+        let queue = Queue::new(
+            config.per_table_tokens,
+            config.max_table_in_flight,
+            Duration::from_millis(config.admission_timeout_ms),
+        );
         let shared = Arc::new(Shared {
             engine,
             cached,
             catalog,
             config,
-            admission,
+            scheduler: Scheduler {
+                queue: Mutex::new(queue),
+                wake: Condvar::new(),
+            },
             shutdown: AtomicBool::new(false),
             cancel: CancelToken::new(),
             metrics,
             obs,
         });
-
-        let (job_sender, job_receiver) = mpsc::channel();
-        let job_receiver = Arc::new(Mutex::new(job_receiver));
-        let mut dispatch_threads = Vec::new();
-        let mut reactors = Vec::new();
-        let mut reactor_threads = Vec::new();
-
-        let spawned = Self::spawn_layers(
-            &shared,
-            listener,
-            &job_sender,
-            &job_receiver,
-            &mut dispatch_threads,
-            &mut reactors,
-            &mut reactor_threads,
-        );
-        let accept_thread = match spawned {
-            Ok(accept_thread) => accept_thread,
-            Err(err) => {
-                // A partial failure (e.g. thread or fd exhaustion mid-way)
-                // must not leak the layers already spawned: reactors get a
-                // Shutdown command, and once their `jobs` Sender clones die
-                // with them, dropping ours drains the dispatch pool too.
-                shared.shutdown.store(true, Ordering::Release);
-                for rshared in &reactors {
-                    rshared.push(Command::Shutdown);
-                }
-                for thread in reactor_threads {
-                    let _ = thread.join();
-                }
-                drop(job_sender);
-                for thread in dispatch_threads {
-                    let _ = thread.join();
-                }
-                return Err(err);
-            }
-        };
-
-        Ok(ServerHandle {
+        let mut handle = ServerHandle {
             local_addr,
             shared,
-            accept_thread: Some(accept_thread),
-            reactors,
-            reactor_threads,
-            job_sender: Some(job_sender),
-            dispatch_threads,
-        })
-    }
-
-    /// Spawn the dispatch pool, the reactor pool and the acceptor, pushing
-    /// every created handle into the caller's vectors so a mid-way failure
-    /// leaves the caller holding everything that needs tearing down.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_layers(
-        shared: &Arc<Shared>,
-        listener: TcpListener,
-        job_sender: &mpsc::Sender<reactor::Job>,
-        job_receiver: &Arc<Mutex<mpsc::Receiver<reactor::Job>>>,
-        dispatch_threads: &mut Vec<JoinHandle<()>>,
-        reactors: &mut Vec<Arc<ReactorShared>>,
-        reactor_threads: &mut Vec<JoinHandle<()>>,
-    ) -> std::io::Result<JoinHandle<()>> {
-        // Dispatch pool: where admission waits and engine calls block.
-        for index in 0..shared.config.resolved_dispatch_threads() {
-            let worker_shared = shared.clone();
-            let worker_jobs = job_receiver.clone();
-            dispatch_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("wtq-dispatch-{index}"))
-                    .spawn(move || reactor::dispatch_worker(worker_shared, worker_jobs))?,
-            );
-        }
-
-        // Reactor pool: owns every socket.
-        for index in 0..shared.config.resolved_reactor_threads() {
-            let (reactor, rshared) = Reactor::new(shared.clone(), job_sender.clone())?;
-            reactors.push(rshared);
-            reactor_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("wtq-reactor-{index}"))
-                    .spawn(move || reactor.run())?,
-            );
-        }
-
-        let accept_shared = shared.clone();
-        let accept_reactors = reactors.clone();
-        std::thread::Builder::new()
-            .name("wtq-server-accept".to_string())
-            .spawn(move || reactor::accept_loop(listener, accept_shared, accept_reactors))
+            accept_thread: None,
+            reactors: Vec::new(),
+            reactor_threads: Vec::new(),
+            worker_threads: Vec::new(),
+        };
+        // A failure mid-way (thread or fd exhaustion) drops `handle`, whose
+        // shutdown tears down every layer already spawned.
+        handle.spawn_layers(listener, workers)?;
+        Ok(handle)
     }
 }
 
@@ -966,9 +917,7 @@ pub struct ServerHandle {
     accept_thread: Option<JoinHandle<()>>,
     reactors: Vec<Arc<ReactorShared>>,
     reactor_threads: Vec<JoinHandle<()>>,
-    /// Dropped at shutdown so dispatch workers observe a closed channel.
-    job_sender: Option<mpsc::Sender<reactor::Job>>,
-    dispatch_threads: Vec<JoinHandle<()>>,
+    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -985,9 +934,9 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, cancel queued batch work, unblock
-    /// admission waiters, close open connections and join every layer.
-    /// In-flight engine calls finish; queued batch questions do not start.
+    /// Graceful shutdown: stop accepting, drop queued work, cancel queued
+    /// batch questions, close open connections and join every layer.
+    /// Running engine calls finish; queued jobs never start.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -1001,9 +950,46 @@ impl ServerHandle {
         }
     }
 
+    /// Spawn the scheduler's workers, the reactor pool and the acceptor,
+    /// keeping every handle so that shutdown can join it.
+    fn spawn_layers(&mut self, listener: TcpListener, workers: usize) -> std::io::Result<()> {
+        for index in 0..workers {
+            let shared = self.shared.clone();
+            self.worker_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("wtq-dispatch-{index}"))
+                    .spawn(move || work(&shared))?,
+            );
+        }
+        for index in 0..self.shared.config.resolved_reactor_threads() {
+            let (reactor, rshared) = Reactor::new(self.shared.clone())?;
+            self.reactors.push(rshared);
+            self.reactor_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("wtq-reactor-{index}"))
+                    .spawn(move || reactor.run())?,
+            );
+        }
+        let (shared, reactors) = (self.shared.clone(), self.reactors.clone());
+        self.accept_thread = Some(
+            std::thread::Builder::new()
+                .name("wtq-server-accept".to_string())
+                .spawn(move || reactor::accept_loop(listener, shared, reactors))?,
+        );
+        Ok(())
+    }
+
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.cancel.cancel();
+        // Queued jobs never start (dropping them frees their slots); idle
+        // workers exit now, busy ones once their engine call returns.
+        let mut queue = self.shared.scheduler.lock();
+        queue.closed = true;
+        let dropped = std::mem::take(&mut queue.waiting);
+        drop(queue);
+        drop(dropped);
+        self.shared.scheduler.wake.notify_all();
         // Unblock accept() with a throwaway connection to our own port and
         // retire the acceptor first, so no new sockets race the reactor
         // teardown below.
@@ -1019,10 +1005,7 @@ impl ServerHandle {
         for thread in self.reactor_threads.drain(..) {
             let _ = thread.join();
         }
-        // A closed channel drains the dispatch pool; workers blocked in
-        // admission observe the shutdown flag within its poll interval.
-        drop(self.job_sender.take());
-        for thread in self.dispatch_threads.drain(..) {
+        for thread in self.worker_threads.drain(..) {
             let _ = thread.join();
         }
     }
@@ -1032,7 +1015,7 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         if self.accept_thread.is_some()
             || !self.reactor_threads.is_empty()
-            || !self.dispatch_threads.is_empty()
+            || !self.worker_threads.is_empty()
         {
             self.shutdown_inner();
         }
@@ -1040,7 +1023,7 @@ impl Drop for ServerHandle {
 }
 
 /// Nanoseconds between two instants (0 when `end` precedes `start`).
-fn span_ns(start: Instant, end: Instant) -> u64 {
+pub(crate) fn span_ns(start: Instant, end: Instant) -> u64 {
     end.saturating_duration_since(start).as_nanos() as u64
 }
 
@@ -1059,75 +1042,127 @@ fn record_parse_spans(trace: &mut RequestTrace, eval_start: Instant, spans: &Par
     }
 }
 
-/// Decode one frame payload into a request and answer it. Decode failures
-/// become structured `Malformed`/`UnsupportedVersion` errors.
-pub(crate) fn dispatch_frame(
-    shared: &Shared,
-    payload: &[u8],
-    trace: &mut Option<RequestTrace>,
-) -> FrameResponse {
-    let text = match std::str::from_utf8(payload) {
-        Ok(text) => text,
-        Err(_) => {
-            shared.metrics.protocol_errors.inc();
-            return FrameResponse::Full(error_envelope(
-                0,
-                ErrorCode::Malformed,
-                "frame payload is not UTF-8",
-            ));
-        }
-    };
-    let envelope: RequestEnvelope = match serde_json::from_str(text) {
-        Ok(envelope) => envelope,
-        Err(err) => {
-            shared.metrics.protocol_errors.inc();
-            return FrameResponse::Full(error_envelope(
-                0,
-                ErrorCode::Malformed,
-                format!("invalid request: {err}"),
-            ));
-        }
-    };
-    if envelope.v != wire::PROTOCOL_VERSION {
-        shared.metrics.protocol_errors.inc();
-        return FrameResponse::Full(error_envelope(
-            envelope.id,
-            ErrorCode::UnsupportedVersion,
-            format!(
+/// Decode one frame payload into its envelope id and request, or the
+/// structured `Malformed`/`UnsupportedVersion` error to answer with (id 0
+/// when the frame is too malformed to carry one).
+pub(crate) fn decode_frame(shared: &Shared, payload: &[u8]) -> (u64, Result<RequestBody, Reply>) {
+    let decoded = std::str::from_utf8(payload)
+        .map_err(|_| "frame payload is not UTF-8".to_string())
+        .and_then(|text| {
+            serde_json::from_str::<RequestEnvelope>(text)
+                .map_err(|err| format!("invalid request: {err}"))
+        });
+    let (id, result) = match decoded {
+        Err(message) => (0, Err(error_reply(ErrorCode::Malformed, message))),
+        Ok(envelope) if envelope.v != wire::PROTOCOL_VERSION => {
+            let message = format!(
                 "protocol version {} not supported (server speaks {})",
                 envelope.v,
                 wire::PROTOCOL_VERSION
-            ),
-        ));
+            );
+            let error = error_reply(ErrorCode::UnsupportedVersion, message);
+            (envelope.id, Err(error))
+        }
+        Ok(envelope) => (envelope.id, Ok(envelope.body)),
+    };
+    if result.is_err() {
+        shared.metrics.protocol_errors.inc();
     }
-    let id = envelope.id;
-    match shared.handle_request(envelope.body, trace) {
-        Reply::Full(body) => FrameResponse::Full(ResponseEnvelope {
-            v: wire::PROTOCOL_VERSION,
-            id,
-            body,
-        }),
-        Reply::CachedExplanation {
-            question,
-            table,
-            body,
-        } => FrameResponse::Cached {
-            id,
-            question,
-            table,
-            body,
-        },
-    }
+    (id, result)
 }
 
-pub(crate) fn error_envelope(
-    id: u64,
-    code: ErrorCode,
-    message: impl Into<String>,
-) -> ResponseEnvelope {
-    ResponseEnvelope {
-        v: wire::PROTOCOL_VERSION,
-        id,
-        body: ResponseBody::Error(WireError::new(code, message)),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const A: u64 = 0xA;
+    const B: u64 = 0xB;
+    const TIMEOUT: Duration = Duration::from_secs(1);
+
+    /// Admit `job` on `tables` with weight 1 at `now`.
+    fn push(queue: &mut Queue<&'static str>, tables: &[u64], now: Instant, job: &'static str) {
+        assert!(
+            queue.push(tables.to_vec(), 1, now, job).is_ok(),
+            "{job} admitted"
+        );
+    }
+
+    #[test]
+    fn a_batch_claims_all_its_tokens_at_once_or_none() {
+        let now = Instant::now();
+        let mut queue = Queue::new(1, 16, TIMEOUT);
+        push(&mut queue, &[A], now, "single on A");
+        push(&mut queue, &[A, B], now, "batch on A and B");
+        push(&mut queue, &[B], now, "single on B");
+        let single = queue.pick().expect("A is free");
+        // The batch waits for A without holding B, and the younger single
+        // on B waits behind it instead of overtaking it on B.
+        assert!(queue.pick().is_none());
+        assert_eq!(count_of(&queue.executing, B), 0);
+        queue.release(&single.fingerprints, single.weight);
+        let batch = queue.pick().expect("both tables free");
+        assert_eq!(batch.job, "batch on A and B");
+        assert_eq!(queue.executing, HashMap::from([(A, 1), (B, 1)]));
+        queue.release(&batch.fingerprints, batch.weight);
+        assert_eq!(queue.pick().expect("B is free").job, "single on B");
+    }
+
+    #[test]
+    fn jobs_on_one_table_run_in_admission_order() {
+        let now = Instant::now();
+        let mut queue = Queue::new(1, 16, TIMEOUT);
+        let jobs = ["first", "second", "third"];
+        for job in jobs {
+            push(&mut queue, &[A], now, job);
+        }
+        for job in jobs {
+            let queued = queue.pick().expect("the token is free");
+            assert_eq!(queued.job, job);
+            assert!(queue.pick().is_none(), "one token, one running job");
+            queue.release(&queued.fingerprints, queued.weight);
+        }
+        assert!(queue.executing.is_empty() && queue.queued.is_empty());
+    }
+
+    #[test]
+    fn a_table_holds_at_most_its_tokens_and_other_tables_still_run() {
+        let now = Instant::now();
+        let mut queue = Queue::new(2, 16, TIMEOUT);
+        for job in ["a1", "a2", "a3"] {
+            push(&mut queue, &[A], now, job);
+        }
+        push(&mut queue, &[B], now, "b1");
+        // Three workers (tokens + 1): two take A's tokens, the third finds
+        // B's job behind the blocked third job on A.
+        let picked: Vec<&str> = std::iter::from_fn(|| queue.pick().map(|q| q.job)).collect();
+        assert_eq!(picked, ["a1", "a2", "b1"]);
+        assert_eq!(count_of(&queue.executing, A), 2);
+        // A batch weight above the table's tokens is clamped to them.
+        assert!(queue.push(vec![B], 5, now, "heavy").is_ok());
+        assert_eq!(queue.waiting.back().expect("queued").weight, 2);
+    }
+
+    #[test]
+    fn expired_jobs_leave_the_queue_and_give_back_their_shares() {
+        let start = Instant::now();
+        let mut queue = Queue::new(1, 3, TIMEOUT);
+        push(&mut queue, &[A], start, "running");
+        let running = queue.pick().expect("A is free");
+        push(&mut queue, &[A], start, "early");
+        push(&mut queue, &[A, B], start + TIMEOUT / 2, "late");
+        // A's share of three is taken: one job running, two waiting.
+        assert!(queue.push(vec![A], 1, start, "refused").is_err());
+        let expire = |queue: &mut Queue<&'static str>, at: Duration| -> Vec<&'static str> {
+            queue.expire(start + at).iter().map(|q| q.job).collect()
+        };
+        assert_eq!(queue.next_deadline(), Some(start + TIMEOUT));
+        assert!(expire(&mut queue, TIMEOUT / 2).is_empty());
+        assert_eq!(expire(&mut queue, TIMEOUT), ["early"]);
+        assert_eq!(queue.next_deadline(), Some(start + TIMEOUT * 3 / 2));
+        assert_eq!(expire(&mut queue, TIMEOUT * 2), ["late"]);
+        assert!(queue.waiting.is_empty() && queue.pick().is_none());
+        assert_eq!(queue.queued, HashMap::from([(A, 1)]));
+        queue.release(&running.fingerprints, running.weight);
+        assert!(queue.executing.is_empty() && queue.queued.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p wtq-examples --bin olympics`.
 
-use wtq_core::ExplanationPipeline;
+use wtq_core::Engine;
 use wtq_dcs::{eval, parse_formula, Answer};
 use wtq_examples::{indent, section};
 use wtq_explain::derivation;
@@ -12,7 +12,7 @@ use wtq_table::samples;
 
 fn main() {
     let table = samples::usl_league();
-    let pipeline = ExplanationPipeline::new();
+    let engine = Engine::new();
     let question = "What was the last year the team was a part of the USL A-League?";
 
     section("Figure 8 — two candidates, one answer");
@@ -23,9 +23,7 @@ fn main() {
     ] {
         let formula = parse_formula(text).expect("example formula parses");
         let answer = Answer::from_denotation(&eval(&formula, &table).expect("evaluates"));
-        let explained = pipeline
-            .explain_formula(&formula, &table)
-            .expect("explains");
+        let explained = engine.explain_formula(&formula, &table).expect("explains");
         println!("query     : {formula}");
         println!("utterance : {}", explained.utterance);
         println!("answer    : {answer}");

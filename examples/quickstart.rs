@@ -3,12 +3,12 @@
 //!
 //! Run with `cargo run -p wtq-examples --bin quickstart`.
 
-use wtq_core::ExplanationPipeline;
+use wtq_core::Engine;
 use wtq_examples::{indent, section};
 use wtq_table::samples;
 
 fn main() {
-    let pipeline = ExplanationPipeline::new();
+    let engine = Engine::new();
     let table = samples::olympics();
     let question = "Greece held its last Olympics in what year?";
 
@@ -17,7 +17,7 @@ fn main() {
     section("Question");
     println!("{question}");
 
-    let explained = pipeline.explain_question(question, &table, 3);
+    let explained = engine.explain_question(question, &table, 3);
     for (rank, candidate) in explained.iter().enumerate() {
         section(&format!(
             "Candidate #{} (score {:.2})",

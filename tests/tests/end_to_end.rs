@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full explanation pipeline from question
 //! to utterance, highlights and SQL, on the paper's running examples.
 
-use wtq_core::ExplanationPipeline;
+use wtq_core::Engine;
 use wtq_dcs::{eval, parse_formula, Answer};
 use wtq_parser::formulas_equivalent;
 use wtq_provenance::HighlightKind;
@@ -18,10 +18,10 @@ use wtq_table::{samples, CellRef};
 
 #[test]
 fn figure_one_pipeline_produces_all_three_explanations() {
-    let pipeline = ExplanationPipeline::new();
+    let engine = Engine::new();
     let table = samples::olympics();
     let explained =
-        pipeline.explain_question("Greece held its last Olympics in what year?", &table, 7);
+        engine.explain_question("Greece held its last Olympics in what year?", &table, 7);
     assert!(!explained.is_empty());
 
     let gold = parse_formula("max(R[Year].Country.Greece)").unwrap();
@@ -105,9 +105,9 @@ fn every_explained_candidate_is_internally_consistent() {
     // For an arbitrary question, every explained candidate must (a) evaluate
     // to its reported answer, (b) have a well-formed provenance chain and
     // (c) have a non-empty utterance mentioning each column it projects.
-    let pipeline = ExplanationPipeline::new();
+    let engine = Engine::new();
     let table = samples::medals();
-    let explained = pipeline.explain_question(
+    let explained = engine.explain_question(
         "What is the difference in Total between Fiji and Tonga?",
         &table,
         7,

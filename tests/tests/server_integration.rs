@@ -8,7 +8,11 @@
 //! 2. a full in-flight queue yields an immediate backpressure rejection
 //!    with a retry hint — never a hang,
 //! 3. two tables of very different sizes both make progress under
-//!    concurrent load (per-table admission control).
+//!    concurrent load (per-table admission control),
+//! 4. the admission scheduler keeps its promises: answers in request order
+//!    per connection, no deadlock or starvation between opposing
+//!    multi-table batches, unevaluated timeouts, and a prompt shutdown
+//!    with work still queued.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,8 +23,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wtq_core::{Engine, ExplainRequest};
 use wtq_server::{
-    Client, ClientError, ErrorCode, ExplainBody, RetryPolicy, Server, ServerConfig, ServerHandle,
-    StatsBody, WireExplanation,
+    wire, Client, ClientError, ConnectOptions, ErrorCode, ExplainBody, RequestBody,
+    RequestEnvelope, ResponseBody, ResponseEnvelope, RetryPolicy, Server, ServerConfig,
+    ServerHandle, StatsBody, WireExplanation, PROTOCOL_VERSION,
 };
 use wtq_table::{samples, Catalog, Table};
 
@@ -462,12 +467,14 @@ fn registry_and_stats_surfaces_reflect_the_serving_state() {
     assert_eq!(value("wtq_server_tables"), 2.0);
     assert!(value("wtq_server_connections_total") >= 1.0);
     // The I/O layer is observable too: this client's connection is open,
-    // the reactor pool is a fixed handful of threads, and the dispatch
-    // pool — not the connection count — bounds worker threads.
+    // the reactor pool is a fixed handful of threads, and the scheduler
+    // runs one worker per core — at least one more than a table's tokens.
     let config = ServerConfig::default();
+    let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+    let workers = cores.max(config.per_table_tokens + 1);
     assert!(value("wtq_server_open_connections") >= 1.0);
     assert!(value("wtq_server_reactor_threads") >= 1.0);
-    assert!(value("wtq_server_dispatch_threads") >= config.max_in_flight as f64);
+    assert_eq!(value("wtq_server_dispatch_threads"), workers as f64);
     // The engine's series are the engine's own handles, plus the serving
     // layer's answer-cache counters (both questions were cold, so each
     // registered one miss and one insertion).
@@ -584,4 +591,281 @@ fn graceful_shutdown_stops_accepting_and_drains() {
         // No handler is alive to answer.
         assert!(matches!(stream.read(&mut buf), Ok(0) | Err(_)));
     }
+}
+
+/// One length-prefixed request frame.
+fn frame(id: u64, body: RequestBody) -> Vec<u8> {
+    let envelope = RequestEnvelope {
+        v: PROTOCOL_VERSION,
+        id,
+        body,
+    };
+    let payload = serde_json::to_string(&envelope).unwrap().into_bytes();
+    let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+fn explain_body(question: &str, table: &str, top_k: Option<usize>) -> ExplainBody {
+    ExplainBody {
+        question: question.to_string(),
+        table: table.to_string(),
+        top_k,
+    }
+}
+
+/// A batch of `count` generated questions over the big table of `rows`.
+fn big_batch(rows: usize, seed: u64, count: usize) -> Vec<ExplainBody> {
+    let big = big_table(rows);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    wtq_dataset::generate_questions(&big, count, &mut rng)
+        .iter()
+        .map(|question| explain_body(&question.question, big.name(), Some(2)))
+        .collect()
+}
+
+/// Block (bounded) until `wtq_server_in_flight` reaches `slots`.
+fn await_in_flight(handle: &ServerHandle, slots: f64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while stat(&handle.stats(), "wtq_server_in_flight") < slots {
+        assert!(Instant::now() < deadline, "never reached {slots} in flight");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    let big = big_table(400);
+    let big_name = big.name().to_string();
+    let (_engine, _catalog, handle) = serving_stack(ServerConfig::default(), vec![big]);
+    let addr = handle.local_addr();
+    let warm = "Which city hosted in 2008?";
+    Client::connect(addr)
+        .unwrap()
+        .explain(warm, "olympics", None)
+        .expect("pre-warm the cache");
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let miss = wtq_dataset::generate_questions(&big_table(400), 1, &mut rng).remove(0);
+
+    // A miss, then a hit, a control-plane request and a rejection, written
+    // back to back: the last three must wait for the first.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut bytes = frame(
+        1,
+        RequestBody::Explain(explain_body(&miss.question, &big_name, Some(2))),
+    );
+    bytes.extend(frame(
+        2,
+        RequestBody::Explain(explain_body(warm, "olympics", None)),
+    ));
+    bytes.extend(frame(3, RequestBody::Stats));
+    bytes.extend(frame(
+        4,
+        RequestBody::Explain(explain_body("anything", "no-such-table", None)),
+    ));
+    stream.write_all(&bytes).unwrap();
+
+    let mut answers = Vec::new();
+    for _ in 0..4 {
+        let payload = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_LEN).expect("a frame");
+        let envelope: ResponseEnvelope =
+            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+        answers.push(envelope);
+    }
+    let ids: Vec<u64> = answers.iter().map(|envelope| envelope.id).collect();
+    assert_eq!(ids, [1, 2, 3, 4]);
+    assert!(matches!(&answers[0].body, ResponseBody::Explanation(e) if e.table == big_name));
+    assert!(matches!(&answers[1].body, ResponseBody::Explanation(e) if e.table == "olympics"));
+    assert!(matches!(answers[2].body, ResponseBody::Stats(_)));
+    assert!(matches!(
+        &answers[3].body,
+        ResponseBody::Error(err) if err.code == ErrorCode::UnknownTable
+    ));
+    handle.shutdown();
+}
+
+#[test]
+fn opposing_multi_table_batches_and_single_explains_all_complete() {
+    // Batches naming two single-token tables in both orders, while single
+    // explains keep both tables busy: every request must be admitted and
+    // answered — no deadlock between the batches, no starvation of them.
+    let config = ServerConfig {
+        per_table_tokens: 1,
+        ..ServerConfig::default()
+    };
+    let domains = wtq_dataset::all_domains();
+    let mut rng = ChaCha8Rng::seed_from_u64(20190417);
+    let a = wtq_dataset::tablegen::generate_table_with_rows(&domains[0], 0, 300, &mut rng);
+    let b = wtq_dataset::tablegen::generate_table_with_rows(&domains[1], 1, 300, &mut rng);
+    assert_ne!(a.fingerprint(), b.fingerprint(), "two admission keys");
+    let questions = |table: &Table, rng: &mut ChaCha8Rng| -> Vec<ExplainBody> {
+        wtq_dataset::generate_questions(table, 16, rng)
+            .iter()
+            .map(|question| explain_body(&question.question, table.name(), Some(2)))
+            .collect()
+    };
+    let (a_questions, b_questions) = (questions(&a, &mut rng), questions(&b, &mut rng));
+    let (_engine, _catalog, handle) = serving_stack(config, vec![a, b]);
+    let addr = handle.local_addr();
+    let deadline = Instant::now() + Duration::from_secs(180);
+    let batches_done = std::sync::atomic::AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let (a_questions, b_questions, batches_done) = (&a_questions, &b_questions, &batches_done);
+        let batchers: Vec<_> = (0..2)
+            .map(|client| {
+                scope.spawn(move || {
+                    let mut connection = Client::connect(addr).expect("batch client connects");
+                    for round in 0..3 {
+                        let index = client * 3 + round;
+                        let (a, b) = (a_questions[index].clone(), b_questions[index].clone());
+                        let batch = if (client + round) % 2 == 0 {
+                            vec![a, b]
+                        } else {
+                            vec![b, a]
+                        };
+                        let explanations = connection.explain_batch(batch).expect("batch succeeds");
+                        assert_eq!(explanations.len(), 2);
+                        assert!(Instant::now() < deadline, "batches missed the deadline");
+                    }
+                })
+            })
+            .collect();
+        for questions in [a_questions, b_questions] {
+            scope.spawn(move || {
+                let mut connection = Client::connect(addr).expect("single client connects");
+                let mut index = 6;
+                while !batches_done.load(std::sync::atomic::Ordering::Acquire) {
+                    let request = &questions[index % questions.len()];
+                    connection
+                        .explain(&request.question, &request.table, request.top_k)
+                        .expect("single explain succeeds");
+                    assert!(Instant::now() < deadline, "singles missed the deadline");
+                    index += 1;
+                }
+            });
+        }
+        for batcher in batchers {
+            batcher.join().expect("batch client clean");
+        }
+        batches_done.store(true, std::sync::atomic::Ordering::Release);
+    });
+
+    let stats = handle.stats();
+    for reason in ["overload", "table_busy"] {
+        let series = format!("wtq_server_rejected_total{{reason=\"{reason}\"}}");
+        assert_eq!(stat(&stats, &series), 0.0, "{series}");
+    }
+    assert_eq!(stat(&stats, "wtq_server_in_flight"), 0.0);
+    handle.shutdown();
+}
+
+#[test]
+fn a_request_queued_past_the_admission_timeout_is_rejected_unevaluated() {
+    let config = ServerConfig {
+        per_table_tokens: 1,
+        admission_timeout_ms: 200,
+        retry_after_ms: 33,
+        ..ServerConfig::default()
+    };
+    let big = big_table(1000);
+    let big_name = big.name().to_string();
+    let (engine, _catalog, handle) = serving_stack(config, vec![big]);
+    let addr = handle.local_addr();
+
+    // A slow batch holds the big table's only token...
+    let batch = big_batch(1000, 17, 64);
+    let mut distinct: Vec<&str> = batch.iter().map(|item| item.question.as_str()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let distinct = distinct.len() as u64;
+    let batch_thread = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("batch client connects");
+        client
+            .explain_batch(batch)
+            .expect("the slow batch succeeds")
+    });
+    await_in_flight(&handle, 1.0);
+
+    // ... so a second big-table request waits past its admission timeout
+    // and is rejected with the retry hint, while the batch still runs.
+    let mut client = Client::connect(addr).unwrap();
+    match client.explain("How many rows are there?", &big_name, Some(2)) {
+        Err(ClientError::Server(err)) => {
+            assert_eq!(err.code, ErrorCode::Overloaded);
+            assert_eq!(err.retry_after_ms, Some(33));
+            assert!(
+                err.message.contains("admission_timeout_ms"),
+                "{}",
+                err.message
+            );
+        }
+        other => panic!("expected an admission-timeout rejection, got {other:?}"),
+    }
+    assert!(
+        stat(&handle.stats(), "wtq_server_in_flight") > 0.0,
+        "the batch finished before the timeout fired; grow it if this flakes"
+    );
+    let table_busy = r#"wtq_server_rejected_total{reason="table_busy"}"#;
+    assert_eq!(stat(&handle.stats(), table_busy), 1.0);
+
+    assert_eq!(batch_thread.join().expect("batch thread clean").len(), 64);
+    // The rejected request was never evaluated: the engine served exactly
+    // the batch's questions.
+    let metrics = engine.metrics();
+    assert_eq!(metrics.batches_served.get(), 1);
+    assert_eq!(metrics.questions_served.get(), distinct);
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_with_queued_work_returns_promptly() {
+    let config = ServerConfig {
+        per_table_tokens: 1,
+        ..ServerConfig::default()
+    };
+    let big = big_table(1000);
+    let big_name = big.name().to_string();
+    let (_engine, _catalog, handle) = serving_stack(config, vec![big]);
+    let addr = handle.local_addr();
+
+    // A slow batch holds the big table's only token; a second request
+    // queues behind it.
+    let batch = big_batch(1000, 19, 64);
+    let batch_thread = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("batch client connects");
+        let _ = client.explain_batch(batch);
+    });
+    await_in_flight(&handle, 1.0);
+    let queued = std::thread::spawn(move || {
+        let options = ConnectOptions {
+            read_timeout: Some(Duration::from_secs(60)),
+            ..ConnectOptions::default()
+        };
+        let mut client = Client::connect_with(addr, options).expect("queued client connects");
+        let result = client.explain("How many rows are there?", &big_name, Some(2));
+        (result, Instant::now())
+    });
+    await_in_flight(&handle, 2.0);
+
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    let (result, answered) = queued.join().expect("queued client clean");
+    assert!(
+        result.is_err(),
+        "the queued request must not succeed: {result:?}"
+    );
+    assert!(
+        answered.saturating_duration_since(started) < Duration::from_secs(10),
+        "the queued client hung until its read timeout"
+    );
+    batch_thread.join().expect("batch thread clean");
 }

@@ -1,21 +1,21 @@
 //! Workspace smoke test: the one-call happy path a new user hits first.
 //!
-//! Exercises `ExplanationPipeline::new().explain_question(...)` on the
+//! Exercises `Engine::new().explain_question(...)` on the
 //! paper's Figure 1 Olympics table and checks every explanation modality is
 //! populated — candidates, NL utterance, provenance highlights and the SQL
 //! rendering. Deliberately shallow: deeper pipeline semantics live in
 //! `end_to_end.rs`.
 
-use wtq_core::ExplanationPipeline;
+use wtq_core::Engine;
 use wtq_provenance::HighlightKind;
 use wtq_table::{samples, CellRef};
 
 #[test]
 fn pipeline_explains_a_question_with_all_three_modalities() {
-    let pipeline = ExplanationPipeline::new();
+    let engine = Engine::new();
     let table = samples::olympics();
     let explained =
-        pipeline.explain_question("Greece held its last Olympics in what year?", &table, 7);
+        engine.explain_question("Greece held its last Olympics in what year?", &table, 7);
 
     assert!(!explained.is_empty(), "pipeline returned no candidates");
     assert!(
