@@ -4,12 +4,11 @@
 //! buys per cache hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 use std::time::Duration;
 
 use wtq_bench::exec::bench_table;
 use wtq_bench::serve::question_workload;
-use wtq_core::{CachedCandidates, Engine};
+use wtq_core::{candidates_json, Engine};
 use wtq_server::wire::{self, encode_frame_into, spliced_frame_head};
 use wtq_server::{ResponseBody, ResponseEnvelope, WireExplanation, PROTOCOL_VERSION};
 
@@ -18,8 +17,8 @@ fn bench_encode_path(c: &mut Criterion) {
     let body = &question_workload(&table, 1)[0];
     let engine = Engine::new();
     engine.index_for(&table);
-    let cached = CachedCandidates::new(engine.explain_question(&body.question, &table, 3), &table);
-    let bytes = Arc::clone(cached.body());
+    let explained = engine.explain_question(&body.question, &table, 3);
+    let bytes = candidates_json(&explained, &table);
     let table_name = table.name().to_string();
 
     let mut group = c.benchmark_group("encode_path");
@@ -36,7 +35,7 @@ fn bench_encode_path(c: &mut Criterion) {
                 body: ResponseBody::Explanation(WireExplanation::from_candidates(
                     &body.question,
                     &table_name,
-                    cached.candidates(),
+                    &explained,
                     &table,
                 )),
             };

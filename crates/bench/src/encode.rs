@@ -11,11 +11,9 @@
 //! `serde_json` the envelope, frame it). Identical output bytes —
 //! asserted — so the ratio isolates pure encode work.
 
-use std::sync::Arc;
-
 use serde::Serialize;
 
-use wtq_core::{CachedCandidates, Engine};
+use wtq_core::{candidates_json, Engine};
 use wtq_server::wire::{self, encode_frame_into, spliced_frame_head};
 use wtq_server::{ResponseBody, ResponseEnvelope, WireExplanation, PROTOCOL_VERSION};
 use wtq_table::Table;
@@ -64,8 +62,7 @@ pub fn median(mut samples: Vec<f64>) -> f64 {
 pub fn micro_case(engine: &Engine, table: &Table, question: &str, top_k: usize) -> EncodeMicroCase {
     let explained = engine.explain_question(question, table, top_k);
     assert!(!explained.is_empty(), "bench question parses");
-    let cached = CachedCandidates::new(explained, table);
-    let body = Arc::clone(cached.body());
+    let body = candidates_json(&explained, table);
     let table_name = table.name().to_string();
     let id = 42u64;
 
@@ -82,7 +79,7 @@ pub fn micro_case(engine: &Engine, table: &Table, question: &str, top_k: usize) 
                 body: ResponseBody::Explanation(WireExplanation::from_candidates(
                     question,
                     &table_name,
-                    cached.candidates(),
+                    &explained,
                     table,
                 )),
             };
@@ -110,7 +107,7 @@ pub fn micro_case(engine: &Engine, table: &Table, question: &str, top_k: usize) 
     let (rebuild_us, splice_us) = (timings[0], timings[1]);
     EncodeMicroCase {
         question: question.to_string(),
-        candidates: cached.candidates().len(),
+        candidates: explained.len(),
         frame_bytes: splice_buf.len(),
         rebuild_us,
         splice_us,

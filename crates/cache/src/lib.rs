@@ -8,15 +8,17 @@
 //! multiplies serving throughput by the hit rate's reciprocal complement.
 //!
 //! The cache is deliberately generic over its value type `V` (the engine
-//! crate stores explained candidate lists; tests store integers) and knows
-//! nothing about questions or tables beyond the opaque [`CacheKey`]:
+//! crate stores each answer's encoded candidates body; tests store
+//! integers) and knows nothing about questions or tables beyond the opaque
+//! [`CacheKey`]:
 //!
 //! * **Keying** — `(table fingerprint, normalized question, top_k)`. The
 //!   fingerprint must identify table *contents* (not just shape) and the
 //!   question must be pre-normalized by the caller, with the same
 //!   normalization the parser itself uses, so trivially-variant phrasings
 //!   share an entry and keys cannot drift from parse-time tokenization.
-//! * **Eviction** — per-shard LRU capacity bound plus an optional TTL.
+//! * **Eviction** — an LRU entry bound of exactly `capacity`, split across
+//!   the shards, plus an optional TTL. A capacity of 0 keeps nothing.
 //! * **Epoch invalidation** — every entry is stamped with its
 //!   fingerprint's *epoch* at insert time; [`AnswerCache::invalidate`]
 //!   bumps the epoch so a table reload drops stale answers lazily on next
@@ -24,9 +26,10 @@
 //! * **Single-flight collapse** — concurrent requests for the same key
 //!   block on one leader's computation and all receive the same shared
 //!   value ([`AnswerCache::begin`]), so a thundering herd on a hot
-//!   question costs one engine run. A leader that fails (panics, or is
-//!   rejected by admission control) abandons the flight and waiters retry
-//!   — degrading to exactly the uncached behavior, never hanging.
+//!   question costs one engine run, even in a cache that keeps nothing. A
+//!   leader that fails (panics, or is rejected by admission control)
+//!   abandons the flight and waiters retry — degrading to exactly the
+//!   uncached behavior, never hanging.
 //!
 //! Every decision is counted in the cache's own `wtq_obs` handles
 //! ([`CacheMetrics`]) so serving layers can expose hit rate, collapse
@@ -78,13 +81,15 @@ impl CacheKey {
 /// Tuning knobs of an [`AnswerCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Total entries retained across all shards before LRU eviction.
+    /// Total entries retained across all shards before LRU eviction; `0`
+    /// keeps nothing (single-flight collapse still applies).
     pub capacity: usize,
     /// Entries older than this are dropped on lookup; `None` disables
     /// time-based expiry (epoch invalidation still applies).
     pub ttl: Option<Duration>,
-    /// Shard count (clamped to at least 1). More shards means less lock
-    /// contention between unrelated keys.
+    /// Shard count (clamped to `1..=capacity`, so every shard can hold an
+    /// entry). More shards means less lock contention between unrelated
+    /// keys.
     pub shards: usize,
 }
 
@@ -111,7 +116,8 @@ pub struct CacheMetrics {
     /// Requests that blocked on another request's in-flight computation
     /// and received the leader's value without executing.
     pub collapsed_waiters: Arc<Counter>,
-    /// Values inserted (leader computations that completed).
+    /// Values inserted (leader computations that completed into a cache
+    /// that keeps entries).
     pub insertions: Arc<Counter>,
     /// Entries evicted by the LRU capacity bound.
     pub evictions_lru: Arc<Counter>,
@@ -122,8 +128,8 @@ pub struct CacheMetrics {
     pub stale_drops: Arc<Counter>,
     /// Entries currently resident.
     pub entries: Arc<Gauge>,
-    /// Approximate bytes of resident values (weights are supplied by the
-    /// caller at insert time).
+    /// Bytes of resident values, each weighted by the caller at insert
+    /// time.
     pub bytes: Arc<Gauge>,
 }
 
@@ -158,14 +164,14 @@ impl CacheMetrics {
         );
         registry.attach(
             "wtq_answer_cache_bytes",
-            "Approximate answer-cache resident bytes",
+            "Answer-cache resident bytes",
             &self.bytes,
         );
     }
 }
 
-/// One resident entry: the shared value, its epoch stamp, its approximate
-/// weight and its recency/age stamps.
+/// One resident entry: the shared value, its epoch stamp, its weight in
+/// bytes and its recency/age stamps.
 struct Entry<V> {
     value: Arc<V>,
     epoch: u64,
@@ -234,11 +240,6 @@ pub struct FlightGuard<'a, V> {
 }
 
 impl<V> FlightGuard<'_, V> {
-    /// The key this flight answers.
-    pub fn key(&self) -> &CacheKey {
-        &self.key
-    }
-
     /// Publish the computed value: insert it into the cache (stamped with
     /// the key's current epoch, weighted at `bytes`) and hand it to every
     /// waiter. Returns the shared value.
@@ -284,17 +285,18 @@ pub struct AnswerCache<V> {
 }
 
 impl<V> AnswerCache<V> {
-    /// A cache with the given configuration.
+    /// A cache with the given configuration. The shards' capacities sum to
+    /// exactly `config.capacity`.
     pub fn new(config: CacheConfig) -> AnswerCache<V> {
-        let shards = config.shards.max(1);
-        let per_shard = (config.capacity / shards).max(1);
+        let shards = config.shards.clamp(1, config.capacity.max(1));
         AnswerCache {
             shards: (0..shards)
-                .map(|_| {
+                .map(|index| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
                         by_recency: BTreeMap::new(),
-                        capacity: per_shard,
+                        capacity: config.capacity / shards
+                            + usize::from(index < config.capacity % shards),
                     })
                 })
                 .collect(),
@@ -304,14 +306,6 @@ impl<V> AnswerCache<V> {
             clock: AtomicU64::new(0),
             metrics: CacheMetrics::default(),
         }
-    }
-
-    /// A cache with the default configuration, capped at `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> AnswerCache<V> {
-        AnswerCache::new(CacheConfig {
-            capacity,
-            ..CacheConfig::default()
-        })
     }
 
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
@@ -440,8 +434,9 @@ impl<V> AnswerCache<V> {
     }
 
     /// Insert `value` under `key` (stamped with the fingerprint's current
-    /// epoch), evicting the shard's least-recently-used entry if the shard
-    /// is full. Returns the shared value.
+    /// epoch, weighted at `bytes`), evicting the shard's least-recently-used
+    /// entry if the shard is full. A shard of capacity 0 keeps nothing.
+    /// Returns the shared value either way.
     pub fn insert(&self, key: &CacheKey, value: V, bytes: usize) -> Arc<V> {
         let epoch = self.epoch(key.fingerprint);
         let shared = Arc::new(value);
@@ -451,13 +446,13 @@ impl<V> AnswerCache<V> {
             self.note_removed(&previous);
         }
         while shard.entries.len() >= shard.capacity {
-            let oldest = shard
-                .by_recency
-                .iter()
-                .next()
-                .map(|(_, key)| key.clone())
-                .expect("non-empty shard");
-            let removed = shard.remove(&oldest).expect("oldest entry");
+            let Some((_, oldest)) = shard.by_recency.pop_first() else {
+                return shared;
+            };
+            let removed = shard
+                .entries
+                .remove(&oldest)
+                .expect("recency index mirrors the entries");
             self.metrics.evictions_lru.inc();
             self.note_removed(&removed);
         }
@@ -625,6 +620,52 @@ mod tests {
     }
 
     #[test]
+    fn the_entry_bound_is_exactly_the_capacity() {
+        for capacity in [0, 3, 4095] {
+            let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig {
+                capacity,
+                ..CacheConfig::default()
+            });
+            for i in 0..20_000 {
+                cache.insert(&key(1, &format!("question {i}")), i, 10);
+            }
+            assert_eq!(cache.len(), capacity, "capacity {capacity}");
+            assert_eq!(cache.metrics().bytes.get(), 10 * capacity as i64);
+        }
+    }
+
+    #[test]
+    fn a_zero_capacity_cache_keeps_nothing_but_still_collapses_waiters() {
+        let cache: Arc<AnswerCache<u32>> = Arc::new(AnswerCache::new(CacheConfig {
+            capacity: 0,
+            ..CacheConfig::default()
+        }));
+        let k = key(1, "hot question");
+        let Begin::Lead(guard) = cache.begin(&k) else {
+            panic!("an empty cache leads");
+        };
+        let waiter = {
+            let (cache, k) = (cache.clone(), k.clone());
+            std::thread::spawn(move || match cache.begin(&k) {
+                Begin::Collapsed(value) => *value,
+                _ => panic!("the waiter joins the leader's flight"),
+            })
+        };
+        // The waiter counts itself before it blocks on the flight.
+        while cache.metrics().collapsed_waiters.get() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(*guard.complete(7, 10), 7);
+        assert_eq!(waiter.join().expect("waiter clean"), 7);
+        assert!(cache.is_empty());
+        assert_eq!(cache.metrics().bytes.get(), 0);
+        assert!(
+            matches!(cache.begin(&k), Begin::Lead(_)),
+            "nothing was kept"
+        );
+    }
+
+    #[test]
     fn ttl_expires_entries_on_lookup() {
         let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig {
             capacity: 16,
@@ -733,7 +774,6 @@ mod tests {
             Begin::Lead(guard) => guard,
             _ => panic!("must lead"),
         };
-        assert_eq!(guard.key(), &k);
         let shared = guard.complete(5, 2);
         assert_eq!(*shared, 5);
         match cache.begin(&k) {

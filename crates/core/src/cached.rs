@@ -17,16 +17,20 @@
 //!   fresh run — the cache key cannot drift from tokenization because they
 //!   are the same function.
 //!
-//! What is cached is the [`ExplainedCandidate`] payload — together with
-//! its wire serialization, see [`CachedCandidates`] — **not** the
-//! enclosing [`Explanation`]: the explanation echoes the raw (caller's)
-//! question and table name, which must reflect each request verbatim, so
-//! they are re-attached per request. Candidate explanation is an rng-free
-//! pure function of `(question, table, model)`, which is what makes the
-//! payload safely shareable.
+//! What is cached is the candidates' encoded body, the JSON array
+//! [`wire::candidates_json`] renders once when a flight completes, and
+//! nothing else: serving splices it verbatim into every response, single
+//! explains and batch items alike. The enclosing explanation echoes the
+//! raw (caller's) question and table name, which must reflect each request
+//! verbatim, so servers write those per request. Candidate explanation is
+//! an rng-free pure function of `(question, table, model)`, which is what
+//! makes the body safely shareable. In-process callers that want the
+//! structured candidates call [`Engine::explain_question`].
 //!
-//! Concurrent identical requests collapse onto one leader's execution
-//! (single-flight, [`wtq_cache::Begin`]); a table reload is propagated by
+//! Each entry weighs exactly its body's length, so the cache's byte gauge
+//! is the resident body bytes. Concurrent identical requests collapse onto
+//! one leader's execution (single-flight, [`wtq_cache::Begin`]), even when
+//! the cache keeps nothing (`capacity` 0); a table reload is propagated by
 //! [`CachedEngine::invalidate_table`], which epoch-stamps the fingerprint
 //! so stale entries die lazily.
 
@@ -38,73 +42,16 @@ use wtq_parser::ParseSpans;
 use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::{Catalog, Table};
 
-use crate::engine::{Engine, ExplainRequest, Explanation};
-use crate::pipeline::ExplainedCandidate;
+use crate::engine::{Engine, ExplainRequest};
 use crate::wire;
 
-/// The cached answer payload of one `(table contents, normalized
-/// question, top_k)` triple: the explained top-k candidates *plus* their
-/// wire serialization ([`wire::candidates_json`]), computed once when the
-/// flight completes. A cache hit hands servers pre-encoded bytes to
-/// splice straight into a response envelope — the encode-once path —
-/// while the structured candidates stay available for callers that
-/// inspect them. Derefs to the candidate list, so code written against
-/// the pre-encode-once payload keeps working unchanged.
-#[derive(Debug)]
-pub struct CachedCandidates {
-    candidates: Vec<ExplainedCandidate>,
-    /// `serde_json` bytes of the wire `candidates` array, shared so the
-    /// serving layer can hold them beyond the cache entry's lifetime.
-    body: Arc<Vec<u8>>,
-}
+/// A shared cached answer: the candidates' encoded body (see
+/// [`wire::candidates_json`]).
+pub type CachedAnswer = Arc<Vec<u8>>;
 
-impl CachedCandidates {
-    /// Explain-and-serialize once: flatten `candidates` against `table`
-    /// (the table they were computed on) into their canonical JSON bytes.
-    pub fn new(candidates: Vec<ExplainedCandidate>, table: &Table) -> CachedCandidates {
-        let body = Arc::new(wire::candidates_json(&candidates, table));
-        CachedCandidates { candidates, body }
-    }
-
-    /// The explained candidates.
-    pub fn candidates(&self) -> &[ExplainedCandidate] {
-        &self.candidates
-    }
-
-    /// The candidates' canonical JSON-array bytes, serialized at flight
-    /// completion (see [`wire::candidates_json`]).
-    pub fn body(&self) -> &Arc<Vec<u8>> {
-        &self.body
-    }
-}
-
-impl std::ops::Deref for CachedCandidates {
-    type Target = Vec<ExplainedCandidate>;
-
-    fn deref(&self) -> &Vec<ExplainedCandidate> {
-        &self.candidates
-    }
-}
-
-/// A shared cached answer (see [`CachedCandidates`]).
-pub type CachedAnswer = Arc<CachedCandidates>;
-
-/// Rough resident size of a cached answer, for the cache's byte gauge:
-/// the inline struct plus its dominant heap strings and the serialized
-/// body bytes.
-fn approx_bytes(value: &CachedCandidates) -> usize {
-    std::mem::size_of::<CachedCandidates>()
-        + value.body().len()
-        + value
-            .candidates()
-            .iter()
-            .map(|c| {
-                std::mem::size_of::<ExplainedCandidate>()
-                    + c.utterance.len()
-                    + c.sql.as_ref().map_or(0, String::len)
-            })
-            .sum::<usize>()
-}
+/// One answered batch item: its candidates body, or the error that left it
+/// without candidates (a table the catalog lacks).
+pub type BatchItem = Result<CachedAnswer, String>;
 
 /// An [`Engine`] wrapped with a deduplicating answer cache — see the
 /// module docs. `Send + Sync` like the engine itself; share one behind an
@@ -112,7 +59,7 @@ fn approx_bytes(value: &CachedCandidates) -> usize {
 /// handles, so two `CachedEngine`s over one engine keep separate numbers.
 pub struct CachedEngine {
     engine: Arc<Engine>,
-    cache: AnswerCache<CachedCandidates>,
+    cache: AnswerCache<Vec<u8>>,
 }
 
 impl CachedEngine {
@@ -124,24 +71,13 @@ impl CachedEngine {
         }
     }
 
-    /// Wrap `engine` with a default-configured cache of `capacity` entries.
-    pub fn with_capacity(engine: Arc<Engine>, capacity: usize) -> CachedEngine {
-        CachedEngine::new(
-            engine,
-            CacheConfig {
-                capacity,
-                ..CacheConfig::default()
-            },
-        )
-    }
-
     /// The wrapped engine.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }
 
     /// The underlying answer cache (for instrumentation and tests).
-    pub fn cache(&self) -> &AnswerCache<CachedCandidates> {
+    pub fn cache(&self) -> &AnswerCache<Vec<u8>> {
         &self.cache
     }
 
@@ -172,9 +108,10 @@ impl CachedEngine {
 
     /// Single-flight entry point for callers that interleave their own
     /// work (admission control) between leading and executing: a
-    /// [`Begin::Lead`] holds the flight; complete it with the computed
-    /// candidates or drop it to abandon (waiters then retry as leaders).
-    pub fn begin(&self, key: &CacheKey) -> Begin<'_, CachedCandidates> {
+    /// [`Begin::Lead`] holds the flight; complete it with
+    /// [`CachedEngine::execute_flight`] or drop it to abandon (waiters then
+    /// retry as leaders).
+    pub fn begin(&self, key: &CacheKey) -> Begin<'_, Vec<u8>> {
         self.cache.begin(key)
     }
 
@@ -185,7 +122,7 @@ impl CachedEngine {
     /// leader's parse spans, for the leader's request trace.
     pub fn execute_flight(
         &self,
-        guard: FlightGuard<'_, CachedCandidates>,
+        guard: FlightGuard<'_, Vec<u8>>,
         question: &str,
         table: &Table,
         top_k: usize,
@@ -195,9 +132,9 @@ impl CachedEngine {
             .explain_question_with_spans(question, table, top_k);
         // Serialize here, exactly once per flight: every hit on this entry
         // reuses the bytes instead of re-rendering and re-encoding.
-        let value = CachedCandidates::new(explained, table);
-        let bytes = approx_bytes(&value);
-        (guard.complete(value, bytes), spans)
+        let body = wire::candidates_json(&explained, table);
+        let bytes = body.len();
+        (guard.complete(body, bytes), spans)
     }
 
     /// Explain one question through the cache: a hit answers from memory,
@@ -242,16 +179,17 @@ impl CachedEngine {
     }
 
     /// Execute a planned batch: run the deduplicated misses on the engine
-    /// (cancellably), insert their payloads, and assemble per-request
-    /// explanations — each echoing its own raw question and table name, so
-    /// responses are byte-identical to an uncached run.
+    /// (cancellably), insert their bodies, and answer every request in
+    /// order with its body — servers splice each behind the request's own
+    /// question and table echoes, so responses are byte-identical to an
+    /// uncached run.
     pub fn execute_batch(
         &self,
         plan: BatchPlan,
         catalog: &Catalog,
         requests: &[ExplainRequest],
         cancel: &CancelToken,
-    ) -> Result<Vec<Explanation>, BatchError> {
+    ) -> Result<Vec<BatchItem>, BatchError> {
         let unique_requests: Vec<ExplainRequest> = plan
             .pending
             .iter()
@@ -271,53 +209,21 @@ impl CachedEngine {
                 let table = catalog
                     .get(&requests[index].table)
                     .expect("planned table vanished from an immutable catalog");
-                let value = CachedCandidates::new(explanation.candidates, table);
-                let bytes = approx_bytes(&value);
-                self.cache.insert(key, value, bytes)
+                let body = wire::candidates_json(&explanation.candidates, table);
+                let bytes = body.len();
+                self.cache.insert(key, body, bytes)
             })
             .collect();
         Ok(plan
             .slots
             .into_iter()
             .zip(requests)
-            .map(|(slot, request)| {
-                let (candidates, error) = match slot {
-                    BatchSlot::Hit(value) => (value.candidates().to_vec(), None),
-                    BatchSlot::Pending(unique) => (answers[unique].candidates().to_vec(), None),
-                    BatchSlot::UnknownTable => (
-                        Vec::new(),
-                        Some(format!("unknown table: {}", request.table)),
-                    ),
-                };
-                Explanation {
-                    question: request.question.clone(),
-                    table: request.table.clone(),
-                    candidates,
-                    error,
-                }
+            .map(|(slot, request)| match slot {
+                BatchSlot::Hit(body) => Ok(body),
+                BatchSlot::Pending(unique) => Ok(Arc::clone(&answers[unique])),
+                BatchSlot::UnknownTable => Err(format!("unknown table: {}", request.table)),
             })
             .collect())
-    }
-
-    /// Explain a batch through the cache — plan + execute in one call.
-    pub fn explain_batch_cancellable(
-        &self,
-        catalog: &Catalog,
-        requests: &[ExplainRequest],
-        cancel: &CancelToken,
-    ) -> Result<Vec<Explanation>, BatchError> {
-        let plan = self.plan_batch(catalog, requests);
-        self.execute_batch(plan, catalog, requests, cancel)
-    }
-
-    /// [`CachedEngine::explain_batch_cancellable`] without a token.
-    pub fn explain_batch(
-        &self,
-        catalog: &Catalog,
-        requests: &[ExplainRequest],
-    ) -> Vec<Explanation> {
-        self.explain_batch_cancellable(catalog, requests, &CancelToken::new())
-            .expect("uncancelled batch cannot be cancelled")
     }
 
     /// Invalidate every cached answer computed against `table`'s contents
@@ -329,11 +235,6 @@ impl CachedEngine {
     /// trusting unreachable entries' memory.
     pub fn invalidate_table(&self, table: &Table) {
         self.cache.invalidate(table.content_fingerprint());
-    }
-
-    /// Invalidate by raw content fingerprint (when the table is gone).
-    pub fn invalidate_fingerprint(&self, fingerprint: u64) {
-        self.cache.invalidate(fingerprint);
     }
 
     /// Attach the answer cache's handles to `registry` (the wrapped
@@ -383,10 +284,21 @@ impl BatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{candidates_json, WireCandidate};
     use wtq_table::samples;
 
     fn cached_engine() -> CachedEngine {
-        CachedEngine::with_capacity(Arc::new(Engine::new()), 256)
+        let config = CacheConfig {
+            capacity: 256,
+            ..CacheConfig::default()
+        };
+        CachedEngine::new(Arc::new(Engine::new()), config)
+    }
+
+    /// The candidates a cached body encodes.
+    fn decode(body: &[u8]) -> Vec<WireCandidate> {
+        let text = std::str::from_utf8(body).expect("bodies are UTF-8 JSON");
+        serde_json::from_str(text).expect("bodies decode as wire candidates")
     }
 
     #[test]
@@ -407,9 +319,11 @@ mod tests {
             "second answer is the cached Arc"
         );
         let fresh = cached.engine().explain_question(question, &table, 7);
-        assert_eq!(first.len(), fresh.len());
-        for (a, b) in first.iter().zip(&fresh) {
-            assert_eq!(a.formula, b.formula);
+        assert_eq!(*first, candidates_json(&fresh, &table));
+        let decoded = decode(&first);
+        assert_eq!(decoded.len(), fresh.len());
+        for (a, b) in decoded.iter().zip(&fresh) {
+            assert_eq!(a.formula, b.formula.to_string());
             assert_eq!(a.score.to_bits(), b.score.to_bits());
             assert_eq!(a.answer, b.answer);
             assert_eq!(a.utterance, b.utterance);
@@ -431,7 +345,7 @@ mod tests {
         // A different top_k is a different answer.
         let c = cached.explain_question("Which city hosted in 2008?", &table, 1);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.len(), 1);
+        assert_eq!(decode(&c).len(), 1);
     }
 
     #[test]
@@ -464,7 +378,7 @@ mod tests {
             2,
             "two distinct entries"
         );
-        assert_ne!(original[0].answer, changed[0].answer);
+        assert_ne!(decode(&original)[0].answer, decode(&changed)[0].answer);
     }
 
     #[test]
@@ -483,6 +397,65 @@ mod tests {
     }
 
     #[test]
+    fn the_byte_gauge_is_the_resident_body_bytes() {
+        // One shard of two entries makes the LRU victim observable.
+        let config = CacheConfig {
+            capacity: 2,
+            shards: 1,
+            ..CacheConfig::default()
+        };
+        let cached = CachedEngine::new(Arc::new(Engine::new()), config);
+        let registry = Registry::new();
+        cached.register(&registry);
+        let (olympics, medals) = (samples::olympics(), samples::medals());
+        let city = ("Which city hosted in 2008?", &olympics);
+        let greece = ("Greece held its last Olympics in what year?", &olympics);
+        let fiji = ("total Gold of Fiji?", &medals);
+        // The model of what is resident: each entry's key and body.
+        let mut resident: Vec<(CacheKey, CachedAnswer)> = Vec::new();
+        let explain = |(question, table): (&str, &Table)| {
+            let body = cached.explain_question(question, table, 3);
+            (cached.key_for(question, table, Some(3)), body)
+        };
+        let check = |resident: &[(CacheKey, CachedAnswer)], step: &str| {
+            let gauge = |series: &str| {
+                let samples = registry.samples();
+                let sample = samples.iter().find(|sample| sample.series == series);
+                sample.expect("the family is registered").value
+            };
+            let bytes: usize = resident.iter().map(|(_, body)| body.len()).sum();
+            assert_eq!(gauge("wtq_answer_cache_bytes"), bytes as f64, "{step}");
+            assert_eq!(
+                gauge("wtq_answer_cache_entries"),
+                resident.len() as f64,
+                "{step}"
+            );
+        };
+
+        resident.push(explain(city));
+        check(&resident, "miss");
+        explain(city);
+        check(&resident, "hit");
+        resident.push(explain(greece));
+        check(&resident, "second miss");
+        // The city question was used before the Greece one was inserted,
+        // so it is the least recently used.
+        resident.remove(0);
+        resident.push(explain(fiji));
+        check(&resident, "LRU eviction");
+        assert_eq!(cached.cache().metrics().evictions_lru.get(), 1);
+        // Invalidated entries stay resident until a lookup drops them.
+        cached.invalidate_table(&olympics);
+        check(&resident, "invalidation");
+        let (stale, _) = resident.remove(0);
+        assert!(cached.lookup(&stale).is_none());
+        check(&resident, "stale drop");
+        assert_eq!(cached.cache().metrics().stale_drops.get(), 1);
+        resident.push(explain(greece));
+        check(&resident, "miss after invalidation");
+    }
+
+    #[test]
     fn batch_plan_dedupes_and_batch_matches_uncached() {
         let cached = cached_engine();
         let catalog: Catalog = [samples::olympics(), samples::medals()]
@@ -498,20 +471,19 @@ mod tests {
         assert_eq!(plan.missing(), 2, "duplicate phrasing executes once");
         assert!(!plan.is_fully_cached());
         let cancel = CancelToken::new();
-        let explanations = cached
+        let items = cached
             .execute_batch(plan, &catalog, &requests, &cancel)
             .unwrap();
         let uncached = cached.engine().explain_batch(&catalog, &requests);
-        assert_eq!(explanations.len(), uncached.len());
-        for (a, b) in explanations.iter().zip(&uncached) {
-            assert_eq!(a.question, b.question);
-            assert_eq!(a.table, b.table);
-            assert_eq!(a.error, b.error);
-            assert_eq!(a.candidates.len(), b.candidates.len());
-            for (x, y) in a.candidates.iter().zip(&b.candidates) {
-                assert_eq!(x.formula, y.formula);
-                assert_eq!(x.utterance, y.utterance);
-                assert_eq!(x.sql, y.sql);
+        assert_eq!(items.len(), uncached.len());
+        for (item, explanation) in items.iter().zip(&uncached) {
+            match (item, catalog.get(&explanation.table)) {
+                (Ok(body), Some(table)) => {
+                    assert_eq!(**body, candidates_json(&explanation.candidates, table));
+                    assert!(explanation.error.is_none());
+                }
+                (Err(error), None) => assert_eq!(Some(error), explanation.error.as_ref()),
+                (item, _) => panic!("{item:?} for {explanation:?}"),
             }
         }
         // Replaying the same batch is now fully cached (the unknown table
@@ -521,16 +493,20 @@ mod tests {
         let again = cached
             .execute_batch(replay, &catalog, &requests, &cancel)
             .unwrap();
-        assert_eq!(again.len(), explanations.len());
-        assert!(again[3].error.as_deref().unwrap().contains("no-such-table"));
+        assert_eq!(again, items);
+        assert!(again[3].as_ref().unwrap_err().contains("no-such-table"));
     }
 
     #[test]
     fn stats_carry_answer_cache_counters() {
         let engine = Arc::new(Engine::new());
+        let config = CacheConfig {
+            capacity: 16,
+            ..CacheConfig::default()
+        };
         let (first, second) = (
-            CachedEngine::with_capacity(engine.clone(), 16),
-            CachedEngine::with_capacity(engine, 16),
+            CachedEngine::new(engine.clone(), config.clone()),
+            CachedEngine::new(engine, config),
         );
         let table = samples::olympics();
         first.explain_question("Which city hosted in 2008?", &table, 3);

@@ -112,21 +112,16 @@ pub struct EngineMetrics {
     pub batches_served: Arc<Counter>,
     /// Engine entry-point calls currently executing.
     pub in_flight: Arc<Gauge>,
-    /// Questions parsed end to end.
-    pub parse_questions: Arc<Counter>,
-    /// Cumulative parse time per stage, in [`ParseSpans::STAGES`] order.
-    pub parse_stage_ns: [Arc<Counter>; 6],
-    /// Per-question parse time per stage, in [`ParseSpans::STAGES`] order.
+    /// Per-question parse time per stage, in [`ParseSpans::STAGES`] order:
+    /// each stage's count is the questions parsed, its sum their time.
     pub parse_stage_duration: [Arc<Histogram>; 6],
 }
 
 impl EngineMetrics {
     /// Record one parse's stage spans.
     fn record_parse(&self, spans: &ParseSpans) {
-        self.parse_questions.inc();
-        for (stage, ns) in spans.stages().into_iter().enumerate() {
-            self.parse_stage_ns[stage].add(ns);
-            self.parse_stage_duration[stage].observe(ns);
+        for (histogram, ns) in self.parse_stage_duration.iter().zip(spans.stages()) {
+            histogram.observe(ns);
         }
     }
 }
@@ -251,17 +246,6 @@ impl Engine {
             "wtq_engine_in_flight",
             "Engine entry points currently executing",
             &metrics.in_flight,
-        );
-        registry.attach(
-            "wtq_parse_questions_total",
-            "Questions parsed end to end",
-            &metrics.parse_questions,
-        );
-        registry.attach_labeled(
-            "wtq_parse_stage_ns_total",
-            "stage",
-            "Cumulative parse-stage time in nanoseconds, by stage",
-            ParseSpans::STAGES.into_iter().zip(&metrics.parse_stage_ns),
         );
         registry.attach_labeled(
             "wtq_parse_stage_duration_seconds",
@@ -629,9 +613,10 @@ mod tests {
         let index_cache = engine.index_cache().metrics();
         assert_eq!(index_cache.misses.get(), 1);
         assert!(index_cache.hits.get() >= 2);
-        // Every parse is timed, batch items included.
-        assert_eq!(metrics.parse_questions.get(), 3);
-        assert_eq!(metrics.parse_stage_duration[0].snapshot().count, 3);
+        // Every parse is timed in every stage, batch items included.
+        for stage in &metrics.parse_stage_duration {
+            assert_eq!(stage.snapshot().count, 3);
+        }
 
         // Registering exposes the same live handles.
         let registry = Registry::new();

@@ -58,7 +58,7 @@ pub mod engine;
 pub mod pipeline;
 pub mod wire;
 
-pub use cached::{BatchPlan, CachedAnswer, CachedCandidates, CachedEngine};
+pub use cached::{BatchItem, BatchPlan, CachedAnswer, CachedEngine};
 pub use engine::{Engine, EngineConfig, EngineMetrics, ExplainRequest, Explanation, Session};
 pub use pipeline::ExplainedCandidate;
 pub use wire::{candidates_json, WireCandidate};

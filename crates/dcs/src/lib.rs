@@ -19,13 +19,13 @@
 //! * [`parse_formula`] — a concrete textual syntax (`R[Year].Country.Greece`,
 //!   `max(...)`, `sub(...)`, …) with a round-trippable [`Display`]
 //!   implementation,
-//! * [`eval`] — the index-backed execution engine producing [`Denotation`]s
+//! * [`eval`](mod@eval) — the index-backed execution engine producing [`Denotation`]s
 //!   with cell-level tracking (the raw material of the provenance model);
 //!   [`Evaluator`] is a stateful per-table session that memoizes
 //!   record-denoting subformulas across a candidate pool,
-//! * [`reference`] — the scan-based reference semantics the indexed engine
+//! * [`reference`](mod@reference) — the scan-based reference semantics the indexed engine
 //!   is differentially tested against,
-//! * [`typecheck`] — static classification of formulas into record-denoting /
+//! * [`typecheck`](mod@typecheck) — static classification of formulas into record-denoting /
 //!   value-denoting / numeric, used by the semantic parser's candidate
 //!   generation,
 //! * [`Answer`] — canonicalized query results used to compare a candidate

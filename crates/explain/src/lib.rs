@@ -10,7 +10,7 @@
 //!
 //! * [`grammar`] — the rule catalogue of Table 3: one NL template per lambda
 //!   DCS operator (plus the special-cased difference phrasings),
-//! * [`derive`] — construction of the [`derive::DerivationNode`] tree for a
+//! * [`derive`](mod@derive) — construction of the [`derive::DerivationNode`] tree for a
 //!   formula (the right-hand tree of Figure 3) and the utterance read off its
 //!   yield,
 //! * [`utter`] — the one-call convenience API used everywhere else in the

@@ -2,7 +2,7 @@
 //!
 //! A log-linear semantic parser mapping natural-language questions over a web
 //! table to ranked candidate lambda DCS queries. It stands in for the
-//! state-of-the-art parser of Zhang et al. [37] used by the paper (§2, §6.2):
+//! state-of-the-art parser of Zhang et al. \[37\] used by the paper (§2, §6.2):
 //! the paper's contribution only requires a parser that (a) produces a ranked
 //! list of candidate formal queries, (b) is imperfect at rank 1, and (c) can
 //! be retrained from question–answer pairs (weak supervision, Eq. 6) and from
@@ -28,7 +28,7 @@
 //!
 //! Feature ids are assigned in lexicographic name order, so every id-ordered
 //! walk (scoring, serialization, gradient updates) reproduces the historical
-//! string-keyed pipeline bit for bit — pinned by [`reference`], which keeps
+//! string-keyed pipeline bit for bit — pinned by [`reference`](mod@reference), which keeps
 //! the original `BTreeMap<String, f64>` implementation alive as a
 //! differential oracle. [`spans`] defines the per-stage parse timing spans
 //! a parse leaves in its [`scratch`] space, next to the reusable

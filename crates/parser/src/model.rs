@@ -83,7 +83,7 @@ impl LogLinearModel {
 
     /// A model with hand-set prior weights favouring question/operator
     /// agreement — the starting point the trainer improves on, and a fair
-    /// stand-in for the pretrained baseline parser of [37].
+    /// stand-in for the pretrained baseline parser of \[37\].
     pub fn with_prior() -> Self {
         let mut model = LogLinearModel::new();
         for (name, weight) in [

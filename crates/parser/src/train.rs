@@ -8,7 +8,7 @@
 //! those examples switch to the indicator `r*(z | x, T)` of Eq. 7 — 1 only
 //! for candidates equivalent to an annotated query — giving the combined
 //! objective of Eq. 8. Optimization uses AdaGrad with L1 regularization,
-//! following the paper (and [30]).
+//! following the paper (and \[30\]).
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

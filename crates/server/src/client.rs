@@ -263,7 +263,7 @@ impl Client {
         }
     }
 
-    /// [`Client::call`], but an [`ErrorCode::Overloaded`] rejection is
+    /// [`Client::call`], but an [`wire::ErrorCode::Overloaded`] rejection is
     /// retried up to `policy.max_retries` times, sleeping the server's
     /// `retry_after_ms` hint (or `policy.default_backoff` without one,
     /// always capped by `policy.max_backoff`) between attempts. Any other

@@ -29,6 +29,8 @@
 //! the frame limit). The write half is [`response_bytes`]; the lingering
 //! close that used to block a thread is the reactor's `Draining` state.
 
+use wtq_core::{BatchItem, ExplainRequest};
+
 use crate::server::Shared;
 use crate::wire::{self, ErrorCode, RequestBody, ResponseBody, WireError};
 
@@ -333,6 +335,15 @@ pub(crate) fn spliced_response_head(
     let content_length = json_head.len() + cached_body_len + wire::SPLICE_BODY_TAIL.len();
     write_response_head(out, 200, "OK", None, "application/json", content_length);
     out.extend_from_slice(&json_head);
+}
+
+/// A `POST /explain_batch` answer: status line and headers, then the batch
+/// body [`wire::write_batch_body`] writes.
+pub(crate) fn batch_response_into(items: &[(ExplainRequest, BatchItem)], out: &mut Vec<u8>) {
+    let mut body = Vec::new();
+    wire::write_batch_body(&mut body, items);
+    write_response_head(out, 200, "OK", None, "application/json", body.len());
+    out.extend_from_slice(&body);
 }
 
 fn write_response_head(

@@ -15,7 +15,7 @@
 //! * **Framed JSON over TCP** ([`wire`]) — 4-byte big-endian length prefix,
 //!   then a versioned JSON envelope. This is the primary protocol: cheap to
 //!   parse, pipelineable, spoken by [`Client`].
-//! * **HTTP/1.1** ([`http`], private) — a minimal adapter for `curl` and
+//! * **HTTP/1.1** (the private `http` module) — a minimal adapter for `curl` and
 //!   browsers: `GET /stats`, `GET /tables`, `GET /metrics`,
 //!   `GET /trace/recent`, `POST /explain`, `POST /explain_batch`, one
 //!   request per connection.
@@ -31,7 +31,7 @@
 //! * **Registry** — clients address preloaded tables by catalog name
 //!   ([`wtq_table::Catalog`]) instead of shipping rows per request;
 //!   `ListTables` returns [`wtq_table::TableSummary`] listings.
-//! * **Observability** ([`obs`], private) — one registry per server
+//! * **Observability** (the private `obs` module) — one registry per server
 //!   attaches the live handles of the server, its engine (serving
 //!   counters, parse stages, index cache, planner) and its answer cache.
 //!   `GET /metrics` (or the framed `Metrics` request) renders it as

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use wtq_core::{CachedEngine, Engine};
+use wtq_core::CachedEngine;
 use wtq_obs::{Counter, Gauge, Histogram, Registry, Sample, Tracer};
 
 use crate::server::ServerConfig;
@@ -160,24 +160,21 @@ pub(crate) struct Obs {
 }
 
 impl Obs {
-    /// A registry attaching `metrics`, the engine's handles and (when the
-    /// server caches answers) the answer cache's, plus the pool sizes and
-    /// table count fixed at bind (`workers` is the scheduler's pool).
+    /// A registry attaching `metrics`, the engine's handles and the answer
+    /// cache's, plus the pool sizes and table count fixed at bind
+    /// (`workers` is the scheduler's pool).
     pub(crate) fn new(
         config: &ServerConfig,
         tables: usize,
         workers: usize,
         metrics: &ServerMetrics,
-        engine: &Engine,
-        cached: Option<&CachedEngine>,
+        cached: &CachedEngine,
     ) -> Obs {
         let registry = Registry::new();
         let tracer = Tracer::new(config.trace_sample_rate, config.trace_ring_size);
         metrics.register(&registry);
-        engine.register(&registry);
-        if let Some(cached) = cached {
-            cached.register(&registry);
-        }
+        cached.engine().register(&registry);
+        cached.register(&registry);
         tracer.register(&registry);
         let fixed = |family: &str, help: &'static str, value: usize| {
             let gauge = Arc::new(Gauge::default());

@@ -537,10 +537,11 @@ pub(crate) fn accept_loop(
     }
 }
 
-/// Encode `reply` for `protocol` into the `head` buffer — a cache hit
-/// splices its stored candidate bytes as a separate segment — and close
-/// the request's books. Runs on the reactor for inline answers and on a
-/// worker for scheduled ones.
+/// Encode `reply` for `protocol` into the `head` buffer — an explanation
+/// splices its stored candidate bytes as a separate segment, a batch copies
+/// each item's stored bytes in behind the item's head — and close the
+/// request's books. Runs on the reactor for inline answers and on a worker
+/// for scheduled ones.
 fn encode(
     shared: &Shared,
     protocol: Protocol,
@@ -568,13 +569,15 @@ fn encode(
                     tail: wire::SPLICE_ENVELOPE_TAIL,
                 }
             } else {
-                // The assembled frame would overflow the u32 length
-                // prefix; answer structured, never a garbage frame.
-                shared.metrics.encode_failures.inc();
-                Response::whole(wire::error_frame(
-                    id,
-                    &WireError::new(ErrorCode::Internal, "response exceeds the frame format"),
-                ))
+                frame_overflow(shared, id)
+            };
+            (response, "ok".to_string())
+        }
+        (Protocol::Framed(id), Reply::Batch(items)) => {
+            let response = if wire::batch_frame(&mut head, id, &items) {
+                Response::whole(head)
+            } else {
+                frame_overflow(shared, id)
             };
             (response, "ok".to_string())
         }
@@ -626,6 +629,10 @@ fn encode(
             };
             (response, "200".to_string())
         }
+        (Protocol::Http, Reply::Batch(items)) => {
+            http::batch_response_into(&items, &mut head);
+            (Response::whole(head), "200".to_string())
+        }
         (Protocol::Http, Reply::Full(body)) => {
             let plain = http::HttpResponse::from_body(&body);
             http::response_bytes_into(&plain, &mut head);
@@ -634,6 +641,16 @@ fn encode(
     };
     close(shared, encode_start, &status, trace, started);
     response
+}
+
+/// The answer to a framed response that would overflow the u32 length
+/// prefix: a structured error, never a garbage frame.
+fn frame_overflow(shared: &Shared, id: u64) -> Response {
+    shared.metrics.encode_failures.inc();
+    Response::whole(wire::error_frame(
+        id,
+        &WireError::new(ErrorCode::Internal, "response exceeds the frame format"),
+    ))
 }
 
 /// Close a request's books once its response is encoded: the encode span,

@@ -1,6 +1,6 @@
 //! The serving layer: accept loop, per-connection protocol handling,
 //! backpressure and per-table admission control over a shared
-//! [`Engine`](wtq_core::Engine).
+//! [`wtq_core::Engine`].
 //!
 //! ## Scheduling model
 //!
@@ -32,16 +32,16 @@
 //! ## Protocols
 //!
 //! Connections are sniffed on their first four bytes: an HTTP method prefix
-//! selects the hand-rolled HTTP/1.1 adapter ([`crate::http`]); anything else
+//! selects the hand-rolled HTTP/1.1 adapter (`http`); anything else
 //! is treated as the length-prefix of the framed JSON protocol
 //! ([`crate::wire`]). The two share one request core, so semantics
 //! (backpressure, admission, errors) are identical.
 //!
 //! ## I/O model
 //!
-//! Connection I/O is a nonblocking readiness loop ([`crate::reactor`]):
+//! Connection I/O is a nonblocking readiness loop (`reactor`):
 //! one blocking acceptor hands sockets to a small pool of epoll reactor
-//! threads whose per-connection state machines ([`crate::conn`]) parse
+//! threads whose per-connection state machines (`conn`) parse
 //! frames incrementally. Reactors answer what needs no engine; scheduler
 //! workers answer the rest, and responses are written back on writability.
 //! Thread count is fixed at bind — reactors plus about one worker per core
@@ -57,9 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wtq_cache::{Begin, CacheConfig, CacheKey};
-use wtq_core::{
-    BatchPlan, CachedAnswer, CachedCandidates, CachedEngine, Engine, ExplainRequest, Explanation,
-};
+use wtq_core::{BatchItem, BatchPlan, CachedAnswer, CachedEngine, Engine, ExplainRequest};
 use wtq_obs::{Counter, Gauge, RequestTrace};
 use wtq_parser::ParseSpans;
 use wtq_runtime::{BatchError, CancelToken};
@@ -69,7 +67,7 @@ use crate::obs::{Obs, ServerMetrics};
 use crate::reactor::{self, Command, Reactor, ReactorShared, Ticket};
 use crate::wire::{
     self, ErrorCode, ExplainBatchBody, ExplainBody, MetricsBody, RequestBody, RequestEnvelope,
-    ResponseBody, StatsBody, TablesBody, TraceRecentBody, WireBatch, WireError, WireExplanation,
+    ResponseBody, StatsBody, TablesBody, TraceRecentBody, WireError,
 };
 
 /// Tuning knobs of a [`Server`].
@@ -104,10 +102,11 @@ pub struct ServerConfig {
     /// are spread round-robin; a handful suffices for tens of thousands of
     /// connections because reactors never block on protocol work.
     pub reactor_threads: usize,
-    /// Entry capacity of the deduplicating answer cache; `0` disables
-    /// caching entirely. Reactors probe the cache before the in-flight
-    /// queue gate, so a request the cache can answer is never rejected
-    /// with `Overloaded`.
+    /// Entry capacity of the deduplicating answer cache; `0` keeps no
+    /// answers, while concurrent duplicate misses still collapse onto one
+    /// execution. Reactors probe the cache before the in-flight queue gate,
+    /// so a request the cache can answer is never rejected with
+    /// `Overloaded`.
     pub cache_capacity: usize,
     /// TTL of answer-cache entries in milliseconds; `0` means entries
     /// never expire by age (LRU and epoch invalidation still apply).
@@ -148,9 +147,9 @@ impl ServerConfig {
 }
 
 /// A handler's answer: either a fully structured body the encoder
-/// serializes as before, or a cache hit whose candidates JSON was already
-/// serialized at flight completion — the wire layers splice those bytes
-/// into the response instead of re-encoding (the encode-once path).
+/// serializes, or explanations whose candidates JSON was already serialized
+/// at flight completion — the wire layers splice those bytes into the
+/// response instead of re-encoding (the encode-once path).
 pub(crate) enum Reply {
     Full(ResponseBody),
     CachedExplanation {
@@ -160,8 +159,11 @@ pub(crate) enum Reply {
         /// The request's table name, echoed verbatim.
         table: String,
         /// The serialized `candidates` JSON array, shared with the cache.
-        body: Arc<Vec<u8>>,
+        body: CachedAnswer,
     },
+    /// A batch's items in request order, each with its cached body or
+    /// error, spliced by [`wire::write_batch_body`].
+    Batch(Vec<(ExplainRequest, BatchItem)>),
 }
 
 /// A structured error reply without a retry hint.
@@ -352,16 +354,12 @@ struct Job {
 
 /// The engine work of an admitted request.
 enum Work {
-    /// A single explain the cache could not answer; `key` is its cache key
-    /// (none when caching is off).
-    Explain {
-        request: ExplainBody,
-        key: Option<CacheKey>,
-    },
-    /// A batch with misses, planned against the cache when there is one.
+    /// A single explain the cache could not answer, with its cache key.
+    Explain { request: ExplainBody, key: CacheKey },
+    /// A batch with misses, planned against the cache.
     Batch {
         requests: Vec<ExplainRequest>,
-        plan: Option<BatchPlan>,
+        plan: BatchPlan,
     },
 }
 
@@ -377,12 +375,10 @@ impl Drop for Slot {
 /// State shared between the acceptor, the reactors, the scheduler's
 /// workers and the [`ServerHandle`].
 pub(crate) struct Shared {
-    engine: Arc<Engine>,
-    /// The deduplicating answer cache over `engine`, when
-    /// `cache_capacity > 0`. Reactors probe it before the in-flight gate;
-    /// single-flight collapse means a thundering herd on one hot question
-    /// costs one engine run.
-    cached: Option<CachedEngine>,
+    /// The engine behind its deduplicating answer cache. Reactors probe the
+    /// cache before the in-flight gate; single-flight collapse means a
+    /// thundering herd on one hot question costs one engine run.
+    cached: CachedEngine,
     catalog: Arc<Catalog>,
     config: ServerConfig,
     scheduler: Scheduler,
@@ -492,10 +488,10 @@ impl Shared {
     /// Answer an explain request from a completed flight's value: the
     /// candidate bytes serialized at completion, spliced by the wire layer
     /// behind the request's own question and table echoes.
-    fn explanation_reply(&self, question: String, table: String, value: &CachedAnswer) -> Reply {
+    fn explanation_reply(&self, question: String, table: String, body: &CachedAnswer) -> Reply {
         self.metrics.requests.inc();
         Reply::CachedExplanation {
-            body: Arc::clone(value.body()),
+            body: Arc::clone(body),
             question,
             table,
         }
@@ -518,12 +514,8 @@ impl Shared {
             ));
         };
         let probe_start = Instant::now();
-        let key = self
-            .cached
-            .as_ref()
-            .map(|cached| cached.key_for(&request.question, table, request.top_k));
-        let probed =
-            (self.cached.as_ref().zip(key.as_ref())).and_then(|(cached, key)| cached.probe(key));
+        let key = self.cached.key_for(&request.question, table, request.top_k);
+        let probed = self.cached.probe(&key);
         let probe_end = Instant::now();
         self.metrics
             .stage_cache_probe
@@ -572,41 +564,23 @@ impl Shared {
         // Probe every item before any gate: cached items cost no admission
         // weight, and a fully cached batch (like a single hit) is answered
         // here — it can never be rejected with a retry hint.
-        let plan = match &self.cached {
-            Some(cached) => {
-                let plan = cached.plan_batch(&self.catalog, &requests);
-                if plan.is_fully_cached() {
-                    let eval_start = Instant::now();
-                    let result = cached.execute_batch(plan, &self.catalog, &requests, &self.cancel);
-                    self.observe_eval(eval_start, trace);
-                    return Some(Reply::Full(self.batch_response(result)));
-                }
-                Some(plan)
-            }
-            None => None,
-        };
+        let plan = self.cached.plan_batch(&self.catalog, &requests);
+        if plan.is_fully_cached() {
+            return Some(self.run_batch(requests, plan, trace));
+        }
         // Tokens only for the tables that still execute: the deduplicated
-        // misses, or without a cache every item (unknown tables pass
-        // through; the engine answers them with a per-question error). A
-        // batch fans out over the engine's worker pool, so it claims one
-        // token per worker it will run — admission bounds the concurrent
-        // *work* per table, not just the request count.
-        let executing: Vec<usize> = match &plan {
-            Some(plan) => plan.pending_request_indices().collect(),
-            None => (0..requests.len()).collect(),
-        };
-        let mut fingerprints: Vec<u64> = executing
-            .iter()
-            .filter_map(|&index| self.catalog.get(&requests[index].table))
+        // misses. A batch fans out over the engine's worker pool, so it
+        // claims one token per worker it will run — admission bounds the
+        // concurrent *work* per table, not just the request count.
+        let mut fingerprints: Vec<u64> = plan
+            .pending_request_indices()
+            .filter_map(|index| self.catalog.get(&requests[index].table))
             .map(|table| table.fingerprint())
             .collect();
         fingerprints.sort_unstable();
         fingerprints.dedup();
-        let weight = self
-            .engine
-            .config()
-            .workers
-            .clamp(1, executing.len().max(1));
+        let workers = self.cached.engine().config().workers;
+        let weight = workers.min(plan.missing()).max(1);
         self.admit(
             Work::Batch { requests, plan },
             fingerprints,
@@ -699,54 +673,34 @@ impl Shared {
     }
 
     fn run(&self, work: Work, trace: &mut Option<RequestTrace>) -> Reply {
-        let (requests, plan) = match work {
-            Work::Explain { request, key } => return self.run_explain(request, key, trace),
-            Work::Batch { requests, plan } => (requests, plan),
-        };
-        let eval_start = Instant::now();
-        let result = match (&self.cached, plan) {
-            (Some(cached), Some(plan)) => {
-                cached.execute_batch(plan, &self.catalog, &requests, &self.cancel)
-            }
-            _ => self
-                .engine
-                .explain_batch_cancellable(&self.catalog, &requests, &self.cancel),
-        };
-        self.observe_eval(eval_start, trace);
-        Reply::Full(self.batch_response(result))
+        match work {
+            Work::Explain { request, key } => self.run_explain(request, key, trace),
+            Work::Batch { requests, plan } => self.run_batch(requests, plan, trace),
+        }
     }
 
     fn run_explain(
         &self,
         request: ExplainBody,
-        key: Option<CacheKey>,
+        key: CacheKey,
         trace: &mut Option<RequestTrace>,
     ) -> Reply {
         let table = self
             .catalog
             .get(&request.table)
             .expect("an admitted request's table is in the immutable catalog");
-        let top_k = request.top_k.unwrap_or(self.engine.config().top_k);
         let eval_start = Instant::now();
-        let (value, spans) = match (&self.cached, key) {
-            // Lead or join the single flight only now, holding tokens: a
-            // collapsed request waits only on a leader that is already
-            // running. A leader that panics drops its guard, abandoning the
-            // flight — waiters wake and retry as leaders instead of hanging.
-            (Some(cached), Some(key)) => match cached.begin(&key) {
-                Begin::Hit(value) | Begin::Collapsed(value) => {
-                    return self.explanation_reply(request.question, request.table, &value);
-                }
-                Begin::Lead(guard) => cached.execute_flight(guard, &request.question, table, top_k),
-            },
-            // Without a cache the candidates still serialize here, once,
-            // on the worker that computed them — the encode-once path is
-            // the same either way, only nothing is retained.
-            _ => {
-                let (candidates, spans) =
-                    self.engine
-                        .explain_question_with_spans(&request.question, table, top_k);
-                (Arc::new(CachedCandidates::new(candidates, table)), spans)
+        // Lead or join the single flight only now, holding tokens: a
+        // collapsed request waits only on a leader that is already running.
+        // A leader that panics drops its guard, abandoning the flight —
+        // waiters wake and retry as leaders instead of hanging.
+        let (value, spans) = match self.cached.begin(&key) {
+            Begin::Hit(value) | Begin::Collapsed(value) => {
+                return self.explanation_reply(request.question, request.table, &value);
+            }
+            Begin::Lead(guard) => {
+                self.cached
+                    .execute_flight(guard, &request.question, table, key.top_k)
             }
         };
         self.observe_eval(eval_start, trace);
@@ -770,31 +724,29 @@ impl Shared {
         }
     }
 
-    /// Render a batch outcome to the wire — shared by the cached and
-    /// uncached batch paths so responses are structurally identical.
-    fn batch_response(&self, result: Result<Vec<Explanation>, BatchError>) -> ResponseBody {
+    /// Answer a planned batch: execute its misses (none when it is fully
+    /// cached) and pair every request with its body or error, in order.
+    fn run_batch(
+        &self,
+        requests: Vec<ExplainRequest>,
+        plan: BatchPlan,
+        trace: &mut Option<RequestTrace>,
+    ) -> Reply {
+        let eval_start = Instant::now();
+        let result = self
+            .cached
+            .execute_batch(plan, &self.catalog, &requests, &self.cancel);
+        self.observe_eval(eval_start, trace);
         match result {
-            Ok(explanations) => {
+            Ok(items) => {
                 self.metrics.requests.inc();
-                ResponseBody::Batch(WireBatch {
-                    explanations: explanations
-                        .iter()
-                        .map(|explanation| {
-                            WireExplanation::from_explanation(
-                                explanation,
-                                self.catalog.get(&explanation.table),
-                            )
-                        })
-                        .collect(),
-                })
+                Reply::Batch(requests.into_iter().zip(items).collect())
             }
-            Err(BatchError::Cancelled) => {
-                ResponseBody::Error(WireError::new(ErrorCode::Internal, "server shutting down"))
-            }
-            Err(BatchError::JobPanicked { index, message }) => ResponseBody::Error(WireError::new(
+            Err(BatchError::Cancelled) => error_reply(ErrorCode::Internal, "server shutting down"),
+            Err(BatchError::JobPanicked { index, message }) => error_reply(
                 ErrorCode::Internal,
                 format!("batch job {index} panicked: {message}"),
-            )),
+            ),
         }
     }
 }
@@ -852,37 +804,26 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let cached = (config.cache_capacity > 0).then(|| {
-            CachedEngine::new(
-                engine.clone(),
-                CacheConfig {
-                    capacity: config.cache_capacity,
-                    ttl: (config.cache_ttl_ms > 0)
-                        .then(|| Duration::from_millis(config.cache_ttl_ms)),
-                    ..CacheConfig::default()
-                },
-            )
-        });
+        let cached = CachedEngine::new(
+            engine,
+            CacheConfig {
+                capacity: config.cache_capacity,
+                ttl: (config.cache_ttl_ms > 0).then(|| Duration::from_millis(config.cache_ttl_ms)),
+                ..CacheConfig::default()
+            },
+        );
         // One worker per core, and at least one more than a single table's
         // tokens can keep busy.
         let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
         let workers = cores.max(config.per_table_tokens.max(1) + 1);
         let metrics = ServerMetrics::default();
-        let obs = Obs::new(
-            &config,
-            catalog.len(),
-            workers,
-            &metrics,
-            &engine,
-            cached.as_ref(),
-        );
+        let obs = Obs::new(&config, catalog.len(), workers, &metrics, &cached);
         let queue = Queue::new(
             config.per_table_tokens,
             config.max_table_in_flight,
             Duration::from_millis(config.admission_timeout_ms),
         );
         let shared = Arc::new(Shared {
-            engine,
             cached,
             catalog,
             config,

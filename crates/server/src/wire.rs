@@ -19,7 +19,7 @@
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
-use wtq_core::{ExplainedCandidate, Explanation};
+use wtq_core::{BatchItem, ExplainRequest, ExplainedCandidate, Explanation};
 use wtq_obs::Sample;
 use wtq_table::{Table, TableSummary};
 
@@ -520,13 +520,14 @@ impl WireExplanation {
 // ---------------------------------------------------------------------------
 //
 // The vendored serde_json has no `RawValue`, so cached pre-serialized
-// bytes cannot ride through a normal `to_string` call. Instead the hit
-// path assembles envelopes by direct byte writing: a *head* (everything
-// up to and including `"candidates":`), the cached candidates-array
-// bytes, and a static *tail*. The writers below replicate the vendored
-// serializer's string/number rendering exactly, and the proptests in
-// `tests/` pin the spliced output byte-identical to a full
-// `serde_json::to_string` of the equivalent envelope.
+// bytes cannot ride through a normal `to_string` call. Instead explain and
+// batch responses are assembled by direct byte writing: per explanation a
+// *head* (everything up to and including `"candidates":`), the cached
+// candidates-array bytes, and a *tail*. The writers below replicate the
+// vendored serializer's string/number rendering exactly, and the proptests
+// here and the differential suites in `tests/` pin the spliced output
+// byte-identical to a full `serde_json::to_string` of the equivalent
+// envelope.
 
 /// Tail of a spliced framed explanation envelope: everything after the
 /// candidates array.
@@ -573,27 +574,98 @@ pub fn write_json_u64(out: &mut Vec<u8>, n: u64) {
     }
 }
 
-/// Append the head of a spliced bare explanation body:
-/// `{"Explanation":{"question":…,"table":…,"candidates":` — follow with
-/// the cached candidates-array bytes and [`SPLICE_BODY_TAIL`].
-pub fn splice_body_head(out: &mut Vec<u8>, question: &str, table: &str) {
-    out.extend_from_slice(b"{\"Explanation\":{\"question\":");
+/// Append a [`WireExplanation`] up to its candidates:
+/// `{"question":…,"table":…,"candidates":`.
+fn write_explanation_head(out: &mut Vec<u8>, question: &str, table: &str) {
+    out.extend_from_slice(b"{\"question\":");
     write_json_string(out, question);
     out.extend_from_slice(b",\"table\":");
     write_json_string(out, table);
     out.extend_from_slice(b",\"candidates\":");
 }
 
-/// Append the head of a spliced framed explanation envelope:
-/// `{"v":1,"id":…,"body":{"Explanation":{…,"candidates":` — follow with
-/// the cached candidates-array bytes and [`SPLICE_ENVELOPE_TAIL`].
-pub fn splice_envelope_head(out: &mut Vec<u8>, id: u64, question: &str, table: &str) {
+/// Append an envelope up to its body: `{"v":1,"id":…,"body":`.
+fn write_envelope_head(out: &mut Vec<u8>, id: u64) {
     out.extend_from_slice(b"{\"v\":");
     write_json_u64(out, PROTOCOL_VERSION);
     out.extend_from_slice(b",\"id\":");
     write_json_u64(out, id);
     out.extend_from_slice(b",\"body\":");
+}
+
+/// Append the head of a spliced bare explanation body:
+/// `{"Explanation":{"question":…,"table":…,"candidates":` — follow with
+/// the cached candidates-array bytes and [`SPLICE_BODY_TAIL`].
+pub fn splice_body_head(out: &mut Vec<u8>, question: &str, table: &str) {
+    out.extend_from_slice(b"{\"Explanation\":");
+    write_explanation_head(out, question, table);
+}
+
+/// Append the head of a spliced framed explanation envelope:
+/// `{"v":1,"id":…,"body":{"Explanation":{…,"candidates":` — follow with
+/// the cached candidates-array bytes and [`SPLICE_ENVELOPE_TAIL`].
+pub fn splice_envelope_head(out: &mut Vec<u8>, id: u64, question: &str, table: &str) {
+    write_envelope_head(out, id);
     splice_body_head(out, question, table);
+}
+
+/// Append a bare batch body, `{"Batch":{"explanations":[…]}}`, one item
+/// per request in order: its explanation head written directly, then its
+/// cached candidates bytes spliced verbatim and `"error":null`, or — for an
+/// item without a body — `[]` and its error.
+pub(crate) fn write_batch_body(out: &mut Vec<u8>, items: &[(ExplainRequest, BatchItem)]) {
+    out.extend_from_slice(b"{\"Batch\":{\"explanations\":[");
+    for (index, (request, item)) in items.iter().enumerate() {
+        if index > 0 {
+            out.push(b',');
+        }
+        write_explanation_head(out, &request.question, &request.table);
+        match item {
+            Ok(body) => {
+                out.extend_from_slice(body);
+                out.extend_from_slice(b",\"error\":null}");
+            }
+            Err(error) => {
+                out.extend_from_slice(b"[],\"error\":");
+                write_json_string(out, error);
+                out.push(b'}');
+            }
+        }
+    }
+    out.extend_from_slice(b"]}}");
+}
+
+/// Assemble a whole framed batch response into `out` (cleared first): the
+/// length prefix, then the envelope around [`write_batch_body`]. Returns
+/// `false` (leaving `out` empty) when the payload would overflow the `u32`
+/// frame prefix — the caller falls back to a structured error.
+pub(crate) fn batch_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    items: &[(ExplainRequest, BatchItem)],
+) -> bool {
+    out.clear();
+    out.extend_from_slice(&[0u8; 4]);
+    write_envelope_head(out, id);
+    write_batch_body(out, items);
+    out.push(b'}');
+    prefix_frame(out, 0)
+}
+
+/// Fill the 4-byte length prefix at the front of `out` for a payload of the
+/// rest of `out` plus `trailing` bytes still to be sent. Returns `false`
+/// (leaving `out` empty) when that length overflows the `u32` prefix.
+fn prefix_frame(out: &mut Vec<u8>, trailing: usize) -> bool {
+    match u32::try_from((out.len() - 4).saturating_add(trailing)) {
+        Ok(len) => {
+            out[..4].copy_from_slice(&len.to_be_bytes());
+            true
+        }
+        Err(_) => {
+            out.clear();
+            false
+        }
+    }
 }
 
 /// Assemble the *frame head* of a spliced explanation response into
@@ -612,19 +684,7 @@ pub fn spliced_frame_head(
     out.clear();
     out.extend_from_slice(&[0u8; 4]);
     splice_envelope_head(out, id, question, table);
-    let payload = (out.len() - 4)
-        .saturating_add(body_len)
-        .saturating_add(SPLICE_ENVELOPE_TAIL.len());
-    match u32::try_from(payload) {
-        Ok(len) => {
-            out[..4].copy_from_slice(&len.to_be_bytes());
-            true
-        }
-        Err(_) => {
-            out.clear();
-            false
-        }
-    }
+    prefix_frame(out, body_len.saturating_add(SPLICE_ENVELOPE_TAIL.len()))
 }
 
 /// Build one complete error-envelope frame (length prefix + JSON) by
@@ -634,11 +694,8 @@ pub fn spliced_frame_head(
 pub fn error_frame(id: u64, error: &WireError) -> Vec<u8> {
     let mut out = Vec::with_capacity(96 + error.message.len());
     out.extend_from_slice(&[0u8; 4]);
-    out.extend_from_slice(b"{\"v\":");
-    write_json_u64(&mut out, PROTOCOL_VERSION);
-    out.extend_from_slice(b",\"id\":");
-    write_json_u64(&mut out, id);
-    out.extend_from_slice(b",\"body\":{\"Error\":{\"code\":");
+    write_envelope_head(&mut out, id);
+    out.extend_from_slice(b"{\"Error\":{\"code\":");
     write_json_string(&mut out, error.code.wire_name());
     out.extend_from_slice(b",\"message\":");
     write_json_string(&mut out, &error.message);
@@ -1026,8 +1083,9 @@ mod splice_proptests {
         /// candidate payloads (quotes, backslashes, control characters,
         /// non-ASCII — everything the escaper handles), a spliced envelope
         /// is byte-identical to `serde_json::to_string` of the equivalent
-        /// [`ResponseEnvelope`], and the spliced bare body to the
-        /// equivalent [`ResponseBody`].
+        /// [`ResponseEnvelope`], the spliced bare body to the equivalent
+        /// [`ResponseBody`], and a spliced batch frame to the equivalent
+        /// batch envelope.
         #[test]
         fn spliced_envelopes_are_byte_identical_to_serde(
             id in any::<u64>(),
@@ -1066,6 +1124,34 @@ mod splice_proptests {
             head.extend_from_slice(&cached);
             head.extend_from_slice(SPLICE_ENVELOPE_TAIL);
             prop_assert_eq!(&head, &encode_frame(full.as_bytes()).unwrap());
+
+            // The same item twice in a batch: with its body, and failed
+            // with an error that echoes the table name.
+            let request = ExplainRequest::new(question.clone(), table.clone());
+            let error = format!("unknown table: {table}");
+            let items = [
+                (request.clone(), Ok(std::sync::Arc::new(cached))),
+                (request, Err(error.clone())),
+            ];
+            let ResponseBody::Explanation(explained) = envelope.body else {
+                unreachable!("built as an explanation above");
+            };
+            let failed = WireExplanation {
+                candidates: Vec::new(),
+                error: Some(error),
+                ..explained.clone()
+            };
+            let batch = ResponseEnvelope {
+                v: PROTOCOL_VERSION,
+                id,
+                body: ResponseBody::Batch(WireBatch {
+                    explanations: vec![explained, failed],
+                }),
+            };
+            let reference = serde_json::to_string(&batch).unwrap();
+            let mut frame = vec![0xFFu8; 7]; // dirty recycled buffer
+            prop_assert!(batch_frame(&mut frame, id, &items));
+            prop_assert_eq!(&frame, &encode_frame(reference.as_bytes()).unwrap());
         }
 
         #[test]

@@ -10,7 +10,7 @@
 //!   shapes the translation produces (single-table `SELECT` with scalar and
 //!   `IN` subqueries, aggregates, `UNION`, `GROUP BY … ORDER BY … LIMIT`,
 //!   and arithmetic between scalar subqueries), with a pretty-printer,
-//! * [`translate`] — the lambda DCS → SQL translation of Table 10,
+//! * [`translate`](mod@translate) — the lambda DCS → SQL translation of Table 10,
 //! * [`engine`] — a cost-based in-memory executor for that SQL fragment
 //!   over a single [`wtq_table::Table`], used to cross-validate the lambda
 //!   DCS evaluator: for every operator the translated SQL must return the

@@ -17,7 +17,7 @@ use crate::Result;
 
 /// Translate a lambda DCS formula into SQL.
 ///
-/// The formula must be well-typed (see [`wtq_dcs::typecheck`]); ill-typed
+/// The formula must be well-typed (see [`wtq_dcs::typecheck()`]); ill-typed
 /// formulas and the few compositions outside the Table 10 fragment produce
 /// [`SqlError::Untranslatable`].
 pub fn translate(formula: &Formula) -> Result<SqlQuery> {

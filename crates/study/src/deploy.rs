@@ -13,7 +13,7 @@
 //!
 //! together with the **correctness bound** (a correct candidate exists in the
 //! top-k at all) and the per-question success rate of Table 4. The
-//! [`coverage_sweep`] reproduces the §7.2 analysis of k = 7 vs k = 14.
+//! [`DeploymentExperiment::coverage_sweep`] reproduces the §7.2 analysis of k = 7 vs k = 14.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -1,6 +1,6 @@
-//! Cross-crate proofs for the deduplicating answer cache: cached answers
-//! are byte-identical to fresh executions (including provenance
-//! highlights), concurrent identical requests collapse onto one
+//! Cross-crate proofs for the deduplicating answer cache: cached answer
+//! bodies are byte-identical to the encoding of fresh executions
+//! (including provenance highlights), concurrent identical requests collapse onto one
 //! execution, invalidation (epoch bump on re-registration, TTL) really
 //! evicts, and — at the serving layer — a cache hit is answered even
 //! while the admission queue is saturated, so it never draws a
@@ -15,10 +15,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_cache::CacheConfig;
-use wtq_core::{CachedEngine, Engine};
-use wtq_server::{
-    Client, ClientError, ErrorCode, ExplainBody, Server, ServerConfig, WireExplanation,
-};
+use wtq_core::{candidates_json, CachedEngine, Engine, WireCandidate};
+use wtq_server::{Client, ClientError, ErrorCode, ExplainBody, Server, ServerConfig};
 use wtq_table::{samples, Catalog, Table, TableBuilder};
 
 /// A deterministically generated table from the dataset domains.
@@ -33,22 +31,20 @@ fn generated_table(domain: usize, rows: usize, seed: u64) -> Table {
     )
 }
 
-/// The wire rendering both the server and these tests compare through:
-/// utterances, SQL, answers and provenance highlights all serialize into
-/// it, so string equality here is byte identity for everything a client
-/// can observe.
-fn wire_json(question: &str, table: &Table, candidates: &[wtq_core::ExplainedCandidate]) -> String {
-    let wire = WireExplanation::from_candidates(question, table.name(), candidates, table);
-    serde_json::to_string(&wire).expect("wire explanation serializes")
+/// The candidates a cached body encodes.
+fn decode(body: &[u8]) -> Vec<WireCandidate> {
+    let text = std::str::from_utf8(body).expect("bodies are UTF-8 JSON");
+    serde_json::from_str(text).expect("bodies decode as wire candidates")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Byte-identity differential: on random generated tables and
-    /// questions, the cached engine's answer — both the leading (miss)
-    /// execution and the subsequent pure hit — serializes to exactly the
-    /// bytes of a fresh uncached execution.
+    /// questions, the cached engine's answer body — both the leading
+    /// (miss) execution and the subsequent pure hit — is exactly
+    /// `candidates_json` of a fresh uncached execution: utterances, SQL,
+    /// answers and provenance highlights, everything a client observes.
     #[test]
     fn cached_answers_are_byte_identical_to_fresh_executions(
         domain in 0usize..4,
@@ -63,15 +59,14 @@ proptest! {
         let engine = Arc::new(Engine::new());
         let cached = CachedEngine::new(engine.clone(), CacheConfig::default());
         for question in &questions {
-            let fresh = wire_json(
-                &question.question,
-                &table,
+            let fresh = candidates_json(
                 &engine.explain_question(&question.question, &table, top_k),
+                &table,
             );
             let miss = cached.explain_question(&question.question, &table, top_k);
-            prop_assert_eq!(&fresh, &wire_json(&question.question, &table, miss.as_slice()));
+            prop_assert_eq!(&fresh, &*miss);
             let hit = cached.explain_question(&question.question, &table, top_k);
-            prop_assert_eq!(&fresh, &wire_json(&question.question, &table, hit.as_slice()));
+            prop_assert_eq!(&fresh, &*hit);
         }
         // Every question registered one miss and one hit.
         let metrics = cached.cache().metrics();
@@ -156,7 +151,7 @@ fn re_registration_invalidates_and_ttl_expires() {
     // v1 of the table answers Beijing; the answer is cached.
     let v1 = host_table("Beijing");
     let first = cached.explain_question(question, &v1, 3);
-    assert!(first[0].answer.to_string().contains("Beijing"));
+    assert!(decode(&first)[0].answer.to_string().contains("Beijing"));
     let key_v1 = cached.key_for(question, &v1, Some(3));
     assert!(cached.lookup(&key_v1).is_some());
 
@@ -165,7 +160,7 @@ fn re_registration_invalidates_and_ttl_expires() {
     let v2 = host_table("Shanghai");
     assert_ne!(v1.content_fingerprint(), v2.content_fingerprint());
     let second = cached.explain_question(question, &v2, 3);
-    assert!(second[0].answer.to_string().contains("Shanghai"));
+    assert!(decode(&second)[0].answer.to_string().contains("Shanghai"));
 
     // ... and an explicit epoch bump (what the server's table reload path
     // does) drops the old fingerprint's entries on next lookup.

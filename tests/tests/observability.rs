@@ -124,7 +124,7 @@ fn parse_prometheus(text: &str) -> (HashMap<String, f64>, HashMap<String, String
 /// Every family `/metrics` prints under `ServerConfig::default()`, with its
 /// label key and the values of its series (`""` when unlabeled): dropping
 /// or renaming any of them is a breaking change for scrapers.
-const FAMILIES: [(&str, &str, &str); 30] = [
+const FAMILIES: [(&str, &str, &str); 28] = [
     ("wtq_answer_cache_bytes", "", ""),
     ("wtq_answer_cache_entries", "", ""),
     (
@@ -142,9 +142,7 @@ const FAMILIES: [(&str, &str, &str); 30] = [
     ("wtq_engine_questions_served_total", "", ""),
     ("wtq_index_cache_ops_total", "op", "hit miss eviction"),
     ("wtq_index_cache_tables", "", ""),
-    ("wtq_parse_questions_total", "", ""),
     ("wtq_parse_stage_duration_seconds", "stage", PARSE_STAGES),
-    ("wtq_parse_stage_ns_total", "stage", PARSE_STAGES),
     ("wtq_planner_actual_rows_total", "", ""),
     (
         "wtq_planner_decisions_total",
@@ -472,7 +470,6 @@ fn engines_caches_and_servers_in_one_process_keep_their_own_numbers() {
         .unwrap();
     let a = explain_and_scrape(&server_a, QUESTION);
     assert!(a[r#"wtq_planner_decisions_total{backend="kernel"}"#] >= 1.0);
-    assert_eq!(a["wtq_parse_questions_total"], 2.0);
     assert_eq!(
         a[r#"wtq_parse_stage_duration_seconds_count{stage="score"}"#],
         2.0
