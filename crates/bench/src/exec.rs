@@ -86,8 +86,9 @@ pub struct ExecReport {
     pub candidate_throughput_qps: f64,
     /// Mean per-question parse time backing the throughput number, µs.
     pub candidate_parse_us: f64,
-    /// Denotation-cache hits/misses observed while generating one question's
-    /// candidate pool.
+    /// Evaluator memo hits/misses (record sets and grouped projections,
+    /// see `Evaluator::cache_stats`) observed while generating one
+    /// question's candidate pool.
     pub cache_hits: u64,
     pub cache_misses: u64,
     /// Batch-serving throughput on the bench table at growing worker-pool

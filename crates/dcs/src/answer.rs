@@ -32,12 +32,7 @@ impl Answer {
     pub fn from_denotation(denotation: &Denotation) -> Answer {
         match denotation {
             Denotation::Number(n) => Answer::Number(*n),
-            Denotation::Values(values) => {
-                let mut out: Vec<Value> = values.iter().map(|tv| tv.value.clone()).collect();
-                out.sort();
-                out.dedup();
-                Answer::Values(out)
-            }
+            Denotation::Values(values) => Answer::values(values.iter().map(|tv| tv.value.clone())),
             Denotation::Records(records) => Answer::Records(records.iter().copied().collect()),
         }
     }

@@ -9,13 +9,17 @@
 //!
 //! The evaluator is **index-backed and stateful**: it consults the shared
 //! [`TableIndex`] (inverted value indexes, sorted numeric projections,
-//! value-sorted permutations) instead of scanning rows, and it memoizes the
-//! denotations of record-denoting subformulas across calls. A single
-//! [`Evaluator`] session therefore amortizes work across the hundreds of
-//! candidate formulas the semantic parser executes per question — shared
-//! bases like `Country.Greece` are evaluated once. The scan-based semantics
-//! it must agree with are kept in [`crate::reference`] as an executable
-//! specification, enforced by a differential proptest suite.
+//! value-sorted permutations) instead of scanning rows, and it memoizes
+//! across calls both the record sets of record-denoting subformulas and the
+//! *grouped projections* of projections whose traces nobody reads (each
+//! distinct value with its cell count). A single [`Evaluator`] session
+//! therefore amortizes work across the hundreds of candidate formulas the
+//! semantic parser executes per question — a shared base like
+//! `Country.Greece` is evaluated once, and projected once per column however
+//! many aggregates fold that projection. [`Evaluator::answer`] skips cell
+//! traces altogether. The scan-based semantics it must agree with are kept
+//! in [`crate::reference`] as an executable specification, enforced by a
+//! differential proptest suite.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
@@ -23,6 +27,7 @@ use std::sync::Arc;
 
 use wtq_table::{CellRef, KnowledgeBase, RecordIdx, Table, TableIndex, Value};
 
+use crate::answer::Answer;
 use crate::ast::{AggregateOp, CompareOp, Formula, SuperlativeOp};
 use crate::error::DcsError;
 use crate::Result;
@@ -32,9 +37,10 @@ use crate::Result;
 /// pathological inputs.
 pub const MAX_EVAL_DEPTH: usize = 64;
 
-/// Maximum number of memoized record denotations per evaluator session. The
-/// candidate generator produces a few hundred formulas per question, far
-/// below this; the cap only bounds memory for adversarial workloads.
+/// Maximum number of memo entries per evaluator session, record sets and
+/// grouped projections together. The candidate generator produces a few
+/// hundred formulas per question, far below this; the cap only bounds
+/// memory for adversarial workloads.
 const DENOTATION_CACHE_CAP: usize = 8192;
 
 /// One value of a value-denoting formula, together with the cells that
@@ -141,6 +147,73 @@ impl Denotation {
     }
 }
 
+/// A record set shared by the session memo and every consumer that reads
+/// it: record indices, ascending and distinct.
+type Records = Arc<[RecordIdx]>;
+
+/// A grouped projection: the distinct values of a column over a record set
+/// in first-appearance order, each with the number of cells holding it —
+/// a projection without its cell traces.
+type Groups = Arc<[(Value, usize)]>;
+
+/// A denotation inside the evaluator. Record sets and groupings are shared
+/// with the memo, so a memo hit is a reference-count bump.
+#[derive(Clone)]
+enum Den {
+    Records(Records),
+    /// A traced value set.
+    Values(Vec<TracedValue>),
+    /// An untraced projection (see [`Groups`]); only evaluation that reads
+    /// no traces produces one.
+    Groups(Groups),
+    Number(f64),
+}
+
+impl Den {
+    fn kind(&self) -> &'static str {
+        match self {
+            Den::Records(_) => "records",
+            Den::Values(_) | Den::Groups(_) => "values",
+            Den::Number(_) => "number",
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Den::Records(r) => r.len(),
+            Den::Values(v) => v.len(),
+            Den::Groups(g) => g.len(),
+            Den::Number(_) => 1,
+        }
+    }
+
+    /// The values of a value set in order, each with the number of cells
+    /// it is traced to; nothing for records and numbers.
+    fn counted(&self) -> impl Iterator<Item = (&Value, usize)> {
+        let (traced, grouped): (&[TracedValue], &[(Value, usize)]) = match self {
+            Den::Values(values) => (values, &[]),
+            Den::Groups(groups) => (&[], groups),
+            Den::Records(_) | Den::Number(_) => (&[], &[]),
+        };
+        traced
+            .iter()
+            .map(|tv| (&tv.value, tv.cells.len()))
+            .chain(grouped.iter().map(|(value, count)| (value, *count)))
+    }
+
+    /// [`Denotation::as_single_number`].
+    fn as_single_number(&self) -> Option<f64> {
+        match self {
+            Den::Number(n) => Some(*n),
+            Den::Values(_) | Den::Groups(_) if self.len() == 1 => self
+                .counted()
+                .next()
+                .and_then(|(value, _)| value.as_number()),
+            _ => None,
+        }
+    }
+}
+
 /// Records whose numeric cell in `column` satisfies `op` against
 /// `threshold`, answered from the index's sorted numeric projection: binary
 /// search for the ordered operators, a linear pass over the numeric cells for
@@ -154,6 +227,16 @@ pub fn compare_records(
     op: CompareOp,
     threshold: f64,
 ) -> BTreeSet<RecordIdx> {
+    compare_matches(index, column, op, threshold).collect()
+}
+
+/// The records [`compare_records`] selects, in numeric (not record) order.
+fn compare_matches(
+    index: &TableIndex,
+    column: usize,
+    op: CompareOp,
+    threshold: f64,
+) -> impl Iterator<Item = RecordIdx> + '_ {
     let col = index.column(column);
     let matched: Box<dyn Iterator<Item = &(f64, RecordIdx)>> = match op {
         CompareOp::Lt => Box::new(col.numeric_below(threshold, false).iter()),
@@ -166,22 +249,24 @@ pub fn compare_records(
                 .filter(move |(n, _)| op.compare(*n, threshold)),
         ),
     };
-    matched.map(|&(_, record)| record).collect()
+    matched.map(|&(_, record)| record)
 }
 
 /// Evaluator bound to one table (and its indexed KB view). Create one per
 /// table and reuse it across formulas: the session memoizes record-denoting
-/// subformula results, so candidate pools sharing bases (`Country.Greece`
-/// under many projections and aggregates) pay for each base once.
+/// subformulas and grouped projections, so candidate pools sharing bases
+/// (`Country.Greece` under many projections and aggregates) pay for each
+/// base once, and for each projection of it once.
 pub struct Evaluator<'a> {
     table: &'a Table,
     kb: KnowledgeBase<'a>,
-    /// Memoized denotations of record-denoting subformulas, keyed by the
-    /// formula's structure, together with the formula's nesting depth (so a
-    /// cache hit can still enforce the depth guard a fresh recursion would
-    /// have tripped). Sound because the table (and thus every denotation)
-    /// is immutable for the life of the session.
-    cache: RefCell<HashMap<Formula, (BTreeSet<RecordIdx>, usize)>>,
+    /// Memoized record sets of record-denoting subformulas and groupings of
+    /// projections, keyed by the formula's structure, together with the
+    /// formula's nesting depth (so a hit can still enforce the depth guard
+    /// a fresh recursion would have tripped). Holds only [`Den::Records`]
+    /// and [`Den::Groups`]: no cell traces. Sound because the table (and
+    /// thus every denotation) is immutable for the life of the session.
+    cache: RefCell<HashMap<Formula, (Den, usize)>>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
 }
@@ -223,41 +308,66 @@ impl<'a> Evaluator<'a> {
         self.kb.index()
     }
 
-    /// `(hits, misses)` of the cross-formula denotation cache, for
-    /// instrumentation and benchmarks.
+    /// `(hits, misses)` of the session memo, for instrumentation, benchmarks
+    /// and count gates. Both of its kinds of entry count: the record sets of
+    /// composite record-denoting subformulas, and the grouped projections
+    /// behind [`Evaluator::answer`] and every aggregate, difference or
+    /// value-level operator over a projection. A hit is a lookup that found
+    /// its entry; a miss is a lookup that did not and whose evaluation then
+    /// succeeded (a failed evaluation counts as neither).
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits.get(), self.cache_misses.get())
     }
 
     /// Evaluate `formula` against the table.
     pub fn eval(&self, formula: &Formula) -> Result<Denotation> {
-        self.eval_depth(formula, 0)
+        Ok(match self.eval_depth(formula, 0, true)? {
+            Den::Records(records) => Denotation::Records(records.iter().copied().collect()),
+            Den::Values(values) => Denotation::Values(values),
+            Den::Number(n) => Denotation::Number(n),
+            Den::Groups(_) => unreachable!("traced evaluation never groups"),
+        })
     }
 
-    /// Whether a formula's denotation is worth memoizing: composite and
-    /// (potentially) record-denoting. Atomic formulas are cheaper to
-    /// re-evaluate than to look up.
-    fn cacheable(formula: &Formula) -> bool {
-        matches!(
-            formula,
+    /// The canonical answer of `formula`: exactly
+    /// `self.eval(formula).map(|d| Answer::from_denotation(&d))`, errors
+    /// included, but without building the cell traces an answer drops — a
+    /// projection is answered from its memoized grouping.
+    pub fn answer(&self, formula: &Formula) -> Result<Answer> {
+        Ok(match self.eval_depth(formula, 0, false)? {
+            Den::Records(records) => Answer::Records(records.to_vec()),
+            Den::Number(n) => Answer::Number(n),
+            values => Answer::values(values.counted().map(|(value, _)| value.clone())),
+        })
+    }
+
+    /// Whether a formula's denotation is memoized: composite record-denoting
+    /// formulas (atomic ones are cheaper to re-evaluate than to look up),
+    /// and projections evaluated without traces.
+    fn memoized(formula: &Formula, traced: bool) -> bool {
+        match formula {
+            Formula::ColumnValues { .. } => !traced,
             Formula::Join { .. }
-                | Formula::CompareJoin { .. }
-                | Formula::Prev(_)
-                | Formula::Next(_)
-                | Formula::Intersect(_, _)
-                | Formula::Union(_, _)
-                | Formula::SuperlativeRecords { .. }
-                | Formula::RecordIndexSuperlative { .. }
-        )
+            | Formula::CompareJoin { .. }
+            | Formula::Prev(_)
+            | Formula::Next(_)
+            | Formula::Intersect(_, _)
+            | Formula::Union(_, _)
+            | Formula::SuperlativeRecords { .. }
+            | Formula::RecordIndexSuperlative { .. } => true,
+            _ => false,
+        }
     }
 
-    fn eval_depth(&self, formula: &Formula, depth: usize) -> Result<Denotation> {
+    /// Evaluate `formula` at nesting `depth`. With `traced` false the caller
+    /// reads no cell traces, so a projection may come back as its grouping.
+    fn eval_depth(&self, formula: &Formula, depth: usize, traced: bool) -> Result<Den> {
         if depth > MAX_EVAL_DEPTH {
             return Err(DcsError::DepthExceeded(MAX_EVAL_DEPTH));
         }
-        let cacheable = Self::cacheable(formula);
-        if cacheable {
-            if let Some((records, formula_depth)) = self.cache.borrow().get(formula) {
+        let memoized = Self::memoized(formula, traced);
+        if memoized {
+            if let Some((denotation, formula_depth)) = self.cache.borrow().get(formula) {
                 // A fresh evaluation of this subformula would recurse to
                 // `depth + formula_depth - 1`; replicate the depth guard it
                 // would have hit so cached and uncached evaluation (and the
@@ -266,83 +376,87 @@ impl<'a> Evaluator<'a> {
                     return Err(DcsError::DepthExceeded(MAX_EVAL_DEPTH));
                 }
                 self.cache_hits.set(self.cache_hits.get() + 1);
-                return Ok(Denotation::Records(records.clone()));
+                return Ok(denotation.clone());
             }
         }
-        let result = self.eval_node(formula, depth)?;
-        if cacheable {
+        let result = self.eval_node(formula, depth, traced)?;
+        if memoized {
             self.cache_misses.set(self.cache_misses.get() + 1);
-            if let Denotation::Records(records) = &result {
+            if matches!(result, Den::Records(_) | Den::Groups(_)) {
                 let mut cache = self.cache.borrow_mut();
                 if cache.len() < DENOTATION_CACHE_CAP {
-                    cache.insert(formula.clone(), (records.clone(), formula.depth()));
+                    cache.insert(formula.clone(), (result.clone(), formula.depth()));
                 }
             }
         }
         Ok(result)
     }
 
-    fn eval_node(&self, formula: &Formula, depth: usize) -> Result<Denotation> {
+    fn eval_node(&self, formula: &Formula, depth: usize, traced: bool) -> Result<Den> {
         match formula {
             Formula::Const(value) => Ok(self.eval_const(value)),
-            Formula::AllRecords => Ok(Denotation::Records(self.table.record_indices().collect())),
+            Formula::AllRecords => Ok(Den::Records(self.table.record_indices().collect())),
             Formula::Join { column, values } => {
                 let column_idx = self.column(column)?;
-                let values = self.eval_depth(values, depth + 1)?;
+                let values = self.eval_depth(values, depth + 1, false)?;
                 self.eval_join(column_idx, &values)
             }
             Formula::CompareJoin { column, op, value } => {
                 let column_idx = self.column(column)?;
-                let value = self.eval_depth(value, depth + 1)?;
+                let value = self.eval_depth(value, depth + 1, false)?;
                 let threshold = value.as_single_number().ok_or(DcsError::Cardinality {
                     operator: "comparison",
                     expected: "a single numeric value",
                     got: value.len(),
                 })?;
-                Ok(Denotation::Records(compare_records(
-                    self.index(),
-                    column_idx,
-                    *op,
-                    threshold,
-                )))
+                let mut records: Vec<RecordIdx> =
+                    compare_matches(self.index(), column_idx, *op, threshold).collect();
+                records.sort_unstable();
+                Ok(Den::Records(records.into()))
             }
             Formula::ColumnValues { column, records } => {
                 let column_idx = self.column(column)?;
-                let records = self.eval_depth(records, depth + 1)?;
-                let records = self.expect_records("column projection", records)?;
-                Ok(self.project_column(column_idx, &records))
+                let records = self.eval_records("column projection", records, depth)?;
+                Ok(if traced {
+                    self.project_column(column_idx, &records)
+                } else {
+                    Den::Groups(self.group_column(column_idx, &records, |_, _| {}).into())
+                })
             }
             Formula::Prev(sub) => {
-                let records = self.eval_depth(sub, depth + 1)?;
-                let records = self.expect_records("Prev", records)?;
-                let shifted: BTreeSet<RecordIdx> = records
-                    .iter()
-                    .filter_map(|&r| self.table.prev_record(r))
-                    .collect();
-                Ok(Denotation::Records(shifted))
+                let records = self.eval_records("Prev", sub, depth)?;
+                Ok(Den::Records(
+                    records
+                        .iter()
+                        .filter_map(|&r| self.table.prev_record(r))
+                        .collect(),
+                ))
             }
             Formula::Next(sub) => {
-                let records = self.eval_depth(sub, depth + 1)?;
-                let records = self.expect_records("R[Prev]", records)?;
-                let shifted: BTreeSet<RecordIdx> = records
-                    .iter()
-                    .filter_map(|&r| self.table.next_record(r))
-                    .collect();
-                Ok(Denotation::Records(shifted))
+                let records = self.eval_records("R[Prev]", sub, depth)?;
+                Ok(Den::Records(
+                    records
+                        .iter()
+                        .filter_map(|&r| self.table.next_record(r))
+                        .collect(),
+                ))
             }
+            // Value-set intersections and unions carry their operands' cell
+            // traces into the result (a union merges them, which decides its
+            // cell counts), so their operands are always evaluated traced.
             Formula::Intersect(a, b) => {
-                let left = self.eval_depth(a, depth + 1)?;
-                let right = self.eval_depth(b, depth + 1)?;
+                let left = self.eval_depth(a, depth + 1, true)?;
+                let right = self.eval_depth(b, depth + 1, true)?;
                 self.eval_intersect(left, right)
             }
             Formula::Union(a, b) => {
-                let left = self.eval_depth(a, depth + 1)?;
-                let right = self.eval_depth(b, depth + 1)?;
+                let left = self.eval_depth(a, depth + 1, true)?;
+                let right = self.eval_depth(b, depth + 1, true)?;
                 self.eval_union(left, right)
             }
             Formula::Aggregate { op, sub } => {
-                let inner = self.eval_depth(sub, depth + 1)?;
-                self.eval_aggregate(*op, inner)
+                let inner = self.eval_depth(sub, depth + 1, false)?;
+                self.eval_aggregate(*op, &inner)
             }
             Formula::SuperlativeRecords {
                 op,
@@ -350,25 +464,23 @@ impl<'a> Evaluator<'a> {
                 column,
             } => {
                 let column_idx = self.column(column)?;
-                let records = self.eval_depth(records, depth + 1)?;
-                let records = self.expect_records("superlative", records)?;
-                Ok(Denotation::Records(
+                let records = self.eval_records("superlative", records, depth)?;
+                Ok(Den::Records(
                     self.superlative_records(*op, &records, column_idx),
                 ))
             }
             Formula::RecordIndexSuperlative { op, records } => {
-                let records = self.eval_depth(records, depth + 1)?;
-                let records = self.expect_records("index superlative", records)?;
+                let records = self.eval_records("index superlative", records, depth)?;
                 let chosen = match op {
-                    SuperlativeOp::Argmax => records.iter().next_back().copied(),
-                    SuperlativeOp::Argmin => records.iter().next().copied(),
+                    SuperlativeOp::Argmax => records.last(),
+                    SuperlativeOp::Argmin => records.first(),
                 };
-                Ok(Denotation::Records(chosen.into_iter().collect()))
+                Ok(Den::Records(chosen.into_iter().copied().collect()))
             }
             Formula::MostCommonValue { op, values, column } => {
                 let column_idx = self.column(column)?;
-                let values = self.eval_depth(values, depth + 1)?;
-                self.eval_most_common(*op, values, column_idx)
+                let values = self.eval_depth(values, depth + 1, false)?;
+                self.eval_most_common(*op, &values, column_idx)
             }
             Formula::CompareValues {
                 op,
@@ -378,15 +490,15 @@ impl<'a> Evaluator<'a> {
             } => {
                 let key_idx = self.column(key_column)?;
                 let value_idx = self.column(value_column)?;
-                let values = self.eval_depth(values, depth + 1)?;
-                self.eval_compare_values(*op, values, key_idx, value_idx)
+                let values = self.eval_depth(values, depth + 1, false)?;
+                self.eval_compare_values(*op, &values, key_idx, value_idx)
             }
             Formula::Sub(a, b) => {
-                let left = self.eval_depth(a, depth + 1)?;
-                let right = self.eval_depth(b, depth + 1)?;
+                let left = self.eval_depth(a, depth + 1, false)?;
+                let right = self.eval_depth(b, depth + 1, false)?;
                 let left = self.expect_number("difference", &left)?;
                 let right = self.expect_number("difference", &right)?;
-                Ok(Denotation::Number(left - right))
+                Ok(Den::Number(left - right))
             }
         }
     }
@@ -400,68 +512,49 @@ impl<'a> Evaluator<'a> {
     /// A constant denotes the set of table cells holding that value (across
     /// all columns); if the value does not appear in the table it still
     /// denotes itself, untraced.
-    fn eval_const(&self, value: &Value) -> Denotation {
+    fn eval_const(&self, value: &Value) -> Den {
         let mut cells = Vec::new();
         for column in 0..self.table.num_columns() {
             cells.extend(self.kb.matching_cells(column, value));
         }
         cells.sort_unstable();
-        Denotation::Values(vec![TracedValue {
+        Den::Values(vec![TracedValue {
             value: value.clone(),
             cells,
         }])
     }
 
-    fn eval_join(&self, column: usize, values: &Denotation) -> Result<Denotation> {
-        let wanted: Vec<Value> = match values {
-            Denotation::Values(v) => v.iter().map(|tv| tv.value.clone()).collect(),
-            Denotation::Number(n) => vec![Value::Num(*n)],
-            Denotation::Records(_) => {
+    fn eval_join(&self, column: usize, values: &Den) -> Result<Den> {
+        let mut records: Vec<RecordIdx> = match values {
+            Den::Number(n) => self.kb.join(column, &Value::Num(*n)).to_vec(),
+            Den::Records(_) => {
                 return Err(DcsError::TypeMismatch {
                     operator: "join",
                     expected: "values",
                     found: "records",
                 })
             }
+            values => values
+                .counted()
+                .flat_map(|(value, _)| self.kb.join(column, value))
+                .copied()
+                .collect(),
         };
-        let mut records = BTreeSet::new();
-        for value in &wanted {
-            records.extend(self.kb.join(column, value).iter().copied());
-        }
-        Ok(Denotation::Records(records))
+        records.sort_unstable();
+        records.dedup();
+        Ok(Den::Records(records.into()))
     }
 
-    fn project_column(&self, column: usize, records: &BTreeSet<RecordIdx>) -> Denotation {
-        let mut out: Vec<TracedValue> = Vec::new();
-        // First-encounter position of each distinct value — O(1) per record
-        // versus the former linear scan (equivalent up to `Value`'s
-        // documented hash/equality boundary caveat).
-        let mut position: HashMap<Value, usize> = HashMap::new();
-        for &record in records {
-            let Some(value) = self.table.value_at(record, column) else {
-                continue;
-            };
-            let cell = CellRef::new(record, column);
-            if let Some(&at) = position.get(&value) {
-                out[at].cells.push(cell);
-            } else {
-                position.insert(value.clone(), out.len());
-                out.push(TracedValue {
-                    value,
-                    cells: vec![cell],
-                });
-            }
-        }
-        Denotation::Values(out)
-    }
-
-    fn expect_records(
+    /// Evaluate the record-denoting operand `formula` of `operator`, sharing
+    /// its record set with the memo.
+    fn eval_records(
         &self,
         operator: &'static str,
-        denotation: Denotation,
-    ) -> Result<BTreeSet<RecordIdx>> {
-        match denotation {
-            Denotation::Records(r) => Ok(r),
+        formula: &Formula,
+        depth: usize,
+    ) -> Result<Records> {
+        match self.eval_depth(formula, depth + 1, false)? {
+            Den::Records(records) => Ok(records),
             other => Err(DcsError::TypeMismatch {
                 operator,
                 expected: "records",
@@ -470,12 +563,77 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn expect_number(&self, operator: &'static str, denotation: &Denotation) -> Result<f64> {
+    /// The distinct values of `column` over `records` in first-appearance
+    /// order, each with its cell count; `on_cell(group, record)` sees every
+    /// cell. The one place projections decide which cells hold the same
+    /// value: `Value`'s hash and (tolerant) equality, as in the index.
+    fn group_column(
+        &self,
+        column: usize,
+        records: &[RecordIdx],
+        mut on_cell: impl FnMut(usize, RecordIdx),
+    ) -> Vec<(Value, usize)> {
+        let mut groups: Vec<(Value, usize)> = Vec::new();
+        let mut position: HashMap<Value, usize> = HashMap::new();
+        // A dictionary column remembers each string id's group, so a repeated
+        // string is neither copied nor hashed again. String equality is
+        // transitive, so this cannot change which group a cell joins.
+        let dict = self.table.column_dict(column);
+        let mut group_of_id = vec![usize::MAX; dict.map_or(0, |dict| dict.entries().len())];
+        for &record in records {
+            let id = dict
+                .and_then(|dict| dict.ids().get(record))
+                .map(|&id| id as usize);
+            let group = match id.map(|id| group_of_id[id]) {
+                Some(group) if group != usize::MAX => group,
+                _ => {
+                    let Some(value) = self.table.value_at(record, column) else {
+                        continue;
+                    };
+                    let group = match position.get(&value) {
+                        Some(&group) => group,
+                        None => {
+                            position.insert(value.clone(), groups.len());
+                            groups.push((value, 0));
+                            groups.len() - 1
+                        }
+                    };
+                    if let Some(id) = id {
+                        group_of_id[id] = group;
+                    }
+                    group
+                }
+            };
+            groups[group].1 += 1;
+            on_cell(group, record);
+        }
+        groups
+    }
+
+    /// The traced projection of `column` over `records`.
+    fn project_column(&self, column: usize, records: &[RecordIdx]) -> Den {
+        let mut cells: Vec<Vec<CellRef>> = Vec::new();
+        let groups = self.group_column(column, records, |group, record| {
+            if group == cells.len() {
+                cells.push(Vec::new());
+            }
+            cells[group].push(CellRef::new(record, column));
+        });
+        Den::Values(
+            groups
+                .into_iter()
+                .zip(cells)
+                .map(|((value, _), cells)| TracedValue { value, cells })
+                .collect(),
+        )
+    }
+
+    fn expect_number(&self, operator: &'static str, denotation: &Den) -> Result<f64> {
         denotation.as_single_number().ok_or(match denotation {
-            Denotation::Values(v) => DcsError::Cardinality {
+            Den::Values(_) | Den::Groups(_) => DcsError::Cardinality {
                 operator,
                 expected: "a single numeric value",
-                got: v.len(),
+                got: denotation.len(),
             },
             other => DcsError::TypeMismatch {
                 operator,
@@ -485,24 +643,27 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    fn eval_intersect(&self, left: Denotation, right: Denotation) -> Result<Denotation> {
+    fn eval_intersect(&self, left: Den, right: Den) -> Result<Den> {
         match (left, right) {
-            (Denotation::Records(a), Denotation::Records(b)) => {
-                Ok(Denotation::Records(a.intersection(&b).copied().collect()))
-            }
-            (Denotation::Values(a), Denotation::Values(b)) => {
+            (Den::Records(a), Den::Records(b)) => Ok(Den::Records(
+                a.iter()
+                    .copied()
+                    .filter(|record| b.binary_search(record).is_ok())
+                    .collect(),
+            )),
+            (Den::Values(a), Den::Values(b)) => {
                 let present: std::collections::HashSet<&Value> =
                     b.iter().map(|tv| &tv.value).collect();
                 let out = a
                     .into_iter()
                     .filter(|tv| present.contains(&tv.value))
                     .collect();
-                Ok(Denotation::Values(out))
+                Ok(Den::Values(out))
             }
             (left, right) => Err(DcsError::TypeMismatch {
                 operator: "intersection",
                 expected: "two record sets or two value sets",
-                found: if matches!(left, Denotation::Number(_)) {
+                found: if matches!(left, Den::Number(_)) {
                     left.kind()
                 } else {
                     right.kind()
@@ -511,12 +672,15 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_union(&self, left: Denotation, right: Denotation) -> Result<Denotation> {
+    fn eval_union(&self, left: Den, right: Den) -> Result<Den> {
         match (left, right) {
-            (Denotation::Records(a), Denotation::Records(b)) => {
-                Ok(Denotation::Records(a.union(&b).copied().collect()))
+            (Den::Records(a), Den::Records(b)) => {
+                let mut records = [&a[..], &b[..]].concat();
+                records.sort_unstable();
+                records.dedup();
+                Ok(Den::Records(records.into()))
             }
-            (Denotation::Values(mut a), Denotation::Values(b)) => {
+            (Den::Values(mut a), Den::Values(b)) => {
                 let mut position: HashMap<Value, usize> = a
                     .iter()
                     .enumerate()
@@ -533,12 +697,12 @@ impl<'a> Evaluator<'a> {
                         a.push(tv);
                     }
                 }
-                Ok(Denotation::Values(a))
+                Ok(Den::Values(a))
             }
             (left, right) => Err(DcsError::TypeMismatch {
                 operator: "union",
                 expected: "two record sets or two value sets",
-                found: if matches!(left, Denotation::Number(_)) {
+                found: if matches!(left, Den::Number(_)) {
                     left.kind()
                 } else {
                     right.kind()
@@ -547,38 +711,38 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_aggregate(&self, op: AggregateOp, inner: Denotation) -> Result<Denotation> {
+    fn eval_aggregate(&self, op: AggregateOp, inner: &Den) -> Result<Den> {
         if op == AggregateOp::Count {
-            return Ok(Denotation::Number(match &inner {
-                Denotation::Records(r) => r.len() as f64,
-                Denotation::Values(v) => {
-                    v.iter().map(|tv| tv.cells.len().max(1)).sum::<usize>() as f64
-                }
-                Denotation::Number(_) => 1.0,
+            return Ok(Den::Number(match inner {
+                Den::Records(r) => r.len() as f64,
+                Den::Number(_) => 1.0,
+                values => values
+                    .counted()
+                    .map(|(_, cells)| cells.max(1))
+                    .sum::<usize>() as f64,
             }));
         }
-        let numbers = match &inner {
-            Denotation::Values(values) => {
-                let mut numbers = Vec::with_capacity(values.len());
-                for tv in values {
-                    // Count each cell occurrence once so that sums over
-                    // repeated values match the SQL semantics.
-                    let occurrences = tv.cells.len().max(1);
-                    let number = tv.value.as_number().ok_or_else(|| DcsError::NonNumeric {
-                        operator: op.name(),
-                        value: tv.value.to_string(),
-                    })?;
-                    numbers.extend(std::iter::repeat_n(number, occurrences));
-                }
-                numbers
-            }
-            Denotation::Number(n) => vec![*n],
-            Denotation::Records(_) => {
+        let numbers = match inner {
+            Den::Number(n) => vec![*n],
+            Den::Records(_) => {
                 return Err(DcsError::TypeMismatch {
                     operator: op.name(),
                     expected: "values",
                     found: "records",
                 })
+            }
+            values => {
+                let mut numbers = Vec::new();
+                for (value, cells) in values.counted() {
+                    // Count each cell occurrence once so that sums over
+                    // repeated values match the SQL semantics.
+                    let number = value.as_number().ok_or_else(|| DcsError::NonNumeric {
+                        operator: op.name(),
+                        value: value.to_string(),
+                    })?;
+                    numbers.extend(std::iter::repeat_n(number, cells.max(1)));
+                }
+                numbers
             }
         };
         if numbers.is_empty() {
@@ -595,7 +759,7 @@ impl<'a> Evaluator<'a> {
             AggregateOp::Avg => numbers.iter().sum::<f64>() / numbers.len() as f64,
             AggregateOp::Count => unreachable!("count handled above"),
         };
-        Ok(Denotation::Number(result))
+        Ok(Den::Number(result))
     }
 
     /// The best (Ord-extreme) value of `column` among `records`. Walks the
@@ -606,7 +770,7 @@ impl<'a> Evaluator<'a> {
     fn superlative_best(
         &self,
         op: SuperlativeOp,
-        records: &BTreeSet<RecordIdx>,
+        records: &[RecordIdx],
         column: usize,
     ) -> Option<Value> {
         if records.is_empty() {
@@ -616,9 +780,10 @@ impl<'a> Evaluator<'a> {
             // Expected walk length is |table| / |records|; only walk when the
             // set is dense enough that the walk beats the O(|records|) scan.
             if records.len() * 4 >= order.len() {
+                let member = |record: &&RecordIdx| records.binary_search(*record).is_ok();
                 let found = match op {
-                    SuperlativeOp::Argmax => order.iter().rev().find(|r| records.contains(r)),
-                    SuperlativeOp::Argmin => order.iter().find(|r| records.contains(r)),
+                    SuperlativeOp::Argmax => order.iter().rev().find(member),
+                    SuperlativeOp::Argmin => order.iter().find(member),
                 };
                 return found.and_then(|&r| self.table.value_at(r, column));
             }
@@ -643,11 +808,11 @@ impl<'a> Evaluator<'a> {
     fn superlative_records(
         &self,
         op: SuperlativeOp,
-        records: &BTreeSet<RecordIdx>,
+        records: &[RecordIdx],
         column: usize,
-    ) -> BTreeSet<RecordIdx> {
+    ) -> Records {
         let Some(best) = self.superlative_best(op, records, column) else {
-            return BTreeSet::new();
+            return Records::default();
         };
         records
             .iter()
@@ -656,100 +821,64 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    fn eval_most_common(
-        &self,
-        op: SuperlativeOp,
-        values: Denotation,
-        column: usize,
-    ) -> Result<Denotation> {
-        let candidates = match values {
-            Denotation::Values(v) => v,
-            other => {
-                return Err(DcsError::TypeMismatch {
-                    operator: "most_common",
-                    expected: "values",
-                    found: other.kind(),
-                })
-            }
-        };
-        if candidates.is_empty() {
-            return Ok(Denotation::Values(Vec::new()));
+    /// The type check shared by the value-level superlatives.
+    fn expect_values(&self, operator: &'static str, values: &Den) -> Result<()> {
+        match values {
+            Den::Values(_) | Den::Groups(_) => Ok(()),
+            other => Err(DcsError::TypeMismatch {
+                operator,
+                expected: "values",
+                found: other.kind(),
+            }),
         }
-        let counts: Vec<usize> = candidates
-            .iter()
-            .map(|tv| self.kb.join(column, &tv.value).len())
+    }
+
+    fn eval_most_common(&self, op: SuperlativeOp, values: &Den, column: usize) -> Result<Den> {
+        self.expect_values("most_common", values)?;
+        let counts: Vec<usize> = values
+            .counted()
+            .map(|(value, _)| self.kb.join(column, value).len())
             .collect();
         let best = match op {
             SuperlativeOp::Argmax => counts.iter().copied().max().unwrap_or(0),
             SuperlativeOp::Argmin => counts.iter().copied().min().unwrap_or(0),
         };
-        let out: Vec<TracedValue> = candidates
-            .into_iter()
+        let out: Vec<TracedValue> = values
+            .counted()
             .zip(counts)
             .filter(|(_, count)| *count == best)
-            .map(|(tv, _)| {
+            .map(|((value, _), _)| TracedValue {
+                value: value.clone(),
                 // Trace the winner to its occurrences in the counting column.
-                let cells = self.kb.matching_cells(column, &tv.value);
-                TracedValue {
-                    value: tv.value,
-                    cells,
-                }
+                cells: self.kb.matching_cells(column, value),
             })
             .collect();
-        Ok(Denotation::Values(out))
+        Ok(Den::Values(out))
     }
 
     fn eval_compare_values(
         &self,
         op: SuperlativeOp,
-        values: Denotation,
+        values: &Den,
         key_column: usize,
         value_column: usize,
-    ) -> Result<Denotation> {
-        let candidates = match values {
-            Denotation::Values(v) => v,
-            other => {
-                return Err(DcsError::TypeMismatch {
-                    operator: "compare",
-                    expected: "values",
-                    found: other.kind(),
-                })
-            }
-        };
+    ) -> Result<Den> {
+        self.expect_values("compare", values)?;
         // Rows whose value_column cell is one of the candidate values.
-        let mut rows: Vec<RecordIdx> = Vec::new();
-        for tv in &candidates {
-            rows.extend(self.kb.join(value_column, &tv.value).iter().copied());
-        }
+        let mut rows: Vec<RecordIdx> = values
+            .counted()
+            .flat_map(|(value, _)| self.kb.join(value_column, value))
+            .copied()
+            .collect();
         rows.sort_unstable();
         rows.dedup();
         // Best key among those rows.
-        let row_set: BTreeSet<RecordIdx> = rows.iter().copied().collect();
-        let Some(best) = self.superlative_best(op, &row_set, key_column) else {
-            return Ok(Denotation::Values(Vec::new()));
+        let Some(best) = self.superlative_best(op, &rows, key_column) else {
+            return Ok(Den::Values(Vec::new()));
         };
-        // Return the candidate values of rows achieving the best key.
-        let mut out: Vec<TracedValue> = Vec::new();
-        let mut position: HashMap<Value, usize> = HashMap::new();
-        for &record in &rows {
-            if !self.table.eq_at(record, key_column, &best) {
-                continue;
-            }
-            let Some(value) = self.table.value_at(record, value_column) else {
-                continue;
-            };
-            let cell = CellRef::new(record, value_column);
-            if let Some(&at) = position.get(&value) {
-                out[at].cells.push(cell);
-            } else {
-                position.insert(value.clone(), out.len());
-                out.push(TracedValue {
-                    value,
-                    cells: vec![cell],
-                });
-            }
-        }
-        Ok(Denotation::Values(out))
+        // The candidate values of the rows achieving the best key.
+        rows.retain(|&record| self.table.eq_at(record, key_column, &best));
+        Ok(self.project_column(value_column, &rows))
     }
 }
 

@@ -22,7 +22,9 @@
 //! * [`eval`](mod@eval) — the index-backed execution engine producing [`Denotation`]s
 //!   with cell-level tracking (the raw material of the provenance model);
 //!   [`Evaluator`] is a stateful per-table session that memoizes
-//!   record-denoting subformulas across a candidate pool,
+//!   record-denoting subformulas and grouped projections across a candidate
+//!   pool, and answers formulas without cell traces
+//!   ([`Evaluator::answer`]),
 //! * [`reference`](mod@reference) — the scan-based reference semantics the indexed engine
 //!   is differentially tested against,
 //! * [`typecheck`](mod@typecheck) — static classification of formulas into record-denoting /

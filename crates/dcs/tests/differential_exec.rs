@@ -2,10 +2,13 @@
 //! including provenance cell traces — identical to the scan-based reference
 //! semantics (`wtq_dcs::reference`) on random tables and random formulas,
 //! and a warm evaluator session (denotation cache populated) must agree with
-//! a cold one.
+//! a cold one. Its untraced [`Evaluator::answer`] must equal the canonical
+//! answer of the reference denotation, bit for bit.
 
 use proptest::prelude::*;
-use wtq_dcs::{eval_reference, AggregateOp, CompareOp, Evaluator, Formula, SuperlativeOp};
+use wtq_dcs::{
+    eval_reference, AggregateOp, Answer, CompareOp, DcsError, Evaluator, Formula, SuperlativeOp,
+};
 use wtq_table::{Table, TableBuilder, Value};
 
 /// Cell text drawn from a small vocabulary (so joins hit repeated values)
@@ -189,6 +192,81 @@ fn any_formula(cols: usize) -> impl Strategy<Value = Formula> {
     })
 }
 
+/// A pool of formulas sharing `base` the way a candidate pool does: per
+/// column, its projection under every aggregate (some folded before the
+/// traced projection runs, some after), the count of the base, a
+/// difference of two projections, a most-common value over the projection
+/// and a superlative over the base.
+fn shared_base_pool(base: &Formula, columns: usize) -> Vec<Formula> {
+    let projection = |c: usize| Formula::ColumnValues {
+        column: format!("Col{c}"),
+        records: Box::new(base.clone()),
+    };
+    (0..columns)
+        .flat_map(|c| {
+            vec![
+                Formula::aggregate(AggregateOp::Count, projection(c)),
+                Formula::aggregate(AggregateOp::Min, projection(c)),
+                projection(c),
+                Formula::aggregate(AggregateOp::Count, base.clone()),
+                Formula::aggregate(AggregateOp::Max, projection(c)),
+                Formula::aggregate(AggregateOp::Sum, projection(c)),
+                Formula::aggregate(AggregateOp::Avg, projection(c)),
+                Formula::Sub(
+                    Box::new(projection(c)),
+                    Box::new(projection((c + 1) % columns)),
+                ),
+                Formula::MostCommonValue {
+                    op: SuperlativeOp::Argmax,
+                    values: Box::new(projection(c)),
+                    column: format!("Col{}", (c + 1) % columns),
+                },
+                Formula::SuperlativeRecords {
+                    op: SuperlativeOp::Argmax,
+                    records: Box::new(base.clone()),
+                    column: format!("Col{c}"),
+                },
+            ]
+        })
+        .collect()
+}
+
+/// A value of an answer, compared exactly: numbers by bits.
+#[derive(Debug, PartialEq)]
+enum ExactValue {
+    Num(u64),
+    Other(String),
+}
+
+/// An answer compared exactly ([`Answer`]'s own equality is tolerant).
+#[derive(Debug, PartialEq)]
+enum ExactAnswer {
+    Number(u64),
+    Values(Vec<ExactValue>),
+    Records(Vec<usize>),
+}
+
+fn exact(answer: Result<Answer, DcsError>) -> Result<ExactAnswer, DcsError> {
+    answer.map(|answer| match answer {
+        Answer::Number(n) => ExactAnswer::Number(n.to_bits()),
+        Answer::Values(values) => ExactAnswer::Values(
+            values
+                .into_iter()
+                .map(|value| match value {
+                    Value::Num(n) => ExactValue::Num(n.to_bits()),
+                    other => ExactValue::Other(format!("{other:?}")),
+                })
+                .collect(),
+        ),
+        Answer::Records(records) => ExactAnswer::Records(records),
+    })
+}
+
+/// The canonical answer of the scan reference's denotation.
+fn reference_answer(formula: &Formula, table: &Table) -> Result<ExactAnswer, DcsError> {
+    exact(eval_reference(formula, table).map(|denotation| Answer::from_denotation(&denotation)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -219,27 +297,46 @@ proptest! {
             })
     ) {
         let session = Evaluator::new(&table);
-        let pool: Vec<Formula> = (0..table.num_columns())
-            .flat_map(|c| {
-                let projection = Formula::ColumnValues {
-                    column: format!("Col{c}"),
-                    records: Box::new(base.clone()),
-                };
-                vec![
-                    projection.clone(),
-                    Formula::aggregate(AggregateOp::Count, base.clone()),
-                    Formula::aggregate(AggregateOp::Max, projection),
-                    Formula::SuperlativeRecords {
-                        op: SuperlativeOp::Argmax,
-                        records: Box::new(base.clone()),
-                        column: format!("Col{c}"),
-                    },
-                ]
-            })
-            .collect();
+        let pool = shared_base_pool(&base, table.num_columns());
         // Evaluate the pool twice: second pass is fully cache-backed.
         for formula in pool.iter().chain(pool.iter()) {
             prop_assert_eq!(session.eval(formula), eval_reference(formula, &table));
+        }
+    }
+
+    /// `Evaluator::answer` on a cold session equals the canonical answer of
+    /// the reference denotation: same values, numbers bit-equal, same
+    /// errors.
+    #[test]
+    fn cold_answer_matches_scan_reference(
+        (table, formula) in table_strategy()
+            .prop_flat_map(|t| {
+                let cols = t.num_columns();
+                (Just(t), any_formula(cols))
+            })
+    ) {
+        let session = Evaluator::new(&table);
+        prop_assert_eq!(exact(session.answer(&formula)), reference_answer(&formula, &table));
+    }
+
+    /// The same on a warm session, with traced evaluation and answers
+    /// interleaved over a shared-base pool, so answers read groupings that
+    /// aggregates memoized and aggregates read groupings that answers did.
+    #[test]
+    fn warm_answer_matches_scan_reference(
+        (table, base) in table_strategy()
+            .prop_flat_map(|t| {
+                let cols = t.num_columns();
+                (Just(t), records_formula(cols))
+            })
+    ) {
+        let session = Evaluator::new(&table);
+        let pool = shared_base_pool(&base, table.num_columns());
+        for (i, formula) in pool.iter().chain(pool.iter()).enumerate() {
+            if i % 3 == 0 {
+                prop_assert_eq!(session.eval(formula), eval_reference(formula, &table));
+            }
+            prop_assert_eq!(exact(session.answer(formula)), reference_answer(formula, &table));
         }
     }
 

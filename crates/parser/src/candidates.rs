@@ -73,8 +73,9 @@ pub fn generate_candidates_with(
 }
 
 /// Like [`generate_candidates_with`], but accumulates the time spent inside
-/// `evaluator.eval` calls into `eval_ns`, so the parse pipeline can report
-/// formula execution separately from candidate composition.
+/// `evaluator.answer` calls into `eval_ns`, so the parse pipeline can report
+/// formula execution separately from candidate composition. Candidates need
+/// answers, not cell traces, so no formula here is evaluated traced.
 pub(crate) fn generate_candidates_timed(
     analysis: &QuestionAnalysis,
     evaluator: &Evaluator<'_>,
@@ -171,12 +172,10 @@ pub(crate) fn generate_candidates_timed(
             break;
         }
         let eval_start = Instant::now();
-        let result = evaluator.eval(&base);
+        let result = evaluator.answer(&base);
         *eval_ns += eval_start.elapsed().as_nanos() as u64;
-        if let Ok(denotation) = result {
-            if !denotation.is_empty() {
-                live_bases.push(base);
-            }
+        if result.is_ok_and(|answer| !answer.is_empty()) {
+            live_bases.push(base);
         }
     }
 
@@ -192,15 +191,11 @@ pub(crate) fn generate_candidates_timed(
             return;
         }
         let eval_start = Instant::now();
-        let result = evaluator.eval(&formula);
+        let result = evaluator.answer(&formula);
         push_eval_ns.set(push_eval_ns.get() + eval_start.elapsed().as_nanos() as u64);
-        let Ok(denotation) = result else {
+        let Ok(answer) = result else {
             return;
         };
-        if denotation.is_empty() {
-            return;
-        }
-        let answer = Answer::from_denotation(&denotation);
         if answer.is_empty() || answer.len() > 12 {
             return;
         }

@@ -304,7 +304,13 @@ impl Ord for Value {
         match (self, other) {
             (Value::Num(a), Value::Num(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()),
+            // Byte-wise on the ASCII-lowercased text, folded lazily: the
+            // order of `a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase())`
+            // without allocating either string.
+            (Value::Str(a), Value::Str(b)) => a
+                .bytes()
+                .map(|byte| byte.to_ascii_lowercase())
+                .cmp(b.bytes().map(|byte| byte.to_ascii_lowercase())),
             (Value::Num(n), Value::Date(d)) => n
                 .partial_cmp(&f64::from(d.year))
                 .unwrap_or(Ordering::Equal)

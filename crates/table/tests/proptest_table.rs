@@ -9,6 +9,22 @@ fn cell_text() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~&&[^\"]]{0,12}").expect("valid regex")
 }
 
+/// Strategy producing arbitrary strings of Unicode scalar values.
+fn any_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u32>(), 0..12).prop_map(|codes| {
+        codes
+            .into_iter()
+            .filter_map(|code| char::from_u32(code % 0x11_0000))
+            .collect()
+    })
+}
+
+/// Strategy producing short strings over a mixed-case, partly non-ASCII
+/// alphabet.
+fn mixed_case_string() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[aAzZ_^éÉßſ0]{0,6}").expect("valid regex")
+}
+
 /// Strategy producing small tables (1–6 columns, 0–12 rows) of text cells.
 fn table_strategy() -> impl Strategy<Value = Table> {
     (1usize..=6, 0usize..=12).prop_flat_map(|(cols, rows)| {
@@ -115,5 +131,28 @@ proptest! {
                 prop_assert_eq!(table.next_record(prev), Some(record));
             }
         }
+    }
+}
+
+proptest! {
+    // Each case is cheap, and a wrong fold only shows on the rare pairs that
+    // meet an upper-case letter at the deciding byte: run many.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// String values order exactly as their ASCII-lowercased text compares
+    /// byte-wise, non-ASCII text included. Strings come both arbitrary and
+    /// from a small mixed-case alphabet, so case-only differences, shared
+    /// prefixes and multi-byte characters meet often. The alphabet holds
+    /// `_` and `^`, which sit between `Z` and `a` in byte order, where
+    /// comparing unfolded bytes would decide differently.
+    #[test]
+    fn string_order_is_the_lowercased_byte_order(
+        (a, b) in prop_oneof![
+            (any_string(), any_string()),
+            (mixed_case_string(), mixed_case_string()),
+        ]
+    ) {
+        let expected = a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase());
+        prop_assert_eq!(Value::Str(a).cmp(&Value::Str(b)), expected);
     }
 }
