@@ -28,9 +28,10 @@
 //! structured candidates call [`Engine::explain_question`].
 //!
 //! Each entry weighs exactly its body's length, so the cache's byte gauge
-//! is the resident body bytes. Concurrent identical requests collapse onto
-//! one leader's execution (single-flight, [`wtq_cache::Begin`]), even when
-//! the cache keeps nothing (`capacity` 0); a table reload is propagated by
+//! is the resident body bytes. Concurrent identical questions — single
+//! explains and batch items alike — collapse onto one leader's execution
+//! ([`CachedEngine::answer`], single-flight via [`wtq_cache::Begin`]), even
+//! when the cache keeps nothing (`capacity` 0); a table reload is propagated by
 //! [`CachedEngine::invalidate_table`], which epoch-stamps the fingerprint
 //! so stale entries die lazily.
 
@@ -39,7 +40,6 @@ use std::sync::Arc;
 use wtq_cache::{AnswerCache, Begin, CacheConfig, CacheKey, FlightGuard};
 use wtq_obs::Registry;
 use wtq_parser::ParseSpans;
-use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::{Catalog, Table};
 
 use crate::engine::{Engine, ExplainRequest};
@@ -100,27 +100,17 @@ impl CachedEngine {
 
     /// The serving layer's pre-admission fast path: like
     /// [`CachedEngine::lookup`] but a miss is not counted, because the
-    /// request will reach [`CachedEngine::begin`] after admission and that
-    /// call records its real outcome — one stats event per request.
+    /// question will reach [`CachedEngine::answer`] after admission and
+    /// that call records its real outcome — one stats event per question.
     pub fn probe(&self, key: &CacheKey) -> Option<CachedAnswer> {
         self.cache.probe(key)
     }
 
-    /// Single-flight entry point for callers that interleave their own
-    /// work (admission control) between leading and executing: a
-    /// [`Begin::Lead`] holds the flight; complete it with
-    /// [`CachedEngine::execute_flight`] or drop it to abandon (waiters then
-    /// retry as leaders).
-    pub fn begin(&self, key: &CacheKey) -> Begin<'_, Vec<u8>> {
-        self.cache.begin(key)
-    }
-
     /// Execute `question` on the wrapped engine and publish the result to
-    /// `guard`'s flight. The one sanctioned leader body: every leader path
-    /// (here and in serving layers) funnels through it so the executed
-    /// question/top_k always match the flight's key. Also returns the
-    /// leader's parse spans, for the leader's request trace.
-    pub fn execute_flight(
+    /// `guard`'s flight, returning the leader's parse spans too. Every
+    /// leader funnels through [`CachedEngine::answer`] to here, so the
+    /// executed question and top-k always match the flight's key.
+    fn execute_flight(
         &self,
         guard: FlightGuard<'_, Vec<u8>>,
         question: &str,
@@ -137,93 +127,93 @@ impl CachedEngine {
         (guard.complete(body, bytes), spans)
     }
 
-    /// Explain one question through the cache: a hit answers from memory,
-    /// a concurrent duplicate collapses onto the in-flight leader, and a
-    /// cold question executes once and populates the entry.
+    /// Answer one question through the cache, counting one cache outcome:
+    /// a hit answers from memory, a concurrent duplicate collapses onto the
+    /// running leader's flight, and otherwise this call leads — it executes
+    /// the question once and publishes the body to the cache and to every
+    /// waiter. A leader also gets its parse's stage spans (what a serving
+    /// layer attaches to the leader's request trace). `key` must be
+    /// [`CachedEngine::key_for`] of `question` and `table`; its `top_k` is
+    /// the one executed. A leader that panics abandons its flight, so
+    /// waiters retry as leaders instead of hanging.
+    pub fn answer(
+        &self,
+        key: &CacheKey,
+        question: &str,
+        table: &Table,
+    ) -> (CachedAnswer, Option<ParseSpans>) {
+        match self.cache.begin(key) {
+            Begin::Hit(value) | Begin::Collapsed(value) => (value, None),
+            Begin::Lead(guard) => {
+                let (value, spans) = self.execute_flight(guard, question, table, key.top_k);
+                (value, Some(spans))
+            }
+        }
+    }
+
+    /// Explain one question through the cache ([`CachedEngine::answer`]
+    /// under the question's own key).
     pub fn explain_question(&self, question: &str, table: &Table, top_k: usize) -> CachedAnswer {
         let key = self.key_for(question, table, Some(top_k));
-        match self.cache.begin(&key) {
-            Begin::Hit(value) | Begin::Collapsed(value) => value,
-            Begin::Lead(guard) => self.execute_flight(guard, question, table, top_k).0,
-        }
+        self.answer(&key, question, table).0
     }
 
     /// Plan a batch against the cache: probe every item, deduplicate the
     /// misses batch-internally (two items with one key execute once) and
-    /// report what still needs the engine. The serving layer sizes its
-    /// admission weight from [`BatchPlan::missing`] — an all-hit batch
-    /// costs no execution at all.
+    /// report what still needs the engine ([`BatchPlan::misses`]). Probing
+    /// counts only hits; each miss records its outcome when
+    /// [`CachedEngine::answer`] resolves it. An all-hit batch costs no
+    /// execution at all.
     pub fn plan_batch(&self, catalog: &Catalog, requests: &[ExplainRequest]) -> BatchPlan {
         let mut slots = Vec::with_capacity(requests.len());
-        let mut pending: Vec<(CacheKey, usize)> = Vec::new();
+        let mut misses: Vec<(CacheKey, usize)> = Vec::new();
         for (index, request) in requests.iter().enumerate() {
             let Some(table) = catalog.get(&request.table) else {
                 slots.push(BatchSlot::UnknownTable);
                 continue;
             };
             let key = self.key_for(&request.question, table, request.top_k);
-            if let Some(value) = self.cache.lookup(&key) {
+            if let Some(value) = self.cache.probe(&key) {
                 slots.push(BatchSlot::Hit(value));
                 continue;
             }
-            let unique = match pending.iter().position(|(k, _)| *k == key) {
+            let unique = match misses.iter().position(|(k, _)| *k == key) {
                 Some(unique) => unique,
                 None => {
-                    pending.push((key, index));
-                    pending.len() - 1
+                    misses.push((key, index));
+                    misses.len() - 1
                 }
             };
-            slots.push(BatchSlot::Pending(unique));
+            slots.push(BatchSlot::Miss(unique));
         }
-        BatchPlan { slots, pending }
+        BatchPlan { slots, misses }
     }
 
-    /// Execute a planned batch: run the deduplicated misses on the engine
-    /// (cancellably), insert their bodies, and answer every request in
-    /// order with its body — servers splice each behind the request's own
-    /// question and table echoes, so responses are byte-identical to an
-    /// uncached run.
-    pub fn execute_batch(
+    /// Answer a planned batch in request order: each request gets its body
+    /// — a plan-time hit's, or for a miss its entry of `answers`, one body
+    /// per [`BatchPlan::misses`] entry in that order — or the error that
+    /// left it without candidates. Servers splice each body behind the
+    /// request's own question and table echoes, so responses are
+    /// byte-identical to an uncached run. A batch with misses counts once
+    /// in the engine's [`batches_served`](crate::EngineMetrics::batches_served).
+    pub fn finish_batch(
         &self,
-        plan: BatchPlan,
-        catalog: &Catalog,
+        plan: &BatchPlan,
         requests: &[ExplainRequest],
-        cancel: &CancelToken,
-    ) -> Result<Vec<BatchItem>, BatchError> {
-        let unique_requests: Vec<ExplainRequest> = plan
-            .pending
-            .iter()
-            .map(|&(_, index)| requests[index].clone())
-            .collect();
-        let computed = if unique_requests.is_empty() {
-            Vec::new()
-        } else {
-            self.engine
-                .explain_batch_cancellable(catalog, &unique_requests, cancel)?
-        };
-        let answers: Vec<CachedAnswer> = plan
-            .pending
-            .iter()
-            .zip(computed)
-            .map(|(&(ref key, index), explanation)| {
-                let table = catalog
-                    .get(&requests[index].table)
-                    .expect("planned table vanished from an immutable catalog");
-                let body = wire::candidates_json(&explanation.candidates, table);
-                let bytes = body.len();
-                self.cache.insert(key, body, bytes)
-            })
-            .collect();
-        Ok(plan
-            .slots
-            .into_iter()
+        answers: Vec<CachedAnswer>,
+    ) -> Vec<BatchItem> {
+        assert_eq!(answers.len(), plan.misses.len(), "one answer per miss");
+        if !answers.is_empty() {
+            self.engine.metrics().batches_served.inc();
+        }
+        (plan.slots.iter())
             .zip(requests)
             .map(|(slot, request)| match slot {
-                BatchSlot::Hit(body) => Ok(body),
-                BatchSlot::Pending(unique) => Ok(Arc::clone(&answers[unique])),
+                BatchSlot::Hit(body) => Ok(Arc::clone(body)),
+                BatchSlot::Miss(unique) => Ok(Arc::clone(&answers[*unique])),
                 BatchSlot::UnknownTable => Err(format!("unknown table: {}", request.table)),
             })
-            .collect())
+            .collect()
     }
 
     /// Invalidate every cached answer computed against `table`'s contents
@@ -248,8 +238,8 @@ impl CachedEngine {
 enum BatchSlot {
     /// Answered from the cache at plan time.
     Hit(CachedAnswer),
-    /// Needs execution: index into the plan's deduplicated pending list.
-    Pending(usize),
+    /// Needs execution: index into the plan's deduplicated misses.
+    Miss(usize),
     /// The catalog has no such table; answered with an error.
     UnknownTable,
 }
@@ -258,26 +248,22 @@ enum BatchSlot {
 /// cache keys that still need the engine.
 pub struct BatchPlan {
     slots: Vec<BatchSlot>,
-    pending: Vec<(CacheKey, usize)>,
+    misses: Vec<(CacheKey, usize)>,
 }
 
 impl BatchPlan {
-    /// Deduplicated cache misses that will actually execute.
-    pub fn missing(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether every item resolved without execution (hits and unknown
     /// tables) — such a batch can skip execution admission entirely.
     pub fn is_fully_cached(&self) -> bool {
-        self.pending.is_empty()
+        self.misses.is_empty()
     }
 
-    /// Request indices (into the planned batch) that still execute, one
-    /// per deduplicated miss — serving layers derive the set of tables
-    /// that need admission tokens from these.
-    pub fn pending_request_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pending.iter().map(|&(_, index)| index)
+    /// The deduplicated misses in first-appearance order: each one's cache
+    /// key and the index (into the planned batch) of the first request
+    /// that asked it. Answer each and hand the bodies to
+    /// [`CachedEngine::finish_batch`] in this order.
+    pub fn misses(&self) -> &[(CacheKey, usize)] {
+        &self.misses
     }
 }
 
@@ -468,12 +454,22 @@ mod tests {
             ExplainRequest::new("anything", "no-such-table"),
         ];
         let plan = cached.plan_batch(&catalog, &requests);
-        assert_eq!(plan.missing(), 2, "duplicate phrasing executes once");
+        assert_eq!(plan.misses().len(), 2, "duplicate phrasing executes once");
         assert!(!plan.is_fully_cached());
-        let cancel = CancelToken::new();
-        let items = cached
-            .execute_batch(plan, &catalog, &requests, &cancel)
-            .unwrap();
+        // Answer every miss and finish the batch, as a server's jobs do.
+        let answers = (plan.misses().iter())
+            .map(|(key, index)| {
+                let request = &requests[*index];
+                let table = catalog.get(&request.table).expect("a miss has a table");
+                cached.answer(key, &request.question, table).0
+            })
+            .collect();
+        let items = cached.finish_batch(&plan, &requests, answers);
+        // One cache outcome per executed question: the probes counted no
+        // misses, `answer` counted one per deduplicated miss.
+        let metrics = cached.cache().metrics();
+        assert_eq!((metrics.misses.get(), metrics.hits.get()), (2, 0));
+        assert_eq!(cached.engine().metrics().batches_served.get(), 1);
         let uncached = cached.engine().explain_batch(&catalog, &requests);
         assert_eq!(items.len(), uncached.len());
         for (item, explanation) in items.iter().zip(&uncached) {
@@ -487,14 +483,14 @@ mod tests {
             }
         }
         // Replaying the same batch is now fully cached (the unknown table
-        // stays an error slot, not an execution).
+        // stays an error slot, not an execution) and counts no batch.
+        let served = cached.engine().metrics().batches_served.get();
         let replay = cached.plan_batch(&catalog, &requests);
         assert!(replay.is_fully_cached());
-        let again = cached
-            .execute_batch(replay, &catalog, &requests, &cancel)
-            .unwrap();
+        let again = cached.finish_batch(&replay, &requests, Vec::new());
         assert_eq!(again, items);
         assert!(again[3].as_ref().unwrap_err().contains("no-such-table"));
+        assert_eq!(cached.engine().metrics().batches_served.get(), served);
     }
 
     #[test]

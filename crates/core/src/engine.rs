@@ -17,13 +17,15 @@
 //!   `RefCell`) — each request owns one and drops it at the end, so there
 //!   is no cross-request invalidation protocol at all.
 //!
-//! On top of the split sits a worker-pool batch runtime
+//! On top of the split sits an offline batch entry point
 //! ([`Engine::explain_batch`], built on [`wtq_runtime::run_batch`]):
-//! requests fan out over `std::thread` workers pulling from a shared queue,
-//! and results come back **in input order**, byte-identical to what the
-//! sequential path produces — parsing and explanation are rng-free pure
+//! requests fan out over scoped `std::thread` workers pulling from a shared
+//! queue, and results come back **in input order**, byte-identical to what
+//! the sequential path produces — parsing and explanation are rng-free pure
 //! functions of `(question, table, model)`, so scheduling cannot leak into
-//! the output.
+//! the output. Servers do not fan out: they run a batch's questions as
+//! jobs on their own scheduler, one [`Engine::explain_question_with_spans`]
+//! each.
 //!
 //! Each engine owns its metric handles ([`EngineMetrics`], the index
 //! cache's and the planner's): two engines in one process never mix their
@@ -33,7 +35,6 @@
 use wtq_dcs::{Evaluator, Formula};
 use wtq_obs::{Counter, Gauge, Histogram, Registry};
 use wtq_parser::{Candidate, ParseSpans, SemanticParser};
-use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::{Catalog, IndexCache, Table, TableIndex};
 
 use std::sync::Arc;
@@ -108,7 +109,10 @@ pub struct EngineMetrics {
     /// Questions answered through the engine's entry points
     /// ([`Engine::explain_question`] and the batch paths).
     pub questions_served: Arc<Counter>,
-    /// Batch calls answered ([`Engine::explain_batch`] and variants).
+    /// Batches answered: every [`Engine::explain_batch`] call, and every
+    /// served batch that had questions to execute
+    /// ([`CachedEngine::finish_batch`](crate::CachedEngine::finish_batch)
+    /// with misses). A batch answered wholly from the cache counts none.
     pub batches_served: Arc<Counter>,
     /// Engine entry-point calls currently executing.
     pub in_flight: Arc<Gauge>,
@@ -356,34 +360,12 @@ impl Engine {
             wtq_runtime::run_batch(workers, requests.iter().collect(), |_, request| {
                 self.explain_one(catalog, request)
             });
-        self.record_batch(requests.len());
+        self.metrics.batches_served.inc();
+        self.metrics.questions_served.add(requests.len() as u64);
         explanations
     }
 
-    /// [`Engine::explain_batch`] under a [`CancelToken`] — the
-    /// graceful-shutdown hook for serving layers: cancelling mid-batch stops
-    /// queued questions and returns [`BatchError::Cancelled`], and a panic in
-    /// any worker surfaces as [`BatchError::JobPanicked`] instead of
-    /// unwinding into the caller's accept loop.
-    pub fn explain_batch_cancellable(
-        &self,
-        catalog: &Catalog,
-        requests: &[ExplainRequest],
-        cancel: &CancelToken,
-    ) -> Result<Vec<Explanation>, BatchError> {
-        let _in_flight = InFlightGuard::enter(&self.metrics.in_flight);
-        let explanations = wtq_runtime::run_batch_cancellable(
-            self.config.workers,
-            requests.iter().collect(),
-            cancel,
-            |_, request| self.explain_one(catalog, request),
-        )?;
-        self.record_batch(requests.len());
-        Ok(explanations)
-    }
-
-    /// Answer one batch request (the per-item body shared by every batch
-    /// entry point).
+    /// Answer one batch request.
     fn explain_one(&self, catalog: &Catalog, request: &ExplainRequest) -> Explanation {
         let Some(table) = catalog.get(&request.table) else {
             return Explanation {
@@ -402,11 +384,6 @@ impl Engine {
                 .explain_question(&request.question, top_k),
             error: None,
         }
-    }
-
-    fn record_batch(&self, questions: usize) {
-        self.metrics.batches_served.inc();
-        self.metrics.questions_served.add(questions as u64);
     }
 }
 
@@ -624,31 +601,6 @@ mod tests {
         let text = registry.render();
         assert!(text.contains("wtq_engine_questions_served_total 3\n"));
         assert!(text.contains("wtq_index_cache_tables 1\n"));
-    }
-
-    #[test]
-    fn cancellable_batch_matches_plain_batch_and_cancels() {
-        let engine = Engine::new();
-        let catalog: Catalog = [samples::olympics()].into_iter().collect();
-        let requests = vec![
-            ExplainRequest::new("Which city hosted in 2008?", "olympics"),
-            ExplainRequest::new("Greece held its last Olympics in what year?", "olympics"),
-        ];
-        let cancel = CancelToken::new();
-        let checked = engine
-            .explain_batch_cancellable(&catalog, &requests, &cancel)
-            .expect("uncancelled batch succeeds");
-        let plain = engine.explain_batch(&catalog, &requests);
-        assert_eq!(checked.len(), plain.len());
-        for (a, b) in checked.iter().zip(&plain) {
-            assert_eq!(a.candidates.len(), b.candidates.len());
-        }
-
-        cancel.cancel();
-        assert!(matches!(
-            engine.explain_batch_cancellable(&catalog, &requests, &cancel),
-            Err(BatchError::Cancelled)
-        ));
     }
 
     #[test]

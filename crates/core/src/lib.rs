@@ -28,8 +28,10 @@
 //! The serving path is split into two tiers: a shared, `Send + Sync`
 //! [`Engine`] (trained parser + thread-safe LRU index cache) and cheap
 //! per-request [`Session`]s; [`Engine::explain_batch`] fans a batch of
-//! questions out over a worker pool with deterministic, input-order
-//! results.
+//! questions out over scoped worker threads with deterministic,
+//! input-order results. [`CachedEngine`] puts the answer cache in front:
+//! servers answer each question with [`CachedEngine::answer`] and assemble
+//! batches with [`CachedEngine::finish_batch`].
 //!
 //! | module | contents |
 //! |---|---|
@@ -41,7 +43,7 @@
 //! | [`parser`] | the log-linear semantic parser (§6.2) |
 //! | [`dataset`] | synthetic WikiTableQuestions-style data (§6.1) |
 //! | [`study`] | simulated user study, deployment and feedback loops (§7) |
-//! | [`runtime`] | the worker-pool batch runtime backing `explain_batch` |
+//! | [`runtime`] | scoped batch fan-out (`run_batch`) backing `explain_batch` and the offline training and study loops |
 
 pub use wtq_dataset as dataset;
 pub use wtq_dcs as dcs;

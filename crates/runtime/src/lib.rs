@@ -1,94 +1,21 @@
 //! # wtq-runtime
 //!
-//! A minimal worker-pool batch runtime built from `std::thread` and
-//! channels — no external dependencies. It exists so the serving path
-//! (`wtq_core::Engine::explain_batch`), the trainer's candidate generation
-//! and the study's deployment loop can all fan their per-question work out
-//! over cores while keeping results **deterministic**: [`run_batch`] always
-//! returns results in input order, regardless of how the operating system
-//! schedules the workers.
+//! Scoped batch fan-out for the offline loops — the trainer's candidate
+//! generation, the parser's reference trainer, the study's deployment loop
+//! and `wtq_core::Engine::explain_batch` — built from `std::thread` alone.
+//! Results are **deterministic**: [`run_batch`] always returns them in
+//! input order, regardless of how the operating system schedules the
+//! workers. (The server does not fan out: its batch questions run as jobs
+//! on its own scheduler pool.)
 //!
-//! The model is scoped fan-out, not a resident thread pool: each batch
-//! spawns its workers inside [`std::thread::scope`], which lets the work
-//! closure borrow the caller's data (tables, catalogs, a shared `Engine`)
-//! without `Arc`-wrapping everything, and guarantees every worker has
-//! exited — and every panic has propagated — before the call returns.
+//! Each batch spawns its workers inside [`std::thread::scope`], which lets
+//! the work closure borrow the caller's data (tables, catalogs, a shared
+//! `Engine`) without `Arc`-wrapping everything, and guarantees every worker
+//! has exited — and every panic has propagated — before the call returns.
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
-
-/// Typed failure of a checked batch run ([`try_run_batch`] /
-/// [`run_batch_cancellable`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchError {
-    /// The batch's [`CancelToken`] fired before every item completed; the
-    /// partial results are discarded.
-    Cancelled,
-    /// The job for input `index` panicked. The remaining workers stop pulling
-    /// new items, the pool drains cleanly, and the first panic is reported
-    /// here instead of unwinding through the caller.
-    JobPanicked {
-        /// Input index of the panicking item.
-        index: usize,
-        /// The panic payload, when it was a string (the common `panic!` case).
-        message: String,
-    },
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchError::Cancelled => write!(f, "batch cancelled before completion"),
-            BatchError::JobPanicked { index, message } => {
-                write!(f, "batch job {index} panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BatchError {}
-
-/// A cloneable cancellation flag shared between a batch run and whoever may
-/// need to stop it (e.g. a server draining in-flight work on shutdown).
-/// Cancellation is cooperative: workers stop *pulling* new items once the
-/// token fires, so in-flight jobs finish but queued ones never start.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Fire the token. Idempotent; wakes nothing by itself — workers observe
-    /// the flag before pulling their next item.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-}
-
-/// Render a panic payload for [`BatchError::JobPanicked`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// The default worker count: one per available hardware thread (1 when the
 /// parallelism cannot be queried, e.g. in restricted sandboxes).
@@ -98,211 +25,66 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `work` over every item of `items` on a pool of `workers` threads and
-/// return the results **in input order**.
+/// Run `work` over every item of `items` on `workers` threads and return
+/// the results **in input order**.
 ///
-/// `work` receives `(input_index, item)` and must be pure with respect to
-/// ordering: items are pulled from a shared queue, so the *execution* order
-/// across workers is nondeterministic, but because each result is stitched
-/// back into its input slot the returned `Vec` is identical to what a
-/// sequential `items.map(work)` would produce (assuming `work(i, x)` depends
-/// only on `(i, x)` and shared immutable state).
+/// `work` receives `(input_index, item)`. Items are pulled from a shared
+/// queue, which balances uneven per-item cost (questions over a 2000-row
+/// table next to questions over a 20-row one), so the *execution* order
+/// across workers is nondeterministic; but each result lands in its input
+/// slot, so the returned `Vec` is what a sequential `items.map(work)` would
+/// produce (assuming `work(i, x)` depends only on `(i, x)` and shared
+/// immutable state).
 ///
 /// `workers` is clamped to `1..=items.len()`; with one worker (or one item)
-/// the batch runs inline on the caller's thread, so single-threaded entry
-/// points wrapping a 1-worker pool pay no thread-spawn cost. A panic in any
-/// worker propagates to the caller after the remaining workers finish their
-/// in-flight items; callers that need the panic as a value instead use
-/// [`try_run_batch`].
+/// the batch runs inline on the caller's thread. A panic in any worker
+/// propagates to the caller once every worker has stopped.
 pub fn run_batch<T, R, F>(workers: usize, items: Vec<T>, work: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    match try_run_batch(workers, items, work) {
-        Ok(results) => results,
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// [`run_batch`] with typed failure: a panicking job surfaces as
-/// [`BatchError::JobPanicked`] instead of unwinding through the caller. The
-/// first panic wins; remaining workers stop pulling new items and the pool
-/// drains cleanly (no poisoned queue, no half-joined threads).
-pub fn try_run_batch<T, R, F>(workers: usize, items: Vec<T>, work: F) -> Result<Vec<R>, BatchError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_batch_cancellable(workers, items, &CancelToken::new(), work)
-}
-
-/// [`try_run_batch`] under a [`CancelToken`]: workers check the token before
-/// pulling each item, so cancelling mid-batch stops queued work and returns
-/// [`BatchError::Cancelled`] instead of the (partial) results. This is the
-/// graceful-shutdown hook serving layers use to drain a pool without waiting
-/// for a long batch to finish.
-pub fn run_batch_cancellable<T, R, F>(
-    workers: usize,
-    items: Vec<T>,
-    cancel: &CancelToken,
-    work: F,
-) -> Result<Vec<R>, BatchError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let total = items.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = workers.clamp(1, total);
-    // The first failure wins; later workers observe it and stop pulling.
-    // The flag keeps the per-item hot-path check lock-free; the mutex only
-    // guards the error value itself.
-    let failed = AtomicBool::new(false);
-    let failure: Mutex<Option<BatchError>> = Mutex::new(None);
-    let record_failure = |err: BatchError| {
-        let mut slot = failure.lock().expect("failure slot poisoned");
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        failed.store(true, Ordering::Release);
-    };
-
-    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
+    let workers = workers.clamp(1, total.max(1));
     if workers == 1 {
-        for (index, item) in items.into_iter().enumerate() {
-            if cancel.is_cancelled() {
-                return Err(BatchError::Cancelled);
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(index, item)| work(index, item))
+            .collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
+    thread::scope(|scope| {
+        let pull = || {
+            let mut done = Vec::new();
+            loop {
+                // Take the lock only to pop: `work` runs with the queue
+                // free, so a panicking job cannot poison it.
+                let next = queue.lock().expect("work queue poisoned").next();
+                let Some((index, item)) = next else {
+                    return done;
+                };
+                done.push((index, work(index, item)));
             }
-            match catch_unwind(AssertUnwindSafe(|| work(index, item))) {
-                Ok(result) => slots[index] = Some(result),
-                Err(payload) => {
-                    return Err(BatchError::JobPanicked {
-                        index,
-                        message: panic_message(payload),
-                    })
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(pull)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (index, result) in done {
+                        slots[index] = Some(result);
+                    }
                 }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    } else {
-        // A shared pull queue balances uneven per-item cost (questions over a
-        // 2000-row table next to questions over a 20-row one) better than
-        // static chunking; the (index, result) channel restores input order
-        // at the end.
-        let queue = Mutex::new(items.into_iter().enumerate());
-        let (sender, receiver) = mpsc::channel::<(usize, R)>();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let sender = sender.clone();
-                let queue = &queue;
-                let work = &work;
-                let failed = &failed;
-                let record_failure = &record_failure;
-                scope.spawn(move || loop {
-                    if cancel.is_cancelled() || failed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // Take the lock only to pop; `work` runs with the queue
-                    // free.
-                    let next = queue.lock().expect("work queue poisoned").next();
-                    let Some((index, item)) = next else {
-                        break;
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| work(index, item))) {
-                        Ok(result) => {
-                            if sender.send((index, result)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(payload) => {
-                            record_failure(BatchError::JobPanicked {
-                                index,
-                                message: panic_message(payload),
-                            });
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(sender);
-        });
-
-        for (index, result) in receiver {
-            slots[index] = Some(result);
-        }
-    }
-
-    if let Some(err) = failure.into_inner().expect("failure slot poisoned") {
-        return Err(err);
-    }
-    let mut results = Vec::with_capacity(total);
-    for slot in slots {
-        match slot {
-            Some(result) => results.push(result),
-            // No recorded failure but a missing result: the token fired
-            // after some items had already completed.
-            None => return Err(BatchError::Cancelled),
-        }
-    }
-    Ok(results)
-}
-
-/// A reusable handle bundling a worker count, for callers that thread one
-/// configured pool size through several batch calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerPool {
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// A pool of exactly `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        WorkerPool {
-            workers: workers.max(1),
-        }
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// [`run_batch`] with this pool's worker count.
-    pub fn run<T, R, F>(&self, items: Vec<T>, work: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        run_batch(self.workers, items, work)
-    }
-
-    /// [`run_batch_cancellable`] with this pool's worker count.
-    pub fn run_cancellable<T, R, F>(
-        &self,
-        items: Vec<T>,
-        cancel: &CancelToken,
-        work: F,
-    ) -> Result<Vec<R>, BatchError>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        run_batch_cancellable(self.workers, items, cancel, work)
-    }
-}
-
-impl Default for WorkerPool {
-    /// One worker per available hardware thread.
-    fn default() -> Self {
-        WorkerPool::new(default_workers())
-    }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -353,14 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_handle_clamps_and_runs() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.run(vec![1, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
-        assert!(WorkerPool::default().workers() >= 1);
-    }
-
-    #[test]
     #[should_panic]
     fn worker_panics_propagate() {
         let _ = run_batch(2, vec![0, 1, 2, 3], |_, item| {
@@ -372,81 +146,27 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_is_a_typed_error_not_a_poisoned_channel() {
-        for workers in [1, 2, 4] {
-            let err = try_run_batch(workers, (0..16).collect::<Vec<i32>>(), |_, item| {
-                if item == 5 {
-                    panic!("job exploded on {item}");
-                }
-                item * 2
-            })
-            .expect_err("the panicking job must surface as an error");
-            match err {
-                BatchError::JobPanicked { index, message } => {
-                    assert_eq!(index, 5);
-                    assert!(message.contains("job exploded on 5"), "{message}");
-                }
-                other => panic!("expected JobPanicked, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn pool_survives_a_panicking_batch_and_runs_the_next_one() {
-        // A panic in one batch leaves nothing poisoned behind: the very next
-        // batch over the same closure environment runs to completion.
+        // A panic in one batch reaches the caller with its message and
+        // leaves nothing poisoned behind: the very next batch over the
+        // same closure environment runs to completion.
         let base = [1usize, 2, 3];
-        let err = try_run_batch(2, vec![0usize, 1, 2], |_, item| {
-            if item == 1 {
-                panic!("transient");
-            }
-            base[item]
-        });
-        assert!(matches!(err, Err(BatchError::JobPanicked { index: 1, .. })));
-        let ok = try_run_batch(2, vec![0usize, 1, 2], |_, item| base[item]);
-        assert_eq!(ok.unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cancel_token_stops_queued_work() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        // Already-cancelled token: no item runs at all.
-        let ran = AtomicUsize::new(0);
-        let err = run_batch_cancellable(2, (0..64).collect::<Vec<i32>>(), &cancel, |_, item| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            item
-        });
-        assert_eq!(err, Err(BatchError::Cancelled));
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn cancel_mid_batch_reports_cancelled() {
-        let cancel = CancelToken::new();
-        let trigger = cancel.clone();
-        let err =
-            run_batch_cancellable(2, (0..256).collect::<Vec<i32>>(), &cancel, |index, item| {
-                if index == 0 {
-                    // The first job fires the token; every other in-flight job
-                    // waits for it, so no worker can drain the queue before the
-                    // cancellation is visible and queued items must not start.
-                    trigger.cancel();
-                } else {
-                    while !trigger.is_cancelled() {
-                        std::thread::yield_now();
+        for workers in [1, 2, 4] {
+            let panicked = std::panic::catch_unwind(|| {
+                run_batch(workers, vec![0usize, 1, 2], |_, item| {
+                    if item == 1 {
+                        panic!("transient on {item}");
                     }
-                }
-                item
-            });
-        assert_eq!(err, Err(BatchError::Cancelled));
-    }
-
-    #[test]
-    fn uncancelled_token_changes_nothing() {
-        let cancel = CancelToken::new();
-        let out = run_batch_cancellable(3, (0..10u32).collect(), &cancel, |_, item| item + 1);
-        assert_eq!(out.unwrap(), (1..11).collect::<Vec<u32>>());
-        assert!(!cancel.is_cancelled());
+                    base[item]
+                })
+            })
+            .expect_err("the panicking job reaches the caller");
+            let message = panicked
+                .downcast_ref::<String>()
+                .expect("a formatted panic");
+            assert!(message.contains("transient on 1"), "{message}");
+            let ok = run_batch(workers, vec![0usize, 1, 2], |_, item| base[item]);
+            assert_eq!(ok, vec![1, 2, 3]);
+        }
     }
 }

@@ -15,19 +15,21 @@
 //! the server never buffers without bound, so memory under overload stays
 //! flat and clients get explicit backpressure instead of unbounded latency.
 //!
-//! Holding a slot, the miss takes one share of the queue per table it
-//! executes against (`max_table_in_flight`, rejected with a retry hint
-//! otherwise — a hot table's requests must not fill the whole queue) and
-//! joins the **scheduler**: one FIFO under one mutex, served by a small
-//! worker pool. A worker takes the oldest job whose tables all have
-//! execution tokens free (`per_table_tokens` per table shape fingerprint,
-//! [`wtq_table::Table::fingerprint`]) and that shares no table with an
-//! older waiting job, claims all its tokens at once, runs it and gives them
-//! back. No thread waits for a token: a job that cannot run stays queued,
-//! and one still queued after `admission_timeout_ms` is rejected with a
-//! retry hint, unevaluated. The pool has at least one worker more than a
-//! table can hold tokens, so one hot or giant table cannot stop other
-//! tables' requests from executing.
+//! Holding a slot, the request takes one queue share per table it
+//! executes against (`max_table_in_flight`, all or nothing, rejected with a
+//! retry hint otherwise — a hot table's requests must not fill the whole
+//! queue) and joins the **scheduler**, one FIFO under one mutex served by a
+//! small worker pool, as one job per question it still has to answer. A
+//! worker takes the oldest job whose table has an execution token free
+//! (`per_table_tokens` per table shape fingerprint,
+//! [`wtq_table::Table::fingerprint`]) and whose request runs fewer jobs
+//! than the host has cores, and answers its question through the answer
+//! cache (a hit, a collapse onto a running flight, or leading it). The
+//! request's last job answers it. No thread waits for a token, and a
+//! request none of whose jobs started within `admission_timeout_ms` is
+//! rejected with a retry hint, unevaluated. The pool has at least one
+//! worker more than a table can hold tokens, so one hot or giant table
+//! cannot stop other tables' requests from executing.
 //!
 //! ## Protocols
 //!
@@ -56,11 +58,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wtq_cache::{Begin, CacheConfig, CacheKey};
+use wtq_cache::{CacheConfig, CacheKey};
 use wtq_core::{BatchItem, BatchPlan, CachedAnswer, CachedEngine, Engine, ExplainRequest};
 use wtq_obs::{Counter, Gauge, RequestTrace};
 use wtq_parser::ParseSpans;
-use wtq_runtime::{BatchError, CancelToken};
 use wtq_table::Catalog;
 
 use crate::obs::{Obs, ServerMetrics};
@@ -76,9 +77,9 @@ pub struct ServerConfig {
     /// Bound on admitted requests that need the engine (queued or
     /// running); a full queue rejects with [`ErrorCode::Overloaded`].
     pub max_in_flight: usize,
-    /// Execution tokens per table shape fingerprint: how much engine work
-    /// may run against one table at once (a batch claims one token per
-    /// engine worker it fans out over).
+    /// Execution tokens per table shape fingerprint: how many questions may
+    /// run against one table at once. Each running job — a single explain,
+    /// or one missing question of a batch — holds one token.
     pub per_table_tokens: usize,
     /// Bound on the share of the in-flight queue one table may occupy
     /// (executing + waiting); a table over its share rejects with
@@ -93,10 +94,10 @@ pub struct ServerConfig {
     /// The `retry_after_ms` hint attached to overload rejections.
     pub retry_after_ms: u64,
     /// Upper bound on how long an admitted request may wait in the
-    /// scheduler for its tables' execution tokens. A request still queued
-    /// past it is rejected with a retry hint and never evaluated, so
-    /// worst-case latency stays capped and a contended multi-table batch
-    /// cannot hang its client.
+    /// scheduler before any of its jobs starts. A request none of whose
+    /// jobs has started past it is rejected with a retry hint and never
+    /// evaluated, so a client never hangs behind a hot table. A started
+    /// request never expires: a batch is answered whole or not evaluated.
     pub admission_timeout_ms: u64,
     /// Reactor (epoll event-loop) threads owning the sockets. Connections
     /// are spread round-robin; a handful suffices for tens of thousands of
@@ -175,162 +176,217 @@ fn count_of(map: &HashMap<u64, usize>, fingerprint: u64) -> usize {
     map.get(&fingerprint).copied().unwrap_or(0)
 }
 
-fn decrement(map: &mut HashMap<u64, usize>, fingerprint: u64, amount: usize) {
+fn decrement(map: &mut HashMap<u64, usize>, fingerprint: u64) {
     if let Some(count) = map.get_mut(&fingerprint) {
-        *count = count.saturating_sub(amount);
+        *count -= 1;
         if *count == 0 {
             map.remove(&fingerprint);
         }
     }
 }
 
-/// A job in the scheduler, with what it holds.
+/// A job in the scheduler: one question of an admitted request.
 struct Queued<T> {
-    /// Shape fingerprints of the tables it executes against, deduplicated.
-    fingerprints: Vec<u64>,
-    /// Execution tokens it claims on each of those tables.
-    weight: usize,
-    /// When it was admitted; it expires one admission timeout later.
+    /// The request it belongs to (its [`Queue::requests`] key).
+    request: u64,
+    /// Shape fingerprint of the table it runs against: it holds one
+    /// execution token there while it runs.
+    table: u64,
+    /// When its request was admitted.
     admitted: Instant,
     job: T,
 }
 
-/// The scheduler's state, all under one mutex: admitted jobs in FIFO
-/// order, plus per-table counts of queue shares (`max_table_in_flight`,
-/// taken at admission) and execution tokens (`per_table_tokens`, claimed
-/// when a worker picks the job). Generic over the job so that tests can
-/// drive it directly.
+/// What the scheduler keeps of one admitted request.
+struct Entry {
+    /// Shape fingerprints of its jobs' tables, deduplicated: it holds one
+    /// queue share on each until its last job is done or it expires.
+    tables: Vec<u64>,
+    /// Its jobs not yet done, waiting or running.
+    left: usize,
+    /// Its jobs running now.
+    running: usize,
+    /// Whether a worker has claimed one of its jobs. A started request
+    /// never expires, so it is answered whole or rejected unevaluated.
+    started: bool,
+}
+
+/// The scheduler's state, all under one mutex: admitted requests, their
+/// jobs in FIFO order, plus per-table counts of queue shares
+/// (`max_table_in_flight`, one per request, taken at admission) and
+/// execution tokens (`per_table_tokens`, one per running job). Generic
+/// over the job so that tests can drive it directly.
 struct Queue<T> {
     tokens: usize,
+    /// Jobs one request may run at once: the host's cores, so that a big
+    /// batch alone cannot crowd the reactors off the CPUs.
+    per_request: usize,
     max_queued: usize,
     timeout: Duration,
     /// Tokens held per fingerprint by running jobs.
     executing: HashMap<u64, usize>,
-    /// Shares held per fingerprint by waiting and running jobs.
+    /// Shares held per fingerprint by admitted requests.
     queued: HashMap<u64, usize>,
-    /// Admitted jobs no worker has picked yet, oldest first.
+    /// Admitted requests by id.
+    requests: HashMap<u64, Entry>,
+    next_request: u64,
+    /// Jobs no worker has claimed yet, oldest first.
     waiting: VecDeque<Queued<T>>,
     /// Shutdown began: nothing is queued or picked any more.
     closed: bool,
 }
 
 impl<T> Queue<T> {
-    fn new(tokens: usize, max_queued: usize, timeout: Duration) -> Queue<T> {
+    fn new(tokens: usize, per_request: usize, max_queued: usize, timeout: Duration) -> Queue<T> {
         let tokens = tokens.max(1);
         Queue {
             tokens,
+            per_request: per_request.max(1),
             // A queue share below the execution bound could never fill it.
             max_queued: max_queued.max(tokens),
             timeout,
             executing: HashMap::new(),
             queued: HashMap::new(),
+            requests: HashMap::new(),
+            next_request: 0,
             waiting: VecDeque::new(),
             closed: false,
         }
     }
 
-    /// Admit `job` with one queue share per table, all or nothing; `Err`
-    /// hands it back when any of its tables has used up its share. `now`
-    /// must not run backwards between calls (callers read the clock under
-    /// the lock), so queue order is deadline order. After shutdown began
-    /// the job is dropped unstarted, like the ones already queued.
-    fn push(
-        &mut self,
-        fingerprints: Vec<u64>,
-        weight: usize,
-        now: Instant,
-        job: T,
-    ) -> Result<(), T> {
+    /// Admit a request of `jobs`, each on its table, taking one queue
+    /// share per distinct table, all or nothing; `Err` hands the jobs back
+    /// when any of those tables has used up its share. `now` must not run
+    /// backwards between calls (callers read the clock under the lock), so
+    /// queue order is deadline order. After shutdown began the jobs are
+    /// dropped unstarted, like the ones already queued.
+    fn push(&mut self, jobs: Vec<(u64, T)>, now: Instant) -> Result<(), Vec<(u64, T)>> {
         if self.closed {
             return Ok(());
         }
-        if fingerprints
+        let mut tables: Vec<u64> = jobs.iter().map(|&(table, _)| table).collect();
+        tables.sort_unstable();
+        tables.dedup();
+        if tables
             .iter()
             .any(|&fp| count_of(&self.queued, fp) >= self.max_queued)
         {
-            return Err(job);
+            return Err(jobs);
         }
-        for &fp in &fingerprints {
+        for &fp in &tables {
             *self.queued.entry(fp).or_insert(0) += 1;
         }
-        self.waiting.push_back(Queued {
-            fingerprints,
-            weight: weight.clamp(1, self.tokens),
-            admitted: now,
-            job,
-        });
+        let request = self.next_request;
+        self.next_request += 1;
+        let entry = Entry {
+            tables,
+            left: jobs.len(),
+            running: 0,
+            started: false,
+        };
+        self.requests.insert(request, entry);
+        self.waiting
+            .extend(jobs.into_iter().map(|(table, job)| Queued {
+                request,
+                table,
+                admitted: now,
+                job,
+            }));
         Ok(())
     }
 
-    /// Remove the jobs queued past the admission timeout and give back
-    /// their shares. Queue order is deadline order, so they are a prefix.
+    /// Remove the requests that waited out the admission timeout with none
+    /// of their jobs started, and give back their shares; returns their
+    /// jobs. Queue order is deadline order, so only the prefix of jobs past
+    /// their deadline is looked at.
     fn expire(&mut self, now: Instant) -> Vec<Queued<T>> {
-        let count = self
-            .waiting
-            .iter()
-            .take_while(|queued| {
-                self.deadline(queued)
-                    .is_some_and(|deadline| deadline <= now)
-            })
-            .count();
-        let expired: Vec<Queued<T>> = self.waiting.drain(..count).collect();
-        for queued in &expired {
-            self.release(&queued.fingerprints, 0);
+        let mut expired: Vec<u64> = Vec::new();
+        let past_deadline = (self.waiting.iter()).take_while(|queued| {
+            self.deadline(queued)
+                .is_some_and(|deadline| deadline <= now)
+        });
+        for queued in past_deadline {
+            if !self.requests[&queued.request].started && !expired.contains(&queued.request) {
+                expired.push(queued.request);
+            }
         }
-        expired
+        if expired.is_empty() {
+            return Vec::new();
+        }
+        for request in &expired {
+            let entry = self.requests.remove(request).expect("a job's request");
+            self.release(&entry.tables);
+        }
+        let (gone, kept): (VecDeque<_>, _) = std::mem::take(&mut self.waiting)
+            .into_iter()
+            .partition(|queued| expired.contains(&queued.request));
+        self.waiting = kept;
+        gone.into()
     }
 
-    /// Take the oldest job whose tables all have its weight in tokens free
-    /// and that shares no table with an older waiting job, claiming all its
-    /// tokens at once. A younger job never overtakes an older one on a
-    /// table they share, so each table runs its jobs in FIFO order and a
-    /// multi-table batch cannot be starved by single-table traffic.
+    /// Claim the oldest job whose table has a token free and whose request
+    /// runs fewer than `per_request` jobs. Every job weighs one token, so a
+    /// younger job overtakes an older one on a table only while the older
+    /// one's request runs its share.
     fn pick(&mut self) -> Option<Queued<T>> {
-        let mut blocked: Vec<u64> = Vec::new();
         let position = self.waiting.iter().position(|queued| {
-            let runnable = queued.fingerprints.iter().all(|fp| {
-                !blocked.contains(fp)
-                    && count_of(&self.executing, *fp) + queued.weight <= self.tokens
-            });
-            if !runnable {
-                blocked.extend(&queued.fingerprints);
-            }
-            runnable
+            count_of(&self.executing, queued.table) < self.tokens
+                && self.requests[&queued.request].running < self.per_request
         })?;
         let queued = self
             .waiting
             .remove(position)
             .expect("position is in the queue");
-        for &fp in &queued.fingerprints {
-            *self.executing.entry(fp).or_insert(0) += queued.weight;
-        }
+        *self.executing.entry(queued.table).or_insert(0) += 1;
+        let entry = self
+            .requests
+            .get_mut(&queued.request)
+            .expect("a job's request");
+        entry.running += 1;
+        entry.started = true;
         Some(queued)
     }
 
-    /// Give back a job's queue shares and the `tokens` it claimed on each
-    /// of its tables (0 for a job that never ran).
-    fn release(&mut self, fingerprints: &[u64], tokens: usize) {
-        for &fp in fingerprints {
-            decrement(&mut self.queued, fp, 1);
-            decrement(&mut self.executing, fp, tokens);
+    /// A claimed job of `request` finished: give back its token on
+    /// `table` and, when it was the request's last job, the request's
+    /// queue shares. Returns whether it was the last.
+    fn done(&mut self, request: u64, table: u64) -> bool {
+        decrement(&mut self.executing, table);
+        let entry = self.requests.get_mut(&request).expect("a job's request");
+        entry.running -= 1;
+        entry.left -= 1;
+        if entry.left > 0 {
+            return false;
+        }
+        let entry = self.requests.remove(&request).expect("entry just seen");
+        self.release(&entry.tables);
+        true
+    }
+
+    /// Give back one queue share on each of `tables`.
+    fn release(&mut self, tables: &[u64]) {
+        for &fp in tables {
+            decrement(&mut self.queued, fp);
         }
     }
 
-    /// When `queued` expires; `None` for a timeout too long to represent,
-    /// which never expires.
+    /// When `queued` expires, unless its request started; `None` for a
+    /// timeout too long to represent, which never expires.
     fn deadline(&self, queued: &Queued<T>) -> Option<Instant> {
         queued.admitted.checked_add(self.timeout)
     }
 
-    /// When the oldest waiting job expires.
+    /// When the oldest request none of whose jobs started expires.
     fn next_deadline(&self) -> Option<Instant> {
-        self.deadline(self.waiting.front()?)
+        let unstarted = |queued: &&Queued<T>| !self.requests[&queued.request].started;
+        let oldest = self.waiting.iter().find(unstarted)?;
+        self.deadline(oldest)
     }
 }
 
 /// The admission scheduler: the [`Queue`] under its one mutex, and the
 /// condvar idle workers sleep on until a job is queued, tokens come back,
-/// the oldest job's deadline passes or shutdown begins.
+/// the oldest unstarted request's deadline passes or shutdown begins.
 struct Scheduler {
     queue: Mutex<Queue<Job>>,
     wake: Condvar,
@@ -342,25 +398,49 @@ impl Scheduler {
     }
 }
 
-/// A request admitted to the scheduler: its engine work, the in-flight
-/// slot it holds until answered, its sampled trace, and where the answer
-/// goes.
+/// One question of an admitted request: the job answering the request's
+/// `misses[index]`.
 struct Job {
-    work: Work,
+    request: Arc<Request>,
+    index: usize,
+}
+
+/// A request admitted to the scheduler, shared by its jobs.
+struct Request {
+    /// The items as asked: a single explain's one, or a batch's all.
+    items: Vec<ExplainRequest>,
+    /// A batch's plan against the cache; `None` for a single explain.
+    plan: Option<BatchPlan>,
+    /// What each job answers: a cache key and the item that asked it.
+    misses: Vec<(CacheKey, usize)>,
+    /// What it holds until answered. Whoever answers it — its last job,
+    /// or expiry when none of its jobs started — takes this out; a request
+    /// whose jobs were dropped at shutdown drops it with its last job.
+    pending: Mutex<Option<Pending>>,
+}
+
+impl Request {
+    /// Job `index`'s cache key and item.
+    fn question(&self, index: usize) -> (&CacheKey, &ExplainRequest) {
+        let (key, item) = &self.misses[index];
+        (key, &self.items[*item])
+    }
+
+    fn pending(&self) -> MutexGuard<'_, Option<Pending>> {
+        self.pending.lock().expect("request poisoned")
+    }
+}
+
+/// What an admitted request holds until it is answered.
+struct Pending {
+    /// Each job's body: `None` until the job finishes, and for good if it
+    /// panicked.
+    answers: Vec<Option<CachedAnswer>>,
+    /// When its first job was claimed: where its `eval` stage starts.
+    eval_start: Option<Instant>,
     slot: Slot,
     trace: Option<RequestTrace>,
     ticket: Ticket,
-}
-
-/// The engine work of an admitted request.
-enum Work {
-    /// A single explain the cache could not answer, with its cache key.
-    Explain { request: ExplainBody, key: CacheKey },
-    /// A batch with misses, planned against the cache.
-    Batch {
-        requests: Vec<ExplainRequest>,
-        plan: BatchPlan,
-    },
 }
 
 /// RAII slot in the bounded in-flight queue.
@@ -383,7 +463,6 @@ pub(crate) struct Shared {
     config: ServerConfig,
     scheduler: Scheduler,
     shutdown: AtomicBool,
-    cancel: CancelToken,
     /// The server's own counters, gauges and latency histograms.
     pub(crate) metrics: ServerMetrics,
     /// The registry attaching every handle behind this server, and the
@@ -497,6 +576,19 @@ impl Shared {
         }
     }
 
+    /// Answer a planned batch in item order from its plan-time hits and
+    /// the bodies of its misses.
+    fn batch_reply(
+        &self,
+        requests: Vec<ExplainRequest>,
+        plan: &BatchPlan,
+        answers: Vec<CachedAnswer>,
+    ) -> Reply {
+        let items = self.cached.finish_batch(plan, &requests, answers);
+        self.metrics.requests.inc();
+        Reply::Batch(requests.into_iter().zip(items).collect())
+    }
+
     fn handle_explain(
         &self,
         request: ExplainBody,
@@ -526,14 +618,12 @@ impl Shared {
         if let Some(value) = probed {
             return Some(self.explanation_reply(request.question, request.table, &value));
         }
-        let fingerprints = vec![table.fingerprint()];
-        self.admit(
-            Work::Explain { request, key },
-            fingerprints,
-            1,
-            trace,
-            ticket,
-        )
+        let item = ExplainRequest {
+            question: request.question,
+            table: request.table,
+            top_k: request.top_k,
+        };
+        self.admit(vec![item], None, vec![(key, 0)], trace, ticket)
     }
 
     fn handle_batch(
@@ -561,44 +651,27 @@ impl Shared {
                 top_k: request.top_k,
             })
             .collect();
-        // Probe every item before any gate: cached items cost no admission
-        // weight, and a fully cached batch (like a single hit) is answered
-        // here — it can never be rejected with a retry hint.
+        // Probe every item before any gate: cached items become no jobs,
+        // and a fully cached batch (like a single hit) is answered here —
+        // it can never be rejected with a retry hint.
         let plan = self.cached.plan_batch(&self.catalog, &requests);
         if plan.is_fully_cached() {
-            return Some(self.run_batch(requests, plan, trace));
+            return Some(self.batch_reply(requests, &plan, Vec::new()));
         }
-        // Tokens only for the tables that still execute: the deduplicated
-        // misses. A batch fans out over the engine's worker pool, so it
-        // claims one token per worker it will run — admission bounds the
-        // concurrent *work* per table, not just the request count.
-        let mut fingerprints: Vec<u64> = plan
-            .pending_request_indices()
-            .filter_map(|index| self.catalog.get(&requests[index].table))
-            .map(|table| table.fingerprint())
-            .collect();
-        fingerprints.sort_unstable();
-        fingerprints.dedup();
-        let workers = self.cached.engine().config().workers;
-        let weight = workers.min(plan.missing()).max(1);
-        self.admit(
-            Work::Batch { requests, plan },
-            fingerprints,
-            weight,
-            trace,
-            ticket,
-        )
+        let misses = plan.misses().to_vec();
+        self.admit(requests, Some(plan), misses, trace, ticket)
     }
 
     /// The one admission step of every request that needs the engine: an
-    /// in-flight slot, then one queue share per table and a place in the
-    /// scheduler. Returns the rejection to answer at once, or `None` once
-    /// the job is queued (it takes `trace` along).
+    /// in-flight slot, then one queue share per table and one scheduler
+    /// job per missing question (`misses`: each one's cache key and the
+    /// item that asked it). Returns the rejection to answer at once, or
+    /// `None` once the jobs are queued (the request takes `trace` along).
     fn admit(
         &self,
-        work: Work,
-        fingerprints: Vec<u64>,
-        weight: usize,
+        items: Vec<ExplainRequest>,
+        plan: Option<BatchPlan>,
+        misses: Vec<(CacheKey, usize)>,
         trace: &mut Option<RequestTrace>,
         ticket: Ticket,
     ) -> Option<Reply> {
@@ -611,57 +684,119 @@ impl Shared {
                 ),
             ));
         };
-        let job = Job {
-            work,
+        let pending = Pending {
+            answers: vec![None; misses.len()],
+            eval_start: None,
             slot,
             trace: trace.take(),
             ticket,
         };
+        let request = Arc::new(Request {
+            items,
+            plan,
+            misses,
+            pending: Mutex::new(Some(pending)),
+        });
+        let jobs: Vec<_> = (0..request.misses.len())
+            .map(|index| {
+                let (_, item) = request.question(index);
+                let table = self.catalog.get(&item.table).expect("a miss has a table");
+                let request = Arc::clone(&request);
+                (table.fingerprint(), Job { request, index })
+            })
+            .collect();
         let mut queue = self.scheduler.lock();
-        let Err(job) = queue.push(fingerprints, weight, Instant::now(), job) else {
+        if queue.push(jobs, Instant::now()).is_ok() {
             drop(queue);
-            self.scheduler.wake.notify_one();
+            // One worker per job: waking more would only find them taken.
+            for _ in &request.misses {
+                self.scheduler.wake.notify_one();
+            }
             return None;
-        };
+        }
         let share = queue.max_queued;
         drop(queue);
-        *trace = job.trace;
+        // The refused jobs are gone: the request's slot goes with it.
+        let refused = request.pending().take();
+        *trace = refused.expect("a refused request is unanswered").trace;
         Some(self.reject(
             &self.metrics.rejected_table_busy,
             format!("table's in-flight queue share full ({share} requests per table)"),
         ))
     }
 
-    /// Run a picked job on a scheduler worker: its engine work under the
-    /// tokens it claimed, which then go back before the answer is encoded.
-    /// A panic costs the request a structured `Internal` error, never the
-    /// worker.
+    /// Run a claimed job on a scheduler worker: answer its question under
+    /// the token it holds (hit, collapse onto a running flight, or lead),
+    /// record the body and the question's spans, and give the token back.
+    /// The request's last job answers it. A panic costs the request a
+    /// structured `Internal` error, never the worker.
     fn execute(&self, queued: Queued<Job>) {
-        let Job {
-            work,
-            slot,
-            mut trace,
-            ticket,
-        } = queued.job;
-        let claimed = Instant::now();
-        self.metrics
-            .stage_admission_wait
-            .observe(span_ns(queued.admitted, claimed));
-        if let Some(trace) = trace.as_mut() {
-            trace.record("admission_wait", queued.admitted, claimed);
+        let Queued {
+            request: id,
+            table: fingerprint,
+            admitted,
+            job,
+        } = queued;
+        let request = &job.request;
+        let start = Instant::now();
+        let answered = catch_unwind(AssertUnwindSafe(|| {
+            let (key, item) = request.question(job.index);
+            let table = (self.catalog.get(&item.table))
+                .expect("an admitted request's table is in the immutable catalog");
+            self.cached.answer(key, &item.question, table)
+        }));
+        let end = Instant::now();
+        if let Some(pending) = request.pending().as_mut() {
+            let eval_start = pending.eval_start.get_or_insert(start);
+            *eval_start = (*eval_start).min(start);
+            if let Some(trace) = pending.trace.as_mut() {
+                trace.record("admission_wait", admitted, start);
+                trace.record("eval", start, end);
+                // This job led the parse: the trace gets the leader's stage
+                // breakdown (the engine's histograms already have it).
+                if let Ok((_, Some(spans))) = &answered {
+                    record_parse_spans(trace, start, spans);
+                }
+            }
+            pending.answers[job.index] = answered.ok().map(|(body, _)| body);
         }
-        let reply = catch_unwind(AssertUnwindSafe(|| self.run(work, &mut trace)))
-            .unwrap_or_else(|_| error_reply(ErrorCode::Internal, "request handler panicked"));
-        (self.scheduler.lock()).release(&queued.fingerprints, queued.weight);
-        self.scheduler.wake.notify_all();
-        drop(slot);
-        ticket.answer(self, reply, trace);
+        let last = self.scheduler.lock().done(id, fingerprint);
+        // The token it gave back can run one waiting job.
+        self.scheduler.wake.notify_one();
+        if !last {
+            return;
+        }
+        let Some(pending) = request.pending().take() else {
+            return;
+        };
+        let eval_start = pending.eval_start.unwrap_or(start);
+        (self.metrics.stage_admission_wait).observe(span_ns(admitted, eval_start));
+        (self.metrics.stage_eval).observe(span_ns(eval_start, end));
+        let answers = pending.answers;
+        let reply = catch_unwind(AssertUnwindSafe(|| match answers.into_iter().collect() {
+            None => error_reply(ErrorCode::Internal, "request handler panicked"),
+            Some(answers) => match &request.plan {
+                Some(plan) => self.batch_reply(request.items.clone(), plan, answers),
+                None => {
+                    let item = &request.items[0];
+                    let (question, table) = (item.question.clone(), item.table.clone());
+                    self.explanation_reply(question, table, &answers[0])
+                }
+            },
+        }))
+        .unwrap_or_else(|_| error_reply(ErrorCode::Internal, "request handler panicked"));
+        drop(pending.slot);
+        pending.ticket.answer(self, reply, pending.trace);
     }
 
-    /// Answer a job that waited out `admission_timeout_ms` in the
-    /// scheduler, unevaluated.
+    /// Answer a request none of whose jobs started within
+    /// `admission_timeout_ms`, unevaluated. Its other expired jobs find it
+    /// answered.
     fn reject_expired(&self, job: Job) {
-        drop(job.slot);
+        let Some(pending) = job.request.pending().take() else {
+            return;
+        };
+        drop(pending.slot);
         let reply = self.reject(
             &self.metrics.rejected_table_busy,
             format!(
@@ -669,91 +804,14 @@ impl Shared {
                 self.config.admission_timeout_ms
             ),
         );
-        job.ticket.answer(self, reply, job.trace);
-    }
-
-    fn run(&self, work: Work, trace: &mut Option<RequestTrace>) -> Reply {
-        match work {
-            Work::Explain { request, key } => self.run_explain(request, key, trace),
-            Work::Batch { requests, plan } => self.run_batch(requests, plan, trace),
-        }
-    }
-
-    fn run_explain(
-        &self,
-        request: ExplainBody,
-        key: CacheKey,
-        trace: &mut Option<RequestTrace>,
-    ) -> Reply {
-        let table = self
-            .catalog
-            .get(&request.table)
-            .expect("an admitted request's table is in the immutable catalog");
-        let eval_start = Instant::now();
-        // Lead or join the single flight only now, holding tokens: a
-        // collapsed request waits only on a leader that is already running.
-        // A leader that panics drops its guard, abandoning the flight —
-        // waiters wake and retry as leaders instead of hanging.
-        let (value, spans) = match self.cached.begin(&key) {
-            Begin::Hit(value) | Begin::Collapsed(value) => {
-                return self.explanation_reply(request.question, request.table, &value);
-            }
-            Begin::Lead(guard) => {
-                self.cached
-                    .execute_flight(guard, &request.question, table, key.top_k)
-            }
-        };
-        self.observe_eval(eval_start, trace);
-        // This request led the parse: its trace gets the leader's stage
-        // breakdown (the engine's histograms already have it).
-        if let Some(trace) = trace.as_mut() {
-            record_parse_spans(trace, eval_start, &spans);
-        }
-        self.explanation_reply(request.question, request.table, &value)
-    }
-
-    /// Close an eval span (histogram and trace). Batch parses fan out over
-    /// worker threads, so batches record no per-question parse breakdown.
-    fn observe_eval(&self, eval_start: Instant, trace: &mut Option<RequestTrace>) {
-        let eval_end = Instant::now();
-        self.metrics
-            .stage_eval
-            .observe(span_ns(eval_start, eval_end));
-        if let Some(trace) = trace.as_mut() {
-            trace.record("eval", eval_start, eval_end);
-        }
-    }
-
-    /// Answer a planned batch: execute its misses (none when it is fully
-    /// cached) and pair every request with its body or error, in order.
-    fn run_batch(
-        &self,
-        requests: Vec<ExplainRequest>,
-        plan: BatchPlan,
-        trace: &mut Option<RequestTrace>,
-    ) -> Reply {
-        let eval_start = Instant::now();
-        let result = self
-            .cached
-            .execute_batch(plan, &self.catalog, &requests, &self.cancel);
-        self.observe_eval(eval_start, trace);
-        match result {
-            Ok(items) => {
-                self.metrics.requests.inc();
-                Reply::Batch(requests.into_iter().zip(items).collect())
-            }
-            Err(BatchError::Cancelled) => error_reply(ErrorCode::Internal, "server shutting down"),
-            Err(BatchError::JobPanicked { index, message }) => error_reply(
-                ErrorCode::Internal,
-                format!("batch job {index} panicked: {message}"),
-            ),
-        }
+        pending.ticket.answer(self, reply, pending.trace);
     }
 }
 
-/// One scheduler worker (thread `wtq-dispatch-{i}`): answers the jobs that
-/// expired, runs the oldest runnable one, and otherwise sleeps until woken
-/// or until the oldest job's deadline. Returns at shutdown.
+/// One scheduler worker (thread `wtq-dispatch-{i}`): answers the requests
+/// that expired, runs the oldest runnable job, and otherwise sleeps until
+/// woken or until the oldest unstarted request's deadline. Returns at
+/// shutdown.
 fn work(shared: &Shared) {
     let scheduler = &shared.scheduler;
     let mut queue = scheduler.lock();
@@ -778,8 +836,6 @@ fn work(shared: &Shared) {
         drop(queue);
         for queued in expired {
             shared.reject_expired(queued.job);
-            // It may have been all that blocked younger jobs.
-            scheduler.wake.notify_all();
         }
         if let Some(queued) = picked {
             shared.execute(queued);
@@ -813,13 +869,14 @@ impl Server {
             },
         );
         // One worker per core, and at least one more than a single table's
-        // tokens can keep busy.
+        // tokens can keep busy; one request runs at most a job per core.
         let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
         let workers = cores.max(config.per_table_tokens.max(1) + 1);
         let metrics = ServerMetrics::default();
         let obs = Obs::new(&config, catalog.len(), workers, &metrics, &cached);
         let queue = Queue::new(
             config.per_table_tokens,
+            cores,
             config.max_table_in_flight,
             Duration::from_millis(config.admission_timeout_ms),
         );
@@ -832,7 +889,6 @@ impl Server {
                 wake: Condvar::new(),
             },
             shutdown: AtomicBool::new(false),
-            cancel: CancelToken::new(),
             metrics,
             obs,
         });
@@ -875,9 +931,10 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, drop queued work, cancel queued
-    /// batch questions, close open connections and join every layer.
-    /// Running engine calls finish; queued jobs never start.
+    /// Graceful shutdown: stop accepting, drop queued jobs, close open
+    /// connections and join every layer. Running jobs finish their
+    /// question; queued jobs never start, and a request that loses any of
+    /// its jobs is never answered (its slot goes with its last job).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -922,9 +979,9 @@ impl ServerHandle {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.cancel.cancel();
-        // Queued jobs never start (dropping them frees their slots); idle
-        // workers exit now, busy ones once their engine call returns.
+        // Queued jobs never start: dropping them drops their requests,
+        // slots and tickets included, once no running job holds them. Idle
+        // workers exit now, busy ones once their question is answered.
         let mut queue = self.shared.scheduler.lock();
         queue.closed = true;
         let dropped = std::mem::take(&mut queue.waiting);
@@ -1018,40 +1075,98 @@ mod tests {
 
     const A: u64 = 0xA;
     const B: u64 = 0xB;
+    const C: u64 = 0xC;
+    /// A per-request cap no test request reaches, unless a test says so.
+    const CORES: usize = 16;
     const TIMEOUT: Duration = Duration::from_secs(1);
 
-    /// Admit `job` on `tables` with weight 1 at `now`.
+    /// Admit a request of one `job` on each of `tables` at `now`.
     fn push(queue: &mut Queue<&'static str>, tables: &[u64], now: Instant, job: &'static str) {
-        assert!(
-            queue.push(tables.to_vec(), 1, now, job).is_ok(),
-            "{job} admitted"
+        let jobs = tables.iter().map(|&table| (table, job)).collect();
+        assert!(queue.push(jobs, now).is_ok(), "{job} admitted");
+    }
+
+    #[test]
+    fn a_request_takes_one_share_per_table_whatever_its_question_count() {
+        let now = Instant::now();
+        let mut queue = Queue::new(1, CORES, 1, TIMEOUT);
+        push(&mut queue, &[A, A, A, B, B], now, "batch");
+        assert_eq!(queue.queued, HashMap::from([(A, 1), (B, 1)]));
+        assert_eq!(queue.waiting.len(), 5, "one job per question");
+        // A and B have used up their one share each; C has its own.
+        assert!(queue.push(vec![(A, "refused")], now).is_err());
+        assert!(queue.push(vec![(C, "other"), (B, "refused")], now).is_err());
+        push(&mut queue, &[C], now, "single on C");
+        assert_eq!(queue.queued, HashMap::from([(A, 1), (B, 1), (C, 1)]));
+    }
+
+    #[test]
+    fn every_job_holds_one_token_and_the_last_gives_back_the_shares() {
+        let now = Instant::now();
+        let mut queue = Queue::new(2, CORES, 16, TIMEOUT);
+        push(&mut queue, &[A, A, B], now, "batch");
+        push(&mut queue, &[A], now, "single");
+        // The batch's two jobs on A take A's two tokens and its job on B
+        // one of B's; the younger single waits for a token on A.
+        let jobs: Vec<_> = std::iter::from_fn(|| queue.pick()).collect();
+        assert_eq!(jobs.iter().map(|q| q.job).collect::<Vec<_>>(), ["batch"; 3]);
+        assert_eq!(queue.executing, HashMap::from([(A, 2), (B, 1)]));
+        assert!(!queue.done(jobs[0].request, jobs[0].table));
+        assert_eq!(queue.pick().expect("a token came back").job, "single");
+        assert!(!queue.done(jobs[1].request, jobs[1].table));
+        assert_eq!(queue.queued, HashMap::from([(A, 2), (B, 1)]));
+        assert!(queue.done(jobs[2].request, jobs[2].table), "the last job");
+        assert_eq!(queue.queued, HashMap::from([(A, 1)]), "the single's share");
+    }
+
+    #[test]
+    fn a_request_runs_at_most_a_job_per_core() {
+        let now = Instant::now();
+        let mut queue = Queue::new(4, 2, 16, TIMEOUT);
+        push(&mut queue, &[A, A, A], now, "batch");
+        push(&mut queue, &[A], now, "single");
+        // Two cores: the batch runs two of its jobs and the younger single
+        // takes a third token on A, ahead of the batch's third job.
+        let picked: Vec<_> = std::iter::from_fn(|| queue.pick()).collect();
+        assert_eq!(
+            picked.iter().map(|q| q.job).collect::<Vec<_>>(),
+            ["batch", "batch", "single"]
+        );
+        assert_eq!(count_of(&queue.executing, A), 3);
+        queue.done(picked[0].request, picked[0].table);
+        assert_eq!(
+            queue.pick().expect("the batch runs one job less").job,
+            "batch"
         );
     }
 
     #[test]
-    fn a_batch_claims_all_its_tokens_at_once_or_none() {
-        let now = Instant::now();
-        let mut queue = Queue::new(1, 16, TIMEOUT);
-        push(&mut queue, &[A], now, "single on A");
-        push(&mut queue, &[A, B], now, "batch on A and B");
-        push(&mut queue, &[B], now, "single on B");
-        let single = queue.pick().expect("A is free");
-        // The batch waits for A without holding B, and the younger single
-        // on B waits behind it instead of overtaking it on B.
-        assert!(queue.pick().is_none());
-        assert_eq!(count_of(&queue.executing, B), 0);
-        queue.release(&single.fingerprints, single.weight);
-        let batch = queue.pick().expect("both tables free");
-        assert_eq!(batch.job, "batch on A and B");
-        assert_eq!(queue.executing, HashMap::from([(A, 1), (B, 1)]));
-        queue.release(&batch.fingerprints, batch.weight);
-        assert_eq!(queue.pick().expect("B is free").job, "single on B");
+    fn a_started_request_never_expires() {
+        let start = Instant::now();
+        let mut queue = Queue::new(1, CORES, 16, TIMEOUT);
+        push(&mut queue, &[A, A], start, "started");
+        push(&mut queue, &[A], start, "unstarted");
+        let running = queue.pick().expect("A is free");
+        assert_eq!(running.job, "started");
+        // Long past both deadlines, only the request that has not started
+        // leaves; the started one keeps its waiting job.
+        let expired = queue.expire(start + TIMEOUT * 10);
+        assert_eq!(
+            expired.iter().map(|q| q.job).collect::<Vec<_>>(),
+            ["unstarted"]
+        );
+        assert_eq!(queue.next_deadline(), None, "nothing left to expire");
+        assert!(!queue.done(running.request, running.table));
+        let rest = queue.pick().expect("the token came back");
+        assert_eq!(rest.job, "started");
+        assert!(queue.done(rest.request, rest.table));
+        assert!(queue.queued.is_empty() && queue.waiting.is_empty());
     }
 
     #[test]
     fn jobs_on_one_table_run_in_admission_order() {
         let now = Instant::now();
-        let mut queue = Queue::new(1, 16, TIMEOUT);
+        let mut queue = Queue::new(1, CORES, 16, TIMEOUT);
         let jobs = ["first", "second", "third"];
         for job in jobs {
             push(&mut queue, &[A], now, job);
@@ -1060,7 +1175,7 @@ mod tests {
             let queued = queue.pick().expect("the token is free");
             assert_eq!(queued.job, job);
             assert!(queue.pick().is_none(), "one token, one running job");
-            queue.release(&queued.fingerprints, queued.weight);
+            queue.done(queued.request, queued.table);
         }
         assert!(queue.executing.is_empty() && queue.queued.is_empty());
     }
@@ -1068,7 +1183,7 @@ mod tests {
     #[test]
     fn a_table_holds_at_most_its_tokens_and_other_tables_still_run() {
         let now = Instant::now();
-        let mut queue = Queue::new(2, 16, TIMEOUT);
+        let mut queue = Queue::new(2, CORES, 16, TIMEOUT);
         for job in ["a1", "a2", "a3"] {
             push(&mut queue, &[A], now, job);
         }
@@ -1078,21 +1193,18 @@ mod tests {
         let picked: Vec<&str> = std::iter::from_fn(|| queue.pick().map(|q| q.job)).collect();
         assert_eq!(picked, ["a1", "a2", "b1"]);
         assert_eq!(count_of(&queue.executing, A), 2);
-        // A batch weight above the table's tokens is clamped to them.
-        assert!(queue.push(vec![B], 5, now, "heavy").is_ok());
-        assert_eq!(queue.waiting.back().expect("queued").weight, 2);
     }
 
     #[test]
     fn expired_jobs_leave_the_queue_and_give_back_their_shares() {
         let start = Instant::now();
-        let mut queue = Queue::new(1, 3, TIMEOUT);
+        let mut queue = Queue::new(1, CORES, 3, TIMEOUT);
         push(&mut queue, &[A], start, "running");
         let running = queue.pick().expect("A is free");
         push(&mut queue, &[A], start, "early");
         push(&mut queue, &[A, B], start + TIMEOUT / 2, "late");
         // A's share of three is taken: one job running, two waiting.
-        assert!(queue.push(vec![A], 1, start, "refused").is_err());
+        assert!(queue.push(vec![(A, "refused")], start).is_err());
         let expire = |queue: &mut Queue<&'static str>, at: Duration| -> Vec<&'static str> {
             queue.expire(start + at).iter().map(|q| q.job).collect()
         };
@@ -1100,10 +1212,10 @@ mod tests {
         assert!(expire(&mut queue, TIMEOUT / 2).is_empty());
         assert_eq!(expire(&mut queue, TIMEOUT), ["early"]);
         assert_eq!(queue.next_deadline(), Some(start + TIMEOUT * 3 / 2));
-        assert_eq!(expire(&mut queue, TIMEOUT * 2), ["late"]);
+        assert_eq!(expire(&mut queue, TIMEOUT * 2), ["late", "late"]);
         assert!(queue.waiting.is_empty() && queue.pick().is_none());
         assert_eq!(queue.queued, HashMap::from([(A, 1)]));
-        queue.release(&running.fingerprints, running.weight);
+        queue.done(running.request, running.table);
         assert!(queue.executing.is_empty() && queue.queued.is_empty());
     }
 }

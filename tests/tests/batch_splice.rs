@@ -57,11 +57,14 @@ const ESCAPED: Item = (
 const UNKNOWN: Item = ("anything", "no \"such\"\\ table\t表", None);
 
 /// One step of the script: what it covers, its items, the cache hits its
-/// plan counts and whether it reaches the scheduler.
+/// plan counts, the misses and insertions of the questions it executes
+/// (one each per deduplicated miss) and whether it reaches the scheduler.
 struct Step {
     case: &'static str,
     items: &'static [Item],
     hits: u32,
+    misses: u32,
+    insertions: u32,
     admitted: bool,
 }
 
@@ -70,29 +73,39 @@ const SCRIPT: [Step; 4] = [
         case: "all miss",
         items: &[GREECE, TOTAL, ESCAPED],
         hits: 0,
+        misses: 3,
+        insertions: 3,
         admitted: true,
     },
     Step {
         case: "all hit",
         items: &[GREECE, TOTAL, ESCAPED],
         hits: 3,
+        misses: 0,
+        insertions: 0,
         admitted: false,
     },
     Step {
         case: "mixed, with duplicate phrasings and an unknown table",
         items: &[CITY, GREECE, UNKNOWN, CITY_VARIANT, FIJI],
         hits: 1,
+        misses: 2,
+        insertions: 2,
         admitted: true,
     },
     Step {
         case: "unknown tables only",
         items: &[UNKNOWN, UNKNOWN],
         hits: 0,
+        misses: 0,
+        insertions: 0,
         admitted: false,
     },
 ];
 
 const HITS: &str = r#"wtq_answer_cache_ops_total{op="hit"}"#;
+const MISSES: &str = r#"wtq_answer_cache_ops_total{op="miss"}"#;
+const INSERTIONS: &str = r#"wtq_answer_cache_ops_total{op="insertion"}"#;
 const ADMITTED: &str = r#"wtq_request_stage_duration_seconds_count{stage="admission_wait"}"#;
 
 fn catalog() -> Catalog {
@@ -192,8 +205,8 @@ fn http_exchange(addr: SocketAddr, _id: u64, items: &[Item], reference: Response
 
 /// Play [`SCRIPT`] against a fresh server through `exchange`, which sends
 /// one batch and checks its raw response against the reference body.
-/// Registry deltas confirm which items hit the cache and which batches
-/// reached the scheduler.
+/// Registry deltas confirm which items hit the cache, which questions
+/// executed and which batches reached the scheduler.
 fn play(exchange: fn(SocketAddr, u64, &[Item], ResponseBody)) {
     let handle = Server::bind(
         "127.0.0.1:0",
@@ -219,6 +232,14 @@ fn play(exchange: fn(SocketAddr, u64, &[Item], ResponseBody)) {
             "{}: cache hits",
             step.case
         );
+        for (series, expected) in [(MISSES, step.misses), (INSERTIONS, step.insertions)] {
+            assert_eq!(
+                delta(series),
+                f64::from(expected),
+                "{}: {series}",
+                step.case
+            );
+        }
         assert_eq!(
             delta(ADMITTED),
             f64::from(u8::from(step.admitted)),

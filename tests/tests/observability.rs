@@ -357,6 +357,60 @@ fn trace_recent_is_coherent_under_concurrent_load() {
     handle.shutdown();
 }
 
+#[test]
+fn batch_traces_carry_spans_per_executed_question() {
+    // Each missing question of a batch runs as its own scheduler job, so
+    // the batch's trace carries each one's admission wait, eval and parse
+    // stages, all inside the request.
+    let config = ServerConfig {
+        trace_sample_rate: 1.0,
+        ..ServerConfig::default()
+    };
+    let (_engine, _catalog, handle) = serving_stack(config, Vec::new());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let item = |question: &str, table: &str| ExplainBody {
+        question: question.to_string(),
+        table: table.to_string(),
+        top_k: Some(2),
+    };
+    let batch = vec![
+        item("Which city hosted in 2008?", "olympics"),
+        item("total Gold of Fiji?", "medals"),
+    ];
+    assert_eq!(
+        client.explain_batch(batch).expect("the batch runs").len(),
+        2
+    );
+
+    let body = client.trace_recent().unwrap();
+    let trace = body
+        .recent
+        .iter()
+        .find(|trace| trace.endpoint == "explain_batch")
+        .expect("the batch's trace");
+    assert_eq!(trace.status, "ok", "{trace:?}");
+    // A stage's spans: `stage` itself, or its `stage:` sub-spans.
+    let spans = |stage: &str| -> Vec<_> {
+        let prefix = format!("{stage}:");
+        (trace.spans.iter())
+            .filter(|span| span.name == stage || span.name.starts_with(&prefix))
+            .collect()
+    };
+    let (admission, eval, parse) = (spans("admission_wait"), spans("eval"), spans("parse"));
+    assert_eq!(admission.len(), 2, "{trace:?}");
+    assert_eq!(eval.len(), 2, "{trace:?}");
+    assert_eq!(parse.len(), 12, "{trace:?}");
+    for span in admission.into_iter().chain(eval).chain(parse) {
+        assert!(span.start_us >= 0.0, "{span:?}");
+        assert!(
+            span.start_us + span.duration_us <= trace.total_us,
+            "span past the request end: {span:?} vs total {}",
+            trace.total_us
+        );
+    }
+    handle.shutdown();
+}
+
 /// Speak minimal HTTP/1.1 against the same port; returns status, headers
 /// and body.
 fn http_request(addr: std::net::SocketAddr, request: &str) -> (u16, String, String) {
