@@ -422,22 +422,27 @@ impl<'a> Session<'a> {
     /// index and denotation memos, and record the parse's stage spans into
     /// the engine's metrics.
     pub fn parse(&self, question: &str) -> Vec<Candidate> {
+        self.parse_top_k(question, usize::MAX)
+    }
+
+    /// [`Session::parse`] for the `k` best candidates only (see
+    /// [`SemanticParser::parse_top_k_in_session`]).
+    fn parse_top_k(&self, question: &str, k: usize) -> Vec<Candidate> {
         let mut scratch = self.scratch.borrow_mut();
-        let candidates = self
-            .parser
-            .parse_in_session_with(question, &self.evaluator, &mut scratch);
+        let candidates =
+            self.parser
+                .parse_top_k_in_session(question, &self.evaluator, &mut scratch, k);
         self.metrics.record_parse(&scratch.spans());
         candidates
     }
 
     /// Parse `question` and explain the top-k candidates (utterance, SQL
-    /// rendering and provenance highlights for each). The highlights are
-    /// computed on this session's evaluator, reusing the shared index and
-    /// the denotation memo the parse warmed.
+    /// rendering and provenance highlights for each). The parse ranks only
+    /// as far as the top k need. The highlights are computed on this
+    /// session's evaluator, reusing the shared index and the denotation
+    /// memo the parse warmed.
     pub fn explain_question(&self, question: &str, top_k: usize) -> Vec<ExplainedCandidate> {
-        let mut candidates = self.parse(question);
-        candidates.truncate(top_k);
-        candidates
+        self.parse_top_k(question, top_k)
             .into_iter()
             .filter_map(|candidate| ExplainedCandidate::from_candidate(candidate, &self.evaluator))
             .collect()

@@ -267,41 +267,12 @@ impl Formula {
         }
     }
 
-    /// Direct sub-formulas, in a stable left-to-right order. This is the
-    /// `Decompose(Q)` step of Algorithm 1.
-    pub fn children(&self) -> Vec<&Formula> {
+    /// The operands of the outermost operator (its direct sub-formulas, the
+    /// `Decompose(Q)` step of Algorithm 1), left to right, in the first
+    /// slots: none, one or two.
+    pub(crate) fn operands(&self) -> [Option<&Formula>; 2] {
         match self {
-            Formula::Const(_) | Formula::AllRecords => vec![],
-            Formula::Join { values, .. } => vec![values],
-            Formula::CompareJoin { value, .. } => vec![value],
-            Formula::ColumnValues { records, .. } => vec![records],
-            Formula::Prev(sub) | Formula::Next(sub) => vec![sub],
-            Formula::Intersect(a, b) | Formula::Union(a, b) | Formula::Sub(a, b) => vec![a, b],
-            Formula::Aggregate { sub, .. } => vec![sub],
-            Formula::SuperlativeRecords { records, .. } => vec![records],
-            Formula::RecordIndexSuperlative { records, .. } => vec![records],
-            Formula::MostCommonValue { values, .. } => vec![values],
-            Formula::CompareValues { values, .. } => vec![values],
-        }
-    }
-
-    /// All sub-formulas of `self` including `self`, pre-order. This is the
-    /// set `Q_SUB` used by the provenance function `P_E` (Equation 2).
-    pub fn sub_formulas(&self) -> Vec<&Formula> {
-        let mut out = vec![self];
-        for child in self.children() {
-            out.extend(child.sub_formulas());
-        }
-        out
-    }
-
-    /// Visit every sub-formula of `self` including `self`, pre-order, without
-    /// allocating the intermediate vectors [`Formula::sub_formulas`] builds —
-    /// the traversal used on per-candidate hot paths (feature extraction).
-    pub fn visit(&self, f: &mut impl FnMut(&Formula)) {
-        f(self);
-        match self {
-            Formula::Const(_) | Formula::AllRecords => {}
+            Formula::Const(_) | Formula::AllRecords => [None, None],
             Formula::Join { values: sub, .. }
             | Formula::CompareJoin { value: sub, .. }
             | Formula::ColumnValues { records: sub, .. }
@@ -311,11 +282,27 @@ impl Formula {
             | Formula::SuperlativeRecords { records: sub, .. }
             | Formula::RecordIndexSuperlative { records: sub, .. }
             | Formula::MostCommonValue { values: sub, .. }
-            | Formula::CompareValues { values: sub, .. } => sub.visit(f),
+            | Formula::CompareValues { values: sub, .. } => [Some(sub), None],
             Formula::Intersect(a, b) | Formula::Union(a, b) | Formula::Sub(a, b) => {
-                a.visit(f);
-                b.visit(f);
+                [Some(a), Some(b)]
             }
+        }
+    }
+
+    /// All sub-formulas of `self` including `self`, pre-order. This is the
+    /// set `Q_SUB` used by the provenance function `P_E` (Equation 2).
+    pub fn sub_formulas(&self) -> Vec<&Formula> {
+        let mut out = Vec::new();
+        self.visit(&mut |sub| out.push(sub));
+        out
+    }
+
+    /// Visit every sub-formula of `self` including `self`, pre-order, without
+    /// allocating the intermediate vectors [`Formula::sub_formulas`] builds.
+    pub fn visit<'f>(&'f self, f: &mut impl FnMut(&'f Formula)) {
+        f(self);
+        for child in self.operands().into_iter().flatten() {
+            child.visit(f);
         }
     }
 
@@ -384,70 +371,95 @@ impl Formula {
     /// Whether the formula is atomic (no sub-formulas) — the base case of
     /// Algorithm 1.
     pub fn is_atomic(&self) -> bool {
-        self.children().is_empty()
+        matches!(self, Formula::Const(_) | Formula::AllRecords)
     }
 
     /// Number of operator nodes in the formula, a simple complexity measure
     /// used as a parser feature and in candidate pruning.
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+        1 + self
+            .operands()
+            .into_iter()
+            .flatten()
+            .map(Formula::size)
+            .sum::<usize>()
     }
 
     /// Maximum nesting depth.
     pub fn depth(&self) -> usize {
-        1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
+        1 + self
+            .operands()
+            .into_iter()
+            .flatten()
+            .map(Formula::depth)
+            .max()
+            .unwrap_or(0)
     }
 }
 
-/// Quote a name for the concrete syntax if it is not a simple identifier.
-fn quoted(name: &str) -> String {
-    let simple = !name.is_empty()
-        && name
+/// A name in the concrete syntax: as is if it is a simple identifier that
+/// is not a keyword, double-quoted (inner quotes backslash-escaped)
+/// otherwise.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.0;
+        let simple = name
             .chars()
             .next()
-            .map(|c| c.is_ascii_alphabetic() || c == '_')
-            .unwrap_or(false)
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        && !matches!(
-            name.to_ascii_lowercase().as_str(),
-            "and" | "or" | "rows" | "record" | "prev" | "next" | "r"
-        );
-    if simple {
-        name.to_string()
-    } else {
-        format!("\"{}\"", name.replace('"', "\\\""))
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+            && name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+            && !["and", "or", "rows", "record", "prev", "next", "r"]
+                .iter()
+                .any(|keyword| name.eq_ignore_ascii_case(keyword));
+        if simple {
+            return f.write_str(name);
+        }
+        f.write_str("\"")?;
+        for (i, part) in name.split('"').enumerate() {
+            if i > 0 {
+                f.write_str("\\\"")?;
+            }
+            f.write_str(part)?;
+        }
+        f.write_str("\"")
     }
 }
 
-/// Render a constant value in the concrete syntax.
-fn value_literal(value: &Value) -> String {
-    match value {
-        Value::Num(_) => value.to_string(),
-        Value::Date(d) => match (d.month, d.day) {
-            (Some(m), Some(day)) => format!("date({}, {}, {})", d.year, m, day),
-            (Some(m), None) => format!("date({}, {})", d.year, m),
-            _ => format!("date({})", d.year),
-        },
-        Value::Str(s) => quoted(s),
+/// A constant value in the concrete syntax.
+struct Literal<'a>(&'a Value);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Num(_) => write!(f, "{}", self.0),
+            Value::Date(d) => match (d.month, d.day) {
+                (Some(m), Some(day)) => write!(f, "date({}, {}, {})", d.year, m, day),
+                (Some(m), None) => write!(f, "date({}, {})", d.year, m),
+                _ => write!(f, "date({})", d.year),
+            },
+            Value::Str(s) => write!(f, "{}", Quoted(s)),
+        }
     }
 }
 
 impl fmt::Display for Formula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Formula::Const(value) => write!(f, "{}", value_literal(value)),
+            Formula::Const(value) => write!(f, "{}", Literal(value)),
             Formula::AllRecords => write!(f, "Rows"),
             Formula::Join { column, values } => {
                 if values.is_atomic() {
-                    write!(f, "{}.{}", quoted(column), values)
+                    write!(f, "{}.{}", Quoted(column), values)
                 } else {
-                    write!(f, "{}.({})", quoted(column), values)
+                    write!(f, "{}.({})", Quoted(column), values)
                 }
             }
             Formula::CompareJoin { column, op, value } => {
-                write!(f, "{}.({} {})", quoted(column), op.symbol(), value)
+                write!(f, "{}.({} {})", Quoted(column), op.symbol(), value)
             }
             Formula::ColumnValues { column, records } => {
                 if records.is_atomic()
@@ -459,9 +471,9 @@ impl fmt::Display for Formula {
                             | Formula::Next(_)
                     )
                 {
-                    write!(f, "R[{}].{}", quoted(column), records)
+                    write!(f, "R[{}].{}", Quoted(column), records)
                 } else {
-                    write!(f, "R[{}].({})", quoted(column), records)
+                    write!(f, "R[{}].({})", Quoted(column), records)
                 }
             }
             Formula::Prev(sub) => {
@@ -486,7 +498,7 @@ impl fmt::Display for Formula {
                 records,
                 column,
             } => {
-                write!(f, "{}({}, {})", op.name(), records, quoted(column))
+                write!(f, "{}({}, {})", op.name(), records, Quoted(column))
             }
             Formula::RecordIndexSuperlative { op, records } => {
                 let name = match op {
@@ -500,7 +512,7 @@ impl fmt::Display for Formula {
                     SuperlativeOp::Argmax => "most_common",
                     SuperlativeOp::Argmin => "least_common",
                 };
-                write!(f, "{}({}, {})", name, values, quoted(column))
+                write!(f, "{}({}, {})", name, values, Quoted(column))
             }
             Formula::CompareValues {
                 op,
@@ -517,8 +529,8 @@ impl fmt::Display for Formula {
                     "{}({}, {}, {})",
                     name,
                     values,
-                    quoted(key_column),
-                    quoted(value_column)
+                    Quoted(key_column),
+                    Quoted(value_column)
                 )
             }
             Formula::Sub(a, b) => write!(f, "sub({a}, {b})"),

@@ -17,17 +17,22 @@
 //! semantic parser executes per question — a shared base like
 //! `Country.Greece` is evaluated once, and projected once per column however
 //! many aggregates fold that projection. [`Evaluator::answer`] skips cell
-//! traces altogether. The scan-based semantics it must agree with are kept
-//! in [`crate::reference`] as an executable specification, enforced by a
-//! differential proptest suite.
+//! traces altogether. Formulas are evaluated as ids in the session's
+//! hash-consed [`FormulaArena`], so the memo is keyed by [`FormulaId`]: a
+//! lookup is an index, not a hash of a formula tree, and callers that
+//! build formulas as ids (the semantic parser's candidate generation)
+//! evaluate them without ever building a tree. The scan-based semantics it
+//! must agree with are kept in [`crate::reference`] as an executable
+//! specification, enforced by a differential proptest suite.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use wtq_table::{CellRef, KnowledgeBase, RecordIdx, Table, TableIndex, Value};
 
 use crate::answer::Answer;
+use crate::arena::{ColumnId, ConstId, FormulaArena, FormulaId, Node, FORMULA_ARENA_CAP};
 use crate::ast::{AggregateOp, CompareOp, Formula, SuperlativeOp};
 use crate::error::DcsError;
 use crate::Result;
@@ -257,18 +262,35 @@ fn compare_matches(
 /// subformulas and grouped projections, so candidate pools sharing bases
 /// (`Country.Greece` under many projections and aggregates) pay for each
 /// base once, and for each projection of it once.
+///
+/// The session owns a [`FormulaArena`]; every formula it evaluates is
+/// interned there first. An id stays valid until the next
+/// [`Evaluator::release_ids`], which [`Evaluator::eval`] and
+/// [`Evaluator::answer`] call on entry: once the arena has passed
+/// [`FORMULA_ARENA_CAP`] nodes, releasing empties it and the memo together.
 pub struct Evaluator<'a> {
     table: &'a Table,
     kb: KnowledgeBase<'a>,
+    arena: RefCell<FormulaArena>,
+    /// The table column of each interned column name (`None`: no such
+    /// column), in id order; names interned since the last evaluation are
+    /// resolved when the next one starts.
+    columns: RefCell<Vec<Option<usize>>>,
     /// Memoized record sets of record-denoting subformulas and groupings of
-    /// projections, keyed by the formula's structure, together with the
-    /// formula's nesting depth (so a hit can still enforce the depth guard
-    /// a fresh recursion would have tripped). Holds only [`Den::Records`]
+    /// projections, indexed by [`FormulaId`]. Holds only [`Den::Records`]
     /// and [`Den::Groups`]: no cell traces. Sound because the table (and
     /// thus every denotation) is immutable for the life of the session.
-    cache: RefCell<HashMap<Formula, (Den, usize)>>,
+    memo: RefCell<Memo>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
+}
+
+/// The session memo: one optional slot per arena node, and how many slots
+/// are filled (bounded by [`DENOTATION_CACHE_CAP`]).
+#[derive(Default)]
+struct Memo {
+    slots: Vec<Option<Den>>,
+    entries: usize,
 }
 
 impl<'a> Evaluator<'a> {
@@ -287,7 +309,9 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             table: kb.table(),
             kb,
-            cache: RefCell::new(HashMap::new()),
+            arena: RefCell::new(FormulaArena::new()),
+            columns: RefCell::new(Vec::new()),
+            memo: RefCell::new(Memo::default()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
         }
@@ -319,9 +343,46 @@ impl<'a> Evaluator<'a> {
         (self.cache_hits.get(), self.cache_misses.get())
     }
 
+    /// The session's formula arena. Hold the borrow only while reading:
+    /// interning and evaluation need the arena too.
+    pub fn arena(&self) -> Ref<'_, FormulaArena> {
+        self.arena.borrow()
+    }
+
+    /// Declare that the caller holds no id interned so far. If the arena has
+    /// passed [`FORMULA_ARENA_CAP`] nodes it is emptied, together with the
+    /// memo keyed by its ids; otherwise ids stay valid. A parse calls this
+    /// once before it interns its first candidate.
+    pub fn release_ids(&self) {
+        if self.arena.borrow().len() > FORMULA_ARENA_CAP {
+            self.arena.borrow_mut().clear();
+            self.columns.borrow_mut().clear();
+            let mut memo = self.memo.borrow_mut();
+            memo.slots.clear();
+            memo.entries = 0;
+        }
+    }
+
+    /// Add one node to the session arena (see [`FormulaArena::add`]).
+    pub fn intern_node(&self, node: Node) -> FormulaId {
+        self.arena.borrow_mut().add(node)
+    }
+
+    /// Intern a column name in the session arena.
+    pub fn intern_column(&self, name: &str) -> ColumnId {
+        self.arena.borrow_mut().column(name)
+    }
+
+    /// Intern a constant in the session arena.
+    pub fn intern_constant(&self, value: &Value) -> ConstId {
+        self.arena.borrow_mut().constant(value)
+    }
+
     /// Evaluate `formula` against the table.
     pub fn eval(&self, formula: &Formula) -> Result<Denotation> {
-        Ok(match self.eval_depth(formula, 0, true)? {
+        let id = self.intern(formula);
+        self.resolve_columns();
+        Ok(match self.eval_depth(id, 0, true)? {
             Den::Records(records) => Denotation::Records(records.iter().copied().collect()),
             Den::Values(values) => Denotation::Values(values),
             Den::Number(n) => Denotation::Number(n),
@@ -334,74 +395,104 @@ impl<'a> Evaluator<'a> {
     /// included, but without building the cell traces an answer drops — a
     /// projection is answered from its memoized grouping.
     pub fn answer(&self, formula: &Formula) -> Result<Answer> {
-        Ok(match self.eval_depth(formula, 0, false)? {
+        let id = self.intern(formula);
+        self.answer_id(id)
+    }
+
+    /// [`Evaluator::answer`] of an interned formula.
+    pub fn answer_id(&self, id: FormulaId) -> Result<Answer> {
+        self.resolve_columns();
+        Ok(match self.eval_depth(id, 0, false)? {
             Den::Records(records) => Answer::Records(records.to_vec()),
             Den::Number(n) => Answer::Number(n),
             values => Answer::values(values.counted().map(|(value, _)| value.clone())),
         })
     }
 
-    /// Whether a formula's denotation is memoized: composite record-denoting
+    /// Intern `formula` for a call that holds no earlier id (see
+    /// [`Evaluator::release_ids`]).
+    fn intern(&self, formula: &Formula) -> FormulaId {
+        self.release_ids();
+        self.arena.borrow_mut().intern(formula)
+    }
+
+    /// Resolve every column name interned since the last evaluation.
+    fn resolve_columns(&self) {
+        let arena = self.arena.borrow();
+        let mut columns = self.columns.borrow_mut();
+        let resolved = columns.len();
+        for name in arena.column_names().skip(resolved) {
+            columns.push(self.index().column_index(name));
+        }
+    }
+
+    /// Whether a node's denotation is memoized: composite record-denoting
     /// formulas (atomic ones are cheaper to re-evaluate than to look up),
     /// and projections evaluated without traces.
-    fn memoized(formula: &Formula, traced: bool) -> bool {
-        match formula {
-            Formula::ColumnValues { .. } => !traced,
-            Formula::Join { .. }
-            | Formula::CompareJoin { .. }
-            | Formula::Prev(_)
-            | Formula::Next(_)
-            | Formula::Intersect(_, _)
-            | Formula::Union(_, _)
-            | Formula::SuperlativeRecords { .. }
-            | Formula::RecordIndexSuperlative { .. } => true,
+    fn memoized(node: &Node, traced: bool) -> bool {
+        match node {
+            Node::ColumnValues { .. } => !traced,
+            Node::Join { .. }
+            | Node::CompareJoin { .. }
+            | Node::Prev(_)
+            | Node::Next(_)
+            | Node::Intersect(_, _)
+            | Node::Union(_, _)
+            | Node::SuperlativeRecords { .. }
+            | Node::RecordIndexSuperlative { .. } => true,
             _ => false,
         }
     }
 
-    /// Evaluate `formula` at nesting `depth`. With `traced` false the caller
-    /// reads no cell traces, so a projection may come back as its grouping.
-    fn eval_depth(&self, formula: &Formula, depth: usize, traced: bool) -> Result<Den> {
+    /// Evaluate formula `id` at nesting `depth`. With `traced` false the
+    /// caller reads no cell traces, so a projection may come back as its
+    /// grouping.
+    fn eval_depth(&self, id: FormulaId, depth: usize, traced: bool) -> Result<Den> {
         if depth > MAX_EVAL_DEPTH {
             return Err(DcsError::DepthExceeded(MAX_EVAL_DEPTH));
         }
-        let memoized = Self::memoized(formula, traced);
+        let node = self.arena.borrow().node(id);
+        let memoized = Self::memoized(&node, traced);
         if memoized {
-            if let Some((denotation, formula_depth)) = self.cache.borrow().get(formula) {
+            if let Some(Some(denotation)) = self.memo.borrow().slots.get(id.index()) {
                 // A fresh evaluation of this subformula would recurse to
                 // `depth + formula_depth - 1`; replicate the depth guard it
                 // would have hit so cached and uncached evaluation (and the
                 // scan reference) report identical errors.
-                if depth + formula_depth - 1 > MAX_EVAL_DEPTH {
+                if depth + self.arena.borrow().depth(id) - 1 > MAX_EVAL_DEPTH {
                     return Err(DcsError::DepthExceeded(MAX_EVAL_DEPTH));
                 }
                 self.cache_hits.set(self.cache_hits.get() + 1);
                 return Ok(denotation.clone());
             }
         }
-        let result = self.eval_node(formula, depth, traced)?;
+        let result = self.eval_node(node, depth, traced)?;
         if memoized {
             self.cache_misses.set(self.cache_misses.get() + 1);
             if matches!(result, Den::Records(_) | Den::Groups(_)) {
-                let mut cache = self.cache.borrow_mut();
-                if cache.len() < DENOTATION_CACHE_CAP {
-                    cache.insert(formula.clone(), (result.clone(), formula.depth()));
+                let mut memo = self.memo.borrow_mut();
+                if memo.entries < DENOTATION_CACHE_CAP {
+                    if memo.slots.len() <= id.index() {
+                        memo.slots.resize(id.index() + 1, None);
+                    }
+                    memo.slots[id.index()] = Some(result.clone());
+                    memo.entries += 1;
                 }
             }
         }
         Ok(result)
     }
 
-    fn eval_node(&self, formula: &Formula, depth: usize, traced: bool) -> Result<Den> {
-        match formula {
-            Formula::Const(value) => Ok(self.eval_const(value)),
-            Formula::AllRecords => Ok(Den::Records(self.table.record_indices().collect())),
-            Formula::Join { column, values } => {
+    fn eval_node(&self, node: Node, depth: usize, traced: bool) -> Result<Den> {
+        match node {
+            Node::Const(constant) => Ok(self.eval_const(self.arena.borrow().value(constant))),
+            Node::AllRecords => Ok(Den::Records(self.table.record_indices().collect())),
+            Node::Join { column, values } => {
                 let column_idx = self.column(column)?;
                 let values = self.eval_depth(values, depth + 1, false)?;
                 self.eval_join(column_idx, &values)
             }
-            Formula::CompareJoin { column, op, value } => {
+            Node::CompareJoin { column, op, value } => {
                 let column_idx = self.column(column)?;
                 let value = self.eval_depth(value, depth + 1, false)?;
                 let threshold = value.as_single_number().ok_or(DcsError::Cardinality {
@@ -410,11 +501,11 @@ impl<'a> Evaluator<'a> {
                     got: value.len(),
                 })?;
                 let mut records: Vec<RecordIdx> =
-                    compare_matches(self.index(), column_idx, *op, threshold).collect();
+                    compare_matches(self.index(), column_idx, op, threshold).collect();
                 records.sort_unstable();
                 Ok(Den::Records(records.into()))
             }
-            Formula::ColumnValues { column, records } => {
+            Node::ColumnValues { column, records } => {
                 let column_idx = self.column(column)?;
                 let records = self.eval_records("column projection", records, depth)?;
                 Ok(if traced {
@@ -423,7 +514,7 @@ impl<'a> Evaluator<'a> {
                     Den::Groups(self.group_column(column_idx, &records, |_, _| {}).into())
                 })
             }
-            Formula::Prev(sub) => {
+            Node::Prev(sub) => {
                 let records = self.eval_records("Prev", sub, depth)?;
                 Ok(Den::Records(
                     records
@@ -432,7 +523,7 @@ impl<'a> Evaluator<'a> {
                         .collect(),
                 ))
             }
-            Formula::Next(sub) => {
+            Node::Next(sub) => {
                 let records = self.eval_records("R[Prev]", sub, depth)?;
                 Ok(Den::Records(
                     records
@@ -444,21 +535,21 @@ impl<'a> Evaluator<'a> {
             // Value-set intersections and unions carry their operands' cell
             // traces into the result (a union merges them, which decides its
             // cell counts), so their operands are always evaluated traced.
-            Formula::Intersect(a, b) => {
+            Node::Intersect(a, b) => {
                 let left = self.eval_depth(a, depth + 1, true)?;
                 let right = self.eval_depth(b, depth + 1, true)?;
                 self.eval_intersect(left, right)
             }
-            Formula::Union(a, b) => {
+            Node::Union(a, b) => {
                 let left = self.eval_depth(a, depth + 1, true)?;
                 let right = self.eval_depth(b, depth + 1, true)?;
                 self.eval_union(left, right)
             }
-            Formula::Aggregate { op, sub } => {
+            Node::Aggregate { op, sub } => {
                 let inner = self.eval_depth(sub, depth + 1, false)?;
-                self.eval_aggregate(*op, &inner)
+                self.eval_aggregate(op, &inner)
             }
-            Formula::SuperlativeRecords {
+            Node::SuperlativeRecords {
                 op,
                 records,
                 column,
@@ -466,10 +557,10 @@ impl<'a> Evaluator<'a> {
                 let column_idx = self.column(column)?;
                 let records = self.eval_records("superlative", records, depth)?;
                 Ok(Den::Records(
-                    self.superlative_records(*op, &records, column_idx),
+                    self.superlative_records(op, &records, column_idx),
                 ))
             }
-            Formula::RecordIndexSuperlative { op, records } => {
+            Node::RecordIndexSuperlative { op, records } => {
                 let records = self.eval_records("index superlative", records, depth)?;
                 let chosen = match op {
                     SuperlativeOp::Argmax => records.last(),
@@ -477,12 +568,12 @@ impl<'a> Evaluator<'a> {
                 };
                 Ok(Den::Records(chosen.into_iter().copied().collect()))
             }
-            Formula::MostCommonValue { op, values, column } => {
+            Node::MostCommonValue { op, values, column } => {
                 let column_idx = self.column(column)?;
                 let values = self.eval_depth(values, depth + 1, false)?;
-                self.eval_most_common(*op, &values, column_idx)
+                self.eval_most_common(op, &values, column_idx)
             }
-            Formula::CompareValues {
+            Node::CompareValues {
                 op,
                 values,
                 key_column,
@@ -491,9 +582,9 @@ impl<'a> Evaluator<'a> {
                 let key_idx = self.column(key_column)?;
                 let value_idx = self.column(value_column)?;
                 let values = self.eval_depth(values, depth + 1, false)?;
-                self.eval_compare_values(*op, &values, key_idx, value_idx)
+                self.eval_compare_values(op, &values, key_idx, value_idx)
             }
-            Formula::Sub(a, b) => {
+            Node::Sub(a, b) => {
                 let left = self.eval_depth(a, depth + 1, false)?;
                 let right = self.eval_depth(b, depth + 1, false)?;
                 let left = self.expect_number("difference", &left)?;
@@ -503,10 +594,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn column(&self, name: &str) -> Result<usize> {
-        self.index()
-            .column_index(name)
-            .ok_or_else(|| DcsError::UnknownColumn(name.to_string()))
+    /// The table column an interned column name resolves to.
+    fn column(&self, column: ColumnId) -> Result<usize> {
+        self.columns.borrow()[column.index()].ok_or_else(|| {
+            DcsError::UnknownColumn(self.arena.borrow().column_name(column).to_string())
+        })
     }
 
     /// A constant denotes the set of table cells holding that value (across
@@ -550,7 +642,7 @@ impl<'a> Evaluator<'a> {
     fn eval_records(
         &self,
         operator: &'static str,
-        formula: &Formula,
+        formula: FormulaId,
         depth: usize,
     ) -> Result<Records> {
         match self.eval_depth(formula, depth + 1, false)? {
@@ -1325,6 +1417,60 @@ mod tests {
         let warm_again = session.eval(&q).unwrap();
         assert_eq!(warm, warm_again);
         assert_eq!(warm, eval(&q, &table).unwrap());
+    }
+
+    #[test]
+    fn session_past_the_arena_cap_empties_it_with_the_memo() {
+        let table = samples::squad();
+        let session = Evaluator::new(&table);
+        let games_above = |n: usize| Formula::CompareJoin {
+            column: "Games".into(),
+            op: CompareOp::Gt,
+            value: Box::new(Formula::Const(Value::num(n as f64))),
+        };
+        // Each threshold interns two nodes: the constant and the comparison.
+        let calls = FORMULA_ARENA_CAP / 2 + 100;
+        let mut peak = 0;
+        for n in 0..calls {
+            let answer = session.answer(&games_above(n % 50 + 1000 * (n / 50)));
+            if n % 997 == 0 {
+                assert_eq!(
+                    answer,
+                    Evaluator::new(&table)
+                        .eval(&games_above(n % 50 + 1000 * (n / 50)))
+                        .map(|d| Answer::from_denotation(&d))
+                );
+            }
+            peak = peak.max(session.arena().len());
+        }
+        // The arena outgrew the cap by at most one call's nodes, then
+        // started over.
+        assert!(peak <= FORMULA_ARENA_CAP + 2, "peak {peak}");
+        assert!(session.arena().len() < FORMULA_ARENA_CAP / 2);
+        // Every call was a distinct formula: all misses. The first formula's
+        // memo entry went with the arena, so asking again misses again.
+        assert_eq!(session.cache_stats(), (0, calls as u64));
+        session.answer(&games_above(0)).unwrap();
+        assert_eq!(session.cache_stats(), (0, calls as u64 + 1));
+        let last = calls - 1;
+        session
+            .answer(&games_above(last % 50 + 1000 * (last / 50)))
+            .unwrap();
+        assert_eq!(session.cache_stats(), (1, calls as u64 + 1));
+    }
+
+    #[test]
+    fn interned_and_tree_evaluation_agree() {
+        let table = samples::olympics();
+        let session = Evaluator::new(&table);
+        let formula = Formula::aggregate(
+            AggregateOp::Max,
+            Formula::column_values("Year", Formula::join_str("Country", "Greece")),
+        );
+        let id = session.intern(&formula);
+        assert_eq!(session.answer_id(id), Ok(Answer::number(2004.0)));
+        assert_eq!(session.arena().materialize(id), formula);
+        assert_eq!(session.eval(&formula), eval(&formula, &table));
     }
 
     #[test]

@@ -19,23 +19,31 @@
 //! * [`parse_formula`] — a concrete textual syntax (`R[Year].Country.Greece`,
 //!   `max(...)`, `sub(...)`, …) with a round-trippable [`Display`]
 //!   implementation,
+//! * [`arena`](mod@arena) — a hash-consed [`FormulaArena`]: each distinct
+//!   node stored once as a flat, `Copy` [`Node`] over [`FormulaId`]
+//!   operands and interned column names and constants, with its size,
+//!   depth and static type recorded, so equal formulas are equal ids,
 //! * [`eval`](mod@eval) — the index-backed execution engine producing [`Denotation`]s
 //!   with cell-level tracking (the raw material of the provenance model);
-//!   [`Evaluator`] is a stateful per-table session that memoizes
-//!   record-denoting subformulas and grouped projections across a candidate
-//!   pool, and answers formulas without cell traces
-//!   ([`Evaluator::answer`]),
+//!   [`Evaluator`] is a stateful per-table session that evaluates formulas
+//!   as ids in its own arena, memoizes record-denoting subformulas and
+//!   grouped projections by [`FormulaId`] across a candidate pool, and
+//!   answers formulas without cell traces ([`Evaluator::answer`]); the
+//!   arena is emptied with the memo once it passes [`FORMULA_ARENA_CAP`]
+//!   nodes,
 //! * [`reference`](mod@reference) — the scan-based reference semantics the indexed engine
 //!   is differentially tested against,
 //! * [`typecheck`](mod@typecheck) — static classification of formulas into record-denoting /
-//!   value-denoting / numeric, used by the semantic parser's candidate
-//!   generation,
+//!   value-denoting / numeric, one typing rule per operator that the
+//!   arena applies once per node (the semantic parser's candidate
+//!   generation reads it from there),
 //! * [`Answer`] — canonicalized query results used to compare a candidate
 //!   query's output against a gold answer (the `r(z|T, y)` indicator of §6.2).
 //!
 //! [`Display`]: std::fmt::Display
 
 pub mod answer;
+pub mod arena;
 pub mod ast;
 pub mod error;
 pub mod eval;
@@ -44,6 +52,7 @@ pub mod reference;
 pub mod typecheck;
 
 pub use answer::Answer;
+pub use arena::{ColumnId, ConstId, FormulaArena, FormulaId, Node, FORMULA_ARENA_CAP};
 pub use ast::{AggregateOp, CompareOp, Formula, SuperlativeOp};
 pub use error::DcsError;
 pub use eval::{compare_records, eval, Denotation, Evaluator, TracedValue};

@@ -33,133 +33,166 @@ impl FormulaType {
 }
 
 /// Compute the static type of `formula`, or an error if the composition is
-/// ill-typed regardless of the table it runs on.
+/// ill-typed regardless of the table it runs on. A formula with several
+/// faults reports the first in operand order.
 pub fn typecheck(formula: &Formula) -> Result<FormulaType> {
-    match formula {
-        Formula::Const(_) => Ok(FormulaType::Values),
-        Formula::AllRecords => Ok(FormulaType::Records),
-        Formula::Join { values, .. } => {
-            let inner = typecheck(values)?;
-            match inner {
-                FormulaType::Values | FormulaType::Number => Ok(FormulaType::Records),
-                FormulaType::Records => Err(DcsError::TypeMismatch {
-                    operator: "join",
-                    expected: "values",
-                    found: "records",
-                }),
-            }
-        }
-        Formula::CompareJoin { value, .. } => {
-            let inner = typecheck(value)?;
-            match inner {
-                FormulaType::Values | FormulaType::Number => Ok(FormulaType::Records),
-                FormulaType::Records => Err(DcsError::TypeMismatch {
-                    operator: "comparison",
-                    expected: "a numeric value",
-                    found: "records",
-                }),
-            }
-        }
-        Formula::ColumnValues { records, .. } => {
-            expect(records, FormulaType::Records, "column projection")?;
-            Ok(FormulaType::Values)
-        }
-        Formula::Prev(sub) => {
-            expect(sub, FormulaType::Records, "Prev")?;
-            Ok(FormulaType::Records)
-        }
-        Formula::Next(sub) => {
-            expect(sub, FormulaType::Records, "R[Prev]")?;
-            Ok(FormulaType::Records)
-        }
-        Formula::Intersect(a, b) => {
-            let left = typecheck(a)?;
-            let right = typecheck(b)?;
-            if left == right && left != FormulaType::Number {
-                Ok(left)
-            } else {
-                Err(DcsError::TypeMismatch {
-                    operator: "intersection",
-                    expected: "two record sets or two value sets",
-                    found: if left == FormulaType::Number {
-                        left.name()
-                    } else {
-                        right.name()
-                    },
-                })
-            }
-        }
-        Formula::Union(a, b) => {
-            let left = typecheck(a)?;
-            let right = typecheck(b)?;
-            if left == right && left != FormulaType::Number {
-                Ok(left)
-            } else {
-                Err(DcsError::TypeMismatch {
-                    operator: "union",
-                    expected: "two record sets or two value sets",
-                    found: if left == FormulaType::Number {
-                        left.name()
-                    } else {
-                        right.name()
-                    },
-                })
-            }
-        }
-        Formula::Aggregate { op, sub } => {
-            let inner = typecheck(sub)?;
-            match (op, inner) {
-                (AggregateOp::Count, _) => Ok(FormulaType::Number),
-                (_, FormulaType::Values | FormulaType::Number) => Ok(FormulaType::Number),
-                (_, FormulaType::Records) => Err(DcsError::TypeMismatch {
-                    operator: op.name(),
-                    expected: "values",
-                    found: "records",
-                }),
-            }
-        }
-        Formula::SuperlativeRecords { records, .. } => {
-            expect(records, FormulaType::Records, "superlative")?;
-            Ok(FormulaType::Records)
-        }
-        Formula::RecordIndexSuperlative { records, .. } => {
-            expect(records, FormulaType::Records, "index superlative")?;
-            Ok(FormulaType::Records)
-        }
-        Formula::MostCommonValue { values, .. } => {
-            expect(values, FormulaType::Values, "most_common")?;
-            Ok(FormulaType::Values)
-        }
-        Formula::CompareValues { values, .. } => {
-            expect(values, FormulaType::Values, "compare")?;
-            Ok(FormulaType::Values)
-        }
-        Formula::Sub(a, b) => {
-            for side in [a, b] {
-                let t = typecheck(side)?;
-                if t == FormulaType::Records {
-                    return Err(DcsError::TypeMismatch {
-                        operator: "difference",
-                        expected: "a numeric value",
-                        found: "records",
-                    });
-                }
-            }
-            Ok(FormulaType::Number)
-        }
-    }
+    let operands = formula.operands();
+    Rule::of(formula).apply(|i| typecheck(operands[i].expect("the rule asks for an operand")))
 }
 
-fn expect(formula: &Formula, expected: FormulaType, operator: &'static str) -> Result<()> {
-    let found = typecheck(formula)?;
-    if found == expected {
-        Ok(())
-    } else {
-        Err(DcsError::TypeMismatch {
+/// The typing rule of one operator: what it requires of its operands and
+/// what it denotes. [`typecheck`] applies it recursively to a [`Formula`],
+/// and the formula arena once per node over its operands' recorded types.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rule {
+    /// A leaf of a fixed type.
+    Leaf(FormulaType),
+    /// A selection (join or comparison join) of the records matching a
+    /// value or number operand.
+    Select {
+        operator: &'static str,
+        expected: &'static str,
+    },
+    /// One operand of exactly `expected` type, denoting `result`.
+    Expect {
+        operator: &'static str,
+        expected: FormulaType,
+        result: FormulaType,
+    },
+    /// Intersection or union: two operands of one non-numeric type.
+    Combine { operator: &'static str },
+    /// An aggregate; `count` also accepts records.
+    Aggregate(AggregateOp),
+    /// Arithmetic difference of two non-record operands.
+    Difference,
+}
+
+impl Rule {
+    pub(crate) const CONST: Rule = Rule::Leaf(FormulaType::Values);
+    pub(crate) const ALL_RECORDS: Rule = Rule::Leaf(FormulaType::Records);
+    pub(crate) const JOIN: Rule = Rule::Select {
+        operator: "join",
+        expected: "values",
+    };
+    pub(crate) const COMPARE_JOIN: Rule = Rule::Select {
+        operator: "comparison",
+        expected: "a numeric value",
+    };
+    pub(crate) const COLUMN_VALUES: Rule = Rule::expect(
+        "column projection",
+        FormulaType::Records,
+        FormulaType::Values,
+    );
+    pub(crate) const PREV: Rule = Rule::expect("Prev", FormulaType::Records, FormulaType::Records);
+    pub(crate) const NEXT: Rule =
+        Rule::expect("R[Prev]", FormulaType::Records, FormulaType::Records);
+    pub(crate) const INTERSECT: Rule = Rule::Combine {
+        operator: "intersection",
+    };
+    pub(crate) const UNION: Rule = Rule::Combine { operator: "union" };
+    pub(crate) const SUPERLATIVE: Rule =
+        Rule::expect("superlative", FormulaType::Records, FormulaType::Records);
+    pub(crate) const INDEX_SUPERLATIVE: Rule = Rule::expect(
+        "index superlative",
+        FormulaType::Records,
+        FormulaType::Records,
+    );
+    pub(crate) const MOST_COMMON: Rule =
+        Rule::expect("most_common", FormulaType::Values, FormulaType::Values);
+    pub(crate) const COMPARE_VALUES: Rule =
+        Rule::expect("compare", FormulaType::Values, FormulaType::Values);
+
+    const fn expect(operator: &'static str, expected: FormulaType, result: FormulaType) -> Rule {
+        Rule::Expect {
             operator,
-            expected: expected.name(),
-            found: found.name(),
-        })
+            expected,
+            result,
+        }
+    }
+
+    /// The rule of `formula`'s outermost operator.
+    pub(crate) fn of(formula: &Formula) -> Rule {
+        match formula {
+            Formula::Const(_) => Rule::CONST,
+            Formula::AllRecords => Rule::ALL_RECORDS,
+            Formula::Join { .. } => Rule::JOIN,
+            Formula::CompareJoin { .. } => Rule::COMPARE_JOIN,
+            Formula::ColumnValues { .. } => Rule::COLUMN_VALUES,
+            Formula::Prev(_) => Rule::PREV,
+            Formula::Next(_) => Rule::NEXT,
+            Formula::Intersect(_, _) => Rule::INTERSECT,
+            Formula::Union(_, _) => Rule::UNION,
+            Formula::Aggregate { op, .. } => Rule::Aggregate(*op),
+            Formula::SuperlativeRecords { .. } => Rule::SUPERLATIVE,
+            Formula::RecordIndexSuperlative { .. } => Rule::INDEX_SUPERLATIVE,
+            Formula::MostCommonValue { .. } => Rule::MOST_COMMON,
+            Formula::CompareValues { .. } => Rule::COMPARE_VALUES,
+            Formula::Sub(_, _) => Rule::Difference,
+        }
+    }
+
+    /// The type of a node following this rule. `operand(i)` is the type of
+    /// its `i`-th operand, or the error typing it failed with; operands are
+    /// asked for in order, and the first error is the node's.
+    pub(crate) fn apply(
+        self,
+        mut operand: impl FnMut(usize) -> Result<FormulaType>,
+    ) -> Result<FormulaType> {
+        let mismatch = |operator, expected, found| DcsError::TypeMismatch {
+            operator,
+            expected,
+            found,
+        };
+        match self {
+            Rule::Leaf(formula_type) => Ok(formula_type),
+            Rule::Select { operator, expected } => match operand(0)? {
+                FormulaType::Values | FormulaType::Number => Ok(FormulaType::Records),
+                FormulaType::Records => Err(mismatch(operator, expected, "records")),
+            },
+            Rule::Expect {
+                operator,
+                expected,
+                result,
+            } => {
+                let found = operand(0)?;
+                if found == expected {
+                    Ok(result)
+                } else {
+                    Err(mismatch(operator, expected.name(), found.name()))
+                }
+            }
+            Rule::Combine { operator } => {
+                let left = operand(0)?;
+                let right = operand(1)?;
+                if left == right && left != FormulaType::Number {
+                    Ok(left)
+                } else {
+                    let found = if left == FormulaType::Number {
+                        left
+                    } else {
+                        right
+                    };
+                    Err(mismatch(
+                        operator,
+                        "two record sets or two value sets",
+                        found.name(),
+                    ))
+                }
+            }
+            Rule::Aggregate(op) => match (op, operand(0)?) {
+                (AggregateOp::Count, _) => Ok(FormulaType::Number),
+                (_, FormulaType::Values | FormulaType::Number) => Ok(FormulaType::Number),
+                (_, FormulaType::Records) => Err(mismatch(op.name(), "values", "records")),
+            },
+            Rule::Difference => {
+                for side in 0..2 {
+                    if operand(side)? == FormulaType::Records {
+                        return Err(mismatch("difference", "a numeric value", "records"));
+                    }
+                }
+                Ok(FormulaType::Number)
+            }
+        }
     }
 }
 

@@ -8,12 +8,18 @@
 //! formulas that type-check, execute successfully and denote a non-empty
 //! result are kept, and the candidate pool is capped so downstream scoring
 //! stays fast.
+//!
+//! Formulas are composed as ids in the evaluator session's hash-consed
+//! [`wtq_dcs::FormulaArena`]: each column name and linked constant is
+//! interned once per question, a composed formula is one node added over
+//! its operands' ids, a duplicate is an id seen before, and a candidate's
+//! static type is read off its node. No formula tree is built unless a
+//! caller asks for one ([`generate_candidates_with`]).
 
-use std::collections::HashSet;
 use std::time::Instant;
 
-use wtq_dcs::{typecheck, AggregateOp, Answer, CompareOp, Evaluator, Formula, SuperlativeOp};
-use wtq_table::Table;
+use wtq_dcs::{AggregateOp, Answer, CompareOp, Evaluator, Formula, FormulaId, Node, SuperlativeOp};
+use wtq_table::{Table, Value};
 
 use crate::lexicon::QuestionAnalysis;
 
@@ -48,6 +54,16 @@ pub struct RawCandidate {
     pub answer: Answer,
 }
 
+/// A generated candidate as an id in the evaluator session's arena, valid
+/// until the session next releases its ids.
+#[derive(Debug, Clone)]
+pub(crate) struct PoolCandidate {
+    /// The candidate formula.
+    pub(crate) id: FormulaId,
+    /// Its canonical answer on the table.
+    pub(crate) answer: Answer,
+}
+
 /// Generate candidate formulas for a question over a table. Builds a fresh
 /// [`Evaluator`] session; callers running many questions (or holding a
 /// shared table index) should use [`generate_candidates_with`].
@@ -69,110 +85,129 @@ pub fn generate_candidates_with(
     evaluator: &Evaluator<'_>,
     config: &CandidateConfig,
 ) -> Vec<RawCandidate> {
-    generate_candidates_timed(analysis, evaluator, config, &mut 0)
+    let pool = generate_pool(analysis, evaluator, config, &mut 0);
+    let arena = evaluator.arena();
+    pool.into_iter()
+        .map(|PoolCandidate { id, answer }| RawCandidate {
+            formula: arena.materialize(id),
+            answer,
+        })
+        .collect()
 }
 
-/// Like [`generate_candidates_with`], but accumulates the time spent inside
-/// `evaluator.answer` calls into `eval_ns`, so the parse pipeline can report
-/// formula execution separately from candidate composition. Candidates need
-/// answers, not cell traces, so no formula here is evaluated traced.
-pub(crate) fn generate_candidates_timed(
+/// The candidate pool of [`generate_candidates_with`] as arena ids, in
+/// generation order. Releases the session's ids first (see
+/// [`Evaluator::release_ids`]), so the returned ids stay valid until the
+/// caller's next evaluation of a [`Formula`]. Accumulates the time spent
+/// evaluating candidates into `eval_ns`, so the parse pipeline can report
+/// formula execution separately from composition. Candidates need answers,
+/// not cell traces, so no formula here is evaluated traced.
+pub(crate) fn generate_pool(
     analysis: &QuestionAnalysis,
     evaluator: &Evaluator<'_>,
     config: &CandidateConfig,
     eval_ns: &mut u64,
-) -> Vec<RawCandidate> {
+) -> Vec<PoolCandidate> {
+    evaluator.release_ids();
     let table = evaluator.table();
     let links = analysis.top_value_links(config.max_value_links);
     let numeric_columns = evaluator.index().numeric_columns();
     let text_columns = evaluator.index().text_columns();
-    let column_name = |c: usize| table.column_name(c).to_string();
+    let node = |node: Node| evaluator.intern_node(node);
+    // Every column name and constant the pool uses, interned once.
+    let columns: Vec<_> = (0..table.num_columns())
+        .map(|column| evaluator.intern_column(table.column_name(column)))
+        .collect();
+    let constant = |value: &Value| node(Node::Const(evaluator.intern_constant(value)));
+    let link_values: Vec<FormulaId> = links.iter().map(|link| constant(&link.value)).collect();
+    let all_records = node(Node::AllRecords);
 
     // ----- Record-denoting bases -------------------------------------------------
-    let mut record_bases: Vec<Formula> = Vec::new();
-    record_bases.push(Formula::AllRecords);
+    let mut record_bases: Vec<FormulaId> = vec![all_records];
     // Joins from value links.
-    let joins: Vec<Formula> = links
+    let joins: Vec<FormulaId> = links
         .iter()
-        .map(|link| Formula::Join {
-            column: column_name(link.column),
-            values: Box::new(Formula::Const(link.value.clone())),
+        .zip(&link_values)
+        .map(|(link, &values)| {
+            node(Node::Join {
+                column: columns[link.column],
+                values,
+            })
         })
         .collect();
-    record_bases.extend(joins.clone());
+    record_bases.extend(&joins);
     // Pairwise intersections (different columns) and unions (same column).
     for i in 0..links.len() {
         for j in (i + 1)..links.len() {
-            let (a, b) = (&links[i], &links[j]);
-            let pair = (joins[i].clone(), joins[j].clone());
-            if a.column == b.column {
-                record_bases.push(Formula::Union(Box::new(pair.0), Box::new(pair.1)));
+            record_bases.push(node(if links[i].column == links[j].column {
+                Node::Union(joins[i], joins[j])
             } else {
-                record_bases.push(Formula::Intersect(Box::new(pair.0), Box::new(pair.1)));
-            }
+                Node::Intersect(joins[i], joins[j])
+            }));
         }
     }
     // Row shifts and first/last over join bases (kept early so the base cap
     // never drops them: they anchor the adjacent-row and first/last-row
     // question families).
-    for join in &joins {
-        record_bases.push(Formula::Prev(Box::new(join.clone())));
-        record_bases.push(Formula::Next(Box::new(join.clone())));
+    for &join in &joins {
+        record_bases.push(node(Node::Prev(join)));
+        record_bases.push(node(Node::Next(join)));
         for op in [SuperlativeOp::Argmax, SuperlativeOp::Argmin] {
-            record_bases.push(Formula::RecordIndexSuperlative {
-                op,
-                records: Box::new(join.clone()),
-            });
+            record_bases.push(node(Node::RecordIndexSuperlative { op, records: join }));
         }
     }
     // Comparison joins from literal numbers.
     for &number in analysis.numbers.iter().take(3) {
+        let value = constant(&Value::Num(number));
         for &column in numeric_columns {
             for op in [CompareOp::Gt, CompareOp::Lt, CompareOp::Geq, CompareOp::Leq] {
-                record_bases.push(Formula::CompareJoin {
-                    column: column_name(column),
+                record_bases.push(node(Node::CompareJoin {
+                    column: columns[column],
                     op,
-                    value: Box::new(Formula::Const(wtq_table::Value::Num(number))),
-                });
+                    value,
+                }));
             }
         }
     }
     // Superlatives keyed by numeric columns, over the highest-priority bases
     // (all records and the link-anchored joins / set combinations).
-    let superlative_sources: Vec<Formula> = record_bases
-        .iter()
-        .filter(|base| {
-            matches!(
-                base,
-                Formula::AllRecords
-                    | Formula::Join { .. }
-                    | Formula::Intersect(_, _)
-                    | Formula::Union(_, _)
-            )
-        })
-        .take(12)
-        .cloned()
-        .collect();
-    for base in &superlative_sources {
+    let superlative_sources: Vec<FormulaId> = {
+        let arena = evaluator.arena();
+        record_bases
+            .iter()
+            .copied()
+            .filter(|&base| {
+                matches!(
+                    arena.node(base),
+                    Node::AllRecords
+                        | Node::Join { .. }
+                        | Node::Intersect(_, _)
+                        | Node::Union(_, _)
+                )
+            })
+            .take(12)
+            .collect()
+    };
+    for &base in &superlative_sources {
         for &column in numeric_columns {
             for op in [SuperlativeOp::Argmax, SuperlativeOp::Argmin] {
-                record_bases.push(Formula::SuperlativeRecords {
+                record_bases.push(node(Node::SuperlativeRecords {
                     op,
-                    records: Box::new(base.clone()),
-                    column: column_name(column),
-                });
+                    records: base,
+                    column: columns[column],
+                }));
             }
         }
     }
 
     // Keep only record bases that evaluate to a non-empty record set; cap.
-    let mut live_bases: Vec<Formula> = Vec::new();
+    let mut live_bases: Vec<FormulaId> = Vec::new();
     for base in record_bases {
         if live_bases.len() >= config.max_record_bases {
             break;
         }
         let eval_start = Instant::now();
-        let result = evaluator.answer(&base);
+        let result = evaluator.answer_id(base);
         *eval_ns += eval_start.elapsed().as_nanos() as u64;
         if result.is_ok_and(|answer| !answer.is_empty()) {
             live_bases.push(base);
@@ -180,46 +215,48 @@ pub(crate) fn generate_candidates_timed(
     }
 
     // ----- Value- and number-denoting candidates ---------------------------------
-    let mut seen: HashSet<Formula> = HashSet::new();
-    let mut out: Vec<RawCandidate> = Vec::new();
-    let push_eval_ns = std::cell::Cell::new(0u64);
-    let push = |formula: Formula, out: &mut Vec<RawCandidate>, seen: &mut HashSet<Formula>| {
-        if out.len() >= config.max_candidates || seen.contains(&formula) {
+    // `seen[id]`: the formula is already a candidate.
+    let mut seen: Vec<bool> = Vec::new();
+    let mut out: Vec<PoolCandidate> = Vec::new();
+    let mut push = |id: FormulaId| {
+        if out.len() >= config.max_candidates || seen.get(id.index()) == Some(&true) {
             return;
         }
-        if typecheck(&formula).is_err() {
+        if evaluator.arena().formula_type(id).is_none() {
             return;
         }
         let eval_start = Instant::now();
-        let result = evaluator.answer(&formula);
-        push_eval_ns.set(push_eval_ns.get() + eval_start.elapsed().as_nanos() as u64);
+        let result = evaluator.answer_id(id);
+        *eval_ns += eval_start.elapsed().as_nanos() as u64;
         let Ok(answer) = result else {
             return;
         };
         if answer.is_empty() || answer.len() > 12 {
             return;
         }
-        seen.insert(formula.clone());
-        out.push(RawCandidate { formula, answer });
+        if seen.len() <= id.index() {
+            seen.resize(id.index() + 1, false);
+        }
+        seen[id.index()] = true;
+        out.push(PoolCandidate { id, answer });
     };
 
     // Projections of every live base onto every column, plus aggregates of
     // numeric projections and counts of the base itself.
-    for base in &live_bases {
-        if !matches!(base, Formula::AllRecords) {
-            push(
-                Formula::aggregate(AggregateOp::Count, base.clone()),
-                &mut out,
-                &mut seen,
-            );
+    for &base in &live_bases {
+        if base != all_records {
+            push(node(Node::Aggregate {
+                op: AggregateOp::Count,
+                sub: base,
+            }));
         }
-        for column in 0..table.num_columns() {
-            let projection = Formula::ColumnValues {
-                column: column_name(column),
-                records: Box::new(base.clone()),
-            };
-            if !matches!(base, Formula::AllRecords) {
-                push(projection.clone(), &mut out, &mut seen);
+        for (column, &name) in columns.iter().enumerate() {
+            let projection = node(Node::ColumnValues {
+                column: name,
+                records: base,
+            });
+            if base != all_records {
+                push(projection);
             }
             if numeric_columns.contains(&column) {
                 for op in [
@@ -228,11 +265,10 @@ pub(crate) fn generate_candidates_timed(
                     AggregateOp::Sum,
                     AggregateOp::Avg,
                 ] {
-                    push(
-                        Formula::aggregate(op, projection.clone()),
-                        &mut out,
-                        &mut seen,
-                    );
+                    push(node(Node::Aggregate {
+                        op,
+                        sub: projection,
+                    }));
                 }
             }
         }
@@ -240,19 +276,16 @@ pub(crate) fn generate_candidates_timed(
 
     // Most-common values per text column.
     for &column in text_columns {
+        let values = node(Node::ColumnValues {
+            column: columns[column],
+            records: all_records,
+        });
         for op in [SuperlativeOp::Argmax, SuperlativeOp::Argmin] {
-            push(
-                Formula::MostCommonValue {
-                    op,
-                    values: Box::new(Formula::ColumnValues {
-                        column: column_name(column),
-                        records: Box::new(Formula::AllRecords),
-                    }),
-                    column: column_name(column),
-                },
-                &mut out,
-                &mut seen,
-            );
+            push(node(Node::MostCommonValue {
+                op,
+                values,
+                column: columns[column],
+            }));
         }
     }
 
@@ -263,56 +296,39 @@ pub(crate) fn generate_candidates_timed(
             if i == j || links[i].column != links[j].column {
                 continue;
             }
-            let (a, b) = (&links[i], &links[j]);
-            let sel = column_name(a.column);
-            let join_a = Formula::Join {
-                column: sel.clone(),
-                values: Box::new(Formula::Const(a.value.clone())),
-            };
-            let join_b = Formula::Join {
-                column: sel.clone(),
-                values: Box::new(Formula::Const(b.value.clone())),
-            };
-            push(
-                Formula::Sub(
-                    Box::new(Formula::aggregate(AggregateOp::Count, join_a.clone())),
-                    Box::new(Formula::aggregate(AggregateOp::Count, join_b.clone())),
-                ),
-                &mut out,
-                &mut seen,
-            );
+            let selected = columns[links[i].column];
+            let (join_a, join_b) = (joins[i], joins[j]);
+            push(node(Node::Sub(
+                node(Node::Aggregate {
+                    op: AggregateOp::Count,
+                    sub: join_a,
+                }),
+                node(Node::Aggregate {
+                    op: AggregateOp::Count,
+                    sub: join_b,
+                }),
+            )));
             for &num in numeric_columns {
-                let num_name = column_name(num);
-                push(
-                    Formula::Sub(
-                        Box::new(Formula::ColumnValues {
-                            column: num_name.clone(),
-                            records: Box::new(join_a.clone()),
-                        }),
-                        Box::new(Formula::ColumnValues {
-                            column: num_name.clone(),
-                            records: Box::new(join_b.clone()),
-                        }),
-                    ),
-                    &mut out,
-                    &mut seen,
-                );
+                let key = columns[num];
+                push(node(Node::Sub(
+                    node(Node::ColumnValues {
+                        column: key,
+                        records: join_a,
+                    }),
+                    node(Node::ColumnValues {
+                        column: key,
+                        records: join_b,
+                    }),
+                )));
                 if i < j {
                     for op in [SuperlativeOp::Argmax, SuperlativeOp::Argmin] {
-                        for (first, second) in [(a, b), (b, a)] {
-                            push(
-                                Formula::CompareValues {
-                                    op,
-                                    values: Box::new(Formula::Union(
-                                        Box::new(Formula::Const(first.value.clone())),
-                                        Box::new(Formula::Const(second.value.clone())),
-                                    )),
-                                    key_column: num_name.clone(),
-                                    value_column: sel.clone(),
-                                },
-                                &mut out,
-                                &mut seen,
-                            );
+                        for (first, second) in [(i, j), (j, i)] {
+                            push(node(Node::CompareValues {
+                                op,
+                                values: node(Node::Union(link_values[first], link_values[second])),
+                                key_column: key,
+                                value_column: selected,
+                            }));
                         }
                     }
                 }
@@ -320,7 +336,6 @@ pub(crate) fn generate_candidates_timed(
         }
     }
 
-    *eval_ns += push_eval_ns.get();
     out
 }
 
@@ -376,7 +391,7 @@ mod tests {
             "What is the difference in Total between Fiji and Tonga?",
             &table,
         );
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for candidate in &candidates {
             assert!(
                 seen.insert(candidate.formula.clone()),

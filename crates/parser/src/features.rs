@@ -23,16 +23,25 @@
 //!   question in a [`QuestionContext`] and shared by every candidate,
 //!   instead of being re-derived per candidate as it historically was.
 //!
-//! A single [`Formula::visit`] walk per candidate replaces the historical
-//! ~9 allocating `sub_formulas()` traversals.
+//! Candidates are extracted as ids in a [`FormulaArena`]: one walk over a
+//! candidate's nodes (a shared operand visited once per occurrence, as in
+//! the tree) replaces the historical ~9 allocating `sub_formulas()`
+//! traversals, and what a constant or column contributes — its lowered
+//! text grounded in the question, the link texts it uses, whether a column
+//! is mentioned — is worked out once per question and id, not once per
+//! candidate. The public [`extract_features_in`] interns its
+//! candidate's formula and runs the same extractor.
 
 use std::collections::BTreeMap;
 
-use wtq_dcs::{AggregateOp, Answer, Formula, SuperlativeOp};
+use wtq_dcs::{
+    AggregateOp, Answer, ColumnId, ConstId, FormulaArena, FormulaId, Node, SuperlativeOp,
+};
 use wtq_table::{Table, Value};
 
-use crate::candidates::RawCandidate;
+use crate::candidates::{PoolCandidate, RawCandidate};
 use crate::lexicon::QuestionAnalysis;
+use crate::scratch::ScratchSpace;
 use crate::symbols::{
     family_id, op_id, root_index, scalar_id, trig_id, FeatureId, Scalar, TrigSlot, NUM_ROOTS,
     NUM_TRIGGERS, TRIGGER_PHRASES, WANTS_NUMBER_PHRASES,
@@ -55,16 +64,16 @@ impl FeatureVec {
     /// `bump` accumulation). `pairs` is drained but keeps its capacity, so
     /// callers can reuse it as a scratch buffer.
     pub fn from_pairs(pairs: &mut Vec<(FeatureId, f64)>) -> FeatureVec {
-        pairs.sort_by_key(|(id, _)| *id);
-        let mut entries: Vec<(FeatureId, f64)> = Vec::with_capacity(pairs.len());
-        for &(id, value) in pairs.iter() {
-            match entries.last_mut() {
-                Some((last, total)) if *last == id => *total += value,
-                _ => entries.push((id, value)),
-            }
-        }
-        pairs.clear();
+        let mut entries = Vec::with_capacity(pairs.len());
+        merge_pairs(pairs, &mut entries);
         FeatureVec { entries }
+    }
+
+    /// A vector of entries already sorted by id and merged.
+    pub(crate) fn from_sorted(entries: &[(FeatureId, f64)]) -> FeatureVec {
+        FeatureVec {
+            entries: entries.to_vec(),
+        }
     }
 
     /// The `(id, value)` pairs in ascending id order.
@@ -99,10 +108,7 @@ impl FeatureVec {
     /// Ids beyond the dense vector's length weigh zero. Terms are summed in
     /// id order — which is name order — matching the reference walk.
     pub fn dot_dense(&self, weights: &[f64]) -> f64 {
-        self.entries
-            .iter()
-            .map(|&(id, value)| value * weights.get(id.index()).copied().unwrap_or(0.0))
-            .sum()
+        dot_dense(&self.entries, weights)
     }
 
     /// Merge-walk dot product against another sparse vector (both sorted by
@@ -133,6 +139,31 @@ impl FeatureVec {
             .map(|&(id, value)| (crate::symbols::feature_name(id), value))
             .collect()
     }
+}
+
+/// Stable-sort unsorted `pairs` by id and append them to `out`, merging
+/// duplicate ids by summing their values in push order. Drains `pairs`,
+/// keeping its capacity.
+fn merge_pairs(pairs: &mut Vec<(FeatureId, f64)>, out: &mut Vec<(FeatureId, f64)>) {
+    pairs.sort_by_key(|(id, _)| *id);
+    let start = out.len();
+    for &(id, value) in pairs.iter() {
+        match out[start..].last_mut() {
+            Some((last, total)) if *last == id => *total += value,
+            _ => out.push((id, value)),
+        }
+    }
+    pairs.clear();
+}
+
+/// Dot product of sorted feature entries against dense weights indexed by
+/// feature id; ids beyond the weights weigh zero. Terms are summed in id
+/// order — which is name order — matching the reference walk.
+pub(crate) fn dot_dense(entries: &[(FeatureId, f64)], weights: &[f64]) -> f64 {
+    entries
+        .iter()
+        .map(|&(id, value)| value * weights.get(id.index()).copied().unwrap_or(0.0))
+        .sum()
 }
 
 /// Everything about the *question* that feature extraction needs, computed
@@ -192,7 +223,137 @@ impl QuestionContext {
     }
 }
 
-/// Operator usage collected by the single formula walk.
+/// What feature extraction needs to know about the constants and columns
+/// of one arena for one question, worked out the first time a candidate
+/// mentions each id; plus the per-candidate scratch of the walk.
+#[derive(Debug, Default)]
+pub(crate) struct IdFacts {
+    constants: Vec<Option<ConstFacts>>,
+    /// The link-text indices each constant equals, concatenated
+    /// ([`ConstFacts::links`] indexes into it).
+    const_links: Vec<u32>,
+    columns: Vec<Option<ColumnFacts>>,
+    /// Columns in the order first seen, to assign case-insensitive classes.
+    seen_columns: Vec<ColumnId>,
+    /// Per link text, the last candidate (by stamp) that used it.
+    link_stamps: Vec<u32>,
+    stamp: u32,
+    /// Column classes the current candidate has mentioned.
+    classes: Vec<u32>,
+}
+
+/// What one constant contributes to a candidate.
+#[derive(Debug, Clone, Copy)]
+struct ConstFacts {
+    /// Its lowered text occurs in the question, or equals a number in it.
+    grounded: bool,
+    /// `const_links[start..end]`: the link texts equal to it.
+    links: (u32, u32),
+}
+
+/// What one column name contributes to a candidate.
+#[derive(Debug, Clone, Copy)]
+struct ColumnFacts {
+    /// The first column seen whose name equals this one ignoring ASCII
+    /// case: [`wtq_dcs::Formula::columns_mentioned`]'s deduplication.
+    class: u32,
+    /// Whether the question mentions the column.
+    mentioned: bool,
+}
+
+impl IdFacts {
+    /// Forget every id: the next question (or arena) starts over. Keeps the
+    /// allocated capacity.
+    pub(crate) fn clear(&mut self) {
+        self.constants.clear();
+        self.const_links.clear();
+        self.columns.clear();
+        self.seen_columns.clear();
+        self.link_stamps.clear();
+        self.stamp = 0;
+        self.classes.clear();
+    }
+
+    /// Start a candidate's walk.
+    fn begin_candidate(&mut self, links: usize) {
+        if self.link_stamps.len() != links {
+            self.link_stamps.clear();
+            self.link_stamps.resize(links, 0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.classes.clear();
+    }
+
+    /// Link texts the current candidate's constants never equal.
+    fn unused_links(&self) -> usize {
+        self.link_stamps
+            .iter()
+            .filter(|&&stamp| stamp != self.stamp)
+            .count()
+    }
+
+    fn constant(
+        &mut self,
+        arena: &FormulaArena,
+        analysis: &QuestionAnalysis,
+        context: &QuestionContext,
+        constant: ConstId,
+    ) -> ConstFacts {
+        let index = constant.index();
+        if let Some(Some(facts)) = self.constants.get(index) {
+            return *facts;
+        }
+        if self.constants.len() <= index {
+            self.constants.resize(index + 1, None);
+        }
+        let lowered = arena.value(constant).to_string().to_lowercase();
+        let start = self.const_links.len() as u32;
+        for (link, link_text) in context.link_texts.iter().enumerate() {
+            if *link_text == lowered {
+                self.const_links.push(link as u32);
+            }
+        }
+        let facts = ConstFacts {
+            grounded: analysis.lowered.contains(lowered.as_str())
+                || context.number_texts.contains(&lowered),
+            links: (start, self.const_links.len() as u32),
+        };
+        self.constants[index] = Some(facts);
+        facts
+    }
+
+    fn column(
+        &mut self,
+        arena: &FormulaArena,
+        analysis: &QuestionAnalysis,
+        context: &QuestionContext,
+        column: ColumnId,
+    ) -> ColumnFacts {
+        let index = column.index();
+        if let Some(Some(facts)) = self.columns.get(index) {
+            return *facts;
+        }
+        if self.columns.len() <= index {
+            self.columns.resize(index + 1, None);
+        }
+        let name = arena.column_name(column);
+        let class = self
+            .seen_columns
+            .iter()
+            .find(|seen| arena.column_name(**seen).eq_ignore_ascii_case(name))
+            .map_or(index as u32, |seen| seen.index() as u32);
+        self.seen_columns.push(column);
+        let facts = ColumnFacts {
+            class,
+            mentioned: context.column_mentioned(analysis, name),
+        };
+        self.columns[index] = Some(facts);
+        facts
+    }
+}
+
+/// What the walk over one candidate's nodes collects.
 #[derive(Debug, Default)]
 struct WalkFacts {
     op_counts: [u32; NUM_ROOTS],
@@ -204,6 +365,13 @@ struct WalkFacts {
     argmin: bool,
     last: bool,
     first: bool,
+    /// Constant occurrences, and how many of them are grounded.
+    constants: usize,
+    grounded: usize,
+    /// Distinct (ignoring ASCII case) columns, and how many of them the
+    /// question mentions.
+    columns: usize,
+    columns_in_question: usize,
 }
 
 impl WalkFacts {
@@ -213,6 +381,65 @@ impl WalkFacts {
 
     fn has(&self, root: usize) -> bool {
         self.op_counts[root] > 0
+    }
+}
+
+/// The pre-order walk over one candidate's nodes.
+struct Walk<'w> {
+    analysis: &'w QuestionAnalysis,
+    context: &'w QuestionContext,
+    arena: &'w FormulaArena,
+    ids: &'w mut IdFacts,
+    facts: WalkFacts,
+}
+
+impl Walk<'_> {
+    fn visit(&mut self, id: FormulaId) {
+        let node = self.arena.node(id);
+        self.facts.op_counts[root_index(&node)] += 1;
+        match node {
+            Node::Const(constant) => {
+                let facts = self
+                    .ids
+                    .constant(self.arena, self.analysis, self.context, constant);
+                self.facts.constants += 1;
+                self.facts.grounded += usize::from(facts.grounded);
+                let stamp = self.ids.stamp;
+                for link in facts.links.0..facts.links.1 {
+                    let link = self.ids.const_links[link as usize] as usize;
+                    self.ids.link_stamps[link] = stamp;
+                }
+            }
+            Node::Aggregate { op, .. } => match op {
+                AggregateOp::Max => self.facts.max_aggregate = true,
+                AggregateOp::Min => self.facts.min_aggregate = true,
+                AggregateOp::Sum => self.facts.sum = true,
+                AggregateOp::Avg => self.facts.avg = true,
+                AggregateOp::Count => {}
+            },
+            Node::SuperlativeRecords { op, .. } | Node::CompareValues { op, .. } => match op {
+                SuperlativeOp::Argmax => self.facts.argmax = true,
+                SuperlativeOp::Argmin => self.facts.argmin = true,
+            },
+            Node::RecordIndexSuperlative { op, .. } => match op {
+                SuperlativeOp::Argmax => self.facts.last = true,
+                SuperlativeOp::Argmin => self.facts.first = true,
+            },
+            _ => {}
+        }
+        for column in node.columns().into_iter().flatten() {
+            let facts = self
+                .ids
+                .column(self.arena, self.analysis, self.context, column);
+            if !self.ids.classes.contains(&facts.class) {
+                self.ids.classes.push(facts.class);
+                self.facts.columns += 1;
+                self.facts.columns_in_question += usize::from(facts.mentioned);
+            }
+        }
+        for operand in node.operands().into_iter().flatten() {
+            self.visit(operand);
+        }
     }
 }
 
@@ -235,9 +462,11 @@ pub fn extract_features(
 }
 
 /// Extract the feature vector of one candidate, reusing the question-level
-/// `context` and the caller's scratch buffers (`pairs` for the unsorted
-/// feature pairs, `constants` for the formula's lowered constants; both are
-/// cleared before use and drained after).
+/// `context` and the caller's `pairs` buffer for the unsorted feature
+/// pairs (cleared before use and drained after). Interns the formula in an
+/// arena of its own and runs the parser's extractor over it. `constants`,
+/// once the buffer of the formula's lowered constants, is only cleared: the
+/// extractor looks at each interned constant once.
 pub fn extract_features_in(
     analysis: &QuestionAnalysis,
     context: &QuestionContext,
@@ -245,37 +474,80 @@ pub fn extract_features_in(
     pairs: &mut Vec<(FeatureId, f64)>,
     constants: &mut Vec<String>,
 ) -> FeatureVec {
-    pairs.clear();
     constants.clear();
-    let formula = &candidate.formula;
+    let mut arena = FormulaArena::new();
+    let id = arena.intern(&candidate.formula);
+    let mut entries = Vec::new();
+    extract_id_features(
+        analysis,
+        context,
+        &arena,
+        &mut IdFacts::default(),
+        id,
+        &candidate.answer,
+        pairs,
+        &mut entries,
+    );
+    FeatureVec { entries }
+}
 
-    // ---- Formula shape (one pre-order walk) ---------------------------------
-    let mut facts = WalkFacts::default();
-    formula.visit(&mut |sub| {
-        facts.op_counts[root_index(sub)] += 1;
-        match sub {
-            Formula::Const(value) => constants.push(value.to_string().to_lowercase()),
-            Formula::Aggregate { op, .. } => match op {
-                AggregateOp::Max => facts.max_aggregate = true,
-                AggregateOp::Min => facts.min_aggregate = true,
-                AggregateOp::Sum => facts.sum = true,
-                AggregateOp::Avg => facts.avg = true,
-                AggregateOp::Count => {}
-            },
-            Formula::SuperlativeRecords { op, .. } | Formula::CompareValues { op, .. } => {
-                match op {
-                    SuperlativeOp::Argmax => facts.argmax = true,
-                    SuperlativeOp::Argmin => facts.argmin = true,
-                }
-            }
-            Formula::RecordIndexSuperlative { op, .. } => match op {
-                SuperlativeOp::Argmax => facts.last = true,
-                SuperlativeOp::Argmin => facts.first = true,
-            },
-            _ => {}
-        }
-    });
-    pairs.push((family_id(root_index(formula)), 1.0));
+/// Extract the features of a generated pool into `scratch`, candidate after
+/// candidate ([`ScratchSpace::features`] reads one back).
+pub(crate) fn extract_pool_features(
+    analysis: &QuestionAnalysis,
+    table: &Table,
+    arena: &FormulaArena,
+    pool: &[PoolCandidate],
+    scratch: &mut ScratchSpace,
+) {
+    let context = QuestionContext::new(analysis, table);
+    scratch.ids.clear();
+    scratch.entries.clear();
+    scratch.bounds.clear();
+    for candidate in pool {
+        extract_id_features(
+            analysis,
+            &context,
+            arena,
+            &mut scratch.ids,
+            candidate.id,
+            &candidate.answer,
+            &mut scratch.pairs,
+            &mut scratch.entries,
+        );
+        scratch.bounds.push(scratch.entries.len());
+    }
+}
+
+/// Extract the features of candidate `id` of `arena` with answer `answer`,
+/// appending them to `entries` sorted by id. `ids` holds what this
+/// question's constants and columns contribute, filled in as candidates
+/// mention them; `pairs` is scratch for the unsorted pairs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extract_id_features(
+    analysis: &QuestionAnalysis,
+    context: &QuestionContext,
+    arena: &FormulaArena,
+    ids: &mut IdFacts,
+    id: FormulaId,
+    answer: &Answer,
+    pairs: &mut Vec<(FeatureId, f64)>,
+    entries: &mut Vec<(FeatureId, f64)>,
+) {
+    pairs.clear();
+    ids.begin_candidate(context.link_texts.len());
+    let mut walk = Walk {
+        analysis,
+        context,
+        arena,
+        ids,
+        facts: WalkFacts::default(),
+    };
+    walk.visit(id);
+    let Walk { ids, facts, .. } = walk;
+
+    // ---- Formula shape ------------------------------------------------------
+    pairs.push((family_id(root_index(&arena.node(id))), 1.0));
     for (root, &count) in facts.op_counts.iter().enumerate() {
         if count > 0 {
             // The reference bumps `op:{label}` by 1.0 per occurrence; small
@@ -286,52 +558,28 @@ pub fn extract_features_in(
     pairs.push((scalar_id(Scalar::Size), facts.size() as f64 / 8.0));
 
     // ---- Question / formula alignment ---------------------------------------
-    let mut grounded = 0usize;
-    let mut ungrounded = 0usize;
-    for constant in constants.iter() {
-        if analysis.lowered.contains(constant.as_str())
-            || context.number_texts.iter().any(|text| text == constant)
-        {
-            grounded += 1;
-        } else {
-            ungrounded += 1;
-        }
-    }
+    let ungrounded = facts.constants - facts.grounded;
     if ungrounded > 0 {
         pairs.push((scalar_id(Scalar::ConstNotInQuestion), ungrounded as f64));
     }
-    if !constants.is_empty() {
+    if facts.constants > 0 {
         pairs.push((
             scalar_id(Scalar::ConstCoverage),
-            grounded as f64 / constants.len() as f64,
+            facts.grounded as f64 / facts.constants as f64,
         ));
     }
     // Linked values the formula fails to use (a correct parse usually uses
     // every linked entity).
-    let unused_links = context
-        .link_texts
-        .iter()
-        .filter(|text| !constants.iter().any(|c| c == *text))
-        .count();
-    pairs.push((scalar_id(Scalar::UnusedLinks), unused_links as f64));
+    pairs.push((scalar_id(Scalar::UnusedLinks), ids.unused_links() as f64));
 
-    let mut columns_in_question = 0usize;
-    let mut columns_missing = 0usize;
-    let mentioned_columns = formula.columns_mentioned();
-    for column in &mentioned_columns {
-        if context.column_mentioned(analysis, column) {
-            columns_in_question += 1;
-        } else {
-            columns_missing += 1;
-        }
-    }
+    let columns_missing = facts.columns - facts.columns_in_question;
     if columns_missing > 0 {
         pairs.push((scalar_id(Scalar::ColNotInQuestion), columns_missing as f64));
     }
-    if !mentioned_columns.is_empty() {
+    if facts.columns > 0 {
         pairs.push((
             scalar_id(Scalar::ColCoverage),
-            columns_in_question as f64 / mentioned_columns.len() as f64,
+            facts.columns_in_question as f64 / facts.columns as f64,
         ));
     }
 
@@ -366,7 +614,7 @@ pub fn extract_features_in(
     }
 
     // ---- Denotation features -------------------------------------------------
-    match &candidate.answer {
+    match answer {
         Answer::Number(_) => pairs.push((scalar_id(Scalar::AnswerNumber), 1.0)),
         Answer::Values(values) => {
             pairs.push((scalar_id(Scalar::AnswerValues), 1.0));
@@ -383,7 +631,7 @@ pub fn extract_features_in(
         }
         Answer::Records(_) => pairs.push((scalar_id(Scalar::AnswerRecords), 1.0)),
     }
-    let is_number = matches!(candidate.answer, Answer::Number(_));
+    let is_number = matches!(answer, Answer::Number(_));
     match (context.wants_number, is_number) {
         (true, true) => pairs.push((scalar_id(Scalar::WhNumberMatch), 1.0)),
         (true, false) => pairs.push((scalar_id(Scalar::WhNumberMismatch), 1.0)),
@@ -391,8 +639,7 @@ pub fn extract_features_in(
         (false, false) => {}
     }
 
-    constants.clear();
-    FeatureVec::from_pairs(pairs)
+    merge_pairs(pairs, entries);
 }
 
 #[cfg(test)]

@@ -15,13 +15,18 @@
 //! 2. [`candidates`] composes typed lambda DCS formulas anchored to those
 //!    links (joins, comparisons, projections, aggregates, superlatives,
 //!    differences, …), keeping only formulas that execute to a non-empty
-//!    result,
+//!    result; formulas are composed, deduplicated, typed and evaluated as
+//!    ids in the evaluator session's hash-consed [`wtq_dcs::FormulaArena`],
 //! 3. [`features`] extracts the sparse feature vector `φ(x, T, z)` of Eq. 4
 //!    as interned `(FeatureId, f64)` pairs over the [`symbols`] feature
-//!    symbol table,
+//!    symbol table, walking each candidate's arena nodes against
+//!    per-question facts about its constants and columns,
 //! 4. [`model`] scores candidates with a log-linear distribution
 //!    `p_θ(z | x, T) ∝ exp(φ(x, T, z)ᵀ θ)` (dense weights indexed by
-//!    [`FeatureId`]) and ranks them,
+//!    [`FeatureId`]) and ranks them; a parse for the top k
+//!    ([`SemanticParser::parse_top_k_in_session`]) renders formula text to
+//!    break ties, and builds formula trees, only for the candidates up to
+//!    the k-th and those tied with it,
 //! 5. [`train`] optimizes `θ` with AdaGrad and L1 regularization using the
 //!    weak-supervision objective of Eq. 6, or the annotation-aware objective
 //!    of Eq. 8 when user feedback is available.

@@ -13,18 +13,19 @@
 //! name-keyed map — stays byte-identical to the original
 //! `BTreeMap<String, f64>` representation.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use wtq_dcs::{Answer, Evaluator, Formula};
+use wtq_dcs::{Answer, Evaluator, Formula, FormulaArena};
 use wtq_table::{Table, TableIndex};
 
-use crate::candidates::{generate_candidates_timed, CandidateConfig, RawCandidate};
-use crate::features::{extract_features_in, FeatureVec, QuestionContext};
-use crate::lexicon::{link_stage, tokenize_stage, QuestionAnalysis};
+use crate::candidates::{generate_pool, CandidateConfig, PoolCandidate};
+use crate::features::{dot_dense, extract_pool_features, FeatureVec};
+use crate::lexicon::{link_stage, tokenize_stage};
 use crate::scratch::ScratchSpace;
 use crate::spans::ParseSpans;
 use crate::symbols::{self, FeatureId, TRIGGER_KINDS};
@@ -183,18 +184,54 @@ impl LogLinearModel {
     pub fn score(&self, features: &FeatureVec) -> f64 {
         features.dot_dense(&self.weights)
     }
+
+    /// [`LogLinearModel::score`] of feature entries sorted by id.
+    pub(crate) fn score_entries(&self, entries: &[(FeatureId, f64)]) -> f64 {
+        dot_dense(entries, &self.weights)
+    }
 }
 
-/// The candidate ordering used everywhere a pool is ranked: score
-/// descending, then formula size ascending, then formula text. Each side is
-/// `(score, formula.size(), formula text)`. Serving
-/// ([`SemanticParser::parse`]) and the trainer's per-epoch re-scoring pass
-/// both sort with this function, so the two paths cannot silently diverge.
-pub(crate) fn ranking_order(a: (f64, usize, &str), b: (f64, usize, &str)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.cmp(b.2))
+/// Order a scored pool far enough to serve its best `k`. `ranked` holds
+/// `(score, formula size, candidate)`; afterwards its first `min(k, len)`
+/// entries are those of the full ranking — score descending, then size
+/// ascending, then formula text ascending, ties in generation order. Text
+/// breaks ties only inside a group of two or more candidates sharing a
+/// (score, size) that starts before position `k`, so `key` (a candidate's
+/// text) is asked for those alone; the rest stay in (score, size) order.
+/// Serving ([`SemanticParser::parse_top_k_in_session`]) and the trainer's
+/// per-epoch re-scoring both rank with this function, so the two paths
+/// cannot silently diverge.
+pub(crate) fn rank_top_k<K: Ord>(
+    ranked: &mut [(f64, usize, usize)],
+    k: usize,
+    mut key: impl FnMut(usize) -> K,
+) {
+    let by_score_then_size = |a: &(f64, usize, usize), b: &(f64, usize, usize)| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| a.1.cmp(&b.1))
+    };
+    ranked.sort_by(by_score_then_size);
+    let mut start = 0;
+    while start < k.min(ranked.len()) {
+        let first = ranked[start];
+        let end = start
+            + ranked[start..]
+                .iter()
+                .take_while(|entry| by_score_then_size(&first, entry) == Ordering::Equal)
+                .count();
+        if end - start > 1 {
+            let mut group: Vec<(K, (f64, usize, usize))> = ranked[start..end]
+                .iter()
+                .map(|&entry| (key(entry.2), entry))
+                .collect();
+            group.sort_by(|a, b| a.0.cmp(&b.0));
+            for (slot, (_, entry)) in ranked[start..end].iter_mut().zip(group) {
+                *slot = entry;
+            }
+        }
+        start = end;
+    }
 }
 
 /// Softmax over candidate scores — the normalized `p_θ(z | x, T)` of Eq. 4.
@@ -358,94 +395,83 @@ impl SemanticParser {
         evaluator: &Evaluator<'_>,
         scratch: &mut ScratchSpace,
     ) -> Vec<Candidate> {
+        self.parse_top_k_in_session(question, evaluator, scratch, usize::MAX)
+    }
+
+    /// [`SemanticParser::parse_in_session_with`] for the `k` best candidates
+    /// only: exactly the first `k` of the full ranking, but ranking text is
+    /// rendered, and formulas and feature vectors are built, only for as
+    /// much of the pool as those `k` need. The candidates are generated,
+    /// featurized and scored as ids in the session's formula arena.
+    pub fn parse_top_k_in_session(
+        &self,
+        question: &str,
+        evaluator: &Evaluator<'_>,
+        scratch: &mut ScratchSpace,
+        k: usize,
+    ) -> Vec<Candidate> {
         let start = Instant::now();
         let (lowered, tokens) = tokenize_stage(question);
         let tokenized = Instant::now();
         let analysis = link_stage(lowered, tokens, evaluator.kb());
         let linked = Instant::now();
         let mut eval_ns = 0u64;
-        let raw = generate_candidates_timed(&analysis, evaluator, &self.config, &mut eval_ns);
+        let pool = generate_pool(&analysis, evaluator, &self.config, &mut eval_ns);
         let generated = Instant::now();
-        let (candidates, features_ns, score_ns) =
-            self.rank_timed(raw, &analysis, evaluator.table(), scratch);
+        let arena = evaluator.arena();
+        extract_pool_features(&analysis, evaluator.table(), &arena, &pool, scratch);
+        let extracted = Instant::now();
+        let candidates = self.rank(pool, &arena, scratch, k);
+        let done = Instant::now();
         scratch.spans = ParseSpans {
             tokenize_ns: (tokenized - start).as_nanos() as u64,
             lexicon_ns: (linked - tokenized).as_nanos() as u64,
             candidates_ns: ((generated - linked).as_nanos() as u64).saturating_sub(eval_ns),
             eval_ns,
-            features_ns,
-            score_ns,
+            features_ns: (extracted - generated).as_nanos() as u64,
+            score_ns: (done - extracted).as_nanos() as u64,
         };
         candidates
     }
 
-    /// Score and rank raw candidates, returning the feature-extraction and
-    /// scoring span durations.
-    ///
-    /// The ordering lives in [`ranking_order`], shared with the trainer's
-    /// re-scoring pass so serving and training can never rank differently.
-    /// Question-level signals are hoisted into one [`QuestionContext`];
-    /// ranking keys (`formula.size()`, `formula.to_string()`) are computed
-    /// once per candidate instead of inside the sort comparator.
-    fn rank_timed(
+    /// Score the featurized pool, rank it for its best `k` ([`rank_top_k`],
+    /// ranking text rendered from materialized formulas) and build those
+    /// `k` as [`Candidate`]s.
+    fn rank(
         &self,
-        raw: Vec<RawCandidate>,
-        analysis: &QuestionAnalysis,
-        table: &Table,
+        mut pool: Vec<PoolCandidate>,
+        arena: &FormulaArena,
         scratch: &mut ScratchSpace,
-    ) -> (Vec<Candidate>, u64, u64) {
-        let start = Instant::now();
-        let context = QuestionContext::new(analysis, table);
-        scratch.features.clear();
-        for candidate in &raw {
-            scratch.features.push(extract_features_in(
-                analysis,
-                &context,
-                candidate,
-                &mut scratch.pairs,
-                &mut scratch.constants,
-            ));
+        k: usize,
+    ) -> Vec<Candidate> {
+        scratch.ranked.clear();
+        for (index, candidate) in pool.iter().enumerate() {
+            let score = self.model.score_entries(scratch.features(index));
+            scratch
+                .ranked
+                .push((score, arena.size(candidate.id), index));
         }
-        let extracted = Instant::now();
-        let mut scored: Vec<(Candidate, usize, String)> = raw
-            .into_iter()
-            .zip(scratch.features.drain(..))
-            .map(|(RawCandidate { formula, answer }, features)| {
-                let score = self.model.score(&features);
-                let size = formula.size();
-                let key = formula.to_string();
-                (
-                    Candidate {
-                        formula,
-                        answer,
-                        features,
-                        score,
-                    },
-                    size,
-                    key,
-                )
-            })
-            .collect();
-        scored.sort_by(|(a, a_size, a_key), (b, b_size, b_key)| {
-            ranking_order((a.score, *a_size, a_key), (b.score, *b_size, b_key))
+        rank_top_k(&mut scratch.ranked, k, |index| {
+            arena.materialize(pool[index].id).to_string()
         });
-        let candidates = scored
-            .into_iter()
-            .map(|(candidate, _, _)| candidate)
-            .collect();
-        let done = Instant::now();
-        (
-            candidates,
-            (extracted - start).as_nanos() as u64,
-            (done - extracted).as_nanos() as u64,
-        )
+        scratch
+            .ranked
+            .iter()
+            .take(k)
+            .map(|&(score, _, index)| Candidate {
+                formula: arena.materialize(pool[index].id),
+                // Each candidate is built once: take its answer.
+                answer: std::mem::replace(&mut pool[index].answer, Answer::Records(Vec::new())),
+                features: FeatureVec::from_sorted(scratch.features(index)),
+                score,
+            })
+            .collect()
     }
 
     /// The top-k candidates (the set shown to users at deployment).
     pub fn parse_top_k(&self, question: &str, table: &Table, k: usize) -> Vec<Candidate> {
-        let mut candidates = self.parse(question, table);
-        candidates.truncate(k);
-        candidates
+        let evaluator = Evaluator::with_index(table, Arc::new(TableIndex::new(table)));
+        self.parse_top_k_in_session(question, &evaluator, &mut ScratchSpace::new(), k)
     }
 
     /// Normalized probabilities `p_θ(z | x, T)` over a candidate list.
@@ -567,6 +593,77 @@ mod tests {
             json,
             "roundtrip must be byte-identical"
         );
+    }
+
+    #[test]
+    fn rank_top_k_breaks_ties_by_text_only_up_to_the_boundary() {
+        // (score, size, text) per candidate, in generation order.
+        let pool = [
+            (2.0, 1, "c"),
+            (3.0, 1, "z"),
+            (2.0, 1, "a"),
+            (1.0, 1, "y"),
+            (2.0, 1, "b"),
+            (2.0, 2, "x"),
+            (1.0, 1, "w"),
+        ];
+        let full = [1, 2, 4, 0, 5, 6, 3];
+        for (k, keyed) in [
+            (0, vec![]),
+            (1, vec![]),
+            (2, vec![0, 2, 4]),
+            (5, vec![0, 2, 4]),
+            (6, vec![0, 2, 4, 3, 6]),
+            (7, vec![0, 2, 4, 3, 6]),
+            (usize::MAX, vec![0, 2, 4, 3, 6]),
+        ] {
+            let mut ranked: Vec<(f64, usize, usize)> = pool
+                .iter()
+                .enumerate()
+                .map(|(index, &(score, size, _))| (score, size, index))
+                .collect();
+            let mut asked = Vec::new();
+            rank_top_k(&mut ranked, k, |index| {
+                asked.push(index);
+                pool[index].2
+            });
+            let served: Vec<usize> = ranked.iter().take(k).map(|entry| entry.2).collect();
+            assert_eq!(served, full[..k.min(full.len())], "k = {k}");
+            asked.sort_unstable();
+            let mut keyed = keyed;
+            keyed.sort_unstable();
+            assert_eq!(asked, keyed, "texts rendered for k = {k}");
+        }
+    }
+
+    #[test]
+    fn top_k_parses_are_prefixes_of_the_full_parse() {
+        use rand::SeedableRng;
+        let parser = SemanticParser::with_prior();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        for (index, domain) in wtq_dataset::all_domains().iter().enumerate().take(6) {
+            let table = wtq_dataset::generate_table(domain, index, &mut rng);
+            let evaluator = Evaluator::new(&table);
+            for question in wtq_dataset::generate_questions(&table, 5, &mut rng) {
+                let full = parser.parse_in_session(&question.question, &evaluator);
+                assert!(!full.is_empty());
+                for k in [0, 1, 2, 7, 20, full.len()] {
+                    let top = parser.parse_top_k_in_session(
+                        &question.question,
+                        &evaluator,
+                        &mut ScratchSpace::new(),
+                        k,
+                    );
+                    assert_eq!(top.len(), k.min(full.len()));
+                    for (a, b) in top.iter().zip(&full) {
+                        assert_eq!(a.formula, b.formula, "k = {k}");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits());
+                        assert_eq!(a.answer, b.answer);
+                        assert_eq!(a.features, b.features);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -398,6 +398,15 @@ pub struct ReferenceCandidate {
     pub score: f64,
 }
 
+/// The full ranking order: score descending, then formula size ascending,
+/// then formula text. Each side is `(score, formula.size(), formula text)`.
+fn ranking_order(a: (f64, usize, &str), b: (f64, usize, &str)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.1.cmp(&b.1))
+        .then_with(|| a.2.cmp(b.2))
+}
+
 /// Rank raw candidates exactly like the original `SemanticParser::rank` —
 /// including the `formula.to_string()` computed inside the sort comparator.
 pub fn rank_reference(
@@ -427,7 +436,7 @@ pub fn rank_reference(
         })
         .collect();
     candidates.sort_by(|a, b| {
-        crate::model::ranking_order(
+        ranking_order(
             (a.score, a.formula.size(), &a.formula.to_string()),
             (b.score, b.formula.size(), &b.formula.to_string()),
         )
@@ -547,7 +556,7 @@ impl ReferenceTrainer {
             .map(|candidate| (candidate, model.score(&candidate.features)))
             .collect();
         ranked.sort_by(|(a, a_score), (b, b_score)| {
-            crate::model::ranking_order((*a_score, a.size, &a.key), (*b_score, b.size, &b.key))
+            ranking_order((*a_score, a.size, &a.key), (*b_score, b.size, &b.key))
         });
         let scores: Vec<f64> = ranked.iter().map(|(_, score)| *score).collect();
         let probabilities = softmax(&scores);

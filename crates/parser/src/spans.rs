@@ -27,7 +27,8 @@ pub struct ParseSpans {
     pub eval_ns: u64,
     /// Feature extraction time (question context + per-candidate vectors).
     pub features_ns: u64,
-    /// Scoring and ranking time (dot products + sort).
+    /// Scoring and ranking time: dot products, the sort, and rendering and
+    /// materializing the candidates the parse returns (the top k).
     pub score_ns: u64,
 }
 

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
-use wtq_dcs::{AggregateOp, Formula};
+use wtq_dcs::{AggregateOp, Node};
 
 /// An interned feature name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,28 +64,28 @@ pub(crate) const ROOT_LABELS: [&str; NUM_ROOTS] = [
     "difference",
 ];
 
-/// The label index of a formula's root operator (see [`ROOT_LABELS`]).
-pub(crate) fn root_index(formula: &Formula) -> usize {
-    match formula {
-        Formula::Const(_) => 0,
-        Formula::AllRecords => 1,
-        Formula::Join { .. } => 2,
-        Formula::CompareJoin { .. } => 3,
-        Formula::ColumnValues { .. } => 4,
-        Formula::Prev(_) => 5,
-        Formula::Next(_) => 6,
-        Formula::Intersect(_, _) => 7,
-        Formula::Union(_, _) => 8,
-        Formula::Aggregate {
+/// The label index of a formula node's operator (see [`ROOT_LABELS`]).
+pub(crate) fn root_index(node: &Node) -> usize {
+    match node {
+        Node::Const(_) => 0,
+        Node::AllRecords => 1,
+        Node::Join { .. } => 2,
+        Node::CompareJoin { .. } => 3,
+        Node::ColumnValues { .. } => 4,
+        Node::Prev(_) => 5,
+        Node::Next(_) => 6,
+        Node::Intersect(_, _) => 7,
+        Node::Union(_, _) => 8,
+        Node::Aggregate {
             op: AggregateOp::Count,
             ..
         } => 9,
-        Formula::Aggregate { .. } => 10,
-        Formula::SuperlativeRecords { .. } => 11,
-        Formula::RecordIndexSuperlative { .. } => 12,
-        Formula::MostCommonValue { .. } => 13,
-        Formula::CompareValues { .. } => 14,
-        Formula::Sub(_, _) => 15,
+        Node::Aggregate { .. } => 10,
+        Node::SuperlativeRecords { .. } => 11,
+        Node::RecordIndexSuperlative { .. } => 12,
+        Node::MostCommonValue { .. } => 13,
+        Node::CompareValues { .. } => 14,
+        Node::Sub(_, _) => 15,
     }
 }
 

@@ -17,10 +17,11 @@ use rand_chacha::ChaCha8Rng;
 use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_table::{Catalog, IndexCache};
 
-use crate::candidates::generate_candidates_with;
-use crate::features::{extract_features, FeatureVec};
+use crate::candidates::{generate_pool, PoolCandidate};
+use crate::features::{extract_pool_features, FeatureVec};
 use crate::lexicon::analyze_question_with;
-use crate::model::{formulas_equivalent, softmax, SemanticParser};
+use crate::model::{formulas_equivalent, rank_top_k, softmax, SemanticParser};
+use crate::scratch::ScratchSpace;
 use crate::symbols::FeatureId;
 
 /// One training example: a question, its table, the gold answer, and (for
@@ -145,17 +146,21 @@ fn prepare_example(
     let index = indexes.get_or_build(table);
     let evaluator = Evaluator::with_index(table, index);
     let analysis = analyze_question_with(&example.question, evaluator.kb());
-    let raw = generate_candidates_with(&analysis, &evaluator, &parser.config);
-    let candidates = raw
+    let pool = generate_pool(&analysis, &evaluator, &parser.config, &mut 0);
+    let arena = evaluator.arena();
+    let mut scratch = ScratchSpace::new();
+    extract_pool_features(&analysis, table, &arena, &pool, &mut scratch);
+    let candidates = pool
         .into_iter()
-        .map(|raw_candidate| {
-            let features = extract_features(&analysis, table, &raw_candidate);
+        .enumerate()
+        .map(|(index, PoolCandidate { id, answer })| {
+            let formula = arena.materialize(id);
             PreparedCandidate {
-                size: raw_candidate.formula.size(),
-                key: raw_candidate.formula.to_string(),
-                formula: raw_candidate.formula,
-                answer: raw_candidate.answer,
-                features,
+                size: arena.size(id),
+                key: formula.to_string(),
+                formula,
+                answer,
+                features: FeatureVec::from_sorted(scratch.features(index)),
             }
         })
         .collect();
@@ -258,17 +263,29 @@ impl Trainer {
         if prepared.candidates.is_empty() {
             return false;
         }
-        // Rank candidates under the current model — the same ordering
-        // `SemanticParser::rank` produces — so each epoch sees the pool in
-        // the order a fresh parse would have returned it.
-        let mut ranked: Vec<(&PreparedCandidate, f64)> = prepared
-            .candidates
+        // Rank candidates under the current model — the whole pool, with
+        // the ranking a parse uses — so each epoch sees the pool in the
+        // order a fresh parse would have returned it.
+        let candidates = &prepared.candidates;
+        let mut order: Vec<(f64, usize, usize)> = candidates
             .iter()
-            .map(|candidate| (candidate, parser.model.score(&candidate.features)))
+            .enumerate()
+            .map(|(index, candidate)| {
+                (
+                    parser.model.score(&candidate.features),
+                    candidate.size,
+                    index,
+                )
+            })
             .collect();
-        ranked.sort_by(|(a, a_score), (b, b_score)| {
-            crate::model::ranking_order((*a_score, a.size, &a.key), (*b_score, b.size, &b.key))
+        let everything = order.len();
+        rank_top_k(&mut order, everything, |index| {
+            candidates[index].key.as_str()
         });
+        let ranked: Vec<(&PreparedCandidate, f64)> = order
+            .iter()
+            .map(|&(score, _, index)| (&candidates[index], score))
+            .collect();
         let scores: Vec<f64> = ranked.iter().map(|(_, score)| *score).collect();
         let probabilities = softmax(&scores);
         let rewards: Vec<f64> = ranked
