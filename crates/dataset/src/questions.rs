@@ -13,7 +13,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use wtq_dcs::{eval, Answer, Formula};
+use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_table::{ColumnType, Table, Value};
 
 /// The operator family a question exercises.
@@ -107,19 +107,21 @@ pub struct GeneratedQuestion {
 }
 
 /// Generate up to `count` questions about `table`, cycling through the
-/// question families and skipping degenerate instances.
+/// question families and skipping degenerate instances. Every gold formula
+/// is answered on one evaluator session over the table.
 pub fn generate_questions<R: Rng>(
     table: &Table,
     count: usize,
     rng: &mut R,
 ) -> Vec<GeneratedQuestion> {
+    let evaluator = Evaluator::new(table);
     let families = QuestionFamily::all();
     let mut out: Vec<GeneratedQuestion> = Vec::with_capacity(count);
     let mut attempts = 0usize;
     while out.len() < count && attempts < count * 12 {
         let family = families[attempts % families.len()];
         attempts += 1;
-        let Some(candidate) = generate_for_family(table, family, rng) else {
+        let Some(candidate) = question_for_family(&evaluator, family, rng) else {
             continue;
         };
         if out.iter().any(|q| q.question == candidate.question) {
@@ -136,14 +138,21 @@ pub fn generate_for_family<R: Rng>(
     family: QuestionFamily,
     rng: &mut R,
 ) -> Option<GeneratedQuestion> {
-    let formula_and_text = build(table, family, rng)?;
-    let (question, formula) = formula_and_text;
-    let denotation = eval(&formula, table).ok()?;
-    if denotation.is_empty() {
+    question_for_family(&Evaluator::new(table), family, rng)
+}
+
+/// [`generate_for_family`] on the table of `evaluator`, answering the gold
+/// formula in that session: a non-empty answer of at most six values.
+fn question_for_family<R: Rng>(
+    evaluator: &Evaluator<'_>,
+    family: QuestionFamily,
+    rng: &mut R,
+) -> Option<GeneratedQuestion> {
+    let (question, formula) = build(evaluator.table(), family, rng)?;
+    let Ok(Some(answer)) = evaluator.bounded_answer(&formula, 6) else {
         return None;
-    }
-    let answer = Answer::from_denotation(&denotation);
-    if answer.is_empty() || answer.len() > 6 {
+    };
+    if answer.is_empty() {
         return None;
     }
     Some(GeneratedQuestion {
@@ -482,6 +491,7 @@ mod tests {
     use crate::tablegen::generate_table;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use wtq_dcs::eval;
     use wtq_table::samples;
 
     #[test]

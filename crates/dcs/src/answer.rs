@@ -45,6 +45,19 @@ impl Answer {
         Answer::Values(out)
     }
 
+    /// The answer [`Answer::values`] builds from clones of `values`, or
+    /// `None` if it would hold more than `max_values` values. Sorts and
+    /// deduplicates references, and clones only the values it keeps.
+    pub(crate) fn values_within<'v, I>(values: I, max_values: usize) -> Option<Answer>
+    where
+        I: IntoIterator<Item = &'v Value>,
+    {
+        let mut kept: Vec<&Value> = values.into_iter().collect();
+        kept.sort();
+        kept.dedup();
+        (kept.len() <= max_values).then(|| Answer::Values(kept.into_iter().cloned().collect()))
+    }
+
     /// Build a numeric answer.
     pub fn number(n: f64) -> Answer {
         Answer::Number(n)

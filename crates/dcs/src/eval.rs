@@ -161,6 +161,9 @@ type Records = Arc<[RecordIdx]>;
 /// a projection without its cell traces.
 type Groups = Arc<[(Value, usize)]>;
 
+/// Marks a class with no group yet in [`Evaluator::group_column`]'s scratch.
+const NO_GROUP: u32 = u32::MAX;
+
 /// A denotation inside the evaluator. Record sets and groupings are shared
 /// with the memo, so a memo hit is a reference-count bump.
 #[derive(Clone)]
@@ -169,8 +172,13 @@ enum Den {
     /// A traced value set.
     Values(Vec<TracedValue>),
     /// An untraced projection (see [`Groups`]); only evaluation that reads
-    /// no traces produces one.
-    Groups(Groups),
+    /// no traces produces one. `distinct`: no two groups hold equal values
+    /// (the column was grouped by class ids), so its answer keeps one value
+    /// per group.
+    Groups {
+        groups: Groups,
+        distinct: bool,
+    },
     Number(f64),
 }
 
@@ -178,7 +186,7 @@ impl Den {
     fn kind(&self) -> &'static str {
         match self {
             Den::Records(_) => "records",
-            Den::Values(_) | Den::Groups(_) => "values",
+            Den::Values(_) | Den::Groups { .. } => "values",
             Den::Number(_) => "number",
         }
     }
@@ -187,7 +195,7 @@ impl Den {
         match self {
             Den::Records(r) => r.len(),
             Den::Values(v) => v.len(),
-            Den::Groups(g) => g.len(),
+            Den::Groups { groups, .. } => groups.len(),
             Den::Number(_) => 1,
         }
     }
@@ -197,7 +205,7 @@ impl Den {
     fn counted(&self) -> impl Iterator<Item = (&Value, usize)> {
         let (traced, grouped): (&[TracedValue], &[(Value, usize)]) = match self {
             Den::Values(values) => (values, &[]),
-            Den::Groups(groups) => (&[], groups),
+            Den::Groups { groups, .. } => (&[], groups),
             Den::Records(_) | Den::Number(_) => (&[], &[]),
         };
         traced
@@ -210,7 +218,7 @@ impl Den {
     fn as_single_number(&self) -> Option<f64> {
         match self {
             Den::Number(n) => Some(*n),
-            Den::Values(_) | Den::Groups(_) if self.len() == 1 => self
+            Den::Values(_) | Den::Groups { .. } if self.len() == 1 => self
                 .counted()
                 .next()
                 .and_then(|(value, _)| value.as_number()),
@@ -283,6 +291,9 @@ pub struct Evaluator<'a> {
     memo: RefCell<Memo>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
+    /// Scratch of [`Evaluator::group_column`]: the group of each class of
+    /// the column being grouped, [`NO_GROUP`] between groupings.
+    group_of_class: RefCell<Vec<u32>>,
 }
 
 /// The session memo: one optional slot per arena node, and how many slots
@@ -314,6 +325,7 @@ impl<'a> Evaluator<'a> {
             memo: RefCell::new(Memo::default()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
+            group_of_class: RefCell::new(Vec::new()),
         }
     }
 
@@ -386,7 +398,7 @@ impl<'a> Evaluator<'a> {
             Den::Records(records) => Denotation::Records(records.iter().copied().collect()),
             Den::Values(values) => Denotation::Values(values),
             Den::Number(n) => Denotation::Number(n),
-            Den::Groups(_) => unreachable!("traced evaluation never groups"),
+            Den::Groups { .. } => unreachable!("traced evaluation never groups"),
         })
     }
 
@@ -401,12 +413,42 @@ impl<'a> Evaluator<'a> {
 
     /// [`Evaluator::answer`] of an interned formula.
     pub fn answer_id(&self, id: FormulaId) -> Result<Answer> {
+        self.bounded_answer_id(id, usize::MAX)
+            .map(|answer| answer.expect("no answer holds more than usize::MAX values"))
+    }
+
+    /// [`Evaluator::answer`] if it holds at most `max_values` values
+    /// ([`Answer::len`]), `None` otherwise, with the same errors.
+    pub fn bounded_answer(&self, formula: &Formula, max_values: usize) -> Result<Option<Answer>> {
+        let id = self.intern(formula);
+        self.bounded_answer_id(id, max_values)
+    }
+
+    /// [`Evaluator::bounded_answer`] of an interned formula. A projection
+    /// grouped by class ids has one answer value per group, so one with
+    /// more groups than `max_values` is rejected before any value is
+    /// sorted or cloned; otherwise only the values kept are cloned.
+    pub fn bounded_answer_id(&self, id: FormulaId, max_values: usize) -> Result<Option<Answer>> {
         self.resolve_columns();
         Ok(match self.eval_depth(id, 0, false)? {
-            Den::Records(records) => Answer::Records(records.to_vec()),
-            Den::Number(n) => Answer::Number(n),
-            values => Answer::values(values.counted().map(|(value, _)| value.clone())),
+            Den::Records(records) => {
+                (records.len() <= max_values).then(|| Answer::Records(records.to_vec()))
+            }
+            Den::Number(n) => (max_values >= 1).then_some(Answer::Number(n)),
+            Den::Groups {
+                groups,
+                distinct: true,
+            } if groups.len() > max_values => None,
+            values => Answer::values_within(values.counted().map(|(value, _)| value), max_values),
         })
+    }
+
+    /// Whether the answer of formula `id` is non-empty
+    /// (`!answer.is_empty()` for [`Evaluator::answer_id`], errors alike),
+    /// without building the answer or copying a record set.
+    pub fn is_nonempty_id(&self, id: FormulaId) -> Result<bool> {
+        self.resolve_columns();
+        Ok(self.eval_depth(id, 0, false)?.len() > 0)
     }
 
     /// Intern `formula` for a call that holds no earlier id (see
@@ -469,7 +511,7 @@ impl<'a> Evaluator<'a> {
         let result = self.eval_node(node, depth, traced)?;
         if memoized {
             self.cache_misses.set(self.cache_misses.get() + 1);
-            if matches!(result, Den::Records(_) | Den::Groups(_)) {
+            if matches!(result, Den::Records(_) | Den::Groups { .. }) {
                 let mut memo = self.memo.borrow_mut();
                 if memo.entries < DENOTATION_CACHE_CAP {
                     if memo.slots.len() <= id.index() {
@@ -511,7 +553,11 @@ impl<'a> Evaluator<'a> {
                 Ok(if traced {
                     self.project_column(column_idx, &records)
                 } else {
-                    Den::Groups(self.group_column(column_idx, &records, |_, _| {}).into())
+                    let (groups, distinct) = self.group_column(column_idx, &records, |_, _| {});
+                    Den::Groups {
+                        groups: groups.into(),
+                        distinct,
+                    }
                 })
             }
             Node::Prev(sub) => {
@@ -656,56 +702,69 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The distinct values of `column` over `records` in first-appearance
-    /// order, each with its cell count; `on_cell(group, record)` sees every
-    /// cell. The one place projections decide which cells hold the same
-    /// value: `Value`'s hash and (tolerant) equality, as in the index.
+    /// order, each with its cell count, and whether no two groups hold
+    /// equal values; `on_cell(group, record)` sees every cell. The one
+    /// place projections decide which cells hold the same value: on an
+    /// exact column ([`wtq_table::ColumnIndex::is_exact`]) the index's class
+    /// ids, read per cell with no hashing and one `Value` built per group;
+    /// elsewhere `Value`'s hash and (tolerant, intransitive) equality, as
+    /// the index's classes use.
     fn group_column(
         &self,
         column: usize,
         records: &[RecordIdx],
         mut on_cell: impl FnMut(usize, RecordIdx),
-    ) -> Vec<(Value, usize)> {
+    ) -> (Vec<(Value, usize)>, bool) {
         let mut groups: Vec<(Value, usize)> = Vec::new();
-        let mut position: HashMap<Value, usize> = HashMap::new();
-        // A dictionary column remembers each string id's group, so a repeated
-        // string is neither copied nor hashed again. String equality is
-        // transitive, so this cannot change which group a cell joins.
-        let dict = self.table.column_dict(column);
-        let mut group_of_id = vec![usize::MAX; dict.map_or(0, |dict| dict.entries().len())];
-        for &record in records {
-            let id = dict
-                .and_then(|dict| dict.ids().get(record))
-                .map(|&id| id as usize);
-            let group = match id.map(|id| group_of_id[id]) {
-                Some(group) if group != usize::MAX => group,
-                _ => {
-                    let Some(value) = self.table.value_at(record, column) else {
-                        continue;
-                    };
-                    let group = match position.get(&value) {
-                        Some(&group) => group,
-                        None => {
-                            position.insert(value.clone(), groups.len());
-                            groups.push((value, 0));
-                            groups.len() - 1
-                        }
-                    };
-                    if let Some(id) = id {
-                        group_of_id[id] = group;
+        let index = self.index().column(column);
+        if !index.is_exact() {
+            let mut position: HashMap<Value, usize> = HashMap::new();
+            for &record in records {
+                let Some(value) = self.table.value_at(record, column) else {
+                    continue;
+                };
+                let group = match position.get(&value) {
+                    Some(&group) => group,
+                    None => {
+                        position.insert(value.clone(), groups.len());
+                        groups.push((value, 0));
+                        groups.len() - 1
                     }
-                    group
-                }
-            };
+                };
+                groups[group].1 += 1;
+                on_cell(group, record);
+            }
+            return (groups, false);
+        }
+        let classes = index.classes();
+        let mut group_of = self.group_of_class.borrow_mut();
+        if group_of.len() < index.num_distinct() {
+            group_of.resize(index.num_distinct(), NO_GROUP);
+        }
+        for &record in records {
+            let slot = &mut group_of[classes[record] as usize];
+            if *slot == NO_GROUP {
+                *slot = u32::try_from(groups.len()).expect("groups fit in u32");
+                let value = self
+                    .table
+                    .value_at(record, column)
+                    .expect("record in range");
+                groups.push((value, 0));
+            }
+            let group = *slot as usize;
             groups[group].1 += 1;
             on_cell(group, record);
         }
-        groups
+        for &record in records {
+            group_of[classes[record] as usize] = NO_GROUP;
+        }
+        (groups, true)
     }
 
     /// The traced projection of `column` over `records`.
     fn project_column(&self, column: usize, records: &[RecordIdx]) -> Den {
         let mut cells: Vec<Vec<CellRef>> = Vec::new();
-        let groups = self.group_column(column, records, |group, record| {
+        let (groups, _) = self.group_column(column, records, |group, record| {
             if group == cells.len() {
                 cells.push(Vec::new());
             }
@@ -722,7 +781,7 @@ impl<'a> Evaluator<'a> {
 
     fn expect_number(&self, operator: &'static str, denotation: &Den) -> Result<f64> {
         denotation.as_single_number().ok_or(match denotation {
-            Den::Values(_) | Den::Groups(_) => DcsError::Cardinality {
+            Den::Values(_) | Den::Groups { .. } => DcsError::Cardinality {
                 operator,
                 expected: "a single numeric value",
                 got: denotation.len(),
@@ -814,8 +873,20 @@ impl<'a> Evaluator<'a> {
                     .sum::<usize>() as f64,
             }));
         }
-        let numbers = match inner {
-            Den::Number(n) => vec![*n],
+        // One pass over the counted values, each cell's number folded in
+        // the order a per-cell vector would hold it; a sum starts at -0.0,
+        // as std's `Sum` for `f64` does, so results are bit-identical.
+        let mut result = match op {
+            AggregateOp::Max => f64::NEG_INFINITY,
+            AggregateOp::Min => f64::INFINITY,
+            _ => -0.0,
+        };
+        let mut cells = 0usize;
+        match inner {
+            Den::Number(n) => {
+                result = fold_cells(op, result, *n, 1);
+                cells = 1;
+            }
             Den::Records(_) => {
                 return Err(DcsError::TypeMismatch {
                     operator: op.name(),
@@ -824,34 +895,29 @@ impl<'a> Evaluator<'a> {
                 })
             }
             values => {
-                let mut numbers = Vec::new();
-                for (value, cells) in values.counted() {
+                for (value, count) in values.counted() {
                     // Count each cell occurrence once so that sums over
                     // repeated values match the SQL semantics.
                     let number = value.as_number().ok_or_else(|| DcsError::NonNumeric {
                         operator: op.name(),
                         value: value.to_string(),
                     })?;
-                    numbers.extend(std::iter::repeat_n(number, cells.max(1)));
+                    result = fold_cells(op, result, number, count.max(1));
+                    cells += count.max(1);
                 }
-                numbers
             }
-        };
-        if numbers.is_empty() {
+        }
+        if cells == 0 {
             return Err(DcsError::Cardinality {
                 operator: op.name(),
                 expected: "a non-empty value set",
                 got: 0,
             });
         }
-        let result = match op {
-            AggregateOp::Max => numbers.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            AggregateOp::Min => numbers.iter().copied().fold(f64::INFINITY, f64::min),
-            AggregateOp::Sum => numbers.iter().sum(),
-            AggregateOp::Avg => numbers.iter().sum::<f64>() / numbers.len() as f64,
-            AggregateOp::Count => unreachable!("count handled above"),
-        };
-        Ok(Den::Number(result))
+        Ok(Den::Number(match op {
+            AggregateOp::Avg => result / cells as f64,
+            _ => result,
+        }))
     }
 
     /// The best (Ord-extreme) value of `column` among `records`. Walks the
@@ -916,7 +982,7 @@ impl<'a> Evaluator<'a> {
     /// The type check shared by the value-level superlatives.
     fn expect_values(&self, operator: &'static str, values: &Den) -> Result<()> {
         match values {
-            Den::Values(_) | Den::Groups(_) => Ok(()),
+            Den::Values(_) | Den::Groups { .. } => Ok(()),
             other => Err(DcsError::TypeMismatch {
                 operator,
                 expected: "values",
@@ -972,6 +1038,19 @@ impl<'a> Evaluator<'a> {
         rows.retain(|&record| self.table.eq_at(record, key_column, &best));
         Ok(self.project_column(value_column, &rows))
     }
+}
+
+/// Fold `number`, held by `cells` cells, into the running result of
+/// aggregate `op` (not a count): one step per cell.
+fn fold_cells(op: AggregateOp, mut result: f64, number: f64, cells: usize) -> f64 {
+    for _ in 0..cells {
+        result = match op {
+            AggregateOp::Max => result.max(number),
+            AggregateOp::Min => result.min(number),
+            _ => result + number,
+        };
+    }
+    result
 }
 
 /// Evaluate `formula` against `table` (convenience wrapper that builds an

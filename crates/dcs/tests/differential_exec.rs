@@ -262,6 +262,81 @@ fn exact(answer: Result<Answer, DcsError>) -> Result<ExactAnswer, DcsError> {
     })
 }
 
+/// A column's cells, drawn to land on both sides of the index's exact flag:
+/// integers with ±0 and year-only dates beside equal numbers, or
+/// case-variant strings (exact); numbers within 1e-9 relative of each
+/// other, or a NaN (not exact); or all of these mixed.
+fn class_column(rows: usize) -> impl Strategy<Value = Vec<Value>> {
+    let exact_numbers = prop_oneof![
+        (0i32..5).prop_map(|n| Value::num(f64::from(n))),
+        Just(Value::num(0.0)),
+        Just(Value::num(-0.0)),
+        (2000i32..2003).prop_map(|y| Value::num(f64::from(y))),
+        (2000i32..2003).prop_map(Value::year),
+        (2000i32..2003).prop_map(|y| Value::date(y, 6, 1)),
+    ]
+    .boxed();
+    let strings = prop_oneof![
+        Just(Value::str("Athens")),
+        Just(Value::str("athens")),
+        Just(Value::str("ATHENS")),
+        Just(Value::str("Paris")),
+        Just(Value::str("pARIS")),
+        Just(Value::str("")),
+    ]
+    .boxed();
+    let near_numbers = prop_oneof![
+        (1i32..4).prop_map(|n| Value::num(f64::from(n))),
+        (1i32..4).prop_map(|n| Value::num(f64::from(n) * (1.0 + 4e-10))),
+        (2000i32..2002).prop_map(|y| Value::num(f64::from(y) + 1e-6)),
+        (2000i32..2002).prop_map(Value::year),
+        // Equal, but on either side of the hash's rounding boundary.
+        Just(Value::num(2.000_005_000_000_1)),
+        Just(Value::num(2.000_004_999_999_9)),
+    ]
+    .boxed();
+    let with_nan = prop_oneof![
+        (0i32..4).prop_map(|n| Value::num(f64::from(n))),
+        Just(Value::num(f64::NAN)),
+    ]
+    .boxed();
+    let mixed = prop_oneof![
+        exact_numbers.clone(),
+        strings.clone(),
+        near_numbers.clone(),
+        with_nan.clone(),
+    ];
+    prop_oneof![
+        proptest::collection::vec(exact_numbers, rows),
+        proptest::collection::vec(strings, rows),
+        proptest::collection::vec(near_numbers, rows),
+        proptest::collection::vec(with_nan, rows),
+        proptest::collection::vec(mixed, rows),
+    ]
+}
+
+/// Random tables of [`class_column`]s: 1–4 columns, 0–14 rows.
+fn class_table() -> impl Strategy<Value = Table> {
+    (1usize..=4, 0usize..=14).prop_flat_map(|(cols, rows)| {
+        proptest::collection::vec(class_column(rows), cols).prop_map(move |columns| {
+            let mut builder =
+                TableBuilder::new("classes").columns((0..cols).map(|i| format!("Col{i}")));
+            for row in 0..rows {
+                let cells = columns.iter().map(|column| column[row].clone()).collect();
+                builder = builder.row(cells).expect("arity matches");
+            }
+            builder.build().expect("non-empty header")
+        })
+    })
+}
+
+/// [`exact`] of a bounded answer.
+fn exact_bounded(
+    answer: Result<Option<Answer>, DcsError>,
+) -> Result<Option<ExactAnswer>, DcsError> {
+    answer.map(|answer| answer.map(|answer| exact(Ok(answer)).expect("an answer")))
+}
+
 /// The canonical answer of the scan reference's denotation.
 fn reference_answer(formula: &Formula, table: &Table) -> Result<ExactAnswer, DcsError> {
     exact(eval_reference(formula, table).map(|denotation| Answer::from_denotation(&denotation)))
@@ -337,6 +412,59 @@ proptest! {
                 prop_assert_eq!(session.eval(formula), eval_reference(formula, &table));
             }
             prop_assert_eq!(exact(session.answer(formula)), reference_answer(formula, &table));
+        }
+    }
+
+    /// On every column the index marks exact, where projections group by
+    /// class ids: traced and untraced projections, aggregates and bounded
+    /// answers over a record base equal the scan reference, numbers by
+    /// bits, and a bounded answer is `None` exactly when the reference
+    /// answer holds more values than the bound. The tables mix columns on
+    /// both sides of the flag.
+    #[test]
+    fn class_grouped_projections_match_scan_reference(
+        (table, base) in class_table()
+            .prop_flat_map(|t| {
+                let cols = t.num_columns();
+                (Just(t), records_formula(cols))
+            })
+    ) {
+        let session = Evaluator::new(&table);
+        for column in 0..table.num_columns() {
+            if !session.index().column(column).is_exact() {
+                continue;
+            }
+            let projection = Formula::ColumnValues {
+                column: format!("Col{column}"),
+                records: Box::new(base.clone()),
+            };
+            // Debug text tells every two non-NaN floats apart.
+            prop_assert_eq!(
+                format!("{:?}", session.eval(&projection)),
+                format!("{:?}", eval_reference(&projection, &table))
+            );
+            let aggregates = [
+                AggregateOp::Count,
+                AggregateOp::Max,
+                AggregateOp::Min,
+                AggregateOp::Sum,
+                AggregateOp::Avg,
+            ]
+            .map(|op| Formula::aggregate(op, projection.clone()));
+            for formula in std::iter::once(&projection).chain(&aggregates) {
+                prop_assert_eq!(exact(session.answer(formula)), reference_answer(formula, &table));
+                let reference =
+                    eval_reference(formula, &table).map(|denotation| Answer::from_denotation(&denotation));
+                for bound in 0..=table.num_records() + 1 {
+                    let expected = reference
+                        .clone()
+                        .map(|answer| (answer.len() <= bound).then_some(answer));
+                    prop_assert_eq!(
+                        exact_bounded(session.bounded_answer(formula, bound)),
+                        exact_bounded(expected)
+                    );
+                }
+            }
         }
     }
 

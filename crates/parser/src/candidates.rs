@@ -6,8 +6,11 @@
 //! first (joins, comparisons, intersections, unions, superlatives, row
 //! shifts), then value projections, then aggregates and differences. Only
 //! formulas that type-check, execute successfully and denote a non-empty
-//! result are kept, and the candidate pool is capped so downstream scoring
-//! stays fast.
+//! result of at most twelve values are kept, and the candidate pool is
+//! capped so downstream scoring stays fast. The session is asked only what
+//! each test needs: whether a record base is non-empty, and a candidate's
+//! answer bounded at twelve values, so an over-long projection is rejected
+//! before its answer is built.
 //!
 //! Formulas are composed as ids in the evaluator session's hash-consed
 //! [`wtq_dcs::FormulaArena`]: each column name and linked constant is
@@ -22,6 +25,10 @@ use wtq_dcs::{AggregateOp, Answer, CompareOp, Evaluator, Formula, FormulaId, Nod
 use wtq_table::{Table, Value};
 
 use crate::lexicon::QuestionAnalysis;
+
+/// The most values a candidate's answer may hold; a formula denoting more
+/// (a projection onto a near-unique column, say) is no candidate.
+const MAX_ANSWER_VALUES: usize = 12;
 
 /// Limits applied during candidate generation.
 #[derive(Debug, Clone)]
@@ -207,9 +214,9 @@ pub(crate) fn generate_pool(
             break;
         }
         let eval_start = Instant::now();
-        let result = evaluator.answer_id(base);
+        let live = evaluator.is_nonempty_id(base);
         *eval_ns += eval_start.elapsed().as_nanos() as u64;
-        if result.is_ok_and(|answer| !answer.is_empty()) {
+        if live == Ok(true) {
             live_bases.push(base);
         }
     }
@@ -226,12 +233,12 @@ pub(crate) fn generate_pool(
             return;
         }
         let eval_start = Instant::now();
-        let result = evaluator.answer_id(id);
+        let result = evaluator.bounded_answer_id(id, MAX_ANSWER_VALUES);
         *eval_ns += eval_start.elapsed().as_nanos() as u64;
-        let Ok(answer) = result else {
+        let Ok(Some(answer)) = result else {
             return;
         };
-        if answer.is_empty() || answer.len() > 12 {
+        if answer.is_empty() {
             return;
         }
         if seen.len() <= id.index() {

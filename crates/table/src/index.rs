@@ -5,8 +5,11 @@
 //! validation; both used to re-scan table rows for every join, comparison and
 //! superlative. A [`TableIndex`] materializes, per column:
 //!
-//! * an **inverted index** (normalized value → sorted record list) answering
-//!   `Column.value` joins and `WHERE Column = v` filters in O(1),
+//! * a **class id** per cell: cells holding equal values (under [`Value`]'s
+//!   hash and equality) share a class, numbered in first-appearance order,
+//!   and each class keeps its ascending record list — the inverted index
+//!   answering `Column.value` joins and `WHERE Column = v` filters in O(1),
+//!   and the key the evaluator groups projections by,
 //! * a **value-sorted permutation** of the records answering superlatives
 //!   (`argmax` / `argmin`) without scanning the whole record set,
 //! * a **sorted numeric projection** (`(number, record)` pairs) answering
@@ -31,15 +34,27 @@ use wtq_obs::{Counter, Gauge, Registry};
 
 use crate::cell::CellRef;
 use crate::table::{ColumnType, RecordIdx, Table};
-use crate::text::TextIndex;
-use crate::value::Value;
+use crate::text::{to_u32, TextIndex};
+use crate::value::{numbers_equal, Value};
 
-/// Per-column indexes: inverted value index, value-sorted permutation and
-/// sorted numeric projection.
+/// Per-column indexes: value classes with their record lists, value-sorted
+/// permutation and sorted numeric projection.
 #[derive(Debug, Clone)]
 pub struct ColumnIndex {
     column_type: ColumnType,
-    by_value: HashMap<Value, Vec<RecordIdx>>,
+    /// Each distinct value's class id.
+    by_value: HashMap<Value, u32>,
+    /// The class id of every record's cell.
+    classes: Vec<u32>,
+    /// The records of every class, class after class, ascending within a
+    /// class: class `c` holds `class_records[class_starts[c]..class_starts[c + 1]]`.
+    class_records: Vec<RecordIdx>,
+    class_starts: Vec<u32>,
+    /// Whether equality on the column's cells is an equivalence, so that
+    /// two cells hold equal values exactly when they share a class: no NaN
+    /// cell, and no two distinct numeric contents within
+    /// [`numbers_equal`]'s tolerance.
+    exact: bool,
     /// Records sorted ascending by their cell value (stable, so ties keep
     /// table order), built lazily on first superlative use (the sort keys
     /// allocate, and most columns are never a superlative key). `None` once
@@ -58,17 +73,54 @@ impl ColumnIndex {
     /// Records whose cell in this column equals `value` (the `C.v` join),
     /// in ascending record order.
     pub fn records(&self, value: &Value) -> &[RecordIdx] {
-        self.by_value.get(value).map(Vec::as_slice).unwrap_or(&[])
+        self.by_value
+            .get(value)
+            .map_or(&[], |&class| self.class_records(class))
     }
 
-    /// Number of distinct values in the column.
+    /// Number of distinct values (classes) in the column.
     pub fn num_distinct(&self) -> usize {
-        self.by_value.len()
+        self.class_starts.len() - 1
     }
 
     /// Iterate over `(value, records)` pairs in unspecified order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Value, &Vec<RecordIdx>)> {
-        self.by_value.iter()
+    pub fn entries(&self) -> impl Iterator<Item = (&Value, &[RecordIdx])> {
+        self.by_value
+            .iter()
+            .map(|(value, &class)| (value, self.class_records(class)))
+    }
+
+    /// The class id of every record's cell, indexed by record. Classes are
+    /// numbered `0..num_distinct()` in first-appearance order.
+    pub fn classes(&self) -> &[u32] {
+        &self.classes
+    }
+
+    /// The records of class `class`, ascending.
+    pub(crate) fn class_records(&self, class: u32) -> &[RecordIdx] {
+        let class = class as usize;
+        &self.class_records
+            [self.class_starts[class] as usize..self.class_starts[class + 1] as usize]
+    }
+
+    /// Whether two cells of this column hold equal values exactly when they
+    /// share a class (see [`ColumnIndex::classes`]): `false` when the column
+    /// holds a NaN or two distinct numbers within [`numbers_equal`]'s
+    /// tolerance, where equality is not transitive.
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Each class's value in class order (the value of its first cell).
+    pub(crate) fn class_values(&self) -> Vec<&Value> {
+        let mut values = vec![None; self.num_distinct()];
+        for (value, &class) in &self.by_value {
+            values[class as usize] = Some(value);
+        }
+        values
+            .into_iter()
+            .map(|value| value.expect("every class has a value"))
+            .collect()
     }
 
     /// The column's inferred type.
@@ -254,7 +306,9 @@ impl TableIndex {
 }
 
 fn build_column(table: &Table, column: usize) -> ColumnIndex {
-    let mut by_value: HashMap<Value, Vec<RecordIdx>> = HashMap::new();
+    let mut by_value: HashMap<Value, u32> = HashMap::new();
+    let mut classes: Vec<u32> = Vec::with_capacity(table.num_records());
+    let mut class_sizes: Vec<u32> = Vec::new();
     let mut numeric: Vec<(f64, RecordIdx)> = Vec::new();
     let mut sortable = true;
     for record in table.record_indices() {
@@ -268,12 +322,43 @@ fn build_column(table: &Table, column: usize) -> ColumnIndex {
                 numeric.push((number, record));
             }
         }
-        by_value.entry(value).or_default().push(record);
+        let next = to_u32(class_sizes.len());
+        let class = *by_value.entry(value).or_insert(next);
+        if class == next {
+            class_sizes.push(0);
+        }
+        class_sizes[class as usize] += 1;
+        classes.push(class);
     }
     numeric.sort_by(|a, b| a.partial_cmp(b).expect("NaN keys excluded"));
+    // Sorted, so any two distinct numbers within tolerance of each other
+    // leave a pair of neighbours within tolerance too.
+    let exact = sortable
+        && numeric
+            .windows(2)
+            .all(|pair| pair[0].0 == pair[1].0 || !numbers_equal(pair[0].0, pair[1].0));
+    // Lay the classes' records out class after class (a counting sort).
+    let mut class_starts = Vec::with_capacity(class_sizes.len() + 1);
+    let mut end = 0;
+    class_starts.push(end);
+    for size in &class_sizes {
+        end += size;
+        class_starts.push(end);
+    }
+    let mut next_slot: Vec<u32> = class_starts[..class_sizes.len()].to_vec();
+    let mut class_records = vec![0; classes.len()];
+    for (record, &class) in classes.iter().enumerate() {
+        let slot = &mut next_slot[class as usize];
+        class_records[*slot as usize] = record;
+        *slot += 1;
+    }
     ColumnIndex {
         column_type: table.column_type(column),
         by_value,
+        classes,
+        class_records,
+        class_starts,
+        exact,
         value_order: OnceLock::new(),
         sortable,
         numeric,
@@ -756,6 +841,82 @@ mod tests {
         assert!(index.text.get().is_none(), "TableIndex::new built it");
         let first: *const TextIndex = index.text();
         assert!(std::ptr::eq(first, index.text()), "rebuilt on reuse");
+    }
+
+    #[test]
+    fn class_ids_follow_first_appearance_and_value_equality() {
+        let table = olympics();
+        let index = TableIndex::new(&table);
+        let country = index.column(1);
+        // Greece, France, Greece, China, UK.
+        assert_eq!(country.classes(), &[0, 1, 0, 2, 3]);
+        assert_eq!(country.num_distinct(), 4);
+        assert_eq!(country.class_records(0), &[0, 2]);
+        assert_eq!(country.class_records(3), &[4]);
+        assert_eq!(country.records(&Value::str("GREECE")), &[0, 2]);
+        let mut entries: Vec<(String, Vec<RecordIdx>)> = country
+            .entries()
+            .map(|(value, records)| (value.to_string(), records.to_vec()))
+            .collect();
+        entries.sort();
+        assert_eq!(entries[0], ("China".to_string(), vec![3]));
+        assert_eq!(entries.len(), 4);
+    }
+
+    #[test]
+    fn exact_flag_marks_columns_where_equality_is_transitive() {
+        use crate::table::TableBuilder;
+        let num = Value::num;
+        let columns = [
+            // (header, cells, exact)
+            ("Ints", vec![num(1.0), num(2.0), num(1.0)], true),
+            (
+                "Case",
+                vec![
+                    Value::str("Athens"),
+                    Value::str("athens"),
+                    Value::str("ATHENS"),
+                ],
+                true,
+            ),
+            // A year-only date equals the same number: one class, no doubt.
+            (
+                "Years",
+                vec![Value::year(2004), num(2004.0), Value::date(2004, 6, 1)],
+                true,
+            ),
+            ("Zeros", vec![num(0.0), num(-0.0), num(0.0)], true),
+            ("Apart", vec![num(1e9), num(1e9 + 10.0), num(3.0)], true),
+            // Distinct numbers within 1e-9 relative of each other.
+            ("Near", vec![num(1.0), num(1.0 + 1e-10), num(3.0)], false),
+            ("Billions", vec![num(1e9), num(1e9 + 1.0), num(3.0)], false),
+            (
+                "NearYear",
+                vec![Value::year(2004), num(2004.000001), num(7.0)],
+                false,
+            ),
+            ("Nan", vec![num(1.0), num(f64::NAN), num(2.0)], false),
+            // Infinity is within tolerance of every number.
+            (
+                "Infinite",
+                vec![num(f64::INFINITY), num(5.0), num(5.0)],
+                false,
+            ),
+        ];
+        let mut builder = TableBuilder::new("flags").columns(columns.iter().map(|c| c.0));
+        for row in 0..3 {
+            builder = builder
+                .row(columns.iter().map(|c| c.1[row].clone()).collect())
+                .unwrap();
+        }
+        let table = builder.build().unwrap();
+        let index = TableIndex::new(&table);
+        for (column, (header, _, exact)) in columns.iter().enumerate() {
+            assert_eq!(index.column(column).is_exact(), *exact, "column {header}");
+        }
+        assert_eq!(index.column(1).classes(), &[0, 0, 0]);
+        assert_eq!(index.column(2).classes(), &[0, 0, 1]);
+        assert_eq!(index.column(3).classes(), &[0, 0, 0]);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! The index is built lazily by [`TableIndex::text`][crate::TableIndex::text]
 //! (most index users never link) and is compact: it names each distinct
-//! value by its column and the record where it first appears — the
-//! representative both [`ColumnIndex`]'s inverted index and
+//! value by its column and the record where it first appears — the first
+//! record of its [`ColumnIndex`] class, the representative
 //! [`Table::distinct_column_values`][crate::Table::distinct_column_values]
-//! keep — so it clones no cell values, and each key's entries are one run of
-//! a flat list.
+//! keeps too — so it clones no cell values, and each key's entries are one
+//! run of a flat list.
 
 use std::collections::HashMap;
 
@@ -48,14 +48,10 @@ impl TextIndex {
         let mut dates = Vec::new();
         let mut words = Vec::new();
         for (column, index) in columns.iter().enumerate() {
-            // A value's record list starts at the record that introduced it,
-            // so sorting by that record gives first-appearance order.
-            let mut distinct: Vec<(usize, &Value)> = index
-                .entries()
-                .map(|(value, records)| (records[0], value))
-                .collect();
-            distinct.sort_unstable_by_key(|&(record, _)| record);
-            for (record, value) in distinct {
+            // Classes are numbered in first-appearance order, and each one's
+            // record list starts at the record that introduced it.
+            for (class, value) in index.class_values().into_iter().enumerate() {
+                let record = index.class_records(to_u32(class))[0];
                 let entry = (to_u32(column), to_u32(record));
                 match value {
                     Value::Str(s) => texts.push((s.to_ascii_lowercase(), entry)),
@@ -123,7 +119,7 @@ fn cell_of((column, record): Entry) -> CellRef {
 }
 
 /// A table position or entry count as a compact `u32`.
-fn to_u32(n: usize) -> u32 {
+pub(crate) fn to_u32(n: usize) -> u32 {
     u32::try_from(n).expect("table positions and index sizes fit in u32")
 }
 

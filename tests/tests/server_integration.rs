@@ -912,51 +912,72 @@ fn shutdown_with_queued_work_returns_promptly() {
     batch_thread.join().expect("batch thread clean");
 }
 
+/// Attempts of [`batch_items_join_single_flights`], each on a fresh server
+/// over a table twice as large as the last.
+const SINGLE_FLIGHT_ATTEMPTS: usize = 4;
+
 #[test]
 fn batch_items_join_single_flights() {
     // A single explain on the big table leads its flight; a batch asking
     // the same question in another phrasing, while that flight runs,
-    // collapses onto it instead of executing the question again.
-    let big = big_table(1000);
-    let big_name = big.name().to_string();
-    let (engine, _catalog, handle) = serving_stack(ServerConfig::default(), vec![big]);
-    let addr = handle.local_addr();
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let question = wtq_dataset::generate_questions(&big_table(1000), 1, &mut rng)
-        .remove(0)
-        .question;
-    let single = {
-        let (question, big_name) = (question.clone(), big_name.clone());
-        std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("single client connects");
-            client
-                .explain(&question, &big_name, Some(2))
-                .expect("the single explain succeeds")
-        })
-    };
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().in_flight.get() < 1 {
-        assert!(Instant::now() < deadline, "the single explain never ran");
-        std::thread::yield_now();
-    }
-
+    // collapses onto it instead of executing the question again. How long
+    // the flight runs depends on how fast the engine parses, so an attempt
+    // counts only if the batch item found the flight still running: an
+    // item that arrives after the leader finished is answered from the
+    // cache, and nothing else in the attempt counts a cache hit. Otherwise
+    // the next attempt starts a fresh server over a table twice as large.
     let collapsed = r#"wtq_answer_cache_ops_total{op="collapsed"}"#;
-    let before = stat(&handle.stats(), collapsed);
-    let variant = format!("  {}  ", question.to_ascii_uppercase());
-    let batch = vec![
-        explain_body(&variant, &big_name, Some(2)),
-        explain_body("Which city hosted in 2008?", "olympics", None),
-    ];
-    let mut client = Client::connect(addr).unwrap();
-    let explanations = client.explain_batch(batch).expect("the batch succeeds");
-    let single = single.join().expect("single client clean");
-    assert_eq!(stat(&handle.stats(), collapsed) - before, 1.0);
-    // The single explain's question and the batch's other one: the
-    // collapsed item executed nothing and carries the leader's answer.
-    assert_eq!(engine.metrics().questions_served.get(), 2);
-    assert_eq!(
-        serde_json::to_string(&explanations[0].candidates).unwrap(),
-        serde_json::to_string(&single.candidates).unwrap()
-    );
-    handle.shutdown();
+    let hits = r#"wtq_answer_cache_ops_total{op="hit"}"#;
+    for attempt in 0..SINGLE_FLIGHT_ATTEMPTS {
+        let big = big_table(1000 << attempt);
+        let big_name = big.name().to_string();
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let question = wtq_dataset::generate_questions(&big, 1, &mut rng)
+            .remove(0)
+            .question;
+        let (engine, _catalog, handle) = serving_stack(ServerConfig::default(), vec![big]);
+        let addr = handle.local_addr();
+        let single = {
+            let (question, big_name) = (question.clone(), big_name.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("single client connects");
+                client
+                    .explain(&question, &big_name, Some(2))
+                    .expect("the single explain succeeds")
+            })
+        };
+        // A flight shorter than this thread's time slice may come and go
+        // unseen; its batch item then hits the cache like any late one.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while engine.metrics().in_flight.get() < 1 && !single.is_finished() {
+            assert!(Instant::now() < deadline, "the single explain never ran");
+            std::thread::yield_now();
+        }
+
+        let before = stat(&handle.stats(), collapsed);
+        let hits_before = stat(&handle.stats(), hits);
+        let variant = format!("  {}  ", question.to_ascii_uppercase());
+        let batch = vec![
+            explain_body(&variant, &big_name, Some(2)),
+            explain_body("Which city hosted in 2008?", "olympics", None),
+        ];
+        let mut client = Client::connect(addr).unwrap();
+        let explanations = client.explain_batch(batch).expect("the batch succeeds");
+        let single = single.join().expect("single client clean");
+        if stat(&handle.stats(), hits) > hits_before {
+            handle.shutdown();
+            continue;
+        }
+        assert_eq!(stat(&handle.stats(), collapsed) - before, 1.0);
+        // The single explain's question and the batch's other one: the
+        // collapsed item executed nothing and carries the leader's answer.
+        assert_eq!(engine.metrics().questions_served.get(), 2);
+        assert_eq!(
+            serde_json::to_string(&explanations[0].candidates).unwrap(),
+            serde_json::to_string(&single.candidates).unwrap()
+        );
+        handle.shutdown();
+        return;
+    }
+    panic!("no batch item found the flight running in {SINGLE_FLIGHT_ATTEMPTS} attempts");
 }
