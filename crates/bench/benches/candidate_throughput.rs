@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use wtq_bench::EXPERIMENT_SEED;
 use wtq_dcs::Evaluator;
-use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
+use wtq_oracle::{parse_in_session_reference, ReferenceModel};
 use wtq_parser::{ScratchSpace, SemanticParser};
 
 fn bench_candidate_throughput(c: &mut Criterion) {

@@ -8,9 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wtq_bench::exec::{bench_table, workloads};
-use wtq_dcs::{eval, eval_reference, parse_formula, Evaluator};
+use wtq_dcs::{eval, parse_formula, Evaluator};
+use wtq_oracle::{eval_reference, PlanMode, SqlEngine};
 use wtq_provenance::provenance;
-use wtq_sql::{translate, PlanMode, SqlEngine};
+use wtq_sql::translate;
 use wtq_table::{samples, TableIndex};
 
 fn bench_operators(c: &mut Criterion) {

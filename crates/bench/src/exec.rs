@@ -6,16 +6,16 @@
 //! join/compare/superlative-heavy — the shapes that dominate candidate
 //! generation — executed three ways:
 //!
-//! * **scan** — the pre-index reference semantics (`wtq_dcs::eval_reference`
+//! * **scan** — the pre-index reference semantics (`wtq_oracle::eval_reference`
 //!   / `PlanMode::ForceScan`),
 //! * **cold** — no pre-built state per call: a fresh DCS session over a
-//!   shared [`TableIndex`], and for SQL a fresh [`wtq_sql::SqlEngine`] in
+//!   shared [`TableIndex`], and for SQL a fresh [`wtq_oracle::SqlEngine`] in
 //!   `Auto` mode (cost-based: columnar kernels, no index build),
 //! * **warm** — reused state across calls: a warm DCS session (adds the
 //!   cross-candidate denotation cache) and an `Auto`-mode engine holding
 //!   the shared index (the deployment configuration).
 //!
-//! The SQL section also shares one [`wtq_sql::PlannerCounters`] set across
+//! The SQL section also shares one [`wtq_oracle::PlannerCounters`] set across
 //! the engines it constructs and snapshots it after its workloads, so the
 //! report records which physical plans the cost model picked and how its
 //! selectivity estimates tracked reality.
@@ -29,8 +29,8 @@ use serde::Serialize;
 
 use wtq_core::{Engine, ExplainRequest};
 use wtq_dcs::{AggregateOp, CompareOp, Evaluator, Formula, SuperlativeOp};
+use wtq_oracle::{PlanMode, SqlEngine};
 use wtq_parser::SemanticParser;
-use wtq_sql::{PlanMode, SqlEngine};
 use wtq_table::{Catalog, Table, TableIndex, Value};
 
 use crate::EXPERIMENT_SEED;
@@ -229,7 +229,7 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
     for (name, formula) in workloads(&table, &index) {
         let timings = interleaved_us(&mut [
             &mut || {
-                let _ = wtq_dcs::eval_reference(&formula, &table);
+                let _ = wtq_oracle::eval_reference(&formula, &table);
             },
             &mut || {
                 let session = Evaluator::with_index(&table, index.clone());
@@ -253,7 +253,7 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
     let mut sql = Vec::new();
     // One shared counter set across every engine this section constructs, so
     // the report isolates exactly the decisions taken by its own workloads.
-    let planner_counters = Arc::new(wtq_sql::PlannerCounters::new());
+    let planner_counters = Arc::new(wtq_oracle::PlannerCounters::new());
     let warm_engine =
         SqlEngine::with_index(&table, &index).with_counters(Arc::clone(&planner_counters));
     for (name, formula) in workloads(&table, &index) {

@@ -10,7 +10,7 @@
 //! interleaved rounds:
 //!
 //! * **reference** — the string-keyed pipeline
-//!   (`wtq_parser::reference::parse_in_session_reference`), feature maps
+//!   (`wtq_oracle::parse_in_session_reference`), feature maps
 //!   keyed by owned `String`s, the executable pre-interning semantics,
 //! * **interned** — the production pipeline
 //!   (`SemanticParser::parse_in_session_with`): `FeatureId` symbol table,
@@ -28,7 +28,7 @@ use serde::Serialize;
 
 use wtq_dataset::questions::{generate_for_family, QuestionFamily};
 use wtq_dcs::Evaluator;
-use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
+use wtq_oracle::{parse_in_session_reference, ReferenceModel};
 use wtq_parser::{ParseSpans, ScratchSpace, SemanticParser};
 use wtq_table::Table;
 

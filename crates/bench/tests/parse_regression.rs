@@ -1,7 +1,7 @@
 //! Parse-pipeline performance regression gate: on each of the five operator
 //! workloads, the interned feature pipeline (`FeatureId` symbol table,
 //! sorted sparse vectors, dense weights, reused scratch) must never lose to
-//! the string-keyed reference (`wtq_parser::reference`) end to end. This is
+//! the string-keyed reference (`wtq_oracle::parser`) end to end. This is
 //! the regression the interning rework was built to close: the old pipeline
 //! allocated a `BTreeMap<String, f64>` per candidate and re-rendered every
 //! feature name on every extraction.
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use wtq_bench::parse::{family_questions, parse_table, parse_workloads};
 use wtq_bench::EXPERIMENT_SEED;
 use wtq_dcs::Evaluator;
-use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
+use wtq_oracle::{parse_in_session_reference, ReferenceModel};
 use wtq_parser::{ScratchSpace, SemanticParser};
 
 const ROUNDS: usize = 7;

@@ -12,7 +12,8 @@
 use std::time::{Duration, Instant};
 
 use wtq_bench::exec::{bench_table, workloads};
-use wtq_sql::{translate, PlanMode, SqlEngine};
+use wtq_oracle::{PlanMode, SqlEngine};
+use wtq_sql::translate;
 use wtq_table::TableIndex;
 
 const ROUNDS: usize = 7;

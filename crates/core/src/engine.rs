@@ -27,8 +27,8 @@
 //! jobs on their own scheduler, one [`Engine::explain_question_with_spans`]
 //! each.
 //!
-//! Each engine owns its metric handles ([`EngineMetrics`], the index
-//! cache's and the planner's): two engines in one process never mix their
+//! Each engine owns its metric handles ([`EngineMetrics`] and the index
+//! cache's): two engines in one process never mix their
 //! numbers, and [`Engine::register`] attaches the live handles to a
 //! serving layer's registry.
 
@@ -172,12 +172,6 @@ pub struct Engine {
     indexes: IndexCache,
     config: EngineConfig,
     metrics: EngineMetrics,
-    /// SQL planner decision counters attributed to this engine. The engine
-    /// itself only *translates* formulas to SQL; callers that execute the
-    /// translations (benches, validation suites) share this set via
-    /// [`Engine::planner_counters`] so the activity lands on the engine's
-    /// metrics.
-    planner: Arc<wtq_sql::PlannerCounters>,
 }
 
 impl Default for Engine {
@@ -214,17 +208,7 @@ impl Engine {
             indexes: IndexCache::with_capacity(config.index_cache_capacity),
             config,
             metrics: EngineMetrics::default(),
-            planner: Arc::new(wtq_sql::PlannerCounters::new()),
         }
-    }
-
-    /// This engine's SQL planner decision counters. Hand a clone of the
-    /// `Arc` to any [`wtq_sql::SqlEngine`] executing translated formulas on
-    /// this engine's behalf (via
-    /// [`SqlEngine::with_counters`][wtq_sql::SqlEngine::with_counters]) and
-    /// the decisions show up in the engine's registered metrics.
-    pub fn planner_counters(&self) -> Arc<wtq_sql::PlannerCounters> {
-        Arc::clone(&self.planner)
     }
 
     /// The engine's serving counters and parse-stage timings.
@@ -233,7 +217,7 @@ impl Engine {
     }
 
     /// Attach every handle this engine owns — its [`EngineMetrics`], the
-    /// index cache's and the planner's — to `registry`.
+    /// index cache's — to `registry`.
     pub fn register(&self, registry: &Registry) {
         let metrics = &self.metrics;
         registry.attach(
@@ -260,7 +244,6 @@ impl Engine {
                 .zip(&metrics.parse_stage_duration),
         );
         self.indexes.metrics().register(registry);
-        self.planner.register(registry);
     }
 
     /// The shared semantic parser.

@@ -22,9 +22,6 @@
 //! assert!(explained[0].utterance.contains("column"));
 //! ```
 //!
-//! The sub-crates are re-exported under their short names so downstream users
-//! need a single dependency:
-//!
 //! The serving path is split into two tiers: a shared, `Send + Sync`
 //! [`Engine`] (trained parser + thread-safe LRU index cache) and cheap
 //! per-request [`Session`]s; [`Engine::explain_batch`] fans a batch of
@@ -33,26 +30,27 @@
 //! servers answer each question with [`CachedEngine::answer`] and assemble
 //! batches with [`CachedEngine::finish_batch`].
 //!
+//! The sub-crates are re-exported under their short names so downstream users
+//! need a single dependency:
+//!
 //! | module | contents |
 //! |---|---|
 //! | [`table`] | web-table data model (§3.1) |
 //! | [`dcs`] | lambda DCS language and evaluator (§3.2) |
-//! | [`sql`] | SQL translation and engine (Table 10) |
+//! | [`sql`] | SQL translation (Table 10) |
 //! | [`provenance`] | multilevel cell-based provenance and highlights (§4, §5.2) |
 //! | [`explain`] | query-to-utterance explanations (§5.1) |
 //! | [`parser`] | the log-linear semantic parser (§6.2) |
-//! | [`dataset`] | synthetic WikiTableQuestions-style data (§6.1) |
-//! | [`study`] | simulated user study, deployment and feedback loops (§7) |
-//! | [`runtime`] | scoped batch fan-out (`run_batch`) backing `explain_batch` and the offline training and study loops |
+//!
+//! The offline crates — the synthetic dataset generator (`wtq-dataset`,
+//! §6.1) and the simulated user study (`wtq-study`, §7) — build on these;
+//! serving links neither.
 
-pub use wtq_dataset as dataset;
 pub use wtq_dcs as dcs;
 pub use wtq_explain as explain;
 pub use wtq_parser as parser;
 pub use wtq_provenance as provenance;
-pub use wtq_runtime as runtime;
 pub use wtq_sql as sql;
-pub use wtq_study as study;
 pub use wtq_table as table;
 
 pub mod cached;

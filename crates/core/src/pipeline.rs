@@ -4,8 +4,7 @@
 //! candidate queries, and for each candidate the system generates (1) a
 //! detailed NL utterance, (2) provenance-based highlights over the table and
 //! (3) the SQL form of the query. The explained candidates are what the
-//! interface shows to a non-expert user for selection, and what the simulated
-//! user of `wtq-study` consumes.
+//! interface shows to a non-expert user for selection.
 
 use wtq_dcs::{Answer, Evaluator, Formula};
 use wtq_explain::utter;

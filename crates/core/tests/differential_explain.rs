@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 use wtq_core::Engine;
 use wtq_dcs::{parse_formula, Answer, Evaluator};
-use wtq_parser::reference::{parse_in_session_reference, ReferenceModel};
+use wtq_oracle::{parse_in_session_reference, ReferenceModel};
 use wtq_provenance::Highlights;
 
 #[test]

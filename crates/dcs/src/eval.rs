@@ -22,8 +22,8 @@
 //! lookup is an index, not a hash of a formula tree, and callers that
 //! build formulas as ids (the semantic parser's candidate generation)
 //! evaluate them without ever building a tree. The scan-based semantics it
-//! must agree with are kept in [`crate::reference`] as an executable
-//! specification, enforced by a differential proptest suite.
+//! must agree with are kept in the dev-only `wtq-oracle` crate as an
+//! executable specification, enforced by a differential proptest suite.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
@@ -1433,7 +1433,8 @@ mod tests {
     fn cache_hit_does_not_mask_depth_guard() {
         // The shallow branch caches B; the deep branch reaches B at a depth
         // where a fresh recursion would exceed MAX_EVAL_DEPTH. The cache hit
-        // must report the same DepthExceeded the scan reference does.
+        // must report DepthExceeded, as the scan reference does
+        // (`differential_exec` compares the two on this formula).
         let table = samples::olympics();
         let mut b = Formula::join_str("Country", "Greece");
         for _ in 0..10 {
@@ -1445,10 +1446,6 @@ mod tests {
         }
         let q = Formula::Intersect(Box::new(b), Box::new(deep));
         let session = Evaluator::new(&table);
-        assert_eq!(
-            session.eval(&q),
-            crate::reference::eval_reference(&q, &table)
-        );
         assert!(matches!(session.eval(&q), Err(DcsError::DepthExceeded(_))));
     }
 

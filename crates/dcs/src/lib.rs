@@ -31,14 +31,15 @@
 //!   answers formulas without cell traces ([`Evaluator::answer`]); the
 //!   arena is emptied with the memo once it passes [`FORMULA_ARENA_CAP`]
 //!   nodes,
-//! * [`reference`](mod@reference) — the scan-based reference semantics the indexed engine
-//!   is differentially tested against,
 //! * [`typecheck`](mod@typecheck) — static classification of formulas into record-denoting /
 //!   value-denoting / numeric, one typing rule per operator that the
 //!   arena applies once per node (the semantic parser's candidate
 //!   generation reads it from there),
 //! * [`Answer`] — canonicalized query results used to compare a candidate
 //!   query's output against a gold answer (the `r(z|T, y)` indicator of §6.2).
+//!
+//! The scan-based reference semantics the indexed engine is differentially
+//! tested against live in the dev-only `wtq-oracle` crate.
 //!
 //! [`Display`]: std::fmt::Display
 
@@ -48,7 +49,6 @@ pub mod ast;
 pub mod error;
 pub mod eval;
 pub mod parse;
-pub mod reference;
 pub mod typecheck;
 
 pub use answer::Answer;
@@ -57,7 +57,6 @@ pub use ast::{AggregateOp, CompareOp, Formula, SuperlativeOp};
 pub use error::DcsError;
 pub use eval::{compare_records, eval, Denotation, Evaluator, TracedValue};
 pub use parse::parse_formula;
-pub use reference::eval_reference;
 pub use typecheck::{typecheck, FormulaType};
 
 /// Result alias used across the crate.

@@ -1,15 +1,15 @@
 //! Differential suite: the indexed evaluator must produce denotations —
 //! including provenance cell traces — identical to the scan-based reference
-//! semantics (`wtq_dcs::reference`) on random tables and random formulas,
+//! semantics (`wtq_oracle::reference`) on random tables and random formulas,
 //! and a warm evaluator session (denotation cache populated) must agree with
 //! a cold one. Its untraced [`Evaluator::answer`] must equal the canonical
 //! answer of the reference denotation, bit for bit.
 
 use proptest::prelude::*;
-use wtq_dcs::{
-    eval_reference, AggregateOp, Answer, CompareOp, DcsError, Evaluator, Formula, SuperlativeOp,
-};
-use wtq_table::{Table, TableBuilder, Value};
+use wtq_dcs::eval::MAX_EVAL_DEPTH;
+use wtq_dcs::{AggregateOp, Answer, CompareOp, DcsError, Evaluator, Formula, SuperlativeOp};
+use wtq_oracle::eval_reference;
+use wtq_table::{samples, Table, TableBuilder, Value};
 
 /// Cell text drawn from a small vocabulary (so joins hit repeated values)
 /// plus numbers, dates and arbitrary short strings.
@@ -488,4 +488,23 @@ proptest! {
             }
         }
     }
+}
+
+/// A memo hit deep in a formula reports the depth error a fresh recursion
+/// would: the shallow branch caches B, and the deep branch reaches B at a
+/// depth where recomputing it would exceed `MAX_EVAL_DEPTH`.
+#[test]
+fn cache_hit_depth_guard_matches_scan_reference() {
+    let table = samples::olympics();
+    let mut b = Formula::join_str("Country", "Greece");
+    for _ in 0..10 {
+        b = Formula::Prev(Box::new(b));
+    }
+    let mut deep = b.clone();
+    for _ in 0..(MAX_EVAL_DEPTH - 4) {
+        deep = Formula::Prev(Box::new(deep));
+    }
+    let q = Formula::Intersect(Box::new(b), Box::new(deep));
+    let session = Evaluator::new(&table);
+    assert_eq!(session.eval(&q), eval_reference(&q, &table));
 }

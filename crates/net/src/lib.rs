@@ -4,11 +4,13 @@
 //! pieces a readiness-driven reactor is built from, with **zero external
 //! crates** (the build environment is offline: no tokio, no mio, not even
 //! `libc` — the few syscalls needed are declared by hand in [`sys`] and
-//! resolve against the C library `std` already links).
+//! resolve against the C library `std` already links). Linux only: the
+//! poller is `epoll`, and the syscall bindings use Linux's constants and
+//! layouts.
 //!
-//! * [`Poller`] — a level-triggered readiness poller: `epoll` on Linux,
-//!   a `poll(2)` fallback elsewhere. Caller-owned fds, `u64` tokens,
-//!   explicit per-fd [`Interest`] management.
+//! * [`Poller`] — a level-triggered `epoll` readiness poller.
+//!   Caller-owned fds, `u64` tokens, explicit per-fd [`Interest`]
+//!   management.
 //! * [`Waker`]/[`WakeReceiver`] — a self-pipe wakeup so other threads
 //!   (worker pools completing responses, acceptors handing off sockets,
 //!   shutdown) can interrupt a blocked [`Poller::wait`].
@@ -22,7 +24,7 @@
 //! executors — the server builds its event loop and per-connection state
 //! machines directly on these primitives (see `wtq_server::reactor`).
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 pub mod poller;
 pub mod rlimit;

@@ -1,5 +1,5 @@
-//! The readiness poller: a level-triggered wrapper over `epoll` (Linux) or
-//! `poll(2)` (other unixes), with explicit per-fd interest management.
+//! The readiness poller: a level-triggered wrapper over `epoll`, with
+//! explicit per-fd interest management.
 //!
 //! Level-triggered on purpose: the reactor re-polls until its reads and
 //! writes hit `WouldBlock`, so a level-triggered poller cannot lose a
@@ -10,6 +10,8 @@
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
+
+use crate::sys::{self, epoll};
 
 /// What a registration wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,34 +56,48 @@ pub struct Event {
 ///
 /// The caller keeps fd ownership; the poller only watches. Registrations
 /// are keyed by caller-chosen `u64` tokens, echoed back in [`Event`]s.
-#[derive(Debug)]
 pub struct Poller {
-    inner: imp::Poller,
+    epfd: RawFd,
+    /// Scratch buffer reused across waits.
+    buf: Vec<epoll::epoll_event>,
+}
+
+impl std::fmt::Debug for Poller {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Poller").field("epfd", &self.epfd).finish()
+    }
 }
 
 impl Poller {
     /// A fresh poller.
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; `cvt` rejects a
+        // negative return before it is used as an fd.
+        let epfd = sys::cvt(unsafe { epoll::epoll_create1(epoll::EPOLL_CLOEXEC) })?;
         Ok(Poller {
-            inner: imp::Poller::new()?,
+            epfd,
+            buf: vec![epoll::epoll_event { events: 0, data: 0 }; 256],
         })
     }
 
     /// Start watching `fd` under `token`.
     pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.add(fd, token, interest)
+        self.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Change what an already-registered `fd` is woken for.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.modify(fd, token, interest)
+        self.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Stop watching `fd`. Must be called *before* the fd is closed — a
-    /// closed fd is silently dropped by epoll but would poison the `poll`
-    /// fallback's array.
+    /// Stop watching `fd`. Call it *before* the fd is closed: a closed fd
+    /// leaves epoll on its own, and a delete after the close fails.
     pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-        self.inner.delete(fd)
+        let mut event = epoll::epoll_event { events: 0, data: 0 };
+        // SAFETY: `event` is a live `epoll_event` for the whole call (the
+        // kernel ignores it for `EPOLL_CTL_DEL`).
+        sys::cvt(unsafe { epoll::epoll_ctl(self.epfd, epoll::EPOLL_CTL_DEL, fd, &mut event) })?;
+        Ok(())
     }
 
     /// Block until at least one registered fd is ready or `timeout`
@@ -93,223 +109,76 @@ impl Poller {
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
-        self.inner.wait(events, timeout)
+        let n = loop {
+            // SAFETY: `buf` holds `buf.len()` initialized events, and
+            // `epoll_wait` writes at most `maxevents = buf.len()` of them.
+            let rc = unsafe {
+                epoll::epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as i32,
+                    timeout_ms(timeout),
+                )
+            };
+            if rc >= 0 {
+                break rc as usize;
+            }
+            let err = sys::last_errno();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        };
+        for raw in &self.buf[..n] {
+            let bits = raw.events;
+            events.push(Event {
+                token: raw.data,
+                readable: bits
+                    & (epoll::EPOLLIN | epoll::EPOLLHUP | epoll::EPOLLERR | epoll::EPOLLRDHUP)
+                    != 0,
+                writable: bits & (epoll::EPOLLOUT | epoll::EPOLLERR) != 0,
+            });
+        }
+        Ok(n)
+    }
+
+    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut event = epoll::epoll_event {
+            events: mask(interest),
+            data: token,
+        };
+        // SAFETY: `event` is a live, initialized `epoll_event` for the
+        // whole call.
+        sys::cvt(unsafe { epoll::epoll_ctl(self.epfd, op, fd, &mut event) })?;
+        Ok(())
     }
 }
 
-/// Clamp an optional timeout to the C `int` milliseconds `epoll_wait` and
-/// `poll` take (`-1` blocks).
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: the poller owns `epfd` and closes it exactly once, here.
+        unsafe { sys::close(self.epfd) };
+    }
+}
+
+fn mask(interest: Interest) -> u32 {
+    let mut mask = 0;
+    if interest.readable {
+        // RDHUP rides with read interest only: a connection that has
+        // already seen EOF parks with an empty mask, and a half-closed
+        // peer cannot spin the reactor while its request is in flight.
+        mask |= epoll::EPOLLIN | epoll::EPOLLRDHUP;
+    }
+    if interest.writable {
+        mask |= epoll::EPOLLOUT;
+    }
+    mask
+}
+
+/// Clamp an optional timeout to the C `int` milliseconds `epoll_wait`
+/// takes (`-1` blocks).
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
         Some(duration) => duration.as_millis().min(i32::MAX as u128) as i32,
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::{timeout_ms, Event, Interest};
-    use crate::sys::{self, epoll};
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    pub struct Poller {
-        epfd: RawFd,
-        /// Scratch buffer reused across waits.
-        buf: Vec<epoll::epoll_event>,
-    }
-
-    impl std::fmt::Debug for Poller {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Poller").field("epfd", &self.epfd).finish()
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut mask = 0;
-        if interest.readable {
-            // RDHUP rides with read interest only: a connection that has
-            // already seen EOF parks with an empty mask, and a half-closed
-            // peer cannot spin the reactor while its request is in flight.
-            mask |= epoll::EPOLLIN | epoll::EPOLLRDHUP;
-        }
-        if interest.writable {
-            mask |= epoll::EPOLLOUT;
-        }
-        mask
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            let epfd = sys::cvt(unsafe { epoll::epoll_create1(epoll::EPOLL_CLOEXEC) })?;
-            Ok(Poller {
-                epfd,
-                buf: vec![epoll::epoll_event { events: 0, data: 0 }; 256],
-            })
-        }
-
-        fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut event = epoll::epoll_event {
-                events: mask(interest),
-                data: token,
-            };
-            sys::cvt(unsafe { epoll::epoll_ctl(self.epfd, op, fd, &mut event) })?;
-            Ok(())
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut event = epoll::epoll_event { events: 0, data: 0 };
-            sys::cvt(unsafe { epoll::epoll_ctl(self.epfd, epoll::EPOLL_CTL_DEL, fd, &mut event) })?;
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let n = loop {
-                let rc = unsafe {
-                    epoll::epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as i32,
-                        timeout_ms(timeout),
-                    )
-                };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = sys::last_errno();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for raw in &self.buf[..n] {
-                let bits = raw.events;
-                events.push(Event {
-                    token: raw.data,
-                    readable: bits
-                        & (epoll::EPOLLIN | epoll::EPOLLHUP | epoll::EPOLLERR | epoll::EPOLLRDHUP)
-                        != 0,
-                    writable: bits & (epoll::EPOLLOUT | epoll::EPOLLERR) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { sys::close(self.epfd) };
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::{timeout_ms, Event, Interest};
-    use crate::sys::{self, poll};
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    /// O(n)-per-wait fallback for development on non-Linux unixes; the
-    /// production target is the epoll backend above.
-    #[derive(Debug)]
-    pub struct Poller {
-        entries: Vec<(RawFd, u64, Interest)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                entries: Vec::new(),
-            })
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.entries.iter().any(|(other, _, _)| *other == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd registered",
-                ));
-            }
-            self.entries.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for entry in &mut self.entries {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-            let before = self.entries.len();
-            self.entries.retain(|(other, _, _)| *other != fd);
-            if self.entries.len() == before {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-            }
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let mut fds: Vec<poll::pollfd> = self
-                .entries
-                .iter()
-                .map(|(fd, _, interest)| poll::pollfd {
-                    fd: *fd,
-                    events: (if interest.readable { poll::POLLIN } else { 0 })
-                        | (if interest.writable { poll::POLLOUT } else { 0 }),
-                    revents: 0,
-                })
-                .collect();
-            loop {
-                let rc = unsafe {
-                    poll::poll(
-                        fds.as_mut_ptr(),
-                        fds.len() as sys::nfds_t,
-                        timeout_ms(timeout),
-                    )
-                };
-                if rc >= 0 {
-                    break;
-                }
-                let err = sys::last_errno();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-            for (slot, (_, token, _)) in fds.iter().zip(&self.entries) {
-                let bits = slot.revents;
-                if bits == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token: *token,
-                    readable: bits & (poll::POLLIN | poll::POLLHUP | poll::POLLERR) != 0,
-                    writable: bits & (poll::POLLOUT | poll::POLLERR) != 0,
-                });
-            }
-            Ok(events.len())
-        }
     }
 }

@@ -3,18 +3,14 @@
 //! library, so these `extern "C"` declarations resolve against it at link
 //! time; only the tiny slice of the API the reactor needs is declared.
 //!
-//! Everything here is `#[cfg(unix)]`; the epoll surface is additionally
-//! Linux-only (see [`crate::poller`] for the portable `poll(2)` fallback).
+//! The constants and struct layouts are Linux's; the crate builds on Linux
+//! only.
 
 #![allow(non_camel_case_types)]
 
 use std::os::unix::io::RawFd;
 
 pub type c_int = i32;
-#[cfg(target_os = "linux")]
-pub type nfds_t = u64;
-#[cfg(all(unix, not(target_os = "linux")))]
-pub type nfds_t = u32;
 
 // -- errno ------------------------------------------------------------------
 
@@ -33,9 +29,8 @@ pub fn cvt(rc: c_int) -> std::io::Result<c_int> {
     }
 }
 
-// -- epoll (Linux) ----------------------------------------------------------
+// -- epoll ------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 pub mod epoll {
     use super::{c_int, RawFd};
 
@@ -74,40 +69,10 @@ pub mod epoll {
     }
 }
 
-// -- poll (portable fallback) ----------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-pub mod poll {
-    use super::{c_int, nfds_t, RawFd};
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct pollfd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    extern "C" {
-        pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout_ms: c_int) -> c_int;
-    }
-}
-
 // -- pipes, fds -------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 pub const O_NONBLOCK: c_int = 0o4000;
-#[cfg(target_os = "linux")]
 pub const O_CLOEXEC: c_int = 0o2000000;
-#[cfg(all(unix, not(target_os = "linux")))]
-pub const O_NONBLOCK: c_int = 0x0004;
-pub const F_GETFL: c_int = 3;
-pub const F_SETFL: c_int = 4;
 
 /// `struct iovec` for `writev(2)` — one gather segment.
 #[repr(C)]
@@ -122,35 +87,20 @@ extern "C" {
     pub fn read(fd: RawFd, buf: *mut u8, count: usize) -> isize;
     pub fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
     pub fn writev(fd: RawFd, iov: *const iovec, iovcnt: c_int) -> isize;
-    pub fn fcntl(fd: RawFd, cmd: c_int, arg: c_int) -> c_int;
-    #[cfg(target_os = "linux")]
     pub fn pipe2(fds: *mut RawFd, flags: c_int) -> c_int;
-    #[cfg(not(target_os = "linux"))]
-    pub fn pipe(fds: *mut RawFd) -> c_int;
 }
 
 /// A nonblocking, close-on-exec pipe: `(read_end, write_end)`.
 pub fn nonblocking_pipe() -> std::io::Result<(RawFd, RawFd)> {
     let mut fds: [RawFd; 2] = [-1; 2];
-    #[cfg(target_os = "linux")]
+    // SAFETY: `fds` is the two-element array `pipe2` writes the ends into.
     cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) })?;
-    #[cfg(not(target_os = "linux"))]
-    {
-        cvt(unsafe { pipe(fds.as_mut_ptr()) })?;
-        for fd in fds {
-            let flags = cvt(unsafe { fcntl(fd, F_GETFL, 0) })?;
-            cvt(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) })?;
-        }
-    }
     Ok((fds[0], fds[1]))
 }
 
 // -- rlimit -----------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 pub const RLIMIT_NOFILE: c_int = 7;
-#[cfg(all(unix, not(target_os = "linux")))]
-pub const RLIMIT_NOFILE: c_int = 8;
 
 #[repr(C)]
 #[derive(Clone, Copy)]

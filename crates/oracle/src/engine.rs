@@ -64,10 +64,10 @@ use std::sync::{Arc, OnceLock};
 use wtq_dcs::{compare_records, AggregateOp, CompareOp};
 use wtq_table::{RecordIdx, Table, TableIndex, Value};
 
-use crate::ast::{ArithOp, SqlExpr, SqlOrder, SqlQuery, SqlSelect};
-use crate::error::SqlError;
+use wtq_sql::ast::{ArithOp, SqlExpr, SqlOrder, SqlQuery, SqlSelect};
+use wtq_sql::{Result, SqlError};
+
 use crate::stats::PlannerCounters;
-use crate::Result;
 
 /// Query output: a list of rows, each a list of values.
 pub type SqlResult = Vec<Vec<Value>>;
@@ -94,15 +94,15 @@ pub enum PlanMode {
 #[derive(Debug)]
 pub struct SqlEngine<'a> {
     table: &'a Table,
-    /// An index supplied by the caller (e.g. the serving layer's shared
-    /// cache); preferred over `built` whenever present.
+    /// An index supplied by the caller (e.g. from a shared index cache);
+    /// preferred over `built` whenever present.
     shared: Option<&'a TableIndex>,
     /// Index built on demand by `ForceIndex`. `Auto` only ever *reads* this
     /// — a warm engine stays warm, a cold one never pays the build.
     built: OnceLock<TableIndex>,
     /// This engine's planner decision counters. Fresh per engine by
-    /// default; a long-lived owner (the serving layer) can share one set
-    /// across its per-request engines via [`SqlEngine::with_counters`].
+    /// default; a long-lived owner can share one set across the engines it
+    /// constructs via [`SqlEngine::with_counters`].
     counters: Arc<PlannerCounters>,
 }
 
@@ -901,7 +901,6 @@ fn eval_row(expr: &SqlExpr, ctx: Ctx<'_>, record: RecordIdx) -> Result<EvalValue
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{SqlExpr, SqlOrder, SqlQuery, SqlSelect};
     use wtq_dcs::CompareOp;
     use wtq_table::samples;
 

@@ -2,8 +2,8 @@
 //!
 //! This module preserves the original `BTreeMap<String, f64>` feature
 //! extraction, scoring, ranking and AdaGrad training, exactly as they were
-//! before feature names were interned ([`crate::symbols`]). It exists for
-//! the same two reasons as `wtq_dcs::reference`:
+//! before feature names were interned ([`wtq_parser::symbols`]). It exists for
+//! the same two reasons as [`crate::reference`]:
 //!
 //! 1. **Differential testing** — the proptest suites assert that the
 //!    interned pipeline produces candidate scores, ranking orders and
@@ -26,10 +26,13 @@ use rand_chacha::ChaCha8Rng;
 use wtq_dcs::{AggregateOp, Answer, Evaluator, Formula, SuperlativeOp};
 use wtq_table::{Catalog, IndexCache, Table};
 
-use crate::candidates::{generate_candidates_with, CandidateConfig, RawCandidate};
-use crate::lexicon::{analyze_question_with, QuestionAnalysis};
-use crate::model::{softmax, LogLinearModel};
-use crate::train::{reward, TrainConfig, TrainExample};
+use wtq_parser::candidates::RawCandidate;
+use wtq_parser::model::softmax;
+use wtq_parser::train::reward;
+use wtq_parser::{
+    analyze_question_with, generate_candidates_with, CandidateConfig, LogLinearModel,
+    QuestionAnalysis, TrainConfig, TrainExample,
+};
 
 /// The original sparse feature vector: name → value.
 pub type ReferenceFeatures = BTreeMap<String, f64>;
@@ -496,7 +499,7 @@ fn prepare_reference(
 
 /// The original AdaGrad trainer over string-keyed weight maps. Training
 /// schedules (shuffle order, epochs, parallel preparation) match
-/// [`crate::Trainer`] exactly, so trained weights must come out
+/// [`wtq_parser::Trainer`] exactly, so trained weights must come out
 /// byte-identical.
 pub struct ReferenceTrainer {
     adagrad: BTreeMap<String, f64>,

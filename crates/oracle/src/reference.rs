@@ -6,7 +6,7 @@
 //! no memoization. It exists for two reasons:
 //!
 //! 1. **Differential testing** — the proptest suites assert that the indexed
-//!    [`crate::Evaluator`] produces denotations (including provenance cell
+//!    [`wtq_dcs::Evaluator`] produces denotations (including provenance cell
 //!    traces) identical to this implementation on random tables and formulas.
 //! 2. **Benchmark baseline** — the `operator_matrix` and `exec_layer`
 //!    benches report indexed-vs-scan speedups against this implementation.
@@ -17,13 +17,11 @@ use std::collections::BTreeSet;
 
 use wtq_table::{CellRef, RecordIdx, Table, Value};
 
-use crate::ast::{AggregateOp, Formula, SuperlativeOp};
-use crate::error::DcsError;
-use crate::eval::{Denotation, TracedValue, MAX_EVAL_DEPTH};
-use crate::Result;
+use wtq_dcs::eval::MAX_EVAL_DEPTH;
+use wtq_dcs::{AggregateOp, DcsError, Denotation, Formula, Result, SuperlativeOp, TracedValue};
 
 /// Evaluate `formula` against `table` with the scan-based reference
-/// semantics. The result must always equal `crate::eval(formula, table)`.
+/// semantics. The result must always equal `wtq_dcs::eval(formula, table)`.
 pub fn eval_reference(formula: &Formula, table: &Table) -> Result<Denotation> {
     eval_depth(formula, table, 0)
 }
@@ -437,7 +435,7 @@ fn eval_aggregate(op: AggregateOp, inner: Denotation) -> Result<Denotation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eval, parse_formula};
+    use wtq_dcs::{eval, parse_formula};
     use wtq_table::samples;
 
     #[test]

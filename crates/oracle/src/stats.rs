@@ -24,8 +24,8 @@ use std::sync::Arc;
 use wtq_obs::{Counter, Registry};
 
 /// One engine's planner decision counters. Shareable across threads behind
-/// an `Arc` (the serving layer keeps one per served engine and hands it to
-/// every per-request [`SqlEngine`][crate::SqlEngine]).
+/// an `Arc` (a long-lived owner keeps one and hands it to every
+/// [`SqlEngine`][crate::SqlEngine] it constructs).
 #[derive(Debug, Default)]
 pub struct PlannerCounters {
     /// Filters that fell back to the per-row interpreted scan (predicate

@@ -17,7 +17,7 @@
 //!   ids are assigned in name order ([`crate::symbols`]), so iterating it
 //!   reproduces the old `BTreeMap<String, f64>` iteration order exactly —
 //!   dot products sum in the same sequence and scores stay bit-identical to
-//!   [`crate::reference::extract_features_reference`];
+//!   the string-keyed reference extractor of the dev-only `wtq-oracle` crate;
 //! * everything that depends only on the *question* (trigger phrase hits,
 //!   wh-word expectations, link texts, column mentions) is computed once per
 //!   question in a [`QuestionContext`] and shared by every candidate,
@@ -647,7 +647,6 @@ mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateConfig};
     use crate::lexicon::analyze_question;
-    use crate::reference::extract_features_reference;
     use wtq_dcs::parse_formula;
     use wtq_table::samples;
 
@@ -717,76 +716,5 @@ mod tests {
             assert!(!features.is_empty());
             assert!(features.iter().all(|(_, v)| v.is_finite()));
         }
-    }
-
-    #[test]
-    fn interned_features_match_the_string_keyed_reference() {
-        // The differential contract, checked here on the fixed sample suite
-        // (the proptest suite fuzzes it over random tables/questions): same
-        // names, and bit-identical values.
-        let cases = [
-            (
-                samples::olympics(),
-                "Greece held its last Olympics in what year?",
-            ),
-            (
-                samples::shipwrecks(),
-                "How many more ships were wrecked in Lake Huron than in Lake Erie?",
-            ),
-            (
-                samples::medals(),
-                "What is the difference in Total between Fiji and Tonga?",
-            ),
-        ];
-        for (table, question) in cases {
-            let analysis = analyze_question(question, &table);
-            let candidates = generate_candidates(&analysis, &table, &CandidateConfig::default());
-            assert!(!candidates.is_empty());
-            for candidate in &candidates {
-                let interned = extract_features(&analysis, &table, candidate).to_named();
-                let reference = extract_features_reference(&analysis, &table, candidate);
-                assert_eq!(
-                    interned.len(),
-                    reference.len(),
-                    "feature sets differ on {}",
-                    candidate.formula
-                );
-                for ((a_name, a_value), (b_name, b_value)) in interned.iter().zip(reference.iter())
-                {
-                    assert_eq!(a_name, b_name);
-                    assert_eq!(
-                        a_value.to_bits(),
-                        b_value.to_bits(),
-                        "{a_name} differs on {}",
-                        candidate.formula
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_products_use_only_present_features_and_match_reference() {
-        let table = samples::olympics();
-        let analysis = analyze_question("Greece held its last Olympics in what year?", &table);
-        let gold = candidate(&table, "max(R[Year].Country.Greece)");
-        let features = extract_features(&analysis, &table, &gold);
-        // Dense weights: 1.0 everywhere a feature exists plus a weight on a
-        // feature the vector does not contain.
-        let model = crate::model::LogLinearModel::with_prior();
-        let reference_weights = model.sorted_weights();
-        let dense_score = model.score(&features);
-        let reference_score = crate::reference::dot_reference(
-            &crate::reference::extract_features_reference(&analysis, &table, &gold),
-            &reference_weights,
-        );
-        assert_eq!(dense_score.to_bits(), reference_score.to_bits());
-        // Sparse-sparse merge walk agrees with the dense product.
-        let mut weight_pairs: Vec<(FeatureId, f64)> = reference_weights
-            .iter()
-            .map(|(name, value)| (crate::symbols::intern(name), *value))
-            .collect();
-        let sparse_weights = FeatureVec::from_pairs(&mut weight_pairs);
-        assert!((features.dot_sparse(&sparse_weights) - dense_score).abs() < 1e-12);
     }
 }

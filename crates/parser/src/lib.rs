@@ -33,9 +33,9 @@
 //!
 //! Feature ids are assigned in lexicographic name order, so every id-ordered
 //! walk (scoring, serialization, gradient updates) reproduces the historical
-//! string-keyed pipeline bit for bit — pinned by [`reference`](mod@reference), which keeps
-//! the original `BTreeMap<String, f64>` implementation alive as a
-//! differential oracle. [`spans`] defines the per-stage parse timing spans
+//! string-keyed pipeline bit for bit — pinned against the dev-only
+//! `wtq-oracle` crate, which keeps the original `BTreeMap<String, f64>`
+//! implementation alive as a differential oracle. [`spans`] defines the per-stage parse timing spans
 //! a parse leaves in its [`scratch`] space, next to the reusable
 //! per-session working buffers. The parser keeps no process-wide state.
 
@@ -43,7 +43,6 @@ pub mod candidates;
 pub mod features;
 pub mod lexicon;
 pub mod model;
-pub mod reference;
 pub mod scratch;
 pub mod spans;
 pub mod symbols;

@@ -149,11 +149,6 @@ impl LogLinearModel {
         self.present[id.index()] = true;
     }
 
-    /// The dense weight slice (indexed by [`FeatureId`]).
-    pub fn dense_weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// The present weights as a sorted name → weight map — the historical
     /// sparse representation (zero-weight entries included).
     pub fn sorted_weights(&self) -> BTreeMap<String, f64> {

@@ -16,8 +16,8 @@
 //! order*. A feature vector sorted by id is therefore iterated in exactly
 //! the order the old `BTreeMap<String, f64>` iterated its keys, so dot
 //! products sum their terms in the same sequence and scores stay
-//! bit-identical to the string-keyed reference implementation
-//! ([`crate::reference`]). Extracted vectors only ever contain static ids;
+//! bit-identical to the string-keyed reference implementation (in the
+//! dev-only `wtq-oracle` crate). Extracted vectors only ever contain static ids;
 //! dynamic ids exist solely so models can carry weights for names the
 //! extractor never emits (where they are dead weight, exactly as before).
 

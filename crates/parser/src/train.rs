@@ -359,7 +359,7 @@ impl Trainer {
 
 /// The reward indicator: `r*` (Eq. 7) for annotated examples, `r` (Eq. 5)
 /// otherwise.
-pub(crate) fn reward(formula: &Formula, answer: &Answer, example: &TrainExample) -> f64 {
+pub fn reward(formula: &Formula, answer: &Answer, example: &TrainExample) -> f64 {
     if example.is_annotated() {
         if example
             .annotations

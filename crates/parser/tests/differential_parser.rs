@@ -1,5 +1,5 @@
 //! Differential suite: the interned feature pipeline must be byte-identical
-//! to the string-keyed reference (`wtq_parser::reference`) — the executable
+//! to the string-keyed reference (`wtq_oracle::parser`) — the executable
 //! specification of the pre-interning parser.
 //!
 //! Three properties over random tables and questions:
@@ -15,10 +15,17 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_dataset::{all_domains, generate_questions, generate_table};
-use wtq_dcs::Evaluator;
-use wtq_parser::reference::{parse_in_session_reference, ReferenceModel, ReferenceTrainer};
-use wtq_parser::{LogLinearModel, SemanticParser, TrainConfig, TrainExample, Trainer};
-use wtq_table::{Catalog, Table};
+use wtq_dcs::{parse_formula, Answer, Evaluator};
+use wtq_oracle::{
+    dot_reference, extract_features_reference, parse_in_session_reference, ReferenceModel,
+    ReferenceTrainer,
+};
+use wtq_parser::candidates::RawCandidate;
+use wtq_parser::{
+    analyze_question, extract_features, generate_candidates, intern, CandidateConfig, FeatureId,
+    FeatureVec, LogLinearModel, SemanticParser, TrainConfig, TrainExample, Trainer,
+};
+use wtq_table::{samples, Catalog, Table};
 
 /// A random synthetic table plus a batch of questions about it, all derived
 /// from one seed (the proptest-generated value).
@@ -203,4 +210,81 @@ proptest! {
         );
         prop_assert_eq!(model_json, reference_json);
     }
+}
+
+/// The candidate `formula_text` with its answer on `table`.
+fn candidate(table: &Table, formula_text: &str) -> RawCandidate {
+    let formula = parse_formula(formula_text).unwrap();
+    let answer = Answer::from_denotation(&wtq_dcs::eval(&formula, table).unwrap());
+    RawCandidate { formula, answer }
+}
+
+#[test]
+fn interned_features_match_the_string_keyed_reference() {
+    // The differential contract, checked here on the fixed sample suite
+    // (the proptest suite fuzzes it over random tables/questions): same
+    // names, and bit-identical values.
+    let cases = [
+        (
+            samples::olympics(),
+            "Greece held its last Olympics in what year?",
+        ),
+        (
+            samples::shipwrecks(),
+            "How many more ships were wrecked in Lake Huron than in Lake Erie?",
+        ),
+        (
+            samples::medals(),
+            "What is the difference in Total between Fiji and Tonga?",
+        ),
+    ];
+    for (table, question) in cases {
+        let analysis = analyze_question(question, &table);
+        let candidates = generate_candidates(&analysis, &table, &CandidateConfig::default());
+        assert!(!candidates.is_empty());
+        for candidate in &candidates {
+            let interned = extract_features(&analysis, &table, candidate).to_named();
+            let reference = extract_features_reference(&analysis, &table, candidate);
+            assert_eq!(
+                interned.len(),
+                reference.len(),
+                "feature sets differ on {}",
+                candidate.formula
+            );
+            for ((a_name, a_value), (b_name, b_value)) in interned.iter().zip(reference.iter()) {
+                assert_eq!(a_name, b_name);
+                assert_eq!(
+                    a_value.to_bits(),
+                    b_value.to_bits(),
+                    "{a_name} differs on {}",
+                    candidate.formula
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dot_products_use_only_present_features_and_match_reference() {
+    let table = samples::olympics();
+    let analysis = analyze_question("Greece held its last Olympics in what year?", &table);
+    let gold = candidate(&table, "max(R[Year].Country.Greece)");
+    let features = extract_features(&analysis, &table, &gold);
+    // Dense weights: 1.0 everywhere a feature exists plus a weight on a
+    // feature the vector does not contain.
+    let model = LogLinearModel::with_prior();
+    let reference_weights = model.sorted_weights();
+    let dense_score = model.score(&features);
+    let reference_score = dot_reference(
+        &extract_features_reference(&analysis, &table, &gold),
+        &reference_weights,
+    );
+    assert_eq!(dense_score.to_bits(), reference_score.to_bits());
+    // Sparse-sparse merge walk agrees with the dense product.
+    let mut weight_pairs: Vec<(FeatureId, f64)> = reference_weights
+        .iter()
+        .map(|(name, value)| (intern(name), *value))
+        .collect();
+    let sparse_weights = FeatureVec::from_pairs(&mut weight_pairs);
+    assert!((features.dot_sparse(&sparse_weights) - dense_score).abs() < 1e-12);
 }

@@ -262,16 +262,6 @@ fn require_column(table: &Table, name: &str) -> wtq_dcs::Result<usize> {
         .ok_or_else(|| wtq_dcs::DcsError::UnknownColumn(name.to_string()))
 }
 
-/// Count-based summary of a chain, used by tests and by the experiments
-/// binary when reporting Figure galleries.
-pub fn chain_summary(chain: &ProvenanceChain) -> (usize, usize, usize) {
-    (
-        chain.output.len(),
-        chain.execution.len(),
-        chain.columns.len(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

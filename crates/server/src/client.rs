@@ -97,7 +97,6 @@ impl Default for RetryPolicy {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
-    max_frame_len: u32,
 }
 
 impl Client {
@@ -143,25 +142,12 @@ impl Client {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(options.read_timeout)?;
         stream.set_write_timeout(options.write_timeout)?;
-        Ok(Client {
-            stream,
-            next_id: 1,
-            max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-        })
+        Ok(Client { stream, next_id: 1 })
     }
 
     /// Change the per-read timeout on the live connection.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)
-    }
-
-    /// Raise (or lower) the largest response frame this client accepts —
-    /// large batches over wide tables can exceed the
-    /// [`wire::DEFAULT_MAX_FRAME_LEN`] default, and a frame over the limit
-    /// is a connection-fatal [`FrameError::TooLarge`] (the payload is left
-    /// unread, so the stream position cannot be trusted afterwards).
-    pub fn set_max_frame_len(&mut self, max_frame_len: u32) {
-        self.max_frame_len = max_frame_len;
     }
 
     /// Explain one question over the registered table `table`.
@@ -249,20 +235,6 @@ impl Client {
         }
     }
 
-    /// [`Client::explain_batch`] with backpressure retries (see
-    /// [`Client::explain_with_retry`]).
-    pub fn explain_batch_with_retry(
-        &mut self,
-        requests: Vec<ExplainBody>,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<WireExplanation>, ClientError> {
-        let body = RequestBody::ExplainBatch(ExplainBatchBody { requests });
-        match self.call_with_retry(body, policy)? {
-            ResponseBody::Batch(batch) => Ok(batch.explanations),
-            other => Err(unexpected("Batch", &other)),
-        }
-    }
-
     /// [`Client::call`], but an [`wire::ErrorCode::Overloaded`] rejection is
     /// retried up to `policy.max_retries` times, sleeping the server's
     /// `retry_after_ms` hint (or `policy.default_backoff` without one,
@@ -308,7 +280,7 @@ impl Client {
             .map_err(|err| ClientError::Protocol(format!("request serialization: {err}")))?;
         wire::write_frame(&mut self.stream, json.as_bytes())?;
 
-        let payload = wire::read_frame(&mut self.stream, self.max_frame_len)?;
+        let payload = wire::read_frame(&mut self.stream, wire::DEFAULT_MAX_FRAME_LEN)?;
         let text = std::str::from_utf8(&payload)
             .map_err(|_| ClientError::Protocol("response is not UTF-8".to_string()))?;
         let response: ResponseEnvelope = serde_json::from_str(text)

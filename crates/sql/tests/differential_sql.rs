@@ -5,13 +5,16 @@
 //! rows identical to the `ForceScan` reference on random tables and
 //! queries, including the WHERE shapes the planner handles (`=`, numeric
 //! comparisons, `IN` lists, `AND`/`OR`) and the hashed `DISTINCT` /
-//! `UNION` dedup.
+//! `UNION` dedup. It also cross-validates the translation: on the sample
+//! tables, the translated SQL of each formula must execute to the formula's
+//! lambda DCS answer.
 
 use proptest::prelude::*;
-use wtq_dcs::CompareOp;
+use wtq_dcs::{eval, parse_formula, Answer, CompareOp};
+use wtq_oracle::{PlanMode, SqlEngine, SqlResult};
 use wtq_sql::ast::{SqlExpr, SqlQuery, SqlSelect};
-use wtq_sql::{translate, PlanMode, SqlEngine};
-use wtq_table::{Table, TableBuilder, TableIndex, Value};
+use wtq_sql::{translate, Result};
+use wtq_table::{samples, Table, TableBuilder, TableIndex, Value};
 
 /// Run `query` under every plan mode (cold Auto, warm Auto, ForceIndex)
 /// and check each against the ForceScan reference: same rows in the same
@@ -215,4 +218,101 @@ fn translated_operator_queries_match_scan() {
             );
         }
     }
+}
+
+fn execute(query: &SqlQuery, table: &Table) -> Result<SqlResult> {
+    SqlEngine::new(table).execute(query, PlanMode::Auto)
+}
+
+/// Execute both the lambda DCS formula and its SQL translation and assert
+/// they produce the same canonical answer.
+fn assert_cross_validates(text: &str, table: &Table) {
+    let formula = parse_formula(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
+    let dcs_answer = Answer::from_denotation(
+        &eval(&formula, table).unwrap_or_else(|e| panic!("eval {text:?}: {e}")),
+    );
+    let sql = translate(&formula).unwrap_or_else(|e| panic!("translate {text:?}: {e}"));
+    let rows = execute(&sql, table).unwrap_or_else(|e| panic!("execute {}: {e}", sql.to_sql()));
+    let sql_answer = if rows.len() == 1 && rows[0].len() == 1 {
+        Answer::values([rows[0][0].clone()])
+    } else {
+        Answer::values(rows.iter().filter_map(|row| row.first().cloned()))
+    };
+    assert_eq!(
+        dcs_answer,
+        sql_answer,
+        "lambda DCS and SQL disagree for {text:?}\n  sql: {}",
+        sql.to_sql()
+    );
+}
+
+#[test]
+fn cross_validates_value_and_numeric_operators() {
+    let olympics = samples::olympics();
+    for text in [
+        "R[Year].Country.Greece",
+        "R[City].Country.Greece",
+        "max(R[Year].Country.Greece)",
+        "min(R[Year].Rows)",
+        "count(City.Athens)",
+        "sum(R[Year].Country.Greece)",
+        "avg(R[Year].Country.UK)",
+        "R[City].argmin(Rows, Year)",
+        "R[Year].Prev.City.London",
+        "R[City].R[Prev].City.Athens",
+        "R[City].(Country.Greece or Country.China)",
+        "R[City].(City.London and Country.UK)",
+        "R[Year].last(Country.Greece)",
+        "R[Year].first(Country.UK)",
+        "R[City].Year.(> 2004)",
+        "compare_max((London or Beijing), Year, City)",
+        "compare_min((London or Beijing), Year, City)",
+        "most_common((Athens or Paris), City)",
+        "sub(max(R[Year].Rows), min(R[Year].Rows))",
+    ] {
+        assert_cross_validates(text, &olympics);
+    }
+}
+
+#[test]
+fn cross_validates_on_other_sample_tables() {
+    let medals = samples::medals();
+    for text in [
+        "sub(R[Total].Nation.Fiji, R[Total].Nation.Tonga)",
+        "R[Nation].argmin(Rows, Total)",
+        "sum(R[Gold].Rows)",
+        "count(Gold.(> 40))",
+    ] {
+        assert_cross_validates(text, &medals);
+    }
+    let wrecks = samples::shipwrecks();
+    for text in [
+        "sub(count(Lake.\"Lake Huron\"), count(Lake.\"Lake Erie\"))",
+        "most_common(R[Lake].Rows, Lake)",
+        "count((Lake.\"Lake Huron\" and Vessel.Steamer))",
+    ] {
+        assert_cross_validates(text, &wrecks);
+    }
+    let league = samples::usl_league();
+    for text in [
+        "max(R[Year].League.\"USL A-League\")",
+        "R[Year].last(League.\"USL A-League\")",
+        "min(R[Attendance].Rows)",
+    ] {
+        assert_cross_validates(text, &league);
+    }
+}
+
+#[test]
+fn record_formulas_execute_to_their_records() {
+    let q = translate(&parse_formula("Country.Greece").unwrap()).unwrap();
+    let rows = execute(&q, &samples::olympics()).unwrap();
+    assert_eq!(rows.len(), 2);
+}
+
+#[test]
+fn standalone_constant_translates_to_literal_row() {
+    let q = translate(&parse_formula("Greece").unwrap()).unwrap();
+    let rows = execute(&q, &samples::olympics()).unwrap();
+    assert_eq!(rows, vec![vec![Value::str("Greece")]]);
 }

@@ -449,36 +449,6 @@ impl ColumnData {
         }
     }
 
-    /// Fold the column's numeric contents (`Value::as_number` per cell,
-    /// non-numeric cells skipped). `None` when no cell is numeric.
-    fn fold_numbers<F: FnMut(f64, f64) -> f64>(&self, mut fold: F) -> Option<f64> {
-        let mut acc: Option<f64> = None;
-        for record in 0..self.len() {
-            if let Some(n) = self.number_at(record) {
-                acc = Some(match acc {
-                    None => n,
-                    Some(a) => fold(a, n),
-                });
-            }
-        }
-        acc
-    }
-
-    /// Sum of the column's numeric cells; `None` when there are none.
-    pub fn stats_sum(&self) -> Option<f64> {
-        self.fold_numbers(|a, b| a + b)
-    }
-
-    /// Minimum of the column's numeric cells; `None` when there are none.
-    pub fn stats_min(&self) -> Option<f64> {
-        self.fold_numbers(f64::min)
-    }
-
-    /// Maximum of the column's numeric cells; `None` when there are none.
-    pub fn stats_max(&self) -> Option<f64> {
-        self.fold_numbers(f64::max)
-    }
-
     /// The dense numeric vector, when every cell is numeric (an
     /// [`ColumnData::F64`] column with no nulls) — the no-branch fast path
     /// for aggregate kernels.
@@ -547,77 +517,6 @@ impl ColumnData {
                 }
             }
         }
-    }
-}
-
-/// Borrowed typed view of an all-numeric column.
-#[derive(Debug, Clone, Copy)]
-pub struct F64Column<'a> {
-    pub(crate) values: &'a [f64],
-    pub(crate) nulls: &'a NullBitmap,
-}
-
-impl<'a> F64Column<'a> {
-    /// The raw numeric vector (null slots hold `0.0`; check
-    /// [`F64Column::is_null`]).
-    pub fn values(&self) -> &'a [f64] {
-        self.values
-    }
-
-    /// Whether record `i` is an empty cell.
-    pub fn is_null(&self, i: usize) -> bool {
-        self.nulls.is_null(i)
-    }
-
-    /// Whether any record is an empty cell.
-    pub fn any_null(&self) -> bool {
-        self.nulls.any_null()
-    }
-}
-
-/// Borrowed typed view of a dictionary-encoded string column.
-#[derive(Debug, Clone, Copy)]
-pub struct DictColumn<'a> {
-    pub(crate) data: &'a DictData,
-}
-
-impl<'a> DictColumn<'a> {
-    /// Per-record dictionary ids.
-    pub fn ids(&self) -> &'a [DictId] {
-        &self.data.ids
-    }
-
-    /// The interned entries, in first-appearance order.
-    pub fn entries(&self) -> &'a [String] {
-        &self.data.entries
-    }
-
-    /// The entry text of record `i`.
-    pub fn text(&self, i: usize) -> &'a str {
-        &self.data.entries[self.data.ids[i] as usize]
-    }
-
-    /// Ids whose entry equals `text` case-insensitively.
-    pub fn matching_ids(&self, text: &str) -> &'a [DictId] {
-        self.data.matching_ids(text)
-    }
-}
-
-/// Borrowed typed view of an all-date column.
-#[derive(Debug, Clone, Copy)]
-pub struct DateColumn<'a> {
-    pub(crate) ords: &'a [i64],
-}
-
-impl<'a> DateColumn<'a> {
-    /// Per-record packed ordinals (order-preserving; see [`date_ordinal`]).
-    pub fn ordinals(&self) -> &'a [i64] {
-        self.ords
-    }
-
-    /// The date of record `i`.
-    pub fn date(&self, i: usize) -> Date {
-        date_from_ordinal(self.ords[i])
     }
 }
 
@@ -740,21 +639,6 @@ mod tests {
                 assert_eq!(col.filter_num(|n| n >= threshold), scan);
             }
         }
-    }
-
-    #[test]
-    fn stats_match_scan_folds() {
-        let cells = values(&["3", "1", "", "4"]);
-        let col = ColumnData::from_values(cells);
-        assert_eq!(col.stats_sum(), Some(8.0));
-        assert_eq!(col.stats_min(), Some(1.0));
-        assert_eq!(col.stats_max(), Some(4.0));
-        let no_numbers = ColumnData::from_values(values(&["a", "b"]));
-        assert_eq!(no_numbers.stats_sum(), None);
-        // Dict columns with parsable entries still aggregate.
-        let dict = ColumnData::from_values(values(&["a", "130", "20"]));
-        assert!(matches!(dict, ColumnData::Mixed(_)));
-        assert_eq!(dict.stats_sum(), Some(150.0));
     }
 
     #[test]

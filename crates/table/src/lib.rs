@@ -18,8 +18,7 @@
 //! * [`Table`] and [`TableBuilder`] — the ordered relation itself, stored as
 //!   typed column vectors ([`column::ColumnData`]: flat `f64`s + null bitmap,
 //!   dictionary-encoded strings, packed date ordinals) behind an accessor
-//!   API with batch kernels (`filter_eq` / `filter_in` / `filter_num` /
-//!   `stats_sum|min|max`),
+//!   API with batch kernels (`filter_eq` / `filter_in` / `filter_num`),
 //! * [`CellRef`] — a (record, column) coordinate used by the provenance model,
 //! * [`index::TableIndex`] — the indexed columnar view (inverted indexes,
 //!   value-sorted permutations, sorted numeric projections, O(1) column-name
@@ -44,7 +43,7 @@ pub mod value;
 
 pub use catalog::{Catalog, TableSummary};
 pub use cell::CellRef;
-pub use column::{DateColumn, DictColumn, DictId, F64Column};
+pub use column::DictId;
 pub use error::TableError;
 pub use index::{
     ColumnIndex, IndexCache, IndexCacheMetrics, TableIndex, DEFAULT_INDEX_CACHE_CAPACITY,

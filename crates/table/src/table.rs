@@ -10,7 +10,7 @@
 //! `Vec<Value>` fallback for heterogeneous columns. Consumers never see the
 //! layout: they go through the accessor API (`value_at`, `eq_at`,
 //! `number_at`, `cell_text`, `record_values`) or the batch kernels
-//! (`filter_eq`, `filter_in`, `filter_num`, `stats_sum|min|max`), all of
+//! (`filter_eq`, `filter_in`, `filter_num`), all of
 //! which reproduce the exact per-row [`Value`] semantics the row-major
 //! representation had. The serde wire format still speaks rows — the
 //! columnar layout is an in-memory detail, byte-invisible on the wire.
@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::cell::CellRef;
-use crate::column::{ColumnData, DateColumn, DictColumn, F64Column};
+use crate::column::ColumnData;
 use crate::error::TableError;
 use crate::value::Value;
 use crate::Result;
@@ -297,31 +297,6 @@ impl Table {
             .is_some_and(|col| col.eq_at(record, needle))
     }
 
-    /// Typed view of an all-numeric column, when `column` is stored as one.
-    pub fn column_f64(&self, column: usize) -> Option<F64Column<'_>> {
-        match self.cols.get(column)? {
-            ColumnData::F64 { values, nulls } => Some(F64Column { values, nulls }),
-            _ => None,
-        }
-    }
-
-    /// Typed view of a dictionary-encoded string column, when `column` is
-    /// stored as one.
-    pub fn column_dict(&self, column: usize) -> Option<DictColumn<'_>> {
-        match self.cols.get(column)? {
-            ColumnData::Dict(data) => Some(DictColumn { data }),
-            _ => None,
-        }
-    }
-
-    /// Typed view of an all-date column, when `column` is stored as one.
-    pub fn column_date(&self, column: usize) -> Option<DateColumn<'_>> {
-        match self.cols.get(column)? {
-            ColumnData::Date { ords } => Some(DateColumn { ords }),
-            _ => None,
-        }
-    }
-
     /// The dense numeric vector of `column` when every cell is numeric —
     /// the no-branch fast path for aggregate kernels.
     pub fn dense_f64(&self, column: usize) -> Option<&[f64]> {
@@ -380,24 +355,6 @@ impl Table {
     /// (including NaN cells); non-numeric cells never match.
     pub fn filter_num<F: Fn(f64) -> bool>(&self, column: usize, pred: F) -> Vec<RecordIdx> {
         self.cols[column].filter_num(pred)
-    }
-
-    /// Sum of the numeric contents of `column` (non-numeric cells skipped);
-    /// `None` when no cell is numeric.
-    pub fn stats_sum(&self, column: usize) -> Option<f64> {
-        self.cols.get(column)?.stats_sum()
-    }
-
-    /// Minimum of the numeric contents of `column`; `None` when no cell is
-    /// numeric.
-    pub fn stats_min(&self, column: usize) -> Option<f64> {
-        self.cols.get(column)?.stats_min()
-    }
-
-    /// Maximum of the numeric contents of `column`; `None` when no cell is
-    /// numeric.
-    pub fn stats_max(&self, column: usize) -> Option<f64> {
-        self.cols.get(column)?.stats_max()
     }
 
     /// Distinct values appearing in `column`, in first-appearance order.
@@ -690,36 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_views_match_storage_layout() {
-        let t = olympics();
-        let year = t.column_index("Year").unwrap();
-        let country = t.column_index("Country").unwrap();
-        let years = t.column_f64(year).expect("all-numeric column");
-        assert_eq!(years.values()[2], 2004.0);
-        assert!(!years.any_null());
-        assert_eq!(t.dense_f64(year).unwrap().len(), 6);
-        let countries = t.column_dict(country).expect("all-string column");
-        assert_eq!(countries.text(0), "Greece");
-        // "Greece" appears twice but is interned once.
-        assert_eq!(countries.entries().len(), 5);
-        assert_eq!(countries.ids()[0], countries.ids()[2]);
-        assert!(t.column_f64(country).is_none());
-        assert!(t.column_dict(year).is_none());
-        assert!(t.column_date(year).is_none());
-    }
-
-    #[test]
-    fn stats_kernels_fold_numeric_contents() {
-        let t = olympics();
-        let year = t.column_index("Year").unwrap();
-        let country = t.column_index("Country").unwrap();
-        assert_eq!(t.stats_min(year), Some(1896.0));
-        assert_eq!(t.stats_max(year), Some(2016.0));
-        assert_eq!(t.stats_sum(year), Some(11836.0));
-        assert_eq!(t.stats_sum(country), None);
-    }
-
-    #[test]
     fn cell_accessors_agree_with_materialized_values() {
         let t = olympics();
         for r in t.record_indices() {
@@ -733,6 +660,8 @@ mod tests {
         assert_eq!(t.value_at(6, 0), None);
         assert_eq!(t.number_at(6, 0), None);
         assert!(!t.eq_at(6, 0, &Value::num(1896.0)));
+        let year = t.column_index("Year").unwrap();
+        assert_eq!(t.dense_f64(year).unwrap().len(), 6);
     }
 
     #[test]

@@ -144,14 +144,6 @@ impl Value {
         }
     }
 
-    /// The date content, if this is a date.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// Parse a textual cell into the most specific value type.
     ///
     /// Order of attempts: full date (`YYYY-MM-DD`, `Month D, YYYY`,

@@ -3,15 +3,16 @@
 
 use wtq_core::Engine;
 use wtq_dcs::{eval, parse_formula, Answer};
+use wtq_oracle::{PlanMode, SqlEngine};
 use wtq_parser::formulas_equivalent;
 use wtq_provenance::HighlightKind;
-use wtq_sql::{translate, PlanMode, SqlEngine};
+use wtq_sql::translate;
 
 /// Run a translated query under the cost-based planner (cold).
 fn execute(
     query: &wtq_sql::SqlQuery,
     table: &wtq_table::Table,
-) -> wtq_sql::Result<wtq_sql::SqlResult> {
+) -> wtq_sql::Result<wtq_oracle::SqlResult> {
     SqlEngine::new(table).execute(query, PlanMode::Auto)
 }
 use wtq_table::{samples, CellRef};

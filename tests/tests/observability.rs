@@ -125,7 +125,7 @@ fn parse_prometheus(text: &str) -> (HashMap<String, f64>, HashMap<String, String
 /// Every family `/metrics` prints under `ServerConfig::default()`, with its
 /// label key and the values of its series (`""` when unlabeled): dropping
 /// or renaming any of them is a breaking change for scrapers.
-const FAMILIES: [(&str, &str, &str); 28] = [
+const FAMILIES: [(&str, &str, &str); 25] = [
     ("wtq_answer_cache_bytes", "", ""),
     ("wtq_answer_cache_entries", "", ""),
     (
@@ -144,13 +144,6 @@ const FAMILIES: [(&str, &str, &str); 28] = [
     ("wtq_index_cache_ops_total", "op", "hit miss eviction"),
     ("wtq_index_cache_tables", "", ""),
     ("wtq_parse_stage_duration_seconds", "stage", PARSE_STAGES),
-    ("wtq_planner_actual_rows_total", "", ""),
-    (
-        "wtq_planner_decisions_total",
-        "backend",
-        "scan index kernel",
-    ),
-    ("wtq_planner_estimated_rows_total", "", ""),
     ("wtq_request_duration_seconds", "", ""),
     (
         "wtq_request_stage_duration_seconds",
@@ -187,7 +180,7 @@ fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
     let (before, types) = parse_prometheus(&first);
 
     // One registry covers every layer: server, engine, parser stages,
-    // planner, caches — every family with every one of its series.
+    // caches — every family with every one of its series.
     for (family, key, values) in FAMILIES {
         let kind = types
             .get(family)
@@ -543,19 +536,9 @@ fn engines_caches_and_servers_in_one_process_keep_their_own_numbers() {
     let table = samples::olympics();
     let (engine_a, engine_b) = (Arc::new(Engine::new()), Arc::new(Engine::new()));
     let (server_a, server_b) = (serve(&engine_a), serve(&engine_b));
-    // Engine A parses twice — one served miss, one direct session parse —
-    // and runs SQL through its planner counters.
+    // Engine A parses twice — one served miss, one direct session parse.
     let _ = engine_a.session(&table).parse(QUESTION);
-    let formula = wtq_dcs::parse_formula("R[City].Year.2008").unwrap();
-    wtq_sql::SqlEngine::new(&table)
-        .with_counters(engine_a.planner_counters())
-        .execute(
-            &wtq_sql::translate(&formula).unwrap(),
-            wtq_sql::PlanMode::Auto,
-        )
-        .unwrap();
     let a = explain_and_scrape(&server_a, QUESTION);
-    assert!(a[r#"wtq_planner_decisions_total{backend="kernel"}"#] >= 1.0);
     assert_eq!(
         a[r#"wtq_parse_stage_duration_seconds_count{stage="score"}"#],
         2.0
@@ -564,12 +547,7 @@ fn engines_caches_and_servers_in_one_process_keep_their_own_numbers() {
     // Engine B did nothing, and its series say so.
     let mut client = Client::connect(server_b.local_addr()).unwrap();
     let (b, _) = parse_prometheus(&client.metrics().unwrap());
-    let engine_families = [
-        "wtq_parse_",
-        "wtq_engine_",
-        "wtq_index_cache_",
-        "wtq_planner_",
-    ];
+    let engine_families = ["wtq_parse_", "wtq_engine_", "wtq_index_cache_"];
     for (series, value) in &b {
         if engine_families
             .iter()

@@ -481,13 +481,7 @@ fn registry_and_stats_surfaces_reflect_the_serving_state() {
     // The body is the registry's samples: the lines `/metrics` prints
     // (compared where the two control-plane requests move nothing).
     let metrics = client.metrics().unwrap();
-    let engine_side = [
-        "wtq_engine_",
-        "wtq_index_",
-        "wtq_answer_",
-        "wtq_parse_",
-        "wtq_planner_",
-    ];
+    let engine_side = ["wtq_engine_", "wtq_index_", "wtq_answer_", "wtq_parse_"];
     for sample in &after.samples {
         if engine_side
             .iter()
