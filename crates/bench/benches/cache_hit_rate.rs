@@ -22,7 +22,7 @@ fn bench_cache_hit_rate(c: &mut Criterion) {
         .collect();
     let trace = zipf_trace(questions.len(), 64, 1.1);
     let engine = Arc::new(Engine::new());
-    engine.index_for(&table);
+    table.index();
 
     let mut group = c.benchmark_group("cache_hit_rate");
     group

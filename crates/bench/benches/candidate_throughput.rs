@@ -2,11 +2,12 @@
 //! lexicon → candidate generation → feature extraction → scoring pipeline,
 //! the serving-path number the ROADMAP's questions-per-second goal tracks.
 //!
-//! Three cases: the historical per-question `parse` (fresh index per call,
-//! tracked across PRs), the session path with interned features and a
-//! reused scratch (the deployment configuration), and the string-keyed
-//! reference pipeline on identical sessions — the interned-vs-reference
-//! pair is the headline speedup of the feature-interning rework.
+//! Three cases: the per-question `parse` (a fresh session per call over
+//! the table's index, tracked across PRs), the session path with interned
+//! features and a reused scratch (the deployment configuration), and the
+//! string-keyed reference pipeline on identical sessions — the
+//! interned-vs-reference pair is the headline speedup of the
+//! feature-interning rework.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -37,7 +38,7 @@ fn bench_candidate_throughput(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    // Per-question end-to-end parse (one index build + linking + candidate
+    // Per-question end-to-end parse (a fresh session + linking + candidate
     // pool + scoring); divide the reported time by the pair count for the
     // per-question cost, or invert for questions/second.
     group.bench_function(format!("parse_{}_questions", pairs.len()), |b| {

@@ -16,7 +16,7 @@ fn bench_encode_path(c: &mut Criterion) {
     let table = bench_table(512);
     let body = &question_workload(&table, 1)[0];
     let engine = Engine::new();
-    engine.index_for(&table);
+    table.index();
     let explained = engine.explain_question(&body.question, &table, 3);
     let bytes = candidates_json(&explained, &table);
     let table_name = table.name().to_string();

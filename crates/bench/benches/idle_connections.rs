@@ -52,7 +52,7 @@ fn bench_idle_connections(c: &mut Criterion) {
         stat(&stats, "wtq_server_dispatch_threads")
     );
 
-    // Warm the engine's index cache so iterations measure serving.
+    // Build the table's index first so iterations measure serving.
     {
         let mut client = Client::connect(addr).expect("warm-up connects");
         let first = &workload[0];

@@ -4,7 +4,6 @@
 //! the scan reference on a scaled synthetic table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 use std::time::Duration;
 
 use wtq_bench::exec::{bench_table, workloads};
@@ -12,7 +11,7 @@ use wtq_dcs::{eval, parse_formula, Evaluator};
 use wtq_oracle::{eval_reference, PlanMode, SqlEngine};
 use wtq_provenance::provenance;
 use wtq_sql::translate;
-use wtq_table::{samples, TableIndex};
+use wtq_table::samples;
 
 fn bench_operators(c: &mut Criterion) {
     let olympics = samples::olympics();
@@ -55,32 +54,29 @@ fn bench_operators(c: &mut Criterion) {
 }
 
 /// Indexed execution layer vs the scan reference on a 2 000-row table:
-/// `scan` is the pre-index semantics, `indexed` a session sharing one
-/// prebuilt index (cold cache per call), `warm` a single reused session.
+/// `scan` is the pre-index semantics, `indexed` a fresh session over the
+/// table's index (cold memo per call), `warm` a single reused session.
 /// For SQL: `sql_scan` is `ForceScan`, `sql_cold` a fresh cost-based
 /// engine per call (columnar kernels, no index), `sql_warm` the reused
-/// cost-based engine holding the shared index.
+/// cost-based engine holding the table's index.
 fn bench_exec_layer(c: &mut Criterion) {
     let table = bench_table(2000);
-    let index = Arc::new(TableIndex::new(&table));
-    let warm = Evaluator::with_index(&table, index.clone());
+    let index = table.index();
+    let warm = Evaluator::new(&table);
     let mut group = c.benchmark_group("exec_layer");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(1));
-    for (name, formula) in workloads(&table, &index) {
+    for (name, formula) in workloads(&table, index) {
         group.bench_function(format!("scan/{name}"), |b| {
             b.iter(|| eval_reference(&formula, &table))
         });
         group.bench_function(format!("indexed/{name}"), |b| {
-            b.iter(|| {
-                let session = Evaluator::with_index(&table, index.clone());
-                session.eval(&formula)
-            })
+            b.iter(|| Evaluator::new(&table).eval(&formula))
         });
         group.bench_function(format!("warm/{name}"), |b| b.iter(|| warm.eval(&formula)));
         if let Ok(query) = translate(&formula) {
-            let warm_engine = SqlEngine::with_index(&table, &index);
+            let warm_engine = SqlEngine::with_index(&table, index);
             group.bench_function(format!("sql_scan/{name}"), |b| {
                 b.iter(|| warm_engine.execute(&query, PlanMode::ForceScan))
             });

@@ -17,7 +17,7 @@ fn bench_server_throughput(c: &mut Criterion) {
     let handle = loopback_server(table, ServerConfig::default());
     let addr = handle.local_addr();
 
-    // Warm the engine's index cache once so every configuration measures
+    // Build the table's index once so every configuration measures
     // steady-state serving.
     {
         let mut client = Client::connect(addr).expect("warm-up connects");

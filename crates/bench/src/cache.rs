@@ -199,7 +199,7 @@ fn served_case(
         };
         let handle = loopback_server(table.clone(), config);
         let addr = handle.local_addr();
-        // Warm the index cache so both variants measure steady-state serving.
+        // Build the table's index so both variants measure steady-state serving.
         {
             let mut client = Client::connect(addr).expect("warm-up client connects");
             let first = &workload[0];
@@ -254,7 +254,7 @@ pub fn caching_report(
     let top_k = 3;
 
     let engine = Arc::new(Engine::new());
-    engine.index_for(&table); // warm once; both variants share the index
+    table.index(); // build once; both variants share the index
 
     let skews = CACHE_SKEWS
         .iter()

@@ -120,7 +120,7 @@ pub fn micro_case(engine: &Engine, table: &Table, question: &str, top_k: usize) 
 pub fn encode_report(rows: usize, questions: usize) -> EncodeReport {
     let table = bench_table(rows);
     let engine = Engine::new();
-    engine.index_for(&table); // warm: the micro loop measures encode, not indexing
+    table.index(); // build first: the micro loop measures encode, not indexing
 
     let micro: Vec<EncodeMicroCase> = question_workload(&table, questions)
         .iter()
@@ -142,7 +142,7 @@ mod tests {
     fn micro_case_measures_identical_bytes() {
         let table = bench_table(48);
         let engine = Engine::new();
-        engine.index_for(&table);
+        table.index();
         let workload = question_workload(&table, 3);
         let case = micro_case(&engine, &table, &workload[0].question, 2);
         assert!(case.candidates > 0);

@@ -8,12 +8,12 @@
 //!
 //! * **scan** — the pre-index reference semantics (`wtq_oracle::eval_reference`
 //!   / `PlanMode::ForceScan`),
-//! * **cold** — no pre-built state per call: a fresh DCS session over a
-//!   shared [`TableIndex`], and for SQL a fresh [`wtq_oracle::SqlEngine`] in
-//!   `Auto` mode (cost-based: columnar kernels, no index build),
+//! * **cold** — no pre-built state per call: a fresh DCS session over the
+//!   table's own [`TableIndex`], and for SQL a fresh [`wtq_oracle::SqlEngine`]
+//!   in `Auto` mode (cost-based: columnar kernels, no index build),
 //! * **warm** — reused state across calls: a warm DCS session (adds the
 //!   cross-candidate denotation cache) and an `Auto`-mode engine holding
-//!   the shared index (the deployment configuration).
+//!   the table's index (the deployment configuration).
 //!
 //! The SQL section also shares one [`wtq_oracle::PlannerCounters`] set across
 //! the engines it constructs and snapshots it after its workloads, so the
@@ -221,19 +221,18 @@ pub fn workloads(table: &Table, index: &TableIndex) -> Vec<(String, Formula)> {
 pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
     let table = bench_table(rows);
     let build_start = Instant::now();
-    let index = Arc::new(TableIndex::new(&table));
+    let index = table.index();
     let index_build_us = build_start.elapsed().as_secs_f64() * 1e6;
 
-    let warm = Evaluator::with_index(&table, index.clone());
+    let warm = Evaluator::new(&table);
     let mut dcs = Vec::new();
-    for (name, formula) in workloads(&table, &index) {
+    for (name, formula) in workloads(&table, index) {
         let timings = interleaved_us(&mut [
             &mut || {
                 let _ = wtq_oracle::eval_reference(&formula, &table);
             },
             &mut || {
-                let session = Evaluator::with_index(&table, index.clone());
-                let _ = session.eval(&formula);
+                let _ = Evaluator::new(&table).eval(&formula);
             },
             &mut || {
                 let _ = warm.eval(&formula);
@@ -255,8 +254,8 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
     // the report isolates exactly the decisions taken by its own workloads.
     let planner_counters = Arc::new(wtq_oracle::PlannerCounters::new());
     let warm_engine =
-        SqlEngine::with_index(&table, &index).with_counters(Arc::clone(&planner_counters));
-    for (name, formula) in workloads(&table, &index) {
+        SqlEngine::with_index(&table, index).with_counters(Arc::clone(&planner_counters));
+    for (name, formula) in workloads(&table, index) {
         let Ok(query) = wtq_sql::translate(&formula) else {
             continue;
         };
@@ -354,8 +353,8 @@ pub fn batch_environment(
         .collect();
     let catalog: Catalog = [table.clone()].into_iter().collect();
     let engine = Engine::new();
-    // Warm the index cache so every worker count measures pure serving.
-    engine.index_for(catalog.get(table.name()).expect("table inserted"));
+    // Build the table's index so every worker count measures pure serving.
+    catalog.get(table.name()).expect("table inserted").index();
     (engine, catalog, requests)
 }
 

@@ -212,8 +212,8 @@ pub fn tracing_overhead(
         },
     );
 
-    // Warm both index caches so the rounds measure serving, not the one-off
-    // index build.
+    // Build the tables' indexes first so the rounds measure serving, not the
+    // one-off index build.
     for handle in [&sampled, &disabled] {
         let mut client = Client::connect(handle.local_addr()).expect("warm-up client connects");
         let first = workload.first().expect("non-empty workload");

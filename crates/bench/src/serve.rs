@@ -141,8 +141,8 @@ pub fn serving_report(rows: usize, questions: usize, connections: usize) -> Serv
     let handle = loopback_server(table, ServerConfig::default());
     let addr = handle.local_addr();
 
-    // Warm the index cache so percentiles measure serving, not the one-off
-    // index build.
+    // Build the table's index first so percentiles measure serving, not the
+    // one-off index build.
     {
         let mut client = Client::connect(addr).expect("warm-up client connects");
         let first = workload.first().expect("non-empty workload");
@@ -265,7 +265,7 @@ pub fn idle_connections_report(
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Warm the index cache, then measure with the herd still connected.
+    // Build the table's index, then measure with the herd still connected.
     {
         let mut client = Client::connect(addr).expect("warm-up client connects");
         let first = workload.first().expect("non-empty workload");

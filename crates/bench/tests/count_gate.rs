@@ -9,8 +9,6 @@
 //! candidate — moves the counts and fails it; a change meant to move them
 //! updates the pins in its own diff.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wtq_core::Engine;
@@ -18,7 +16,6 @@ use wtq_dataset::tablegen::generate_table_with_rows;
 use wtq_dataset::{all_domains, generate_questions, generate_table};
 use wtq_dcs::Evaluator;
 use wtq_parser::{analyze_question_with, generate_candidates_with, CandidateConfig};
-use wtq_table::TableIndex;
 
 /// `(hits, misses)` per question, in question order.
 const PINNED: [(u64, u64); 8] = [
@@ -39,11 +36,10 @@ fn memo_hits_and_misses_per_question_match_the_pins() {
     let rows = rng.gen_range(256..513);
     let table = generate_table_with_rows(domain, 0, rows, &mut rng);
     let questions = generate_questions(&table, PINNED.len(), &mut rng);
-    let index = Arc::new(TableIndex::new(&table));
     let counts: Vec<(u64, u64)> = questions
         .iter()
         .map(|question| {
-            let evaluator = Evaluator::with_index(&table, index.clone());
+            let evaluator = Evaluator::new(&table);
             let analysis = analyze_question_with(&question.question, evaluator.kb());
             generate_candidates_with(&analysis, &evaluator, &CandidateConfig::default());
             evaluator.cache_stats()

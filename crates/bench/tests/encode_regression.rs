@@ -26,7 +26,7 @@ const REQUIRED_SPEEDUP: f64 = 2.0;
 fn hit_path_splice_is_at_least_twice_as_fast_as_rebuild() {
     let table = bench_table(256);
     let engine = Engine::new();
-    engine.index_for(&table); // warm: only encode work should be timed
+    table.index(); // build first: only encode work should be timed
     let workload = question_workload(&table, QUESTIONS);
     assert_eq!(workload.len(), QUESTIONS);
 

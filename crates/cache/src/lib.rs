@@ -17,12 +17,11 @@
 //!   question must be pre-normalized by the caller, with the same
 //!   normalization the parser itself uses, so trivially-variant phrasings
 //!   share an entry and keys cannot drift from parse-time tokenization.
+//!   Because answers are pure functions of their key, an entry never goes
+//!   stale: a reloaded table with new cells has a new fingerprint, so it
+//!   keys afresh, and its old entries age out of the LRU order.
 //! * **Eviction** — an LRU entry bound of exactly `capacity`, split across
-//!   the shards, plus an optional TTL. A capacity of 0 keeps nothing.
-//! * **Epoch invalidation** — every entry is stamped with its
-//!   fingerprint's *epoch* at insert time; [`AnswerCache::invalidate`]
-//!   bumps the epoch so a table reload drops stale answers lazily on next
-//!   lookup (counted as `stale_drops`) without a stop-the-world sweep.
+//!   the shards, and nothing else. A capacity of 0 keeps nothing.
 //! * **Single-flight collapse** — concurrent requests for the same key
 //!   block on one leader's computation and all receive the same shared
 //!   value ([`AnswerCache::begin`]), so a thundering herd on a hot
@@ -38,7 +37,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use wtq_obs::{Counter, Gauge, Registry};
 
@@ -84,9 +82,6 @@ pub struct CacheConfig {
     /// Total entries retained across all shards before LRU eviction; `0`
     /// keeps nothing (single-flight collapse still applies).
     pub capacity: usize,
-    /// Entries older than this are dropped on lookup; `None` disables
-    /// time-based expiry (epoch invalidation still applies).
-    pub ttl: Option<Duration>,
     /// Shard count (clamped to `1..=capacity`, so every shard can hold an
     /// entry). More shards means less lock contention between unrelated
     /// keys.
@@ -97,7 +92,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 4096,
-            ttl: None,
             shards: 8,
         }
     }
@@ -110,8 +104,7 @@ impl Default for CacheConfig {
 pub struct CacheMetrics {
     /// Lookups answered from a live entry.
     pub hits: Arc<Counter>,
-    /// Lookups that found nothing usable (first sight, TTL-expired or
-    /// stale-epoch entries included).
+    /// Lookups that found no entry.
     pub misses: Arc<Counter>,
     /// Requests that blocked on another request's in-flight computation
     /// and received the leader's value without executing.
@@ -121,11 +114,6 @@ pub struct CacheMetrics {
     pub insertions: Arc<Counter>,
     /// Entries evicted by the LRU capacity bound.
     pub evictions_lru: Arc<Counter>,
-    /// Entries dropped because they outlived the TTL.
-    pub evictions_ttl: Arc<Counter>,
-    /// Entries dropped because their fingerprint's epoch was bumped
-    /// (table reload / explicit invalidation).
-    pub stale_drops: Arc<Counter>,
     /// Entries currently resident.
     pub entries: Arc<Gauge>,
     /// Bytes of resident values, each weighted by the caller at insert
@@ -151,11 +139,7 @@ impl CacheMetrics {
             "wtq_answer_cache_evictions_total",
             "reason",
             "Answer-cache entries dropped, by reason",
-            [
-                ("lru", &self.evictions_lru),
-                ("ttl", &self.evictions_ttl),
-                ("stale", &self.stale_drops),
-            ],
+            [("lru", &self.evictions_lru)],
         );
         registry.attach(
             "wtq_answer_cache_entries",
@@ -170,13 +154,11 @@ impl CacheMetrics {
     }
 }
 
-/// One resident entry: the shared value, its epoch stamp, its weight in
-/// bytes and its recency/age stamps.
+/// One resident entry: the shared value, its weight in bytes and its
+/// recency stamp.
 struct Entry<V> {
     value: Arc<V>,
-    epoch: u64,
     bytes: usize,
-    created: Instant,
     last_used: u64,
 }
 
@@ -240,9 +222,8 @@ pub struct FlightGuard<'a, V> {
 }
 
 impl<V> FlightGuard<'_, V> {
-    /// Publish the computed value: insert it into the cache (stamped with
-    /// the key's current epoch, weighted at `bytes`) and hand it to every
-    /// waiter. Returns the shared value.
+    /// Publish the computed value: insert it into the cache (weighted at
+    /// `bytes`) and hand it to every waiter. Returns the shared value.
     pub fn complete(mut self, value: V, bytes: usize) -> Arc<V> {
         let shared = self.cache.insert(&self.key, value, bytes);
         self.publish(FlightState::Done(shared.clone()));
@@ -275,10 +256,6 @@ impl<V> Drop for FlightGuard<'_, V> {
 pub struct AnswerCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     flights: Mutex<HashMap<CacheKey, Arc<Flight<V>>>>,
-    /// Current epoch per fingerprint (absent = 0). Bumping invalidates
-    /// every entry stamped with an older epoch, lazily on lookup.
-    epochs: Mutex<HashMap<u64, u64>>,
-    ttl: Option<Duration>,
     /// Global LRU clock: monotonically increasing use stamps.
     clock: AtomicU64,
     metrics: CacheMetrics,
@@ -301,8 +278,6 @@ impl<V> AnswerCache<V> {
                 })
                 .collect(),
             flights: Mutex::new(HashMap::new()),
-            epochs: Mutex::new(HashMap::new()),
-            ttl: config.ttl,
             clock: AtomicU64::new(0),
             metrics: CacheMetrics::default(),
         }
@@ -313,27 +288,8 @@ impl<V> AnswerCache<V> {
         &self.shards[index]
     }
 
-    /// The current epoch of `fingerprint`.
-    pub fn epoch(&self, fingerprint: u64) -> u64 {
-        self.epochs
-            .lock()
-            .expect("epoch map poisoned")
-            .get(&fingerprint)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Invalidate every cached answer for `fingerprint` by bumping its
-    /// epoch. Stale entries are dropped lazily on their next lookup (and
-    /// counted as `stale_drops`); in-flight computations that complete
-    /// afterwards insert under the old epoch and are likewise dropped.
-    pub fn invalidate(&self, fingerprint: u64) {
-        let mut epochs = self.epochs.lock().expect("epoch map poisoned");
-        *epochs.entry(fingerprint).or_insert(0) += 1;
-    }
-
     /// Look `key` up without joining or starting a flight. Counts a hit or
-    /// a miss; TTL-expired and stale-epoch entries are dropped here.
+    /// a miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<V>> {
         self.lookup_inner(key, true)
     }
@@ -341,39 +297,26 @@ impl<V> AnswerCache<V> {
     /// Like [`AnswerCache::lookup`], but a miss is not counted — for
     /// pre-admission probes that will be followed by [`AnswerCache::begin`],
     /// which records the request's real outcome. A hit still counts (the
-    /// probe resolved the request), and expired/stale entries are still
-    /// dropped and counted as evictions.
+    /// probe resolved the request).
     pub fn probe(&self, key: &CacheKey) -> Option<Arc<V>> {
         self.lookup_inner(key, false)
     }
 
     fn lookup_inner(&self, key: &CacheKey, count_miss: bool) -> Option<Arc<V>> {
-        let epoch = self.epoch(key.fingerprint);
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        let drop_reason = match shard.entries.get(key) {
-            None => None,
-            Some(entry) if entry.epoch != epoch => Some(&self.metrics.stale_drops),
-            Some(entry) if self.expired(entry) => Some(&self.metrics.evictions_ttl),
-            Some(_) => {
-                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                let entry = shard.entries.get_mut(key).expect("entry just seen");
-                let previous_stamp = std::mem::replace(&mut entry.last_used, stamp);
-                let value = entry.value.clone();
-                shard.by_recency.remove(&previous_stamp);
-                shard.by_recency.insert(stamp, key.clone());
-                self.metrics.hits.inc();
-                return Some(value);
+        let Some(entry) = shard.entries.get_mut(key) else {
+            if count_miss {
+                self.metrics.misses.inc();
             }
+            return None;
         };
-        if let Some(counter) = drop_reason {
-            let removed = shard.remove(key).expect("entry just seen");
-            counter.inc();
-            self.note_removed(&removed);
-        }
-        if count_miss {
-            self.metrics.misses.inc();
-        }
-        None
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let previous_stamp = std::mem::replace(&mut entry.last_used, stamp);
+        let value = entry.value.clone();
+        shard.by_recency.remove(&previous_stamp);
+        shard.by_recency.insert(stamp, key.clone());
+        self.metrics.hits.inc();
+        Some(value)
     }
 
     /// Resolve `key` with single-flight collapse: a live entry answers
@@ -433,12 +376,10 @@ impl<V> AnswerCache<V> {
         }
     }
 
-    /// Insert `value` under `key` (stamped with the fingerprint's current
-    /// epoch, weighted at `bytes`), evicting the shard's least-recently-used
-    /// entry if the shard is full. A shard of capacity 0 keeps nothing.
-    /// Returns the shared value either way.
+    /// Insert `value` under `key` (weighted at `bytes`), evicting the
+    /// shard's least-recently-used entry if the shard is full. A shard of
+    /// capacity 0 keeps nothing. Returns the shared value either way.
     pub fn insert(&self, key: &CacheKey, value: V, bytes: usize) -> Arc<V> {
-        let epoch = self.epoch(key.fingerprint);
         let shared = Arc::new(value);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
@@ -460,9 +401,7 @@ impl<V> AnswerCache<V> {
             key.clone(),
             Entry {
                 value: shared.clone(),
-                epoch,
                 bytes,
-                created: Instant::now(),
                 last_used: stamp,
             },
         );
@@ -471,13 +410,6 @@ impl<V> AnswerCache<V> {
         self.metrics.entries.add(1);
         self.metrics.bytes.add(bytes as i64);
         shared
-    }
-
-    fn expired(&self, entry: &Entry<V>) -> bool {
-        match self.ttl {
-            Some(ttl) => entry.created.elapsed() > ttl,
-            None => false,
-        }
     }
 
     fn note_removed(&self, entry: &Entry<V>) {
@@ -506,6 +438,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     fn key(fingerprint: u64, question: &str) -> CacheKey {
         CacheKey {
@@ -575,7 +508,6 @@ mod tests {
         // One shard of capacity 2 makes eviction order observable.
         let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig {
             capacity: 2,
-            ttl: None,
             shards: 1,
         });
         cache.insert(&key(1, "a"), 1, 10);
@@ -596,7 +528,6 @@ mod tests {
     fn eviction_follows_recency_under_touch_and_overwrite_churn() {
         let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig {
             capacity: 4,
-            ttl: None,
             shards: 1,
         });
         for (i, q) in ["a", "b", "c", "d"].iter().enumerate() {
@@ -663,43 +594,6 @@ mod tests {
             matches!(cache.begin(&k), Begin::Lead(_)),
             "nothing was kept"
         );
-    }
-
-    #[test]
-    fn ttl_expires_entries_on_lookup() {
-        let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig {
-            capacity: 16,
-            ttl: Some(Duration::from_millis(20)),
-            shards: 1,
-        });
-        let k = key(1, "a");
-        cache.insert(&k, 1, 5);
-        assert!(cache.lookup(&k).is_some());
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(cache.lookup(&k).is_none(), "entry outlived its TTL");
-        let stats = cache.metrics();
-        assert_eq!(stats.evictions_ttl.get(), 1);
-        assert_eq!(stats.entries.get(), 0);
-        assert_eq!(stats.bytes.get(), 0);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_and_counts_stale_drops() {
-        let cache: AnswerCache<u32> = AnswerCache::new(CacheConfig::default());
-        let k = key(7, "a");
-        cache.insert(&k, 1, 5);
-        assert!(cache.lookup(&k).is_some());
-        cache.invalidate(7);
-        assert!(cache.lookup(&k).is_none(), "stale epoch must not hit");
-        assert_eq!(cache.metrics().stale_drops.get(), 1);
-        // Re-inserting under the new epoch works.
-        cache.insert(&k, 2, 5);
-        assert_eq!(*cache.lookup(&k).expect("fresh entry"), 2);
-        // Other fingerprints are unaffected.
-        let other = key(8, "a");
-        cache.insert(&other, 3, 5);
-        cache.invalidate(7);
-        assert!(cache.lookup(&other).is_some());
     }
 
     #[test]

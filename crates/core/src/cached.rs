@@ -9,7 +9,8 @@
 //!
 //! * the **content fingerprint** ([`wtq_table::Table::content_fingerprint`])
 //!   hashes cell contents, not just shape, so two different tables can
-//!   never alias one entry, and a reloaded table naturally keys afresh;
+//!   never alias one entry, and a reloaded table with new cells keys
+//!   afresh — no entry ever needs invalidating;
 //! * the **normalized question** ([`wtq_parser::normalize_question`]) is
 //!   the exact canonical form question analysis itself parses, so
 //!   trivially-variant phrasings (`"Which YEAR?"` / `"which year"`) share
@@ -31,9 +32,7 @@
 //! is the resident body bytes. Concurrent identical questions — single
 //! explains and batch items alike — collapse onto one leader's execution
 //! ([`CachedEngine::answer`], single-flight via [`wtq_cache::Begin`]), even
-//! when the cache keeps nothing (`capacity` 0); a table reload is propagated by
-//! [`CachedEngine::invalidate_table`], which epoch-stamps the fingerprint
-//! so stale entries die lazily.
+//! when the cache keeps nothing (`capacity` 0).
 
 use std::sync::Arc;
 
@@ -216,17 +215,6 @@ impl CachedEngine {
             .collect()
     }
 
-    /// Invalidate every cached answer computed against `table`'s contents
-    /// — call when a table is reloaded or re-registered. Entries die
-    /// lazily on next lookup (counted as stale drops). Note that a reload
-    /// that *changes* contents also changes the fingerprint, so its old
-    /// entries become unreachable even without invalidation; invalidating
-    /// handles the same-contents-reloaded case and frees lookups from
-    /// trusting unreachable entries' memory.
-    pub fn invalidate_table(&self, table: &Table) {
-        self.cache.invalidate(table.content_fingerprint());
-    }
-
     /// Attach the answer cache's handles to `registry` (the wrapped
     /// engine registers its own via [`Engine::register`]).
     pub fn register(&self, registry: &Registry) {
@@ -368,27 +356,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_table_drops_its_entries_only() {
-        let cached = cached_engine();
-        let olympics = samples::olympics();
-        let medals = samples::medals();
-        cached.explain_question("Which city hosted in 2008?", &olympics, 3);
-        cached.explain_question("total Gold of Fiji?", &medals, 3);
-        cached.invalidate_table(&olympics);
-        let key = cached.key_for("Which city hosted in 2008?", &olympics, Some(3));
-        assert!(cached.lookup(&key).is_none(), "invalidated entry gone");
-        let kept = cached.key_for("total Gold of Fiji?", &medals, Some(3));
-        assert!(cached.lookup(&kept).is_some(), "other table unaffected");
-        assert_eq!(cached.cache().metrics().stale_drops.get(), 1);
-    }
-
-    #[test]
     fn the_byte_gauge_is_the_resident_body_bytes() {
         // One shard of two entries makes the LRU victim observable.
         let config = CacheConfig {
             capacity: 2,
             shards: 1,
-            ..CacheConfig::default()
         };
         let cached = CachedEngine::new(Arc::new(Engine::new()), config);
         let registry = Registry::new();
@@ -430,15 +402,6 @@ mod tests {
         resident.push(explain(fiji));
         check(&resident, "LRU eviction");
         assert_eq!(cached.cache().metrics().evictions_lru.get(), 1);
-        // Invalidated entries stay resident until a lookup drops them.
-        cached.invalidate_table(&olympics);
-        check(&resident, "invalidation");
-        let (stale, _) = resident.remove(0);
-        assert!(cached.lookup(&stale).is_none());
-        check(&resident, "stale drop");
-        assert_eq!(cached.cache().metrics().stale_drops.get(), 1);
-        resident.push(explain(greece));
-        check(&resident, "miss after invalidation");
     }
 
     #[test]

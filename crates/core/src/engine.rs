@@ -7,10 +7,10 @@
 //!
 //! * [`Engine`] is the immutable, `Send + Sync` tier: the trained
 //!   [`SemanticParser`] (model weights + lexicon/candidate configuration)
-//!   and a thread-safe, LRU-bounded [`IndexCache`] of per-table columnar
-//!   indexes. One `Engine` lives behind an `Arc` (or a `&'static`) and is
-//!   shared by every worker thread; nothing in it mutates under `&self`
-//!   except the interior-mutable cache, which is safe by construction.
+//!   and the engine's metric handles. It holds no per-table state: each
+//!   table owns its columnar index ([`Table::index`]). One `Engine` lives
+//!   behind an `Arc` (or a `&'static`) and is shared by every worker
+//!   thread; nothing in it mutates under `&self` but its counters.
 //! * [`Session`] is the cheap per-request tier: a lambda DCS evaluator
 //!   session holding the cross-candidate denotation memos for one table.
 //!   Sessions are deliberately **not** `Sync` (the memo table is a
@@ -27,15 +27,14 @@
 //! jobs on their own scheduler, one [`Engine::explain_question_with_spans`]
 //! each.
 //!
-//! Each engine owns its metric handles ([`EngineMetrics`] and the index
-//! cache's): two engines in one process never mix their
-//! numbers, and [`Engine::register`] attaches the live handles to a
-//! serving layer's registry.
+//! Each engine owns its metric handles ([`EngineMetrics`]): two engines in
+//! one process never mix their numbers, and [`Engine::register`] attaches
+//! the live handles to a serving layer's registry.
 
 use wtq_dcs::{Evaluator, Formula};
 use wtq_obs::{Counter, Gauge, Histogram, Registry};
 use wtq_parser::{Candidate, ParseSpans, SemanticParser};
-use wtq_table::{Catalog, IndexCache, Table, TableIndex};
+use wtq_table::{Catalog, Table, TableIndex};
 
 use std::sync::Arc;
 
@@ -49,9 +48,6 @@ pub struct EngineConfig {
     pub top_k: usize,
     /// Default worker count for [`Engine::explain_batch`].
     pub workers: usize,
-    /// Maximum number of table indexes retained by the engine's cache
-    /// before least-recently-used eviction.
-    pub index_cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -59,7 +55,6 @@ impl Default for EngineConfig {
         EngineConfig {
             top_k: 7,
             workers: wtq_runtime::default_workers(),
-            index_cache_capacity: wtq_table::DEFAULT_INDEX_CACHE_CAPACITY,
         }
     }
 }
@@ -148,9 +143,9 @@ impl Drop for InFlightGuard<'_> {
 }
 
 /// The shared, immutable tier of the pipeline: trained parser + lexicon and
-/// candidate configuration + thread-safe index cache. `Send + Sync` by
-/// construction (a compile-time test in this module enforces it), so one
-/// engine serves any number of concurrent sessions:
+/// candidate configuration. `Send + Sync` by construction (a compile-time
+/// test in this module enforces it), so one engine serves any number of
+/// concurrent sessions:
 ///
 /// ```
 /// use wtq_core::{Engine, ExplainRequest};
@@ -169,7 +164,6 @@ impl Drop for InFlightGuard<'_> {
 #[derive(Debug)]
 pub struct Engine {
     parser: SemanticParser,
-    indexes: IndexCache,
     config: EngineConfig,
     metrics: EngineMetrics,
 }
@@ -182,9 +176,8 @@ impl Default for Engine {
 }
 
 impl Clone for Engine {
-    /// Clones the model and configuration; the clone starts with a fresh,
-    /// empty index cache (cached indexes are a transparent optimization and
-    /// rebuild on demand).
+    /// Clones the model and configuration; the clone's metrics start at
+    /// zero.
     fn clone(&self) -> Self {
         Engine::with_config(self.parser.clone(), self.config.clone())
     }
@@ -205,7 +198,6 @@ impl Engine {
     pub fn with_config(parser: SemanticParser, config: EngineConfig) -> Self {
         Engine {
             parser,
-            indexes: IndexCache::with_capacity(config.index_cache_capacity),
             config,
             metrics: EngineMetrics::default(),
         }
@@ -216,8 +208,8 @@ impl Engine {
         &self.metrics
     }
 
-    /// Attach every handle this engine owns — its [`EngineMetrics`], the
-    /// index cache's — to `registry`.
+    /// Attach every handle this engine owns — its [`EngineMetrics`] — to
+    /// `registry`.
     pub fn register(&self, registry: &Registry) {
         let metrics = &self.metrics;
         registry.attach(
@@ -243,7 +235,6 @@ impl Engine {
                 .into_iter()
                 .zip(&metrics.parse_stage_duration),
         );
-        self.indexes.metrics().register(registry);
     }
 
     /// The shared semantic parser.
@@ -256,26 +247,20 @@ impl Engine {
         &self.config
     }
 
-    /// The thread-safe index cache (for instrumentation: hit / miss /
-    /// eviction counters via [`IndexCache::metrics`]).
-    pub fn index_cache(&self) -> &IndexCache {
-        &self.indexes
+    /// The columnar index of `table` ([`Table::index`]: the table's own,
+    /// built on first use).
+    pub fn index_for<'t>(&self, table: &'t Table) -> &'t TableIndex {
+        table.index()
     }
 
-    /// The shared columnar index for `table`, built on first use and then
-    /// served from the LRU cache.
-    pub fn index_for(&self, table: &Table) -> Arc<TableIndex> {
-        self.indexes.get_or_build(table)
-    }
-
-    /// Open a per-request [`Session`] on `table`. Cheap: the table's index
-    /// comes from the shared cache; only the (empty) denotation memo table
-    /// is allocated per session.
+    /// Open a per-request [`Session`] on `table`. Cheap: the session
+    /// borrows the table's own index; only the (empty) denotation memo
+    /// table is allocated per session.
     pub fn session<'a>(&'a self, table: &'a Table) -> Session<'a> {
         Session {
             parser: &self.parser,
             metrics: &self.metrics,
-            evaluator: Evaluator::with_index(table, self.index_for(table)),
+            evaluator: Evaluator::new(table),
             scratch: std::cell::RefCell::new(wtq_parser::ScratchSpace::new()),
         }
     }
@@ -422,7 +407,7 @@ impl<'a> Session<'a> {
     /// Parse `question` and explain the top-k candidates (utterance, SQL
     /// rendering and provenance highlights for each). The parse ranks only
     /// as far as the top k need. The highlights are computed on this
-    /// session's evaluator, reusing the shared index and the denotation
+    /// session's evaluator, reusing the table's index and the denotation
     /// memo the parse warmed.
     pub fn explain_question(&self, question: &str, top_k: usize) -> Vec<ExplainedCandidate> {
         self.parse_top_k(question, top_k)
@@ -470,11 +455,12 @@ mod tests {
             .find(|c| wtq_parser::formulas_equivalent(&c.formula, &gold))
             .expect("gold candidate explained");
         assert_eq!(gold_candidate.answer, Answer::number(2004.0));
-        // A second question on the same table hits the index cache.
-        let index_cache = engine.index_cache().metrics();
-        assert_eq!(index_cache.misses.get(), 1);
+        // A later question's session borrows the index the first one built.
+        let first: *const TableIndex = engine.session(&table).evaluator().index();
         engine.explain_question("In what year did France hold the Olympics?", &table, 3);
-        assert_eq!(index_cache.hits.get(), 1);
+        let later = engine.session(&table);
+        assert!(std::ptr::eq(first, later.evaluator().index()));
+        assert!(std::ptr::eq(first, engine.index_for(&table)));
     }
 
     #[test]
@@ -557,13 +543,14 @@ mod tests {
     #[test]
     fn stats_snapshot_tracks_cache_and_serving_counters() {
         let engine = Engine::new();
-        let catalog: Catalog = [samples::olympics()].into_iter().collect();
+        let table = samples::olympics();
+        // The catalog holds a clone, which shares the table's index.
+        let catalog: Catalog = [table.clone()].into_iter().collect();
         let metrics = engine.metrics();
         assert_eq!(metrics.questions_served.get(), 0);
-        assert!(engine.index_cache().is_empty());
 
-        let table = samples::olympics();
         engine.explain_question("Which city hosted in 2008?", &table, 1);
+        let first: *const TableIndex = engine.session(&table).evaluator().index();
         engine.explain_batch(
             &catalog,
             &[
@@ -574,10 +561,12 @@ mod tests {
         assert_eq!(metrics.questions_served.get(), 3);
         assert_eq!(metrics.batches_served.get(), 1);
         assert_eq!(metrics.in_flight.get(), 0);
-        assert_eq!(engine.index_cache().len(), 1);
-        let index_cache = engine.index_cache().metrics();
-        assert_eq!(index_cache.misses.get(), 1);
-        assert!(index_cache.hits.get() >= 2);
+        // The batch's sessions borrowed the index the first question built.
+        let in_catalog = catalog.get("olympics").unwrap();
+        assert!(std::ptr::eq(
+            first,
+            engine.session(in_catalog).evaluator().index()
+        ));
         // Every parse is timed in every stage, batch items included.
         for stage in &metrics.parse_stage_duration {
             assert_eq!(stage.snapshot().count, 3);
@@ -588,7 +577,6 @@ mod tests {
         engine.register(&registry);
         let text = registry.render();
         assert!(text.contains("wtq_engine_questions_served_total 3\n"));
-        assert!(text.contains("wtq_index_cache_tables 1\n"));
     }
 
     #[test]
@@ -597,9 +585,7 @@ mod tests {
         let table = samples::olympics();
         engine.explain_question("Which city hosted in 2008?", &table, 1);
         let clone = engine.clone();
-        assert_eq!(clone.index_cache().metrics().misses.get(), 0);
         assert_eq!(clone.metrics().questions_served.get(), 0);
-        assert!(clone.index_cache().is_empty());
         assert_eq!(clone.config().top_k, engine.config().top_k);
     }
 }

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! The serving path is split into two tiers: a shared, `Send + Sync`
-//! [`Engine`] (trained parser + thread-safe LRU index cache) and cheap
+//! [`Engine`] (the trained parser; each table owns its index) and cheap
 //! per-request [`Session`]s; [`Engine::explain_batch`] fans a batch of
 //! questions out over scoped worker threads with deterministic,
 //! input-order results. [`CachedEngine`] puts the answer cache in front:

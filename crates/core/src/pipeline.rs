@@ -34,7 +34,7 @@ pub struct ExplainedCandidate {
 impl ExplainedCandidate {
     /// Explain one parsed candidate: attach the utterance, the SQL rendering
     /// and the provenance highlights, computed on the session's `evaluator`
-    /// (its shared index and the memo the parse just warmed). `None` when
+    /// (the table's index and the memo the parse just warmed). `None` when
     /// highlight computation fails (the candidate does not evaluate on the
     /// table).
     pub(crate) fn from_candidate(candidate: Candidate, evaluator: &Evaluator<'_>) -> Option<Self> {

@@ -305,21 +305,12 @@ struct Memo {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Create an evaluator for `table`, building the columnar index.
+    /// Create an evaluator session for `table`, over the table's own
+    /// columnar index ([`Table::index`], built on first use).
     pub fn new(table: &'a Table) -> Self {
-        Self::with_kb(KnowledgeBase::new(table))
-    }
-
-    /// Create an evaluator sharing an already-built [`TableIndex`] of the
-    /// same table (no per-session index build).
-    pub fn with_index(table: &'a Table, index: Arc<TableIndex>) -> Self {
-        Self::with_kb(KnowledgeBase::with_index(table, index))
-    }
-
-    fn with_kb(kb: KnowledgeBase<'a>) -> Self {
         Evaluator {
-            table: kb.table(),
-            kb,
+            table,
+            kb: KnowledgeBase::new(table),
             arena: RefCell::new(FormulaArena::new()),
             columns: RefCell::new(Vec::new()),
             memo: RefCell::new(Memo::default()),
@@ -1053,9 +1044,9 @@ fn fold_cells(op: AggregateOp, mut result: f64, number: f64, cells: usize) -> f6
     result
 }
 
-/// Evaluate `formula` against `table` (convenience wrapper that builds an
-/// [`Evaluator`] each call; reuse an `Evaluator` when running many formulas
-/// over the same table).
+/// Evaluate `formula` against `table` (convenience wrapper that opens an
+/// [`Evaluator`] session each call; reuse an `Evaluator` when running many
+/// formulas over the same table, so they share its memo).
 pub fn eval(formula: &Formula, table: &Table) -> Result<Denotation> {
     Evaluator::new(table).eval(formula)
 }

@@ -2,7 +2,7 @@
 //! histograms, rendered as Prometheus text exposition.
 //!
 //! Handles are `Arc`s created and owned by the instance that does the work
-//! (an index cache, an answer cache, an engine, a server); the hot path
+//! (an answer cache, an engine, a server); the hot path
 //! touches only the handle's atomics. A registry *attaches* those same
 //! `Arc`s under family names and reads them live when rendering — it never
 //! holds a copy, so there is nothing to sync at scrape time.

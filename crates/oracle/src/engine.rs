@@ -65,9 +65,12 @@ use wtq_dcs::{compare_records, AggregateOp, CompareOp};
 use wtq_table::{RecordIdx, Table, TableIndex, Value};
 
 use wtq_sql::ast::{ArithOp, SqlExpr, SqlOrder, SqlQuery, SqlSelect};
-use wtq_sql::{Result, SqlError};
 
+use crate::error::ExecError;
 use crate::stats::PlannerCounters;
+
+/// Result of executing a query.
+pub type Result<T> = std::result::Result<T, ExecError>;
 
 /// Query output: a list of rows, each a list of values.
 pub type SqlResult = Vec<Vec<Value>>;
@@ -94,7 +97,7 @@ pub enum PlanMode {
 #[derive(Debug)]
 pub struct SqlEngine<'a> {
     table: &'a Table,
-    /// An index supplied by the caller (e.g. from a shared index cache);
+    /// An index supplied by the caller (e.g. the table's own);
     /// preferred over `built` whenever present.
     shared: Option<&'a TableIndex>,
     /// Index built on demand by `ForceIndex`. `Auto` only ever *reads* this
@@ -290,11 +293,11 @@ fn execute_query(query: &SqlQuery, ctx: Ctx<'_>) -> Result<SqlResult> {
 /// Extract the single numeric value of a scalar result.
 fn scalar_number(result: &SqlResult) -> Result<f64> {
     if result.len() != 1 || result[0].len() != 1 {
-        return Err(SqlError::ScalarCardinality(result.len()));
+        return Err(ExecError::ScalarCardinality(result.len()));
     }
     result[0][0]
         .as_number()
-        .ok_or_else(|| SqlError::Type(format!("expected a number, found {}", result[0][0])))
+        .ok_or_else(|| ExecError::Type(format!("expected a number, found {}", result[0][0])))
 }
 
 /// A value produced while evaluating an expression: either a table value or
@@ -315,7 +318,7 @@ impl EvalValue {
         match self {
             EvalValue::Val(v) => Ok(v.clone()),
             EvalValue::Bool(b) => Ok(Value::Num(if *b { 1.0 } else { 0.0 })),
-            EvalValue::Null => Err(SqlError::Type("NULL used as a value".into())),
+            EvalValue::Null => Err(ExecError::Type("NULL used as a value".into())),
         }
     }
 
@@ -323,9 +326,9 @@ impl EvalValue {
         match self {
             EvalValue::Val(v) => v
                 .as_number()
-                .ok_or_else(|| SqlError::Type(format!("expected a number, found {v}"))),
+                .ok_or_else(|| ExecError::Type(format!("expected a number, found {v}"))),
             EvalValue::Bool(b) => Ok(if *b { 1.0 } else { 0.0 }),
-            EvalValue::Null => Err(SqlError::Type("NULL used as a number".into())),
+            EvalValue::Null => Err(ExecError::Type("NULL used as a number".into())),
         }
     }
 }
@@ -498,7 +501,7 @@ fn planned_filter(
                 Err(error) => return Some(Err(error)),
             };
             if rows.len() != 1 || rows[0].len() != 1 {
-                return Some(Err(SqlError::ScalarCardinality(rows.len())));
+                return Some(Err(ExecError::ScalarCardinality(rows.len())));
             }
             Some(Ok(lookup_eq(ctx, backend, column, &rows[0][0])))
         }
@@ -678,7 +681,7 @@ fn execute_select(select: &SqlSelect, ctx: Ctx<'_>) -> Result<SqlResult> {
             let row = if select.projection.is_empty() {
                 ctx.table
                     .record_values(record)
-                    .map_err(|_| SqlError::Type("record out of range".into()))?
+                    .map_err(|_| ExecError::Type("record out of range".into()))?
             } else {
                 select
                     .projection
@@ -827,7 +830,7 @@ fn eval_row(expr: &SqlExpr, ctx: Ctx<'_>, record: RecordIdx) -> Result<EvalValue
         SqlExpr::Column(name) => {
             let column = ctx
                 .column_index(name)
-                .ok_or_else(|| SqlError::UnknownColumn(name.clone()))?;
+                .ok_or_else(|| ExecError::UnknownColumn(name.clone()))?;
             Ok(ctx
                 .table
                 .value_at(record, column)
@@ -836,7 +839,7 @@ fn eval_row(expr: &SqlExpr, ctx: Ctx<'_>, record: RecordIdx) -> Result<EvalValue
         }
         SqlExpr::Index => Ok(EvalValue::Val(Value::Num(record as f64))),
         SqlExpr::Literal(value) => Ok(EvalValue::Val(value.clone())),
-        SqlExpr::Aggregate(_, _) => Err(SqlError::Type(
+        SqlExpr::Aggregate(_, _) => Err(ExecError::Type(
             "aggregate used outside a projection or ORDER BY context".into(),
         )),
         SqlExpr::Equals(left, right) => {
@@ -876,7 +879,7 @@ fn eval_row(expr: &SqlExpr, ctx: Ctx<'_>, record: RecordIdx) -> Result<EvalValue
         SqlExpr::Scalar(query) => {
             let rows = execute_subquery(query, ctx)?;
             if rows.len() != 1 || rows[0].len() != 1 {
-                return Err(SqlError::ScalarCardinality(rows.len()));
+                return Err(ExecError::ScalarCardinality(rows.len()));
             }
             Ok(EvalValue::Val(rows[0][0].clone()))
         }
@@ -1085,7 +1088,7 @@ mod tests {
         let q = SqlQuery::select(SqlSelect::project(vec![col("Continent")]));
         assert!(matches!(
             execute(&q, &table),
-            Err(SqlError::UnknownColumn(_))
+            Err(ExecError::UnknownColumn(_))
         ));
 
         // Scalar subquery with several rows.
@@ -1098,7 +1101,7 @@ mod tests {
         ));
         assert!(matches!(
             execute(&q, &table),
-            Err(SqlError::ScalarCardinality(_))
+            Err(ExecError::ScalarCardinality(_))
         ));
     }
 
@@ -1181,7 +1184,7 @@ mod tests {
         ));
         assert!(matches!(
             execute(&q, &table),
-            Err(SqlError::UnknownColumn(_))
+            Err(ExecError::UnknownColumn(_))
         ));
     }
 

@@ -12,6 +12,7 @@
 //! | [`reference`](mod@reference) | [`wtq_dcs::Evaluator`] | the scan-based lambda DCS evaluator ([`eval_reference`]): no index, no memo |
 //! | [`parser`] | [`wtq_parser::SemanticParser`] and [`wtq_parser::Trainer`] | string-keyed features, ranking and AdaGrad training |
 //! | [`engine`] | [`wtq_sql::translate()`] and the evaluator | an in-memory executor for the SQL of Table 10, with a cost-based planner |
+//! | [`error`] | — | the executor's errors ([`ExecError`]); production `wtq-sql` raises only translation errors |
 //! | [`stats`] | — | the SQL planner's decision counters |
 //!
 //! The SQL executor cross-validates the evaluator: for every lambda DCS
@@ -25,11 +26,13 @@
 //! decisions are counted per engine in [`PlannerCounters`].
 
 pub mod engine;
+pub mod error;
 pub mod parser;
 pub mod reference;
 pub mod stats;
 
 pub use engine::{PlanMode, SqlEngine, SqlResult};
+pub use error::ExecError;
 pub use parser::{
     dot_reference, extract_features_reference, parse_in_session_reference, rank_reference,
     ReferenceCandidate, ReferenceFeatures, ReferenceModel, ReferenceTrainer,

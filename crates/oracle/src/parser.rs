@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_dcs::{AggregateOp, Answer, Evaluator, Formula, SuperlativeOp};
-use wtq_table::{Catalog, IndexCache, Table};
+use wtq_table::{Catalog, Table};
 
 use wtq_parser::candidates::RawCandidate;
 use wtq_parser::model::softmax;
@@ -472,13 +472,11 @@ struct PreparedReference {
 
 fn prepare_reference(
     config: &CandidateConfig,
-    indexes: &IndexCache,
     example: &TrainExample,
     catalog: &Catalog,
 ) -> Option<Vec<PreparedReference>> {
     let table = catalog.get(&example.table)?;
-    let index = indexes.get_or_build(table);
-    let evaluator = Evaluator::with_index(table, index);
+    let evaluator = Evaluator::new(table);
     let analysis = analyze_question_with(&example.question, evaluator.kb());
     let raw = generate_candidates_with(&analysis, &evaluator, config);
     Some(
@@ -503,7 +501,6 @@ fn prepare_reference(
 /// byte-identical.
 pub struct ReferenceTrainer {
     adagrad: BTreeMap<String, f64>,
-    indexes: IndexCache,
     config: TrainConfig,
 }
 
@@ -512,7 +509,6 @@ impl ReferenceTrainer {
     pub fn new(config: TrainConfig) -> Self {
         ReferenceTrainer {
             adagrad: BTreeMap::new(),
-            indexes: IndexCache::new(),
             config,
         }
     }
@@ -525,14 +521,11 @@ impl ReferenceTrainer {
         examples: &[TrainExample],
         catalog: &Catalog,
     ) {
-        let prepared: Vec<Option<Vec<PreparedReference>>> = {
-            let indexes = &self.indexes;
-            wtq_runtime::run_batch(
-                self.config.workers,
-                examples.iter().collect(),
-                |_, example| prepare_reference(config, indexes, example, catalog),
-            )
-        };
+        let prepared: Vec<Option<Vec<PreparedReference>>> = wtq_runtime::run_batch(
+            self.config.workers,
+            examples.iter().collect(),
+            |_, example| prepare_reference(config, example, catalog),
+        );
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         for _epoch in 0..self.config.epochs {

@@ -71,9 +71,9 @@ pub(crate) struct PoolCandidate {
     pub(crate) answer: Answer,
 }
 
-/// Generate candidate formulas for a question over a table. Builds a fresh
-/// [`Evaluator`] session; callers running many questions (or holding a
-/// shared table index) should use [`generate_candidates_with`].
+/// Generate candidate formulas for a question over a table. Opens a fresh
+/// [`Evaluator`] session; callers running many questions over one table
+/// should share a session through [`generate_candidates_with`].
 pub fn generate_candidates(
     analysis: &QuestionAnalysis,
     table: &Table,

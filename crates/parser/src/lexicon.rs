@@ -134,15 +134,14 @@ const STOP_WORDS: &[&str] = &[
 ];
 
 /// Analyze a question against a table: tokenization, entity links, column
-/// links and numbers. Builds a fresh [`KnowledgeBase`] (and so a fresh table
-/// index); callers that already hold one should use
-/// [`analyze_question_with`] to share it.
+/// links and numbers, over a [`KnowledgeBase`] view of the table's own
+/// index; callers that already hold a view can use [`analyze_question_with`].
 pub fn analyze_question(question: &str, table: &Table) -> QuestionAnalysis {
     analyze_question_with(question, &KnowledgeBase::new(table))
 }
 
-/// Analyze a question against an existing knowledge-base view, reusing its
-/// shared table index instead of rebuilding it per question.
+/// Analyze a question against an existing knowledge-base view (an
+/// evaluator session's, for one).
 pub fn analyze_question_with(question: &str, kb: &KnowledgeBase<'_>) -> QuestionAnalysis {
     let (lowered, tokens) = tokenize_stage(question);
     link_stage(lowered, tokens, kb)

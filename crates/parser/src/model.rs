@@ -15,13 +15,12 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use wtq_dcs::{Answer, Evaluator, Formula, FormulaArena};
-use wtq_table::{Table, TableIndex};
+use wtq_table::Table;
 
 use crate::candidates::{generate_pool, CandidateConfig, PoolCandidate};
 use crate::features::{dot_dense, extract_pool_features, FeatureVec};
@@ -352,26 +351,14 @@ impl SemanticParser {
 
     /// Parse a question into ranked candidates `Z_x`, highest score first.
     ///
-    /// One [`TableIndex`] is built per call and shared between entity
-    /// linking and candidate execution; the execution session's denotation
-    /// cache is shared across the whole candidate pool.
+    /// Entity linking and candidate execution share the table's own index
+    /// ([`Table::index`]); the execution session's denotation cache is
+    /// shared across the whole candidate pool.
     pub fn parse(&self, question: &str, table: &Table) -> Vec<Candidate> {
-        self.parse_with_index(question, table, Arc::new(TableIndex::new(table)))
+        self.parse_in_session(question, &Evaluator::new(table))
     }
 
-    /// Like [`SemanticParser::parse`] but sharing an already-built index of
-    /// `table`, so loops parsing many questions over the same tables (train,
-    /// deploy) do not rebuild indexes — pair with [`wtq_table::IndexCache`].
-    pub fn parse_with_index(
-        &self,
-        question: &str,
-        table: &Table,
-        index: Arc<TableIndex>,
-    ) -> Vec<Candidate> {
-        self.parse_in_session(question, &Evaluator::with_index(table, index))
-    }
-
-    /// Like [`SemanticParser::parse_with_index`] but reusing an existing
+    /// Like [`SemanticParser::parse`] but reusing an existing
     /// evaluator session (and its cross-candidate denotation cache) — the
     /// entry point a per-request `Session` holds on to, so several questions
     /// answered against the same table within one request share both the
@@ -465,8 +452,12 @@ impl SemanticParser {
 
     /// The top-k candidates (the set shown to users at deployment).
     pub fn parse_top_k(&self, question: &str, table: &Table, k: usize) -> Vec<Candidate> {
-        let evaluator = Evaluator::with_index(table, Arc::new(TableIndex::new(table)));
-        self.parse_top_k_in_session(question, &evaluator, &mut ScratchSpace::new(), k)
+        self.parse_top_k_in_session(
+            question,
+            &Evaluator::new(table),
+            &mut ScratchSpace::new(),
+            k,
+        )
     }
 
     /// Normalized probabilities `p_θ(z | x, T)` over a candidate list.

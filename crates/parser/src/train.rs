@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use wtq_dcs::{Answer, Evaluator, Formula};
-use wtq_table::{Catalog, IndexCache};
+use wtq_table::Catalog;
 
 use crate::candidates::{generate_pool, PoolCandidate};
 use crate::features::{extract_pool_features, FeatureVec};
@@ -134,17 +134,16 @@ struct PreparedExample {
 }
 
 /// Generate the weight-independent part of one SGD step: the candidate pool
-/// and feature vectors for `example`. Thread-safe (`&IndexCache` is shared),
-/// so the trainer fans this out over a worker pool.
+/// and feature vectors for `example`. Thread-safe (a table builds its index
+/// once, for whichever worker asks first), so the trainer fans this out over
+/// a worker pool.
 fn prepare_example(
     parser: &SemanticParser,
-    indexes: &IndexCache,
     example: &TrainExample,
     catalog: &Catalog,
 ) -> Option<PreparedExample> {
     let table = catalog.get(&example.table)?;
-    let index = indexes.get_or_build(table);
-    let evaluator = Evaluator::with_index(table, index);
+    let evaluator = Evaluator::new(table);
     let analysis = analyze_question_with(&example.question, evaluator.kb());
     let pool = generate_pool(&analysis, &evaluator, &parser.config, &mut 0);
     let arena = evaluator.arena();
@@ -181,9 +180,6 @@ pub struct Trainer {
     /// before applying updates so the L1 shrinkage visits features in the
     /// same (name) order the historical map-keyed loop did.
     touched: Vec<u32>,
-    /// Shared table indexes, built once per table across epochs (and shared
-    /// across the candidate-generation workers).
-    indexes: IndexCache,
     config: TrainConfig,
 }
 
@@ -195,7 +191,6 @@ impl Trainer {
             gradient: Vec::new(),
             in_gradient: Vec::new(),
             touched: Vec::new(),
-            indexes: IndexCache::new(),
             config,
         }
     }
@@ -217,11 +212,10 @@ impl Trainer {
     ) {
         let prepared: Vec<Option<PreparedExample>> = {
             let parser: &SemanticParser = parser;
-            let indexes = &self.indexes;
             wtq_runtime::run_batch(
                 self.config.workers,
                 examples.iter().collect(),
-                |_, example| prepare_example(parser, indexes, example, catalog),
+                |_, example| prepare_example(parser, example, catalog),
             )
         };
         let mut order: Vec<usize> = (0..examples.len()).collect();
@@ -245,7 +239,7 @@ impl Trainer {
         example: &TrainExample,
         catalog: &Catalog,
     ) -> bool {
-        let Some(prepared) = prepare_example(parser, &self.indexes, example, catalog) else {
+        let Some(prepared) = prepare_example(parser, example, catalog) else {
             return false;
         };
         self.step(parser, &prepared, example)
@@ -392,14 +386,12 @@ pub fn evaluate<'a>(
     // Per-example parsing is independent and read-only; fan it out and fold
     // the per-example verdicts sequentially in input order, so the totals
     // are identical to a single-threaded pass.
-    let indexes = IndexCache::new();
     let verdicts: Vec<Option<(Option<usize>, bool)>> = wtq_runtime::run_batch(
         wtq_runtime::default_workers(),
         items,
         |_, (example, gold)| {
             let table = catalog.get(&example.table)?;
-            let index = indexes.get_or_build(table);
-            let candidates = parser.parse_with_index(&example.question, table, index);
+            let candidates = parser.parse(&example.question, table);
             let correct_rank = candidates
                 .iter()
                 .position(|candidate| formulas_equivalent(&candidate.formula, &gold));

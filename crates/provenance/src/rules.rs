@@ -33,7 +33,7 @@ pub fn provenance(formula: &Formula, table: &Table) -> wtq_dcs::Result<Provenanc
 }
 
 /// [`provenance`] on an existing evaluator session of the table, reusing
-/// its shared index and warm denotation memo instead of building both anew.
+/// its warm denotation memo instead of starting a fresh one.
 /// The chain is the same as on a fresh evaluator, errors included.
 pub fn provenance_with(
     formula: &Formula,

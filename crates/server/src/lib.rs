@@ -33,7 +33,7 @@
 //!   `ListTables` returns [`wtq_table::TableSummary`] listings.
 //! * **Observability** (the private `obs` module) — one registry per server
 //!   attaches the live handles of the server, its engine (serving
-//!   counters, parse stages, index cache, planner) and its answer cache.
+//!   counters and parse stages) and its answer cache.
 //!   `GET /metrics` (or the framed `Metrics` request) renders it as
 //!   Prometheus text; `GET /stats` (or `Stats`) returns the same samples
 //!   as JSON ([`StatsBody`]). A configurable fraction of requests is

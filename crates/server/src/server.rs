@@ -109,9 +109,6 @@ pub struct ServerConfig {
     /// so a request the cache can answer is never rejected with
     /// `Overloaded`.
     pub cache_capacity: usize,
-    /// TTL of answer-cache entries in milliseconds; `0` means entries
-    /// never expire by age (LRU and epoch invalidation still apply).
-    pub cache_ttl_ms: u64,
     /// Fraction of requests sampled into the trace rings (deterministic
     /// every-Nth with `N = round(1/rate)`). `0.0` disables tracing
     /// entirely — sampled-out requests cost one relaxed counter increment.
@@ -133,7 +130,6 @@ impl Default for ServerConfig {
             admission_timeout_ms: 30_000,
             reactor_threads: 2,
             cache_capacity: 4096,
-            cache_ttl_ms: 0,
             trace_sample_rate: 0.0625,
             trace_ring_size: 128,
         }
@@ -864,7 +860,6 @@ impl Server {
             engine,
             CacheConfig {
                 capacity: config.cache_capacity,
-                ttl: (config.cache_ttl_ms > 0).then(|| Duration::from_millis(config.cache_ttl_ms)),
                 ..CacheConfig::default()
             },
         );

@@ -360,7 +360,7 @@ pub struct TablesBody {
 
 /// The registry's samples: the same series and values `GET /metrics`
 /// prints, from the same walk of the registry — server, engine, parse
-/// stages, index cache, planner, answer cache and tracer alike.
+/// stages, answer cache and tracer alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StatsBody {
     /// One entry per exposition line, in `/metrics` order.

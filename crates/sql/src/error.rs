@@ -1,17 +1,10 @@
-//! Error type for SQL translation and execution.
+//! Error type for SQL translation.
 
 use std::fmt;
 
-/// Errors produced while translating lambda DCS to SQL or executing SQL.
+/// Errors produced while translating lambda DCS to SQL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SqlError {
-    /// A column referenced by the query does not exist in the table.
-    UnknownColumn(String),
-    /// A scalar subquery returned a number of rows other than one.
-    ScalarCardinality(usize),
-    /// An expression was used in a context expecting a different kind
-    /// (e.g. a non-numeric value in arithmetic).
-    Type(String),
     /// The lambda DCS formula has no SQL translation in the supported
     /// fragment (should not happen for formulas built from Table 10).
     Untranslatable(String),
@@ -20,11 +13,6 @@ pub enum SqlError {
 impl fmt::Display for SqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SqlError::UnknownColumn(name) => write!(f, "unknown column {name:?}"),
-            SqlError::ScalarCardinality(n) => {
-                write!(f, "scalar subquery returned {n} rows (expected exactly 1)")
-            }
-            SqlError::Type(msg) => write!(f, "type error: {msg}"),
             SqlError::Untranslatable(msg) => write!(f, "no SQL translation: {msg}"),
         }
     }
@@ -38,10 +26,8 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(SqlError::UnknownColumn("Lake".into())
+        assert!(SqlError::Untranslatable("ill-typed".into())
             .to_string()
-            .contains("Lake"));
-        assert!(SqlError::ScalarCardinality(3).to_string().contains('3'));
-        assert!(SqlError::Type("boom".into()).to_string().contains("boom"));
+            .contains("ill-typed"));
     }
 }

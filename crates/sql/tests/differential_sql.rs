@@ -11,9 +11,10 @@
 
 use proptest::prelude::*;
 use wtq_dcs::{eval, parse_formula, Answer, CompareOp};
+use wtq_oracle::engine::Result;
 use wtq_oracle::{PlanMode, SqlEngine, SqlResult};
 use wtq_sql::ast::{SqlExpr, SqlQuery, SqlSelect};
-use wtq_sql::{translate, Result};
+use wtq_sql::translate;
 use wtq_table::{samples, Table, TableBuilder, TableIndex, Value};
 
 /// Run `query` under every plan mode (cold Auto, warm Auto, ForceIndex)

@@ -22,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 
 use wtq_dcs::{Answer, Formula};
 use wtq_parser::{formulas_equivalent, Candidate, SemanticParser};
-use wtq_table::{Catalog, IndexCache};
+use wtq_table::Catalog;
 
 use crate::user::{SimulatedUser, UserDecision};
 
@@ -91,20 +91,18 @@ impl Default for DeploymentExperiment {
     }
 }
 
-/// Parse every example's candidates in parallel over a shared index cache
-/// (`None` where the catalog has no such table). Pure with respect to the
-/// experiment RNG, so the fan-out cannot perturb downstream sampling.
+/// Parse every example's candidates in parallel (`None` where the catalog
+/// has no such table). Pure with respect to the experiment RNG, so the
+/// fan-out cannot perturb downstream sampling.
 fn parse_examples(
     parser: &SemanticParser,
     examples: &[StudyExample],
     catalog: &Catalog,
     workers: usize,
 ) -> Vec<Option<Vec<Candidate>>> {
-    let indexes = IndexCache::new();
     wtq_runtime::run_batch(workers, examples.iter().collect(), |_, example| {
         let table = catalog.get(&example.table)?;
-        let index = indexes.get_or_build(table);
-        Some(parser.parse_with_index(&example.question, table, index))
+        Some(parser.parse(&example.question, table))
     })
 }
 

@@ -20,17 +20,14 @@
 //! first entity link against the table — a text index of the distinct
 //! values for the semantic parser's lexicon.
 //!
-//! The index holds no reference to the table, so it can be built once and
-//! shared (e.g. behind an `Arc`) between the knowledge-base view, the lambda
-//! DCS evaluator and the SQL engine. Tables are immutable after construction,
-//! so an index never needs invalidation: it lives exactly as long as the
-//! table it summarizes is in use.
+//! Each [`Table`] owns its index ([`Table::index`]): built on first use and
+//! shared by the table's clones, it is borrowed by every knowledge-base
+//! view and lambda DCS evaluator over the table. Tables are immutable after
+//! construction, so an index never needs invalidation, and because no
+//! index is looked up by name, none can answer for another table.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-
-use wtq_obs::{Counter, Gauge, Registry};
+use std::sync::OnceLock;
 
 use crate::cell::CellRef;
 use crate::table::{ColumnType, RecordIdx, Table};
@@ -173,10 +170,6 @@ pub struct TableIndex {
     numeric_columns: Vec<usize>,
     text_columns: Vec<usize>,
     num_records: usize,
-    /// The indexed table's precomputed shape fingerprint
-    /// ([`Table::fingerprint`]), making [`TableIndex::describes`] a single
-    /// integer comparison on every cache lookup.
-    fingerprint: u64,
     /// Entity-linking index of the distinct values, built on first use so
     /// that indexes which never link (the SQL engine's, a standalone
     /// evaluator's) do not pay for it.
@@ -184,8 +177,9 @@ pub struct TableIndex {
 }
 
 impl TableIndex {
-    /// Build the index for `table` in one pass over its cells (plus one sort
-    /// per column).
+    /// Build an index for `table` in one pass over its cells (plus one sort
+    /// per column). Callers that query a table use the one it owns,
+    /// [`Table::index`]; this builds a standalone one.
     pub fn new(table: &Table) -> Self {
         let by_name = table
             .columns()
@@ -208,7 +202,6 @@ impl TableIndex {
             numeric_columns,
             text_columns,
             num_records: table.num_records(),
-            fingerprint: table.fingerprint(),
             text: OnceLock::new(),
         }
     }
@@ -250,16 +243,6 @@ impl TableIndex {
     /// for most-common-value questions.
     pub fn text_columns(&self) -> &[usize] {
         &self.text_columns
-    }
-
-    /// Whether this index plausibly describes `table`: same record count,
-    /// column count and (case-normalized) headers, compared through the
-    /// precomputed shape fingerprints — a single integer comparison, cheap
-    /// enough for the thread-safe [`IndexCache`] to run on every lookup. It
-    /// cannot detect a table that differs only in cell contents, so caches
-    /// must still be scoped to one catalog.
-    pub fn describes(&self, table: &Table) -> bool {
-        self.fingerprint == table.fingerprint()
     }
 
     /// Records of `column` in ascending cell-value order (stable: ties keep
@@ -362,180 +345,6 @@ fn build_column(table: &Table, column: usize) -> ColumnIndex {
         value_order: OnceLock::new(),
         sortable,
         numeric,
-    }
-}
-
-/// Default number of tables an [`IndexCache`] retains before evicting the
-/// least-recently-used entry.
-pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 256;
-
-/// The live metric handles of one [`IndexCache`], published as the
-/// `wtq_index_cache_*` families by [`IndexCacheMetrics::register`].
-#[derive(Debug, Default)]
-pub struct IndexCacheMetrics {
-    /// Lookups answered from a cached index.
-    pub hits: Arc<Counter>,
-    /// Lookups that had to build (or rebuild) an index.
-    pub misses: Arc<Counter>,
-    /// Entries evicted by the LRU capacity bound.
-    pub evictions: Arc<Counter>,
-    /// Tables currently cached.
-    pub tables: Arc<Gauge>,
-}
-
-impl IndexCacheMetrics {
-    /// Attach these handles to `registry`.
-    pub fn register(&self, registry: &Registry) {
-        registry.attach_labeled(
-            "wtq_index_cache_ops_total",
-            "op",
-            "Index-cache lookups and evictions, by outcome",
-            [
-                ("hit", &self.hits),
-                ("miss", &self.misses),
-                ("eviction", &self.evictions),
-            ],
-        );
-        registry.attach(
-            "wtq_index_cache_tables",
-            "Tables resident in the index cache",
-            &self.tables,
-        );
-    }
-}
-
-/// One cached index plus its LRU recency stamp. The stamp is an atomic so a
-/// cache *hit* only needs the read lock — concurrent readers bump recency
-/// without serializing on a write lock.
-#[derive(Debug)]
-struct CacheEntry {
-    index: Arc<TableIndex>,
-    last_used: AtomicU64,
-}
-
-/// Memoized per-table indexes, keyed by table name. Training, deployment and
-/// serving loops parse many questions over a set of immutable tables;
-/// holding one cache per catalog amortizes the index build across every
-/// question on the same table. Table names are unique within a
-/// [`crate::Catalog`] — use one cache per catalog.
-///
-/// The cache is **thread-safe** (`&self` everywhere, internally an
-/// [`RwLock`]ed map): one instance can be shared by a pool of worker threads
-/// answering questions concurrently, with per-table lazy builds and an LRU
-/// capacity bound (default [`DEFAULT_INDEX_CACHE_CAPACITY`] tables) so
-/// memory does not grow without limit under traffic over a large catalog.
-/// Indexes are built *outside* the lock; if two threads race to index the
-/// same table, one build is discarded — both threads end up sharing a single
-/// `Arc`.
-#[derive(Debug)]
-pub struct IndexCache {
-    by_table: RwLock<HashMap<String, CacheEntry>>,
-    capacity: usize,
-    /// Monotonic recency clock; higher = more recently used.
-    clock: AtomicU64,
-    metrics: IndexCacheMetrics,
-}
-
-impl Default for IndexCache {
-    fn default() -> Self {
-        IndexCache::with_capacity(DEFAULT_INDEX_CACHE_CAPACITY)
-    }
-}
-
-impl IndexCache {
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        IndexCache::default()
-    }
-
-    /// An empty cache retaining at most `capacity` tables (clamped to ≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        IndexCache {
-            by_table: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
-            metrics: IndexCacheMetrics::default(),
-        }
-    }
-
-    /// The maximum number of tables retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The shared index for `table`, building it on first request. A cached
-    /// entry is reused only when its shape fingerprint matches `table`; a
-    /// same-named but different table replaces the stale entry instead of
-    /// silently answering from it. Inserting beyond capacity evicts the
-    /// least-recently-used entry.
-    pub fn get_or_build(&self, table: &Table) -> Arc<TableIndex> {
-        if let Some(index) = self.lookup(table) {
-            return index;
-        }
-        // Build outside any lock: index construction is the expensive part,
-        // and holding the write lock across it would serialize every miss.
-        let built = Arc::new(TableIndex::new(table));
-        let mut map = self.by_table.write().expect("index cache poisoned");
-        // Another thread may have finished the same build first; share its
-        // entry so all sessions hold one Arc per table.
-        if let Some(existing) = map.get(table.name()) {
-            if existing.index.describes(table) {
-                existing.last_used.store(self.tick(), Ordering::Relaxed);
-                self.metrics.misses.inc();
-                return existing.index.clone();
-            }
-        }
-        map.insert(
-            table.name().to_string(),
-            CacheEntry {
-                index: built.clone(),
-                last_used: AtomicU64::new(self.tick()),
-            },
-        );
-        self.metrics.misses.inc();
-        while map.len() > self.capacity {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                .map(|(name, _)| name.clone())
-                .expect("map over capacity is non-empty");
-            map.remove(&oldest);
-            self.metrics.evictions.inc();
-        }
-        self.metrics.tables.set(map.len() as i64);
-        built
-    }
-
-    /// Read-lock fast path: a hit bumps the entry's recency stamp through
-    /// its atomic, so concurrent hits never contend on the write lock.
-    fn lookup(&self, table: &Table) -> Option<Arc<TableIndex>> {
-        let map = self.by_table.read().expect("index cache poisoned");
-        let entry = map.get(table.name())?;
-        if !entry.index.describes(table) {
-            return None;
-        }
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        self.metrics.hits.inc();
-        Some(entry.index.clone())
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Hit / miss / eviction counters and the resident-table gauge.
-    pub fn metrics(&self) -> &IndexCacheMetrics {
-        &self.metrics
-    }
-
-    /// Number of tables currently cached.
-    pub fn len(&self) -> usize {
-        self.metrics.tables.get() as usize
-    }
-
-    /// Whether no index is currently cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -679,126 +488,6 @@ mod tests {
         assert_eq!(index.text_columns(), &[1, 2]);
         assert_eq!(index.column_type(0), ColumnType::Number);
         assert_eq!(index.column(2).column_type(), ColumnType::Text);
-    }
-
-    #[test]
-    fn index_cache_reuses_matching_and_replaces_stale_entries() {
-        let table = olympics();
-        let cache = IndexCache::new();
-        let first = cache.get_or_build(&table);
-        let again = cache.get_or_build(&table);
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.metrics().hits.get(), 1);
-        assert_eq!(cache.metrics().misses.get(), 1);
-        // A same-named table with a different shape must not reuse the entry.
-        let other =
-            Table::from_rows("olympics", &["Athlete", "Medal"], &[vec!["Louis", "Gold"]]).unwrap();
-        let rebuilt = cache.get_or_build(&other);
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(rebuilt.num_columns(), 2);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.metrics().misses.get(), 2);
-    }
-
-    fn named(name: &str) -> Table {
-        Table::from_rows(name, &["A"], &[vec!["1"]]).unwrap()
-    }
-
-    #[test]
-    fn index_cache_evicts_least_recently_used_beyond_capacity() {
-        let cache = IndexCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let (a, b, c) = (named("a"), named("b"), named("c"));
-        cache.get_or_build(&a);
-        cache.get_or_build(&b);
-        // Touch `a` so `b` becomes the LRU entry, then overflow with `c`.
-        cache.get_or_build(&a);
-        cache.get_or_build(&c);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.metrics().evictions.get(), 1);
-        // `a` and `c` are still cached (hits); `b` was evicted (miss).
-        let hits_before = cache.metrics().hits.get();
-        cache.get_or_build(&a);
-        cache.get_or_build(&c);
-        assert_eq!(cache.metrics().hits.get(), hits_before + 2);
-        let misses_before = cache.metrics().misses.get();
-        cache.get_or_build(&b);
-        assert_eq!(cache.metrics().misses.get(), misses_before + 1);
-    }
-
-    #[test]
-    fn index_cache_capacity_is_clamped_to_one() {
-        let cache = IndexCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1);
-        cache.get_or_build(&named("a"));
-        cache.get_or_build(&named("b"));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.metrics().evictions.get(), 1);
-    }
-
-    #[test]
-    fn index_cache_is_shared_across_threads() {
-        let cache = IndexCache::new();
-        let tables: Vec<Table> = (0..4).map(|i| named(&format!("t{i}"))).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for table in &tables {
-                        let index = cache.get_or_build(table);
-                        assert!(index.describes(table));
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 4);
-        let metrics = cache.metrics();
-        // Every lookup either hit or missed; racing builds may each count a
-        // miss, but the total accounts for all 16 lookups.
-        assert_eq!(metrics.hits.get() + metrics.misses.get(), 16);
-        assert!(metrics.misses.get() >= 4);
-    }
-
-    #[test]
-    fn describes_matches_fingerprint_semantics() {
-        let table = olympics();
-        let index = TableIndex::new(&table);
-        assert!(index.describes(&table));
-        // Same shape, different cell contents: indistinguishable by design.
-        let same_shape = Table::from_rows(
-            "other",
-            &["year", "COUNTRY", "City"],
-            &[
-                vec!["1", "x", "y"],
-                vec!["2", "x", "y"],
-                vec!["3", "x", "y"],
-                vec!["4", "x", "y"],
-                vec!["5", "x", "y"],
-            ],
-        )
-        .unwrap();
-        assert!(index.describes(&same_shape));
-        // Different record count, headers or column order: rejected.
-        let fewer_rows = Table::from_rows(
-            "olympics",
-            &["Year", "Country", "City"],
-            &[vec!["1896", "Greece", "Athens"]],
-        )
-        .unwrap();
-        assert!(!index.describes(&fewer_rows));
-        let renamed = Table::from_rows(
-            "olympics",
-            &["Year", "Country", "Town"],
-            &[
-                vec!["1896", "Greece", "Athens"],
-                vec!["1900", "France", "Paris"],
-                vec!["2004", "Greece", "Athens"],
-                vec!["2008", "China", "Beijing"],
-                vec!["2012", "UK", "London"],
-            ],
-        )
-        .unwrap();
-        assert!(!index.describes(&renamed));
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //! The paper views a table as `K ⊆ E × P × E`: entities `E` are all cell
 //! values plus all records, and each column header is a binary property
 //! mapping a cell value to the records in which it appears. This module is a
-//! thin view over the shared [`TableIndex`] (which materializes the inverted
-//! indexes): the evaluator and the semantic parser answer `Column.value`
-//! joins and entity-linking lookups without scanning the table repeatedly,
-//! and — because the index is behind an `Arc` — without rebuilding it per
-//! question or per evaluation session.
-
-use std::sync::Arc;
+//! thin view over the table's own [`TableIndex`] (which materializes the
+//! inverted indexes): the evaluator and the semantic parser answer
+//! `Column.value` joins and entity-linking lookups without scanning the
+//! table repeatedly, and — because the table owns its index — without
+//! rebuilding it per question or per evaluation session.
 
 use crate::cell::CellRef;
 use crate::index::TableIndex;
@@ -22,25 +20,17 @@ pub use crate::index::ColumnIndex;
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase<'a> {
     table: &'a Table,
-    index: Arc<TableIndex>,
+    index: &'a TableIndex,
 }
 
 impl<'a> KnowledgeBase<'a> {
-    /// Build the KB view of `table`, constructing a fresh [`TableIndex`].
-    /// When an index for the table already exists, use
-    /// [`KnowledgeBase::with_index`] to share it instead.
+    /// The KB view of `table`, over the table's own index ([`Table::index`],
+    /// built on first use).
     pub fn new(table: &'a Table) -> Self {
         KnowledgeBase {
             table,
-            index: Arc::new(TableIndex::new(table)),
+            index: table.index(),
         }
-    }
-
-    /// Build the KB view around an existing shared index of the same table.
-    pub fn with_index(table: &'a Table, index: Arc<TableIndex>) -> Self {
-        debug_assert_eq!(index.num_records(), table.num_records());
-        debug_assert_eq!(index.num_columns(), table.num_columns());
-        KnowledgeBase { table, index }
     }
 
     /// The underlying table (borrowed for the view's full lifetime).
@@ -48,9 +38,9 @@ impl<'a> KnowledgeBase<'a> {
         self.table
     }
 
-    /// The shared columnar index backing this view.
-    pub fn index(&self) -> &Arc<TableIndex> {
-        &self.index
+    /// The table's columnar index backing this view.
+    pub fn index(&self) -> &'a TableIndex {
+        self.index
     }
 
     /// Index for a column.
@@ -183,15 +173,5 @@ mod tests {
         let kb = KnowledgeBase::new(&table);
         let country = table.column_index("Country").unwrap();
         assert_eq!(kb.column(country).num_distinct(), 4);
-    }
-
-    #[test]
-    fn with_index_shares_one_build() {
-        let table = olympics();
-        let index = Arc::new(TableIndex::new(&table));
-        let kb = KnowledgeBase::with_index(&table, index.clone());
-        assert_eq!(Arc::strong_count(kb.index()), 2);
-        let country = table.column_index("Country").unwrap();
-        assert_eq!(kb.join(country, &Value::str("Greece")), &[0, 2]);
     }
 }

@@ -22,8 +22,9 @@
 //! * [`CellRef`] — a (record, column) coordinate used by the provenance model,
 //! * [`index::TableIndex`] — the indexed columnar view (inverted indexes,
 //!   value-sorted permutations, sorted numeric projections, O(1) column-name
-//!   lookup, and a text index for entity linking built on the first link)
-//!   built once per table and shared by every engine,
+//!   lookup, and a text index for entity linking built on the first link),
+//!   owned by its table ([`Table::index`]): built on first use, shared by
+//!   the table's clones,
 //! * [`kb::KnowledgeBase`] — the KB view over that index,
 //! * [`csv`] — a small TSV/CSV reader and writer (no external dependency),
 //! * [`catalog::Catalog`] — a named collection of tables,
@@ -45,9 +46,7 @@ pub use catalog::{Catalog, TableSummary};
 pub use cell::CellRef;
 pub use column::DictId;
 pub use error::TableError;
-pub use index::{
-    ColumnIndex, IndexCache, IndexCacheMetrics, TableIndex, DEFAULT_INDEX_CACHE_CAPACITY,
-};
+pub use index::{ColumnIndex, TableIndex};
 pub use kb::KnowledgeBase;
 pub use table::{Column, ColumnType, RecordIdx, Table, TableBuilder};
 pub use value::{Date, Value};

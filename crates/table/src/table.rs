@@ -14,14 +14,20 @@
 //! which reproduce the exact per-row [`Value`] semantics the row-major
 //! representation had. The serde wire format still speaks rows — the
 //! columnar layout is an in-memory detail, byte-invisible on the wire.
+//!
+//! A table owns its [`TableIndex`], built on the first [`Table::index`]
+//! call and shared with every clone of the table, so one table never
+//! pays for two indexes and no index can answer for another table.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::cell::CellRef;
 use crate::column::ColumnData;
 use crate::error::TableError;
+use crate::index::TableIndex;
 use crate::value::Value;
 use crate::Result;
 
@@ -64,12 +70,10 @@ pub struct Table {
     cols: Vec<ColumnData>,
     num_records: usize,
     /// Precomputed shape fingerprint (record count, column count, normalized
-    /// headers, column types), set once at construction. Lets
-    /// [`crate::TableIndex::describes`] run as a single integer comparison on
-    /// every cache lookup instead of re-walking (and re-lowercasing) the
-    /// headers. Derived state: never serialized, recomputed on deserialize
-    /// (see the manual serde impls below), so a hand-edited data file cannot
-    /// smuggle in a fingerprint describing a different shape.
+    /// headers, column types), set once at construction. Derived state:
+    /// never serialized, recomputed on deserialize (see the manual serde
+    /// impls below), so a hand-edited data file cannot smuggle in a
+    /// fingerprint describing a different shape.
     fingerprint: u64,
     /// Precomputed *content* fingerprint: the shape fingerprint extended
     /// with every cell's canonical bytes (see
@@ -79,6 +83,36 @@ pub struct Table {
     /// fingerprint deliberately ignores cell contents and would alias
     /// them. Derived state, like `fingerprint`: never serialized.
     content_fingerprint: u64,
+    /// The table's index, built on first use and shared by its clones.
+    /// Derived state: serde and equality ignore it.
+    index: SharedIndex,
+}
+
+/// The cell a table's index is built in, shared by the table's clones. The
+/// shared cell is allocated by the first clone or the first build, so a
+/// table that is never cloned or queried (a rendered highlight sample)
+/// allocates nothing for it.
+#[derive(Default)]
+struct SharedIndex(OnceLock<Arc<OnceLock<TableIndex>>>);
+
+impl SharedIndex {
+    fn cell(&self) -> &OnceLock<TableIndex> {
+        self.0.get_or_init(Arc::default)
+    }
+}
+
+impl Clone for SharedIndex {
+    fn clone(&self) -> Self {
+        // Allocate the shared cell first, so that the clone shares it.
+        self.cell();
+        SharedIndex(self.0.clone())
+    }
+}
+
+impl fmt::Debug for SharedIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedIndex").finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for Table {
@@ -179,6 +213,7 @@ impl Table {
             num_records,
             fingerprint,
             content_fingerprint,
+            index: SharedIndex::default(),
         }
     }
 
@@ -191,8 +226,7 @@ impl Table {
     /// count, column count, case-normalized header names and inferred column
     /// types. Two tables with equal fingerprints have (up to hash collision)
     /// the same shape; differing cell *contents* are deliberately not
-    /// captured, exactly like the header walk this replaces — index caches
-    /// must still be scoped to one catalog.
+    /// captured (see [`Table::content_fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -206,6 +240,12 @@ impl Table {
     /// its answers.
     pub fn content_fingerprint(&self) -> u64 {
         self.content_fingerprint
+    }
+
+    /// The table's [`TableIndex`], built on the first call and shared by
+    /// every clone of the table. Concurrent first calls build it once.
+    pub fn index(&self) -> &TableIndex {
+        self.index.cell().get_or_init(|| TableIndex::new(self))
     }
 
     /// All columns in header order.
@@ -851,6 +891,24 @@ mod tests {
         ]);
         let shorter = Table::from_value(&tampered).unwrap();
         assert_ne!(shorter.fingerprint(), table.fingerprint());
+    }
+
+    #[test]
+    fn the_index_is_built_once_and_shared_by_clones_only() {
+        let table = olympics();
+        let clone = table.clone();
+        let index: *const TableIndex = table.index();
+        assert!(std::ptr::eq(index, table.index()), "built once");
+        assert!(std::ptr::eq(index, clone.index()), "shared by the clone");
+        // Equal contents are not the same table: a deserialized copy and a
+        // rebuilt twin each own their index, and equality ignores it.
+        let restored = Table::from_value(&table.to_value()).unwrap();
+        let twin = olympics();
+        assert_eq!(restored, table);
+        assert_eq!(twin, table);
+        assert!(!std::ptr::eq(index, restored.index()));
+        assert!(!std::ptr::eq(index, twin.index()));
+        assert_eq!(twin.index().num_records(), table.num_records());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use wtq_sql::translate;
 fn execute(
     query: &wtq_sql::SqlQuery,
     table: &wtq_table::Table,
-) -> wtq_sql::Result<wtq_oracle::SqlResult> {
+) -> Result<wtq_oracle::SqlResult, wtq_oracle::ExecError> {
     SqlEngine::new(table).execute(query, PlanMode::Auto)
 }
 use wtq_table::{samples, CellRef};

@@ -9,8 +9,9 @@
 //!    traces (checked through both the structured `Highlights` and the
 //!    rendered highlight grid).
 //! 2. **Shared-engine safety** — N threads × M questions hammering one
-//!    `Engine` (one shared LRU index cache) all observe the same answers a
-//!    single-threaded run produces.
+//!    `Engine` over one catalog all observe the same answers a
+//!    single-threaded run produces, and every session on a table borrows
+//!    the one index the table owns.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -18,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 
 use wtq_core::{Engine, ExplainRequest, Explanation};
 use wtq_dataset::dataset::{Dataset, DatasetConfig};
-use wtq_table::Catalog;
+use wtq_table::{Catalog, TableIndex};
 
 fn environment() -> (Dataset, Catalog) {
     let config = DatasetConfig {
@@ -137,41 +138,54 @@ fn many_threads_sharing_one_engine_agree_with_the_sequential_run() {
         .collect();
 
     // N threads × M questions over the same shared engine, each thread
-    // walking the questions in a different rotation so cache accesses
-    // interleave adversarially.
+    // walking the questions in a different rotation so first uses of each
+    // table's index interleave adversarially. Each thread reports the
+    // address of the index every one of its sessions borrowed.
     const THREADS: usize = 8;
-    std::thread::scope(|scope| {
-        for thread in 0..THREADS {
-            let engine = &engine;
-            let catalog = &catalog;
-            let questions = &questions;
-            let reference = &reference;
-            scope.spawn(move || {
-                for offset in 0..questions.len() {
-                    let position = (thread + offset) % questions.len();
-                    let (question, table_name) = &questions[position];
-                    let table = catalog.get(table_name).expect("table exists");
-                    let session = engine.session(table);
-                    let observed = session
-                        .explain_question(question, 7)
-                        .iter()
-                        .map(|candidate| {
-                            format!(
-                                "{}|{:016x}|{}",
-                                candidate.formula,
-                                candidate.score.to_bits(),
-                                candidate.answer
-                            )
-                        })
-                        .collect::<Vec<String>>()
-                        .join(";");
-                    assert_eq!(&observed, &reference[position], "question {position}");
-                }
-            });
-        }
+    let borrowed: Vec<Vec<(usize, usize)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let engine = &engine;
+                let catalog = &catalog;
+                let questions = &questions;
+                let reference = &reference;
+                scope.spawn(move || {
+                    let mut borrowed = Vec::new();
+                    for offset in 0..questions.len() {
+                        let position = (thread + offset) % questions.len();
+                        let (question, table_name) = &questions[position];
+                        let table = catalog.get(table_name).expect("table exists");
+                        let session = engine.session(table);
+                        let index: *const TableIndex = session.evaluator().index();
+                        borrowed.push((position, index as usize));
+                        let observed = session
+                            .explain_question(question, 7)
+                            .iter()
+                            .map(|candidate| {
+                                format!(
+                                    "{}|{:016x}|{}",
+                                    candidate.formula,
+                                    candidate.score.to_bits(),
+                                    candidate.answer
+                                )
+                            })
+                            .collect::<Vec<String>>()
+                            .join(";");
+                        assert_eq!(&observed, &reference[position], "question {position}");
+                    }
+                    borrowed
+                })
+            })
+            .collect();
+        (threads.into_iter())
+            .map(|thread| thread.join().expect("thread clean"))
+            .collect()
     });
-    let metrics = engine.index_cache().metrics();
-    // Every table was indexed at most a handful of times (racing builds),
-    // not once per lookup.
-    assert!(metrics.hits.get() > metrics.misses.get());
+    // Every session on a table, on every thread, saw the same index: the
+    // one the table owns, built once.
+    for (position, index) in borrowed.into_iter().flatten() {
+        let table = catalog.get(&questions[position].1).expect("table exists");
+        let owned: *const TableIndex = table.index();
+        assert_eq!(index, owned as usize, "question {position}");
+    }
 }

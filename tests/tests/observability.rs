@@ -124,15 +124,12 @@ fn parse_prometheus(text: &str) -> (HashMap<String, f64>, HashMap<String, String
 
 /// Every family `/metrics` prints under `ServerConfig::default()`, with its
 /// label key and the values of its series (`""` when unlabeled): dropping
-/// or renaming any of them is a breaking change for scrapers.
+/// or renaming any of them is a breaking change for scrapers, and a family
+/// missing here fails the scrape test.
 const FAMILIES: [(&str, &str, &str); 25] = [
     ("wtq_answer_cache_bytes", "", ""),
     ("wtq_answer_cache_entries", "", ""),
-    (
-        "wtq_answer_cache_evictions_total",
-        "reason",
-        "lru ttl stale",
-    ),
+    ("wtq_answer_cache_evictions_total", "reason", "lru"),
     (
         "wtq_answer_cache_ops_total",
         "op",
@@ -141,8 +138,6 @@ const FAMILIES: [(&str, &str, &str); 25] = [
     ("wtq_engine_batches_served_total", "", ""),
     ("wtq_engine_in_flight", "", ""),
     ("wtq_engine_questions_served_total", "", ""),
-    ("wtq_index_cache_ops_total", "op", "hit miss eviction"),
-    ("wtq_index_cache_tables", "", ""),
     ("wtq_parse_stage_duration_seconds", "stage", PARSE_STAGES),
     ("wtq_request_duration_seconds", "", ""),
     (
@@ -151,6 +146,7 @@ const FAMILIES: [(&str, &str, &str); 25] = [
         REQUEST_STAGES,
     ),
     ("wtq_server_connections_total", "", ""),
+    ("wtq_server_dispatch_threads", "", ""),
     ("wtq_server_encode_failures_total", "", ""),
     ("wtq_server_endpoint_requests_total", "endpoint", ENDPOINTS),
     ("wtq_server_http_requests_total", "", ""),
@@ -158,6 +154,7 @@ const FAMILIES: [(&str, &str, &str); 25] = [
     ("wtq_server_open_connections", "", ""),
     ("wtq_server_protocol_errors_total", "", ""),
     ("wtq_server_reactor_queue_depth", "", ""),
+    ("wtq_server_reactor_threads", "", ""),
     ("wtq_server_rejected_total", "reason", "overload table_busy"),
     ("wtq_server_requests_total", "", ""),
     ("wtq_server_tables", "", ""),
@@ -180,7 +177,12 @@ fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
     let (before, types) = parse_prometheus(&first);
 
     // One registry covers every layer: server, engine, parser stages,
-    // caches — every family with every one of its series.
+    // caches — exactly the listed families, each with every one of its
+    // series.
+    let mut printed: Vec<&str> = types.keys().map(String::as_str).collect();
+    printed.sort_unstable();
+    let listed: Vec<&str> = FAMILIES.iter().map(|(family, _, _)| *family).collect();
+    assert_eq!(printed, listed, "/metrics prints exactly FAMILIES");
     for (family, key, values) in FAMILIES {
         let kind = types
             .get(family)
@@ -547,7 +549,7 @@ fn engines_caches_and_servers_in_one_process_keep_their_own_numbers() {
     // Engine B did nothing, and its series say so.
     let mut client = Client::connect(server_b.local_addr()).unwrap();
     let (b, _) = parse_prometheus(&client.metrics().unwrap());
-    let engine_families = ["wtq_parse_", "wtq_engine_", "wtq_index_cache_"];
+    let engine_families = ["wtq_parse_", "wtq_engine_"];
     for (series, value) in &b {
         if engine_families
             .iter()
