@@ -50,9 +50,14 @@ fn bench_table7(c: &mut Criterion) {
     // Print the Table 7 row alongside the micro-benchmarks.
     let t7 = wtq_bench::table7(&env, 7);
     println!(
-        "\nTable 7 (measured, {} questions): candidates {:.6}s, utterances {:.6}s, highlights {:.6}s per question\n\
+        "\nTable 7 (measured, {} questions): candidates {:.6}s, utterances {:.6}s, highlights {:.6}s, \
+         served body {:.6}s per question\n\
          Paper: 1.22s / 0.22s / 1.36s — utterances remain the cheapest stage.",
-        t7.questions, t7.candidate_generation, t7.utterance_generation, t7.highlight_generation
+        t7.questions,
+        t7.candidate_generation,
+        t7.utterance_generation,
+        t7.highlight_generation,
+        t7.encoding
     );
 }
 

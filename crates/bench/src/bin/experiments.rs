@@ -22,7 +22,8 @@
 //! default.
 
 use wtq_bench::{
-    environment, k_sweep, raw_formula_control, table4, table5, table6, table7, table9,
+    environment, k_sweep, raw_formula_control, table4, table5, table6, table7, table7_large,
+    table9, EXPERIMENT_SEED,
 };
 use wtq_core::Engine;
 use wtq_dcs::parse_formula;
@@ -142,22 +143,44 @@ fn main() {
     if wanted("table7") {
         heading("Table 7 — average execution time per question (seconds)");
         let t7 = table7(&env, 7);
-        println!("| stage | paper | measured |");
-        println!("|---|---|---|");
+        let large = table7_large(EXPERIMENT_SEED, 4, 40, 7);
         println!(
-            "| candidate generation | 1.22 | {:.6} |",
-            t7.candidate_generation
+            "| stage | paper | measured ({} questions) | measured, 256–512 rows ({} questions) |",
+            t7.questions, large.questions
         );
+        println!("|---|---|---|---|");
+        let rows = [
+            (
+                "candidate generation",
+                "1.22",
+                t7.candidate_generation,
+                large.candidate_generation,
+            ),
+            (
+                "utterance generation",
+                "0.22",
+                t7.utterance_generation,
+                large.utterance_generation,
+            ),
+            (
+                "highlight generation",
+                "1.36",
+                t7.highlight_generation,
+                large.highlight_generation,
+            ),
+            ("served body encoding", "—", t7.encoding, large.encoding),
+        ];
+        for (stage, paper, measured, measured_large) in rows {
+            println!("| {stage} | {paper} | {measured:.6} | {measured_large:.6} |");
+        }
         println!(
-            "| utterance generation | 0.22 | {:.6} |",
-            t7.utterance_generation
-        );
-        println!(
-            "| highlight generation | 1.36 | {:.6} |",
-            t7.highlight_generation
-        );
-        println!(
-            "\nAbsolute times differ (different hardware and parser); the ordering —\nutterances an order of magnitude cheaper than candidate/highlight generation — is preserved."
+            "\nAbsolute times differ (different hardware and parser). The paper's \
+             highlights cost 6.2× its utterances; here they cost {:.1}× on the \
+             generated tables and {:.1}× on 256–512 rows. Encoding the body \
+             (class counts, the sampled rendering of §5.3 and JSON) is not a \
+             paper row.",
+            t7.highlight_generation / t7.utterance_generation,
+            large.highlight_generation / large.utterance_generation
         );
     }
 

@@ -14,11 +14,12 @@ pub mod serve;
 
 use std::time::Instant;
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use wtq_core::Engine;
+use wtq_core::{candidates_json, Engine, ExplainedCandidate};
 use wtq_dataset::dataset::{Dataset, DatasetConfig};
+use wtq_dataset::tablegen::generate_table_with_rows;
 use wtq_dataset::Split;
 use wtq_parser::{generate_candidates, CandidateConfig, SemanticParser, TrainConfig, TrainExample};
 use wtq_provenance::Highlights;
@@ -27,7 +28,7 @@ use wtq_study::{
     chi_square_2x2, collect_annotations, DeploymentExperiment, DeploymentResult, ExplanationMode,
     FeedbackExperiment, FeedbackResult, SimulatedUser, WorkTimeModel,
 };
-use wtq_table::Catalog;
+use wtq_table::{Catalog, Table};
 
 /// Seed used by every experiment so reported numbers are reproducible.
 pub const EXPERIMENT_SEED: u64 = 20190416;
@@ -183,7 +184,8 @@ pub fn k_sweep(env: &Environment, ks: &[usize]) -> Vec<(usize, f64)> {
 }
 
 /// Table 7: average per-question execution time (seconds) of candidate
-/// generation, utterance generation and highlight generation.
+/// generation, utterance generation and highlight generation, plus the
+/// encoding of the served body.
 pub struct Table7Result {
     /// Questions measured.
     pub questions: usize,
@@ -193,49 +195,121 @@ pub struct Table7Result {
     pub utterance_generation: f64,
     /// Average seconds to generate the top-k highlights.
     pub highlight_generation: f64,
+    /// Average seconds to encode the explained top k as the served body
+    /// ([`candidates_json`]: class counts, the sampled rendering of §5.3
+    /// and the JSON around them).
+    pub encoding: f64,
 }
 
 /// Run the Table 7 measurement over the environment's test questions on the
-/// served path: one [`Engine`] opens a session per question (its table
-/// index comes from the engine's cache), parses there, and computes the
-/// top-k highlights on that session's warm evaluator — what deployment pays.
+/// served path, stage by stage: one [`Engine`] opens a session per question
+/// and parses there (candidate generation), then come the top k's
+/// utterances, their highlights on that session's warm evaluator, and
+/// [`candidates_json`] of the explained top k — what deployment pays.
+/// Tables own their index, built once per table before its first question
+/// and not timed.
 pub fn table7(env: &Environment, top_k: usize) -> Table7Result {
+    table7_over(
+        env.test_examples.iter().filter_map(|example| {
+            let table = env.catalog.get(&example.table)?;
+            Some((example.question.as_str(), table))
+        }),
+        top_k,
+    )
+}
+
+/// [`table7`] over `tables` seeded 256–512-row tables with `per_table`
+/// generated questions each, like the tables of servebench's
+/// `annotate_batch` workload.
+pub fn table7_large(seed: u64, tables: usize, per_table: usize, top_k: usize) -> Table7Result {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let domains = wtq_dataset::all_domains();
+    let generated: Vec<(Table, Vec<String>)> = (0..tables)
+        .map(|index| {
+            let rows = rng.gen_range(256..513);
+            let domain = &domains[index % domains.len()];
+            let table = generate_table_with_rows(domain, index, rows, &mut rng);
+            let questions = wtq_dataset::generate_questions(&table, per_table, &mut rng)
+                .into_iter()
+                .map(|generated| generated.question)
+                .collect();
+            (table, questions)
+        })
+        .collect();
+    table7_over(
+        generated.iter().flat_map(|(table, questions)| {
+            questions
+                .iter()
+                .map(move |question| (question.as_str(), table))
+        }),
+        top_k,
+    )
+}
+
+/// [`table7`] over `(question, table)` pairs.
+fn table7_over<'t>(
+    questions: impl IntoIterator<Item = (&'t str, &'t Table)>,
+    top_k: usize,
+) -> Table7Result {
     let engine = Engine::new();
     let mut candidate_time = 0.0;
     let mut utterance_time = 0.0;
     let mut highlight_time = 0.0;
-    let mut questions = 0usize;
-    for example in &env.test_examples {
-        let Some(table) = env.catalog.get(&example.table) else {
-            continue;
-        };
-        questions += 1;
+    let mut encoding_time = 0.0;
+    let mut count = 0usize;
+    for (question, table) in questions {
+        table.index();
+        count += 1;
         let start = Instant::now();
         let session = engine.session(table);
-        let mut candidates = session.parse(&example.question);
+        let mut candidates = session.parse(question);
         candidates.truncate(top_k);
         candidate_time += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let _utterances: Vec<String> = candidates
+        let utterances: Vec<String> = candidates
             .iter()
             .map(|c| wtq_explain::utter(&c.formula))
             .collect();
         utterance_time += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let _highlights: Vec<_> = candidates
+        let highlights: Vec<_> = candidates
             .iter()
-            .filter_map(|c| Highlights::compute_with(&c.formula, session.evaluator()).ok())
+            .map(|c| Highlights::compute_with(&c.formula, session.evaluator()).ok())
             .collect();
         highlight_time += start.elapsed().as_secs_f64();
+
+        // The explained candidates the engine would serve; their SQL is not
+        // timed (Table 7 has no SQL row).
+        let explained: Vec<ExplainedCandidate> = candidates
+            .into_iter()
+            .zip(utterances)
+            .zip(highlights)
+            .filter_map(|((candidate, utterance), highlights)| {
+                Some(ExplainedCandidate {
+                    sql: wtq_sql::translate(&candidate.formula)
+                        .ok()
+                        .map(|query| query.to_sql()),
+                    highlights: highlights?,
+                    utterance,
+                    formula: candidate.formula,
+                    score: candidate.score,
+                    answer: candidate.answer,
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        std::hint::black_box(candidates_json(&explained, table));
+        encoding_time += start.elapsed().as_secs_f64();
     }
-    let n = questions.max(1) as f64;
+    let n = count.max(1) as f64;
     Table7Result {
-        questions,
+        questions: count,
         candidate_generation: candidate_time / n,
         utterance_generation: utterance_time / n,
         highlight_generation: highlight_time / n,
+        encoding: encoding_time / n,
     }
 }
 
@@ -383,6 +457,10 @@ mod tests {
         assert!(t7.utterance_generation < t7.candidate_generation);
         assert!(t7.candidate_generation > 0.0);
         assert!(t7.highlight_generation > 0.0);
+        assert!(t7.encoding > 0.0);
+        let large = table7_large(1, 1, 2, 7);
+        assert_eq!(large.questions, 2);
+        assert!(large.encoding > 0.0);
     }
 
     #[test]

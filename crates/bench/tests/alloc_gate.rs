@@ -131,9 +131,9 @@ fn wtq_size_allocations(body: bool) -> Vec<(u64, u64)> {
 
 /// Allocations per counted question, in question order.
 const PINNED: [u64; TABLES * (QUESTIONS_PER_TABLE - 1)] = [
-    1806, 1739, 1831, 1282, 2024, 1597, 1537, 1405, 1449, 1741, 1991, 1639, 1665, 1252, 2056, 2320,
-    1679, 1772, 2230, 2454, 1799, 1705, 1890, 1226, 1971, 1881, 1745, 1770, 1247, 1959, 1875, 1681,
-    1658, 1169, 2177, 1991, 1808, 1811, 1211, 1697,
+    1647, 1606, 1684, 1167, 1842, 1448, 1404, 1278, 1332, 1621, 1814, 1494, 1512, 1111, 1922, 2163,
+    1532, 1623, 2059, 2318, 1635, 1560, 1737, 1083, 1835, 1728, 1619, 1633, 1139, 1783, 1716, 1548,
+    1521, 1054, 2021, 1818, 1661, 1660, 1067, 1563,
 ];
 
 #[test]
@@ -152,9 +152,9 @@ fn allocations_per_served_question_match_the_pins() {
 /// Allocations per counted question with its served body, in question
 /// order.
 const PINNED_BODY: [u64; TABLES * (QUESTIONS_PER_TABLE - 1)] = [
-    3075, 3174, 3101, 2502, 3315, 2985, 2855, 2621, 2690, 2940, 3577, 3168, 3179, 2560, 3399, 3976,
-    3265, 3298, 3725, 3834, 3290, 3156, 3310, 2485, 3262, 3169, 3171, 3023, 2457, 3252, 3243, 3230,
-    3164, 2498, 3577, 3463, 3250, 3193, 2454, 2963,
+    2193, 2197, 2213, 1687, 2385, 2109, 1994, 1841, 1885, 2179, 2409, 2063, 2087, 1624, 2418, 2797,
+    2129, 2204, 2634, 2846, 2273, 2140, 2331, 1606, 2363, 2282, 2192, 2151, 1661, 2333, 2273, 2149,
+    2091, 1575, 2567, 2470, 2258, 2241, 1597, 2080,
 ];
 
 #[test]
@@ -195,26 +195,26 @@ fn large_table_allocations(body: bool) -> Vec<(u64, u64)> {
 /// `(calls, bytes)` per counted question on 256–512-row tables, in
 /// question order.
 const PINNED_LARGE: [(u64, u64); LARGE_TABLES * (LARGE_QUESTIONS_PER_TABLE - 1)] = [
-    (2535, 921689),
-    (2315, 847194),
-    (2200, 761947),
-    (2292, 988633),
-    (2504, 858179),
-    (4814, 930592),
-    (4706, 832701),
-    (5491, 1133716),
-    (5873, 1114836),
-    (4668, 755259),
-    (7381, 2196888),
-    (6837, 2046794),
-    (7160, 2249231),
-    (6622, 2012419),
-    (7513, 1370514),
-    (3305, 1285341),
-    (2949, 1180058),
-    (2722, 1131486),
-    (2576, 845856),
-    (3266, 1215855),
+    (1471, 693907),
+    (1589, 697494),
+    (1412, 608779),
+    (1650, 853453),
+    (1603, 681419),
+    (3464, 572810),
+    (3709, 585915),
+    (5014, 1049456),
+    (5128, 973653),
+    (3698, 553073),
+    (5461, 1709767),
+    (5479, 1706877),
+    (5340, 1724414),
+    (5455, 1701775),
+    (6442, 1162626),
+    (2112, 1000993),
+    (2126, 989456),
+    (1859, 910962),
+    (1949, 707160),
+    (2289, 1004073),
 ];
 
 #[test]
@@ -231,26 +231,26 @@ fn allocations_and_bytes_per_served_question_on_large_tables_match_the_pins() {
 /// `(calls, bytes)` per counted question with its served body on
 /// 256–512-row tables, in question order.
 const PINNED_LARGE_BODY: [(u64, u64); LARGE_TABLES * (LARGE_QUESTIONS_PER_TABLE - 1)] = [
-    (4241, 1242205),
-    (3841, 1075034),
-    (3786, 1075060),
-    (3688, 1174046),
-    (4264, 1176575),
-    (6653, 1231775),
-    (6420, 1051631),
-    (7016, 1331740),
-    (7804, 1421630),
-    (6718, 1117597),
-    (9492, 2621925),
-    (8683, 2362092),
-    (8992, 2572483),
-    (8270, 2254766),
-    (9642, 1791591),
-    (4918, 1538348),
-    (4495, 1393446),
-    (4262, 1385070),
-    (4011, 996786),
-    (5108, 1500136),
+    (2067, 727247),
+    (2179, 729345),
+    (1956, 646435),
+    (2201, 885533),
+    (2250, 722688),
+    (4013, 623107),
+    (4257, 633318),
+    (5535, 1076550),
+    (5744, 1012755),
+    (4342, 595963),
+    (6063, 1768833),
+    (6038, 1755918),
+    (5912, 1787137),
+    (5983, 1741049),
+    (7065, 1201490),
+    (2652, 1041674),
+    (2684, 1033782),
+    (2457, 956624),
+    (2479, 748201),
+    (2935, 1055653),
 ];
 
 #[test]

@@ -71,8 +71,7 @@ impl ExplainedCandidate {
     /// few rows for large tables, §5.3).
     pub fn render_highlights(&self, table: &Table, sampled: bool) -> String {
         if sampled {
-            let sampled = sample_highlights(&self.formula, table, &self.highlights);
-            render::render_text(&sampled.table, &sampled.highlights)
+            sample_highlights(&self.formula, table, &self.highlights).render_text()
         } else {
             render::render_text(table, &self.highlights)
         }

@@ -152,6 +152,31 @@ impl Denotation {
     }
 }
 
+/// A [`Denotation`] whose record set is the session memo's shared slice
+/// (record indices, ascending and distinct) rather than a copy: what
+/// [`Evaluator::eval_id`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SharedDenotation {
+    /// A set of record indices, shared with the memo.
+    Records(Arc<[RecordIdx]>),
+    /// A set of values, deduplicated, in first-encounter order.
+    Values(Vec<TracedValue>),
+    /// A single number produced by an aggregate or arithmetic operation.
+    Number(f64),
+}
+
+impl From<SharedDenotation> for Denotation {
+    fn from(denotation: SharedDenotation) -> Denotation {
+        match denotation {
+            SharedDenotation::Records(records) => {
+                Denotation::Records(records.iter().copied().collect())
+            }
+            SharedDenotation::Values(values) => Denotation::Values(values),
+            SharedDenotation::Number(n) => Denotation::Number(n),
+        }
+    }
+}
+
 /// A record set shared by the session memo and every consumer that reads
 /// it: record indices, ascending and distinct.
 type Records = Arc<[RecordIdx]>;
@@ -384,11 +409,20 @@ impl<'a> Evaluator<'a> {
     /// Evaluate `formula` against the table.
     pub fn eval(&self, formula: &Formula) -> Result<Denotation> {
         let id = self.intern(formula);
+        self.eval_id(id).map(Denotation::from)
+    }
+
+    /// [`Evaluator::eval`] of an interned formula, errors included, with a
+    /// record set handed out as the memo's shared slice: a memo hit is a
+    /// reference-count bump, not a copy. `id` must have been interned in
+    /// this session since its arena was last emptied (see
+    /// [`Evaluator::release_ids`]).
+    pub fn eval_id(&self, id: FormulaId) -> Result<SharedDenotation> {
         self.resolve_columns();
         Ok(match self.eval_depth(id, 0, true)? {
-            Den::Records(records) => Denotation::Records(records.iter().copied().collect()),
-            Den::Values(values) => Denotation::Values(values),
-            Den::Number(n) => Denotation::Number(n),
+            Den::Records(records) => SharedDenotation::Records(records),
+            Den::Values(values) => SharedDenotation::Values(values),
+            Den::Number(n) => SharedDenotation::Number(n),
             Den::Groups { .. } => unreachable!("traced evaluation never groups"),
         })
     }
@@ -442,9 +476,11 @@ impl<'a> Evaluator<'a> {
         Ok(self.eval_depth(id, 0, false)?.len() > 0)
     }
 
-    /// Intern `formula` for a call that holds no earlier id (see
-    /// [`Evaluator::release_ids`]).
-    fn intern(&self, formula: &Formula) -> FormulaId {
+    /// Intern `formula` in the session arena for a caller that holds no
+    /// earlier id (see [`Evaluator::release_ids`]). A formula the session
+    /// already interned, such as a candidate of the parse, is only looked
+    /// up.
+    pub fn intern(&self, formula: &Formula) -> FormulaId {
         self.release_ids();
         self.arena.borrow_mut().intern(formula)
     }

@@ -11,6 +11,7 @@
 //! |---|---|---|
 //! | [`reference`](mod@reference) | [`wtq_dcs::Evaluator`] | the scan-based lambda DCS evaluator ([`eval_reference`]): no index, no memo |
 //! | [`parser`] | [`wtq_parser::SemanticParser`] and [`wtq_parser::Trainer`] | string-keyed features, ranking and AdaGrad training |
+//! | [`provenance`] | [`wtq_provenance`]'s chain, highlights and sample | `P_O`, `P_E` and `P_C` as cell sets, classes counted through difference sets, the sample rendered from a rebuilt table |
 //! | [`engine`] | [`wtq_sql::translate()`] and the evaluator | an in-memory executor for the SQL of Table 10, with a cost-based planner |
 //! | [`error`] | — | the executor's errors ([`ExecError`]); production `wtq-sql` raises only translation errors |
 //! | [`stats`] | — | the SQL planner's decision counters |
@@ -28,6 +29,7 @@
 pub mod engine;
 pub mod error;
 pub mod parser;
+pub mod provenance;
 pub mod reference;
 pub mod stats;
 

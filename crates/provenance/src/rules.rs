@@ -2,9 +2,9 @@
 //!
 //! The computation mirrors Algorithm 1: it decomposes the formula into its
 //! sub-formulas, computes the output provenance `P_O` of each, accumulates
-//! their union into the execution provenance `P_E`, and collects every cell
-//! of every mentioned column into `P_C`. The output provenance of each
-//! operator follows Table 10:
+//! their union into the execution provenance `P_E`, and collects every
+//! mentioned column into `P_C`. The output provenance of each operator
+//! follows Table 10:
 //!
 //! * joins and comparison joins contribute the matching cells of their
 //!   selection column,
@@ -14,13 +14,22 @@
 //! * superlatives contribute the winning cells of the ranking column,
 //! * aggregates and differences contribute their operands' cells plus an
 //!   operator marker that the highlighter attaches to the column header.
+//!
+//! Each of these is the cells of some records in one column, or a union or
+//! intersection of such sets, so every set is held per column (see
+//! [`crate::model`]) and `P_C` is the list of mentioned columns. The walk
+//! runs over the formula's ids in the session's arena: a candidate of the
+//! parse is interned already, so interning it again is a lookup, and the
+//! record sets its operators read are the session memo's shared slices
+//! ([`Evaluator::eval_id`]).
 
-use std::collections::BTreeSet;
+use wtq_dcs::{
+    ColumnId, DcsError, Denotation, Evaluator, Formula, FormulaId, Node, SharedDenotation,
+    TracedValue,
+};
+use wtq_table::{RecordIdx, Table, Value};
 
-use wtq_dcs::{Denotation, Evaluator, Formula};
-use wtq_table::{CellRef, Table};
-
-use crate::model::{OpMarker, ProvenanceChain};
+use crate::model::{CellSet, ColumnSet, OpMarker, ProvenanceChain};
 
 /// Compute the multilevel cell-based provenance `Prov(Q, T) = (P_O, P_E,
 /// P_C)` of `formula` executed on `table`.
@@ -40,237 +49,282 @@ pub fn provenance_with(
     evaluator: &Evaluator<'_>,
 ) -> wtq_dcs::Result<ProvenanceChain> {
     let table = evaluator.table();
-    let mut chain = ProvenanceChain::new();
-
-    // P_C: every cell of every mentioned column (Equation 3).
-    for column_name in formula.columns_mentioned() {
-        if let Some(column) = table.column_index(&column_name) {
-            chain.columns.extend(table.column_cells(column));
-        }
-    }
-
+    let mut walk = Walk {
+        evaluator,
+        table,
+        execution: CellSet::new(),
+        columns: Vec::new(),
+        markers: Vec::new(),
+    };
     // P_O of the whole query plus P_E as the union of P_O over sub-formulas
-    // (Equations 1 and 2), computed in one recursive pass.
-    let output = output_provenance(formula, evaluator, &mut chain)?;
-    chain.output = output;
+    // (Equations 1 and 2), computed in one recursive pass that also collects
+    // the columns of P_C (Equation 3): a walk that succeeds resolves every
+    // column the formula mentions.
+    let mut output = walk.output(evaluator.intern(formula))?;
+    let columns = ColumnSet::new(walk.columns, table.num_records());
 
-    // The chain is nested by construction; clamp defensively so the
-    // Definition 4.1 hierarchy holds even for degenerate formulas (e.g. a
-    // bare constant whose cells lie outside any mentioned column).
-    chain.execution = chain.execution.union(&chain.output).copied().collect();
-    chain.execution = chain
-        .execution
-        .intersection(&chain.columns)
-        .copied()
-        .collect();
-    chain.output = chain
-        .output
-        .intersection(&chain.execution)
-        .copied()
-        .collect();
-    Ok(chain)
+    // The chain is nested by construction; clamp defensively, column by
+    // column, so the Definition 4.1 hierarchy holds even for degenerate
+    // formulas.
+    let mut execution = walk.execution;
+    execution.union_with(&output);
+    execution.clamp_to(&columns);
+    output.intersect_with(&execution);
+    Ok(ProvenanceChain {
+        output,
+        execution,
+        columns,
+        markers: walk.markers,
+    })
 }
 
-/// Recursively compute `P_O` of `formula`, adding every sub-formula's output
-/// provenance (including `formula`'s own) to `chain.execution` and operator
-/// markers to `chain.markers`.
-fn output_provenance(
-    formula: &Formula,
-    evaluator: &Evaluator<'_>,
-    chain: &mut ProvenanceChain,
-) -> wtq_dcs::Result<BTreeSet<CellRef>> {
-    let table = evaluator.table();
-    let output: BTreeSet<CellRef> = match formula {
-        // A constant on its own examines nothing; the operator using it
-        // (join, comparison, …) contributes the matching cells.
-        Formula::Const(_) => BTreeSet::new(),
-        // The set of all records names no column and examines no cell.
-        Formula::AllRecords => BTreeSet::new(),
-        Formula::Join { column, values } => {
-            let _ = output_provenance(values, evaluator, chain)?;
-            let column_idx = require_column(table, column)?;
-            let wanted = evaluator.eval(values)?;
-            let wanted = wanted.values();
-            let mut cells = BTreeSet::new();
-            for value in &wanted {
-                cells.extend(evaluator.kb().matching_cells(column_idx, value));
+/// One provenance computation: the session it reads, and `P_E`, the
+/// columns of `P_C` and the markers gathered so far.
+struct Walk<'w, 'a> {
+    evaluator: &'w Evaluator<'a>,
+    table: &'w Table,
+    execution: CellSet,
+    /// Every column resolved so far, in walk order, with repeats.
+    columns: Vec<usize>,
+    markers: Vec<(Option<usize>, OpMarker)>,
+}
+
+impl Walk<'_, '_> {
+    /// `P_O` of formula `id`, after adding every sub-formula's output
+    /// provenance (its own included) to `P_E` and operator markers to the
+    /// markers. Operands come first, then the operator's own columns and
+    /// evaluations, so errors surface in the order a recursive evaluation
+    /// meets them.
+    fn output(&mut self, id: FormulaId) -> wtq_dcs::Result<CellSet> {
+        let output = match self.node(id) {
+            // A constant on its own examines nothing; the operator using it
+            // (join, comparison, …) contributes the matching cells. The set
+            // of all records names no column and examines no cell.
+            Node::Const(_) | Node::AllRecords => CellSet::new(),
+            Node::Join { column, values } => {
+                self.output(values)?;
+                let column = self.require(column)?;
+                let wanted = self.operand(values)?;
+                CellSet::column(column, self.matching(column, &wanted))
             }
-            cells
-        }
-        Formula::CompareJoin { column, op, value } => {
-            let _ = output_provenance(value, evaluator, chain)?;
-            let column_idx = require_column(table, column)?;
-            let threshold = evaluator.eval(value)?;
-            let threshold = threshold
-                .as_single_number()
-                .ok_or(wtq_dcs::DcsError::Cardinality {
+            Node::CompareJoin { column, op, value } => {
+                self.output(value)?;
+                let column = self.require(column)?;
+                let threshold = Denotation::from(self.operand(value)?);
+                let threshold = threshold.as_single_number().ok_or(DcsError::Cardinality {
                     operator: "comparison",
                     expected: "a single numeric value",
                     got: threshold.len(),
                 })?;
-            table
-                .column_cells(column_idx)
-                .filter(|cell| {
-                    table
-                        .number_at(cell.record, cell.column)
-                        .map(|n| op.compare(n, threshold))
-                        .unwrap_or(false)
-                })
-                .collect()
-        }
-        Formula::ColumnValues { column, records } => {
-            let _ = output_provenance(records, evaluator, chain)?;
-            let column_idx = require_column(table, column)?;
-            let records = evaluator.eval(records)?;
-            match records {
-                Denotation::Records(records) => records
-                    .iter()
-                    .map(|&record| CellRef::new(record, column_idx))
-                    .collect(),
-                _ => BTreeSet::new(),
+                let table = self.table;
+                let records = table
+                    .record_indices()
+                    .filter(|&record| {
+                        table
+                            .number_at(record, column)
+                            .is_some_and(|n| op.compare(n, threshold))
+                    })
+                    .collect();
+                CellSet::column(column, records)
             }
-        }
-        Formula::Prev(sub) | Formula::Next(sub) => {
+            Node::ColumnValues { column, records } => {
+                self.output(records)?;
+                let column = self.require(column)?;
+                match self.evaluator.eval_id(records)? {
+                    SharedDenotation::Records(records) => CellSet::column(column, records.to_vec()),
+                    _ => CellSet::new(),
+                }
+            }
             // The shift itself outputs no new cells; the anchoring cells are
             // contributed by the inner formula.
-            output_provenance(sub, evaluator, chain)?
-        }
-        Formula::Intersect(a, b) => {
-            let left = output_provenance(a, evaluator, chain)?;
-            let right = output_provenance(b, evaluator, chain)?;
-            left.intersection(&right).copied().collect()
-        }
-        Formula::Union(a, b) => {
-            let left = output_provenance(a, evaluator, chain)?;
-            let right = output_provenance(b, evaluator, chain)?;
-            left.union(&right).copied().collect()
-        }
-        Formula::Aggregate { op, sub } => {
-            let inner = output_provenance(sub, evaluator, chain)?;
-            chain
-                .markers
-                .push((marker_column(table, sub), OpMarker::Aggregate(*op)));
-            inner
-        }
-        Formula::Sub(a, b) => {
-            let left = output_provenance(a, evaluator, chain)?;
-            let right = output_provenance(b, evaluator, chain)?;
-            chain
-                .markers
-                .push((marker_column(table, formula), OpMarker::Difference));
-            left.union(&right).copied().collect()
-        }
-        Formula::SuperlativeRecords {
-            records, column, ..
-        } => {
-            let _ = output_provenance(records, evaluator, chain)?;
-            let column_idx = require_column(table, column)?;
-            let selected = evaluator.eval(formula)?;
-            match selected {
-                Denotation::Records(selected) => selected
-                    .iter()
-                    .map(|&record| CellRef::new(record, column_idx))
-                    .collect(),
-                _ => BTreeSet::new(),
+            Node::Prev(sub) | Node::Next(sub) => self.output(sub)?,
+            Node::Intersect(a, b) => {
+                let mut left = self.output(a)?;
+                left.intersect_with(&self.output(b)?);
+                left
             }
-        }
-        Formula::RecordIndexSuperlative { records, .. } => {
-            let inner = output_provenance(records, evaluator, chain)?;
-            let selected = evaluator.eval(formula)?;
-            match selected {
-                Denotation::Records(selected) => inner
-                    .into_iter()
-                    .filter(|cell| selected.contains(&cell.record))
-                    .collect(),
-                _ => BTreeSet::new(),
+            Node::Union(a, b) => {
+                let mut left = self.output(a)?;
+                left.union_with(&self.output(b)?);
+                left
             }
-        }
-        Formula::MostCommonValue { values, column, .. } => {
-            let _ = output_provenance(values, evaluator, chain)?;
-            let column_idx = require_column(table, column)?;
-            let winners = evaluator.eval(formula)?;
-            let mut cells = BTreeSet::new();
-            for value in winners.values() {
-                cells.extend(evaluator.kb().matching_cells(column_idx, &value));
+            Node::Aggregate { op, sub } => {
+                let inner = self.output(sub)?;
+                let column = self.marker_column(sub);
+                self.markers.push((column, OpMarker::Aggregate(op)));
+                inner
             }
-            cells
-        }
-        Formula::CompareValues {
-            values,
-            key_column,
-            value_column,
-            op,
-        } => {
-            let _ = output_provenance(values, evaluator, chain)?;
-            let key_idx = require_column(table, key_column)?;
-            let value_idx = require_column(table, value_column)?;
-            // Candidate rows contribute their key cells to the execution set
-            // (they are compared against each other), winners contribute
-            // their value cells to the output.
-            let candidates = evaluator.eval(values)?;
-            let mut candidate_rows: BTreeSet<usize> = BTreeSet::new();
-            for value in candidates.values() {
-                candidate_rows.extend(evaluator.kb().join(value_idx, &value).iter().copied());
+            Node::Sub(a, b) => {
+                let mut left = self.output(a)?;
+                left.union_with(&self.output(b)?);
+                let column = self.marker_column(id);
+                self.markers.push((column, OpMarker::Difference));
+                left
             }
-            chain.execution.extend(
-                candidate_rows
-                    .iter()
-                    .map(|&record| CellRef::new(record, key_idx)),
-            );
-            chain.execution.extend(
-                candidate_rows
-                    .iter()
-                    .map(|&record| CellRef::new(record, value_idx)),
-            );
-            let winners = evaluator.eval(&Formula::CompareValues {
-                op: *op,
-                values: values.clone(),
-                key_column: key_column.clone(),
-                value_column: value_column.clone(),
-            })?;
-            winners.traced_cells().into_iter().collect()
-        }
-    };
-    chain.execution.extend(output.iter().copied());
-    Ok(output)
-}
-
-/// Column a marker is attributed to: the projected / counted column of the
-/// operand, when there is exactly one natural choice.
-fn marker_column(table: &Table, formula: &Formula) -> Option<usize> {
-    let inner = match formula {
-        Formula::Aggregate { sub, .. } => sub,
-        Formula::Sub(a, _) => a,
-        other => other,
-    };
-    match inner {
-        Formula::ColumnValues { column, .. } => table.column_index(column),
-        Formula::Join { column, .. } | Formula::CompareJoin { column, .. } => {
-            table.column_index(column)
-        }
-        Formula::Aggregate { sub, .. } => marker_column(table, sub),
-        _ => inner
-            .columns_mentioned()
-            .first()
-            .and_then(|c| table.column_index(c)),
+            Node::SuperlativeRecords {
+                records, column, ..
+            } => {
+                self.output(records)?;
+                let column = self.require(column)?;
+                match self.evaluator.eval_id(id)? {
+                    SharedDenotation::Records(selected) => {
+                        CellSet::column(column, selected.to_vec())
+                    }
+                    _ => CellSet::new(),
+                }
+            }
+            Node::RecordIndexSuperlative { records, .. } => {
+                let mut inner = self.output(records)?;
+                match self.evaluator.eval_id(id)? {
+                    SharedDenotation::Records(selected) => {
+                        inner.retain_records(&selected);
+                        inner
+                    }
+                    _ => CellSet::new(),
+                }
+            }
+            Node::MostCommonValue { values, column, .. } => {
+                self.output(values)?;
+                let column = self.require(column)?;
+                let winners = self.evaluator.eval_id(id)?;
+                CellSet::column(column, self.matching(column, &winners))
+            }
+            Node::CompareValues {
+                values,
+                key_column,
+                value_column,
+                ..
+            } => {
+                self.output(values)?;
+                let key = self.require(key_column)?;
+                let value = self.require(value_column)?;
+                // Candidate rows contribute their key and value cells to the
+                // execution set (they are compared against each other),
+                // winners contribute their value cells to the output.
+                let candidates = self.operand(values)?;
+                let rows = self.matching(value, &candidates);
+                self.execution
+                    .union_with(&CellSet::column(key, rows.clone()));
+                self.execution.union_with(&CellSet::column(value, rows));
+                match self.evaluator.eval_id(id)? {
+                    SharedDenotation::Values(winners) => CellSet::from_cells(
+                        winners
+                            .iter()
+                            .flat_map(|winner| winner.cells.iter().copied()),
+                    ),
+                    _ => CellSet::new(),
+                }
+            }
+        };
+        self.execution.union_with(&output);
+        Ok(output)
     }
-}
 
-fn require_column(table: &Table, name: &str) -> wtq_dcs::Result<usize> {
-    table
-        .column_index(name)
-        .ok_or_else(|| wtq_dcs::DcsError::UnknownColumn(name.to_string()))
+    /// What operand `id` evaluates to. A constant evaluates to itself and
+    /// cannot fail, so it is read from the arena, untraced: the rules read
+    /// only an operand's values.
+    fn operand(&self, id: FormulaId) -> wtq_dcs::Result<SharedDenotation> {
+        if let Node::Const(constant) = self.node(id) {
+            let value = self.evaluator.arena().value(constant).clone();
+            return Ok(SharedDenotation::Values(vec![TracedValue::untraced(value)]));
+        }
+        self.evaluator.eval_id(id)
+    }
+
+    /// Records whose cell in `column` holds one of `denotation`'s values,
+    /// ascending: the cells a join over it matches (none for records).
+    fn matching(&self, column: usize, denotation: &SharedDenotation) -> Vec<RecordIdx> {
+        let kb = self.evaluator.kb();
+        let mut records: Vec<RecordIdx> = match denotation {
+            SharedDenotation::Records(_) => return Vec::new(),
+            SharedDenotation::Number(n) => return kb.join(column, &Value::Num(*n)).to_vec(),
+            SharedDenotation::Values(values) => values
+                .iter()
+                .flat_map(|traced| kb.join(column, &traced.value))
+                .copied()
+                .collect(),
+        };
+        records.sort_unstable();
+        records.dedup();
+        records
+    }
+
+    fn node(&self, id: FormulaId) -> Node {
+        self.evaluator.arena().node(id)
+    }
+
+    /// The table column `column` names, added to `P_C`'s columns.
+    fn require(&mut self, column: ColumnId) -> wtq_dcs::Result<usize> {
+        let arena = self.evaluator.arena();
+        let name = arena.column_name(column);
+        let index = self
+            .table
+            .column_index(name)
+            .ok_or_else(|| DcsError::UnknownColumn(name.to_string()))?;
+        self.columns.push(index);
+        Ok(index)
+    }
+
+    /// Column a marker is attributed to: the projected / counted column of
+    /// the operand, when there is exactly one natural choice.
+    fn marker_column(&self, id: FormulaId) -> Option<usize> {
+        let inner = match self.node(id) {
+            Node::Aggregate { sub, .. } => sub,
+            Node::Sub(a, _) => a,
+            _ => id,
+        };
+        let column = match self.node(inner) {
+            Node::ColumnValues { column, .. }
+            | Node::Join { column, .. }
+            | Node::CompareJoin { column, .. } => Some(column),
+            Node::Aggregate { sub, .. } => return self.marker_column(sub),
+            _ => self.first_column(inner),
+        };
+        let arena = self.evaluator.arena();
+        column.and_then(|column| self.table.column_index(arena.column_name(column)))
+    }
+
+    /// The first column formula `id` mentions, in the order of
+    /// [`Formula::columns_mentioned`].
+    fn first_column(&self, id: FormulaId) -> Option<ColumnId> {
+        match self.node(id) {
+            Node::Const(_) | Node::AllRecords => None,
+            Node::Join { column, .. }
+            | Node::CompareJoin { column, .. }
+            | Node::ColumnValues { column, .. }
+            | Node::SuperlativeRecords { column, .. }
+            | Node::MostCommonValue { column, .. }
+            | Node::CompareValues {
+                key_column: column, ..
+            } => Some(column),
+            Node::Prev(sub)
+            | Node::Next(sub)
+            | Node::Aggregate { sub, .. }
+            | Node::RecordIndexSuperlative { records: sub, .. } => self.first_column(sub),
+            Node::Intersect(a, b) | Node::Union(a, b) | Node::Sub(a, b) => {
+                self.first_column(a).or_else(|| self.first_column(b))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wtq_dcs::{parse_formula, AggregateOp};
-    use wtq_table::samples;
+    use wtq_table::{samples, CellRef};
 
     fn chain_for(text: &str, table: &Table) -> ProvenanceChain {
         let formula = parse_formula(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
         provenance(&formula, table).unwrap_or_else(|e| panic!("provenance {text:?}: {e}"))
+    }
+
+    fn cells(cells: &[(usize, usize)]) -> CellSet {
+        CellSet::from_cells(
+            cells
+                .iter()
+                .map(|&(record, column)| CellRef::new(record, column)),
+        )
     }
 
     #[test]
@@ -281,10 +335,7 @@ mod tests {
         let year = table.column_index("Year").unwrap();
         let city = table.column_index("City").unwrap();
         // P_O: Year cells of the Athens records (rows 0 and 5).
-        assert_eq!(
-            chain.output,
-            BTreeSet::from([CellRef::new(0, year), CellRef::new(5, year)])
-        );
+        assert_eq!(chain.output, cells(&[(0, year), (5, year)]));
         // P_E additionally contains the City cells with value Athens.
         assert!(chain.execution.contains(&CellRef::new(0, city)));
         assert!(chain.execution.contains(&CellRef::new(5, city)));
@@ -306,10 +357,7 @@ mod tests {
         // Colored cells: the two Total values 130 and 20.
         assert_eq!(
             chain.output,
-            BTreeSet::from([
-                CellRef::new(fiji_row, total),
-                CellRef::new(tonga_row, total)
-            ])
+            cells(&[(fiji_row, total), (tonga_row, total)])
         );
         // Framed cells additionally include the Nation cells Fiji and Tonga.
         assert!(chain.execution.contains(&CellRef::new(fiji_row, nation)));
@@ -377,7 +425,7 @@ mod tests {
         let table = samples::olympics();
         let chain = chain_for("argmax(Rows, Year)", &table);
         let year = table.column_index("Year").unwrap();
-        assert_eq!(chain.output, BTreeSet::from([CellRef::new(8, year)]));
+        assert_eq!(chain.output, cells(&[(8, year)]));
         assert!(chain.is_well_formed());
     }
 
@@ -389,7 +437,7 @@ mod tests {
         let year = table.column_index("Year").unwrap();
         let city = table.column_index("City").unwrap();
         // Winner: the London cell of row 7.
-        assert_eq!(chain.output, BTreeSet::from([CellRef::new(7, city)]));
+        assert_eq!(chain.output, cells(&[(7, city)]));
         // Execution includes the Year cells of every candidate row (3, 6, 7).
         for row in [3usize, 6, 7] {
             assert!(
@@ -406,7 +454,7 @@ mod tests {
         let chain = chain_for("R[Year].last(League.\"USL A-League\")", &table);
         let year = table.column_index("Year").unwrap();
         // Output is the Year cell of the last USL A-League row (row 2, 2004).
-        assert_eq!(chain.output, BTreeSet::from([CellRef::new(2, year)]));
+        assert_eq!(chain.output, cells(&[(2, year)]));
         assert!(chain.is_well_formed());
     }
 

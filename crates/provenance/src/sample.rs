@@ -6,23 +6,58 @@
 //! and one from `R_C \ R_E` (rows only lit). Queries computing an arithmetic
 //! difference keep two rows from `R_O`, one per subtracted value, exactly as
 //! in Figure 7. Sampled rows keep their original table order.
+//!
+//! A sample is at most four record ids of the original table, picked from
+//! the per-column record lists of `P_O` and `P_E` (`R_C` is every record
+//! once any column is mentioned), and rendered straight from that table
+//! with the full highlights.
 
 use wtq_dcs::Formula;
-use wtq_table::{RecordIdx, Table, TableBuilder};
+use wtq_table::{RecordIdx, Table};
 
 use crate::highlight::Highlights;
-use crate::model::ProvenanceChain;
+use crate::render;
 
-/// A sampled view of a highlighted table.
+/// A sampled view of a highlighted table: the rows it shows, read from the
+/// original table with the original highlights. Nothing is copied: a
+/// sampled row keeps its record index, its cells' classes and its table's
+/// header labels, and the renderers size columns over the shown rows only.
 #[derive(Debug, Clone)]
-pub struct SampledHighlights {
-    /// The shrunken table containing only the sampled rows.
-    pub table: Table,
-    /// Highlights re-indexed against the shrunken table.
-    pub highlights: Highlights,
-    /// For each row of the shrunken table, the record index it came from in
-    /// the original table.
+pub struct SampledHighlights<'a> {
+    table: &'a Table,
+    highlights: &'a Highlights,
+    /// The records shown, ascending: at most [`MAX_SAMPLED_ROWS`], or every
+    /// record of a table no larger than the sample.
     pub source_records: Vec<RecordIdx>,
+}
+
+impl SampledHighlights<'_> {
+    /// [`render::render_text`] of the shown rows.
+    pub fn render_text(&self) -> String {
+        render::text_rows(
+            self.table,
+            self.highlights,
+            self.source_records.iter().copied(),
+        )
+    }
+
+    /// [`render::render_ansi`] of the shown rows.
+    pub fn render_ansi(&self) -> String {
+        render::ansi_rows(
+            self.table,
+            self.highlights,
+            self.source_records.iter().copied(),
+        )
+    }
+
+    /// [`render::render_html`] of the shown rows.
+    pub fn render_html(&self) -> String {
+        render::html_rows(
+            self.table,
+            self.highlights,
+            self.source_records.iter().copied(),
+        )
+    }
 }
 
 /// Maximum number of rows a sampled view keeps (three provenance levels plus
@@ -30,37 +65,38 @@ pub struct SampledHighlights {
 pub const MAX_SAMPLED_ROWS: usize = 4;
 
 /// Sample at most [`MAX_SAMPLED_ROWS`] representative rows from a highlighted
-/// table (§5.3). Returns the full table unchanged when it is already small
-/// (fewer rows than the sample would contain).
-pub fn sample_highlights(
+/// table (§5.3). Keeps every row when the table is already small (no more
+/// rows than the sample would contain).
+pub fn sample_highlights<'a>(
     formula: &Formula,
-    table: &Table,
-    highlights: &Highlights,
-) -> SampledHighlights {
+    table: &'a Table,
+    highlights: &'a Highlights,
+) -> SampledHighlights<'a> {
     let output_records = highlights.output_records();
     let execution_records = highlights.execution_records();
-    let column_records = highlights.column_records();
+    let is_output = |record: &RecordIdx| output_records.binary_search(record).is_ok();
+    let is_examined = |record: &RecordIdx| execution_records.binary_search(record).is_ok();
 
-    let mut selected: Vec<RecordIdx> = Vec::new();
+    let mut selected: Vec<RecordIdx> = Vec::with_capacity(MAX_SAMPLED_ROWS);
     // One record from R_O — or two for difference queries, one per operand.
-    if is_difference(formula) {
-        selected.extend(output_records.iter().take(2).copied());
-    } else {
-        selected.extend(output_records.first().copied());
-    }
+    let from_output = if is_difference(formula) { 2 } else { 1 };
+    selected.extend(output_records.iter().take(from_output));
     // One record from R_E \ R_O.
-    if let Some(record) = execution_records
+    if let Some(&record) = execution_records
         .iter()
-        .find(|r| !selected.contains(r) && !output_records.contains(r))
+        .find(|r| !selected.contains(r) && !is_output(r))
     {
-        selected.push(*record);
+        selected.push(record);
     }
-    // One record from R_C \ R_E.
-    if let Some(record) = column_records
-        .iter()
-        .find(|r| !selected.contains(r) && !execution_records.contains(r))
-    {
-        selected.push(*record);
+    // One record from R_C \ R_E: R_C is every record once a column is
+    // mentioned.
+    if !highlights.chain.columns.is_empty() {
+        if let Some(record) = table
+            .record_indices()
+            .find(|r| !selected.contains(r) && !is_examined(r))
+        {
+            selected.push(record);
+        }
     }
     // Degenerate queries (everything colored, or nothing highlighted): fall
     // back to the first rows so the sample is never empty.
@@ -71,55 +107,17 @@ pub fn sample_highlights(
     selected.dedup();
 
     if selected.len() >= table.num_records() {
-        return SampledHighlights {
-            table: table.clone(),
-            highlights: highlights.clone(),
-            source_records: table.record_indices().collect(),
-        };
+        selected = table.record_indices().collect();
     }
-
-    let sampled_table = project_rows(table, &selected);
-    let sampled_chain = reindex_chain(&highlights.chain, &selected);
-    let sampled_highlights = Highlights::from_chain(sampled_chain, &sampled_table);
     SampledHighlights {
-        table: sampled_table,
-        highlights: sampled_highlights,
+        table,
+        highlights,
         source_records: selected,
     }
 }
 
 fn is_difference(formula: &Formula) -> bool {
     matches!(formula, Formula::Sub(_, _))
-}
-
-fn project_rows(table: &Table, records: &[RecordIdx]) -> Table {
-    let mut builder =
-        TableBuilder::new(table.name()).columns(table.columns().iter().map(|c| c.name.clone()));
-    for &record in records {
-        let row = table.record_values(record).expect("sampled record exists");
-        builder = builder.row(row).expect("arity preserved");
-    }
-    builder
-        .build()
-        .expect("sampled table has the original columns")
-}
-
-fn reindex_chain(chain: &ProvenanceChain, records: &[RecordIdx]) -> ProvenanceChain {
-    let position = |record: RecordIdx| records.iter().position(|&r| r == record);
-    let remap = |cells: &std::collections::BTreeSet<wtq_table::CellRef>| {
-        cells
-            .iter()
-            .filter_map(|cell| {
-                position(cell.record).map(|row| wtq_table::CellRef::new(row, cell.column))
-            })
-            .collect()
-    };
-    ProvenanceChain {
-        output: remap(&chain.output),
-        execution: remap(&chain.execution),
-        columns: remap(&chain.columns),
-        markers: chain.markers.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -129,10 +127,13 @@ mod tests {
     use wtq_dcs::parse_formula;
     use wtq_table::{samples, CellRef};
 
-    fn sampled(text: &str, table: &Table) -> SampledHighlights {
+    /// The highlights of `text` over `table` and the records its sample
+    /// shows.
+    fn sampled(text: &str, table: &Table) -> (Highlights, Vec<RecordIdx>) {
         let formula = parse_formula(text).unwrap();
         let highlights = Highlights::compute(&formula, table).unwrap();
-        sample_highlights(&formula, table, &highlights)
+        let records = sample_highlights(&formula, table, &highlights).source_records;
+        (highlights, records)
     }
 
     #[test]
@@ -141,27 +142,31 @@ mod tests {
         // a large table: the sample keeps an output row, an examined row and
         // a lit-only row.
         let table = samples::growth_rate();
-        let s = sampled("max(R[\"Growth Rate\"].Country.Madagascar)", &table);
-        assert!(s.table.num_records() <= MAX_SAMPLED_ROWS);
-        assert!(s.table.num_records() >= 2);
+        let (highlights, records) = sampled("max(R[\"Growth Rate\"].Country.Madagascar)", &table);
+        assert!(records.len() <= MAX_SAMPLED_ROWS);
+        assert!(records.len() >= 2);
         // The sampled rows preserve original order.
-        let mut sorted = s.source_records.clone();
+        let mut sorted = records.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, s.source_records);
+        assert_eq!(sorted, records);
         // At least one colored cell survives the sampling.
-        let growth = s.table.column_index("Growth Rate").unwrap();
-        let colored = (0..s.table.num_records())
-            .any(|row| s.highlights.kind(CellRef::new(row, growth)) == HighlightKind::Colored);
+        let growth = table.column_index("Growth Rate").unwrap();
+        let colored = records
+            .iter()
+            .any(|&row| highlights.kind(CellRef::new(row, growth)) == HighlightKind::Colored);
         assert!(colored);
     }
 
     #[test]
     fn difference_queries_keep_two_output_rows() {
         let table = samples::medals();
-        let s = sampled("sub(R[Total].Nation.Fiji, R[Total].Nation.Tonga)", &table);
-        let total = s.table.column_index("Total").unwrap();
-        let colored_rows: Vec<usize> = (0..s.table.num_records())
-            .filter(|&row| s.highlights.kind(CellRef::new(row, total)) == HighlightKind::Colored)
+        let (highlights, records) =
+            sampled("sub(R[Total].Nation.Fiji, R[Total].Nation.Tonga)", &table);
+        let total = table.column_index("Total").unwrap();
+        let colored_rows: Vec<usize> = records
+            .iter()
+            .copied()
+            .filter(|&row| highlights.kind(CellRef::new(row, total)) == HighlightKind::Colored)
             .collect();
         assert_eq!(
             colored_rows.len(),
@@ -175,25 +180,35 @@ mod tests {
         let table =
             wtq_table::Table::from_rows("tiny", &["A", "B"], &[vec!["1", "x"], vec!["2", "y"]])
                 .unwrap();
-        let s = sampled("R[B].A.1", &table);
-        assert_eq!(s.table.num_records(), table.num_records());
-        assert_eq!(s.source_records, vec![0, 1]);
+        let formula = parse_formula("R[B].A.1").unwrap();
+        let highlights = Highlights::compute(&formula, &table).unwrap();
+        let sample = sample_highlights(&formula, &table, &highlights);
+        assert_eq!(sample.source_records, vec![0, 1]);
+        assert_eq!(
+            sample.render_text(),
+            render::render_text(&table, &highlights)
+        );
     }
 
     #[test]
     fn sampled_highlight_classes_match_original_rows() {
+        // A sampled view shows each sampled record's own cells with their
+        // classes: its rendering is the full rendering's lines of those
+        // records, re-padded to the sampled rows' widths.
         let table = samples::growth_rate();
         let formula = parse_formula("max(R[\"Growth Rate\"].Country.Madagascar)").unwrap();
         let full = Highlights::compute(&formula, &table).unwrap();
-        let s = sample_highlights(&formula, &table, &full);
-        for (row, &source) in s.source_records.iter().enumerate() {
-            for column in 0..table.num_columns() {
-                assert_eq!(
-                    s.highlights.kind(CellRef::new(row, column)),
-                    full.kind(CellRef::new(source, column)),
-                    "row {row} column {column} classification changed"
-                );
-            }
+        let sample = sample_highlights(&formula, &table, &full);
+        let squeeze = |line: &str| line.split_whitespace().collect::<Vec<_>>().join(" ");
+        let full_lines: Vec<String> = render::render_text(&table, &full)
+            .lines()
+            .map(squeeze)
+            .collect();
+        let sampled_lines: Vec<String> = sample.render_text().lines().map(squeeze).collect();
+        assert_eq!(sampled_lines.len(), sample.source_records.len() + 1);
+        assert_eq!(sampled_lines[0], full_lines[0], "header labels changed");
+        for (line, &source) in sampled_lines[1..].iter().zip(&sample.source_records) {
+            assert_eq!(*line, full_lines[source + 1], "record {source} changed");
         }
     }
 
@@ -201,7 +216,7 @@ mod tests {
     fn queries_without_highlights_still_produce_a_sample() {
         let table = samples::growth_rate();
         // A join that matches nothing: no colored/framed rows, only lit cells.
-        let s = sampled("Country.Atlantis", &table);
-        assert!(s.table.num_records() >= 1);
+        let (_, records) = sampled("Country.Atlantis", &table);
+        assert!(!records.is_empty());
     }
 }

@@ -90,7 +90,7 @@ pub struct Table {
 
 /// The cell a table's index is built in, shared by the table's clones. The
 /// shared cell is allocated by the first clone or the first build, so a
-/// table that is never cloned or queried (a rendered highlight sample)
+/// table that is never cloned or queried (one built only to be serialized)
 /// allocates nothing for it.
 #[derive(Default)]
 struct SharedIndex(OnceLock<Arc<OnceLock<TableIndex>>>);
@@ -341,11 +341,6 @@ impl Table {
     /// the no-branch fast path for aggregate kernels.
     pub fn dense_f64(&self, column: usize) -> Option<&[f64]> {
         self.cols.get(column)?.dense_f64()
-    }
-
-    /// All cells of one column, top to bottom.
-    pub fn column_cells(&self, column: usize) -> impl Iterator<Item = CellRef> + '_ {
-        (0..self.num_records()).map(move |record| CellRef::new(record, column))
     }
 
     /// All record indices `0..n`, in table order.

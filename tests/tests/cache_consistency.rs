@@ -180,98 +180,117 @@ fn re_registration_invalidates_and_ttl_expires() {
     assert_ne!(cached.key_for(question, &v2, Some(3)), key_v1);
 }
 
+/// Attempts of [`cache_hits_are_served_during_saturation_without_retry_after`],
+/// each on a fresh server with a batch twice as large as the last.
+const SATURATION_ATTEMPTS: usize = 4;
+
 #[test]
 fn cache_hits_are_served_during_saturation_without_retry_after() {
     // A single-slot queue, a slow batch filling it — the setup that makes
     // every fresh request bounce with retry_after_ms. A question that is
     // already cached must keep being answered anyway: the lookup runs
-    // before the in-flight gate, control-plane style.
-    let config = ServerConfig {
-        max_in_flight: 1,
-        retry_after_ms: 77,
-        ..ServerConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(20190416);
-    let domain = &wtq_dataset::all_domains()[0];
-    let big = wtq_dataset::tablegen::generate_table_with_rows(domain, 0, 400, &mut rng);
-    let big_name = big.name().to_string();
-    let big_questions = wtq_dataset::generate_questions(&big, 6, &mut rng);
+    // before the in-flight gate, control-plane style. How long the batch
+    // holds the slot depends on how fast the engine explains, so an attempt
+    // counts only if the fresh question found the slot still held: with
+    // one slot, a fresh question that was admitted was admitted because the
+    // batch had already released it. Otherwise the next attempt starts a
+    // fresh server with a batch twice as large. The first batch has 48
+    // questions, so it still holds the slot after the hits.
+    for attempt in 0..SATURATION_ATTEMPTS {
+        let config = ServerConfig {
+            max_in_flight: 1,
+            retry_after_ms: 77,
+            ..ServerConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(20190416);
+        let domain = &wtq_dataset::all_domains()[0];
+        let big = wtq_dataset::tablegen::generate_table_with_rows(domain, 0, 400, &mut rng);
+        let big_name = big.name().to_string();
+        let big_questions = wtq_dataset::generate_questions(&big, 48 << attempt, &mut rng);
 
-    let engine = Arc::new(Engine::new());
-    let catalog: Arc<Catalog> = Arc::new([samples::olympics(), big].into_iter().collect());
-    let handle = Server::bind("127.0.0.1:0", engine, catalog, config).expect("bind server");
-    let addr = handle.local_addr();
+        let engine = Arc::new(Engine::new());
+        let catalog: Arc<Catalog> = Arc::new([samples::olympics(), big].into_iter().collect());
+        let handle = Server::bind("127.0.0.1:0", engine, catalog, config).expect("bind server");
+        let addr = handle.local_addr();
 
-    // Populate the cache while the server is idle.
-    let mut client = Client::connect(addr).expect("client connects");
-    let cached_question = "Which city hosted in 2008?";
-    let warm = client
-        .explain(cached_question, "olympics", None)
-        .expect("warm-up populates the cache");
-    assert!(!warm.candidates.is_empty());
+        // Populate the cache while the server is idle.
+        let mut client = Client::connect(addr).expect("client connects");
+        let cached_question = "Which city hosted in 2008?";
+        let warm = client
+            .explain(cached_question, "olympics", None)
+            .expect("warm-up populates the cache");
+        assert!(!warm.candidates.is_empty());
 
-    // Saturate the single in-flight slot with a slow batch.
-    let batch: Vec<ExplainBody> = big_questions
-        .iter()
-        .map(|question| ExplainBody {
-            question: question.question.clone(),
-            table: big_name.clone(),
-            top_k: Some(2),
-        })
-        .collect();
-    let batch_thread = std::thread::spawn(move || {
-        let mut batch_client = Client::connect(addr).expect("batch client connects");
-        batch_client
-            .explain_batch(batch)
-            .expect("slow batch succeeds")
-    });
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let in_flight = || handle.stats().get("wtq_server_in_flight").expect("gauge");
-    while in_flight() == 0.0 {
-        assert!(Instant::now() < deadline, "batch never became in-flight");
-        std::thread::yield_now();
-    }
-
-    // A fresh (uncached) question is rejected with the retry hint...
-    match client.explain(
-        "In what year did France hold the Olympics?",
-        "olympics",
-        None,
-    ) {
-        Err(ClientError::Server(err)) => {
-            assert_eq!(err.code, ErrorCode::Overloaded);
-            assert_eq!(err.retry_after_ms, Some(77));
+        // Saturate the single in-flight slot with a slow batch.
+        let batch: Vec<ExplainBody> = big_questions
+            .iter()
+            .map(|question| ExplainBody {
+                question: question.question.clone(),
+                table: big_name.clone(),
+                top_k: Some(2),
+            })
+            .collect();
+        let batch_thread = std::thread::spawn(move || {
+            let mut batch_client = Client::connect(addr).expect("batch client connects");
+            batch_client
+                .explain_batch(batch)
+                .expect("slow batch succeeds")
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let in_flight = || handle.stats().get("wtq_server_in_flight").expect("gauge");
+        while in_flight() == 0.0 && !batch_thread.is_finished() {
+            assert!(Instant::now() < deadline, "batch never became in-flight");
+            std::thread::yield_now();
         }
-        other => panic!("expected an Overloaded rejection, got {other:?}"),
+
+        // A fresh (uncached) question is rejected with the retry hint...
+        match client.explain(
+            "In what year did France hold the Olympics?",
+            "olympics",
+            None,
+        ) {
+            Ok(_) => {
+                batch_thread.join().expect("batch thread clean");
+                handle.shutdown();
+                continue;
+            }
+            Err(ClientError::Server(err)) => {
+                assert_eq!(err.code, ErrorCode::Overloaded);
+                assert_eq!(err.retry_after_ms, Some(77));
+            }
+            other => panic!("expected an Overloaded rejection, got {other:?}"),
+        }
+        assert!(in_flight() > 0.0, "batch drained too early");
+
+        // ... while the cached question (same table, same top_k, a variant
+        // phrasing normalization maps onto the same key) is served in full.
+        let served = client
+            .explain(cached_question, "olympics", None)
+            .expect("cache hit must never see retry_after_ms");
+        assert_eq!(
+            serde_json::to_string(&served).unwrap(),
+            serde_json::to_string(&warm).unwrap(),
+            "saturated-path hit must be byte-identical to the idle answer"
+        );
+        let variant = client
+            .explain("which city  hosted in 2008??", "olympics", None)
+            .expect("normalized variant shares the cached entry");
+        assert_eq!(variant.candidates.len(), served.candidates.len());
+
+        // A fully-cached batch also bypasses the saturated queue.
+        let cached_batch = client
+            .explain_batch(vec![ExplainBody {
+                question: cached_question.to_string(),
+                table: "olympics".to_string(),
+                top_k: None,
+            }])
+            .expect("fully-cached batch bypasses the queue");
+        assert_eq!(cached_batch.len(), 1);
+        assert!(in_flight() > 0.0, "batch drained too early");
+
+        batch_thread.join().expect("batch thread clean");
+        handle.shutdown();
+        return;
     }
-    assert!(in_flight() > 0.0, "batch drained too early");
-
-    // ... while the cached question (same table, same top_k, a variant
-    // phrasing normalization maps onto the same key) is served in full.
-    let served = client
-        .explain(cached_question, "olympics", None)
-        .expect("cache hit must never see retry_after_ms");
-    assert_eq!(
-        serde_json::to_string(&served).unwrap(),
-        serde_json::to_string(&warm).unwrap(),
-        "saturated-path hit must be byte-identical to the idle answer"
-    );
-    let variant = client
-        .explain("which city  hosted in 2008??", "olympics", None)
-        .expect("normalized variant shares the cached entry");
-    assert_eq!(variant.candidates.len(), served.candidates.len());
-
-    // A fully-cached batch also bypasses the saturated queue.
-    let cached_batch = client
-        .explain_batch(vec![ExplainBody {
-            question: cached_question.to_string(),
-            table: "olympics".to_string(),
-            top_k: None,
-        }])
-        .expect("fully-cached batch bypasses the queue");
-    assert_eq!(cached_batch.len(), 1);
-    assert!(in_flight() > 0.0, "batch drained too early");
-
-    batch_thread.join().expect("batch thread clean");
-    handle.shutdown();
+    panic!("the batch released its slot before the fresh question arrived in {SATURATION_ATTEMPTS} attempts");
 }

@@ -59,6 +59,49 @@ fn stat(stats: &StatsBody, series: &str) -> f64 {
         .unwrap_or_else(|| panic!("{series} missing"))
 }
 
+/// Attempts of the tests that probe the server while a slow batch holds
+/// its queue. How long the batch holds it depends on how fast the engine
+/// explains, so an attempt counts only if the batch still held the queue
+/// when the probe arrived; otherwise the next attempt starts a fresh server
+/// (whose answer cache cannot serve the probe inline as the last one's
+/// would) with a batch twice as large.
+const SLOW_BATCH_ATTEMPTS: usize = 4;
+
+/// Explain `size` questions drawn with `seed` over the 400-row table, top 2
+/// each, as one batch on a client thread of its own.
+fn slow_batch(addr: SocketAddr, size: usize, seed: u64) -> JoinHandle<Vec<WireExplanation>> {
+    let table = big_table(400);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let batch: Vec<ExplainBody> = wtq_dataset::generate_questions(&table, size, &mut rng)
+        .into_iter()
+        .map(|question| ExplainBody {
+            question: question.question,
+            table: table.name().to_string(),
+            top_k: Some(2),
+        })
+        .collect();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("batch client connects");
+        client
+            .explain_batch(batch)
+            .expect("the slow batch succeeds")
+    })
+}
+
+/// Wait (bounded) until the server holds a request in flight; `false` when
+/// `batch` was answered before it was seen there.
+fn holds_in_flight(handle: &ServerHandle, batch: &JoinHandle<Vec<WireExplanation>>) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
+        if batch.is_finished() {
+            return false;
+        }
+        assert!(Instant::now() < deadline, "batch never became in-flight");
+        std::thread::yield_now();
+    }
+    true
+}
+
 #[test]
 fn responses_are_byte_identical_to_direct_engine_calls() {
     let (engine, catalog, handle) = serving_stack(ServerConfig::default(), Vec::new());
@@ -150,70 +193,69 @@ fn batch_responses_match_the_direct_batch_path() {
 
 #[test]
 fn full_in_flight_queue_rejects_with_retry_after_instead_of_hanging() {
-    let config = ServerConfig {
-        max_in_flight: 1,
-        retry_after_ms: 77,
-        ..ServerConfig::default()
-    };
-    let (_engine, _catalog, handle) = serving_stack(config, vec![big_table(400)]);
-    let addr = handle.local_addr();
+    // With one in-flight slot, a single explain that was admitted while the
+    // batch ran was admitted because the batch had already released the
+    // slot: that attempt does not count (see `SLOW_BATCH_ATTEMPTS`). The
+    // first batch has 48 questions, so the rejection also comes back while
+    // the batch still runs however the scheduler delays it.
+    for attempt in 0..SLOW_BATCH_ATTEMPTS {
+        let batch_size = 48 << attempt;
+        let config = ServerConfig {
+            max_in_flight: 1,
+            retry_after_ms: 77,
+            ..ServerConfig::default()
+        };
+        let (_engine, _catalog, handle) = serving_stack(config, vec![big_table(400)]);
+        let addr = handle.local_addr();
 
-    // Occupy the single in-flight slot with a slow batch over the big table.
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let questions = wtq_dataset::generate_questions(&big_table(400), 6, &mut rng);
-    let batch: Vec<ExplainBody> = questions
-        .iter()
-        .map(|question| ExplainBody {
-            question: question.question.clone(),
-            table: big_table(400).name().to_string(),
-            top_k: Some(2),
-        })
-        .collect();
-    let batch_thread = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("batch client connects");
-        client
-            .explain_batch(batch)
-            .expect("the slow batch succeeds")
-    });
-
-    // Wait (bounded) until the batch actually holds the slot.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
-        assert!(Instant::now() < deadline, "batch never became in-flight");
-        std::thread::yield_now();
-    }
-
-    // The queue is full: a single explain must be rejected immediately with
-    // the configured retry hint — not block until the batch finishes.
-    let mut client = Client::connect(addr).unwrap();
-    let start = Instant::now();
-    let rejection = client.explain("Which city hosted in 2008?", "olympics", None);
-    match rejection {
-        Err(ClientError::Server(err)) => {
-            assert_eq!(err.code, ErrorCode::Overloaded);
-            assert_eq!(err.retry_after_ms, Some(77));
+        // Occupy the single in-flight slot with a slow batch over the big table.
+        let batch_thread = slow_batch(addr, batch_size, 7);
+        if !holds_in_flight(&handle, &batch_thread) {
+            batch_thread.join().expect("batch thread clean");
+            handle.shutdown();
+            continue;
         }
-        other => panic!("expected an Overloaded rejection, got {other:?}"),
+
+        // The queue is full: a single explain must be rejected immediately
+        // with the configured retry hint — not block until the batch
+        // finishes.
+        let mut client = Client::connect(addr).unwrap();
+        let start = Instant::now();
+        let rejection = client.explain("Which city hosted in 2008?", "olympics", None);
+        if rejection.is_ok() {
+            batch_thread.join().expect("batch thread clean");
+            handle.shutdown();
+            continue;
+        }
+        match rejection {
+            Err(ClientError::Server(err)) => {
+                assert_eq!(err.code, ErrorCode::Overloaded);
+                assert_eq!(err.retry_after_ms, Some(77));
+            }
+            other => panic!("expected an Overloaded rejection, got {other:?}"),
+        }
+        // "Immediately": the rejection must not have waited out the batch.
+        let in_flight_after = stat(&handle.stats(), "wtq_server_in_flight");
+        assert!(
+            in_flight_after > 0.0,
+            "rejection raced the batch (took {:?}); grow the batch if this flakes",
+            start.elapsed()
+        );
+
+        let explanations = batch_thread.join().expect("batch thread clean");
+        assert_eq!(explanations.len(), batch_size);
+        let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
+        assert!(stat(&handle.stats(), overload) >= 1.0);
+
+        // Once the queue drains, the same request is admitted again.
+        let explanation = client
+            .explain("Which city hosted in 2008?", "olympics", None)
+            .expect("after drain the queue admits again");
+        assert!(!explanation.candidates.is_empty());
+        handle.shutdown();
+        return;
     }
-    // "Immediately": the rejection must not have waited out the batch.
-    let in_flight_after = stat(&handle.stats(), "wtq_server_in_flight");
-    assert!(
-        in_flight_after > 0.0,
-        "rejection raced the batch (took {:?}); grow the batch if this flakes",
-        start.elapsed()
-    );
-
-    let explanations = batch_thread.join().expect("batch thread clean");
-    assert_eq!(explanations.len(), 6);
-    let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
-    assert!(stat(&handle.stats(), overload) >= 1.0);
-
-    // Once the queue drains, the same request is admitted again.
-    let explanation = client
-        .explain("Which city hosted in 2008?", "olympics", None)
-        .expect("after drain the queue admits again");
-    assert!(!explanation.candidates.is_empty());
-    handle.shutdown();
+    panic!("the batch released its slot before the single explain arrived in {SLOW_BATCH_ATTEMPTS} attempts");
 }
 
 /// A stand-in server on loopback that answers every request it reads with
@@ -274,121 +316,112 @@ fn retry_helper_rides_out_backpressure_and_respects_its_budget() {
         "each attempt must have reached the server"
     );
 
-    let config = ServerConfig {
-        max_in_flight: 1,
-        retry_after_ms: 10,
-        ..ServerConfig::default()
-    };
-    let (_engine, _catalog, handle) = serving_stack(config, vec![big_table(400)]);
-    let addr = handle.local_addr();
-
-    // Occupy the single in-flight slot with a slow batch over the big table.
-    let mut rng = ChaCha8Rng::seed_from_u64(29);
-    let questions = wtq_dataset::generate_questions(&big_table(400), 6, &mut rng);
-    let batch: Vec<ExplainBody> = questions
-        .iter()
-        .map(|question| ExplainBody {
-            question: question.question.clone(),
-            table: big_table(400).name().to_string(),
-            top_k: Some(2),
-        })
-        .collect();
-    let batch_thread = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("batch client connects");
-        client
-            .explain_batch(batch)
-            .expect("the slow batch succeeds")
-    });
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
-        assert!(Instant::now() < deadline, "batch never became in-flight");
-        std::thread::yield_now();
-    }
-
     // A generous budget rides the rejections out and succeeds once the
     // batch drains — without the caller ever seeing an Overloaded error.
-    let mut client = Client::connect(addr).unwrap();
+    // An attempt counts only if the server rejected the generous client at
+    // least once (see `SLOW_BATCH_ATTEMPTS`).
     let generous = RetryPolicy {
         max_retries: 10_000,
         default_backoff: Duration::from_millis(10),
         max_backoff: Duration::from_millis(50),
     };
-    let explanation = client
-        .explain_with_retry("Which city hosted in 2008?", "olympics", None, &generous)
-        .expect("retries outlast the slow batch");
-    assert!(!explanation.candidates.is_empty());
+    for attempt in 0..SLOW_BATCH_ATTEMPTS {
+        let config = ServerConfig {
+            max_in_flight: 1,
+            retry_after_ms: 10,
+            ..ServerConfig::default()
+        };
+        let (_engine, _catalog, handle) = serving_stack(config, vec![big_table(400)]);
+        let addr = handle.local_addr();
 
-    batch_thread.join().expect("batch thread clean");
-    handle.shutdown();
+        // Occupy the single in-flight slot with a slow batch over the big table.
+        let batch_thread = slow_batch(addr, 6 << attempt, 29);
+        if !holds_in_flight(&handle, &batch_thread) {
+            batch_thread.join().expect("batch thread clean");
+            handle.shutdown();
+            continue;
+        }
+
+        let mut client = Client::connect(addr).unwrap();
+        let explanation = client
+            .explain_with_retry("Which city hosted in 2008?", "olympics", None, &generous)
+            .expect("retries outlast the slow batch");
+        assert!(!explanation.candidates.is_empty());
+
+        batch_thread.join().expect("batch thread clean");
+        let overload = r#"wtq_server_rejected_total{reason="overload"}"#;
+        let rode_out = stat(&handle.stats(), overload) >= 1.0;
+        handle.shutdown();
+        if rode_out {
+            return;
+        }
+    }
+    panic!("the batch released its slot before the generous client arrived in {SLOW_BATCH_ATTEMPTS} attempts");
 }
 
 #[test]
 fn hot_table_cannot_fill_the_whole_queue() {
     // One table at its queue share must be rejected while other tables'
     // requests are still admitted — the starvation the per-table occupancy
-    // bound exists to prevent.
-    let config = ServerConfig {
-        max_in_flight: 16,
-        per_table_tokens: 1,
-        max_table_in_flight: 1,
-        ..ServerConfig::default()
-    };
-    let big = big_table(400);
-    let big_name = big.name().to_string();
-    let (_engine, _catalog, handle) = serving_stack(config, vec![big]);
-    let addr = handle.local_addr();
+    // bound exists to prevent. A request for the big table that was
+    // admitted while the batch ran was admitted because the batch had
+    // already released the table's one slot: that attempt does not count
+    // (see `SLOW_BATCH_ATTEMPTS`).
+    for attempt in 0..SLOW_BATCH_ATTEMPTS {
+        let config = ServerConfig {
+            max_in_flight: 16,
+            per_table_tokens: 1,
+            max_table_in_flight: 1,
+            ..ServerConfig::default()
+        };
+        let big_name = big_table(400).name().to_string();
+        let (_engine, _catalog, handle) = serving_stack(config, vec![big_table(400)]);
+        let addr = handle.local_addr();
 
-    let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let questions = wtq_dataset::generate_questions(&big_table(400), 6, &mut rng);
-    let batch: Vec<ExplainBody> = questions
-        .iter()
-        .map(|question| ExplainBody {
-            question: question.question.clone(),
-            table: big_name.clone(),
-            top_k: Some(2),
-        })
-        .collect();
-    let batch_thread = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("batch client connects");
-        client
-            .explain_batch(batch)
-            .expect("the slow batch succeeds")
-    });
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while stat(&handle.stats(), "wtq_server_in_flight") == 0.0 {
-        assert!(Instant::now() < deadline, "batch never became in-flight");
-        std::thread::yield_now();
-    }
-
-    // The big table holds its whole (1-slot) queue share: another request
-    // for it bounces with a retry hint...
-    let mut client = Client::connect(addr).unwrap();
-    match client.explain("anything", &big_name, Some(1)) {
-        Err(ClientError::Server(err)) => {
-            assert_eq!(err.code, ErrorCode::Overloaded);
-            assert!(err.retry_after_ms.is_some());
-            assert!(err.message.contains("share"), "{}", err.message);
+        let batch_thread = slow_batch(addr, 6 << attempt, 13);
+        if !holds_in_flight(&handle, &batch_thread) {
+            batch_thread.join().expect("batch thread clean");
+            handle.shutdown();
+            continue;
         }
-        other => panic!("expected a table-share rejection, got {other:?}"),
-    }
-    // ... while a request for a different table is admitted and completes,
-    // even though 15 of the 16 queue slots are still free for it.
-    let explanation = client
-        .explain("Which city hosted in 2008?", "olympics", None)
-        .expect("other tables stay admitted while one table is saturated");
-    assert!(!explanation.candidates.is_empty());
 
-    batch_thread.join().expect("batch thread clean");
-    let stats = handle.stats();
-    let rejected = |reason: &str| {
-        stat(
-            &stats,
-            &format!("wtq_server_rejected_total{{reason=\"{reason}\"}}"),
-        )
-    };
-    assert!(rejected("table_busy") >= 1.0);
-    assert_eq!(rejected("overload"), 0.0);
-    handle.shutdown();
+        // The big table holds its whole (1-slot) queue share: another request
+        // for it bounces with a retry hint...
+        let mut client = Client::connect(addr).unwrap();
+        match client.explain("anything", &big_name, Some(1)) {
+            Ok(_) => {
+                batch_thread.join().expect("batch thread clean");
+                handle.shutdown();
+                continue;
+            }
+            Err(ClientError::Server(err)) => {
+                assert_eq!(err.code, ErrorCode::Overloaded);
+                assert!(err.retry_after_ms.is_some());
+                assert!(err.message.contains("share"), "{}", err.message);
+            }
+            other => panic!("expected a table-share rejection, got {other:?}"),
+        }
+        // ... while a request for a different table is admitted and completes,
+        // even though 15 of the 16 queue slots are still free for it.
+        let explanation = client
+            .explain("Which city hosted in 2008?", "olympics", None)
+            .expect("other tables stay admitted while one table is saturated");
+        assert!(!explanation.candidates.is_empty());
+
+        batch_thread.join().expect("batch thread clean");
+        let stats = handle.stats();
+        let rejected = |reason: &str| {
+            stat(
+                &stats,
+                &format!("wtq_server_rejected_total{{reason=\"{reason}\"}}"),
+            )
+        };
+        assert!(rejected("table_busy") >= 1.0);
+        assert_eq!(rejected("overload"), 0.0);
+        handle.shutdown();
+        return;
+    }
+    panic!("the batch released its table's slot before the second request arrived in {SLOW_BATCH_ATTEMPTS} attempts");
 }
 
 #[test]
@@ -946,7 +979,7 @@ fn shutdown_with_queued_work_returns_promptly() {
 
 /// Attempts of [`batch_items_join_single_flights`], each on a fresh server
 /// over a table twice as large as the last.
-const SINGLE_FLIGHT_ATTEMPTS: usize = 4;
+const SINGLE_FLIGHT_ATTEMPTS: usize = 6;
 
 #[test]
 fn batch_items_join_single_flights() {
