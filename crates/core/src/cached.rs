@@ -343,7 +343,8 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(table.fingerprint(), edited.fingerprint());
+        assert_eq!(table.columns(), edited.columns());
+        assert_eq!(table.num_records(), edited.num_records());
         let question = "Which city hosted in 2008?";
         let original = cached.explain_question(question, &table, 1);
         let changed = cached.explain_question(question, &edited, 1);

@@ -253,22 +253,10 @@ impl Den {
 }
 
 /// Records whose numeric cell in `column` satisfies `op` against
-/// `threshold`, answered from the index's sorted numeric projection: binary
-/// search for the ordered operators, a linear pass over the numeric cells for
-/// `!=` (whose tolerance band is not a prefix/suffix).
-///
-/// Shared with `wtq-sql`'s WHERE planner, so both engines agree on
-/// comparison semantics by construction.
-pub fn compare_records(
-    index: &TableIndex,
-    column: usize,
-    op: CompareOp,
-    threshold: f64,
-) -> BTreeSet<RecordIdx> {
-    compare_matches(index, column, op, threshold).collect()
-}
-
-/// The records [`compare_records`] selects, in numeric (not record) order.
+/// `threshold`, in numeric (not record) order, answered from the index's
+/// sorted numeric projection: binary search for the ordered operators, a
+/// linear pass over the numeric cells for `!=` (whose tolerance band is not
+/// a prefix/suffix).
 fn compare_matches(
     index: &TableIndex,
     column: usize,
@@ -1574,34 +1562,5 @@ mod tests {
         assert_eq!(session.answer_id(id), Ok(Answer::number(2004.0)));
         assert_eq!(session.arena().materialize(id), formula);
         assert_eq!(session.eval(&formula), eval(&formula, &table));
-    }
-
-    #[test]
-    fn compare_records_matches_compare_semantics() {
-        let table = samples::squad();
-        let evaluator = Evaluator::new(&table);
-        let games = table.column_index("Games").unwrap();
-        for op in [
-            CompareOp::Lt,
-            CompareOp::Leq,
-            CompareOp::Gt,
-            CompareOp::Geq,
-            CompareOp::Neq,
-        ] {
-            for threshold in [-1.0, 0.0, 4.0, 6.0, 17.0, f64::NAN] {
-                let indexed = compare_records(evaluator.index(), games, op, threshold);
-                let scanned: BTreeSet<RecordIdx> = table
-                    .record_indices()
-                    .filter(|&r| {
-                        table
-                            .value_at(r, games)
-                            .and_then(|v| v.as_number())
-                            .map(|n| op.compare(n, threshold))
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                assert_eq!(indexed, scanned, "op {op:?} threshold {threshold}");
-            }
-        }
     }
 }

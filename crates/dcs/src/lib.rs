@@ -55,7 +55,7 @@ pub use answer::Answer;
 pub use arena::{ColumnId, ConstId, FormulaArena, FormulaId, Node, FORMULA_ARENA_CAP};
 pub use ast::{AggregateOp, CompareOp, Formula, SuperlativeOp};
 pub use error::DcsError;
-pub use eval::{compare_records, eval, Denotation, Evaluator, SharedDenotation, TracedValue};
+pub use eval::{eval, Denotation, Evaluator, SharedDenotation, TracedValue};
 pub use parse::parse_formula;
 pub use typecheck::{typecheck, FormulaType};
 

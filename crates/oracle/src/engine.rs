@@ -14,7 +14,7 @@
 //!
 //! * [`PlanMode::ForceScan`] — the pre-index reference semantics: per-row
 //!   linear column resolution, the predicate interpreted on every row, no
-//!   typed kernels. Kept byte-for-byte boring as the oracle of the
+//!   kernels. Kept byte-for-byte boring as the oracle of the
 //!   differential suites.
 //! * [`PlanMode::ForceIndex`] — always answer plannable `WHERE` clauses from
 //!   the inverted / sorted-numeric index, building it on first use if the
@@ -23,18 +23,19 @@
 //!   numeric comparisons against literals, `IN` lists, scalar-subquery
 //!   equalities, `Index IN (subquery)` record-membership tests, and
 //!   `AND`/`OR` combinations of those) run as either an index lookup or a
-//!   **columnar kernel** sweep over the table's typed column vectors
-//!   ([`Table::filter_eq`] and friends); everything else falls back to the
-//!   row scan.
+//!   **kernel** sweep, one pass of the table's cell accessors over the
+//!   column ([`filter_eq`], [`filter_in`], [`filter_num`]); everything
+//!   else falls back to the row scan.
 //!
 //! # Cost model
 //!
 //! The planner's cost inputs are the table size and, when an index is
 //! already warm, its bucket sizes (a free histogram):
 //!
-//! * **Cold** (no index built yet): a kernel sweep is `O(rows)` over a
-//!   typed vector, an interpreted scan is `O(rows)` with per-row `Value`
-//!   dispatch, and an index *build* is `Ω(cells · log rows)` — strictly more
+//! * **Cold** (no index built yet): a kernel sweep is `O(rows)` accessor
+//!   reads, each one dictionary entry compared in place; an interpreted
+//!   scan is `O(rows)` with the predicate interpreted and a `Value` built
+//!   per row; and an index *build* is `Ω(cells · log rows)` — strictly more
 //!   than either. A single query therefore never builds an index: Auto runs
 //!   the kernels and can never lose to the scan.
 //! * **Warm** (index present): a point lookup returns a precomputed bucket
@@ -43,6 +44,11 @@
 //!   prefers the kernel sweep: range lookups materialize through a
 //!   `BTreeSet` (`O(matches · log matches)`), so at high selectivity the
 //!   flat `O(rows)` sweep wins and is already sorted.
+//!
+//! An aggregate over a column in Auto folds the records' numeric contents
+//! ([`Table::number_at`]) in record order, the per-row path's order, and
+//! leaves the first record with no numeric content to the per-row path, so
+//! results and errors match it.
 //!
 //! Estimated selectivity comes from the index buckets (`=`, `IN`), the
 //! sorted-numeric partitions (comparisons), and the mean bucket size
@@ -57,11 +63,11 @@
 //! O(rows) times, turning the nested-subquery row loop from O(n³) into O(n).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use wtq_dcs::{compare_records, AggregateOp, CompareOp};
+use wtq_dcs::{AggregateOp, CompareOp};
 use wtq_table::{RecordIdx, Table, TableIndex, Value};
 
 use wtq_sql::ast::{ArithOp, SqlExpr, SqlOrder, SqlQuery, SqlSelect};
@@ -78,7 +84,7 @@ pub type SqlResult = Vec<Vec<Value>>;
 /// How [`SqlEngine::execute`] plans `WHERE` clauses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Cost-based: columnar kernels when cold, index-vs-kernel by estimated
+    /// Cost-based: kernel sweeps when cold, index-vs-kernel by estimated
     /// selectivity when an index is warm. Never builds an index. Records
     /// its decisions in the engine's [`PlannerCounters`].
     #[default]
@@ -205,13 +211,13 @@ struct SubqueryCache {
 }
 
 /// Execution context threaded through one `execute` call: the table, the
-/// warm index (if any), whether columnar kernels may run, whether planner
+/// warm index (if any), whether kernel sweeps may run, whether planner
 /// decisions are recorded, and the per-execution subquery cache.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     table: &'a Table,
     index: Option<&'a TableIndex>,
-    /// Columnar kernels allowed (Auto). `ForceScan`/`ForceIndex` keep the
+    /// Kernel sweeps allowed (Auto). `ForceScan`/`ForceIndex` keep the
     /// historical physical plans exactly.
     kernels: bool,
     /// The engine's planner counters to record decisions into (Auto only;
@@ -349,8 +355,67 @@ fn swap_compare(op: CompareOp) -> CompareOp {
 enum Backend<'a> {
     /// Bucket / sorted-partition lookups against a warm [`TableIndex`].
     Index(&'a TableIndex),
-    /// Columnar kernel sweeps over the table's typed column vectors.
+    /// Kernel sweeps: one pass of the cell accessors over the column.
     Kernel,
+}
+
+/// Records whose cell in `column` equals `value` under [`Value`]'s
+/// equality, ascending — the kernel behind `Column = v`, and the scan
+/// reference's join.
+pub(crate) fn filter_eq(table: &Table, column: usize, value: &Value) -> Vec<RecordIdx> {
+    table
+        .record_indices()
+        .filter(|&record| table.eq_at(record, column, value))
+        .collect()
+}
+
+/// Records whose cell in `column` equals *any* of `values`, ascending —
+/// the kernel behind `IN (…)` lists.
+fn filter_in(table: &Table, column: usize, values: &[Value]) -> Vec<RecordIdx> {
+    table
+        .record_indices()
+        .filter(|&record| {
+            values
+                .iter()
+                .any(|value| table.eq_at(record, column, value))
+        })
+        .collect()
+}
+
+/// Records whose cell in `column` has numeric content (`Value::as_number`,
+/// NaN included) satisfying `pred`, ascending — the kernel behind numeric
+/// comparisons. Non-numeric cells never match.
+fn filter_num(table: &Table, column: usize, pred: impl Fn(f64) -> bool) -> Vec<RecordIdx> {
+    table
+        .record_indices()
+        .filter(|&record| table.number_at(record, column).is_some_and(&pred))
+        .collect()
+}
+
+/// Records whose numeric cell in `column` satisfies `op` against
+/// `threshold`, answered from the index's sorted numeric projection: binary
+/// search for the ordered operators, a linear pass over the numeric cells
+/// for `!=` (whose tolerance band is not a prefix/suffix).
+fn compare_records(
+    index: &TableIndex,
+    column: usize,
+    op: CompareOp,
+    threshold: f64,
+) -> BTreeSet<RecordIdx> {
+    let col = index.column(column);
+    let matched = match op {
+        CompareOp::Lt => col.numeric_below(threshold, false),
+        CompareOp::Leq => col.numeric_below(threshold, true),
+        CompareOp::Gt => col.numeric_above(threshold, false),
+        CompareOp::Geq => col.numeric_above(threshold, true),
+        CompareOp::Neq => {
+            return (col.numeric_entries().iter())
+                .filter(|(n, _)| op.compare(*n, threshold))
+                .map(|&(_, record)| record)
+                .collect()
+        }
+    };
+    matched.iter().map(|&(_, record)| record).collect()
 }
 
 /// Plan and execute a `WHERE` clause, or `None` to fall back to the row
@@ -366,7 +431,7 @@ fn plan_filter(expr: &SqlExpr, ctx: Ctx<'_>) -> Option<Result<Vec<RecordIdx>>> {
             let estimated = estimate_matches(expr, index, rows)?;
             if ctx.kernels && 2 * estimated >= rows {
                 // Dense predicate: range lookups materialize through a
-                // BTreeSet, so the flat typed sweep wins.
+                // BTreeSet, so the flat sweep wins.
                 (Backend::Kernel, estimated)
             } else {
                 (Backend::Index(index), estimated)
@@ -516,7 +581,7 @@ fn planned_filter(
                 Backend::Index(index) => compare_records(index, column, op, threshold)
                     .into_iter()
                     .collect(),
-                Backend::Kernel => ctx.table.filter_num(column, |n| op.compare(n, threshold)),
+                Backend::Kernel => filter_num(ctx.table, column, |n| op.compare(n, threshold)),
             }))
         }
         SqlExpr::InList(inner, values) => {
@@ -534,7 +599,7 @@ fn planned_filter(
                     records.dedup();
                     records
                 }
-                Backend::Kernel => ctx.table.filter_in(column, values),
+                Backend::Kernel => filter_in(ctx.table, column, values),
             }))
         }
         SqlExpr::InSubquery(inner, query) => {
@@ -608,12 +673,12 @@ fn planned_filter(
 }
 
 /// Point equality lookup on the chosen backend. Both agree with the row
-/// scan's `Value` equality (the kernel by per-layout construction, the
-/// index by its build).
+/// scan's `Value` equality (the kernel by reading it, the index by its
+/// build).
 fn lookup_eq(ctx: Ctx<'_>, backend: Backend<'_>, column: usize, value: &Value) -> Vec<RecordIdx> {
     match backend {
         Backend::Index(index) => index.records_with_value(column, value).to_vec(),
-        Backend::Kernel => ctx.table.filter_eq(column, value),
+        Backend::Kernel => filter_eq(ctx.table, column, value),
     }
 }
 
@@ -762,15 +827,16 @@ fn eval_aggregate_expr(expr: &SqlExpr, ctx: Ctx<'_>, records: &[RecordIdx]) -> R
             if *op == AggregateOp::Count {
                 return Ok(EvalValue::Val(Value::Num(records.len() as f64)));
             }
-            // Columnar fast path (Auto only): a fully-numeric column folds
-            // directly over its typed f64 vector — no per-row Value
-            // round-trip, and per-row evaluation cannot error there.
+            // Kernel fast path (Auto only): a column folds its cells'
+            // numeric contents with no per-row `Value`. A record with none
+            // leaves the aggregate to the per-row path, which errors there.
             if ctx.kernels {
                 if let SqlExpr::Column(name) = inner.as_ref() {
-                    if let Some(column) = ctx.column_index(name) {
-                        if let Some(values) = ctx.table.dense_f64(column) {
-                            return Ok(fold_dense(*op, values, records));
-                        }
+                    let column = ctx.column_index(name);
+                    if let Some(folded) =
+                        column.and_then(|column| fold_numbers(*op, ctx.table, column, records))
+                    {
+                        return Ok(folded);
                     }
                 }
             }
@@ -807,21 +873,29 @@ fn eval_aggregate_expr(expr: &SqlExpr, ctx: Ctx<'_>, records: &[RecordIdx]) -> R
     }
 }
 
-/// Fold an aggregate over the records' entries of a dense (null-free) f64
-/// column — same fold order and same results as the per-row path.
-fn fold_dense(op: AggregateOp, values: &[f64], records: &[RecordIdx]) -> EvalValue {
+/// Fold an aggregate over the numeric contents of the records' cells in
+/// `column` — the per-row path's fold order and results. `None` at the first
+/// record whose cell has no numeric content.
+fn fold_numbers(
+    op: AggregateOp,
+    table: &Table,
+    column: usize,
+    records: &[RecordIdx],
+) -> Option<EvalValue> {
     if records.is_empty() {
-        return EvalValue::Null;
+        return Some(EvalValue::Null);
     }
-    let nums = records.iter().map(|&record| values[record]);
+    let mut nums = records
+        .iter()
+        .map(|&record| table.number_at(record, column));
     let result = match op {
-        AggregateOp::Max => nums.fold(f64::NEG_INFINITY, f64::max),
-        AggregateOp::Min => nums.fold(f64::INFINITY, f64::min),
-        AggregateOp::Sum => nums.sum(),
-        AggregateOp::Avg => nums.sum::<f64>() / records.len() as f64,
+        AggregateOp::Max => nums.try_fold(f64::NEG_INFINITY, |max, n| Some(f64::max(max, n?)))?,
+        AggregateOp::Min => nums.try_fold(f64::INFINITY, |min, n| Some(f64::min(min, n?)))?,
+        AggregateOp::Sum => nums.sum::<Option<f64>>()?,
+        AggregateOp::Avg => nums.sum::<Option<f64>>()? / records.len() as f64,
         AggregateOp::Count => unreachable!("count handled before the fast path"),
     };
-    EvalValue::Val(Value::Num(result))
+    Some(EvalValue::Val(Value::Num(result)))
 }
 
 /// Evaluate an expression against a single record.
@@ -904,8 +978,8 @@ fn eval_row(expr: &SqlExpr, ctx: Ctx<'_>, record: RecordIdx) -> Result<EvalValue
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtq_dcs::CompareOp;
-    use wtq_table::samples;
+    use wtq_dcs::{CompareOp, Evaluator};
+    use wtq_table::{samples, TableBuilder};
 
     fn col(name: &str) -> SqlExpr {
         SqlExpr::Column(name.to_string())
@@ -1285,7 +1359,7 @@ mod tests {
                 Box::new(lit(Value::str("Greece"))),
             ),
         ));
-        // Cold Auto: the equality is answered by a columnar kernel.
+        // Cold Auto: the equality is answered by a kernel sweep.
         // Per-engine counters are exact — no deltas, no interference from
         // concurrently running tests.
         let cold = SqlEngine::new(&table);
@@ -1352,22 +1426,181 @@ mod tests {
 
     #[test]
     fn dense_aggregate_fast_path_matches_reference() {
-        let table = samples::medals();
-        for op in [
-            AggregateOp::Max,
-            AggregateOp::Min,
+        // A numeric column, one of numeric text and dates, and one whose
+        // empty cell leaves the fold to the per-row path, which errors.
+        let columns = [
+            (samples::medals(), "Gold"),
+            (
+                column_table(&[
+                    Value::num(1.0),
+                    Value::str("2.5"),
+                    Value::str("$130"),
+                    Value::date(2013, 6, 8),
+                ]),
+                "A",
+            ),
+            (column_table(&values(&["1", "", "3"])), "A"),
+        ];
+        for (table, column) in &columns {
+            for op in [
+                AggregateOp::Max,
+                AggregateOp::Min,
+                AggregateOp::Sum,
+                AggregateOp::Avg,
+            ] {
+                let q = SqlQuery::select(SqlSelect::project(vec![SqlExpr::Aggregate(
+                    op,
+                    Box::new(col(column)),
+                )]));
+                assert_eq!(
+                    execute(&q, table),
+                    execute_scan(&q, table),
+                    "aggregate {op:?} diverged from the scan reference"
+                );
+            }
+        }
+        let q = SqlQuery::select(SqlSelect::project(vec![SqlExpr::Aggregate(
             AggregateOp::Sum,
-            AggregateOp::Avg,
+            Box::new(col("A")),
+        )]));
+        assert_eq!(
+            execute(&q, &columns[1].0),
+            Ok(vec![vec![Value::num(2146.5)]])
+        );
+        assert!(execute(&q, &columns[2].0).is_err());
+    }
+
+    fn values(texts: &[&str]) -> Vec<Value> {
+        texts.iter().map(|t| Value::parse(t)).collect()
+    }
+
+    /// A one-column table of `cells`.
+    fn column_table(cells: &[Value]) -> Table {
+        let mut builder = TableBuilder::new("column").column("A");
+        for cell in cells {
+            builder = builder.row(vec![cell.clone()]).unwrap();
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn filter_eq_matches_scan_semantics() {
+        let cases: Vec<Vec<Value>> = vec![
+            values(&["1", "2", "", "2", "3"]),
+            values(&["Athens", "athens", "", "Paris"]),
+            values(&["June 8, 2013", "October 1983", "June 8, 2013"]),
+            values(&["1", "a", "", "June 8, 2013"]),
+        ];
+        let needles: Vec<Value> = values(&["2", "athens", "", "June 8, 2013", "1", "nope"])
+            .into_iter()
+            .chain([Value::year(1983), Value::Num(f64::NAN)])
+            .collect();
+        for cells in cases {
+            let table = column_table(&cells);
+            for needle in &needles {
+                let scan: Vec<usize> = cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| *v == needle)
+                    .map(|(r, _)| r)
+                    .collect();
+                assert_eq!(filter_eq(&table, 0, needle), scan, "needle {needle:?}");
+                for (r, v) in cells.iter().enumerate() {
+                    assert_eq!(
+                        table.eq_at(r, 0, needle),
+                        v == needle,
+                        "row {r} vs {needle:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_num_matches_as_number_scan() {
+        let cases: Vec<Vec<Value>> = vec![
+            values(&["1", "2", "", "-3"]),
+            values(&["130", "abc", "$1,000", ""]),
+            values(&["June 8, 2013", "October 1983"]),
+            values(&["1", "a", "October 1983"]),
+        ];
+        for cells in cases {
+            let table = column_table(&cells);
+            for threshold in [0.0, 2.0, 1983.0] {
+                let scan: Vec<usize> = cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| v.as_number().map(|n| n >= threshold).unwrap_or(false))
+                    .map(|(r, _)| r)
+                    .collect();
+                assert_eq!(filter_num(&table, 0, |n| n >= threshold), scan);
+            }
+        }
+    }
+
+    #[test]
+    fn filter_eq_matches_paper_example() {
+        // Country.Greece on the Figure 1 table returns records {0, 5} here
+        // (the paper writes {0, n-4} for its elided table).
+        let t = samples::olympics();
+        let col = t.column_index("Country").unwrap();
+        assert_eq!(filter_eq(&t, col, &Value::str("Greece")), vec![0, 5]);
+        // Case-insensitively, as `Value` compares strings.
+        assert_eq!(filter_eq(&t, col, &Value::str("greece")), vec![0, 5]);
+    }
+
+    #[test]
+    fn filter_in_unions_sorted_and_deduplicated() {
+        let t = samples::olympics();
+        let col = t.column_index("Country").unwrap();
+        let records = filter_in(
+            &t,
+            col,
+            &[
+                Value::str("China"),
+                Value::str("Greece"),
+                Value::str("greece"),
+            ],
+        );
+        assert_eq!(records, vec![0, 5, 6]);
+    }
+
+    #[test]
+    fn filter_num_applies_predicate_to_numeric_contents() {
+        let t = samples::olympics();
+        let year = t.column_index("Year").unwrap();
+        let country = t.column_index("Country").unwrap();
+        assert_eq!(filter_num(&t, year, |n| n >= 2008.0), vec![6, 7, 8]);
+        // A text column has no numeric contents.
+        assert_eq!(filter_num(&t, country, |_| true), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn compare_records_matches_compare_semantics() {
+        let table = samples::squad();
+        let evaluator = Evaluator::new(&table);
+        let games = table.column_index("Games").unwrap();
+        for op in [
+            CompareOp::Lt,
+            CompareOp::Leq,
+            CompareOp::Gt,
+            CompareOp::Geq,
+            CompareOp::Neq,
         ] {
-            let q = SqlQuery::select(SqlSelect::project(vec![SqlExpr::Aggregate(
-                op,
-                Box::new(col("Gold")),
-            )]));
-            assert_eq!(
-                execute(&q, &table).unwrap(),
-                execute_scan(&q, &table).unwrap(),
-                "aggregate {op:?} diverged from the scan reference"
-            );
+            for threshold in [-1.0, 0.0, 4.0, 6.0, 17.0, f64::NAN] {
+                let indexed = compare_records(evaluator.index(), games, op, threshold);
+                let scanned: BTreeSet<RecordIdx> = table
+                    .record_indices()
+                    .filter(|&r| {
+                        table
+                            .value_at(r, games)
+                            .and_then(|v| v.as_number())
+                            .map(|n| op.compare(n, threshold))
+                            .unwrap_or(false)
+                    })
+                    .collect();
+                assert_eq!(indexed, scanned, "op {op:?} threshold {threshold}");
+            }
         }
     }
 }

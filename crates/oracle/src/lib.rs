@@ -20,8 +20,9 @@
 //! operator, the translated SQL must return the same answer as the direct
 //! lambda DCS execution. An [`SqlEngine`] runs queries under a
 //! [`PlanMode`]: `Auto` picks per predicate between the shared
-//! [`wtq_table::TableIndex`] and the table's columnar kernels by estimated
-//! selectivity (and never builds an index for a single cold query);
+//! [`wtq_table::TableIndex`] and kernel sweeps over the table's cells by
+//! estimated selectivity (and never builds an index for a single cold
+//! query);
 //! `ForceScan` keeps the pre-index scan path as the oracle of the
 //! differential suites; `ForceIndex` pins the indexed path. `Auto`
 //! decisions are counted per engine in [`PlannerCounters`].

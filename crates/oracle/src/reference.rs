@@ -20,6 +20,8 @@ use wtq_table::{CellRef, RecordIdx, Table, Value};
 use wtq_dcs::eval::MAX_EVAL_DEPTH;
 use wtq_dcs::{AggregateOp, DcsError, Denotation, Formula, Result, SuperlativeOp, TracedValue};
 
+use crate::engine::filter_eq;
+
 /// Evaluate `formula` against `table` with the scan-based reference
 /// semantics. The result must always equal `wtq_dcs::eval(formula, table)`.
 pub fn eval_reference(formula: &Formula, table: &Table) -> Result<Denotation> {
@@ -49,7 +51,7 @@ fn eval_depth(formula: &Formula, table: &Table, depth: usize) -> Result<Denotati
             };
             let mut records = BTreeSet::new();
             for value in &wanted {
-                records.extend(table.filter_eq(column_idx, value));
+                records.extend(filter_eq(table, column_idx, value));
             }
             Ok(Denotation::Records(records))
         }
@@ -190,7 +192,7 @@ fn eval_depth(formula: &Formula, table: &Table, depth: usize) -> Result<Denotati
             }
             let counts: Vec<usize> = candidates
                 .iter()
-                .map(|tv| table.filter_eq(column_idx, &tv.value).len())
+                .map(|tv| filter_eq(table, column_idx, &tv.value).len())
                 .collect();
             let best = match op {
                 SuperlativeOp::Argmax => counts.iter().copied().max().unwrap_or(0),
@@ -201,8 +203,7 @@ fn eval_depth(formula: &Formula, table: &Table, depth: usize) -> Result<Denotati
                 .zip(counts)
                 .filter(|(_, count)| *count == best)
                 .map(|(tv, _)| {
-                    let cells = table
-                        .filter_eq(column_idx, &tv.value)
+                    let cells = filter_eq(table, column_idx, &tv.value)
                         .into_iter()
                         .map(|record| CellRef::new(record, column_idx))
                         .collect();
@@ -235,7 +236,7 @@ fn eval_depth(formula: &Formula, table: &Table, depth: usize) -> Result<Denotati
             };
             let mut rows: Vec<RecordIdx> = Vec::new();
             for tv in &candidates {
-                rows.extend(table.filter_eq(value_idx, &tv.value));
+                rows.extend(filter_eq(table, value_idx, &tv.value));
             }
             rows.sort_unstable();
             rows.dedup();

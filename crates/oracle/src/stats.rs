@@ -4,7 +4,7 @@
 //! The counters answer two operational questions:
 //!
 //! * **which path runs** — how often the planner fell back to a row scan,
-//!   answered from the inverted index, or ran a columnar kernel sweep, and
+//!   answered from the inverted index, or ran a kernel sweep, and
 //! * **how good the cost model is** — cumulative estimated vs actual
 //!   matching rows for planned filters, so a drifting selectivity model
 //!   shows up as a widening gap between the two sums.
@@ -34,7 +34,7 @@ pub struct PlannerCounters {
     pub scan_chosen: Arc<Counter>,
     /// Filters answered from the inverted / sorted-numeric index.
     pub index_chosen: Arc<Counter>,
-    /// Filters answered by columnar kernel sweeps over the typed vectors.
+    /// Filters answered by kernel sweeps over the table's cell accessors.
     pub kernel_chosen: Arc<Counter>,
     /// Sum of the planner's estimated matching-row counts over all planned
     /// filters (bucket-size selectivity; half the table when planning cold

@@ -171,14 +171,6 @@ impl CellSet {
         self.columns.retain(|(_, records)| !records.is_empty());
     }
 
-    /// Keep only the cells that belong to `columns`.
-    pub(crate) fn clamp_to(&mut self, columns: &ColumnSet) {
-        self.columns.retain_mut(|(column, records)| {
-            records.retain(|&record| columns.contains(&CellRef::new(record, *column)));
-            !records.is_empty()
-        });
-    }
-
     fn position(&self, column: usize) -> Option<usize> {
         self.columns.binary_search_by_key(&column, |(c, _)| *c).ok()
     }

@@ -59,23 +59,19 @@ pub fn provenance_with(
     // P_O of the whole query plus P_E as the union of P_O over sub-formulas
     // (Equations 1 and 2), computed in one recursive pass that also collects
     // the columns of P_C (Equation 3): a walk that succeeds resolves every
-    // column the formula mentions.
-    let mut output = walk.output(evaluator.intern(formula))?;
-    let columns = ColumnSet::new(walk.columns, table.num_records());
-
-    // The chain is nested by construction; clamp defensively, column by
-    // column, so the Definition 4.1 hierarchy holds even for degenerate
-    // formulas.
-    let mut execution = walk.execution;
-    execution.union_with(&output);
-    execution.clamp_to(&columns);
-    output.intersect_with(&execution);
-    Ok(ProvenanceChain {
+    // column the formula mentions. The chain is nested by construction
+    // (Definition 4.1): `output` adds every sub-formula's `P_O` to `P_E`,
+    // the root's included, and no rule outputs a cell outside a column it
+    // resolved.
+    let output = walk.output(evaluator.intern(formula))?;
+    let chain = ProvenanceChain {
         output,
-        execution,
-        columns,
+        execution: walk.execution,
+        columns: ColumnSet::new(walk.columns, table.num_records()),
         markers: walk.markers,
-    })
+    };
+    debug_assert!(chain.is_well_formed());
+    Ok(chain)
 }
 
 /// One provenance computation: the session it reads, and `P_E`, the

@@ -26,7 +26,7 @@
 //!   with a structured `Overloaded` error carrying `retry_after_ms`,
 //!   never queueing unboundedly and never hanging the client.
 //! * **Admission control** — per-table execution tokens keyed by the
-//!   table's shape fingerprint, claimed all at once by the scheduler, so a
+//!   table's content fingerprint, claimed all at once by the scheduler, so a
 //!   giant table cannot starve the pool and no thread waits for a token.
 //! * **Registry** — clients address preloaded tables by catalog name
 //!   ([`wtq_table::Catalog`]) instead of shipping rows per request;

@@ -21,8 +21,9 @@
 //! queue) and joins the **scheduler**, one FIFO under one mutex served by a
 //! small worker pool, as one job per question it still has to answer. A
 //! worker takes the oldest job whose table has an execution token free
-//! (`per_table_tokens` per table shape fingerprint,
-//! [`wtq_table::Table::fingerprint`]) and whose request runs fewer jobs
+//! (`per_table_tokens` per table content fingerprint,
+//! [`wtq_table::Table::content_fingerprint`], so tables of one shape but
+//! different cells never share a budget) and whose request runs fewer jobs
 //! than the host has cores, and answers its question through the answer
 //! cache (a hit, a collapse onto a running flight, or leading it). The
 //! request's last job answers it. No thread waits for a token, and a
@@ -77,14 +78,14 @@ pub struct ServerConfig {
     /// Bound on admitted requests that need the engine (queued or
     /// running); a full queue rejects with [`ErrorCode::Overloaded`].
     pub max_in_flight: usize,
-    /// Execution tokens per table shape fingerprint: how many questions may
-    /// run against one table at once. Each running job — a single explain,
-    /// or one missing question of a batch — holds one token.
+    /// Execution tokens per table content fingerprint: how many questions
+    /// may run against one table at once. Each running job — a single
+    /// explain, or one missing question of a batch — holds one token.
     pub per_table_tokens: usize,
-    /// Bound on the share of the in-flight queue one table may occupy
-    /// (executing + waiting); a table over its share rejects with
-    /// [`ErrorCode::Overloaded`] so a hot table cannot fill the whole
-    /// queue and starve the others. Clamped to at least
+    /// Bound on the share of the in-flight queue one table (by content
+    /// fingerprint) may occupy (executing + waiting); a table over its
+    /// share rejects with [`ErrorCode::Overloaded`] so a hot table cannot
+    /// fill the whole queue and starve the others. Clamped to at least
     /// `per_table_tokens`.
     pub max_table_in_flight: usize,
     /// Maximum accepted frame payload length.
@@ -185,7 +186,7 @@ fn decrement(map: &mut HashMap<u64, usize>, fingerprint: u64) {
 struct Queued<T> {
     /// The request it belongs to (its [`Queue::requests`] key).
     request: u64,
-    /// Shape fingerprint of the table it runs against: it holds one
+    /// Content fingerprint of the table it runs against: it holds one
     /// execution token there while it runs.
     table: u64,
     /// When its request was admitted.
@@ -195,7 +196,7 @@ struct Queued<T> {
 
 /// What the scheduler keeps of one admitted request.
 struct Entry {
-    /// Shape fingerprints of its jobs' tables, deduplicated: it holds one
+    /// Content fingerprints of its jobs' tables, deduplicated: it holds one
     /// queue share on each until its last job is done or it expires.
     tables: Vec<u64>,
     /// Its jobs not yet done, waiting or running.
@@ -693,12 +694,10 @@ impl Shared {
             misses,
             pending: Mutex::new(Some(pending)),
         });
-        let jobs: Vec<_> = (0..request.misses.len())
-            .map(|index| {
-                let (_, item) = request.question(index);
-                let table = self.catalog.get(&item.table).expect("a miss has a table");
+        let jobs: Vec<_> = (request.misses.iter().enumerate())
+            .map(|(index, (key, _))| {
                 let request = Arc::clone(&request);
-                (table.fingerprint(), Job { request, index })
+                (key.fingerprint, Job { request, index })
             })
             .collect();
         let mut queue = self.scheduler.lock();

@@ -209,25 +209,6 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
 pub fn read_frame(reader: &mut impl Read, max: u32) -> Result<Vec<u8>, FrameError> {
     let mut prefix = [0u8; 4];
     read_exact_or_eof(reader, &mut prefix, true)?;
-    read_frame_after_prefix(reader, prefix, max)
-}
-
-/// Read just the 4-byte length prefix. (The nonblocking server sniffs
-/// protocols through [`FrameDecoder`] instead; this blocking form remains
-/// for synchronous tooling.)
-pub fn read_prefix(reader: &mut impl Read) -> Result<[u8; 4], FrameError> {
-    let mut prefix = [0u8; 4];
-    read_exact_or_eof(reader, &mut prefix, true)?;
-    Ok(prefix)
-}
-
-/// [`read_frame`] when the 4 prefix bytes were already consumed (e.g. by
-/// [`read_prefix`]).
-pub fn read_frame_after_prefix(
-    reader: &mut impl Read,
-    prefix: [u8; 4],
-    max: u32,
-) -> Result<Vec<u8>, FrameError> {
     let declared = u32::from_be_bytes(prefix);
     if declared > max {
         return Err(FrameError::TooLarge { declared, max });

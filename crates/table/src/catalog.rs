@@ -23,8 +23,8 @@ pub struct TableSummary {
     pub records: usize,
     /// Column headers, in table order.
     pub columns: Vec<String>,
-    /// The table's shape fingerprint ([`Table::fingerprint`]) as a
-    /// fixed-width hex string — hex rather than a JSON number because the
+    /// The table's content fingerprint ([`Table::content_fingerprint`]) as
+    /// a fixed-width hex string — hex rather than a JSON number because the
     /// full 64 bits do not survive an f64 round-trip.
     pub fingerprint: String,
 }
@@ -40,7 +40,7 @@ impl TableSummary {
                 .iter()
                 .map(|column| column.name.clone())
                 .collect(),
-            fingerprint: format!("{:016x}", table.fingerprint()),
+            fingerprint: format!("{:016x}", table.content_fingerprint()),
         }
     }
 }
@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(summaries[1].fingerprint.len(), 16);
         assert_eq!(
             summaries[1].fingerprint,
-            format!("{:016x}", catalog.get("b").unwrap().fingerprint())
+            format!("{:016x}", catalog.get("b").unwrap().content_fingerprint())
         );
         assert_eq!(catalog.summary("a"), Some(summaries[0].clone()));
         assert_eq!(catalog.summary("missing"), None);

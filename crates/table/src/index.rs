@@ -435,10 +435,11 @@ mod tests {
         let index = TableIndex::new(&table);
         for column in 0..table.num_columns() {
             for value in table.distinct_column_values(column) {
-                assert_eq!(
-                    index.records_with_value(column, &value),
-                    table.filter_eq(column, &value).as_slice()
-                );
+                let scan: Vec<usize> = table
+                    .record_indices()
+                    .filter(|&r| table.eq_at(r, column, &value))
+                    .collect();
+                assert_eq!(index.records_with_value(column, &value), scan.as_slice());
             }
         }
         assert!(index

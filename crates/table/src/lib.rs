@@ -15,10 +15,10 @@
 //!
 //! * [`Value`] — typed cell values (string / number / date) with a total order
 //!   used by superlatives and comparisons,
-//! * [`Table`] and [`TableBuilder`] — the ordered relation itself, stored as
-//!   typed column vectors ([`column::ColumnData`]: flat `f64`s + null bitmap,
-//!   dictionary-encoded strings, packed date ordinals) behind an accessor
-//!   API with batch kernels (`filter_eq` / `filter_in` / `filter_num`),
+//! * [`Table`] and [`TableBuilder`] — the ordered relation itself, each
+//!   column one dictionary of its exact distinct values, read through four
+//!   cell accessors (`value_at`, `eq_at`, `number_at`, `cell_text`) that
+//!   defer to [`Value`],
 //! * [`CellRef`] — a (record, column) coordinate used by the provenance model,
 //! * [`index::TableIndex`] — the indexed columnar view (inverted indexes,
 //!   value-sorted permutations, sorted numeric projections, O(1) column-name
@@ -32,7 +32,7 @@
 
 pub mod catalog;
 pub mod cell;
-pub mod column;
+mod column;
 pub mod csv;
 pub mod error;
 pub mod index;
@@ -44,7 +44,6 @@ pub mod value;
 
 pub use catalog::{Catalog, TableSummary};
 pub use cell::CellRef;
-pub use column::DictId;
 pub use error::TableError;
 pub use index::{ColumnIndex, TableIndex};
 pub use kb::KnowledgeBase;

@@ -222,8 +222,12 @@ mod tests {
     fn olympics_matches_figure_one() {
         let t = olympics();
         let country = t.column_index("Country").unwrap();
-        let greece_records = t.filter_eq(country, &Value::str("Greece"));
-        assert_eq!(greece_records.len(), 2);
+        let greece = Value::str("Greece");
+        let greece_records: Vec<usize> = t
+            .record_indices()
+            .filter(|&r| t.eq_at(r, country, &greece))
+            .collect();
+        assert_eq!(greece_records, [0, 5]);
         assert_eq!(t.column_type(0), ColumnType::Number);
     }
 
@@ -232,8 +236,11 @@ mod tests {
         let t = medals();
         let nation = t.column_index("Nation").unwrap();
         let total = t.column_index("Total").unwrap();
-        let fiji = t.filter_eq(nation, &Value::str("Fiji"))[0];
-        let tonga = t.filter_eq(nation, &Value::str("Tonga"))[0];
+        let find = |name: &str| {
+            let name = Value::str(name);
+            t.record_indices().find(|&r| t.eq_at(r, nation, &name))
+        };
+        let (fiji, tonga) = (find("Fiji").unwrap(), find("Tonga").unwrap());
         assert_eq!(t.value_at(fiji, total), Some(Value::num(130.0)));
         assert_eq!(t.value_at(tonga, total), Some(Value::num(20.0)));
     }

@@ -4,16 +4,14 @@
 //! (0, 1, 2, …) and a `Prev` pointer to the record above it. Columns are
 //! named, and cell values are typed [`Value`]s.
 //!
-//! Storage is column-major: each column lives in the densest typed vector
-//! its cells admit (see [`crate::column::ColumnData`]) — flat `f64`s with a
-//! null bitmap, dictionary-encoded strings, packed date ordinals, or a
-//! `Vec<Value>` fallback for heterogeneous columns. Consumers never see the
-//! layout: they go through the accessor API (`value_at`, `eq_at`,
-//! `number_at`, `cell_text`, `record_values`) or the batch kernels
-//! (`filter_eq`, `filter_in`, `filter_num`), all of
-//! which reproduce the exact per-row [`Value`] semantics the row-major
-//! representation had. The serde wire format still speaks rows — the
-//! columnar layout is an in-memory detail, byte-invisible on the wire.
+//! Storage is column-major, and every column is one dictionary: an id per
+//! cell into the column's distinct values, interned exactly (see
+//! `column.rs`). Consumers never see it: they read cells through four
+//! accessors (`value_at`, `eq_at`, `number_at`, `cell_text`) and
+//! `record_values`, each of which reads one entry and defers to [`Value`]
+//! itself. Accelerated reads (joins, ranges, orders, groupings) go through
+//! the table's [`TableIndex`]. The serde wire format still speaks rows —
+//! the columnar layout is an in-memory detail, byte-invisible on the wire.
 //!
 //! A table owns its [`TableIndex`], built on the first [`Table::index`]
 //! call and shared with every clone of the table, so one table never
@@ -65,23 +63,18 @@ pub struct Column {
 pub struct Table {
     name: String,
     columns: Vec<Column>,
-    /// Typed column vectors, one per header, each holding `num_records`
-    /// cells. The only place in the crate that knows the storage layout.
+    /// One dictionary per header, each holding `num_records` cells. The
+    /// only place in the crate that knows the storage layout.
     cols: Vec<ColumnData>,
     num_records: usize,
-    /// Precomputed shape fingerprint (record count, column count, normalized
-    /// headers, column types), set once at construction. Derived state:
-    /// never serialized, recomputed on deserialize (see the manual serde
-    /// impls below), so a hand-edited data file cannot smuggle in a
-    /// fingerprint describing a different shape.
-    fingerprint: u64,
-    /// Precomputed *content* fingerprint: the shape fingerprint extended
-    /// with every cell's canonical bytes (see
-    /// [`crate::column::ColumnData::hash_content`]). Two tables with equal
-    /// content fingerprints answer every question identically (up to hash
-    /// collision), which is what answer caches key on — the shape
-    /// fingerprint deliberately ignores cell contents and would alias
-    /// them. Derived state, like `fingerprint`: never serialized.
+    /// Precomputed content fingerprint: a hash of the table's shape
+    /// (record count, normalized headers, column types) extended with
+    /// every cell's exact bytes. Two tables with equal content
+    /// fingerprints answer every question identically (up to hash
+    /// collision), which is what answer caches and admission key on.
+    /// Derived state: never serialized, recomputed on deserialize (see the
+    /// manual serde impls below), so a hand-edited data file cannot smuggle
+    /// in a fingerprint describing other contents.
     content_fingerprint: u64,
     /// The table's index, built on first use and shared by its clones.
     /// Derived state: serde and equality ignore it.
@@ -184,13 +177,11 @@ impl Table {
     }
 
     /// Assemble from already-validated parts, transposing row-major cells
-    /// into typed columns. Short rows are padded with empty cells, extra
-    /// cells dropped (data files are written by us, so ragged rows only
-    /// arise from hand edits).
+    /// into column dictionaries. Short rows are padded with empty cells,
+    /// extra cells dropped (data files are written by us, so ragged rows
+    /// only arise from hand edits).
     fn from_parts(name: String, columns: Vec<Column>, rows: Vec<Vec<Value>>) -> Table {
         let num_records = rows.len();
-        // The fingerprint is derived, not trusted from the data file.
-        let fingerprint = shape_fingerprint(&columns, num_records);
         let mut per_column: Vec<Vec<Value>> = columns
             .iter()
             .map(|_| Vec::with_capacity(num_records))
@@ -205,13 +196,14 @@ impl Table {
             .into_iter()
             .map(ColumnData::from_values)
             .collect();
-        let content_fingerprint = content_fingerprint(fingerprint, &cols);
+        // The fingerprint is derived, not trusted from the data file.
+        let content_fingerprint =
+            content_fingerprint(shape_fingerprint(&columns, num_records), &cols);
         Table {
             name,
             columns,
             cols,
             num_records,
-            fingerprint,
             content_fingerprint,
             index: SharedIndex::default(),
         }
@@ -222,22 +214,14 @@ impl Table {
         &self.name
     }
 
-    /// The precomputed shape fingerprint: a 64-bit FNV-1a hash of the record
-    /// count, column count, case-normalized header names and inferred column
-    /// types. Two tables with equal fingerprints have (up to hash collision)
-    /// the same shape; differing cell *contents* are deliberately not
-    /// captured (see [`Table::content_fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The precomputed content fingerprint: the shape fingerprint extended
-    /// with every cell's canonical bytes. Unlike [`Table::fingerprint`],
-    /// differing cell contents produce differing fingerprints (up to hash
+    /// The precomputed content fingerprint: a 64-bit FNV-1a hash of the
+    /// record count, column count, case-normalized header names and
+    /// inferred column types, extended with every cell's exact bytes.
+    /// Differing cells produce differing fingerprints (up to hash
     /// collision), so equal content fingerprints mean the tables answer
-    /// every question identically — the property answer caches need. The
-    /// table *name* is still excluded: renaming a table does not change
-    /// its answers.
+    /// every question identically — the property answer caches and
+    /// admission need. The table *name* is excluded: renaming a table does
+    /// not change its answers.
     pub fn content_fingerprint(&self) -> u64 {
         self.content_fingerprint
     }
@@ -308,8 +292,8 @@ impl Table {
             .collect())
     }
 
-    /// Value of the cell at `(record, column)`, if in bounds. Owned:
-    /// reconstructed bit-exact from the typed column storage.
+    /// Value of the cell at `(record, column)`, if in bounds. Owned: exactly
+    /// the value the table was built with, bit for bit.
     pub fn value_at(&self, record: RecordIdx, column: usize) -> Option<Value> {
         self.cols.get(column).and_then(|col| col.value_at(record))
     }
@@ -337,12 +321,6 @@ impl Table {
             .is_some_and(|col| col.eq_at(record, needle))
     }
 
-    /// The dense numeric vector of `column` when every cell is numeric —
-    /// the no-branch fast path for aggregate kernels.
-    pub fn dense_f64(&self, column: usize) -> Option<&[f64]> {
-        self.cols.get(column)?.dense_f64()
-    }
-
     /// All record indices `0..n`, in table order.
     pub fn record_indices(&self) -> impl Iterator<Item = RecordIdx> {
         0..self.num_records()
@@ -362,34 +340,6 @@ impl Table {
     pub fn next_record(&self, record: RecordIdx) -> Option<RecordIdx> {
         let next = record + 1;
         (next < self.num_records()).then_some(next)
-    }
-
-    /// Records whose cell in `column` equals `value`, ascending — the
-    /// binary relation `Column.value` of the KB view (e.g. `Country.Greece`)
-    /// as a batch kernel over the typed column. Semantics identical to a
-    /// per-row `value_at == value` scan.
-    pub fn filter_eq(&self, column: usize, value: &Value) -> Vec<RecordIdx> {
-        self.cols[column].filter_eq(value)
-    }
-
-    /// Records whose cell in `column` equals *any* of `values`, ascending
-    /// and deduplicated — the batch kernel behind `IN (…)` predicates.
-    pub fn filter_in(&self, column: usize, values: &[Value]) -> Vec<RecordIdx> {
-        let mut out: Vec<RecordIdx> = Vec::new();
-        for value in values {
-            out.extend(self.cols[column].filter_eq(value));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Records whose cell in `column` has numeric content satisfying `pred`
-    /// — the batch kernel behind numeric comparisons. The predicate sees
-    /// exactly the values `Value::as_number` would produce per row
-    /// (including NaN cells); non-numeric cells never match.
-    pub fn filter_num<F: Fn(f64) -> bool>(&self, column: usize, pred: F) -> Vec<RecordIdx> {
-        self.cols[column].filter_num(pred)
     }
 
     /// Distinct values appearing in `column`, in first-appearance order.
@@ -487,7 +437,7 @@ impl TableBuilder {
     }
 
     /// Finalize the table, inferring column types, validating headers and
-    /// transposing the accumulated rows into typed columns.
+    /// transposing the accumulated rows into column dictionaries.
     pub fn build(self) -> Result<Table> {
         if self.columns.is_empty() {
             return Err(TableError::EmptyTable);
@@ -512,8 +462,8 @@ impl TableBuilder {
 }
 
 /// FNV-1a over the table's shape: record count, column count,
-/// length-prefixed lowercase header names and column types. Computed once at
-/// construction and stored on the table.
+/// length-prefixed lowercase header names and column types. The seed of the
+/// content fingerprint.
 fn shape_fingerprint(columns: &[Column], num_records: usize) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -645,43 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_eq_matches_paper_example() {
-        // Country.Greece on the Figure 1 table returns records {0, 2} here
-        // (the paper writes {0, n-4} for its elided table).
-        let t = olympics();
-        let col = t.column_index("Country").unwrap();
-        let records = t.filter_eq(col, &Value::str("Greece"));
-        assert_eq!(records, vec![0, 2]);
-        // Case-insensitively, via the dictionary's folded lookup.
-        assert_eq!(t.filter_eq(col, &Value::str("greece")), vec![0, 2]);
-    }
-
-    #[test]
-    fn filter_in_unions_sorted_and_deduplicated() {
-        let t = olympics();
-        let col = t.column_index("Country").unwrap();
-        let records = t.filter_in(
-            col,
-            &[
-                Value::str("China"),
-                Value::str("Greece"),
-                Value::str("greece"),
-            ],
-        );
-        assert_eq!(records, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn filter_num_applies_predicate_to_numeric_contents() {
-        let t = olympics();
-        let year = t.column_index("Year").unwrap();
-        let country = t.column_index("Country").unwrap();
-        assert_eq!(t.filter_num(year, |n| n >= 2008.0), vec![3, 4, 5]);
-        // A text column has no numeric contents.
-        assert_eq!(t.filter_num(country, |_| true), Vec::<usize>::new());
-    }
-
-    #[test]
     fn cell_accessors_agree_with_materialized_values() {
         let t = olympics();
         for r in t.record_indices() {
@@ -695,8 +608,6 @@ mod tests {
         assert_eq!(t.value_at(6, 0), None);
         assert_eq!(t.number_at(6, 0), None);
         assert!(!t.eq_at(6, 0, &Value::num(1896.0)));
-        let year = t.column_index("Year").unwrap();
-        assert_eq!(t.dense_f64(year).unwrap().len(), 6);
     }
 
     #[test]
@@ -763,63 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_captures_shape_not_contents_or_name() {
-        let a = olympics();
-        // Same headers (case-insensitively), record count and column types:
-        // same fingerprint, whatever the name and cell contents.
-        let b = Table::from_rows(
-            "different-name",
-            &["YEAR", "country", "city"],
-            &[
-                vec!["1", "a", "b"],
-                vec!["2", "a", "b"],
-                vec!["3", "a", "b"],
-                vec!["4", "a", "b"],
-                vec!["5", "a", "b"],
-                vec!["6", "a", "b"],
-            ],
-        )
-        .unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // Any shape difference changes it: record count, header, type.
-        let shorter = Table::from_rows(
-            "olympics",
-            &["Year", "Country", "City"],
-            &[vec!["1896", "Greece", "Athens"]],
-        )
-        .unwrap();
-        assert_ne!(a.fingerprint(), shorter.fingerprint());
-        let renamed = Table::from_rows(
-            "olympics",
-            &["Year", "Country", "Town"],
-            &[
-                vec!["1", "a", "b"],
-                vec!["2", "a", "b"],
-                vec!["3", "a", "b"],
-                vec!["4", "a", "b"],
-                vec!["5", "a", "b"],
-                vec!["6", "a", "b"],
-            ],
-        )
-        .unwrap();
-        assert_ne!(a.fingerprint(), renamed.fingerprint());
-        let retyped = Table::from_rows(
-            "olympics",
-            &["Year", "Country", "City"],
-            &[
-                vec!["1", "a", "9"],
-                vec!["2", "a", "9"],
-                vec!["3", "a", "9"],
-                vec!["4", "a", "9"],
-                vec!["5", "a", "9"],
-                vec!["6", "a", "9"],
-            ],
-        )
-        .unwrap();
-        assert_ne!(a.fingerprint(), retyped.fingerprint());
-    }
-
-    #[test]
     fn content_fingerprint_captures_cell_contents_not_name() {
         let a = olympics();
         // Identical contents under a different name: same content
@@ -838,8 +692,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.content_fingerprint(), renamed.content_fingerprint());
-        // Same shape, one cell edited: the shape fingerprint aliases, the
-        // content fingerprint must not.
+        // `a` under other headers, with the first record's cell in `column`
+        // set to `cell`.
+        let rebuilt = |names: &[&str], column: usize, cell: Value| {
+            let mut builder = TableBuilder::new("olympics").columns(names.iter().copied());
+            for r in a.record_indices() {
+                let mut row = a.record_values(r).unwrap();
+                if r == 0 {
+                    row[column] = cell.clone();
+                }
+                builder = builder.row(row).unwrap();
+            }
+            builder.build().unwrap().content_fingerprint()
+        };
+        let headers = ["Year", "Country", "City"];
+        let athens = || Value::str("Athens");
+        // Headers count case-insensitively, like column lookup; renaming a
+        // header changes the table's answers, and so its fingerprint.
+        assert_eq!(
+            rebuilt(&["YEAR", "country", "city"], 2, athens()),
+            a.content_fingerprint()
+        );
+        assert_ne!(
+            rebuilt(&["Year", "Country", "Town"], 2, athens()),
+            a.content_fingerprint()
+        );
+        // A cell that changes only in its bits changes the fingerprint.
+        assert_ne!(
+            rebuilt(&headers, 2, Value::str("athens")),
+            a.content_fingerprint()
+        );
+        assert_ne!(
+            rebuilt(&headers, 0, Value::num(0.0)),
+            rebuilt(&headers, 0, Value::num(-0.0))
+        );
+        // Same shape, one cell edited: the content fingerprint differs.
         let edited = Table::from_rows(
             "olympics",
             &["Year", "Country", "City"],
@@ -853,7 +740,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(a.fingerprint(), edited.fingerprint());
+        assert_eq!(a.columns(), edited.columns());
         assert_ne!(a.content_fingerprint(), edited.content_fingerprint());
         // It survives the serde roundtrip (recomputed, never serialized).
         let restored = Table::from_value(&a.to_value()).unwrap();
@@ -871,9 +758,9 @@ mod tests {
         assert_eq!(keys, vec!["name", "columns", "rows"]);
         let restored = Table::from_value(&serialized).unwrap();
         assert_eq!(restored, table);
-        assert_eq!(restored.fingerprint(), table.fingerprint());
+        assert_eq!(restored.content_fingerprint(), table.content_fingerprint());
         // A pre-fingerprint data file (same three fields) still loads, and
-        // the fingerprint always reflects the deserialized shape.
+        // the fingerprint always reflects the deserialized contents.
         let mut tampered_rows: Vec<Vec<Value>> = restored
             .record_indices()
             .map(|r| restored.record_values(r).unwrap())
@@ -885,7 +772,7 @@ mod tests {
             ("rows".to_string(), tampered_rows.to_value()),
         ]);
         let shorter = Table::from_value(&tampered).unwrap();
-        assert_ne!(shorter.fingerprint(), table.fingerprint());
+        assert_ne!(shorter.content_fingerprint(), table.content_fingerprint());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use wtq_server::{
     RequestEnvelope, ResponseBody, ResponseEnvelope, RetryPolicy, Server, ServerConfig,
     ServerHandle, StatsBody, WireExplanation, PROTOCOL_VERSION,
 };
-use wtq_table::{samples, Catalog, Table};
+use wtq_table::{samples, Catalog, ColumnType, Table, TableBuilder, Value};
 
 /// A deterministically generated "giant" table next to the small samples.
 fn big_table(rows: usize) -> Table {
@@ -424,6 +424,76 @@ fn hot_table_cannot_fill_the_whole_queue() {
     panic!("the batch released its table's slot before the second request arrived in {SLOW_BATCH_ATTEMPTS} attempts");
 }
 
+/// `table` under another name with one text cell changed: the same
+/// headers, column types and record count, other contents.
+fn same_shape_other_cells(table: &Table, name: &str) -> Table {
+    let text = (0..table.num_columns())
+        .find(|&column| table.column_type(column) == ColumnType::Text)
+        .expect("a text column");
+    let mut builder = TableBuilder::new(name).columns(table.columns().iter().map(|c| &c.name));
+    for record in table.record_indices() {
+        let mut row = table.record_values(record).unwrap();
+        if record == 0 {
+            row[text] = Value::str("Atlantis");
+        }
+        builder = builder.row(row).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+#[test]
+fn tables_of_one_shape_hold_separate_admission_tokens() {
+    // Admission keys a table by its contents, not its shape: while a slow
+    // batch holds the only execution token of one table, a single explain
+    // on a table of the same shape but other cells runs on a token of its
+    // own and is answered. Keyed by shape, it would wait for the batch's
+    // last job: rejected once it waited past its admission timeout, or
+    // answered only after the batch. An attempt counts only if the batch
+    // was still in flight when the explain was answered (the explain's own
+    // slot is released before its answer is sent); otherwise the next
+    // attempt starts a fresh server with a batch twice as large (see
+    // `SLOW_BATCH_ATTEMPTS`).
+    for attempt in 0..SLOW_BATCH_ATTEMPTS {
+        let config = ServerConfig {
+            per_table_tokens: 1,
+            admission_timeout_ms: 100,
+            ..ServerConfig::default()
+        };
+        let busy = big_table(400);
+        let twin = same_shape_other_cells(&busy, "twin");
+        assert_eq!(busy.columns(), twin.columns());
+        assert_eq!(busy.num_records(), twin.num_records());
+        assert_ne!(busy.content_fingerprint(), twin.content_fingerprint());
+        let (_engine, _catalog, handle) = serving_stack(config, vec![busy, twin]);
+        let addr = handle.local_addr();
+
+        let batch_thread = slow_batch(addr, 6 << attempt, 31);
+        if !holds_in_flight(&handle, &batch_thread) {
+            batch_thread.join().expect("batch thread clean");
+            handle.shutdown();
+            continue;
+        }
+        let mut client = Client::connect(addr).unwrap();
+        let explanation = client
+            .explain("How many rows are there?", "twin", Some(2))
+            .expect("the twin table's own token answers it");
+        let batch_in_flight = stat(&handle.stats(), "wtq_server_in_flight") >= 1.0;
+        batch_thread.join().expect("batch thread clean");
+        if !batch_in_flight {
+            handle.shutdown();
+            continue;
+        }
+        assert!(!explanation.candidates.is_empty());
+        let table_busy = r#"wtq_server_rejected_total{reason="table_busy"}"#;
+        assert_eq!(stat(&handle.stats(), table_busy), 0.0);
+        handle.shutdown();
+        return;
+    }
+    panic!(
+        "the batch was answered before the twin table's explain in {SLOW_BATCH_ATTEMPTS} attempts"
+    );
+}
+
 #[test]
 fn asymmetric_tables_both_make_progress_under_concurrent_load() {
     let config = ServerConfig {
@@ -804,7 +874,11 @@ fn opposing_multi_table_batches_and_single_explains_all_complete() {
     let mut rng = ChaCha8Rng::seed_from_u64(20190417);
     let a = wtq_dataset::tablegen::generate_table_with_rows(&domains[0], 0, 300, &mut rng);
     let b = wtq_dataset::tablegen::generate_table_with_rows(&domains[1], 1, 300, &mut rng);
-    assert_ne!(a.fingerprint(), b.fingerprint(), "two admission keys");
+    assert_ne!(
+        a.content_fingerprint(),
+        b.content_fingerprint(),
+        "two admission keys"
+    );
     let questions = |table: &Table, rng: &mut ChaCha8Rng| -> Vec<ExplainBody> {
         wtq_dataset::generate_questions(table, 16, rng)
             .iter()
