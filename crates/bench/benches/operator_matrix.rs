@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use wtq_bench::exec::{bench_table, workloads};
 use wtq_dcs::{eval, parse_formula, Evaluator};
-use wtq_oracle::{eval_reference, PlanMode, SqlEngine};
+use wtq_oracle::{eval_reference, execute_sql};
 use wtq_provenance::provenance;
 use wtq_sql::translate;
 use wtq_table::samples;
@@ -46,7 +46,7 @@ fn bench_operators(c: &mut Criterion) {
         });
         if let Ok(sql) = translate(&formula) {
             group.bench_function(format!("sql/{name}"), |b| {
-                b.iter(|| SqlEngine::new(&olympics).execute(&sql, PlanMode::Auto))
+                b.iter(|| execute_sql(&sql, &olympics))
             });
         }
     }
@@ -56,9 +56,6 @@ fn bench_operators(c: &mut Criterion) {
 /// Indexed execution layer vs the scan reference on a 2 000-row table:
 /// `scan` is the pre-index semantics, `indexed` a fresh session over the
 /// table's index (cold memo per call), `warm` a single reused session.
-/// For SQL: `sql_scan` is `ForceScan`, `sql_cold` a fresh cost-based
-/// engine per call (columnar kernels, no index), `sql_warm` the reused
-/// cost-based engine holding the table's index.
 fn bench_exec_layer(c: &mut Criterion) {
     let table = bench_table(2000);
     let index = table.index();
@@ -75,18 +72,6 @@ fn bench_exec_layer(c: &mut Criterion) {
             b.iter(|| Evaluator::new(&table).eval(&formula))
         });
         group.bench_function(format!("warm/{name}"), |b| b.iter(|| warm.eval(&formula)));
-        if let Ok(query) = translate(&formula) {
-            let warm_engine = SqlEngine::with_index(&table, index);
-            group.bench_function(format!("sql_scan/{name}"), |b| {
-                b.iter(|| warm_engine.execute(&query, PlanMode::ForceScan))
-            });
-            group.bench_function(format!("sql_cold/{name}"), |b| {
-                b.iter(|| SqlEngine::new(&table).execute(&query, PlanMode::Auto))
-            });
-            group.bench_function(format!("sql_warm/{name}"), |b| {
-                b.iter(|| warm_engine.execute(&query, PlanMode::Auto))
-            });
-        }
     }
     group.finish();
 }

@@ -347,7 +347,7 @@ fn main() {
     let json_path = exec_json_path();
     let mut exec_report = None;
     if wanted("exec") || json_path.is_some() {
-        heading("Execution layer — indexed engines vs scan reference");
+        heading("Execution layer — indexed evaluator vs scan reference");
         let report = wtq_bench::exec::exec_report(2000, 12);
         println!(
             "{} rows × {} columns; index build: {:.0} µs\n",
@@ -365,21 +365,6 @@ fn main() {
                 case.speedup_cold,
                 case.speedup_warm
             );
-        }
-        for case in report.sql.iter() {
-            println!(
-                "| sql/{} | {:.1} | {:.1} | {:.1} | {:.1}× | {:.1}× |",
-                case.name,
-                case.scan_us,
-                case.indexed_cold_us,
-                case.indexed_warm_us,
-                case.speedup_cold,
-                case.speedup_warm
-            );
-        }
-        println!("\nPlanner decisions over the SQL workloads (Auto mode):\n");
-        for sample in &report.planner {
-            println!("- `{}` {}", sample.series, sample.value);
         }
         println!(
             "\nCandidate throughput: {:.0} questions/s ({:.0} µs/question); \

@@ -1,26 +1,18 @@
-//! Execution-layer micro-benchmarks: indexed engines vs the scan reference.
+//! Execution-layer micro-benchmarks: the indexed evaluator vs the scan
+//! reference.
 //!
 //! Shared by the `exec_layer` Criterion bench group and the `experiments`
 //! binary's `--exec-json` flag, which writes the report to `BENCH_exec.json`
 //! so CI and the README can track the numbers. Workloads are
 //! join/compare/superlative-heavy — the shapes that dominate candidate
-//! generation — executed three ways:
+//! generation — evaluated three ways:
 //!
-//! * **scan** — the pre-index reference semantics (`wtq_oracle::eval_reference`
-//!   / `PlanMode::ForceScan`),
-//! * **cold** — no pre-built state per call: a fresh DCS session over the
-//!   table's own [`TableIndex`], and for SQL a fresh [`wtq_oracle::SqlEngine`]
-//!   in `Auto` mode (cost-based: columnar kernels, no index build),
-//! * **warm** — reused state across calls: a warm DCS session (adds the
-//!   cross-candidate denotation cache) and an `Auto`-mode engine holding
-//!   the table's index (the deployment configuration).
-//!
-//! The SQL section also shares one [`wtq_oracle::PlannerCounters`] set across
-//! the engines it constructs and snapshots it after its workloads, so the
-//! report records which physical plans the cost model picked and how its
-//! selectivity estimates tracked reality.
+//! * **scan** — the pre-index reference semantics (`wtq_oracle::eval_reference`),
+//! * **cold** — a fresh DCS session per call over the table's own
+//!   [`TableIndex`],
+//! * **warm** — one reused DCS session (adds the cross-candidate denotation
+//!   cache).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
@@ -29,7 +21,6 @@ use serde::Serialize;
 
 use wtq_core::{Engine, ExplainRequest};
 use wtq_dcs::{AggregateOp, CompareOp, Evaluator, Formula, SuperlativeOp};
-use wtq_oracle::{PlanMode, SqlEngine};
 use wtq_parser::SemanticParser;
 use wtq_table::{Catalog, Table, TableIndex, Value};
 
@@ -42,9 +33,9 @@ pub struct ExecCase {
     pub name: String,
     /// Scan reference, µs per execution.
     pub scan_us: f64,
-    /// Cold execution per call (fresh session / cold cost-based engine), µs.
+    /// Cold execution per call (fresh session), µs.
     pub indexed_cold_us: f64,
-    /// Warm execution (reused session / warm cost-based engine), µs.
+    /// Warm execution (reused session), µs.
     pub indexed_warm_us: f64,
     /// `scan_us / indexed_cold_us`.
     pub speedup_cold: f64,
@@ -76,12 +67,6 @@ pub struct ExecReport {
     pub index_build_us: f64,
     /// Lambda DCS operator workloads.
     pub dcs: Vec<ExecCase>,
-    /// SQL engine workloads (cost-based planner vs scan path).
-    pub sql: Vec<ExecCase>,
-    /// Planner decisions taken while timing the SQL workloads (scan vs
-    /// index vs columnar kernel, estimated vs actual matching rows), as the
-    /// registry samples of the section's planner counters.
-    pub planner: Vec<wtq_obs::Sample>,
     /// End-to-end questions/second through lexicon → candidates → scoring.
     pub candidate_throughput_qps: f64,
     /// Mean per-question parse time backing the throughput number, µs.
@@ -249,43 +234,6 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
         });
     }
 
-    let mut sql = Vec::new();
-    // One shared counter set across every engine this section constructs, so
-    // the report isolates exactly the decisions taken by its own workloads.
-    let planner_counters = Arc::new(wtq_oracle::PlannerCounters::new());
-    let warm_engine =
-        SqlEngine::with_index(&table, index).with_counters(Arc::clone(&planner_counters));
-    for (name, formula) in workloads(&table, index) {
-        let Ok(query) = wtq_sql::translate(&formula) else {
-            continue;
-        };
-        let timings = interleaved_us(&mut [
-            &mut || {
-                let _ = warm_engine.execute(&query, PlanMode::ForceScan);
-            },
-            &mut || {
-                let _ = SqlEngine::new(&table)
-                    .with_counters(Arc::clone(&planner_counters))
-                    .execute(&query, PlanMode::Auto);
-            },
-            &mut || {
-                let _ = warm_engine.execute(&query, PlanMode::Auto);
-            },
-        ]);
-        let (scan_us, indexed_cold_us, indexed_warm_us) = (timings[0], timings[1], timings[2]);
-        sql.push(ExecCase {
-            name,
-            scan_us,
-            indexed_cold_us,
-            indexed_warm_us,
-            speedup_cold: scan_us / indexed_cold_us,
-            speedup_warm: scan_us / indexed_warm_us,
-        });
-    }
-    let registry = wtq_obs::Registry::new();
-    planner_counters.register(&registry);
-    let planner = registry.samples();
-
     // End-to-end candidate throughput on a regular-size generated table with
     // generated questions (lexicon → candidates → scoring).
     let mut rng = ChaCha8Rng::seed_from_u64(EXPERIMENT_SEED + 1);
@@ -319,8 +267,6 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
         columns: table.num_columns(),
         index_build_us,
         dcs,
-        sql,
-        planner,
         candidate_throughput_qps,
         candidate_parse_us,
         cache_hits,
@@ -395,10 +341,9 @@ mod tests {
         let report = exec_report(64, 2);
         assert_eq!(report.rows, 64);
         assert_eq!(report.dcs.len(), 5);
-        assert!(!report.sql.is_empty());
         assert!(report.index_build_us > 0.0);
         assert!(report.candidate_throughput_qps > 0.0);
-        for case in report.dcs.iter().chain(&report.sql) {
+        for case in &report.dcs {
             assert!(case.scan_us > 0.0, "{}", case.name);
             assert!(case.indexed_cold_us > 0.0, "{}", case.name);
             assert!(case.indexed_warm_us > 0.0, "{}", case.name);
@@ -411,19 +356,9 @@ mod tests {
             assert!(case.speedup_vs_serial > 0.0);
         }
         assert!((report.parallel[0].speedup_vs_serial - 1.0).abs() < 1e-12);
-        // The SQL section exercised the planner: every workload was planned
-        // (never a row-scan fallback) on both the cold kernel path and the
-        // warm index-or-kernel path.
-        let planner = |series: &str| {
-            let sample = report.planner.iter().find(|sample| sample.series == series);
-            sample.expect("planner series reported").value
-        };
-        assert!(planner("wtq_planner_decisions_total{backend=\"kernel\"}") > 0.0);
-        assert!(planner("wtq_planner_actual_rows_total") > 0.0);
         // The report serializes.
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(json.contains("candidate_throughput_qps"));
-        assert!(json.contains("planner"));
         assert!(json.contains("parallel"));
     }
 }

@@ -6,10 +6,10 @@
 //! allocated a `BTreeMap<String, f64>` per candidate and re-rendered every
 //! feature name on every extraction.
 //!
-//! Timing discipline mirrors `planner_regression.rs`: the two pipelines are
-//! measured interleaved (reference, interned, reference, interned, …) over
-//! the same questions and warm evaluator session, and compared on medians
-//! across rounds, so one-off scheduler hiccups cannot decide the verdict.
+//! Timing discipline: the two pipelines are measured interleaved
+//! (reference, interned, reference, interned, …) over the same questions
+//! and warm evaluator session, and compared on medians across rounds, so
+//! one-off scheduler hiccups cannot decide the verdict.
 
 use std::time::{Duration, Instant};
 

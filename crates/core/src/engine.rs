@@ -59,12 +59,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// One question to explain in a batch, addressed to a table by catalog name.
-#[derive(Debug, Clone)]
+/// One question to explain, addressed to a table by catalog name: an item
+/// of [`Engine::explain_batch`], and the body of a served explain request
+/// (`wtq_server::ExplainBody`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExplainRequest {
     /// The natural-language question.
     pub question: String,
-    /// Name of the table in the catalog the batch runs against.
+    /// Name of the table in the catalog the request runs against.
     pub table: String,
     /// Candidates to explain; `None` uses the engine's default `top_k`.
     pub top_k: Option<usize>,

@@ -12,33 +12,23 @@
 //! | [`reference`](mod@reference) | [`wtq_dcs::Evaluator`] | the scan-based lambda DCS evaluator ([`eval_reference`]): no index, no memo |
 //! | [`parser`] | [`wtq_parser::SemanticParser`] and [`wtq_parser::Trainer`] | string-keyed features, ranking and AdaGrad training |
 //! | [`provenance`] | [`wtq_provenance`]'s chain, highlights and sample | `P_O`, `P_E` and `P_C` as cell sets, classes counted through difference sets, the sample rendered from a rebuilt table |
-//! | [`engine`] | [`wtq_sql::translate()`] and the evaluator | an in-memory executor for the SQL of Table 10, with a cost-based planner |
+//! | [`engine`] | [`wtq_sql::translate()`] and the evaluator | a row-by-row executor for the SQL of Table 10 ([`execute_sql`]), memoizing only subquery results |
 //! | [`error`] | — | the executor's errors ([`ExecError`]); production `wtq-sql` raises only translation errors |
-//! | [`stats`] | — | the SQL planner's decision counters |
 //!
-//! The SQL executor cross-validates the evaluator: for every lambda DCS
-//! operator, the translated SQL must return the same answer as the direct
-//! lambda DCS execution. An [`SqlEngine`] runs queries under a
-//! [`PlanMode`]: `Auto` picks per predicate between the shared
-//! [`wtq_table::TableIndex`] and kernel sweeps over the table's cells by
-//! estimated selectivity (and never builds an index for a single cold
-//! query);
-//! `ForceScan` keeps the pre-index scan path as the oracle of the
-//! differential suites; `ForceIndex` pins the indexed path. `Auto`
-//! decisions are counted per engine in [`PlannerCounters`].
+//! The SQL executor cross-validates the translation and the evaluator: for
+//! every lambda DCS operator, the translated SQL must return the same
+//! answer as the direct lambda DCS execution.
 
 pub mod engine;
 pub mod error;
 pub mod parser;
 pub mod provenance;
 pub mod reference;
-pub mod stats;
 
-pub use engine::{PlanMode, SqlEngine, SqlResult};
+pub use engine::{execute_sql, SqlResult};
 pub use error::ExecError;
 pub use parser::{
     dot_reference, extract_features_reference, parse_in_session_reference, rank_reference,
     ReferenceCandidate, ReferenceFeatures, ReferenceModel, ReferenceTrainer,
 };
 pub use reference::eval_reference;
-pub use stats::PlannerCounters;

@@ -20,8 +20,6 @@ use wtq_table::{CellRef, RecordIdx, Table, Value};
 use wtq_dcs::eval::MAX_EVAL_DEPTH;
 use wtq_dcs::{AggregateOp, DcsError, Denotation, Formula, Result, SuperlativeOp, TracedValue};
 
-use crate::engine::filter_eq;
-
 /// Evaluate `formula` against `table` with the scan-based reference
 /// semantics. The result must always equal `wtq_dcs::eval(formula, table)`.
 pub fn eval_reference(formula: &Formula, table: &Table) -> Result<Denotation> {
@@ -287,6 +285,15 @@ fn eval_depth(formula: &Formula, table: &Table, depth: usize) -> Result<Denotati
     }
 }
 
+/// Records whose cell in `column` equals `value` under [`Value`]'s
+/// equality, ascending: the scan behind every join.
+fn filter_eq(table: &Table, column: usize, value: &Value) -> Vec<RecordIdx> {
+    table
+        .record_indices()
+        .filter(|&record| table.eq_at(record, column, value))
+        .collect()
+}
+
 fn column_of(table: &Table, name: &str) -> Result<usize> {
     table
         .column_index(name)
@@ -437,7 +444,7 @@ fn eval_aggregate(op: AggregateOp, inner: Denotation) -> Result<Denotation> {
 mod tests {
     use super::*;
     use wtq_dcs::{eval, parse_formula};
-    use wtq_table::samples;
+    use wtq_table::{samples, TableBuilder};
 
     #[test]
     fn reference_agrees_with_indexed_on_paper_examples() {
@@ -480,5 +487,62 @@ mod tests {
             eval_reference(&bad, &table).unwrap_err(),
             eval(&bad, &table).unwrap_err()
         );
+    }
+
+    fn values(texts: &[&str]) -> Vec<Value> {
+        texts.iter().map(|t| Value::parse(t)).collect()
+    }
+
+    /// A one-column table of `cells`.
+    fn column_table(cells: &[Value]) -> Table {
+        let mut builder = TableBuilder::new("column").column("A");
+        for cell in cells {
+            builder = builder.row(vec![cell.clone()]).unwrap();
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn filter_eq_matches_scan_semantics() {
+        let cases: Vec<Vec<Value>> = vec![
+            values(&["1", "2", "", "2", "3"]),
+            values(&["Athens", "athens", "", "Paris"]),
+            values(&["June 8, 2013", "October 1983", "June 8, 2013"]),
+            values(&["1", "a", "", "June 8, 2013"]),
+        ];
+        let needles: Vec<Value> = values(&["2", "athens", "", "June 8, 2013", "1", "nope"])
+            .into_iter()
+            .chain([Value::year(1983), Value::Num(f64::NAN)])
+            .collect();
+        for cells in cases {
+            let table = column_table(&cells);
+            for needle in &needles {
+                let scan: Vec<usize> = cells
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| *v == needle)
+                    .map(|(r, _)| r)
+                    .collect();
+                assert_eq!(filter_eq(&table, 0, needle), scan, "needle {needle:?}");
+                for (r, v) in cells.iter().enumerate() {
+                    assert_eq!(
+                        table.eq_at(r, 0, needle),
+                        v == needle,
+                        "row {r} vs {needle:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_eq_matches_paper_example() {
+        // Country.Greece on the Figure 1 table returns records {0, 5} here
+        // (the paper writes {0, n-4} for its elided table).
+        let t = samples::olympics();
+        let col = t.column_index("Country").unwrap();
+        assert_eq!(filter_eq(&t, col, &Value::str("Greece")), vec![0, 5]);
+        // Case-insensitively, as `Value` compares strings.
+        assert_eq!(filter_eq(&t, col, &Value::str("greece")), vec![0, 5]);
     }
 }

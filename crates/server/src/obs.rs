@@ -3,10 +3,10 @@
 //!
 //! The registry holds no values of its own. It attaches the live handles
 //! of every instance behind this server — the server's [`ServerMetrics`],
-//! the engine's serving counters and parse-stage histograms, its index
-//! cache and planner, the answer cache, the tracer — and reads them when
-//! rendering. `/metrics` and `Stats` are two prints of that one walk; the
-//! only value computed at render time is the uptime.
+//! the engine's serving counters and parse-stage histograms, the answer
+//! cache, the tracer — and reads them when rendering. `/metrics` and
+//! `Stats` are two prints of that one walk; the only value computed at
+//! render time is the uptime.
 //!
 //! The server's own handles are recorded on the request path (relaxed
 //! atomics; a histogram observation is two `fetch_add`s). Some are state
@@ -25,6 +25,10 @@ use wtq_core::CachedEngine;
 use wtq_obs::{Counter, Gauge, Histogram, Registry, Sample, Tracer};
 
 use crate::server::ServerConfig;
+
+/// Capacity of each trace ring (most recent and slowest) that
+/// `GET /trace/recent` serves.
+const TRACE_RING_SIZE: usize = 128;
 
 /// The handles the server itself owns and records into.
 #[derive(Default)]
@@ -171,7 +175,7 @@ impl Obs {
         cached: &CachedEngine,
     ) -> Obs {
         let registry = Registry::new();
-        let tracer = Tracer::new(config.trace_sample_rate, config.trace_ring_size);
+        let tracer = Tracer::new(config.trace_sample_rate, TRACE_RING_SIZE);
         metrics.register(&registry);
         cached.engine().register(&registry);
         cached.register(&registry);

@@ -68,9 +68,13 @@ use wtq_table::Catalog;
 use crate::obs::{Obs, ServerMetrics};
 use crate::reactor::{self, Command, Reactor, ReactorShared, Ticket};
 use crate::wire::{
-    self, ErrorCode, ExplainBatchBody, ExplainBody, MetricsBody, RequestBody, RequestEnvelope,
-    ResponseBody, StatsBody, TablesBody, TraceRecentBody, WireError,
+    self, ErrorCode, ExplainBatchBody, MetricsBody, RequestBody, RequestEnvelope, ResponseBody,
+    StatsBody, TablesBody, TraceRecentBody, WireError,
 };
+
+/// Maximum questions per `ExplainBatch` request; a larger batch is
+/// rejected with [`ErrorCode::BatchTooLarge`].
+pub const MAX_BATCH: usize = 256;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -90,8 +94,6 @@ pub struct ServerConfig {
     pub max_table_in_flight: usize,
     /// Maximum accepted frame payload length.
     pub max_frame_len: u32,
-    /// Maximum questions per `ExplainBatch` request.
-    pub max_batch: usize,
     /// The `retry_after_ms` hint attached to overload rejections.
     pub retry_after_ms: u64,
     /// Upper bound on how long an admitted request may wait in the
@@ -114,9 +116,6 @@ pub struct ServerConfig {
     /// every-Nth with `N = round(1/rate)`). `0.0` disables tracing
     /// entirely — sampled-out requests cost one relaxed counter increment.
     pub trace_sample_rate: f64,
-    /// Capacity of each trace ring (most-recent and slowest); see
-    /// `GET /trace/recent`.
-    pub trace_ring_size: usize,
 }
 
 impl Default for ServerConfig {
@@ -126,13 +125,11 @@ impl Default for ServerConfig {
             per_table_tokens: 4,
             max_table_in_flight: 16,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-            max_batch: 256,
             retry_after_ms: 50,
             admission_timeout_ms: 30_000,
             reactor_threads: 2,
             cache_capacity: 4096,
             trace_sample_rate: 0.0625,
-            trace_ring_size: 128,
         }
     }
 }
@@ -588,7 +585,7 @@ impl Shared {
 
     fn handle_explain(
         &self,
-        request: ExplainBody,
+        request: ExplainRequest,
         trace: &mut Option<RequestTrace>,
         ticket: Ticket,
     ) -> Option<Reply> {
@@ -615,12 +612,7 @@ impl Shared {
         if let Some(value) = probed {
             return Some(self.explanation_reply(request.question, request.table, &value));
         }
-        let item = ExplainRequest {
-            question: request.question,
-            table: request.table,
-            top_k: request.top_k,
-        };
-        self.admit(vec![item], None, vec![(key, 0)], trace, ticket)
+        self.admit(vec![request], None, vec![(key, 0)], trace, ticket)
     }
 
     fn handle_batch(
@@ -629,25 +621,16 @@ impl Shared {
         trace: &mut Option<RequestTrace>,
         ticket: Ticket,
     ) -> Option<Reply> {
-        if batch.requests.len() > self.config.max_batch {
+        let requests = batch.requests;
+        if requests.len() > MAX_BATCH {
             return Some(error_reply(
                 ErrorCode::BatchTooLarge,
                 format!(
-                    "batch of {} exceeds the {}-question limit",
-                    batch.requests.len(),
-                    self.config.max_batch
+                    "batch of {} exceeds the {MAX_BATCH}-question limit",
+                    requests.len()
                 ),
             ));
         }
-        let requests: Vec<ExplainRequest> = batch
-            .requests
-            .into_iter()
-            .map(|request| ExplainRequest {
-                question: request.question,
-                table: request.table,
-                top_k: request.top_k,
-            })
-            .collect();
         // Probe every item before any gate: cached items become no jobs,
         // and a fully cached batch (like a single hit) is answered here —
         // it can never be rejected with a retry hint.

@@ -183,16 +183,6 @@ impl FrameDecoder {
             }
         }
     }
-
-    /// Whether the decoder sits mid-frame — an EOF here is a truncation,
-    /// not a clean close.
-    pub fn mid_frame(&self) -> bool {
-        match &self.state {
-            DecodeState::Prefix { filled, .. } => *filled != 0,
-            DecodeState::Payload { .. } => true,
-            DecodeState::Poisoned { .. } => false,
-        }
-    }
 }
 
 /// Write one frame: 4-byte big-endian length prefix, then the payload.
@@ -274,7 +264,7 @@ pub struct ResponseEnvelope {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum RequestBody {
     /// Explain one question over a registered table.
-    Explain(ExplainBody),
+    Explain(ExplainRequest),
     /// Explain a batch of questions on the server's worker pool.
     ExplainBatch(ExplainBatchBody),
     /// List the tables registered in the server's catalog.
@@ -288,22 +278,17 @@ pub enum RequestBody {
     TraceRecent,
 }
 
-/// One question addressed to a registered table by name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExplainBody {
-    /// The natural-language question.
-    pub question: String,
-    /// Registry name of the table (see [`RequestBody::ListTables`]).
-    pub table: String,
-    /// Candidates to explain; the server's engine default when absent.
-    pub top_k: Option<usize>,
-}
+/// One question addressed to a registered table by name (see
+/// [`RequestBody::ListTables`]); an absent `top_k` uses the engine's
+/// default. It is the engine's own request type; the alias stays because
+/// servebench and the clients build `ExplainBody { question, table, top_k }`.
+pub type ExplainBody = wtq_core::ExplainRequest;
 
 /// A batch of questions, answered in order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExplainBatchBody {
-    /// The questions; capped by the server's `max_batch`.
-    pub requests: Vec<ExplainBody>,
+    /// The questions; at most [`MAX_BATCH`](crate::server::MAX_BATCH).
+    pub requests: Vec<ExplainRequest>,
 }
 
 /// Typed response bodies.
@@ -425,7 +410,8 @@ pub enum ErrorCode {
     Overloaded,
     /// The request names a table absent from the registry.
     UnknownTable,
-    /// The batch exceeds the server's `max_batch`.
+    /// The batch has more than [`MAX_BATCH`](crate::server::MAX_BATCH)
+    /// questions.
     BatchTooLarge,
     /// The server is shutting down or a job failed internally.
     Internal,
@@ -772,7 +758,6 @@ mod tests {
             frames,
             vec![b"hello".to_vec(), b"".to_vec(), b"worlds".to_vec()]
         );
-        assert!(!decoder.mid_frame());
     }
 
     #[test]
@@ -805,22 +790,6 @@ mod tests {
             decoder.feed(&mut more),
             Err(FrameError::TooLarge { .. })
         ));
-        assert!(!decoder.mid_frame());
-    }
-
-    #[test]
-    fn decoder_tracks_mid_frame_for_truncation_detection() {
-        let mut decoder = FrameDecoder::new(64);
-        assert!(!decoder.mid_frame());
-        let mut input: &[u8] = &[0x00, 0x00];
-        assert!(decoder.feed(&mut input).unwrap().is_none());
-        assert!(decoder.mid_frame(), "half a prefix is mid-frame");
-        let mut rest: &[u8] = &[0x00, 0x03, b'a'];
-        assert!(decoder.feed(&mut rest).unwrap().is_none());
-        assert!(decoder.mid_frame(), "a partial payload is mid-frame");
-        let mut tail: &[u8] = b"bc";
-        assert_eq!(decoder.feed(&mut tail).unwrap().unwrap(), b"abc");
-        assert!(!decoder.mid_frame());
     }
 
     #[test]
@@ -842,6 +811,10 @@ mod tests {
             }),
         };
         let json = serde_json::to_string(&request).unwrap();
+        assert_eq!(
+            json,
+            r#"{"v":1,"id":7,"body":{"Explain":{"question":"Which city hosted in 2008?","table":"olympics","top_k":3}}}"#
+        );
         let back: RequestEnvelope = serde_json::from_str(&json).unwrap();
         assert_eq!(back.v, PROTOCOL_VERSION);
         assert_eq!(back.id, 7);
@@ -851,6 +824,41 @@ mod tests {
                 assert_eq!(body.table, "olympics");
                 assert_eq!(body.top_k, Some(3));
             }
+            other => panic!("wrong body: {other:?}"),
+        }
+
+        let batch = RequestEnvelope {
+            v: PROTOCOL_VERSION,
+            id: 8,
+            body: RequestBody::ExplainBatch(ExplainBatchBody {
+                requests: vec![
+                    ExplainBody {
+                        question: "total Gold of Fiji?".to_string(),
+                        table: "medals".to_string(),
+                        top_k: None,
+                    },
+                    ExplainBody {
+                        question: "Which city hosted in 2008?".to_string(),
+                        table: "olympics".to_string(),
+                        top_k: Some(1),
+                    },
+                ],
+            }),
+        };
+        let json = serde_json::to_string(&batch).unwrap();
+        assert_eq!(
+            json,
+            r#"{"v":1,"id":8,"body":{"ExplainBatch":{"requests":[{"question":"total Gold of Fiji?","table":"medals","top_k":null},{"question":"Which city hosted in 2008?","table":"olympics","top_k":1}]}}}"#
+        );
+        let back: RequestEnvelope = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // An absent `top_k` reads as `None`, as clients may omit it.
+        let omitted = r#"{"v":1,"id":9,"body":{"Explain":{"question":"q","table":"t"}}}"#;
+        match serde_json::from_str::<RequestEnvelope>(omitted)
+            .unwrap()
+            .body
+        {
+            RequestBody::Explain(body) => assert_eq!(body.top_k, None),
             other => panic!("wrong body: {other:?}"),
         }
 

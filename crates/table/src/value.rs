@@ -118,11 +118,6 @@ impl Value {
         matches!(self, Value::Num(_))
     }
 
-    /// Whether this value is a date.
-    pub fn is_date(&self) -> bool {
-        matches!(self, Value::Date(_))
-    }
-
     /// The numeric content usable for aggregation, if any.
     ///
     /// Dates expose their year so that `max(R[Year]...)`-style queries over a

@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use wtq_core::{Engine, ExplainRequest};
+use wtq_core::Engine;
 use wtq_server::wire::encode_frame;
 use wtq_server::{
     ExplainBatchBody, ExplainBody, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
@@ -131,15 +131,7 @@ fn batch(items: &[Item]) -> ExplainBatchBody {
 /// batch: what every spliced batch response must equal byte for byte.
 fn rebuilt(engine: &Engine, items: &[Item]) -> ResponseBody {
     let catalog = catalog();
-    let requests: Vec<ExplainRequest> = items
-        .iter()
-        .map(|&(question, table, top_k)| ExplainRequest {
-            question: question.to_string(),
-            table: table.to_string(),
-            top_k,
-        })
-        .collect();
-    let explanations = engine.explain_batch(&catalog, &requests);
+    let explanations = engine.explain_batch(&catalog, &batch(items).requests);
     ResponseBody::Batch(WireBatch {
         explanations: explanations
             .iter()

@@ -3,18 +3,10 @@
 
 use wtq_core::Engine;
 use wtq_dcs::{eval, parse_formula, Answer};
-use wtq_oracle::{PlanMode, SqlEngine};
+use wtq_oracle::execute_sql;
 use wtq_parser::formulas_equivalent;
 use wtq_provenance::HighlightKind;
 use wtq_sql::translate;
-
-/// Run a translated query under the cost-based planner (cold).
-fn execute(
-    query: &wtq_sql::SqlQuery,
-    table: &wtq_table::Table,
-) -> Result<wtq_oracle::SqlResult, wtq_oracle::ExecError> {
-    SqlEngine::new(table).execute(query, PlanMode::Auto)
-}
 use wtq_table::{samples, CellRef};
 
 #[test]
@@ -53,7 +45,7 @@ fn figure_one_pipeline_produces_all_three_explanations() {
     assert_eq!(candidate.highlights.header_label(&table, year), "MAX(Year)");
     // SQL (Table 10) executes to the same answer on the same table.
     let sql = translate(&candidate.formula).unwrap();
-    let rows = execute(&sql, &table).unwrap();
+    let rows = execute_sql(&sql, &table).unwrap();
     assert_eq!(rows, vec![vec![wtq_table::Value::num(2004.0)]]);
 }
 
@@ -95,7 +87,7 @@ fn lambda_dcs_sql_and_answers_agree_across_operator_families() {
         let formula = parse_formula(text).unwrap();
         let dcs_answer = Answer::from_denotation(&eval(&formula, &table).unwrap());
         let sql = translate(&formula).unwrap_or_else(|e| panic!("translate {text}: {e}"));
-        let rows = execute(&sql, &table).unwrap_or_else(|e| panic!("execute {text}: {e}"));
+        let rows = execute_sql(&sql, &table).unwrap_or_else(|e| panic!("execute {text}: {e}"));
         let sql_answer = Answer::values(rows.iter().filter_map(|r| r.first().cloned()));
         assert_eq!(dcs_answer, sql_answer, "disagreement for {text}");
     }

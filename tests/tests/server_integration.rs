@@ -24,11 +24,12 @@ use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wtq_core::{Engine, ExplainRequest};
+use wtq_core::Engine;
+use wtq_server::server::MAX_BATCH;
 use wtq_server::{
-    wire, Client, ClientError, ConnectOptions, ErrorCode, ExplainBody, RequestBody,
-    RequestEnvelope, ResponseBody, ResponseEnvelope, RetryPolicy, Server, ServerConfig,
-    ServerHandle, StatsBody, WireExplanation, PROTOCOL_VERSION,
+    wire, Client, ClientError, ConnectOptions, ErrorCode, ExplainBatchBody, ExplainBody,
+    RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, RetryPolicy, Server,
+    ServerConfig, ServerHandle, StatsBody, WireExplanation, PROTOCOL_VERSION,
 };
 use wtq_table::{samples, Catalog, ColumnType, Table, TableBuilder, Value};
 
@@ -165,15 +166,7 @@ fn batch_responses_match_the_direct_batch_path() {
     let served = client.explain_batch(requests.clone()).expect("batch runs");
     assert_eq!(served.len(), 3);
 
-    let engine_requests: Vec<ExplainRequest> = requests
-        .iter()
-        .map(|request| ExplainRequest {
-            question: request.question.clone(),
-            table: request.table.clone(),
-            top_k: request.top_k,
-        })
-        .collect();
-    let direct = engine.explain_batch(&catalog, &engine_requests);
+    let direct = engine.explain_batch(&catalog, &requests);
     for (served, direct) in served.iter().zip(&direct) {
         let direct_wire = WireExplanation::from_explanation(direct, catalog.get(&direct.table));
         assert_eq!(
@@ -780,6 +773,12 @@ fn frame(id: u64, body: RequestBody) -> Vec<u8> {
     bytes
 }
 
+/// Read one response frame off `stream`.
+fn read_envelope(stream: &mut TcpStream) -> ResponseEnvelope {
+    let payload = wire::read_frame(stream, wire::DEFAULT_MAX_FRAME_LEN).expect("a frame");
+    serde_json::from_str(std::str::from_utf8(&payload).unwrap()).expect("a response envelope")
+}
+
 fn explain_body(question: &str, table: &str, top_k: Option<usize>) -> ExplainBody {
     ExplainBody {
         question: question.to_string(),
@@ -842,13 +841,7 @@ fn pipelined_requests_are_answered_in_request_order() {
     ));
     stream.write_all(&bytes).unwrap();
 
-    let mut answers = Vec::new();
-    for _ in 0..4 {
-        let payload = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_LEN).expect("a frame");
-        let envelope: ResponseEnvelope =
-            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
-        answers.push(envelope);
-    }
+    let answers: Vec<ResponseEnvelope> = (0..4).map(|_| read_envelope(&mut stream)).collect();
     let ids: Vec<u64> = answers.iter().map(|envelope| envelope.id).collect();
     assert_eq!(ids, [1, 2, 3, 4]);
     assert!(matches!(&answers[0].body, ResponseBody::Explanation(e) if e.table == big_name));
@@ -858,6 +851,70 @@ fn pipelined_requests_are_answered_in_request_order() {
         &answers[3].body,
         ResponseBody::Error(err) if err.code == ErrorCode::UnknownTable
     ));
+    handle.shutdown();
+}
+
+#[test]
+fn a_batch_over_the_limit_is_rejected_and_the_connection_keeps_serving() {
+    let (_engine, _catalog, handle) = serving_stack(ServerConfig::default(), Vec::new());
+    let addr = handle.local_addr();
+    let question = "Which city hosted in 2008?";
+    let oversized = ExplainBatchBody {
+        requests: vec![explain_body(question, "olympics", Some(1)); MAX_BATCH + 1],
+    };
+
+    let before = handle.stats();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let rejected = RequestBody::ExplainBatch(oversized.clone());
+    stream.write_all(&frame(1, rejected)).unwrap();
+    let answer = read_envelope(&mut stream);
+    assert_eq!(answer.id, 1);
+    match &answer.body {
+        ResponseBody::Error(err) => {
+            assert_eq!(err.code, ErrorCode::BatchTooLarge);
+            assert_eq!(err.retry_after_ms, None);
+        }
+        other => panic!("expected BatchTooLarge, got {other:?}"),
+    }
+    // Rejected before admission: nothing ran and no slot is held.
+    let after = handle.stats();
+    for series in ["wtq_engine_questions_served_total", "wtq_server_in_flight"] {
+        assert_eq!(stat(&after, series), stat(&before, series), "{series}");
+    }
+
+    // The same connection still answers a batch within the limit.
+    let single = ExplainBatchBody {
+        requests: vec![explain_body(question, "olympics", Some(1))],
+    };
+    stream
+        .write_all(&frame(2, RequestBody::ExplainBatch(single)))
+        .unwrap();
+    let answer = read_envelope(&mut stream);
+    assert_eq!(answer.id, 2);
+    match &answer.body {
+        ResponseBody::Batch(batch) => {
+            assert_eq!(batch.explanations.len(), 1);
+            assert!(!batch.explanations[0].candidates.is_empty());
+        }
+        other => panic!("expected a batch, got {other:?}"),
+    }
+
+    // HTTP answers the same rejection with 413.
+    let json = serde_json::to_string(&oversized).unwrap();
+    let request = format!(
+        "POST /explain_batch HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
+        json.len(),
+        json
+    );
+    let (status, body) = http_request(addr, &request);
+    assert_eq!(status, 413);
+    match serde_json::from_str::<ResponseBody>(&body).unwrap() {
+        ResponseBody::Error(err) => assert_eq!(err.code, ErrorCode::BatchTooLarge),
+        other => panic!("expected BatchTooLarge, got {other:?}"),
+    }
     handle.shutdown();
 }
 
