@@ -28,6 +28,7 @@ use wtq_bench::{
 use wtq_core::Engine;
 use wtq_dcs::parse_formula;
 use wtq_explain::{derivation, utter};
+use wtq_parser::ParseSpans;
 use wtq_provenance::{render, Highlights};
 use wtq_sql::translate;
 use wtq_table::samples;
@@ -172,6 +173,12 @@ fn main() {
         ];
         for (stage, paper, measured, measured_large) in rows {
             println!("| {stage} | {paper} | {measured:.6} | {measured_large:.6} |");
+            if stage == "candidate generation" {
+                let stages = t7.parse_stages.iter().zip(&large.parse_stages);
+                for (name, (measured, measured_large)) in ParseSpans::STAGES.iter().zip(stages) {
+                    println!("| ↳ parse: {name} | — | {measured:.6} | {measured_large:.6} |");
+                }
+            }
         }
         println!(
             "\nAbsolute times differ (different hardware and parser). The paper's \

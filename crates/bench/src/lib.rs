@@ -191,6 +191,14 @@ pub struct Table7Result {
     pub questions: usize,
     /// Average seconds to generate candidates for a question.
     pub candidate_generation: f64,
+    /// Candidate generation split by parse stage, in
+    /// [`wtq_parser::ParseSpans::STAGES`] order: average seconds per
+    /// question, read from the engine's `parse_stage_duration` histograms.
+    /// The stages lie inside the parse, so they sum to no more than
+    /// `candidate_generation`.
+    pub parse_stages: [f64; 6],
+    /// Parses each stage's histogram observed: one per question.
+    pub parse_stage_observations: [u64; 6],
     /// Average seconds to generate the top-k utterances.
     pub utterance_generation: f64,
     /// Average seconds to generate the top-k highlights.
@@ -304,9 +312,16 @@ fn table7_over<'t>(
         encoding_time += start.elapsed().as_secs_f64();
     }
     let n = count.max(1) as f64;
+    let stages = engine
+        .metrics()
+        .parse_stage_duration
+        .each_ref()
+        .map(|histogram| histogram.snapshot());
     Table7Result {
         questions: count,
         candidate_generation: candidate_time / n,
+        parse_stages: stages.each_ref().map(|stage| stage.sum as f64 * 1e-9 / n),
+        parse_stage_observations: stages.each_ref().map(|stage| stage.count),
         utterance_generation: utterance_time / n,
         highlight_generation: highlight_time / n,
         encoding: encoding_time / n,
@@ -461,6 +476,15 @@ mod tests {
         let large = table7_large(1, 1, 2, 7);
         assert_eq!(large.questions, 2);
         assert!(large.encoding > 0.0);
+        // Every stage of every parse is observed, and the stages lie
+        // inside the candidates row.
+        for result in [&t7, &large] {
+            assert_eq!(
+                result.parse_stage_observations,
+                [result.questions as u64; 6]
+            );
+            assert!(result.parse_stages.iter().sum::<f64>() <= result.candidate_generation);
+        }
     }
 
     #[test]

@@ -131,9 +131,9 @@ fn wtq_size_allocations(body: bool) -> Vec<(u64, u64)> {
 
 /// Allocations per counted question, in question order.
 const PINNED: [u64; TABLES * (QUESTIONS_PER_TABLE - 1)] = [
-    1647, 1606, 1684, 1167, 1842, 1448, 1404, 1278, 1332, 1621, 1814, 1494, 1512, 1111, 1922, 2163,
-    1532, 1623, 2059, 2318, 1635, 1560, 1737, 1083, 1835, 1728, 1619, 1633, 1139, 1783, 1716, 1548,
-    1521, 1054, 2021, 1818, 1661, 1660, 1067, 1563,
+    1494, 1448, 1480, 1032, 1710, 1351, 1309, 1183, 1221, 1522, 1554, 1263, 1267, 956, 1708, 1876,
+    1309, 1409, 1770, 2014, 1471, 1405, 1580, 997, 1693, 1556, 1447, 1461, 1025, 1650, 1516, 1348,
+    1306, 925, 1829, 1645, 1489, 1489, 962, 1412,
 ];
 
 #[test]
@@ -152,9 +152,9 @@ fn allocations_per_served_question_match_the_pins() {
 /// Allocations per counted question with its served body, in question
 /// order.
 const PINNED_BODY: [u64; TABLES * (QUESTIONS_PER_TABLE - 1)] = [
-    2193, 2197, 2213, 1687, 2385, 2109, 1994, 1841, 1885, 2179, 2409, 2063, 2087, 1624, 2418, 2797,
-    2129, 2204, 2634, 2846, 2273, 2140, 2331, 1606, 2363, 2282, 2192, 2151, 1661, 2333, 2273, 2149,
-    2091, 1575, 2567, 2470, 2258, 2241, 1597, 2080,
+    2040, 2039, 2009, 1552, 2253, 2012, 1899, 1746, 1774, 2080, 2149, 1832, 1842, 1469, 2204, 2510,
+    1906, 1990, 2345, 2542, 2109, 1985, 2174, 1520, 2221, 2110, 2020, 1979, 1547, 2200, 2073, 1949,
+    1876, 1446, 2375, 2297, 2086, 2070, 1492, 1929,
 ];
 
 #[test]
@@ -195,26 +195,26 @@ fn large_table_allocations(body: bool) -> Vec<(u64, u64)> {
 /// `(calls, bytes)` per counted question on 256–512-row tables, in
 /// question order.
 const PINNED_LARGE: [(u64, u64); LARGE_TABLES * (LARGE_QUESTIONS_PER_TABLE - 1)] = [
-    (1471, 693907),
-    (1589, 697494),
-    (1412, 608779),
-    (1650, 853453),
-    (1603, 681419),
-    (3464, 572810),
-    (3709, 585915),
-    (5014, 1049456),
-    (5128, 973653),
-    (3698, 553073),
-    (5461, 1709767),
-    (5479, 1706877),
-    (5340, 1724414),
-    (5455, 1701775),
-    (6442, 1162626),
-    (2112, 1000993),
-    (2126, 989456),
-    (1859, 910962),
-    (1949, 707160),
-    (2289, 1004073),
+    (1347, 562317),
+    (1465, 565904),
+    (1286, 497629),
+    (1529, 683159),
+    (1480, 560414),
+    (1407, 344373),
+    (1564, 352111),
+    (2145, 707372),
+    (1909, 615211),
+    (1739, 338330),
+    (2213, 1004117),
+    (2231, 1001227),
+    (2090, 1011020),
+    (2232, 998155),
+    (1856, 561207),
+    (1868, 767042),
+    (1882, 761296),
+    (1631, 721567),
+    (1744, 585142),
+    (2045, 773234),
 ];
 
 #[test]
@@ -231,26 +231,26 @@ fn allocations_and_bytes_per_served_question_on_large_tables_match_the_pins() {
 /// `(calls, bytes)` per counted question with its served body on
 /// 256–512-row tables, in question order.
 const PINNED_LARGE_BODY: [(u64, u64); LARGE_TABLES * (LARGE_QUESTIONS_PER_TABLE - 1)] = [
-    (2067, 727247),
-    (2179, 729345),
-    (1956, 646435),
-    (2201, 885533),
-    (2250, 722688),
-    (4013, 623107),
-    (4257, 633318),
-    (5535, 1076550),
-    (5744, 1012755),
-    (4342, 595963),
-    (6063, 1768833),
-    (6038, 1755918),
-    (5912, 1787137),
-    (5983, 1741049),
-    (7065, 1201490),
-    (2652, 1041674),
-    (2684, 1033782),
-    (2457, 956624),
-    (2479, 748201),
-    (2935, 1055653),
+    (1943, 595657),
+    (2055, 597755),
+    (1830, 535285),
+    (2080, 715239),
+    (2127, 601683),
+    (1956, 394670),
+    (2112, 399514),
+    (2666, 734466),
+    (2525, 654313),
+    (2383, 381220),
+    (2815, 1063183),
+    (2790, 1050268),
+    (2662, 1073743),
+    (2760, 1037429),
+    (2479, 600071),
+    (2408, 807723),
+    (2440, 805622),
+    (2229, 767229),
+    (2274, 626183),
+    (2691, 824814),
 ];
 
 #[test]

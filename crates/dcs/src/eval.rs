@@ -15,19 +15,24 @@
 //! distinct value with its cell count). A single [`Evaluator`] session
 //! therefore amortizes work across the hundreds of candidate formulas the
 //! semantic parser executes per question — a shared base like
-//! `Country.Greece` is evaluated once, and projected once per column however
-//! many aggregates fold that projection. [`Evaluator::answer`] skips cell
-//! traces altogether. Formulas are evaluated as ids in the session's
-//! hash-consed [`FormulaArena`], so the memo is keyed by [`FormulaId`]: a
-//! lookup is an index, not a hash of a formula tree, and callers that
-//! build formulas as ids (the semantic parser's candidate generation)
-//! evaluate them without ever building a tree. The scan-based semantics it
-//! must agree with are kept in the dev-only `wtq-oracle` crate as an
-//! executable specification, enforced by a differential proptest suite.
+//! `Country.Greece` is evaluated once, and projected and folded once per
+//! column however many aggregates read that projection.
+//! [`Evaluator::answer`] skips cell traces altogether. On a column where
+//! equality is exact, an untraced value set is the index's class ids:
+//! projections group, most-common values count and superlatives compare
+//! by class, and a cell's `Value` is built only for an answer the caller
+//! keeps or a traced denotation. Formulas are evaluated as ids in the
+//! session's hash-consed [`FormulaArena`], so the memo is keyed by
+//! [`FormulaId`]: a lookup is an index, not a hash of a formula tree, and
+//! callers that build formulas as ids (the semantic parser's candidate
+//! generation) evaluate them without ever building a tree. The scan-based
+//! semantics it must agree with are kept in the dev-only `wtq-oracle`
+//! crate as an executable specification, enforced by a differential
+//! proptest suite.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use wtq_table::{CellRef, KnowledgeBase, RecordIdx, Table, TableIndex, Value};
 
@@ -183,8 +188,97 @@ type Records = Arc<[RecordIdx]>;
 
 /// A grouped projection: the distinct values of a column over a record set
 /// in first-appearance order, each with the number of cells holding it —
-/// a projection without its cell traces.
-type Groups = Arc<[(Value, usize)]>;
+/// a projection without its cell traces — and its numeric summary, folded
+/// once, on first use, for every aggregate that reads the grouping.
+struct Grouping {
+    groups: Groups,
+    summary: OnceLock<Summary>,
+}
+
+/// The groups of a [`Grouping`].
+enum Groups {
+    /// The groups of exact column `column`
+    /// ([`wtq_table::ColumnIndex::is_exact`]) by class id: no two hold
+    /// equal values, so an answer keeps one value per group.
+    Classes {
+        column: usize,
+        groups: Vec<ClassGroup>,
+    },
+    /// The groups of an inexact column by `Value` hash and equality.
+    Values(Vec<(Value, usize)>),
+}
+
+/// One group of an exact column: a class, the first record of the grouped
+/// set holding it (the group's value is that record's cell, so case
+/// variants and year-vs-date spellings come out as the set has them) and
+/// the number of cells counted for it.
+#[derive(Clone, Copy)]
+struct ClassGroup {
+    class: u32,
+    record: u32,
+    count: u32,
+}
+
+impl Grouping {
+    fn new(groups: Groups) -> Arc<Grouping> {
+        Arc::new(Grouping {
+            groups,
+            summary: OnceLock::new(),
+        })
+    }
+
+    fn len(&self) -> usize {
+        match &self.groups {
+            Groups::Classes { groups, .. } => groups.len(),
+            Groups::Values(groups) => groups.len(),
+        }
+    }
+}
+
+/// The numeric fold of a value set for the aggregates: every cell's number
+/// folded in order, as a per-cell vector would hold them, so results are
+/// bit-identical to folding that vector.
+#[derive(Clone, Copy)]
+struct Summary {
+    /// Cells folded (a value traced to no cell counts once).
+    cells: usize,
+    max: f64,
+    min: f64,
+    /// From `-0.0`, as std's `Sum` for `f64` starts.
+    sum: f64,
+    /// The position of the first value with no numeric content; the fold
+    /// stops there.
+    non_numeric: Option<usize>,
+}
+
+impl Summary {
+    fn new() -> Summary {
+        Summary {
+            cells: 0,
+            max: f64::NEG_INFINITY,
+            min: f64::INFINITY,
+            sum: -0.0,
+            non_numeric: None,
+        }
+    }
+
+    /// Fold value `position`, with numeric content `number`, held by
+    /// `cells` cells.
+    fn add(&mut self, position: usize, number: Option<f64>, cells: usize) {
+        if self.non_numeric.is_some() {
+            return;
+        }
+        let Some(number) = number else {
+            self.non_numeric = Some(position);
+            return;
+        };
+        let cells = cells.max(1);
+        self.cells += cells;
+        self.max = fold_cells(AggregateOp::Max, self.max, number, cells);
+        self.min = fold_cells(AggregateOp::Min, self.min, number, cells);
+        self.sum = fold_cells(AggregateOp::Sum, self.sum, number, cells);
+    }
+}
 
 /// Marks a class with no group yet in [`Evaluator::group_column`]'s scratch.
 const NO_GROUP: u32 = u32::MAX;
@@ -196,14 +290,9 @@ enum Den {
     Records(Records),
     /// A traced value set.
     Values(Vec<TracedValue>),
-    /// An untraced projection (see [`Groups`]); only evaluation that reads
-    /// no traces produces one. `distinct`: no two groups hold equal values
-    /// (the column was grouped by class ids), so its answer keeps one value
-    /// per group.
-    Groups {
-        groups: Groups,
-        distinct: bool,
-    },
+    /// An untraced value set (see [`Grouping`]); only evaluation that reads
+    /// no traces produces one.
+    Groups(Arc<Grouping>),
     Number(f64),
 }
 
@@ -211,7 +300,7 @@ impl Den {
     fn kind(&self) -> &'static str {
         match self {
             Den::Records(_) => "records",
-            Den::Values(_) | Den::Groups { .. } => "values",
+            Den::Values(_) | Den::Groups(_) => "values",
             Den::Number(_) => "number",
         }
     }
@@ -220,34 +309,24 @@ impl Den {
         match self {
             Den::Records(r) => r.len(),
             Den::Values(v) => v.len(),
-            Den::Groups { groups, .. } => groups.len(),
+            Den::Groups(grouping) => grouping.len(),
             Den::Number(_) => 1,
         }
     }
 
-    /// The values of a value set in order, each with the number of cells
-    /// it is traced to; nothing for records and numbers.
-    fn counted(&self) -> impl Iterator<Item = (&Value, usize)> {
-        let (traced, grouped): (&[TracedValue], &[(Value, usize)]) = match self {
-            Den::Values(values) => (values, &[]),
-            Den::Groups { groups, .. } => (&[], groups),
-            Den::Records(_) | Den::Number(_) => (&[], &[]),
-        };
-        traced
-            .iter()
-            .map(|tv| (&tv.value, tv.cells.len()))
-            .chain(grouped.iter().map(|(value, count)| (value, *count)))
-    }
-
-    /// [`Denotation::as_single_number`].
-    fn as_single_number(&self) -> Option<f64> {
+    /// What `count` counts: records, or the cells a value set is traced
+    /// to (a value traced to no cell counting once).
+    fn count(&self) -> usize {
         match self {
-            Den::Number(n) => Some(*n),
-            Den::Values(_) | Den::Groups { .. } if self.len() == 1 => self
-                .counted()
-                .next()
-                .and_then(|(value, _)| value.as_number()),
-            _ => None,
+            Den::Records(r) => r.len(),
+            Den::Number(_) => 1,
+            Den::Values(values) => values.iter().map(|tv| tv.cells.len().max(1)).sum(),
+            Den::Groups(grouping) => match &grouping.groups {
+                Groups::Classes { groups, .. } => {
+                    groups.iter().map(|group| group.count as usize).sum()
+                }
+                Groups::Values(groups) => groups.iter().map(|(_, count)| count).sum(),
+            },
         }
     }
 }
@@ -411,7 +490,7 @@ impl<'a> Evaluator<'a> {
             Den::Records(records) => SharedDenotation::Records(records),
             Den::Values(values) => SharedDenotation::Values(values),
             Den::Number(n) => SharedDenotation::Number(n),
-            Den::Groups { .. } => unreachable!("traced evaluation never groups"),
+            Den::Groups(_) => unreachable!("traced evaluation never groups"),
         })
     }
 
@@ -437,10 +516,11 @@ impl<'a> Evaluator<'a> {
         self.bounded_answer_id(id, max_values)
     }
 
-    /// [`Evaluator::bounded_answer`] of an interned formula. A projection
-    /// grouped by class ids has one answer value per group, so one with
-    /// more groups than `max_values` is rejected before any value is
-    /// sorted or cloned; otherwise only the values kept are cloned.
+    /// [`Evaluator::bounded_answer`] of an interned formula. A value set
+    /// grouped by class ids (a projection or most-common values of an
+    /// exact column) has one answer value per group, so one with more
+    /// groups than `max_values` is rejected before any value is cloned or
+    /// sorted; otherwise only the values kept are cloned.
     pub fn bounded_answer_id(&self, id: FormulaId, max_values: usize) -> Result<Option<Answer>> {
         self.resolve_columns();
         Ok(match self.eval_depth(id, 0, false)? {
@@ -448,11 +528,17 @@ impl<'a> Evaluator<'a> {
                 (records.len() <= max_values).then(|| Answer::Records(records.to_vec()))
             }
             Den::Number(n) => (max_values >= 1).then_some(Answer::Number(n)),
-            Den::Groups {
-                groups,
-                distinct: true,
-            } if groups.len() > max_values => None,
-            values => Answer::values_within(values.counted().map(|(value, _)| value), max_values),
+            Den::Groups(grouping) => match &grouping.groups {
+                Groups::Classes { column, groups } => (groups.len() <= max_values).then(|| {
+                    Answer::values(groups.iter().map(|group| self.cell(group.record, *column)))
+                }),
+                Groups::Values(groups) => {
+                    Answer::values_within(groups.iter().map(|(value, _)| value), max_values)
+                }
+            },
+            Den::Values(values) => {
+                Answer::values_within(values.iter().map(|tv| &tv.value), max_values)
+            }
         })
     }
 
@@ -526,7 +612,7 @@ impl<'a> Evaluator<'a> {
         let result = self.eval_node(node, depth, traced)?;
         if memoized {
             self.cache_misses.set(self.cache_misses.get() + 1);
-            if matches!(result, Den::Records(_) | Den::Groups { .. }) {
+            if matches!(result, Den::Records(_) | Den::Groups(_)) {
                 let mut memo = self.memo.borrow_mut();
                 if memo.entries < DENOTATION_CACHE_CAP {
                     if memo.slots.len() <= id.index() {
@@ -543,7 +629,7 @@ impl<'a> Evaluator<'a> {
     fn eval_node(&self, node: Node, depth: usize, traced: bool) -> Result<Den> {
         match node {
             Node::Const(constant) => Ok(self.eval_const(self.arena.borrow().value(constant))),
-            Node::AllRecords => Ok(Den::Records(self.table.record_indices().collect())),
+            Node::AllRecords => Ok(Den::Records(self.index().all_records().clone())),
             Node::Join { column, values } => {
                 let column_idx = self.column(column)?;
                 let values = self.eval_depth(values, depth + 1, false)?;
@@ -552,7 +638,7 @@ impl<'a> Evaluator<'a> {
             Node::CompareJoin { column, op, value } => {
                 let column_idx = self.column(column)?;
                 let value = self.eval_depth(value, depth + 1, false)?;
-                let threshold = value.as_single_number().ok_or(DcsError::Cardinality {
+                let threshold = self.single_number(&value).ok_or(DcsError::Cardinality {
                     operator: "comparison",
                     expected: "a single numeric value",
                     got: value.len(),
@@ -568,11 +654,11 @@ impl<'a> Evaluator<'a> {
                 Ok(if traced {
                     self.project_column(column_idx, &records)
                 } else {
-                    let (groups, distinct) = self.group_column(column_idx, &records, |_, _| {});
-                    Den::Groups {
-                        groups: groups.into(),
-                        distinct,
-                    }
+                    Den::Groups(Grouping::new(self.group_column(
+                        column_idx,
+                        &records,
+                        |_, _| {},
+                    )))
                 })
             }
             Node::Prev(sub) => {
@@ -632,7 +718,7 @@ impl<'a> Evaluator<'a> {
             Node::MostCommonValue { op, values, column } => {
                 let column_idx = self.column(column)?;
                 let values = self.eval_depth(values, depth + 1, false)?;
-                self.eval_most_common(op, &values, column_idx)
+                self.eval_most_common(op, &values, column_idx, traced)
             }
             Node::CompareValues {
                 op,
@@ -687,11 +773,13 @@ impl<'a> Evaluator<'a> {
                     found: "records",
                 })
             }
-            values => values
-                .counted()
-                .flat_map(|(value, _)| self.kb.join(column, value))
-                .copied()
-                .collect(),
+            values => {
+                let mut records = Vec::new();
+                self.for_each_value(values, |value, _| {
+                    records.extend_from_slice(self.kb.join(column, value));
+                });
+                records
+            }
         };
         records.sort_unstable();
         records.dedup();
@@ -716,23 +804,71 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The cell of `record` in `column`: a clone of the table's value.
+    fn cell(&self, record: u32, column: usize) -> Value {
+        self.table
+            .value_at(record as usize, column)
+            .expect("record in range")
+    }
+
+    /// Call `f` with each value of a value set, in order, and the number
+    /// of cells it is traced to; nothing for records and numbers. A class
+    /// group's value is cloned from the table for the call.
+    fn for_each_value(&self, values: &Den, mut f: impl FnMut(&Value, usize)) {
+        match values {
+            Den::Values(values) => {
+                for tv in values {
+                    f(&tv.value, tv.cells.len());
+                }
+            }
+            Den::Groups(grouping) => match &grouping.groups {
+                Groups::Classes { column, groups } => {
+                    for group in groups {
+                        f(&self.cell(group.record, *column), group.count as usize);
+                    }
+                }
+                Groups::Values(groups) => {
+                    for (value, count) in groups {
+                        f(value, *count);
+                    }
+                }
+            },
+            Den::Records(_) | Den::Number(_) => {}
+        }
+    }
+
+    /// [`Denotation::as_single_number`]; a class group's number is read
+    /// from the table without building its value.
+    fn single_number(&self, denotation: &Den) -> Option<f64> {
+        match denotation {
+            Den::Number(n) => Some(*n),
+            Den::Values(values) if values.len() == 1 => values[0].value.as_number(),
+            Den::Groups(grouping) if grouping.len() == 1 => match &grouping.groups {
+                Groups::Classes { column, groups } => {
+                    self.table.number_at(groups[0].record as usize, *column)
+                }
+                Groups::Values(groups) => groups[0].0.as_number(),
+            },
+            _ => None,
+        }
+    }
+
     /// The distinct values of `column` over `records` in first-appearance
-    /// order, each with its cell count, and whether no two groups hold
-    /// equal values; `on_cell(group, record)` sees every cell. The one
-    /// place projections decide which cells hold the same value: on an
-    /// exact column ([`wtq_table::ColumnIndex::is_exact`]) the index's class
-    /// ids, read per cell with no hashing and one `Value` built per group;
-    /// elsewhere `Value`'s hash and (tolerant, intransitive) equality, as
-    /// the index's classes use.
+    /// order, each with its cell count; `on_cell(group, record)` sees every
+    /// cell. The one place projections decide which cells hold the same
+    /// value: on an exact column ([`wtq_table::ColumnIndex::is_exact`]) the
+    /// index's class ids, read per cell with no hashing and no `Value`
+    /// built; elsewhere `Value`'s hash and (tolerant, intransitive)
+    /// equality, as the index's classes use.
     fn group_column(
         &self,
         column: usize,
         records: &[RecordIdx],
         mut on_cell: impl FnMut(usize, RecordIdx),
-    ) -> (Vec<(Value, usize)>, bool) {
-        let mut groups: Vec<(Value, usize)> = Vec::new();
+    ) -> Groups {
         let index = self.index().column(column);
         if !index.is_exact() {
+            let mut groups: Vec<(Value, usize)> = Vec::new();
             let mut position: HashMap<Value, usize> = HashMap::new();
             for &record in records {
                 let Some(value) = self.table.value_at(record, column) else {
@@ -749,54 +885,64 @@ impl<'a> Evaluator<'a> {
                 groups[group].1 += 1;
                 on_cell(group, record);
             }
-            return (groups, false);
+            return Groups::Values(groups);
         }
+        let mut groups: Vec<ClassGroup> = Vec::new();
         let classes = index.classes();
         let mut group_of = self.group_of_class.borrow_mut();
         if group_of.len() < index.num_distinct() {
             group_of.resize(index.num_distinct(), NO_GROUP);
         }
         for &record in records {
-            let slot = &mut group_of[classes[record] as usize];
+            let class = classes[record];
+            let slot = &mut group_of[class as usize];
             if *slot == NO_GROUP {
                 *slot = u32::try_from(groups.len()).expect("groups fit in u32");
-                let value = self
-                    .table
-                    .value_at(record, column)
-                    .expect("record in range");
-                groups.push((value, 0));
+                groups.push(ClassGroup {
+                    class,
+                    record: u32::try_from(record).expect("records fit in u32"),
+                    count: 0,
+                });
             }
             let group = *slot as usize;
-            groups[group].1 += 1;
+            groups[group].count += 1;
             on_cell(group, record);
         }
         for &record in records {
             group_of[classes[record] as usize] = NO_GROUP;
         }
-        (groups, true)
+        Groups::Classes { column, groups }
     }
 
     /// The traced projection of `column` over `records`.
     fn project_column(&self, column: usize, records: &[RecordIdx]) -> Den {
         let mut cells: Vec<Vec<CellRef>> = Vec::new();
-        let (groups, _) = self.group_column(column, records, |group, record| {
+        let groups = self.group_column(column, records, |group, record| {
             if group == cells.len() {
                 cells.push(Vec::new());
             }
             cells[group].push(CellRef::new(record, column));
         });
-        Den::Values(
-            groups
+        Den::Values(match groups {
+            Groups::Classes { groups, .. } => groups
+                .iter()
+                .zip(cells)
+                .map(|(group, cells)| TracedValue {
+                    value: self.cell(group.record, column),
+                    cells,
+                })
+                .collect(),
+            Groups::Values(groups) => groups
                 .into_iter()
                 .zip(cells)
                 .map(|((value, _), cells)| TracedValue { value, cells })
                 .collect(),
-        )
+        })
     }
 
     fn expect_number(&self, operator: &'static str, denotation: &Den) -> Result<f64> {
-        denotation.as_single_number().ok_or(match denotation {
-            Den::Values(_) | Den::Groups { .. } => DcsError::Cardinality {
+        self.single_number(denotation).ok_or(match denotation {
+            Den::Values(_) | Den::Groups(_) => DcsError::Cardinality {
                 operator,
                 expected: "a single numeric value",
                 got: denotation.len(),
@@ -879,29 +1025,9 @@ impl<'a> Evaluator<'a> {
 
     fn eval_aggregate(&self, op: AggregateOp, inner: &Den) -> Result<Den> {
         if op == AggregateOp::Count {
-            return Ok(Den::Number(match inner {
-                Den::Records(r) => r.len() as f64,
-                Den::Number(_) => 1.0,
-                values => values
-                    .counted()
-                    .map(|(_, cells)| cells.max(1))
-                    .sum::<usize>() as f64,
-            }));
+            return Ok(Den::Number(inner.count() as f64));
         }
-        // One pass over the counted values, each cell's number folded in
-        // the order a per-cell vector would hold it; a sum starts at -0.0,
-        // as std's `Sum` for `f64` does, so results are bit-identical.
-        let mut result = match op {
-            AggregateOp::Max => f64::NEG_INFINITY,
-            AggregateOp::Min => f64::INFINITY,
-            _ => -0.0,
-        };
-        let mut cells = 0usize;
-        match inner {
-            Den::Number(n) => {
-                result = fold_cells(op, result, *n, 1);
-                cells = 1;
-            }
+        let summary = match inner {
             Den::Records(_) => {
                 return Err(DcsError::TypeMismatch {
                     operator: op.name(),
@@ -909,20 +1035,16 @@ impl<'a> Evaluator<'a> {
                     found: "records",
                 })
             }
-            values => {
-                for (value, count) in values.counted() {
-                    // Count each cell occurrence once so that sums over
-                    // repeated values match the SQL semantics.
-                    let number = value.as_number().ok_or_else(|| DcsError::NonNumeric {
-                        operator: op.name(),
-                        value: value.to_string(),
-                    })?;
-                    result = fold_cells(op, result, number, count.max(1));
-                    cells += count.max(1);
-                }
-            }
+            Den::Groups(grouping) => *grouping.summary.get_or_init(|| self.summarize(inner)),
+            inner => self.summarize(inner),
+        };
+        if let Some(position) = summary.non_numeric {
+            return Err(DcsError::NonNumeric {
+                operator: op.name(),
+                value: self.value_text(inner, position),
+            });
         }
-        if cells == 0 {
+        if summary.cells == 0 {
             return Err(DcsError::Cardinality {
                 operator: op.name(),
                 expected: "a non-empty value set",
@@ -930,14 +1052,61 @@ impl<'a> Evaluator<'a> {
             });
         }
         Ok(Den::Number(match op {
-            AggregateOp::Avg => result / cells as f64,
-            _ => result,
+            AggregateOp::Max => summary.max,
+            AggregateOp::Min => summary.min,
+            AggregateOp::Sum => summary.sum,
+            AggregateOp::Avg => summary.sum / summary.cells as f64,
+            AggregateOp::Count => unreachable!("counted above"),
         }))
     }
 
-    /// The best (Ord-extreme) value of `column` among `records`. Walks the
-    /// index's value-sorted permutation from the appropriate end when the
-    /// record set is dense in the table (first member hit = extreme value);
+    /// The display text of value `position` of a value set.
+    fn value_text(&self, values: &Den, position: usize) -> String {
+        match values {
+            Den::Values(values) => values[position].value.to_string(),
+            Den::Groups(grouping) => match &grouping.groups {
+                Groups::Classes { column, groups } => self
+                    .table
+                    .cell_text(CellRef::new(groups[position].record as usize, *column)),
+                Groups::Values(groups) => groups[position].0.to_string(),
+            },
+            Den::Records(_) | Den::Number(_) => unreachable!("not a value set"),
+        }
+    }
+
+    /// The [`Summary`] of a number or value set; a class group's number is
+    /// read from the table without building its value.
+    fn summarize(&self, values: &Den) -> Summary {
+        let mut summary = Summary::new();
+        match values {
+            Den::Number(n) => summary.add(0, Some(*n), 1),
+            Den::Values(values) => {
+                for (position, tv) in values.iter().enumerate() {
+                    summary.add(position, tv.value.as_number(), tv.cells.len());
+                }
+            }
+            Den::Groups(grouping) => match &grouping.groups {
+                Groups::Classes { column, groups } => {
+                    for (position, group) in groups.iter().enumerate() {
+                        let number = self.table.number_at(group.record as usize, *column);
+                        summary.add(position, number, group.count as usize);
+                    }
+                }
+                Groups::Values(groups) => {
+                    for (position, (value, count)) in groups.iter().enumerate() {
+                        summary.add(position, value.as_number(), *count);
+                    }
+                }
+            },
+            Den::Records(_) => {}
+        }
+        summary
+    }
+
+    /// A record holding the best (Ord-extreme) value of `column` among
+    /// `records` (any one on a tie: tied records hold equal values). Walks
+    /// the index's value-sorted permutation from the appropriate end when
+    /// the record set is dense in the table (first member hit = extreme value);
     /// falls back to the direct scan of the record set when it is sparse or
     /// when the column has no consistent value order (NaN cells).
     fn superlative_best(
@@ -945,7 +1114,7 @@ impl<'a> Evaluator<'a> {
         op: SuperlativeOp,
         records: &[RecordIdx],
         column: usize,
-    ) -> Option<Value> {
+    ) -> Option<RecordIdx> {
         if records.is_empty() {
             return None;
         }
@@ -958,24 +1127,38 @@ impl<'a> Evaluator<'a> {
                     SuperlativeOp::Argmax => order.iter().rev().find(member),
                     SuperlativeOp::Argmin => order.iter().find(member),
                 };
-                return found.and_then(|&r| self.table.value_at(r, column));
+                return found.copied();
             }
         }
-        let mut best: Option<Value> = None;
+        let mut best: Option<(RecordIdx, Value)> = None;
         for &record in records {
             let Some(value) = self.table.value_at(record, column) else {
                 continue;
             };
             let better = match (&best, op) {
                 (None, _) => true,
-                (Some(current), SuperlativeOp::Argmax) => &value > current,
-                (Some(current), SuperlativeOp::Argmin) => &value < current,
+                (Some((_, current)), SuperlativeOp::Argmax) => &value > current,
+                (Some((_, current)), SuperlativeOp::Argmin) => &value < current,
             };
             if better {
-                best = Some(value);
+                best = Some((record, value));
             }
         }
-        best
+        best.map(|(record, _)| record)
+    }
+
+    /// Whether a record's cell in `column` equals record `best`'s: the same
+    /// class on an exact column, `Value` equality elsewhere.
+    fn equals_cell_of(&self, column: usize, best: RecordIdx) -> impl Fn(RecordIdx) -> bool + '_ {
+        let index = self.index().column(column);
+        let classes = index.classes();
+        let class = classes[best];
+        let value = (!index.is_exact())
+            .then(|| self.table.value_at(best, column).expect("record in range"));
+        move |record| match &value {
+            None => classes[record] == class,
+            Some(value) => self.table.eq_at(record, column, value),
+        }
     }
 
     fn superlative_records(
@@ -987,17 +1170,18 @@ impl<'a> Evaluator<'a> {
         let Some(best) = self.superlative_best(op, records, column) else {
             return Records::default();
         };
+        let equal = self.equals_cell_of(column, best);
         records
             .iter()
             .copied()
-            .filter(|&record| self.table.eq_at(record, column, &best))
+            .filter(|&record| equal(record))
             .collect()
     }
 
     /// The type check shared by the value-level superlatives.
     fn expect_values(&self, operator: &'static str, values: &Den) -> Result<()> {
         match values {
-            Den::Values(_) | Den::Groups { .. } => Ok(()),
+            Den::Values(_) | Den::Groups(_) => Ok(()),
             other => Err(DcsError::TypeMismatch {
                 operator,
                 expected: "values",
@@ -1006,27 +1190,93 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_most_common(&self, op: SuperlativeOp, values: &Den, column: usize) -> Result<Den> {
+    /// The values among `values` occurring most (or least) often in
+    /// `column`, each traced to its occurrences there. When `values` is a
+    /// class grouping of `column` itself (the candidate pool's
+    /// `most_common(R[C].Rows, C)`), a value's occurrences are its class:
+    /// the counts are class sizes, and untraced evaluation returns the
+    /// winners as a class grouping, so no value is built for winners an
+    /// answer bound rejects.
+    fn eval_most_common(
+        &self,
+        op: SuperlativeOp,
+        values: &Den,
+        column: usize,
+        traced: bool,
+    ) -> Result<Den> {
         self.expect_values("most_common", values)?;
-        let counts: Vec<usize> = values
-            .counted()
-            .map(|(value, _)| self.kb.join(column, value).len())
-            .collect();
+        if let Den::Groups(grouping) = values {
+            if let Groups::Classes {
+                column: grouped,
+                groups,
+            } = &grouping.groups
+            {
+                if *grouped == column {
+                    return Ok(self.most_common_classes(op, groups, column, traced));
+                }
+            }
+        }
+        let mut counts: Vec<usize> = Vec::new();
+        self.for_each_value(values, |value, _| {
+            counts.push(self.kb.join(column, value).len());
+        });
         let best = match op {
             SuperlativeOp::Argmax => counts.iter().copied().max().unwrap_or(0),
             SuperlativeOp::Argmin => counts.iter().copied().min().unwrap_or(0),
         };
-        let out: Vec<TracedValue> = values
-            .counted()
-            .zip(counts)
-            .filter(|(_, count)| *count == best)
-            .map(|((value, _), _)| TracedValue {
-                value: value.clone(),
-                // Trace the winner to its occurrences in the counting column.
-                cells: self.kb.matching_cells(column, value),
-            })
-            .collect();
+        let mut out: Vec<TracedValue> = Vec::new();
+        let mut counts = counts.into_iter();
+        self.for_each_value(values, |value, _| {
+            if counts.next() == Some(best) {
+                out.push(TracedValue {
+                    value: value.clone(),
+                    // Trace the winner to its occurrences in the counting column.
+                    cells: self.kb.matching_cells(column, value),
+                });
+            }
+        });
         Ok(Den::Values(out))
+    }
+
+    /// [`Evaluator::eval_most_common`] over `groups`, a class grouping of
+    /// the counting column `column`.
+    fn most_common_classes(
+        &self,
+        op: SuperlativeOp,
+        groups: &[ClassGroup],
+        column: usize,
+        traced: bool,
+    ) -> Den {
+        let index = self.index().column(column);
+        let size = |group: &ClassGroup| index.class_size(group.class);
+        let sizes = groups.iter().map(size);
+        let best = match op {
+            SuperlativeOp::Argmax => sizes.max(),
+            SuperlativeOp::Argmin => sizes.min(),
+        }
+        .unwrap_or(0);
+        let winners = groups.iter().filter(|group| size(group) == best);
+        if traced {
+            return Den::Values(
+                winners
+                    .map(|group| TracedValue {
+                        value: self.cell(group.record, column),
+                        cells: index
+                            .class_records(group.class)
+                            .iter()
+                            .map(|&record| CellRef::new(record, column))
+                            .collect(),
+                    })
+                    .collect(),
+            );
+        }
+        let count = u32::try_from(best).expect("records fit in u32");
+        Den::Groups(Grouping::new(Groups::Classes {
+            column,
+            groups: winners
+                .map(|group| ClassGroup { count, ..*group })
+                .collect(),
+        }))
     }
 
     fn eval_compare_values(
@@ -1038,11 +1288,10 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Den> {
         self.expect_values("compare", values)?;
         // Rows whose value_column cell is one of the candidate values.
-        let mut rows: Vec<RecordIdx> = values
-            .counted()
-            .flat_map(|(value, _)| self.kb.join(value_column, value))
-            .copied()
-            .collect();
+        let mut rows: Vec<RecordIdx> = Vec::new();
+        self.for_each_value(values, |value, _| {
+            rows.extend_from_slice(self.kb.join(value_column, value));
+        });
         rows.sort_unstable();
         rows.dedup();
         // Best key among those rows.
@@ -1050,7 +1299,8 @@ impl<'a> Evaluator<'a> {
             return Ok(Den::Values(Vec::new()));
         };
         // The candidate values of the rows achieving the best key.
-        rows.retain(|&record| self.table.eq_at(record, key_column, &best));
+        let equal = self.equals_cell_of(key_column, best);
+        rows.retain(|&record| equal(record));
         Ok(self.project_column(value_column, &rows))
     }
 }

@@ -5,6 +5,9 @@
 //! a cold one. Its untraced [`Evaluator::answer`] must equal the canonical
 //! answer of the reference denotation, bit for bit.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
 use wtq_dcs::eval::MAX_EVAL_DEPTH;
 use wtq_dcs::{AggregateOp, Answer, CompareOp, DcsError, Evaluator, Formula, SuperlativeOp};
@@ -64,6 +67,36 @@ fn constant() -> impl Strategy<Value = Formula> {
     ]
 }
 
+/// Comparison thresholds for `column`: a quarter from a continuous range,
+/// half on the cell vocabulary's numbers (its integers and `n.nn`
+/// decimals) and a quarter the column's own first or last cell, so that a
+/// threshold often equals a cell and `<=`/`>=` differ from `<`/`>`.
+fn threshold(column: String) -> impl Strategy<Value = Formula> {
+    let number = |n: f64| Formula::Const(Value::Num(n));
+    prop_oneof![
+        (-5f64..45f64).prop_map(number),
+        (0i32..40).prop_map(move |n| number(f64::from(n))),
+        (0u32..4000).prop_map(move |n| {
+            number(
+                Value::parse(&format!("{}.{:02}", n / 100, n % 100))
+                    .as_number()
+                    .expect("a decimal"),
+            )
+        }),
+        any::<bool>().prop_map(move |last| Formula::ColumnValues {
+            column: column.clone(),
+            records: Box::new(Formula::RecordIndexSuperlative {
+                op: if last {
+                    SuperlativeOp::Argmax
+                } else {
+                    SuperlativeOp::Argmin
+                },
+                records: Box::new(Formula::AllRecords),
+            }),
+        }),
+    ]
+}
+
 /// Record-denoting formulas over `cols`-wide tables.
 fn records_formula(cols: usize) -> impl Strategy<Value = Formula> {
     let leaf = prop_oneof![
@@ -72,20 +105,22 @@ fn records_formula(cols: usize) -> impl Strategy<Value = Formula> {
             column,
             values: Box::new(values)
         }),
-        (column_name(cols), 0u8..5, -5f64..45f64).prop_map(|(column, op, threshold)| {
-            let op = [
-                CompareOp::Lt,
-                CompareOp::Leq,
-                CompareOp::Gt,
-                CompareOp::Geq,
-                CompareOp::Neq,
-            ][op as usize];
-            Formula::CompareJoin {
-                column,
-                op,
-                value: Box::new(Formula::Const(Value::Num(threshold))),
-            }
-        }),
+        column_name(cols)
+            .prop_flat_map(|column| (Just(column.clone()), 0u8..5, threshold(column)))
+            .prop_map(|(column, op, threshold)| {
+                let op = [
+                    CompareOp::Lt,
+                    CompareOp::Leq,
+                    CompareOp::Gt,
+                    CompareOp::Geq,
+                    CompareOp::Neq,
+                ][op as usize];
+                Formula::CompareJoin {
+                    column,
+                    op,
+                    value: Box::new(threshold),
+                }
+            }),
     ];
     leaf.prop_recursive(3, 24, 4, move |inner| {
         prop_oneof![
@@ -342,6 +377,82 @@ fn reference_answer(formula: &Formula, table: &Table) -> Result<ExactAnswer, Dcs
     exact(eval_reference(formula, table).map(|denotation| Answer::from_denotation(&denotation)))
 }
 
+/// Whether every two equal cells of `columns` hash alike. `Value`'s hash
+/// rounds numbers, so two equal numbers astride a rounding boundary (the
+/// pair in [`class_column`]'s near numbers) hash apart: a hashed join of
+/// one misses the other, and a hashed grouping keeps them apart, where the
+/// scan reference finds and merges them (see `Value`'s `Hash`).
+fn hashes_agree_with_equality(table: &Table, columns: &[usize]) -> bool {
+    let hash = |value: &Value| {
+        let mut hasher = DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    };
+    let cells: Vec<Value> = columns
+        .iter()
+        .flat_map(|&c| table.record_indices().map(move |r| (r, c)))
+        .map(|(record, c)| table.value_at(record, c).expect("in range"))
+        .collect();
+    cells
+        .iter()
+        .all(|a| cells.iter().all(|b| a != b || hash(a) == hash(b)))
+}
+
+/// The value-level superlatives keyed by column `column` of `table`, over
+/// record base `base`: most-common values of the column's projection,
+/// counted in the column and in `other`, and their count; superlative
+/// records over the base; and comparisons of two of the table's values
+/// (`picks` choose their records), found in the column or in `other`.
+fn class_superlatives(
+    table: &Table,
+    base: &Formula,
+    column: usize,
+    other: usize,
+    picks: (usize, usize),
+) -> Vec<Formula> {
+    let name = |c: usize| format!("Col{c}");
+    let projection = Formula::ColumnValues {
+        column: name(column),
+        records: Box::new(base.clone()),
+    };
+    let pick = |record: usize, c: usize| {
+        let value = match table.num_records() {
+            0 => Value::str("Athens"),
+            rows => table.value_at(record % rows, c).expect("in range"),
+        };
+        Box::new(Formula::Const(value))
+    };
+    let mut formulas = Vec::new();
+    for op in [SuperlativeOp::Argmax, SuperlativeOp::Argmin] {
+        for counted in [column, other] {
+            let most_common = Formula::MostCommonValue {
+                op,
+                values: Box::new(projection.clone()),
+                column: name(counted),
+            };
+            formulas.push(Formula::aggregate(AggregateOp::Count, most_common.clone()));
+            formulas.push(most_common);
+        }
+        formulas.push(Formula::SuperlativeRecords {
+            op,
+            records: Box::new(base.clone()),
+            column: name(column),
+        });
+        for value_column in [column, other] {
+            formulas.push(Formula::CompareValues {
+                op,
+                values: Box::new(Formula::Union(
+                    pick(picks.0, value_column),
+                    pick(picks.1, value_column),
+                )),
+                key_column: name(column),
+                value_column: name(value_column),
+            });
+        }
+    }
+    formulas
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -461,6 +572,55 @@ proptest! {
                         .map(|answer| (answer.len() <= bound).then_some(answer));
                     prop_assert_eq!(
                         exact_bounded(session.bounded_answer(formula, bound)),
+                        exact_bounded(expected)
+                    );
+                }
+            }
+        }
+    }
+
+    /// On every column the index marks exact, the value-level superlatives
+    /// keyed by it ([`class_superlatives`]) equal the scan reference: the
+    /// traced denotation as Debug text, and the bounded answer for every
+    /// bound, `None` exactly when the reference answer holds more values.
+    /// The other counting and value column is the next column, on either
+    /// side of the flag, unless two equal cells of the pair hash apart
+    /// ([`hashes_agree_with_equality`]); then it is the column itself.
+    #[test]
+    fn class_superlatives_match_scan_reference(
+        (table, base, picks) in class_table()
+            .prop_flat_map(|t| {
+                let cols = t.num_columns();
+                (Just(t), records_formula(cols), (any::<usize>(), any::<usize>()))
+            })
+    ) {
+        let session = Evaluator::new(&table);
+        let cols = table.num_columns();
+        for column in 0..cols {
+            if !session.index().column(column).is_exact() {
+                continue;
+            }
+            let next = (column + 1) % cols;
+            let other = if hashes_agree_with_equality(&table, &[column, next]) {
+                next
+            } else {
+                column
+            };
+            for formula in class_superlatives(&table, &base, column, other, picks) {
+                prop_assert_eq!(
+                    format!("{:?}", session.eval(&formula)),
+                    format!("{:?}", eval_reference(&formula, &table)),
+                    "{}",
+                    formula
+                );
+                let reference = eval_reference(&formula, &table)
+                    .map(|denotation| Answer::from_denotation(&denotation));
+                for bound in 0..=table.num_records() + 1 {
+                    let expected = reference
+                        .clone()
+                        .map(|answer| (answer.len() <= bound).then_some(answer));
+                    prop_assert_eq!(
+                        exact_bounded(session.bounded_answer(&formula, bound)),
                         exact_bounded(expected)
                     );
                 }

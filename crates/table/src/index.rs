@@ -16,7 +16,8 @@
 //!   range comparisons (`Games.(> 4)`) by binary search,
 //!
 //! plus a lowercase column-name map so `column_index` is a hash lookup
-//! instead of a linear case-insensitive scan, and — built lazily, on the
+//! instead of a linear case-insensitive scan, the table's record list (the
+//! `Rows` record set every evaluation shares), and — built lazily, on the
 //! first entity link against the table — a text index of the distinct
 //! values for the semantic parser's lexicon.
 //!
@@ -27,7 +28,7 @@
 //! index is looked up by name, none can answer for another table.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::cell::CellRef;
 use crate::table::{ColumnType, RecordIdx, Table};
@@ -94,10 +95,16 @@ impl ColumnIndex {
     }
 
     /// The records of class `class`, ascending.
-    pub(crate) fn class_records(&self, class: u32) -> &[RecordIdx] {
+    pub fn class_records(&self, class: u32) -> &[RecordIdx] {
         let class = class as usize;
         &self.class_records
             [self.class_starts[class] as usize..self.class_starts[class + 1] as usize]
+    }
+
+    /// How many records class `class` holds.
+    pub fn class_size(&self, class: u32) -> usize {
+        let class = class as usize;
+        (self.class_starts[class + 1] - self.class_starts[class]) as usize
     }
 
     /// Whether two cells of this column hold equal values exactly when they
@@ -169,7 +176,9 @@ pub struct TableIndex {
     columns: Vec<ColumnIndex>,
     numeric_columns: Vec<usize>,
     text_columns: Vec<usize>,
-    num_records: usize,
+    /// Every record, ascending: the `Rows` record set, shared by every
+    /// evaluation of it.
+    all_records: Arc<[RecordIdx]>,
     /// Entity-linking index of the distinct values, built on first use so
     /// that indexes which never link (the SQL engine's, a standalone
     /// evaluator's) do not pay for it.
@@ -201,7 +210,7 @@ impl TableIndex {
             columns,
             numeric_columns,
             text_columns,
-            num_records: table.num_records(),
+            all_records: table.record_indices().collect(),
             text: OnceLock::new(),
         }
     }
@@ -224,7 +233,12 @@ impl TableIndex {
 
     /// Number of records in the indexed table.
     pub fn num_records(&self) -> usize {
-        self.num_records
+        self.all_records.len()
+    }
+
+    /// Every record of the indexed table, ascending, as one shared slice.
+    pub fn all_records(&self) -> &Arc<[RecordIdx]> {
+        &self.all_records
     }
 
     /// Inferred type of `column` (mirrors [`Table::column_type`] without
@@ -250,7 +264,7 @@ impl TableIndex {
     /// do unless a cell holds a NaN number). Built on first use and
     /// memoized; `table` must be the table this index was built from.
     pub fn value_order(&self, table: &Table, column: usize) -> Option<&[RecordIdx]> {
-        debug_assert_eq!(table.num_records(), self.num_records);
+        debug_assert_eq!(table.num_records(), self.num_records());
         let entry = &self.columns[column];
         entry
             .value_order

@@ -1,8 +1,9 @@
 //! Wire-format compatibility suite for the columnar [`Table`] storage.
 //!
-//! The table's internal representation is typed column vectors, but its
-//! serde encoding must stay **byte-identical** to the legacy row-major
-//! format that `#[derive(Serialize)]` produced when the struct stored
+//! The table stores each column as one dictionary of exact values (an id
+//! per cell into the column's distinct values), but its serde encoding
+//! must stay **byte-identical** to the legacy row-major format that
+//! `#[derive(Serialize)]` produced when the struct stored
 //! `rows: Vec<Vec<Value>>` — otherwise every stored dataset, bench fixture
 //! and wire peer breaks. These properties pin that down:
 //!
@@ -24,9 +25,9 @@ impl serde::Serialize for Raw {
     }
 }
 
-/// Cell text spanning every column layout the storage selects: repeated
-/// category strings (dictionary), numbers and empties (f64 + null bitmap),
-/// full and year-only dates, and free text (mixed).
+/// Cell text spanning every kind of cell a column's dictionary holds:
+/// repeated category strings, numbers and empties, full and year-only
+/// dates, and free text, mixed within one column.
 fn cell_text() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("Greece".to_string()),
@@ -40,7 +41,7 @@ fn cell_text() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Random tables over the full layout space: 1–6 columns, 0–14 rows.
+/// Random tables of mixed cells: 1–6 columns, 0–14 rows.
 fn table_strategy() -> impl Strategy<Value = Table> {
     (1usize..=6, 0usize..=14).prop_flat_map(|(cols, rows)| {
         let header: Vec<String> = (0..cols).map(|i| format!("Col{i}")).collect();
@@ -83,7 +84,7 @@ proptest! {
     }
 
     /// Round trip: deserializing the wire bytes rebuilds an equal table
-    /// with bit-exact cells, typed views intact.
+    /// with bit-exact cells.
     #[test]
     fn wire_roundtrip_is_bit_exact(table in table_strategy()) {
         let json = serde_json::to_string(&table).expect("table serializes");
