@@ -14,11 +14,7 @@ fn bench_table7(c: &mut Criterion) {
     let engine = Engine::new();
     let example = &env.test_examples[0];
     let table = env.catalog.get(&example.table).expect("table exists");
-    let top_k = |session: &wtq_core::Session<'_>| {
-        let mut candidates = session.parse(&example.question);
-        candidates.truncate(7);
-        candidates
-    };
+    let top_k = |session: &wtq_core::Session<'_>| session.parse_top_k(&example.question, 7);
     let session = engine.session(table);
     let candidates = top_k(&session);
 

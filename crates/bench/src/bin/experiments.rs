@@ -8,18 +8,17 @@
 //! ```
 //!
 //! Sections: `table4`, `table5`, `table6`, `ksweep`, `table7`, `table9`,
-//! `figures`, `gallery`, `operators`, `examples`, `exec`, `parse`,
-//! `serve`, `cache`, `encode`, `obs`. With no argument every section is
-//! produced.
+//! `figures`, `gallery`, `operators`, `examples`, `exec`, `serve`. With no
+//! argument every section is produced.
 //!
 //! `--exec-json [path]` additionally writes the execution-layer report
-//! (indexed vs scan timings, candidate throughput, cache statistics, and —
-//! when the `parse` / `serve` / `cache` / `obs` sections ran — the
-//! parse-stage breakdown under `parsing`, the loopback serving latency
-//! percentiles under `serving`, the Zipfian answer-cache replay under
-//! `caching` and the `/metrics`-scraped percentiles plus tracing overhead
-//! under `observability`) as machine-readable JSON — `BENCH_exec.json` by
-//! default.
+//! (indexed vs scan timings, candidate throughput and memo statistics, and
+//! — when the `serve` section ran — the idle-connection scaling run under
+//! `idle_serving`) as machine-readable JSON — `BENCH_exec.json` by default.
+//!
+//! Served latency, throughput and the per-layer split (parse stages,
+//! encode, cache probe, tracing) are servebench's to measure; Table 7 is
+//! the in-process stage split of a served question.
 
 use wtq_bench::{
     environment, k_sweep, raw_formula_control, table4, table5, table6, table7, table7_large,
@@ -381,93 +380,10 @@ fn main() {
             report.cache_hits,
             report.cache_misses
         );
-        println!(
-            "\nBatch serving over a shared Engine ({}-row table, explain incl. highlights):\n",
-            report.rows
-        );
-        println!("| workers | questions/s | speedup vs 1 worker |");
-        println!("|---|---|---|");
-        for case in report.parallel.iter() {
-            println!(
-                "| {} | {:.1} | {:.2}× |",
-                case.workers, case.qps, case.speedup_vs_serial
-            );
-        }
         exec_report = Some(report);
     }
 
-    if wanted("parse") {
-        heading("Parsing layer — interned features vs string-keyed reference");
-        let parsing = wtq_bench::parse::parsing_report(8);
-        println!(
-            "{} questions per operator workload, one warm evaluator session \
-             per workload shared by both pipelines (interleaved medians):\n",
-            parsing.questions_per_workload
-        );
-        println!("| workload | family | reference µs/q | interned µs/q | speedup |");
-        println!("|---|---|---|---|---|");
-        for case in parsing.cases.iter() {
-            println!(
-                "| {} | {} | {:.1} | {:.1} | {:.1}× |",
-                case.name, case.family, case.reference_us, case.interned_us, case.speedup
-            );
-        }
-        println!(
-            "\nAggregate: {:.0} questions/s interned vs {:.0} questions/s \
-             string-keyed ({:.1}×).",
-            parsing.interned_qps, parsing.reference_qps, parsing.speedup
-        );
-        let stages = &parsing.stages;
-        println!(
-            "\nInterned-pipeline stage breakdown over {} parses (µs/question):\n",
-            stages.questions
-        );
-        println!("| stage | µs/question | share |");
-        println!("|---|---|---|");
-        for (name, us) in [
-            ("tokenize", stages.tokenize_us),
-            ("lexicon", stages.lexicon_us),
-            ("candidates", stages.candidates_us),
-            ("eval", stages.eval_us),
-            ("features", stages.features_us),
-            ("score", stages.score_us),
-        ] {
-            println!(
-                "| {name} | {:.1} | {:.1}% |",
-                us,
-                100.0 * us / stages.total_us.max(1e-9)
-            );
-        }
-        if let Some(report) = exec_report.as_mut() {
-            report.parsing = Some(parsing);
-        }
-    }
-
     if wanted("serve") {
-        heading("Serving layer — loopback TCP server latency");
-        let serving = wtq_bench::serve::serving_report(512, 24, 2);
-        println!(
-            "{} questions over {} connections against a {}-row table (framed \
-             JSON protocol, default backpressure/admission config):\n",
-            serving.questions, serving.connections, serving.rows
-        );
-        println!("| metric | value |");
-        println!("|---|---|");
-        println!("| throughput | {:.1} questions/s |", serving.qps);
-        println!("| mean latency | {:.2} ms |", serving.mean_ms);
-        println!("| p50 | {:.2} ms |", serving.p50_ms);
-        println!("| p90 | {:.2} ms |", serving.p90_ms);
-        println!("| p99 | {:.2} ms |", serving.p99_ms);
-        println!("| max | {:.2} ms |", serving.max_ms);
-        println!("| backpressure rejections | {} |", serving.rejected);
-        println!(
-            "| answer cache | {} hits / {} misses / {} collapsed |",
-            serving.cache_hits, serving.cache_misses, serving.cache_collapsed_waiters
-        );
-        if let Some(report) = exec_report.as_mut() {
-            report.serving = Some(serving);
-        }
-
         heading("Serving layer — connection scaling (epoll reactor)");
         let idle = wtq_bench::serve::idle_connections_report(5000, 8, 24, 512);
         println!(
@@ -492,122 +408,6 @@ fn main() {
         println!("| p99 | {:.2} ms |", idle.p99_ms);
         if let Some(report) = exec_report.as_mut() {
             report.idle_serving = Some(idle);
-        }
-    }
-
-    if wanted("cache") {
-        heading("Caching layer — Zipfian replay through the answer cache");
-        let caching = wtq_bench::cache::caching_report(512, 40, 240, 4);
-        println!(
-            "{} requests per skew drawn Zipf(s) from a {}-question pool over \
-             a {}-row table; each trace replayed through the bare Engine and \
-             a fresh CachedEngine (misses included):\n",
-            caching.skews[0].requests, caching.question_pool, caching.rows
-        );
-        println!("| skew | distinct | hit rate | uncached q/s | cached q/s | speedup |");
-        println!("|---|---|---|---|---|---|");
-        for case in caching.skews.iter() {
-            println!(
-                "| {:.1} | {} | {:.1}% | {:.1} | {:.1} | {:.1}× |",
-                case.skew,
-                case.distinct_questions,
-                case.hit_rate * 100.0,
-                case.uncached_qps,
-                case.cached_qps,
-                case.speedup
-            );
-        }
-        let served = &caching.served;
-        println!(
-            "\nServed over loopback TCP at s = {:.1} ({} requests, {} connections): \
-             {:.1} q/s uncached vs {:.1} q/s cached ({:.1}×), hit rate {:.1}%, \
-             {} single-flight collapses.",
-            served.skew,
-            served.requests,
-            served.connections,
-            served.uncached_qps,
-            served.cached_qps,
-            served.speedup,
-            served.hit_rate * 100.0,
-            served.collapsed_waiters
-        );
-        if let Some(report) = exec_report.as_mut() {
-            report.caching = Some(caching);
-        }
-    }
-
-    if wanted("encode") {
-        heading("Encode-once serving — hit-path splice vs rebuild-and-serialize");
-        let encode = wtq_bench::encode::encode_report(512, 6);
-        println!(
-            "Hit-path frame assembly over a {}-row table (reused buffers on \
-             both sides, byte-identical output asserted):\n",
-            encode.rows
-        );
-        println!("| question | candidates | frame bytes | rebuild µs | splice µs | speedup |");
-        println!("|---|---|---|---|---|---|");
-        for case in encode.micro.iter() {
-            println!(
-                "| {} | {} | {} | {:.1} | {:.1} | {:.1}× |",
-                case.question,
-                case.candidates,
-                case.frame_bytes,
-                case.rebuild_us,
-                case.splice_us,
-                case.speedup
-            );
-        }
-        println!(
-            "\nMedian micro speedup {:.1}×.",
-            encode.median_micro_speedup
-        );
-        if let Some(report) = exec_report.as_mut() {
-            report.encode = Some(encode);
-        }
-    }
-
-    if wanted("obs") {
-        heading("Observability layer — /metrics percentiles and tracing overhead");
-        let obs = wtq_bench::obs::obs_report(512, 48, 2, 7);
-        println!(
-            "{} requests over {} connections against a {}-row table, every \
-             request traced; percentiles recovered from the /metrics scrape \
-             (bucket upper-bound resolution):\n",
-            obs.questions, obs.connections, obs.rows
-        );
-        println!("| metric | value |");
-        println!("|---|---|");
-        println!("| requests observed | {} |", obs.requests_observed);
-        println!("| p50 | {:.2} ms |", obs.request_p50_ms);
-        println!("| p90 | {:.2} ms |", obs.request_p90_ms);
-        println!("| p99 | {:.2} ms |", obs.request_p99_ms);
-        println!("| mean | {:.2} ms |", obs.request_mean_ms);
-        println!("\nPer-stage breakdown (same scrape):\n");
-        println!("| stage | observations | p50 ms | p99 ms | mean ms |");
-        println!("|---|---|---|---|---|");
-        for stage in obs.stages.iter() {
-            println!(
-                "| {} | {} | {:.3} | {:.3} | {:.3} |",
-                stage.stage, stage.observations, stage.p50_ms, stage.p99_ms, stage.mean_ms
-            );
-        }
-        println!(
-            "\nTrace rings: {} traced (period {}), {} recent / {} slowest \
-             held at scrape time.",
-            obs.traces_sampled, obs.trace_sample_period, obs.recent_traces, obs.slowest_traces
-        );
-        println!(
-            "\nTracing overhead (default sampling vs disabled, {} interleaved \
-             rounds × {} requests): {:.1} q/s sampled vs {:.1} q/s disabled \
-             — ratio {:.3}.",
-            obs.overhead.rounds,
-            obs.overhead.questions_per_round,
-            obs.overhead.qps_sampled,
-            obs.overhead.qps_disabled,
-            obs.overhead.ratio
-        );
-        if let Some(report) = exec_report.as_mut() {
-            report.observability = Some(obs);
         }
     }
 

@@ -19,10 +19,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use wtq_core::{Engine, ExplainRequest};
 use wtq_dcs::{AggregateOp, CompareOp, Evaluator, Formula, SuperlativeOp};
 use wtq_parser::SemanticParser;
-use wtq_table::{Catalog, Table, TableIndex, Value};
+use wtq_table::{Table, TableIndex, Value};
 
 use crate::EXPERIMENT_SEED;
 
@@ -41,19 +40,6 @@ pub struct ExecCase {
     pub speedup_cold: f64,
     /// `scan_us / indexed_warm_us`.
     pub speedup_warm: f64,
-}
-
-/// Batch-serving throughput at one worker-pool size.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParallelCase {
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// End-to-end explained questions per second through
-    /// `Engine::explain_batch` (parse + utterance + SQL + highlights).
-    pub qps: f64,
-    /// `qps / qps_at_1_worker` — the scaling factor the ROADMAP's
-    /// throughput goal tracks.
-    pub speedup_vs_serial: f64,
 }
 
 /// The full execution-layer report (serialized to `BENCH_exec.json`).
@@ -76,34 +62,15 @@ pub struct ExecReport {
     /// question's candidate pool.
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Batch-serving throughput on the bench table at growing worker-pool
-    /// sizes (1, 2, 4, 8) through the shared `Engine`.
-    pub parallel: Vec<ParallelCase>,
-    /// Loopback network-serving latency percentiles (`experiments
-    /// --section serve`); absent when the serving section was not run.
-    pub serving: Option<crate::serve::ServingReport>,
     /// Connection-scaling proof: thousands of idle sockets held open by
     /// the epoll reactor while a handful of active clients keep full
-    /// throughput (`experiments --section serve`).
+    /// throughput (`experiments --section serve`); absent when the serving
+    /// section was not run.
     pub idle_serving: Option<crate::serve::IdleConnectionsReport>,
-    /// Answer-cache effectiveness on Zipfian question replays
-    /// (`experiments --section cache`); absent when that section was not
-    /// run.
-    pub caching: Option<crate::cache::CachingReport>,
-    /// Encode-once hit-path timings (`experiments --section encode`);
-    /// absent when that section was not run.
-    pub encode: Option<crate::encode::EncodeReport>,
-    /// Parse-pipeline stage breakdown and interned-vs-string-keyed feature
-    /// comparison (`experiments --section parse`); absent when that section
-    /// was not run.
-    pub parsing: Option<crate::parse::ParsingReport>,
-    /// `/metrics`-scraped latency percentiles and tracing overhead
-    /// (`experiments --section obs`); absent when that section was not run.
-    pub observability: Option<crate::obs::ObsReport>,
 }
 
 /// Time `f` repeatedly within a small budget; mean µs per call.
-pub(crate) fn time_us<F: FnMut()>(mut f: F) -> f64 {
+fn time_us<F: FnMut()>(mut f: F) -> f64 {
     // One warm-up call calibrates the iteration count.
     let start = Instant::now();
     f();
@@ -122,13 +89,13 @@ pub(crate) fn time_us<F: FnMut()>(mut f: F) -> f64 {
 /// drift hits all variants alike instead of whichever was measured last.
 const MEASURE_ROUNDS: usize = 5;
 
-pub(crate) fn median(mut samples: Vec<f64>) -> f64 {
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
 
 /// Median µs per call for each variant, sampled in interleaved rounds.
-pub(crate) fn interleaved_us(fns: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+fn interleaved_us(fns: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let mut samples = vec![Vec::with_capacity(MEASURE_ROUNDS); fns.len()];
     for _ in 0..MEASURE_ROUNDS {
         for (slot, f) in samples.iter_mut().zip(fns.iter_mut()) {
@@ -260,8 +227,6 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
     }
     let (cache_hits, cache_misses) = session.cache_stats();
 
-    let parallel = parallel_cases(&table, (questions.len() * 2).max(8));
-
     ExecReport {
         rows,
         columns: table.num_columns(),
@@ -271,64 +236,8 @@ pub fn exec_report(rows: usize, questions: usize) -> ExecReport {
         candidate_parse_us,
         cache_hits,
         cache_misses,
-        parallel,
-        serving: None,
         idle_serving: None,
-        caching: None,
-        encode: None,
-        parsing: None,
-        observability: None,
     }
-}
-
-/// Worker counts measured by the parallel section (and the
-/// `batch_throughput` Criterion bench).
-pub const PARALLEL_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Build the shared-`Engine` batch environment for `table`: a one-table
-/// catalog, a warm engine and `num_questions` generated requests.
-pub fn batch_environment(
-    table: &Table,
-    num_questions: usize,
-) -> (Engine, Catalog, Vec<ExplainRequest>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(EXPERIMENT_SEED + 2);
-    let questions = wtq_dataset::generate_questions(table, num_questions, &mut rng);
-    let requests: Vec<ExplainRequest> = questions
-        .iter()
-        .map(|question| ExplainRequest::new(question.question.clone(), table.name()))
-        .collect();
-    let catalog: Catalog = [table.clone()].into_iter().collect();
-    let engine = Engine::new();
-    // Build the table's index so every worker count measures pure serving.
-    catalog.get(table.name()).expect("table inserted").index();
-    (engine, catalog, requests)
-}
-
-/// Measure `Engine::explain_batch` throughput over `num_questions` generated
-/// questions on `table` at each of [`PARALLEL_WORKER_COUNTS`].
-fn parallel_cases(table: &Table, num_questions: usize) -> Vec<ParallelCase> {
-    let (engine, catalog, requests) = batch_environment(table, num_questions);
-    let mut cases: Vec<ParallelCase> = Vec::new();
-    for workers in PARALLEL_WORKER_COUNTS {
-        // Best of two runs smooths scheduler noise without a full
-        // Criterion-style sampling loop (this runs inside `experiments`).
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let start = Instant::now();
-            let explanations = engine.explain_batch_with(workers, &catalog, &requests);
-            let elapsed = start.elapsed().as_secs_f64();
-            assert_eq!(explanations.len(), requests.len());
-            best = best.min(elapsed);
-        }
-        let qps = requests.len() as f64 / best.max(1e-9);
-        let speedup_vs_serial = cases.first().map(|c| qps / c.qps).unwrap_or(1.0);
-        cases.push(ParallelCase {
-            workers,
-            qps,
-            speedup_vs_serial,
-        });
-    }
-    cases
 }
 
 #[cfg(test)]
@@ -348,17 +257,8 @@ mod tests {
             assert!(case.indexed_cold_us > 0.0, "{}", case.name);
             assert!(case.indexed_warm_us > 0.0, "{}", case.name);
         }
-        // The parallel section covers every worker count with sane numbers.
-        assert_eq!(report.parallel.len(), PARALLEL_WORKER_COUNTS.len());
-        for (case, workers) in report.parallel.iter().zip(PARALLEL_WORKER_COUNTS) {
-            assert_eq!(case.workers, workers);
-            assert!(case.qps > 0.0);
-            assert!(case.speedup_vs_serial > 0.0);
-        }
-        assert!((report.parallel[0].speedup_vs_serial - 1.0).abs() < 1e-12);
         // The report serializes.
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(json.contains("candidate_throughput_qps"));
-        assert!(json.contains("parallel"));
     }
 }

@@ -5,11 +5,7 @@
 //! (§7) maps to one function here; the binary prints the paper-vs-measured
 //! comparison and the benches time the underlying components.
 
-pub mod cache;
-pub mod encode;
 pub mod exec;
-pub mod obs;
-pub mod parse;
 pub mod serve;
 
 use std::time::Instant;
@@ -21,7 +17,7 @@ use wtq_core::{candidates_json, Engine, ExplainedCandidate};
 use wtq_dataset::dataset::{Dataset, DatasetConfig};
 use wtq_dataset::tablegen::generate_table_with_rows;
 use wtq_dataset::Split;
-use wtq_parser::{generate_candidates, CandidateConfig, SemanticParser, TrainConfig, TrainExample};
+use wtq_parser::{SemanticParser, TrainConfig, TrainExample};
 use wtq_provenance::Highlights;
 use wtq_study::deploy::{study_examples_from, StudyExample};
 use wtq_study::{
@@ -211,9 +207,11 @@ pub struct Table7Result {
 
 /// Run the Table 7 measurement over the environment's test questions on the
 /// served path, stage by stage: one [`Engine`] opens a session per question
-/// and parses there (candidate generation), then come the top k's
-/// utterances, their highlights on that session's warm evaluator, and
-/// [`candidates_json`] of the explained top k — what deployment pays.
+/// and parses there with [`wtq_core::Session::parse_top_k`], which ranks
+/// only as far as the top k, as a served question does (candidate
+/// generation); then come the top k's utterances, their highlights on that
+/// session's warm evaluator, and [`candidates_json`] of the explained top k
+/// — what deployment pays.
 /// Tables own their index, built once per table before its first question
 /// and not timed.
 pub fn table7(env: &Environment, top_k: usize) -> Table7Result {
@@ -270,8 +268,7 @@ fn table7_over<'t>(
         count += 1;
         let start = Instant::now();
         let session = engine.session(table);
-        let mut candidates = session.parse(question);
-        candidates.truncate(top_k);
+        let candidates = session.parse_top_k(question, top_k);
         candidate_time += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
@@ -409,14 +406,6 @@ pub fn raw_formula_control(env: &Environment) -> f64 {
             EXPERIMENT_SEED + 4,
         )
         .user_success_rate
-}
-
-/// Time one candidate-generation call (used by the Criterion benches).
-pub fn bench_candidate_generation(env: &Environment) -> usize {
-    let example = &env.test_examples[0];
-    let table = env.catalog.get(&example.table).expect("table exists");
-    let analysis = wtq_parser::analyze_question(&example.question, table);
-    generate_candidates(&analysis, table, &CandidateConfig::default()).len()
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
-//! Serving-layer measurements: a loopback `wtq-server` driven by blocking
-//! clients, reporting end-to-end request latency percentiles.
+//! Connection scaling: a loopback `wtq-server` holding thousands of idle
+//! sockets open while a few blocking clients replay a question workload.
 //!
-//! Shared by the `server_throughput` Criterion bench and the `experiments`
+//! Shared by the `idle_connections` Criterion bench and the `experiments`
 //! binary's `--section serve`, which folds the report into
-//! `BENCH_exec.json` as the `serving` section.
+//! `BENCH_exec.json` as the `idle_serving` section. Request latency and
+//! throughput under load are servebench's to report; this measurement is
+//! here because nothing else holds thousands of sockets open.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -20,43 +22,7 @@ use wtq_table::{Catalog, Table};
 use crate::exec::bench_table;
 use crate::EXPERIMENT_SEED;
 
-/// Latency percentiles of a loopback serving run (milliseconds).
-#[derive(Debug, Clone, Serialize)]
-pub struct ServingReport {
-    /// Rows of the served benchmark table.
-    pub rows: usize,
-    /// Total requests sent across all connections.
-    pub questions: usize,
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// End-to-end requests/second across the whole run (connect + frame +
-    /// parse + explain + respond).
-    pub qps: f64,
-    /// Mean per-request latency, ms.
-    pub mean_ms: f64,
-    /// Median per-request latency, ms.
-    pub p50_ms: f64,
-    /// 90th-percentile latency, ms.
-    pub p90_ms: f64,
-    /// 99th-percentile latency, ms.
-    pub p99_ms: f64,
-    /// Worst observed latency, ms.
-    pub max_ms: f64,
-    /// Requests rejected by backpressure during the run (0 unless the
-    /// in-flight bound is set below the connection count).
-    pub rejected: u64,
-    /// Answer-cache hits observed by the server during the run (the
-    /// default config serves with the deduplicating cache enabled).
-    pub cache_hits: u64,
-    /// Answer-cache misses observed by the server during the run.
-    pub cache_misses: u64,
-    /// Concurrent identical requests that reused an in-flight leader's
-    /// execution instead of re-executing (single-flight collapse).
-    pub cache_collapsed_waiters: u64,
-}
-
-/// Boot a loopback server over `table` (plus the engine defaults), ready
-/// for `connections` clients.
+/// Boot a loopback server over `table` on a fresh engine.
 pub fn loopback_server(table: Table, config: ServerConfig) -> ServerHandle {
     let engine = Arc::new(Engine::new());
     let catalog: Arc<Catalog> = Arc::new([table].into_iter().collect());
@@ -83,107 +49,36 @@ pub fn question_workload(table: &Table, questions: usize) -> Vec<ExplainBody> {
 }
 
 /// Replay `workload` through `connections` concurrent framed clients
-/// against `addr` (round-robin split); returns the completed requests'
-/// latencies and the number of backpressure rejections. Only a server-side
-/// `Overloaded` rejection counts as rejected — any other failure (broken
-/// connection, unknown table, internal error) panics, so a sick bench run
-/// fails loudly instead of skewing the report.
+/// against `addr` (round-robin split); returns the requests' latencies.
+/// Any failed request panics, so a sick bench run fails loudly instead of
+/// skewing the report.
 pub fn replay_workload(
     addr: SocketAddr,
     workload: &[ExplainBody],
     connections: usize,
-) -> (Vec<Duration>, u64) {
+) -> Vec<Duration> {
     let connections = connections.clamp(1, workload.len().max(1));
-    let mut latencies: Vec<Duration> = Vec::with_capacity(workload.len());
-    let mut rejected = 0u64;
     std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        for connection in 0..connections {
-            let slice: Vec<&ExplainBody> = workload
-                .iter()
-                .skip(connection)
-                .step_by(connections)
-                .collect();
-            workers.push(scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("bench client connects");
-                let mut latencies = Vec::with_capacity(slice.len());
-                let mut rejected = 0u64;
-                for request in slice {
-                    let start = Instant::now();
-                    match client.explain(&request.question, &request.table, request.top_k) {
-                        Ok(_) => latencies.push(start.elapsed()),
-                        Err(wtq_server::ClientError::Server(err))
-                            if err.code == wtq_server::ErrorCode::Overloaded =>
-                        {
-                            rejected += 1;
-                        }
-                        Err(err) => panic!("bench request failed: {err}"),
-                    }
-                }
-                (latencies, rejected)
-            }));
-        }
-        for worker in workers {
-            let (worker_latencies, worker_rejected) = worker.join().expect("bench worker clean");
-            latencies.extend(worker_latencies);
-            rejected += worker_rejected;
-        }
-    });
-    (latencies, rejected)
-}
-
-/// Replay a fixed question workload through `connections` concurrent
-/// clients against a loopback server on a `rows`-row table, and report
-/// latency percentiles.
-pub fn serving_report(rows: usize, questions: usize, connections: usize) -> ServingReport {
-    let table = bench_table(rows);
-    let workload = question_workload(&table, questions);
-    let handle = loopback_server(table, ServerConfig::default());
-    let addr = handle.local_addr();
-
-    // Build the table's index first so percentiles measure serving, not the
-    // one-off index build.
-    {
-        let mut client = Client::connect(addr).expect("warm-up client connects");
-        let first = workload.first().expect("non-empty workload");
-        let _ = client.explain(&first.question, &first.table, Some(1));
-    }
-
-    let connections = connections.clamp(1, workload.len());
-    let started = Instant::now();
-    let (latencies, rejected) = replay_workload(addr, &workload, connections);
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = handle.stats();
-    let cache_op = |op: &str| {
-        stat(
-            &stats,
-            &format!("wtq_answer_cache_ops_total{{op=\"{op}\"}}"),
-        )
-    };
-    handle.shutdown();
-    let mut latencies_ms: Vec<f64> = latencies
-        .iter()
-        .map(|latency| latency.as_secs_f64() * 1e3)
-        .collect();
-
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let served = latencies_ms.len();
-    let mean_ms = latencies_ms.iter().sum::<f64>() / served.max(1) as f64;
-    ServingReport {
-        rows,
-        questions: workload.len(),
-        connections,
-        qps: served as f64 / elapsed.max(1e-9),
-        mean_ms,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p90_ms: percentile(&latencies_ms, 0.90),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        max_ms: latencies_ms.last().copied().unwrap_or(0.0),
-        rejected,
-        cache_hits: cache_op("hit"),
-        cache_misses: cache_op("miss"),
-        cache_collapsed_waiters: cache_op("collapsed"),
-    }
+        let workers: Vec<_> = (0..connections)
+            .map(|connection| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("bench client connects");
+                    (workload.iter().skip(connection).step_by(connections))
+                        .map(|request| {
+                            let start = Instant::now();
+                            client
+                                .explain(&request.question, &request.table, request.top_k)
+                                .unwrap_or_else(|err| panic!("bench request failed: {err}"));
+                            start.elapsed()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        (workers.into_iter())
+            .flat_map(|worker| worker.join().expect("bench worker clean"))
+            .collect()
+    })
 }
 
 /// Connection-scaling measurement: many idle sockets held open while a few
@@ -272,7 +167,7 @@ pub fn idle_connections_report(
         let _ = client.explain(&first.question, &first.table, Some(1));
     }
     let started = Instant::now();
-    let (latencies, _rejected) = replay_workload(addr, &workload, active.max(1));
+    let latencies = replay_workload(addr, &workload, active.max(1));
     let elapsed = started.elapsed().as_secs_f64();
     let stats = handle.stats();
 
@@ -339,26 +234,5 @@ mod tests {
         assert!(report.reactor_threads >= 1 && report.dispatch_threads >= 1);
         let json = serde_json::to_string(&report).expect("report serializes");
         assert!(json.contains("server_open_connections"));
-    }
-
-    #[test]
-    fn serving_report_measures_a_small_loopback_run() {
-        // Small enough for debug-mode CI.
-        let report = serving_report(48, 4, 2);
-        assert_eq!(report.rows, 48);
-        assert_eq!(report.questions, 4);
-        assert_eq!(report.connections, 2);
-        assert_eq!(report.rejected, 0);
-        assert!(report.qps > 0.0);
-        assert!(report.p50_ms > 0.0);
-        assert!(report.p50_ms <= report.p90_ms);
-        assert!(report.p90_ms <= report.p99_ms);
-        assert!(report.p99_ms <= report.max_ms);
-        // The default server config serves through the answer cache, so
-        // every request registered as a lookup.
-        assert!(report.cache_hits + report.cache_misses >= report.questions as u64);
-        let json = serde_json::to_string(&report).expect("report serializes");
-        assert!(json.contains("p99_ms"));
-        assert!(json.contains("cache_hits"));
     }
 }

@@ -397,7 +397,7 @@ impl<'a> Session<'a> {
 
     /// [`Session::parse`] for the `k` best candidates only (see
     /// [`SemanticParser::parse_top_k_in_session`]).
-    fn parse_top_k(&self, question: &str, k: usize) -> Vec<Candidate> {
+    pub fn parse_top_k(&self, question: &str, k: usize) -> Vec<Candidate> {
         let mut scratch = self.scratch.borrow_mut();
         let candidates =
             self.parser

@@ -9,9 +9,8 @@
 //!    interned pipeline produces candidate scores, ranking orders and
 //!    trained weights *byte-identical* to this implementation on random
 //!    tables and questions.
-//! 2. **Benchmark baseline** — the `parse_regression` CI gate and the
-//!    `parsing` experiment section report interned-vs-string speedups
-//!    against this implementation.
+//! 2. **Benchmark baseline** — the `candidate_throughput` Criterion bench
+//!    times the interned session parse against this implementation.
 //!
 //! Keep this module boring: it must stay a faithful copy of the historical
 //! behavior, string allocations, B-tree walks, repeated `sub_formulas()`

@@ -223,10 +223,13 @@ impl std::hash::Hash for Value {
         // with it — two numbers within the 1e-9 relative tolerance hash
         // identically unless they straddle a 6-significant-digit rounding
         // boundary (a ~1e-3 sliver of the already-rare equal-but-not-
-        // identical pairs). Hash-based containers therefore treat such
-        // boundary pairs as distinct; every engine (the KB inverted index
-        // since the seed, and the dedup/membership sets built on it) shares
-        // this behavior, so they stay consistent with each other.
+        // identical pairs). Hash-based paths therefore keep such a boundary
+        // pair apart: a `ColumnIndex::records` join (behind
+        // `KnowledgeBase::join` and `matching_cells`) misses the other
+        // number of the pair, and the hashed grouping of an inexact column
+        // counts the two as separate groups. The oracle's scans compare
+        // with `==` and merge them, so on such a pair the serving engine and
+        // the scan reference (`filter_eq`) disagree.
         match self {
             Value::Str(s) => {
                 state.write_u8(2);

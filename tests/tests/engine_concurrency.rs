@@ -103,6 +103,20 @@ fn shuffled_batch_is_byte_identical_to_the_sequential_path() {
     }
     // The comparison was not vacuous.
     assert!(explained_candidates >= requests.len());
+    // A serial pool, a pool of two and one wider than most machines answer
+    // one explanation per request, in request order, as well.
+    let prefix = &requests[..8];
+    for workers in [1, 2, 8] {
+        let batch = engine.explain_batch_with(workers, &catalog, prefix);
+        assert_eq!(batch.len(), prefix.len(), "{workers} workers");
+        for (parallel, sequential) in batch.iter().zip(&sequential) {
+            assert_eq!(
+                fingerprint(parallel, &catalog),
+                fingerprint(sequential, &catalog),
+                "{workers} workers"
+            );
+        }
+    }
 }
 
 #[test]

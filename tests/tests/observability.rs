@@ -175,6 +175,15 @@ fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
         .unwrap();
     let first = client.metrics().unwrap();
     let (before, types) = parse_prometheus(&first);
+    // The request histogram holds the explain but not the scrape, which
+    // renders before its own observation closes; the scrape's decode is
+    // already observed (before dispatch), and the explain's eval is.
+    let request_count = "wtq_request_duration_seconds_count";
+    let decode = r#"wtq_request_stage_duration_seconds_count{stage="decode"}"#;
+    let eval = r#"wtq_request_stage_duration_seconds_count{stage="eval"}"#;
+    assert_eq!(before[request_count], 1.0);
+    assert_eq!(before[decode], 2.0);
+    assert_eq!(before[eval], 1.0);
 
     // One registry covers every layer: server, engine, parser stages,
     // caches — exactly the listed families, each with every one of its
@@ -248,6 +257,30 @@ fn metrics_scrape_is_well_formed_and_counters_are_monotonic() {
     // distinct questions and the cache absorbed the rest.
     assert!(after["wtq_engine_questions_served_total"] >= 2.0);
     assert!(after["wtq_answer_cache_ops_total{op=\"hit\"}"] >= 2.0);
+    // Five requests closed before the second scrape: the first explain,
+    // the first scrape and the three new explains; decode also counts the
+    // second scrape itself, and only the two executed questions reached
+    // eval.
+    assert_eq!(after[request_count], 5.0);
+    assert_eq!(after[decode], 6.0);
+    assert_eq!(after[eval], 2.0);
+    // The request histogram's buckets are cumulative: non-decreasing in
+    // `le`, ending at `+Inf` with every observation.
+    let mut buckets: Vec<(f64, f64)> = after
+        .iter()
+        .filter_map(|(series, &count)| {
+            let le = series
+                .strip_prefix("wtq_request_duration_seconds_bucket{le=\"")?
+                .strip_suffix("\"}")?;
+            Some((le.parse::<f64>().expect("`le` is a number or +Inf"), count))
+        })
+        .collect();
+    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert!(
+        buckets.windows(2).all(|pair| pair[0].1 <= pair[1].1),
+        "{buckets:?}"
+    );
+    assert_eq!(buckets.last(), Some(&(f64::INFINITY, 5.0)));
     handle.shutdown();
 }
 
@@ -294,8 +327,10 @@ fn trace_recent_is_coherent_under_concurrent_load() {
     let body = client.trace_recent().unwrap();
     assert_eq!(body.sample_period, 1);
     assert!(body.sampled >= 24, "{}", body.sampled);
-    assert!(!body.recent.is_empty());
-    assert!(!body.slowest.is_empty());
+    // Both rings hold every finished load request (the 24 explains and the
+    // polls): none was lost, and the rings (128 each) did not fill.
+    assert!(body.recent.len() >= 24, "{}", body.recent.len());
+    assert!(body.slowest.len() >= 24, "{}", body.slowest.len());
 
     // Recent ring: ordered by finish time (not seq — concurrent requests
     // finish out of start order), with each sample number appearing once.
